@@ -86,7 +86,6 @@ class PipelineConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     contact: ContactConfig = field(default_factory=ContactConfig)
     voxel_size: float = 0.010     # m, semantic fusion resolution
-    eval_radius: float = 0.2      # m, track matching radius
     stride: int = 4               # px, semantic back-projection lattice
     static_map: bool = False      # reuse the frame-0 semantic map
     seed: int = 0

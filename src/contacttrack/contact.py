@@ -7,7 +7,7 @@ contact episodes with gap bridging and a minimum-duration filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,23 +112,22 @@ class ContactTracker:
     """Stateful per-sequence contact detector.
 
     Call update() once per frame per fused hand with the frame's semantic
-    cloud, then finalize() for the episode list. Per-label distance traces
-    are retained for threshold sweeps.
+    cloud, then finalize() for the episode list. update() returns the
+    hand's per-label distance trace rows for the caller to write out.
     """
 
-    def __init__(self, cfg: ContactConfig | None = None, keep_traces=False):
+    def __init__(self, cfg: ContactConfig | None = None):
         self.cfg = cfg or ContactConfig()
-        self.keep_traces = keep_traces
         self._hands: dict[int, _HandState] = {}
         self._active: dict[tuple, bool] = {}
         self._records: dict[tuple, list] = {}
-        self.traces: list = []  # (frame, hand_id, side, person_id, label, distance)
 
     def update(self, frame, hand, cloud):
         """Advance contact state for one fused hand on one frame.
 
         hand: FusedHand with anchors, hand_track_id, side, person_id.
-        Returns the set of labels active for this hand after the frame.
+        Returns the frame's trace rows, one per surface label in label
+        order: (frame, hand_id, side, person_id, label, distance).
         """
         cfg = self.cfg
         state = self._hands.get(hand.hand_track_id)
@@ -139,9 +138,9 @@ class ContactTracker:
         )
         self._hands[hand.hand_track_id] = _HandState(frame, smoothed)
 
-        active_labels = set()
+        rows = []
         if len(cloud) == 0:
-            return active_labels
+            return rows
         for label, (d, point) in sorted(cloud.nearest_per_label(smoothed).items()):
             key = (hand.hand_track_id, label)
             active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
@@ -150,12 +149,8 @@ class ContactTracker:
                 self._records.setdefault(key, []).append(
                     (frame, float(d), np.asarray(point, dtype=float), hand.person_id, hand.side)
                 )
-                active_labels.add(label)
-            if self.keep_traces:
-                self.traces.append(
-                    (frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d))
-                )
-        return active_labels
+            rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
+        return rows
 
     def finalize(self):
         """All contact episodes, sorted by (t_start, person, side, label)."""

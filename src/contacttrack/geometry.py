@@ -3,7 +3,6 @@
 Pinhole cameras (rectified, no lens distortion), projection and
 back-projection, epipolar tests, weighted nonlinear triangulation,
 robust similarity-transform registration, and gated linear assignment.
-All functions are pure; everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -468,51 +467,3 @@ def hungarian_assign(cost, max_cost):
                 break
             fixed[r] = row
     return matches
-
-
-def brute_force_assign(cost, max_cost):
-    """Exhaustive reference for hungarian_assign (small matrices only).
-
-    Enumerates every partial injective row-to-column mapping, charging
-    max_cost per unmatched row/column, and returns (matches, total cost)
-    with the same lexicographic tie rule.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.size == 0:
-        return [], 0.0
-    m, n = cost.shape
-    best = [None, None]  # total, sorted matches
-
-    def recurse(r, used, total, sel):
-        if r == m:
-            total = total + max_cost * (n - len(used))
-            if (
-                best[0] is None
-                or total < best[0] - 1e-12
-                or (abs(total - best[0]) <= 1e-12 and sorted(sel) < best[1])
-            ):
-                best[0] = total
-                best[1] = sorted(sel)
-            return
-        for c in range(n):
-            if c in used:
-                continue
-            if np.isfinite(cost[r, c]) and cost[r, c] < max_cost:
-                used.add(c)
-                sel.append((r, c))
-                recurse(r + 1, used, total + cost[r, c], sel)
-                sel.pop()
-                used.remove(c)
-        recurse(r + 1, used, total + max_cost, sel)  # row r unmatched
-
-    recurse(0, set(), 0.0, [])
-    return best[1], best[0]
-
-
-def brute_force_min_permutation_cost(cost):
-    """Minimum total cost over all full row permutations of a square matrix."""
-    from itertools import permutations
-
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    return min(sum(cost[r, c] for r, c in enumerate(p)) for p in permutations(range(n)))

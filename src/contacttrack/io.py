@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .contact import ContactEpisode
 from .errors import InputFormatError
 from .geometry import CameraCalibration
 from .schema import JOINT_COUNT
+from .semantic_map import read_label_grid
 
 GRAVITY_AXIS = "+z"
 DEPTH_GRID_MAGIC = b"DEP1"
@@ -172,19 +174,20 @@ def read_tracks(path):
                 raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
 
 
-def write_hand_track_line(f, fh):
+def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
     rec = {
-        "frame": int(fh.frame),
-        "hand_track_id": int(fh.hand_track_id),
-        "side": fh.side,
-        "person_id": None if fh.person_id is None else int(fh.person_id),
-        "palm_center": [_round(v) for v in fh.palm_center],
-        "anchors": [[_round(v) for v in a] for a in fh.anchors],
+        "frame": int(frame),
+        "hand_track_id": int(hand_track_id),
+        "side": side,
+        "person_id": None if person_id is None else int(person_id),
+        "palm_center": [_round(v) for v in palm],
+        "anchors": [[_round(v) for v in a] for a in anchors],
     }
     f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def read_hand_tracks(path):
+    """Yield (frame, hand_track_id, side, person_id, palm (3,), anchors (6,3))."""
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
@@ -278,19 +281,19 @@ def read_visibility(path):
 
 # -- distance traces (for threshold sweeps) --------------------------------
 
-def write_traces(path, traces):
-    """traces: iterable of (frame, hand_id, side, person_id, label, distance)."""
-    with open(path, "w") as f:
-        for frame, hand_id, side, person_id, label, d in traces:
-            rec = {
-                "frame": int(frame), "hand": int(hand_id), "side": side,
-                "person": None if person_id is None else int(person_id),
-                "label": int(label), "d": _round(d),
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+def write_traces(f, rows):
+    """rows: list of (frame, hand_id, side, person_id, label, distance)."""
+    for frame, hand_id, side, person_id, label, d in rows:
+        rec = {
+            "frame": int(frame), "hand": int(hand_id), "side": side,
+            "person": None if person_id is None else int(person_id),
+            "label": int(label), "d": _round(d),
+        }
+        f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def read_traces(path):
+    """Yield (frame, hand_id, side, person_id, label, distance) records."""
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
@@ -324,23 +327,28 @@ def write_depth_grid(path, depth_m):
 
 def read_depth_grid(path):
     """Read a DEP1 grid back to float meters (0 where invalid)."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != DEPTH_GRID_MAGIC:
-            raise InputFormatError(f"bad depth grid magic {magic!r}", path=path)
-        w = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        h = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        data = np.frombuffer(f.read(w * h * 2), dtype="<u2")
-        if data.size != w * h:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise InputFormatError(f"cannot read depth grid: {e.strerror}", path=path)
+    with f:
+        header = f.read(12)
+        if header[:4] != DEPTH_GRID_MAGIC:
+            raise InputFormatError(f"bad depth grid magic {header[:4]!r}", path=path)
+        if len(header) < 12:
             raise InputFormatError("truncated depth grid", path=path)
-        return data.reshape(h, w).astype(float) / 1000.0
+        w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
+        data = f.read(w * h * 2)
+        if len(data) != w * h * 2:
+            raise InputFormatError("truncated depth grid", path=path)
+        return np.frombuffer(data, dtype="<u2").reshape(h, w).astype(float) / 1000.0
 
 
 class GridDepthProvider:
-    """Depth patch provider over per-(frame, camera) DEP1 files.
+    """Depth and label source over per-(frame, camera) grid files.
 
-    Files live under root as frame_{frame:06d}_{camera}.dep; the most
-    recently touched grid stays cached.
+    Files live under root as frame_{frame:06d}_{camera}.dep (DEP1) and
+    .lbl (LBL1); the most recently touched depth grid stays cached.
     """
 
     def __init__(self, root):
@@ -348,11 +356,13 @@ class GridDepthProvider:
         self._key = None
         self._grid = None
 
+    def _path(self, frame, cam_id, ext):
+        return os.path.join(self.root, f"frame_{frame:06d}_{cam_id}{ext}")
+
     def _load(self, frame, cam_id):
         key = (frame, cam_id)
         if key != self._key:
-            path = f"{self.root}/frame_{frame:06d}_{cam_id}.dep"
-            self._grid = read_depth_grid(path)
+            self._grid = read_depth_grid(self._path(frame, cam_id, ".dep"))
             self._key = key
         return self._grid
 
@@ -365,3 +375,12 @@ class GridDepthProvider:
         if u0 >= u1 or v0 >= v1:
             return np.zeros((0, 0))
         return grid[v0:v1, u0:u1]
+
+    def grids(self, frame, cam_id, stride=4):
+        """(label, depth) grids of one camera, or None when the frame has no
+        label file. The files hold full-resolution grids, so stride is
+        left to back-projection."""
+        lbl = self._path(frame, cam_id, ".lbl")
+        if not os.path.exists(lbl):
+            return None
+        return read_label_grid(lbl), self._load(frame, cam_id)

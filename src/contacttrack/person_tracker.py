@@ -5,7 +5,7 @@ weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
 existence-score lifecycle. All state mutation happens in a single
 sequential commit per frame; per-camera association is read-only on
-track state and may fan out to workers.
+track state.
 """
 
 from __future__ import annotations
@@ -407,6 +407,3 @@ class Tracker:
                 )
         self.tracks = survivors
         return out
-
-    def confirmed_tracks(self):
-        return [t for t in self.tracks if t.confirmed]

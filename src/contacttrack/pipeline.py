@@ -1,18 +1,23 @@
 """End-to-end orchestration: detections in, tracks and episodes out.
 
 Each frame flows through semantic map assembly, person tracking, hand
-fusion, and contact detection. Outputs stream to disk during the pass;
-when identity stitching is enabled a second pass rewrites fragment
-person ids in place. Memory stays bounded by per-frame state plus the
-vote and coexistence tables.
+fusion, and contact detection. Tracks, hand tracks and distance traces
+are written inside the frame loop; when identity stitching is enabled a
+second pass streams each of them through a temporary file to rewrite
+fragment person ids. Memory holds one frame's detections and semantic
+map and the live person tracks, plus two kinds of state that grow with
+the recording: tables keyed by id (hand tracks, contact filters, stitch
+votes, coexistence counts), which grow with the number of ids ever
+created, and the contact tracker's records of in-contact frames, kept
+until finalize() assembles the episodes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-import numpy as np
+from itertools import groupby
+from operator import itemgetter
 
 from .config import PipelineConfig
 from .contact import ContactTracker
@@ -24,6 +29,7 @@ from .io import (
     read_calibration,
     read_detections,
     read_episodes,
+    read_hand_tracks,
     read_tracks,
     read_traces,
     read_visibility,
@@ -34,26 +40,16 @@ from .io import (
 )
 from .person_tracker import Tracker
 from .schema import HandSchema, JointSchema
-from .semantic_map import (
-    backproject_labeled,
-    fuse_clouds,
-    read_label_grid,
-    read_label_table,
-)
+from .semantic_map import backproject_labeled, fuse_clouds, read_label_table
 from .simulator import SceneDepthProvider, Simulator
 
 
-def _scene_source(in_dir, cfg: PipelineConfig):
-    """Depth/label source for an input directory.
+def _depth_source(in_dir, cfg: PipelineConfig):
+    """Depth/label provider for an input directory, or None.
 
     A scene.json reconstructs the analytic provider; otherwise a grids/
-    directory supplies DEP1 depth and LBL1 label files. Returns
-    (depth_provider, grid_fn, label_table) where grid_fn(frame, cam_id)
-    yields (label_grid, depth_grid) or None when no grids exist.
+    directory supplies DEP1 depth and LBL1 label files.
     """
-    table_path = os.path.join(in_dir, "label_table.txt")
-    label_table = read_label_table(table_path) if os.path.exists(table_path) else {}
-
     scene_path = os.path.join(in_dir, "scene.json")
     if os.path.exists(scene_path):
         try:
@@ -62,30 +58,11 @@ def _scene_source(in_dir, cfg: PipelineConfig):
             sim = Simulator(data["scene"], seed=int(data.get("seed", cfg.seed)))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise InputFormatError(f"bad scene file: {e}", path=scene_path)
-        provider = SceneDepthProvider(sim)
-
-        def grid_fn(frame, cam_id):
-            return provider.grids(frame, cam_id, stride=cfg.stride)
-
-        return provider, grid_fn, label_table
-
+        return SceneDepthProvider(sim)
     grids_dir = os.path.join(in_dir, "grids")
     if os.path.isdir(grids_dir):
-        provider = GridDepthProvider(grids_dir)
-
-        def grid_fn(frame, cam_id):
-            base = os.path.join(grids_dir, f"frame_{frame:06d}_{cam_id}")
-            if not os.path.exists(base + ".lbl"):
-                return None
-            labels = read_label_grid(base + ".lbl")
-            from .io import read_depth_grid
-
-            depth = read_depth_grid(base + ".dep")
-            return labels, depth
-
-        return provider, grid_fn, label_table
-
-    return None, None, label_table
+        return GridDepthProvider(grids_dir)
+    return None
 
 
 def _load_hand_schema(in_dir):
@@ -124,10 +101,10 @@ def _group_frames(det_path):
         yield current, dets, hands
 
 
-def _build_cloud(grid_fn, cals, frame, cfg, label_table):
+def _build_cloud(provider, cals, frame, cfg, label_table):
     clouds = []
     for cam_id in sorted(cals):
-        grids = grid_fn(frame, cam_id)
+        grids = provider.grids(frame, cam_id, stride=cfg.stride)
         if grids is None:
             continue
         labels, depth = grids
@@ -136,47 +113,39 @@ def _build_cloud(grid_fn, cals, frame, cfg, label_table):
 
 
 def _rewrite_ids(out_dir, mapping):
-    """Second pass: translate fragment person ids in the emitted files."""
+    """Second pass: translate fragment person ids in the emitted streams.
 
-    def m(pid):
-        return mapping.get(pid, pid)
-
-    tracks_path = os.path.join(out_dir, "tracks.jsonl")
-    rows = [
-        (frame, m(tid), e, joints, avail)
-        for frame, tid, e, joints, avail in read_tracks(tracks_path)
-    ]
-    with open(tracks_path, "w") as f:
-        for row in rows:
-            write_track_line(f, *row)
-
-    hands_path = os.path.join(out_dir, "hand_tracks.jsonl")
-    from .io import read_hand_tracks
-
-    hand_rows = list(read_hand_tracks(hands_path))
-    with open(hands_path, "w") as f:
-        for frame, hid, side, pid, palm, anchors in hand_rows:
-            rec = {
-                "frame": frame, "hand_track_id": hid, "side": side,
-                "person_id": None if pid is None else m(pid),
-                "palm_center": [round(float(v), 6) for v in palm],
-                "anchors": [[round(float(v), 6) for v in a] for a in anchors],
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-    eps_path = os.path.join(out_dir, "episodes.csv")
-    episodes = read_episodes(eps_path)
-    for ep in episodes:
-        if ep.person_id is not None:
-            ep.person_id = m(ep.person_id)
-    write_episodes(eps_path, episodes)
-
-    traces_path = os.path.join(out_dir, "distance_traces.jsonl")
-    trace_rows = [
-        (frame, hid, side, None if pid is None else m(pid), label, d)
-        for frame, hid, side, pid, label, d in read_traces(traces_path)
-    ]
-    write_traces(traces_path, trace_rows)
+    Each stream is read, remapped and written record by record to a
+    temporary file in out_dir, which then replaces the original.
+    """
+    # (file, reader, index of the person id in a record, line writer);
+    # traces are written one frame's rows at a time instead. Built per
+    # call so the writers are looked up by their module names each time,
+    # where perfbench's tracer wraps them.
+    streams = (
+        ("tracks.jsonl", read_tracks, 1, write_track_line),
+        ("hand_tracks.jsonl", read_hand_tracks, 3, write_hand_track_line),
+        ("distance_traces.jsonl", read_traces, 3, None),
+    )
+    for name, read, slot, write_line in streams:
+        path = os.path.join(out_dir, name)
+        tmp_path = path + ".tmp"
+        try:
+            with open(tmp_path, "w") as f:
+                rows = (
+                    row[:slot] + (mapping.get(row[slot], row[slot]),) + row[slot + 1:]
+                    for row in read(path)
+                )
+                if write_line is None:
+                    for _, frame_rows in groupby(rows, key=itemgetter(0)):
+                        write_traces(f, list(frame_rows))
+                else:
+                    for row in rows:
+                        write_line(f, *row)
+            os.replace(tmp_path, path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
 
 
 def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
@@ -190,33 +159,34 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     det_path = os.path.join(in_dir, "detections.jsonl")
     if not os.path.exists(det_path):
         raise InputFormatError("missing detections.jsonl", path=det_path)
-    depth_provider, grid_fn, label_table = _scene_source(in_dir, cfg)
+    table_path = os.path.join(in_dir, "label_table.txt")
+    label_table = read_label_table(table_path) if os.path.exists(table_path) else {}
+    depth_provider = _depth_source(in_dir, cfg)
     hand_schema = _load_hand_schema(in_dir)
     joint_schema = JointSchema()
 
     tracker = Tracker(cals, cfg.tracker, joint_schema)
     fusion = HandFusion(cfg.fusion, hand_schema, joint_schema)
-    contact = ContactTracker(cfg.contact, keep_traces=True)
+    contact = ContactTracker(cfg.contact)
 
     os.makedirs(out_dir, exist_ok=True)
-    tracks_f = open(os.path.join(out_dir, "tracks.jsonl"), "w")
-    hands_f = open(os.path.join(out_dir, "hand_tracks.jsonl"), "w")
-
     cloud = None
     coexist = {}
     last_e = {}
     frames_seen = 0
     missing_frames = 0
     last_frame = None
-    try:
+    with open(os.path.join(out_dir, "tracks.jsonl"), "w") as tracks_f, \
+            open(os.path.join(out_dir, "hand_tracks.jsonl"), "w") as hands_f, \
+            open(os.path.join(out_dir, "distance_traces.jsonl"), "w") as traces_f:
         for frame, dets_by_cam, hands in _group_frames(det_path):
             if last_frame is not None and frame > last_frame + 1:
                 missing_frames += frame - last_frame - 1
             last_frame = frame
             frames_seen += 1
 
-            if grid_fn is not None and (cloud is None or not cfg.static_map):
-                cloud = _build_cloud(grid_fn, cals, frame, cfg, label_table)
+            if depth_provider is not None and (cloud is None or not cfg.static_map):
+                cloud = _build_cloud(depth_provider, cals, frame, cfg, label_table)
 
             snapshots = tracker.step(frame, dets_by_cam, depth_provider)
             fused = fusion.step(frame, hands, cals, snapshots)
@@ -239,24 +209,24 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
                     tracks_f, frame, snap.id, snap.existence, snap.joints, snap.available
                 )
             for fh in fused:
-                write_hand_track_line(hands_f, fh)
+                write_hand_track_line(
+                    hands_f, frame, fh.hand_track_id, fh.side, fh.person_id,
+                    fh.palm_center, fh.anchors,
+                )
                 if cloud is not None and len(cloud):
-                    contact.update(frame, fh, cloud)
-    finally:
-        tracks_f.close()
-        hands_f.close()
+                    write_traces(traces_f, contact.update(frame, fh, cloud))
 
     episodes = contact.finalize()
-    write_episodes(os.path.join(out_dir, "episodes.csv"), episodes)
-    write_traces(os.path.join(out_dir, "distance_traces.jsonl"), contact.traces)
-
     mapping = {}
     if stitch:
         strong = [p for p, n in coexist.items() if n >= 3]
         forbidden = {(a, b) for a, b in strong} | {(b, a) for a, b in strong}
         mapping = fusion.stitch_mapping(forbidden)
-        if mapping:
-            _rewrite_ids(out_dir, mapping)
+    for ep in episodes:
+        ep.person_id = mapping.get(ep.person_id, ep.person_id)
+    write_episodes(os.path.join(out_dir, "episodes.csv"), episodes)
+    if mapping:
+        _rewrite_ids(out_dir, mapping)
 
     summary = {
         "frames": frames_seen,

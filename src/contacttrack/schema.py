@@ -152,10 +152,6 @@ class JointSchema:
                     stack.append(nb)
         return len(seen) == JOINT_COUNT
 
-    @property
-    def joint_count(self):
-        return JOINT_COUNT
-
     def bone_length(self, a, b):
         for i, j, L in self.edges:
             if {i, j} == {a, b}:

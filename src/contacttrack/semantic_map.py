@@ -2,7 +2,8 @@
 
 Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
-cloud is immutable and safe for concurrent queries.
+cloud's points do not change; per-label KD-trees are built lazily on the
+first query for that label.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ContactTrackError
+from .errors import ContactTrackError, InputFormatError
 from .geometry import CameraCalibration, backproject_many
 
 
@@ -99,15 +100,6 @@ class SemanticCloud:
             out[label] = (float(d[j]), self.positions[idx[i[j]]])
         return out
 
-    def export_text(self, path):
-        with open(path, "w") as f:
-            for p, l in zip(self.positions, self.labels):
-                f.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r} {int(l)}\n")
-
-
-def nearest_surface(cloud: SemanticCloud, query) -> SurfaceHit:
-    return cloud.nearest(query)
-
 
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):
     """Back-project labeled pixels on the stride lattice to world points.
@@ -192,15 +184,20 @@ def write_label_grid(path, grid):
 
 
 def read_label_grid(path):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != LABEL_GRID_MAGIC:
-            raise ContactTrackError(f"{path}: bad label grid magic {magic!r}")
-        w = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
-        h = int(np.frombuffer(f.read(4), dtype=np.uint32)[0])
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise InputFormatError(f"cannot read label grid: {e.strerror}", path=path)
+    with f:
+        header = f.read(12)
+        if header[:4] != LABEL_GRID_MAGIC:
+            raise InputFormatError(f"bad label grid magic {header[:4]!r}", path=path)
+        if len(header) < 12:
+            raise InputFormatError("truncated label grid", path=path)
+        w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
         data = np.frombuffer(f.read(w * h), dtype=np.uint8)
         if data.size != w * h:
-            raise ContactTrackError(f"{path}: truncated label grid")
+            raise InputFormatError("truncated label grid", path=path)
         return data.reshape(h, w).copy()
 
 
@@ -211,12 +208,16 @@ def write_label_table(path, table):
 
 
 def read_label_table(path):
+    """{label id: name} from "<id> <name>" lines."""
     table = {}
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            lid, name = line.split(None, 1)
-            table[int(lid)] = name
+            try:
+                lid, name = line.split(None, 1)
+                table[int(lid)] = name
+            except ValueError:
+                raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
     return table

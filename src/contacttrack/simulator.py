@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ContactConfig
 from .contact import hysteresis_step, merge_episodes, smooth_anchors, ContactEpisode
-from .errors import ContactTrackError, InputFormatError
+from .errors import InputFormatError
 from .geometry import CameraCalibration, project_many
 from .hand_fusion import HandInstance
 from .io import (
@@ -38,10 +38,6 @@ BASE_CONFIDENCE = 0.95
 PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
-
-
-class UnreachableTarget(ContactTrackError):
-    pass
 
 
 # -- deterministic hashing -------------------------------------------------

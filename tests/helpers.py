@@ -1,5 +1,7 @@
 """Shared fixtures/oracles for the test suite."""
 
+from itertools import permutations
+
 import numpy as np
 
 from contacttrack.geometry import CameraCalibration
@@ -86,3 +88,49 @@ def grid_refine_cost(obs, center, half=0.3, levels=8, pts=9):
                 best = X
         half /= pts - 1.0
     return best, best_cost
+
+
+def brute_force_assign(cost, max_cost):
+    """Exhaustive reference for hungarian_assign (small matrices only).
+
+    Enumerates every partial injective row-to-column mapping, charging
+    max_cost per unmatched row/column, and returns (matches, total cost)
+    with the same lexicographic tie rule.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return [], 0.0
+    m, n = cost.shape
+    best = [None, None]  # total, sorted matches
+
+    def recurse(r, used, total, sel):
+        if r == m:
+            total = total + max_cost * (n - len(used))
+            if (
+                best[0] is None
+                or total < best[0] - 1e-12
+                or (abs(total - best[0]) <= 1e-12 and sorted(sel) < best[1])
+            ):
+                best[0] = total
+                best[1] = sorted(sel)
+            return
+        for c in range(n):
+            if c in used:
+                continue
+            if np.isfinite(cost[r, c]) and cost[r, c] < max_cost:
+                used.add(c)
+                sel.append((r, c))
+                recurse(r + 1, used, total + cost[r, c], sel)
+                sel.pop()
+                used.remove(c)
+        recurse(r + 1, used, total + max_cost, sel)  # row r unmatched
+
+    recurse(0, set(), 0.0, [])
+    return best[1], best[0]
+
+
+def brute_force_min_permutation_cost(cost):
+    """Minimum total cost over all full row permutations of a square matrix."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    return min(sum(cost[r, c] for r, c in enumerate(p)) for p in permutations(range(n)))

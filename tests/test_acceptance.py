@@ -21,7 +21,6 @@ from contacttrack.contact import run_hysteresis
 from contacttrack.evaluation import evaluate, match_tracks, mot_metrics
 from contacttrack.geometry import (
     Sim3RansacConfig,
-    brute_force_assign,
     fit_sim3_ransac,
     hungarian_assign,
     project,
@@ -34,7 +33,7 @@ from contacttrack.scenes import builtin_scene, induction_lite
 from contacttrack.semantic_map import LabeledPointCloud, SemanticCloud, fuse_clouds
 from contacttrack.simulator import emit_dataset
 
-from helpers import make_ring, random_rotation
+from helpers import brute_force_assign, make_ring, random_rotation
 
 
 _CAPTURE = None

@@ -2,8 +2,13 @@ import csv
 import json
 import os
 
+import numpy as np
+import pytest
+
 from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, main
+from contacttrack.io import read_calibration
 from contacttrack.scenes import crossing_clean
+from contacttrack.semantic_map import write_label_grid
 
 
 class TestParser:
@@ -67,6 +72,55 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", str(tmp_path), "--out", str(tmp_path / "out")]) \
             == EXIT_INPUT
+
+
+def _lbl_without_dep(lbl):
+    write_label_grid(lbl, np.ones((4, 4)))
+    return str(lbl)[:-len(".lbl")] + ".dep"
+
+
+def _lbl_bad_magic(lbl):
+    lbl.write_bytes(b"NOPE" + b"\x00" * 16)
+    return str(lbl)
+
+
+def _lbl_truncated(lbl):
+    write_label_grid(lbl, np.ones((4, 4)))
+    lbl.write_bytes(lbl.read_bytes()[:-3])
+    return str(lbl)
+
+
+class TestRunBadDepthInput:
+    """Malformed grids/ files or label table: exit 2, message names the file."""
+
+    def _input_dir(self, tmp_path, ds):
+        inp = tmp_path / "in"
+        (inp / "grids").mkdir(parents=True)
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            first_frame = [line for line in f if json.loads(line)["frame"] == 0]
+        (inp / "detections.jsonl").write_text("".join(first_frame))
+        return inp
+
+    def _run(self, tmp_path, ds, inp):
+        return main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("make", [_lbl_without_dep, _lbl_bad_magic, _lbl_truncated],
+                             ids=["lbl-without-dep", "lbl-bad-magic", "lbl-truncated"])
+    def test_bad_grid_file(self, tmp_path, mini_induction, capsys, make):
+        ds = mini_induction["ds"]
+        inp = self._input_dir(tmp_path, ds)
+        cam = sorted(read_calibration(os.path.join(ds, "calibration.json")))[0]
+        named = make(inp / "grids" / f"frame_000000_{cam}.lbl")
+        assert self._run(tmp_path, ds, inp) == EXIT_INPUT
+        assert f"input error: {named}: " in capsys.readouterr().err
+
+    def test_label_table_line_without_name(self, tmp_path, mini_induction, capsys):
+        ds = mini_induction["ds"]
+        inp = self._input_dir(tmp_path, ds)
+        (inp / "label_table.txt").write_text("0 background\n1\n")
+        assert self._run(tmp_path, ds, inp) == EXIT_INPUT
+        assert f"input error: {inp / 'label_table.txt'}:2: " in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -191,16 +191,16 @@ class TestContactTracker:
         assert ct._active[key]
 
     def test_traces_recorded(self):
-        ct = ContactTracker(ContactConfig(ema_alpha=1.0), keep_traces=True)
+        ct = ContactTracker(ContactConfig(ema_alpha=1.0))
         cloud = flat_cloud()
-        ct.update(0, hand((0.0, 0.0, 1.0), 0), cloud)
-        assert len(ct.traces) == 1
-        frame, hid, side, person, label, d = ct.traces[0]
+        rows = ct.update(0, hand((0.0, 0.0, 1.0), 0), cloud)
+        assert len(rows) == 1
+        frame, hid, side, person, label, d = rows[0]
         assert (frame, hid, side, person, label) == (0, 1, "right", 4, 1)
         assert d == pytest.approx(0.2, abs=1e-6)
 
     def test_empty_cloud_no_state(self):
         ct = ContactTracker(ContactConfig())
         empty = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), {})
-        assert ct.update(0, hand((0, 0, 1.0), 0), empty) == set()
+        assert ct.update(0, hand((0, 0, 1.0), 0), empty) == []
         assert ct.finalize() == []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from contacttrack import geometry as geo
 from contacttrack.geometry import (
     BehindCamera,
     DegenerateBaseline,
@@ -12,7 +11,6 @@ from contacttrack.geometry import (
     Sim3RansacConfig,
     TooFewCorrespondences,
     backproject,
-    brute_force_assign,
     epipolar_distance,
     fit_sim3_ransac,
     fundamental_matrix,
@@ -22,7 +20,15 @@ from contacttrack.geometry import (
     umeyama,
 )
 
-from helpers import grid_refine_cost, identity_camera, make_camera, make_ring, random_rotation
+from helpers import (
+    brute_force_assign,
+    brute_force_min_permutation_cost,
+    grid_refine_cost,
+    identity_camera,
+    make_camera,
+    make_ring,
+    random_rotation,
+)
 
 
 class TestProjection:
@@ -260,4 +266,4 @@ class TestHungarian:
             cost = rng.uniform(0, 1, size=(5, 5))
             got = hungarian_assign(cost, 100.0)
             total = sum(cost[r, c] for r, c in got)
-            assert abs(total - geo.brute_force_min_permutation_cost(cost)) < 1e-9
+            assert abs(total - brute_force_min_permutation_cost(cost)) < 1e-9

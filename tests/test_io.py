@@ -120,21 +120,15 @@ class TestTracks:
 
 class TestHandTracks:
     def test_round_trip(self, tmp_path):
-        class FH:
-            frame = 7
-            hand_track_id = 3
-            side = "right"
-            person_id = None
-            palm_center = np.array([0.1, 0.2, 0.3])
-            anchors = np.arange(18, dtype=float).reshape(6, 3) / 10
-
+        palm = np.array([0.1, 0.2, 0.3])
+        anchors = np.arange(18, dtype=float).reshape(6, 3) / 10
         path = tmp_path / "hands.jsonl"
         with open(path, "w") as f:
-            write_hand_track_line(f, FH())
-        (frame, hid, side, pid, palm, anchors), = read_hand_tracks(path)
+            write_hand_track_line(f, 7, 3, "right", None, palm, anchors)
+        (frame, hid, side, pid, palm_back, anchors_back), = read_hand_tracks(path)
         assert (frame, hid, side, pid) == (7, 3, "right", None)
-        assert np.allclose(palm, FH.palm_center)
-        assert np.allclose(anchors, FH.anchors)
+        assert np.allclose(palm_back, palm)
+        assert np.allclose(anchors_back, anchors)
 
 
 class TestEpisodes:
@@ -184,7 +178,8 @@ class TestVisibility:
 class TestTraces:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        write_traces(path, [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)])
+        with open(path, "w") as f:
+            write_traces(f, [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)])
         recs = list(read_traces(path))
         assert recs == [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contacttrack.errors import InputFormatError
 from contacttrack.semantic_map import (
     EmptyCloud,
     LabeledPointCloud,
@@ -8,7 +9,6 @@ from contacttrack.semantic_map import (
     SemanticCloud,
     backproject_labeled,
     fuse_clouds,
-    nearest_surface,
     read_label_grid,
     read_label_table,
     write_label_grid,
@@ -122,14 +122,14 @@ class TestFuseClouds:
 class TestNearestSurface:
     def test_exact_member(self):
         cloud = fuse_clouds([cloud_of([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, 2])], 0.01, TABLE)
-        hit = nearest_surface(cloud, cloud.positions[1])
+        hit = cloud.nearest(cloud.positions[1])
         assert hit.distance == 0.0
         assert hit.label == cloud.labels[1]
 
     def test_empty_cloud(self):
         cloud = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), TABLE)
         with pytest.raises(EmptyCloud):
-            nearest_surface(cloud, [0.0, 0.0, 0.0])
+            cloud.nearest([0.0, 0.0, 0.0])
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(2)
@@ -168,9 +168,25 @@ class TestGridIO:
         write_label_table(p, TABLE)
         assert read_label_table(p) == TABLE
 
-    def test_export_text(self, tmp_path):
-        cloud = fuse_clouds([cloud_of([[0.5, 0.25, 0.125]], [2])], 0.01, TABLE)
-        p = tmp_path / "cloud.txt"
-        cloud.export_text(p)
-        x, y, z, l = p.read_text().split()
-        assert (float(x), float(y), float(z), int(l)) == (0.5, 0.25, 0.125, 2)
+    def test_label_grid_bad_magic(self, tmp_path):
+        p = tmp_path / "g.lbl"
+        p.write_bytes(b"NOPE" + b"\x00" * 16)
+        with pytest.raises(InputFormatError, match="magic") as err:
+            read_label_grid(p)
+        assert err.value.path == p
+
+    @pytest.mark.parametrize("keep", [6, 13])
+    def test_label_grid_truncated(self, tmp_path, keep):
+        p = tmp_path / "g.lbl"
+        write_label_grid(p, np.ones((3, 4)))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(InputFormatError, match="truncated") as err:
+            read_label_grid(p)
+        assert err.value.path == p
+
+    def test_label_table_line_without_name(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text("1 bed\n2\n")
+        with pytest.raises(InputFormatError) as err:
+            read_label_table(p)
+        assert (err.value.path, err.value.line) == (p, 2)
