@@ -3,6 +3,14 @@
 Pinhole cameras (rectified, no lens distortion), projection and
 back-projection, epipolar tests, weighted nonlinear triangulation,
 robust similarity-transform registration, and gated linear assignment.
+
+epipolar_distance and triangulate_weighted take one point or a stack of
+independent problems. triangulate_weighted solves P points over the V
+cameras they share in one damped Gauss-Newton kernel, each problem with
+its own damping and stopping state, and gives each the result it would
+get alone, bit for bit. A failing problem comes back as a NaN row (and
+NaN error) in the batch form; the single-point form raises
+InsufficientViews or IllConditioned instead.
 """
 
 from __future__ import annotations
@@ -174,126 +182,278 @@ def fundamental_matrix(cal_i: CameraCalibration, cal_j: CameraCalibration):
     return np.linalg.inv(cal_j.K).T @ E @ np.linalg.inv(cal_i.K)
 
 
-def _point_line_distance(x, line):
-    n = np.hypot(line[0], line[1])
-    if n < 1e-15:
-        return np.inf
-    return abs(float(np.dot(x, line))) / n
+def _homogeneous(x):
+    return x if x.shape[1] == 3 else np.concatenate([x, np.ones((len(x), 1))], axis=1)
+
+
+def _row_dots(a, b):
+    """Dot products of matching rows of a and b (K, d): (K,)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _point_line_distance(x, lines):
+    n = np.hypot(lines[:, 0], lines[:, 1])
+    d = np.full(len(x), np.inf)
+    return np.divide(np.abs(_row_dots(x, lines)), n, out=d, where=~(n < 1e-15))
 
 
 def epipolar_distance(x_i, x_j, F):
     """Symmetric point-to-epipolar-line distance in pixels.
 
-    Inputs are homogeneous pixel coordinates (3-vectors or (u, v) pairs).
-    Returns +inf when an epipolar line is numerically null.
+    x_i, x_j: one pixel each, as (u, v) or homogeneous (u, v, 1), or K
+    stacked rows of either, (K, 2|3). Returns a float for one pixel pair
+    and a (K,) array for stacked rows; +inf where an epipolar line is
+    numerically null.
     """
     x_i = np.asarray(x_i, dtype=float)
     x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape[0] == 2:
-        x_i = np.append(x_i, 1.0)
-    if x_j.shape[0] == 2:
-        x_j = np.append(x_j, 1.0)
-    d_j = _point_line_distance(x_j, F @ x_i)
-    d_i = _point_line_distance(x_i, F.T @ x_j)
-    return 0.5 * (d_j + d_i)
+    single = x_i.ndim == 1
+    x_i = _homogeneous(np.atleast_2d(x_i))
+    x_j = _homogeneous(np.atleast_2d(x_j))
+    # One matrix-vector product per row, so a row's rounding does not
+    # depend on the rows stacked with it.
+    d_j = _point_line_distance(x_j, (F @ x_i[:, :, None])[:, :, 0])
+    d_i = _point_line_distance(x_i, (F.T @ x_j[:, :, None])[:, :, 0])
+    d = 0.5 * (d_j + d_i)
+    return d[0] if single else d
 
 
-def _dlt_pair(cal_a, uv_a, cal_b, uv_b):
-    rows = []
-    for cal, (u, v) in ((cal_a, uv_a), (cal_b, uv_b)):
-        P = cal.K @ cal.T_cw[:3, :]
-        rows.append(u * P[2] - P[0])
-        rows.append(v * P[2] - P[1])
-    A = np.stack(rows)
-    _, _, vt = np.linalg.svd(A)
-    X = vt[-1]
-    if abs(X[3]) < 1e-15:
-        raise IllConditioned("DLT returned a point at infinity")
-    return X[:3] / X[3]
+# Batched triangulation. Each problem's views are packed used-first, in
+# camera order, with zero-weight padding after them. Each stacked product
+# below is one small BLAS call per stacked item (per point and camera, or
+# per problem over exactly its used views), the call a problem solved
+# alone makes, so a problem's result does not depend on its batch. Sums
+# over zero-padded views would round differently in the last bit.
+
+def _to_camera(X, T):
+    """World points X (G, 3) in the camera frames T (G, V, 4, 4): (G, V, 3)."""
+    return (X[:, None, None, :] @ T[..., :3, :3].swapaxes(-1, -2))[..., 0, :] + T[..., :3, 3]
+
+
+def _residuals(X, T, C):
+    """Weighted residuals (G, 2V) at X (G, 3), with the camera-frame points
+    pc (G, V, 3) and clamped depths z (G, V, 1) that _jacobians takes.
+
+    T (G, V, 4, 4) holds each problem's packed cameras; C (G, V, 9) holds
+    per view fx, fy, cx, cy, u, v, sqrt(w), sqrt(w) fx, sqrt(w) fy. Rows
+    interleave u and v per view; padding views give zero rows.
+    """
+    pc = _to_camera(X, T)
+    # Push points behind a camera back in front via a huge residual.
+    z = np.where(pc[..., 2] <= 1e-6, 1e-6, pc[..., 2])[..., None]
+    r = C[..., 6:7] * (C[..., 0:2] * pc[..., :2] / z + C[..., 2:4] - C[..., 4:6])
+    G, V = C.shape[:2]
+    return r.reshape(G, 2 * V), pc, z
+
+
+def _jacobians(T, C, pc, z):
+    """Jacobians (G, 2V, 3) of the residuals of _residuals."""
+    R = T[..., :3, :3]
+    J = C[..., 7:9, None] * (R[..., :2, :] * z[..., None] - pc[..., :2, None] * R[..., 2:3, :])
+    J /= (z * z)[..., None]
+    G, V = C.shape[:2]
+    return J.reshape(G, 2 * V, 3)
+
+
+def _by_count(n):
+    """(k, rows) for each used-view count k in n (G,)."""
+    return [(k, np.flatnonzero(n == k)) for k in np.flatnonzero(np.bincount(n))]
+
+
+def _sq_norms(r, n):
+    """r_i . r_i over each row's 2 n_i used residuals."""
+    out = np.empty(len(r))
+    for k, rows in _by_count(n):
+        rk = r[rows, :2 * k]
+        out[rows] = _row_dots(rk, rk)
+    return out
+
+
+def _normal_equations(J, r, n):
+    """H = J^T J (G, 3, 3) and J^T r (G, 3) over each row's used views."""
+    H = np.empty((len(J), 3, 3))
+    g = np.empty((len(J), 3))
+    for k, rows in _by_count(n):
+        Jk = J[rows, :2 * k]
+        H[rows] = Jk.swapaxes(1, 2) @ Jk
+        g[rows] = (Jk.swapaxes(1, 2) @ r[rows, :2 * k, None])[:, :, 0]
+    return H, g
+
+
+def _dlt_init(cals, views, uv, n):
+    """DLT points (G, 3) from each problem's used camera pair with the
+    largest baseline, the first such pair on ties; NaN rows where the
+    centres coincide or the DLT point is at infinity.
+
+    views (G, V): indices into cals, the n (G,) used ones first; uv
+    (G, V, 2) their pixels.
+    """
+    centers = [cal.center for cal in cals]
+    base = np.zeros((len(cals), len(cals)))
+    for a in range(len(cals)):
+        for b in range(a + 1, len(cals)):
+            base[a, b] = base[b, a] = np.linalg.norm(centers[a] - centers[b])
+    pa, pb = np.triu_indices(views.shape[1], 1)
+    spans = np.where(pb < n[:, None], base[views[:, pa], views[:, pb]], -np.inf)
+    best = np.argmax(spans, axis=1)
+    rows = np.arange(len(views))
+    Pm = np.stack([cal.K @ cal.T_cw[:3, :] for cal in cals])
+    eqs = []
+    for pos in (pa[best], pb[best]):
+        P = Pm[views[rows, pos]]
+        u, v = uv[rows, pos, 0, None], uv[rows, pos, 1, None]
+        eqs += [u * P[:, 2] - P[:, 0], v * P[:, 2] - P[:, 1]]
+    Xh = np.linalg.svd(np.stack(eqs, axis=1))[2][:, -1]
+    bad = (spans[rows, best] < 1e-9) | (np.abs(Xh[:, 3]) < 1e-15)
+    Xh[bad] = np.nan
+    return Xh[:, :3] / Xh[:, 3:]
+
+
+def _gauss_newton(T, C, n, X, max_iter, step_tol):
+    """Damped Gauss-Newton for G problems, each over its n used views.
+
+    T (G, V, 4, 4) and C (G, V, 9) describe each problem's packed views
+    (see _residuals). Each problem carries its own damping and stops on
+    its own. X (G, 3) holds the starting points, NaN rows for problems
+    already failed. Returns (X, err) with NaN rows for failed problems.
+    """
+    G, V = C.shape[:2]
+    failed = np.isnan(X).any(axis=1)
+    X = X.copy()
+    lam = np.full(G, 1e-6)
+    r = np.empty((G, 2 * V))
+    J = np.empty((G, 2 * V, 3))
+    cost = np.empty(G)
+    act = np.flatnonzero(~failed)
+    r[act], pc, z = _residuals(X[act], T[act], C[act])
+    J[act] = _jacobians(T[act], C[act], pc, z)
+    cost[act] = _sq_norms(r[act], n[act])
+    eye = np.eye(3)
+    for _ in range(max_iter):
+        if not act.size:
+            break
+        H, g = _normal_equations(J[act], r[act], n[act])
+        # Near-parallel rays leave the depth direction unconstrained.
+        ill = np.linalg.cond(H) > 1e14
+        failed[act[ill]] = True
+        act, H, g = act[~ill], H[~ill], g[~ill]
+        improved = np.zeros(len(act), dtype=bool)
+        step = np.zeros((len(act), 3))
+        # Up to 8 damping tries per problem, the damping growing tenfold
+        # per rejected try: the first try of every problem, then the other
+        # seven at once for the problems that rejected it. The first
+        # accepted try counts, as if the tries ran in turn.
+        pend = np.arange(len(act))  # positions in act still damping
+        for tries in (1, 7):
+            if not pend.size:
+                break
+            rows = act[pend]
+            m = len(rows)
+            lams = np.empty((m, tries))
+            lams[:, 0] = lam[rows]
+            for j in range(1, tries):
+                lams[:, j] = lams[:, j - 1] * 10.0
+            Hp = np.repeat(H[pend], tries, axis=0)
+            # Past the conditioning gate H is positive definite, and so is
+            # H + lam diag(H): the solve cannot meet a singular system.
+            s = np.linalg.solve(Hp + lams.reshape(-1, 1, 1) * (Hp * eye),
+                                np.repeat(-g[pend], tries, axis=0)[:, :, None])[:, :, 0]
+            X_new = np.repeat(X[rows], tries, axis=0) + s
+            T_new = np.repeat(T[rows], tries, axis=0)
+            C_new = np.repeat(C[rows], tries, axis=0)
+            r_new, pc, z = _residuals(X_new, T_new, C_new)
+            cost_new = _sq_norms(r_new, np.repeat(n[rows], tries)).reshape(m, tries)
+            ok = cost_new <= cost[rows, None]
+            first = ok.argmax(axis=1)
+            hit = ok[np.arange(m), first]
+            pick = np.arange(m) * tries + first
+            up, i = rows[hit], pick[hit]
+            X[up], r[up], cost[up] = X_new[i], r_new[i], cost_new.ravel()[i]
+            J[up] = _jacobians(T_new[i], C_new[i], pc[i], z[i])
+            lam[up] = np.maximum(lams.ravel()[i] * 0.3, 1e-12)
+            lam[rows[~hit]] = lams[~hit, -1] * 10.0
+            improved[pend[hit]] = True
+            step[pend] = s[pick]
+            pend = pend[~hit]
+        done = ~improved | (np.sqrt(_row_dots(step, step)) < step_tol)
+        act = act[~done]
+
+    pc = _to_camera(X, T)
+    z = np.maximum(pc[..., 2], 1e-6)
+    e = np.hypot(
+        C[..., 0] * pc[..., 0] / z + C[..., 2] - C[..., 4],
+        C[..., 1] * pc[..., 1] / z + C[..., 3] - C[..., 5],
+    )
+    err = np.empty(G)
+    for k, rows in _by_count(n):
+        err[rows] = np.mean(e[rows, :k], axis=1)
+    X[failed] = np.nan
+    err[failed] = np.nan
+    return X, err
 
 
 def triangulate_weighted(obs, init_hint=None, max_iter=50, step_tol=1e-8):
-    """Weighted nonlinear triangulation.
+    """Weighted nonlinear triangulation of one point or of P independent points.
 
-    obs: list of (CameraCalibration, (u, v), weight) with weight >= 0.
-    Minimizes sum_i w_i * ||pi_i(X) - u_i||^2 by damped Gauss-Newton,
-    initialized from a DLT on the camera pair with the largest baseline
-    (unless init_hint is given). Returns (X, mean reprojection error px),
-    the error being the unweighted mean over the used views.
+    obs: one (CameraCalibration, uv, w) per camera; uv is (2,) for one
+    point or (P, 2) for a batch, w a scalar or (P,) of weights >= 0. A
+    zero weight leaves the view out of that problem. init_hint: (3,) or
+    (P, 3), NaN rows meaning no hint.
+
+    Each problem minimizes sum_i w_i * ||pi_i(X) - u_i||^2 over its used
+    views by damped Gauss-Newton with its own damping and stopping,
+    starting from its hint or else from a DLT on its used camera pair with
+    the largest baseline. err is the unweighted mean reprojection error in
+    pixels over the used views.
+
+    Batch form (uv (P, 2)): returns X (P, 3) and err (P,). A problem with
+    fewer than two positive-weight views, a non-finite used observation,
+    ill-conditioned normal equations, a DLT point at infinity or
+    coincident camera centres fails alone: its X row and err are NaN.
+    Single-point form: returns (X (3,), float err) and raises
+    InsufficientViews or IllConditioned instead.
     """
-    used = [(cal, np.asarray(uv, dtype=float), float(w)) for cal, uv, w in obs if w > 0]
-    if len(used) < 2:
-        raise InsufficientViews(f"{len(used)} observations with positive weight")
+    single = not obs or np.ndim(obs[0][1]) == 1
+    if single:
+        n_used = sum(1 for _, _, w in obs if w > 0)
+        if n_used < 2:
+            raise InsufficientViews(f"{n_used} observations with positive weight")
+    cals = [cal for cal, _, _ in obs]
+    uv = np.stack([np.asarray(u, dtype=float).reshape(-1, 2) for _, u, _ in obs], axis=1)
+    P = len(uv)
+    w = np.stack([np.broadcast_to(np.asarray(wt, dtype=float), (P,)) for _, _, wt in obs], axis=1)
+    hint = (np.full((P, 3), np.nan) if init_hint is None
+            else np.array(init_hint, dtype=float).reshape(P, 3))
 
-    if init_hint is not None:
-        X = np.asarray(init_hint, dtype=float).copy()
-    else:
-        best = None
-        for a in range(len(used)):
-            for b in range(a + 1, len(used)):
-                base = np.linalg.norm(used[a][0].center - used[b][0].center)
-                if best is None or base > best[0]:
-                    best = (base, a, b)
-        if best[0] < 1e-9:
-            raise IllConditioned("all camera centers coincide")
-        _, a, b = best
-        X = _dlt_pair(used[a][0], used[a][1], used[b][0], used[b][1])
-
-    sw = np.array([np.sqrt(w) for _, _, w in used])
-
-    def residual_jacobian(X):
-        r = np.empty(2 * len(used))
-        J = np.empty((2 * len(used), 3))
-        for i, (cal, uv, _) in enumerate(used):
-            pc = cal.world_to_camera(X)
-            z = pc[2]
-            if z <= 1e-6:
-                # Push the solution back in front of the camera via a huge residual.
-                z = 1e-6
-            R = cal.R
-            u = cal.fx * pc[0] / z + cal.cx
-            v = cal.fy * pc[1] / z + cal.cy
-            r[2 * i] = sw[i] * (u - uv[0])
-            r[2 * i + 1] = sw[i] * (v - uv[1])
-            J[2 * i] = sw[i] * cal.fx * (R[0] * z - pc[0] * R[2]) / (z * z)
-            J[2 * i + 1] = sw[i] * cal.fy * (R[1] * z - pc[1] * R[2]) / (z * z)
-        return r, J
-
-    r, J = residual_jacobian(X)
-    cost = float(r @ r)
-    lam = 1e-6
-    for _ in range(max_iter):
-        H = J.T @ J
-        # Near-parallel rays leave the depth direction unconstrained.
-        if np.linalg.cond(H) > 1e14:
-            raise IllConditioned("triangulation normal equations are ill-conditioned")
-        g = J.T @ r
-        improved = False
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
-            except np.linalg.LinAlgError:
-                raise IllConditioned("singular normal equations")
-            r_new, J_new = residual_jacobian(X + step)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                X = X + step
-                r, J, cost = r_new, J_new, cost_new
-                lam = max(lam * 0.3, 1e-12)
-                improved = True
-                break
-            lam *= 10.0
-        if not improved or np.linalg.norm(step) < step_tol:
-            break
-
-    errs = []
-    for cal, uv, _ in used:
-        pc = cal.world_to_camera(X)
-        z = max(pc[2], 1e-6)
-        errs.append(
-            np.hypot(cal.fx * pc[0] / z + cal.cx - uv[0], cal.fy * pc[1] / z + cal.cy - uv[1])
+    used = w > 0
+    n_used = used.sum(axis=1)
+    finite = np.isfinite(uv).all(axis=2) & np.isfinite(w)
+    rows = np.flatnonzero((n_used >= 2) & (finite | ~used).all(axis=1))
+    n = n_used[rows]
+    views = np.argsort(~used[rows], axis=1, kind="stable")
+    pad = np.arange(len(obs)) >= n[:, None]
+    uv_p = np.where(pad[..., None], 0.0, uv[rows[:, None], views])
+    sw = np.sqrt(np.where(pad, 0.0, w[rows[:, None], views]))[..., None]
+    fc = np.array([[cal.fx, cal.fy, cal.cx, cal.cy] for cal in cals])[views]
+    X0 = hint[rows]
+    dlt = np.isnan(X0).any(axis=1)
+    if dlt.any():
+        X0[dlt] = _dlt_init(cals, views[dlt], uv_p[dlt], n[dlt])
+    X = np.full((P, 3), np.nan)
+    err = np.full(P, np.nan)
+    X[rows], err[rows] = _gauss_newton(
+        np.stack([cal.T_cw for cal in cals])[views],
+        np.concatenate([fc, uv_p, sw, sw * fc[..., :2]], axis=-1),
+        n, X0, max_iter, step_tol,
+    )
+    if not single:
+        return X, err
+    if np.isnan(err[0]):
+        raise IllConditioned(
+            "triangulation failed: ill-conditioned normal equations, "
+            "coincident camera centres or a DLT point at infinity"
         )
-    return X, float(np.mean(errs))
+    return X[0], float(err[0])
 
 
 @dataclass

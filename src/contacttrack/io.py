@@ -15,6 +15,7 @@ import numpy as np
 from .contact import ContactEpisode
 from .errors import InputFormatError
 from .geometry import CameraCalibration
+from .hand_fusion import SIDES
 from .schema import JOINT_COUNT
 from .semantic_map import read_label_grid
 
@@ -104,12 +105,17 @@ def write_detections(path, records):
             f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def read_detections(path):
+def read_detections(path, cameras=None, hand_vertex_count=None):
     """Yield (frame, camera_id, persons, hands_raw) records in file order.
 
-    persons are (26, 3) float arrays; hands_raw are dicts with side,
-    sigma_fit and an (N, 3) vertices array.
+    persons are (26, 3) float arrays of finite values; hands_raw are dicts
+    with side ("left" or "right"), a finite non-negative sigma_fit and a
+    finite (N, 3) vertices array. A record that repeats the (frame,
+    camera) of an earlier record of the same frame is rejected, as are,
+    when given, cameras outside `cameras` and hands whose vertex count is
+    not `hand_vertex_count`.
     """
+    current, frame_cams = None, set()
     with open(path) as f:
         for ln, line in enumerate(f, 1):
             line = line.strip()
@@ -130,13 +136,46 @@ def read_detections(path):
                 ]
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
                 raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
-            for p in persons:
-                if p.shape != (JOINT_COUNT, 3):
-                    raise InputFormatError(
-                        f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)",
-                        path=path, line=ln,
-                    )
+            if frame != current:
+                current, frame_cams = frame, set()
+            problem = _detection_problem(
+                camera_id, persons, hands, cameras, hand_vertex_count
+            )
+            if problem is None and camera_id in frame_cams:
+                problem = f"second record for frame {frame}, camera {camera_id!r}"
+            if problem is not None:
+                raise InputFormatError(problem, path=path, line=ln)
+            frame_cams.add(camera_id)
             yield frame, camera_id, persons, hands
+
+
+def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
+    """What is wrong with one parsed detection record, or None."""
+    if not isinstance(camera_id, str):
+        return f"camera_id must be a string, got {camera_id!r}"
+    if cameras is not None and camera_id not in cameras:
+        return f"camera {camera_id!r} is not in the calibration"
+    for p in persons:
+        if p.shape != (JOINT_COUNT, 3):
+            return f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)"
+        if not np.isfinite(p).all():
+            return "person joints hold a non-finite value"
+    for h in hands:
+        v = h["vertices"]
+        if h["side"] not in SIDES:
+            return f"hand side must be left or right, got {h['side']!r}"
+        if not (np.isfinite(h["sigma_fit"]) and h["sigma_fit"] >= 0):
+            return f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}"
+        if v.ndim != 2 or v.shape[1] != 3:
+            return f"hand vertices shape {v.shape}, want (N, 3)"
+        if not np.isfinite(v).all():
+            return "hand vertices hold a non-finite value"
+        if hand_vertex_count is not None and len(v) != hand_vertex_count:
+            return (
+                f"hand has {len(v)} vertices but the hand schema has "
+                f"{hand_vertex_count}; is the recording's hand_schema.json missing?"
+            )
+    return None
 
 
 # -- track streams ---------------------------------------------------------

@@ -3,9 +3,11 @@
 Per-camera association against projected track joints, epipolar-gated
 weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
-existence-score lifecycle. All state mutation happens in a single
-sequential commit per frame; per-camera association is read-only on
-track state.
+existence-score lifecycle. Triangulation is one batched kernel call per
+track and per birth group, covering all of its joints that pass the view
+gates; the epipolar gates take one stacked call per camera pair. All
+state mutation happens in a single sequential commit per frame;
+per-camera association is read-only on track state.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .geometry import (
     hungarian_assign,
     project_many,
     triangulate_weighted,
-    InsufficientViews,
-    IllConditioned,
 )
 from .schema import JOINT_COUNT, JointSchema
 
@@ -84,61 +84,60 @@ def associate_camera(tracks, dets, cal: CameraCalibration, cfg: TrackerConfig):
     return matches, [d for d in range(n_d) if d not in matched_d]
 
 
-def _consistent_view_set(pixels, cams, fmat, tau_epi):
-    """Greedy pairwise-consistent camera subset for one joint.
+def _consistent_view_sets(dist, seen, tau_epi):
+    """Greedy pairwise-consistent camera subsets, one per joint.
 
-    Seeds with the lowest-distance pair under tau_epi and adds views
-    consistent with every member.
+    dist: (K, n, n) symmetric epipolar distances, +inf on the diagonals;
+    seen: (K, n) views that pass the confidence gate. For each joint,
+    seeds with the lowest-distance pair of seen views under tau_epi (the
+    first in row-major order on ties) and adds, in camera order, each seen
+    view consistent with every member so far. Returns a (K, n) member
+    mask, empty for joints without a seed pair.
     """
-    n = len(cams)
-    if n < 2:
-        return []
-    dist = np.full((n, n), np.inf)
-    for a in range(n):
-        for b in range(a + 1, n):
-            F = fmat(cams[a], cams[b])
-            d = epipolar_distance(pixels[a], pixels[b], F)
-            dist[a, b] = dist[b, a] = d
-    seed = np.unravel_index(np.argmin(dist), dist.shape)
-    if dist[seed] >= tau_epi:
-        return []
-    members = [min(seed), max(seed)]
+    K, n, _ = dist.shape
+    d = np.where(seen[:, :, None] & seen[:, None, :], dist, np.inf)
+    a, b = np.divmod(d.reshape(K, n * n).argmin(axis=1), n)
+    rows = np.arange(K)
+    seeded = d[rows, a, b] < tau_epi
+    members = np.zeros((K, n), dtype=bool)
+    members[rows[seeded], a[seeded]] = True
+    members[rows[seeded], b[seeded]] = True
+    close = d < tau_epi
     for c in range(n):
-        if c in members:
-            continue
-        if all(dist[c, m] < tau_epi for m in members):
-            members.append(c)
-    return sorted(members)
+        members[:, c] |= seeded & (close[:, c, :] | ~members).all(axis=1)
+    return members
 
 
 def update_triangulated(track, obs_by_cam, cals, fmat, cfg: TrackerConfig):
     """Triangulate joints seen consistently in >= v_min cameras.
 
     obs_by_cam: {camera_id: (26, 3) joint array} of this track's matched
-    detections. Accepted joints overwrite the track with c=1 and are
+    detections. All joints that pass the view gates are triangulated in
+    one batched call. Accepted joints overwrite the track with c=1 and are
     returned as a set of joint indices.
     """
-    updated = set()
     cam_ids = sorted(obs_by_cam)
-    for k in range(JOINT_COUNT):
-        views = [c for c in cam_ids if obs_by_cam[c][k, 2] >= cfg.tau_joint]
-        if len(views) < cfg.v_min:
-            continue
-        pixels = [obs_by_cam[c][k, :2] for c in views]
-        keep = _consistent_view_set(pixels, views, fmat, cfg.tau_epi)
-        if len(keep) < cfg.v_min:
-            continue
-        obs = [(cals[views[i]], pixels[i], obs_by_cam[views[i]][k, 2]) for i in keep]
-        hint = track.joints[k] if track.available[k] else None
-        try:
-            X, err = triangulate_weighted(obs, init_hint=hint)
-        except (InsufficientViews, IllConditioned):
-            continue
-        if err < cfg.eps_tri:
-            track.joints[k] = X
-            track.available[k] = True
-            updated.add(k)
-    return updated
+    n = len(cam_ids)
+    if n < cfg.v_min:
+        return set()
+    dets = np.stack([obs_by_cam[c] for c in cam_ids], axis=1)  # (26, n, 3)
+    dist = np.full((JOINT_COUNT, n, n), np.inf)
+    for a in range(n):
+        for b in range(a + 1, n):
+            F = fmat(cam_ids[a], cam_ids[b])
+            dist[:, a, b] = dist[:, b, a] = epipolar_distance(dets[:, a, :2], dets[:, b, :2], F)
+    members = _consistent_view_sets(dist, dets[:, :, 2] >= cfg.tau_joint, cfg.tau_epi)
+    joints = np.flatnonzero(members.sum(axis=1) >= cfg.v_min)
+    if not joints.size:
+        return set()
+    weights = np.where(members[joints], dets[joints, :, 2], 0.0)
+    obs = [(cals[c], dets[joints, i, :2], weights[:, i]) for i, c in enumerate(cam_ids)]
+    hint = np.where(track.available[joints, None], track.joints[joints], np.nan)
+    X, err = triangulate_weighted(obs, init_hint=hint)
+    ok = err < cfg.eps_tri
+    track.joints[joints[ok]] = X[ok]
+    track.available[joints[ok]] = True
+    return set(joints[ok].tolist())
 
 
 def depth_lift(track, unresolved, obs_by_cam, depth_provider, frame, cals,
@@ -226,10 +225,7 @@ def _group_unmatched(unmatched, cals, fmat, cfg: TrackerConfig):
             if not shared.any():
                 continue
             F = fmat(cam_a, cam_b)
-            dists = [
-                epipolar_distance(ja[k, :2], jb[k, :2], F) for k in np.flatnonzero(shared)
-            ]
-            aff = float(np.mean(dists))
+            aff = float(np.mean(epipolar_distance(ja[shared, :2], jb[shared, :2], F)))
             if aff < cfg.tau_epi:
                 pairs.append((aff, a, b))
     pairs.sort()
@@ -323,23 +319,20 @@ class Tracker:
         cfg = self.cfg
         born = set()
         for group in _group_unmatched(unmatched, self.cals, self._fmat, cfg):
+            members = [unmatched[i] for i in group]
+            seen = np.stack([j[:, 2] >= cfg.tau_joint for _, j in members])
+            todo = np.flatnonzero(seen.sum(axis=0) >= 2)
             joints = np.zeros((JOINT_COUNT, 3))
             avail = np.zeros(JOINT_COUNT, dtype=bool)
-            for k in range(JOINT_COUNT):
+            if todo.size:
                 obs = [
-                    (self.cals[unmatched[i][0]], unmatched[i][1][k, :2], unmatched[i][1][k, 2])
-                    for i in group
-                    if unmatched[i][1][k, 2] >= cfg.tau_joint
+                    (self.cals[cam], j[todo, :2], np.where(seen[i, todo], j[todo, 2], 0.0))
+                    for i, (cam, j) in enumerate(members)
                 ]
-                if len(obs) < 2:
-                    continue
-                try:
-                    X, err = triangulate_weighted(obs)
-                except (InsufficientViews, IllConditioned):
-                    continue
-                if err < cfg.eps_init:
-                    joints[k] = X
-                    avail[k] = True
+                X, err = triangulate_weighted(obs)
+                ok = err < cfg.eps_init
+                joints[todo[ok]] = X[ok]
+                avail[todo[ok]] = True
             if avail.sum() < cfg.min_birth_joints:
                 continue
             centroid = joints[avail].mean(axis=0)

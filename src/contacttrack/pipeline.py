@@ -70,16 +70,18 @@ def _load_hand_schema(in_dir):
     return HandSchema.from_file(path) if os.path.exists(path) else HandSchema()
 
 
-def _group_frames(det_path):
+def _group_frames(det_path, cals, hand_schema):
     """Yield (frame, {camera_id: persons}, hands list) in frame order.
 
-    Records must be frame-ordered; gaps are tolerated and reported by the
+    Records must be frame-ordered, name calibrated cameras and carry hands
+    of the schema's vertex count; gaps are tolerated and reported by the
     caller as missing frames.
     """
     current = None
     dets = {}
     hands = []
-    for frame, cam_id, persons, hand_dicts in read_detections(det_path):
+    records = read_detections(det_path, cals, hand_schema.vertex_count)
+    for frame, cam_id, persons, hand_dicts in records:
         if current is not None and frame < current:
             raise InputFormatError(
                 f"detections not frame-ordered ({frame} after {current})", path=det_path
@@ -179,7 +181,7 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     with open(os.path.join(out_dir, "tracks.jsonl"), "w") as tracks_f, \
             open(os.path.join(out_dir, "hand_tracks.jsonl"), "w") as hands_f, \
             open(os.path.join(out_dir, "distance_traces.jsonl"), "w") as traces_f:
-        for frame, dets_by_cam, hands in _group_frames(det_path):
+        for frame, dets_by_cam, hands in _group_frames(det_path, cals, hand_schema):
             if last_frame is not None and frame > last_frame + 1:
                 missing_frames += frame - last_frame - 1
             last_frame = frame

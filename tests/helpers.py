@@ -4,7 +4,14 @@ from itertools import permutations
 
 import numpy as np
 
-from contacttrack.geometry import CameraCalibration
+from contacttrack.geometry import (
+    CameraCalibration,
+    IllConditioned,
+    InsufficientViews,
+    epipolar_distance,
+    triangulate_weighted,
+)
+from contacttrack.schema import JOINT_COUNT
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
@@ -134,3 +141,44 @@ def brute_force_min_permutation_cost(cost):
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
     return min(sum(cost[r, c] for r, c in enumerate(p)) for p in permutations(range(n)))
+
+
+def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
+    """Per-joint reference for update_triangulated: one epipolar check per
+    (joint, camera pair), the greedy view set on each joint's own distance
+    matrix, and one single-point triangulation per joint."""
+    updated = set()
+    cam_ids = sorted(obs_by_cam)
+    for k in range(JOINT_COUNT):
+        views = [c for c in cam_ids if obs_by_cam[c][k, 2] >= cfg.tau_joint]
+        n = len(views)
+        if n < max(cfg.v_min, 2):
+            continue
+        dist = np.full((n, n), np.inf)
+        for a in range(n):
+            for b in range(a + 1, n):
+                dist[a, b] = dist[b, a] = epipolar_distance(
+                    obs_by_cam[views[a]][k, :2], obs_by_cam[views[b]][k, :2],
+                    fmat(views[a], views[b]),
+                )
+        seed = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[seed] >= cfg.tau_epi:
+            continue
+        members = [min(seed), max(seed)]
+        for c in range(n):
+            if c not in members and all(dist[c, m] < cfg.tau_epi for m in members):
+                members.append(c)
+        if len(members) < cfg.v_min:
+            continue
+        obs = [(cals[views[i]], obs_by_cam[views[i]][k, :2], obs_by_cam[views[i]][k, 2])
+               for i in sorted(members)]
+        hint = track.joints[k] if track.available[k] else None
+        try:
+            X, err = triangulate_weighted(obs, init_hint=hint)
+        except (InsufficientViews, IllConditioned):
+            continue
+        if err < cfg.eps_tri:
+            track.joints[k] = X
+            track.available[k] = True
+            updated.add(k)
+    return updated

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -99,6 +100,7 @@ class TestRunBadDepthInput:
         with open(os.path.join(ds, "detections.jsonl")) as f:
             first_frame = [line for line in f if json.loads(line)["frame"] == 0]
         (inp / "detections.jsonl").write_text("".join(first_frame))
+        shutil.copy(os.path.join(ds, "hand_schema.json"), inp / "hand_schema.json")
         return inp
 
     def _run(self, tmp_path, ds, inp):
@@ -121,6 +123,92 @@ class TestRunBadDepthInput:
         (inp / "label_table.txt").write_text("0 background\n1\n")
         assert self._run(tmp_path, ds, inp) == EXIT_INPUT
         assert f"input error: {inp / 'label_table.txt'}:2: " in capsys.readouterr().err
+
+
+def _camera_not_calibrated(recs):
+    recs[0]["camera_id"] = "nope"
+    return 1
+
+
+def _joint_nan(recs):
+    recs[1]["persons"][0]["joints"][4][0] = float("nan")
+    return 2
+
+
+def _joint_inf(recs):
+    recs[2]["persons"][1]["joints"][0][1] = float("inf")
+    return 3
+
+
+def _duplicate_frame_camera(recs):
+    recs[2]["camera_id"] = recs[0]["camera_id"]
+    return 3
+
+
+def _hand_side(recs):
+    recs[1]["hands"][0]["side"] = "middle"
+    return 2
+
+
+def _hand_sigma_negative(recs):
+    recs[2]["hands"][3]["sigma_fit"] = -0.5
+    return 3
+
+
+def _hand_vertices_not_n_by_3(recs):
+    recs[0]["hands"][1]["vertices"] = [v[:2] for v in recs[0]["hands"][1]["vertices"]]
+    return 1
+
+
+def _hand_vertices_not_finite(recs):
+    recs[3]["hands"][0]["vertices"][5][2] = float("nan")
+    return 4
+
+
+class TestRunBadDetections:
+    """Malformed detection records: exit 2, message names the file and line."""
+
+    def _run(self, tmp_path, ds, corrupt=None, schema=True):
+        inp = tmp_path / "in"
+        inp.mkdir()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            recs = [json.loads(next(f)) for _ in range(4)]
+        line = corrupt(recs) if corrupt else None
+        (inp / "detections.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+        if schema:
+            shutil.copy(os.path.join(ds, "hand_schema.json"), inp / "hand_schema.json")
+        code = main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")])
+        return code, inp / "detections.jsonl", line
+
+    def test_valid_copy_runs(self, tmp_path, mini_induction):
+        assert self._run(tmp_path, mini_induction["ds"])[0] == EXIT_OK
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_camera_not_calibrated, "camera 'nope' is not in the calibration"),
+        (_joint_nan, "non-finite"),
+        (_joint_inf, "non-finite"),
+        (_duplicate_frame_camera, "second record for frame 0"),
+        (_hand_side, "hand side must be left or right"),
+        (_hand_sigma_negative, "sigma_fit must be finite and >= 0"),
+        (_hand_vertices_not_n_by_3, "hand vertices shape"),
+        (_hand_vertices_not_finite, "non-finite"),
+    ], ids=["camera-not-calibrated", "joint-nan", "joint-inf", "duplicate-frame-camera",
+            "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
+            "hand-vertices-not-finite"])
+    def test_bad_record(self, tmp_path, mini_induction, capsys, corrupt, message):
+        code, det, line = self._run(tmp_path, mini_induction["ds"], corrupt)
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {det}:{line}: " in err
+        assert message in err
+
+    def test_hand_vertex_count_without_schema_file(self, tmp_path, mini_induction, capsys):
+        code, det, _ = self._run(tmp_path, mini_induction["ds"], schema=False)
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {det}:1: " in err
+        assert "hand_schema.json missing" in err
 
 
 class TestEvaluate:

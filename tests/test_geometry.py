@@ -4,6 +4,7 @@ import pytest
 from contacttrack.geometry import (
     BehindCamera,
     DegenerateBaseline,
+    IllConditioned,
     InsufficientViews,
     NoConsensus,
     NonPositiveDepth,
@@ -175,6 +176,87 @@ class TestTriangulation:
         obs = [(c, project(P, c), 1.0) for c in cams]
         X, err = triangulate_weighted(obs, init_hint=P + 0.05)
         assert np.linalg.norm(X - P) < 1e-6
+
+
+def _mixed_batch():
+    """Cameras and a batch that mixes 2, 3 and 4 used views, hint and DLT
+    starts, zero-weight padding and three failing rows."""
+    rng = np.random.default_rng(21)
+    ring = make_ring(4, radius=2.5, height=1.6)
+    # cam4 shares cam0's centre; cam5 sits 1e-7 m beside cam0.
+    twin = make_camera("cam4", ring[0].center, (0.2, 0.1, 1.0))
+    near = make_camera("cam5", ring[0].center + [1e-7, 0.0, 0.0], (0.0, 0.0, 1.0))
+    cams = ring + [twin, near]
+    P = 12
+    pts = rng.uniform(-0.5, 0.5, size=(P, 3)) + [0.0, 0.0, 1.0]
+    uv = np.stack([
+        np.array([project(X, c) for X in pts]) + rng.normal(0, 0.7, size=(P, 2)) for c in cams
+    ])
+    w = np.zeros((len(cams), P))
+    for p, views in enumerate([(0, 1), (0, 2, 3), (0, 1, 2, 3), (1, 3), (1, 2, 3),
+                               (0, 1, 2, 3), (2, 3), (0, 2), (0, 1, 3)]):
+        w[list(views), p] = rng.uniform(0.4, 1.0, size=len(views))
+    w[2, 9] = 0.9          # one view only
+    w[[0, 4], 10] = 0.8    # coincident centres, DLT start
+    w[[0, 5], 11] = 0.8    # near-parallel rays, hinted start
+    hint = np.full((P, 3), np.nan)
+    hint[[1, 4, 5, 8, 11]] = pts[[1, 4, 5, 8, 11]] + rng.normal(0, 0.03, size=(5, 3))
+    return cams, uv, w, hint
+
+
+class TestBatchedTriangulation:
+    def test_mixed_batch_matches_batches_of_one(self):
+        cams, uv, w, hint = _mixed_batch()
+        X, err = triangulate_weighted(
+            [(c, uv[v], w[v]) for v, c in enumerate(cams)], init_hint=hint
+        )
+        assert X.shape == (12, 3) and err.shape == (12,)
+        for p in range(12):
+            obs = [(c, uv[v, p], w[v, p]) for v, c in enumerate(cams)]
+            h = None if np.isnan(hint[p]).any() else hint[p]
+            if p < 9:
+                X1, err1 = triangulate_weighted(obs, init_hint=h)
+                assert np.array_equal(X[p], X1) and err[p] == err1
+                Xb, errb = triangulate_weighted(
+                    [(c, uv[v, p:p + 1], w[v, p:p + 1]) for v, c in enumerate(cams)],
+                    init_hint=hint[p:p + 1],
+                )
+                assert np.array_equal(Xb[0], X1) and errb[0] == err1
+            else:
+                assert np.isnan(X[p]).all() and np.isnan(err[p])
+                with pytest.raises(InsufficientViews if p == 9 else IllConditioned):
+                    triangulate_weighted(obs, init_hint=h)
+
+    def test_failing_rows_leave_neighbours_unchanged(self):
+        cams, uv, w, hint = _mixed_batch()
+        obs = [(c, uv[v], w[v]) for v, c in enumerate(cams)]
+        X, err = triangulate_weighted(obs, init_hint=hint)
+        good = np.arange(9)
+        Xg, errg = triangulate_weighted(
+            [(c, uv[v, good], w[v, good]) for v, c in enumerate(cams)], init_hint=hint[good]
+        )
+        assert np.isfinite(Xg).all() and np.isfinite(errg).all()
+        assert np.array_equal(X[good], Xg) and np.array_equal(err[good], errg)
+
+
+class TestStackedEpipolar:
+    def test_stacked_rows_match_single_calls(self):
+        rng = np.random.default_rng(23)
+        cal_a = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))
+        cal_b = make_camera("b", (0.0, 3.0, 1.8), (0.0, 0.0, 1.0))
+        for F in (fundamental_matrix(cal_a, cal_b),
+                  # [t]_x with t = (0.3, 0.5, 1): the pixel (0.3, 0.5) has a null line.
+                  np.array([[0.0, -1.0, 0.5], [1.0, 0.0, -0.3], [-0.5, 0.3, 0.0]])):
+            xa = rng.uniform(0, 640, size=(26, 2))
+            xb = rng.uniform(0, 480, size=(26, 2))
+            xa[7] = xb[7] = (0.3, 0.5)
+            d = epipolar_distance(xa, xb, F)
+            assert d.shape == (26,)
+            for k in range(26):
+                assert d[k] == epipolar_distance(xa[k], xb[k], F)
+            homog = epipolar_distance(np.c_[xa, np.ones(26)], xb, F)
+            assert np.array_equal(homog, d)
+        assert d[7] == np.inf
 
 
 class TestSim3:

@@ -12,7 +12,7 @@ from contacttrack.person_tracker import (
 )
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 
-from helpers import make_ring
+from helpers import make_ring, per_joint_update
 
 SCHEMA = JointSchema()
 
@@ -137,6 +137,34 @@ class TestTriangulationUpdate:
             ]
             X, _ = triangulate_weighted(two_view)
             assert np.linalg.norm(tr.joints[k] - X) < 1e-9
+
+    def test_matches_per_joint_reference(self, cams):
+        # Noise, confidence dropouts, an outlier view on some joints, and a
+        # track with some joints unavailable (DLT start) and some stale
+        # (hinted start): the batched update equals the per-joint loop bit
+        # for bit.
+        rng = np.random.default_rng(17)
+        cfg = TrackerConfig()
+        fmat = self._fmat(cams)
+        for trial in range(6):
+            joints = place_template((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+                                    yaw=rng.uniform(0, 2 * np.pi))
+            obs = {}
+            for c in sorted(cams):
+                d = detect(joints, cams[c])
+                d[:, :2] += rng.normal(0, 1.5, size=(JOINT_COUNT, 2))
+                d[:, 2] = rng.uniform(0.1, 1.0, size=JOINT_COUNT)
+                obs[c] = d
+            obs["cam3"][rng.choice(JOINT_COUNT, 8, replace=False), :2] += 40.0
+            tr = track_at(joints + rng.normal(0, 0.02, size=joints.shape))
+            tr.available[rng.choice(JOINT_COUNT, 10, replace=False)] = False
+            ref = track_at(tr.joints)
+            ref.available = tr.available.copy()
+            got = update_triangulated(tr, obs, cams, fmat, cfg)
+            want = per_joint_update(ref, obs, cams, fmat, cfg)
+            assert got == want and len(got) > 10
+            assert np.array_equal(tr.joints, ref.joints)
+            assert np.array_equal(tr.available, ref.available)
 
     def test_single_view_not_triangulated(self, cams):
         tr = track_at(place_template())

@@ -3,22 +3,26 @@ import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from contacttrack import pipeline
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
+from contacttrack.geometry import project_many
 from contacttrack.io import read_episodes, write_calibration, write_depth_grid
 from contacttrack.pipeline import (
     load_ground_truth,
     load_track_stream,
     run_pipeline,
 )
+from contacttrack.person_tracker import PersonTrack, Tracker
 from contacttrack.scenes import induction_lite
+from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.semantic_map import write_label_grid
 from contacttrack.simulator import SceneDepthProvider, emit_dataset
 
-from helpers import make_camera
+from helpers import make_camera, make_ring
 
 
 def tree_bytes(root):
@@ -75,6 +79,7 @@ class TestInputHandling:
         ds = mini_induction["ds"]
         lines = open(os.path.join(ds, "detections.jsonl")).readlines()
         (tmp_path / "detections.jsonl").write_text("".join(lines[40:44] + lines[:4]))
+        shutil.copy(os.path.join(ds, "hand_schema.json"), tmp_path / "hand_schema.json")
         with pytest.raises(InputFormatError, match="frame-ordered"):
             run_pipeline(os.path.join(ds, "calibration.json"),
                          str(tmp_path), str(tmp_path / "out"))
@@ -175,18 +180,43 @@ class TestStitchRewrite:
 
 
 class TestBenchmarkHooks:
-    def test_tracer_patch_targets_exist(self, monkeypatch):
-        # The benchmark's tracer patches pipeline and class attributes by
-        # name; a rename in src/ must fail here, not at benchmark time.
+    @pytest.fixture
+    def tracer(self, monkeypatch):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
         monkeypatch.delitem(sys.modules, "tracer", raising=False)
         import tracer
+        return tracer
 
+    def test_tracer_patch_targets_exist(self, tracer):
+        # The benchmark's tracer patches pipeline and class attributes by
+        # name; a rename in src/ must fail here, not at benchmark time.
         original = pipeline.write_traces
         with tracer.patched(tracer.instrument(tracer.Tracer())):
             assert pipeline.write_traces is not original
         assert pipeline.write_traces is original
+
+    def test_tracer_sees_the_triangulation_kernel(self, tracer):
+        # The tracer times the kernel and the epipolar test under the names
+        # person_tracker calls them by; calling them under other names
+        # would leave their per-layer figures at 0.
+        cams = {c.camera_id: c for c in make_ring(3, radius=4.0, height=1.8)}
+        joints = TEMPLATE_JOINTS.copy()
+        dets = {}
+        for cam_id, cal in cams.items():
+            uv, _ = project_many(joints, cal)
+            dets[cam_id] = np.c_[uv, np.full(len(uv), 0.95)][None]
+        tracker = Tracker(cams)
+        tracker.tracks.append(PersonTrack(
+            id=1, joints=joints + 0.01, available=np.ones(len(joints), dtype=bool),
+            existence=0.9, last_update_frame=0, confirmed=True,
+        ))
+        t = tracer.Tracer()
+        with tracer.patched(tracer.instrument(t)):
+            tracker.step(1, dets)
+        assert t.calls("geometry.triangulate_weighted") >= 1
+        assert t.calls("geometry.epipolar_distance") >= 1
+        assert t.counts["geometry.triangulate_weighted.from_update"] >= 1
 
 
 class TestGroundTruthLoader:
