@@ -54,9 +54,10 @@ class NoConsensus(ContactTrackError):
 
 
 def _check_rotation(R, tol=_ROT_TOL):
-    if np.linalg.norm(R.T @ R - np.eye(3)) >= tol * 10 + 1e-12:
+    # Written as "not below" so that a NaN entry fails too.
+    if not np.linalg.norm(R.T @ R - np.eye(3)) < tol * 10 + 1e-12:
         raise ValueError("rotation block is not orthonormal")
-    if abs(np.linalg.det(R) - 1.0) >= tol * 10 + 1e-12:
+    if not abs(np.linalg.det(R) - 1.0) < tol * 10 + 1e-12:
         raise ValueError("rotation block has det != 1")
 
 
@@ -77,6 +78,8 @@ class CameraCalibration:
         self.T_cw = np.asarray(self.T_cw, dtype=float)
         if self.T_cw.shape != (4, 4):
             raise ValueError("T_cw must be 4x4")
+        if not np.isfinite(self.T_cw).all():
+            raise ValueError("T_cw must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.image_width and 0 < self.cy < self.image_height):

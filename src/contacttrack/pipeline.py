@@ -67,7 +67,12 @@ def _depth_source(in_dir, cfg: PipelineConfig):
 
 def _load_hand_schema(in_dir):
     path = os.path.join(in_dir, "hand_schema.json")
-    return HandSchema.from_file(path) if os.path.exists(path) else HandSchema()
+    if not os.path.exists(path):
+        return HandSchema()
+    try:
+        return HandSchema.from_file(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise InputFormatError(f"bad hand schema: {e}", path=path)
 
 
 def _group_frames(det_path, cals, hand_schema):

@@ -204,7 +204,8 @@ class HandSchema:
             )
         if len(self.fingertip_indices) != 5:
             raise ValueError("exactly five fingertip indices required")
-        if max(self.palm_indices + self.fingertip_indices) >= self.vertex_count:
+        indices = self.palm_indices + self.fingertip_indices
+        if not all(0 <= i < self.vertex_count for i in indices):
             raise ValueError("anchor index out of range")
 
     def anchors(self, vertices):

@@ -2,8 +2,8 @@
 
 Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
-cloud's points do not change; per-label KD-trees are built lazily on the
-first query for that label.
+cloud's points do not change; the whole-cloud KD-tree and the per-label
+KD-trees are built lazily, on the first query that needs them.
 """
 
 from __future__ import annotations
@@ -51,18 +51,15 @@ class SemanticCloud:
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.labels = np.asarray(labels, dtype=int).reshape(-1)
         self.label_table = dict(label_table)
-        for lid in np.unique(self.labels):
-            if int(lid) not in self.label_table:
+        self.label_ids = [int(lid) for lid in np.unique(self.labels)]
+        for lid in self.label_ids:
+            if lid not in self.label_table:
                 raise ValueError(f"label id {lid} missing from label table")
-        self._tree = cKDTree(self.positions) if len(self.positions) else None
+        self._tree = None
         self._label_trees = {}
 
     def __len__(self):
         return len(self.positions)
-
-    @property
-    def label_ids(self):
-        return sorted(int(l) for l in np.unique(self.labels))
 
     def _subtree(self, label):
         if label not in self._label_trees:
@@ -72,8 +69,10 @@ class SemanticCloud:
 
     def nearest(self, query):
         """Exact nearest point; distance ties break to the smallest point index."""
-        if self._tree is None:
+        if not len(self):
             raise EmptyCloud("nearest_surface on an empty cloud")
+        if self._tree is None:
+            self._tree = cKDTree(self.positions)
         query = np.asarray(query, dtype=float)
         d, i = self._tree.query(query)
         # Canonicalize exact ties by re-scanning the tie ball.
@@ -89,7 +88,7 @@ class SemanticCloud:
         queries: (Q, 3). Returns {label: (distance, point)} using exact
         per-label subindexes.
         """
-        if self._tree is None:
+        if not len(self):
             raise EmptyCloud("nearest_surface on an empty cloud")
         queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         out = {}

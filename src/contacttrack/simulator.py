@@ -3,9 +3,11 @@
 Scripted persons (rigid 26-joint template plus two-bone arm reaches),
 labeled surface primitives, parametric hand blobs, and per-camera
 projection with analytic occlusion. Emits the exact pipeline input
-formats plus a ground-truth bundle. All randomness is derived from the
-scene seed; depth queries use stateless per-pixel hashing so results do
-not depend on query order.
+formats plus a ground-truth bundle. One sighting pass per frame feeds
+both the detections and the visibility ground truth; ground-truth
+episodes come from the pipeline's ContactTracker on noise-free anchors.
+All randomness is derived from the scene seed; depth queries use
+stateless per-pixel hashing so results do not depend on query order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ContactConfig
-from .contact import hysteresis_step, merge_episodes, smooth_anchors, ContactEpisode
+from .contact import ContactTracker
 from .errors import InputFormatError
 from .geometry import CameraCalibration, project_many
-from .hand_fusion import HandInstance
+from .hand_fusion import FusedHand, HandInstance
 from .io import (
     write_calibration,
     write_detections,
@@ -38,6 +40,7 @@ BASE_CONFIDENCE = 0.95
 PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
+MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
 
 
 # -- deterministic hashing -------------------------------------------------
@@ -72,6 +75,8 @@ def _hash_normals(seed, frame, cam_index, pixel_ids):
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
     position = np.asarray(position, dtype=float)
     z = np.asarray(target, dtype=float) - position
+    if not np.linalg.norm(z) > 0:
+        raise ValueError("camera look_at must differ from its position")
     z = z / np.linalg.norm(z)
     up = np.asarray(up, dtype=float)
     x = np.cross(z, up)
@@ -155,8 +160,8 @@ def two_bone_reach(shoulder, wrist_target, l_upper, l_fore, bend_hint):
 def hand_blob(vertex_count, seed, person_id, side):
     """Local-frame hand vertex set: palm ring (centroid exactly at the
     origin), ellipsoid filler, five fingertip protrusions at the end."""
-    if vertex_count < 13:
-        raise ValueError("hand blob needs at least 13 vertices")
+    if vertex_count < MIN_HAND_VERTICES:
+        raise ValueError(f"hand blob needs at least {MIN_HAND_VERTICES} vertices")
     rng = np.random.default_rng(
         np.uint64(_splitmix64(np.uint64(seed) ^ np.uint64(person_id * 2 + (side == "right"))))
     )
@@ -173,6 +178,35 @@ def hand_blob(vertex_count, seed, person_id, side):
         [0.09 * np.cos(tips_ang), 0.09 * np.sin(tips_ang), np.full(5, 0.01)], axis=1
     )
     return np.concatenate([palm, fill, tips])
+
+
+def body_capsules(joints):
+    """Occlusion volumes of one person's body: torso, limbs and head."""
+    caps = [Capsule(joints[18], joints[19], TORSO_RADIUS)]  # neck-pelvis
+    for a, b in ((5, 7), (7, 9), (6, 8), (8, 10), (11, 13), (13, 15), (12, 14), (14, 16)):
+        caps.append(Capsule(joints[a], joints[b], LIMB_RADIUS))
+    caps.append(Capsule(joints[0], joints[17], 0.10))  # head
+    return caps
+
+
+class SurfaceDistances:
+    """Analytic stand-in for a SemanticCloud of the scene surfaces (the last
+    surface of each label): per label, the least distance over the query
+    points and the surface point closest to the first point attaining it."""
+
+    def __init__(self, surfaces):
+        self._by_label = {s.label: s for s in surfaces}
+
+    def __len__(self):
+        return len(self._by_label)
+
+    def nearest_per_label(self, queries):
+        out = {}
+        for label, prim in self._by_label.items():
+            d = [prim.distance(q) for q in queries]
+            j = int(np.argmin(d))
+            out[label] = (d[j], prim.closest_point(queries[j]))
+        return out
 
 
 @dataclass
@@ -272,25 +306,29 @@ def parse_scene(data):
                     events=events,
                 )
             )
-    except (KeyError, ValueError, TypeError) as e:
+        noise = data.get("noise", {})
+        scene = {
+            "cameras": {c.camera_id: c for c in cams},
+            "surfaces": surfaces,
+            "label_table": label_table,
+            "persons": persons,
+            "fps": float(data.get("fps", 30.0)),
+            "frame_count": int(data.get("frame_count", 0)),
+            "pixel_sigma": float(noise.get("pixel_sigma", 0.0)),
+            "dropout": float(noise.get("dropout", 0.0)),
+            "depth_sigma": float(noise.get("depth_sigma", 0.0)),
+            "hand_jitter": float(noise.get("hand_jitter", 0.0)),
+            "hand_vertex_count": int(data.get("hand_vertex_count", 778)),
+            "raw": data,
+        }
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise InputFormatError(f"bad scene config: {e}")
     if not cams:
         raise InputFormatError("scene config lists no cameras")
-    noise = data.get("noise", {})
-    return {
-        "cameras": {c.camera_id: c for c in cams},
-        "surfaces": surfaces,
-        "label_table": label_table,
-        "persons": persons,
-        "fps": float(data.get("fps", 30.0)),
-        "frame_count": int(data.get("frame_count", 0)),
-        "pixel_sigma": float(noise.get("pixel_sigma", 0.0)),
-        "dropout": float(noise.get("dropout", 0.0)),
-        "depth_sigma": float(noise.get("depth_sigma", 0.0)),
-        "hand_jitter": float(noise.get("hand_jitter", 0.0)),
-        "hand_vertex_count": int(data.get("hand_vertex_count", 778)),
-        "raw": data,
-    }
+    if scene["hand_vertex_count"] < MIN_HAND_VERTICES:
+        raise InputFormatError(
+            f"hand_vertex_count {scene['hand_vertex_count']} is below {MIN_HAND_VERTICES}")
+    return scene
 
 
 class Simulator:
@@ -307,6 +345,7 @@ class Simulator:
         self.cam_index = {c: i for i, c in enumerate(sorted(self.cals))}
         self._blobs = {}
         self._frame_cache = (None, None)
+        self._sighting_cache = (None, None)
         for p in self.scene["persons"]:
             for side in ("left", "right"):
                 self._blobs[(p.id, side)] = hand_blob(
@@ -357,35 +396,32 @@ class Simulator:
         wrist = joints[self.schema.side_joints[side]["wrist"]]
         return self._blobs[(person_id, side)] + wrist
 
-    def hand_anchors(self, person_id, side, joints):
-        return self.hand_schema.anchors(self.hand_vertices(person_id, side, joints))
-
-    def capsules(self, frame, exclude_person=None):
-        """Body occlusion volumes for all present persons."""
-        caps = []
-        state = self.frame_state(frame)
-        for pid, (joints, _) in state.items():
-            if pid == exclude_person:
-                continue
-            caps.append(Capsule(joints[18], joints[19], TORSO_RADIUS))  # neck-pelvis
-            for a, b in ((5, 7), (7, 9), (6, 8), (8, 10),
-                         (11, 13), (13, 15), (12, 14), (14, 16)):
-                caps.append(Capsule(joints[a], joints[b], LIMB_RADIUS))
-            caps.append(Capsule(joints[0], joints[17], 0.10))  # head
-        return caps
-
     # -- rendering ---------------------------------------------------------
 
-    def _occlusion(self, cal, points, occluders):
-        """Per-point occlusion class: 0 visible, 1 partial, 2 hidden."""
-        origin = cal.center
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        dirs = points - origin
-        dist = np.linalg.norm(dirs, axis=1)
-        t, _ = cast_rays(occluders, origin, dirs / np.maximum(dist[:, None], 1e-12))
-        out = np.zeros(len(points), dtype=int)
-        out[t < dist - OCCLUSION_MARGIN] = 2
-        out[(t >= dist - OCCLUSION_MARGIN) & (t < dist - OCCLUSION_MARGIN + PARTIAL_MARGIN)] = 1
+    def sightings(self, frame):
+        """{(camera_id, person_id): (uv, occ, seen)} per present person: the
+        joints' pixels, occlusion classes (0 visible, 1 partial, 2 hidden)
+        and seen mask (in front, not hidden, in bounds). One ray bundle per
+        (camera, person) against the surfaces and the other persons'
+        capsules; the last frame is cached for render_frame and gt_visibility."""
+        if self._sighting_cache[0] == frame:
+            return self._sighting_cache[1]
+        state = self.frame_state(frame)
+        caps = {pid: body_capsules(joints) for pid, (joints, _) in state.items()}
+        out = {}
+        for pid, (joints, _) in state.items():
+            occluders = self.scene["surfaces"] + [
+                c for other, cs in caps.items() if other != pid for c in cs
+            ]
+            for cam_id, cal in self.cals.items():
+                dirs = joints - cal.center
+                dist = np.linalg.norm(dirs, axis=1)
+                t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
+                near = dist - OCCLUSION_MARGIN
+                occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
+                uv, in_front = project_many(joints, cal)
+                out[(cam_id, pid)] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
+        self._sighting_cache = (frame, out)
         return out
 
     def render_frame(self, frame):
@@ -396,6 +432,7 @@ class Simulator:
         HandInstance in the camera frame.
         """
         state = self.frame_state(frame)
+        sightings = self.sightings(frame)
         sigma = self.scene["pixel_sigma"]
         dropout = self.scene["dropout"]
         jitter = self.scene["hand_jitter"]
@@ -412,29 +449,20 @@ class Simulator:
             for pid in sorted(state):
                 joints, _ = state[pid]
                 dropped = rng.random() < dropout
-                occluders = self.scene["surfaces"] + self.capsules(frame, exclude_person=pid)
-                occ = self._occlusion(cal, joints, occluders)
-                uv, in_front = project_many(joints, cal)
+                uv, occ, seen = sightings[(cam_id, pid)]
+                seen = seen & (not dropped)
                 det = np.zeros((JOINT_COUNT, 3))
                 noise = rng.normal(0.0, 1.0, size=(JOINT_COUNT, 2))
-                for k in range(JOINT_COUNT):
-                    visible = (
-                        in_front[k]
-                        and occ[k] < 2
-                        and cal.in_bounds(uv[k])
-                        and not dropped
-                    )
-                    if not visible:
-                        continue
-                    det[k, :2] = uv[k] + sigma * noise[k]
-                    det[k, 2] = BASE_CONFIDENCE - (PARTIAL_PENALTY if occ[k] == 1 else 0.0)
-                if det[:, 2].any():
+                det[seen, :2] = uv[seen] + sigma * noise[seen]
+                det[seen, 2] = np.where(
+                    occ[seen] == 1, BASE_CONFIDENCE - PARTIAL_PENALTY, BASE_CONFIDENCE
+                )
+                if seen.any():
                     persons_out.append(det)
                 # Hands ride on the wrist; exported when the wrist is seen.
                 for side in ("left", "right"):
                     vnoise = rng.normal(0.0, 1.0, size=(self.scene["hand_vertex_count"], 3))
-                    wk = self.schema.side_joints[side]["wrist"]
-                    if dropped or det[wk, 2] <= 0:
+                    if not seen[self.schema.side_joints[side]["wrist"]]:
                         continue
                     verts = self.hand_vertices(pid, side, joints) + jitter * vnoise
                     hands_out.append(
@@ -456,63 +484,38 @@ class Simulator:
             for pid in sorted(state):
                 yield frame, pid, state[pid][0]
 
-    def gt_visibility(self):
-        """(frame, person, side, False) records where a wrist is seen by
-        fewer than two cameras (hand not reconstructible)."""
+    def gt_visibility(self, frame):
+        """(frame, person, side, False) records of one frame for the wrists
+        seen by fewer than two cameras (hand not reconstructible), read
+        from the frame's sighting pass."""
+        sightings = self.sightings(frame)
         out = []
-        for frame in range(self.scene["frame_count"]):
-            state = self.frame_state(frame)
-            for pid in sorted(state):
-                joints, _ = state[pid]
-                for side in ("left", "right"):
-                    wk = self.schema.side_joints[side]["wrist"]
-                    seen = 0
-                    for cam_id in sorted(self.cals):
-                        cal = self.cals[cam_id]
-                        occluders = self.scene["surfaces"] + self.capsules(frame, exclude_person=pid)
-                        occ = self._occlusion(cal, joints[wk][None, :], occluders)
-                        uv, in_front = project_many(joints[wk][None, :], cal)
-                        if in_front[0] and occ[0] < 2 and cal.in_bounds(uv[0]):
-                            seen += 1
-                    if seen < 2:
-                        out.append((frame, pid, side, False))
+        for pid in sorted(self.frame_state(frame)):
+            for side in ("left", "right"):
+                wk = self.schema.side_joints[side]["wrist"]
+                if sum(bool(sightings[(cam_id, pid)][2][wk]) for cam_id in self.cals) < 2:
+                    out.append((frame, pid, side, False))
         return out
 
     def gt_episodes(self, cfg: ContactConfig | None = None):
-        """Rule-derived true episodes from analytic anchor-surface distances.
-
-        Applies the same EMA and hysteresis machinery the pipeline uses,
-        on noise-free anchors, so the gt timing matches what an ideal
-        detector would produce under the same rule.
-        """
-        cfg = cfg or ContactConfig()
-        episodes = []
-        by_label = {s.label: s for s in self.scene["surfaces"]}
-        for p in self.scene["persons"]:
-            for side in ("left", "right"):
-                smoothed = None
-                last_frame = None
-                active = {lab: False for lab in by_label}
-                records = {lab: [] for lab in by_label}
-                for frame in range(self.scene["frame_count"]):
-                    if not p.present(frame):
-                        continue
-                    joints, _ = self.skeleton(p, frame)
-                    anchors = self.hand_anchors(p.id, side, joints)
-                    if last_frame is not None and frame - last_frame > cfg.max_gap_frames:
-                        smoothed = None
-                    smoothed = smooth_anchors(smoothed, anchors, cfg.ema_alpha)
-                    last_frame = frame
-                    for lab, prim in by_label.items():
-                        d = min(prim.distance(a) for a in smoothed)
-                        active[lab] = hysteresis_step(active[lab], d, cfg.tau_on, cfg.tau_off)
-                        if active[lab]:
-                            point = prim.closest_point(min(smoothed, key=prim.distance))
-                            records[lab].append((frame, d, point, p.id, side))
-                for lab in sorted(by_label):
-                    episodes.extend(merge_episodes(records[lab], cfg, lab))
-        episodes.sort(key=lambda e: (e.t_start, e.person_id, e.side, e.surface_label))
-        return episodes
+        """True episodes: the pipeline's ContactTracker fed noise-free
+        anchors, one hand track per (person, side), against the analytic
+        surfaces. The gt timing is what an ideal detector would produce
+        under the pipeline's own contact rule."""
+        tracker = ContactTracker(cfg)
+        surfaces = SurfaceDistances(self.scene["surfaces"])
+        for frame in range(self.scene["frame_count"]):
+            for pid, (joints, _) in self.frame_state(frame).items():
+                for side in ("left", "right"):
+                    verts = self.hand_vertices(pid, side, joints)
+                    anchors = self.hand_schema.anchors(verts)
+                    hand = FusedHand(
+                        frame=frame, side=side, vertices_world=verts, palm_center=anchors[0],
+                        anchors=anchors, sigma_fit=0.0, source_cameras=[],
+                        hand_track_id=2 * pid + (side == "right"), person_id=pid,
+                    )
+                    tracker.update(frame, hand, surfaces)
+        return tracker.finalize()
 
 
 class SceneDepthProvider:
@@ -547,7 +550,8 @@ class SceneDepthProvider:
         prims = list(self.sim.scene["surfaces"])
         n_surf = len(prims)
         if include_bodies:
-            prims += self.sim.capsules(frame)
+            state = self.sim.frame_state(frame)
+            prims += [c for joints, _ in state.values() for c in body_capsules(joints)]
         t, idx = cast_rays(prims, cal.center, dirs_world)
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
@@ -621,19 +625,21 @@ def emit_dataset(scene_data, out_dir, seed=0):
         json.dump({"seed": seed, "scene": sim.scene["raw"]}, f, indent=1, sort_keys=True)
         f.write("\n")
 
+    visibility = []  # filled from the same per-frame sightings as the detections
+
     def det_records():
         for frame in range(sim.scene["frame_count"]):
-            for rec in sim.render_frame(frame):
-                yield rec
+            yield from sim.render_frame(frame)
+            visibility.extend(sim.gt_visibility(frame))
 
     write_detections(os.path.join(out_dir, "detections.jsonl"), det_records())
+    write_visibility(os.path.join(gt_dir, "visibility.jsonl"), visibility)
 
     with open(os.path.join(gt_dir, "tracks.jsonl"), "w") as f:
         for frame, pid, joints in sim.gt_tracks():
             write_track_line(f, frame, pid, 1.0, joints, np.ones(JOINT_COUNT, dtype=bool))
     episodes = sim.gt_episodes()
     write_episodes(os.path.join(gt_dir, "episodes.csv"), episodes)
-    write_visibility(os.path.join(gt_dir, "visibility.jsonl"), sim.gt_visibility())
     with open(os.path.join(gt_dir, "meta.json"), "w") as f:
         json.dump(
             {

@@ -50,6 +50,36 @@ class TestSimulate:
         assert main(["simulate", "--scene", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x")]) == EXIT_INPUT
 
+    def _simulate_edited(self, tmp_path, edit):
+        scene = crossing_clean(frame_count=2)
+        edit(scene)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        return main(["simulate", "--scene", str(scene_path), "--out", str(tmp_path / "x")])
+
+    def test_camera_looking_at_its_position(self, tmp_path, capsys):
+        def edit(scene):
+            cam = scene["cameras"][0]
+            cam["look_at"] = list(cam["position"])
+
+        assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
+        assert "look_at must differ from its position" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "calibration.json").exists()
+
+    def test_hand_vertex_count_below_blob_size(self, tmp_path, capsys):
+        def edit(scene):
+            scene["hand_vertex_count"] = 12
+
+        assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
+        assert "hand_vertex_count 12 is below 13" in capsys.readouterr().err
+
+    def test_noise_not_a_mapping(self, tmp_path, capsys):
+        def edit(scene):
+            scene["noise"] = 1
+
+        assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
+        assert "bad scene config: " in capsys.readouterr().err
+
 
 class TestRun:
     def test_bad_config_exit_code(self, tmp_path, mini_induction):
@@ -73,6 +103,22 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", str(tmp_path), "--out", str(tmp_path / "out")]) \
             == EXIT_INPUT
+
+    # T_cw is stored row-major: entry 1 is in the rotation, entry 3 in the
+    # translation.
+    @pytest.mark.parametrize("entry", [1, 3], ids=["rotation", "translation"])
+    def test_non_finite_extrinsics(self, tmp_path, mini_induction, capsys, entry):
+        ds = mini_induction["ds"]
+        with open(os.path.join(ds, "calibration.json")) as f:
+            calib = json.load(f)
+        calib["cameras"][0]["T_cw"][entry] = float("nan")
+        calib_path = tmp_path / "calibration.json"
+        calib_path.write_text(json.dumps(calib))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib_path}: bad camera record: " in err
+        assert "T_cw must be finite" in err
 
 
 def _lbl_without_dep(lbl):
@@ -209,6 +255,31 @@ class TestRunBadDetections:
         err = capsys.readouterr().err
         assert f"input error: {det}:1: " in err
         assert "hand_schema.json missing" in err
+
+
+class TestRunBadHandSchema:
+    """A malformed hand_schema.json: exit 2, message names the file."""
+
+    @pytest.mark.parametrize("schema, message", [
+        ("{not json", "bad hand schema: "),
+        ({"vertex_count": 40, "palm_indices": [0, 1, 2],
+          "fingertip_indices": [35, 36, 37, 38]}, "exactly five fingertip indices"),
+        ({"vertex_count": 40, "palm_indices": [-1, 0, 1],
+          "fingertip_indices": [35, 36, 37, 38, 39]}, "anchor index out of range"),
+    ], ids=["not-json", "four-fingertips", "negative-index"])
+    def test_bad_schema(self, tmp_path, mini_induction, capsys, schema, message):
+        ds = mini_induction["ds"]
+        inp = tmp_path / "in"
+        inp.mkdir()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            (inp / "detections.jsonl").write_text("".join(next(f) for _ in range(4)))
+        path = inp / "hand_schema.json"
+        path.write_text(schema if isinstance(schema, str) else json.dumps(schema))
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err
+        assert message in err
 
 
 class TestEvaluate:

@@ -17,7 +17,7 @@ from contacttrack.pipeline import (
     run_pipeline,
 )
 from contacttrack.person_tracker import PersonTrack, Tracker
-from contacttrack.scenes import induction_lite
+from contacttrack.scenes import crossing_clean, induction_lite
 from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.semantic_map import write_label_grid
 from contacttrack.simulator import SceneDepthProvider, emit_dataset
@@ -217,6 +217,20 @@ class TestBenchmarkHooks:
         assert t.calls("geometry.triangulate_weighted") >= 1
         assert t.calls("geometry.epipolar_distance") >= 1
         assert t.counts["geometry.triangulate_weighted.from_update"] >= 1
+
+    def test_tracer_sees_one_sighting_cast_per_camera_and_person(self, tracer, tmp_path):
+        # The simulator casts one ray bundle per (frame, camera, present
+        # person), shared by the detections and the visibility ground truth.
+        scene = crossing_clean(frame_count=3)
+        scene["persons"][2]["absent"] = [[1, 1]]
+        t = tracer.Tracer()
+        with tracer.patched(tracer.instrument(t)):
+            emit_dataset(scene, str(tmp_path), seed=0)
+        bundles = (3 + 2 + 3) * len(scene["cameras"])  # present persons x cameras
+        assert t.calls("primitives.cast_rays.render") == bundles
+        assert t.counts["primitives.cast_rays.render.rays"] == bundles * len(TEMPLATE_JOINTS)
+        assert t.calls("simulator.gt_visibility") >= 1
+        assert t.calls("simulator.gt_episodes") == 1
 
 
 class TestGroundTruthLoader:

@@ -1,10 +1,12 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from contacttrack.geometry import project
+from contacttrack.io import read_visibility
 from contacttrack.primitives import Box
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 from contacttrack.scenes import builtin_scene, crossing_clean, induction_lite
@@ -207,6 +209,33 @@ class TestGroundTruth:
         assert len(eps) == 12
         labels = {e.surface_label for e in eps}
         assert labels == {1, 2, 3, 4, 5}
+
+    def test_visibility_flags_wrists_seen_by_fewer_than_two_cameras(self, tmp_path):
+        # A box around the person's right wrist hides it from at least
+        # three cameras; the other wrist stays in view.
+        scene = tiny_scene(frame_count=3)
+        wk = {side: SCHEMA.side_joints[side]["wrist"] for side in ("left", "right")}
+        wrist = Simulator(scene).frame_state(0)[1][0][wk["right"]]
+        scene["surfaces"] = [
+            {"type": "box", "label": 1, "name": "sleeve",
+             "min": list(wrist - 0.12), "max": list(wrist + 0.12)},
+        ]
+        sim = emit_dataset(scene, str(tmp_path), seed=0)
+        expected = set()
+        for frame in range(3):
+            seen = Counter()
+            for _, _, persons, _ in sim.render_frame(frame):
+                for det in persons:  # one person, id 1
+                    seen.update(side for side, k in wk.items() if det[k, 2] > 0)
+            assert seen["right"] <= 1
+            expected |= {(frame, 1, side) for side in wk if seen[side] < 2}
+        flagged = {
+            (frame, pid, side)
+            for frame, pid, side, visible in read_visibility(tmp_path / "gt" / "visibility.jsonl")
+            if not visible
+        }
+        assert flagged == expected
+        assert flagged
 
     def test_absent_person_missing_from_tracks(self):
         scene = tiny_scene(frame_count=10)
