@@ -56,32 +56,38 @@ class TrackSnapshot:
     available: np.ndarray
 
 
+def association_cost(tracks, dets, cal: CameraCalibration, tau_joint):
+    """(n_tracks, n_dets) mean pixel error between each track's projected
+    joints and each detection over the joints that are available, in front
+    of the camera and detected with confidence >= tau_joint; inf where no
+    joint qualifies. Each track is projected once."""
+    dets = np.asarray(dets, dtype=float).reshape(-1, JOINT_COUNT, 3)
+    cost = np.full((len(tracks), len(dets)), np.inf)
+    if not len(tracks) or not len(dets):
+        return cost
+    uv, in_front = zip(*(project_many(t.joints, cal) for t in tracks))
+    proj_ok = np.array([t.available for t in tracks]) & np.array(in_front)
+    k = proj_ok[:, None, :] & (dets[:, :, 2] >= tau_joint)  # (n_t, n_d, 26)
+    err = np.linalg.norm(np.array(uv)[:, None] - dets[:, :, :2], axis=3)
+    # Mean over each pair's compressed row, grouped by its length, so the
+    # sum adds the same values in the same order as a per-pair mean.
+    rows = np.take_along_axis(err, np.argsort(~k, axis=2, kind="stable"), axis=2)
+    count = k.sum(axis=2)
+    for c in np.unique(count[count > 0]):
+        pairs = count == c
+        cost[pairs] = rows[pairs, :c].mean(axis=1)
+    return cost
+
+
 def associate_camera(tracks, dets, cal: CameraCalibration, cfg: TrackerConfig):
     """Match tracks to one camera's detections by mean pixel error over
     confident, available joints. Returns (matches, unmatched detection idxs);
     matches are (track_index, detection_index) pairs.
     """
-    n_t, n_d = len(tracks), len(dets)
-    if n_t == 0 or n_d == 0:
-        return [], list(range(n_d))
-    cost = np.full((n_t, n_d), np.inf)
-    for ti, track in enumerate(tracks):
-        if not track.available.any():
-            continue
-        uv, in_front = project_many(track.joints, cal)
-        proj_ok = track.available & in_front
-        if not proj_ok.any():
-            continue
-        for di in range(n_d):
-            conf_ok = dets[di][:, 2] >= cfg.tau_joint
-            k = proj_ok & conf_ok
-            if not k.any():
-                continue
-            err = np.linalg.norm(uv[k] - dets[di][k, :2], axis=1)
-            cost[ti, di] = err.mean()
-    matches = hungarian_assign(cost, cfg.tau_mpjpe)
+    cost = association_cost(tracks, dets, cal, cfg.tau_joint)
+    matches = hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
     matched_d = {d for _, d in matches}
-    return matches, [d for d in range(n_d) if d not in matched_d]
+    return matches, [d for d in range(len(dets)) if d not in matched_d]
 
 
 def _consistent_view_sets(dist, seen, tau_epi):

@@ -2,8 +2,11 @@
 
 Each primitive answers vectorized ray queries (first-hit parameter along
 a bundle of rays) and point queries (distance to the surface and the
-closest surface point). Used by the scene simulator for rendering depth
-and label grids, occlusion tests, and ground-truth contact distances.
+closest surface point). Surfaces answer one at a time; body capsules are
+stacked (Capsules), so a cast intersects a whole stack in one numpy pass
+over (capsule, ray) arrays. Used by the scene simulator for rendering
+depth and label grids, occlusion tests, and ground-truth contact
+distances.
 """
 
 from __future__ import annotations
@@ -156,8 +159,72 @@ class Rect:
 
 
 @dataclass
+class Capsules:
+    """K capsules (segments with radius; person body volume) stacked for
+    one-pass ray casting: segment starts (K, 3), axes p1 - p0 (K, 3) and
+    radii (K,). Indexing with a row mask or slice gives a sub-stack."""
+
+    p0: np.ndarray
+    axis: np.ndarray
+    radius: np.ndarray
+
+    @classmethod
+    def between(cls, p0, p1, radius):
+        """Capsules from segment end points (K, 3) and radii (K,) or one radius."""
+        p0 = np.asarray(p0, dtype=float).reshape(-1, 3)
+        axis = np.asarray(p1, dtype=float).reshape(-1, 3) - p0
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(p0),))
+        if np.any(radius <= 0):
+            raise ValueError("capsule radius must be positive")
+        return cls(p0, axis, radius)
+
+    def __len__(self):
+        return len(self.radius)
+
+    def __getitem__(self, rows):
+        return Capsules(self.p0[rows], self.axis[rows], self.radius[rows])
+
+    def hits(self, origin, dirs):
+        """(K, N) first-hit parameters of N rays against every capsule, inf
+        on a miss. Approximated at the ray point closest to the axis
+        segment: exact enough for occlusion and depth noise scales."""
+        origin = np.asarray(origin, dtype=float)
+        dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+        a, r = self.axis, self.radius[:, None]
+        aa = (a * a).sum(axis=1)
+        dd = (dirs * dirs).sum(axis=1)
+        # Closest-approach parameters between ray o + t d and segment p0 + s a.
+        w = origin - self.p0
+        da = a @ dirs.T
+        dw = w @ dirs.T
+        aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
+        denom = dd * aa[:, None] - da * da
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(denom > _EPS, (dd * aw[:, None] - da * dw) / denom, 0.0)
+        s = np.clip(s, 0.0, 1.0)
+        seg = self.p0[:, None, :] + s[:, :, None] * a[:, None, :]
+        diff = seg - origin
+        t = (dirs * diff).sum(axis=2) / dd
+        pts = origin + t[:, :, None] * dirs
+        dist = np.linalg.norm(pts - seg, axis=2)
+        hit = (dist <= r) & (t > 0)
+        depth_back = np.sqrt(np.maximum(r**2 - dist**2, 0.0))
+        return np.where(hit, t - depth_back / np.sqrt(dd), np.inf)
+
+    def ray(self, origin, dirs):
+        """(t, k): per ray the first hit over the stack and its row, the
+        lowest row on ties; t is inf where no capsule is hit."""
+        n = len(np.asarray(dirs).reshape(-1, 3))
+        if not len(self):
+            return np.full(n, np.inf), np.zeros(n, dtype=int)
+        t = self.hits(origin, dirs)
+        k = t.argmin(axis=0)
+        return t[k, np.arange(n)], k
+
+
+@dataclass
 class Capsule:
-    """Segment with radius; used for person body volume."""
+    """One capsule; its ray query is the batch of one of Capsules.hits."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -170,32 +237,8 @@ class Capsule:
             raise ValueError("capsule radius must be positive")
 
     def ray(self, origin, dirs):
-        """First-hit parameter, approximated at the ray point closest to
-        the axis segment. Exact enough for occlusion and depth noise scales."""
-        origin = np.asarray(origin, dtype=float)
-        dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        a = self.p1 - self.p0
-        aa = float(a @ a)
-        out = np.full(len(dirs), np.inf)
-        dd = (dirs * dirs).sum(axis=1)
-        # Closest-approach parameters between ray o + t d and segment p0 + s a.
-        w = origin - self.p0
-        da = dirs @ a
-        dw = dirs @ w
-        aw = float(a @ w) if aa > _EPS else 0.0
-        denom = dd * aa - da * da
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > _EPS, (dd * aw - da * dw) / denom, 0.0)
-        s = np.clip(s, 0.0, 1.0)
-        seg = self.p0 + s[:, None] * a
-        diff = seg - origin
-        t = (dirs * diff).sum(axis=1) / dd
-        pts = origin + t[:, None] * dirs
-        dist = np.linalg.norm(pts - seg, axis=1)
-        hit = (dist <= self.radius) & (t > 0)
-        depth_back = np.sqrt(np.maximum(self.radius**2 - dist**2, 0.0))
-        out[hit] = t[hit] - depth_back[hit] / np.sqrt(dd[hit])
-        return out
+        """First-hit parameter per ray, inf on a miss (see Capsules.hits)."""
+        return Capsules.between(self.p0, self.p1, self.radius).hits(origin, dirs)[0]
 
     def distance(self, p):
         p = np.asarray(p, dtype=float)
@@ -209,15 +252,24 @@ def cast_rays(primitives, origin, dirs):
     """First hit over a primitive list.
 
     Returns (t, index) arrays; t is inf and index -1 where nothing is hit.
+    A Capsules stack in the list stands for its K capsules in row order
+    (K consecutive indices) and answers for all of them in one pass; every
+    other primitive answers alone. On equal t the lowest index wins.
     """
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
-    for i, prim in enumerate(primitives):
-        t = prim.ray(origin, dirs)
+    offset = 0
+    for prim in primitives:
+        if isinstance(prim, Capsules):
+            t, k = prim.ray(origin, dirs)
+            size = len(prim)
+        else:
+            t, k, size = prim.ray(origin, dirs), 0, 1
         closer = t < best_t
-        best_t[closer] = t[closer]
-        best_i[closer] = i
+        best_t = np.where(closer, t, best_t)
+        best_i = np.where(closer, offset + k, best_i)
+        offset += size
     return best_t, best_i
 
 

@@ -6,6 +6,8 @@ projection with analytic occlusion. Emits the exact pipeline input
 formats plus a ground-truth bundle. One sighting pass per frame feeds
 both the detections and the visibility ground truth; ground-truth
 episodes come from the pipeline's ContactTracker on noise-free anchors.
+Each frame's body capsules are stacked once and shared by the sighting
+pass and every depth patch of the frame.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order.
 """
@@ -30,7 +32,7 @@ from .io import (
     write_track_line,
     write_visibility,
 )
-from .primitives import Capsule, cast_rays, surface_from_config
+from .primitives import Capsules, cast_rays, surface_from_config
 from .schema import HandSchema, JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 from .semantic_map import write_label_table
 
@@ -41,6 +43,14 @@ PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
 MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
+# Body capsules (start joint, end joint, radius): neck-pelvis torso, the
+# upper and lower bone of each limb, head.
+BODY_BONES = (
+    (18, 19, TORSO_RADIUS),
+    *((a, b, LIMB_RADIUS) for a, b in
+      ((5, 7), (7, 9), (6, 8), (8, 10), (11, 13), (13, 15), (12, 14), (14, 16))),
+    (0, 17, 0.10),
+)
 
 
 # -- deterministic hashing -------------------------------------------------
@@ -181,31 +191,34 @@ def hand_blob(vertex_count, seed, person_id, side):
 
 
 def body_capsules(joints):
-    """Occlusion volumes of one person's body: torso, limbs and head."""
-    caps = [Capsule(joints[18], joints[19], TORSO_RADIUS)]  # neck-pelvis
-    for a, b in ((5, 7), (7, 9), (6, 8), (8, 10), (11, 13), (13, 15), (12, 14), (14, 16)):
-        caps.append(Capsule(joints[a], joints[b], LIMB_RADIUS))
-    caps.append(Capsule(joints[0], joints[17], 0.10))  # head
-    return caps
+    """Occlusion volumes of the bodies posed by (P, 26, 3) joints (or one
+    (26, 3) person), stacked person by person in BODY_BONES order."""
+    joints = np.asarray(joints, dtype=float).reshape(-1, JOINT_COUNT, 3)
+    a, b, radius = zip(*BODY_BONES)
+    return Capsules.between(
+        joints[:, a], joints[:, b], np.tile(radius, len(joints)))
 
 
 class SurfaceDistances:
-    """Analytic stand-in for a SemanticCloud of the scene surfaces (the last
-    surface of each label): per label, the least distance over the query
-    points and the surface point closest to the first point attaining it."""
+    """Analytic stand-in for a SemanticCloud of the scene surfaces: per
+    label, the least distance over the label's surfaces and the query
+    points, and the surface point closest to the first (surface, point)
+    pair attaining it."""
 
     def __init__(self, surfaces):
-        self._by_label = {s.label: s for s in surfaces}
+        self._by_label = {}
+        for prim in surfaces:
+            self._by_label.setdefault(prim.label, []).append(prim)
 
     def __len__(self):
         return len(self._by_label)
 
     def nearest_per_label(self, queries):
         out = {}
-        for label, prim in self._by_label.items():
-            d = [prim.distance(q) for q in queries]
-            j = int(np.argmin(d))
-            out[label] = (d[j], prim.closest_point(queries[j]))
+        for label, prims in self._by_label.items():
+            d = [[prim.distance(q) for q in queries] for prim in prims]
+            i, j = np.unravel_index(np.argmin(d), np.shape(d))
+            out[label] = (d[i][j], prims[i].closest_point(queries[j]))
         return out
 
 
@@ -345,6 +358,7 @@ class Simulator:
         self.cam_index = {c: i for i, c in enumerate(sorted(self.cals))}
         self._blobs = {}
         self._frame_cache = (None, None)
+        self._capsule_cache = (None, None)
         self._sighting_cache = (None, None)
         for p in self.scene["persons"]:
             for side in ("left", "right"):
@@ -390,6 +404,19 @@ class Simulator:
         self._frame_cache = (frame, state)
         return state
 
+    def frame_capsules(self, frame):
+        """(capsules, owner): the body capsules of the persons present at the
+        frame, stacked in frame_state order, and each row's person id.
+        Built once per frame (the last frame is cached like frame_state)
+        for the sighting pass and every depth patch of the frame."""
+        if self._capsule_cache[0] == frame:
+            return self._capsule_cache[1]
+        state = self.frame_state(frame)
+        caps = body_capsules([joints for joints, _ in state.values()])
+        owner = np.repeat(list(state), len(BODY_BONES))
+        self._capsule_cache = (frame, (caps, owner))
+        return caps, owner
+
     def hand_vertices(self, person_id, side, joints):
         """World hand vertex set: the local blob carried by the wrist so
         that the palm centroid sits exactly on the wrist joint."""
@@ -407,12 +434,10 @@ class Simulator:
         if self._sighting_cache[0] == frame:
             return self._sighting_cache[1]
         state = self.frame_state(frame)
-        caps = {pid: body_capsules(joints) for pid, (joints, _) in state.items()}
+        caps, owner = self.frame_capsules(frame)
         out = {}
         for pid, (joints, _) in state.items():
-            occluders = self.scene["surfaces"] + [
-                c for other, cs in caps.items() if other != pid for c in cs
-            ]
+            occluders = self.scene["surfaces"] + [caps[owner != pid]]
             for cam_id, cal in self.cals.items():
                 dirs = joints - cal.center
                 dist = np.linalg.norm(dirs, axis=1)
@@ -547,22 +572,16 @@ class SceneDepthProvider:
         y = (vs - cal.cy) / cal.fy
         dirs_cam = np.stack([x, y, np.ones_like(x)], axis=1)
         dirs_world = dirs_cam @ cal.R  # R^T applied row-wise
-        prims = list(self.sim.scene["surfaces"])
-        n_surf = len(prims)
-        if include_bodies:
-            state = self.sim.frame_state(frame)
-            prims += [c for joints, _ in state.values() for c in body_capsules(joints)]
+        surfaces = self.sim.scene["surfaces"]
+        prims = surfaces + [self.sim.frame_capsules(frame)[0]] if include_bodies else surfaces
         t, idx = cast_rays(prims, cal.center, dirs_world)
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
-        depth = t
-        labels = np.where(
-            (idx >= 0) & (idx < n_surf),
-            [prims[i].label if 0 <= i < n_surf else 0 for i in idx],
-            0,
-        )
-        depth = np.where(np.isfinite(depth), depth, 0.0)
-        return depth, np.asarray(labels, dtype=int)
+        depth = np.where(np.isfinite(t), t, 0.0)
+        # Label 0 for bodies (idx past the surfaces) and misses (idx -1,
+        # which reads the table's last entry).
+        table = np.array([s.label for s in surfaces] + [0], dtype=int)
+        return depth, table[np.minimum(idx, len(surfaces))]
 
     def patch(self, frame, cam_id, u, v, size):
         cal = self.sim.cals[cam_id]

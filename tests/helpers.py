@@ -9,8 +9,10 @@ from contacttrack.geometry import (
     IllConditioned,
     InsufficientViews,
     epipolar_distance,
+    project_many,
     triangulate_weighted,
 )
+from contacttrack.primitives import Capsules
 from contacttrack.schema import JOINT_COUNT
 
 
@@ -182,3 +184,66 @@ def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
             track.available[k] = True
             updated.add(k)
     return updated
+
+
+def reference_capsule_ray(p0, a, radius, origin, dirs):
+    """Per-capsule reference for Capsules.hits: the first-hit formula of
+    one capsule with segment start p0, axis a and radius, inf on a miss."""
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    aa = float(a @ a)
+    out = np.full(len(dirs), np.inf)
+    dd = (dirs * dirs).sum(axis=1)
+    w = origin - p0
+    da = dirs @ a
+    dw = dirs @ w
+    aw = float(a @ w) if aa > 1e-12 else 0.0
+    denom = dd * aa - da * da
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 1e-12, (dd * aw - da * dw) / denom, 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    seg = p0 + s[:, None] * a
+    diff = seg - origin
+    t = (dirs * diff).sum(axis=1) / dd
+    pts = origin + t[:, None] * dirs
+    dist = np.linalg.norm(pts - seg, axis=1)
+    hit = (dist <= radius) & (t > 0)
+    depth_back = np.sqrt(np.maximum(radius**2 - dist**2, 0.0))
+    out[hit] = t[hit] - depth_back[hit] / np.sqrt(dd[hit])
+    return out
+
+
+def reference_cast_rays(primitives, origin, dirs):
+    """Per-primitive reference for cast_rays: a Capsules stack is unrolled
+    into its capsules, each cast alone by reference_capsule_ray, and the
+    first hit is kept by a strict < over the list in order."""
+    casts = []
+    for prim in primitives:
+        if isinstance(prim, Capsules):
+            casts += [lambda o, d, c=c: reference_capsule_ray(*c, o, d)
+                      for c in zip(prim.p0, prim.axis, prim.radius)]
+        else:
+            casts.append(prim.ray)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    best_t = np.full(len(dirs), np.inf)
+    best_i = np.full(len(dirs), -1, dtype=int)
+    for i, cast in enumerate(casts):
+        t = cast(origin, dirs)
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best_i[closer] = i
+    return best_t, best_i
+
+
+def per_pair_association_cost(tracks, dets, cal, tau_joint):
+    """Per-pair reference for association_cost: one masked mean pixel
+    error per (track, detection)."""
+    cost = np.full((len(tracks), len(dets)), np.inf)
+    for ti, track in enumerate(tracks):
+        uv, in_front = project_many(track.joints, cal)
+        proj_ok = track.available & in_front
+        for di, det in enumerate(dets):
+            k = proj_ok & (det[:, 2] >= tau_joint)
+            if k.any():
+                cost[ti, di] = np.linalg.norm(uv[k] - det[k, :2], axis=1).mean()
+    return cost

@@ -7,12 +7,13 @@ from contacttrack.person_tracker import (
     PersonTrack,
     Tracker,
     associate_camera,
+    association_cost,
     depth_lift,
     update_triangulated,
 )
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 
-from helpers import make_ring, per_joint_update
+from helpers import make_ring, per_joint_update, per_pair_association_cost
 
 SCHEMA = JointSchema()
 
@@ -101,6 +102,30 @@ class TestAssociate:
             permutations(range(3)), key=lambda p: sum(cost[i, p[i]] for i in range(3))
         )
         assert sorted(matches) == [(i, best[i]) for i in range(3)]
+
+    def test_cost_matches_per_pair_reference(self, cams):
+        # Bit for bit: partial availability and confidence, a track behind
+        # the camera and a track with no available joint.
+        rng = np.random.default_rng(5)
+        cal = cams["cam0"]
+        for _ in range(20):
+            tracks = []
+            for tid in range(5):
+                tr = track_at(place_template(rng.uniform(-1.5, 1.5, 2), rng.uniform(0, 6)), tid)
+                tr.available = rng.random(JOINT_COUNT) < rng.uniform(0.2, 1.0)
+                tracks.append(tr)
+            tracks[3].joints += 2 * (cal.center - tracks[3].joints.mean(axis=0))
+            tracks[4].available[:] = False
+            dets = []
+            for _ in range(rng.integers(1, 7)):
+                d = detect(place_template(rng.uniform(-1.5, 1.5, 2)), cal)
+                d[:, :2] += rng.normal(0.0, 5.0, size=(JOINT_COUNT, 2))
+                d[:, 2] = rng.uniform(0.0, 1.0, JOINT_COUNT)
+                dets.append(d)
+            cost = association_cost(tracks, dets, cal, TrackerConfig().tau_joint)
+            ref = per_pair_association_cost(tracks, dets, cal, TrackerConfig().tau_joint)
+            assert np.array_equal(cost, ref)
+            assert np.isfinite(ref[:3]).mean() > 0.5 and np.isinf(ref[3:]).all()
 
 
 class TestTriangulationUpdate:

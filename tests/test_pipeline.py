@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from contacttrack import pipeline
+from contacttrack import pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
 from contacttrack.geometry import project_many
@@ -20,7 +20,7 @@ from contacttrack.person_tracker import PersonTrack, Tracker
 from contacttrack.scenes import crossing_clean, induction_lite
 from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.semantic_map import write_label_grid
-from contacttrack.simulator import SceneDepthProvider, emit_dataset
+from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
 from helpers import make_camera, make_ring
 
@@ -231,6 +231,23 @@ class TestBenchmarkHooks:
         assert t.counts["primitives.cast_rays.render.rays"] == bundles * len(TEMPLATE_JOINTS)
         assert t.calls("simulator.gt_visibility") >= 1
         assert t.calls("simulator.gt_episodes") == 1
+
+    def test_depth_patches_of_a_frame_build_its_capsules_once(self, tracer, monkeypatch):
+        # Each present person's capsule stack is built once per frame and
+        # shared by every patch; the tracer's cast counts stay one call and
+        # one ray per patch pixel.
+        built = []
+        body_capsules = simulator.body_capsules
+        monkeypatch.setattr(simulator, "body_capsules",
+                            lambda joints: built.append(body_capsules(joints)) or built[-1])
+        provider = SceneDepthProvider(Simulator(crossing_clean(frame_count=2)))
+        t = tracer.Tracer()
+        with tracer.patched(tracer.instrument(t)):
+            for u in range(100, 400, 25):
+                provider.patch(1, "cam0", u, 240, 5)
+        assert sum(len(caps) for caps in built) == 3 * 10  # three persons, ten capsules each
+        assert t.calls("primitives.cast_rays.depth") == 12
+        assert t.counts["primitives.cast_rays.depth.rays"] == 12 * 25
 
 
 class TestGroundTruthLoader:

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from contacttrack.primitives import Box, Capsule, Rect, Sphere, cast_rays, surface_from_config
+from contacttrack.primitives import (
+    Box,
+    Capsule,
+    Capsules,
+    Rect,
+    Sphere,
+    cast_rays,
+    surface_from_config,
+)
+
+from helpers import reference_capsule_ray, reference_cast_rays
 
 
 class TestBox:
@@ -108,6 +118,77 @@ class TestCapsule:
     def test_distance_to_side(self):
         c = Capsule([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.1)
         assert c.distance([0.5, 0.0, 0.5]) == pytest.approx(0.4)
+
+
+def capsule_bundle(rng, k=12, n=40):
+    """Random capsules and rays with the kernel's edge cases: rays parallel
+    to an axis, the origin inside a capsule, capsules behind the origin
+    and a zero-length axis."""
+    origin = rng.uniform(-0.5, 0.5, size=3)
+    ahead = origin + rng.normal(size=(k, 3)) + np.array([0.0, 0.0, 2.0])
+    p0 = np.where(np.arange(k)[:, None] % 4 == 3, 2 * origin - ahead, ahead)  # every 4th behind
+    p1 = p0 + rng.normal(0.0, 0.5, size=(k, 3))
+    p1[0] = p0[0]  # zero-length axis: a sphere
+    p0[1] = origin + rng.normal(0.0, 0.05, size=3)  # origin inside capsule 1
+    radius = rng.uniform(0.05, 0.4, size=k)
+    radius[1] = 0.3
+    caps = Capsules.between(p0, p1, radius)
+    dirs = (p0[rng.integers(0, k, n)] + rng.normal(0.0, 0.3, size=(n, 3)) - origin)
+    dirs *= rng.uniform(0.5, 2.0, size=(n, 1))  # not unit length
+    axis = caps.axis[2:6]
+    dirs[:4] = axis  # parallel to an axis, starting off it
+    dirs[4:8] = -axis
+    dirs[8] = caps.p0[4] + 0.3 * caps.axis[4] - origin  # at an axis point, off the end caps
+    return origin, caps, dirs
+
+
+class TestStackedCapsules:
+    def test_hits_match_per_capsule_reference(self):
+        rng = np.random.default_rng(11)
+        hits = 0
+        for _ in range(40):
+            origin, caps, dirs = capsule_bundle(rng)
+            t = caps.hits(origin, dirs)
+            for row, (p0, a, r) in enumerate(zip(caps.p0, caps.axis, caps.radius)):
+                ref = reference_capsule_ray(p0, a, r, origin, dirs)
+                assert np.array_equal(np.isinf(t[row]), np.isinf(ref))
+                np.testing.assert_allclose(t[row], ref, rtol=1e-12, atol=0.0)
+            hits += np.isfinite(t).sum()
+            assert np.isfinite(t[1]).any()  # the capsule around the origin
+        assert hits > 1000
+
+    def test_cast_matches_reference_loop(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(40):
+            origin, caps, dirs = capsule_bundle(rng)
+            prims = [Box([-3.0, -3.0, 3.5], [3.0, 3.0, 4.0]), caps[2:],
+                     Sphere(origin + [0.0, 0.0, 2.0], 0.5), caps[:2]]
+            t, i = cast_rays(prims, origin, dirs)
+            ref_t, ref_i = reference_cast_rays(prims, origin, dirs)
+            assert np.array_equal(i, ref_i)
+            np.testing.assert_allclose(t, ref_t, rtol=1e-12, atol=0.0)
+            seen |= set(ref_i.tolist())
+        assert seen == set(range(-1, len(caps) + 2))  # misses and every primitive
+
+    def test_ties_go_to_the_lowest_index(self):
+        cap = Capsules.between([[0.0, -1.0, 2.0]] * 3, [[0.0, 1.0, 2.0]] * 3, 0.3)
+        t, i = cast_rays([cap], np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+        assert i[0] == 0 and t[0] == pytest.approx(1.7)
+
+    def test_empty_stack_hits_nothing(self):
+        empty = Capsules.between(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
+        t, i = cast_rays([empty, Sphere([0, 0, 5.0], 1.0)], np.zeros(3),
+                         np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+        assert i.tolist() == [0, -1] and t[0] == pytest.approx(4.0)
+
+    def test_single_capsule_is_a_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        origin, caps, dirs = capsule_bundle(rng)
+        for row in range(len(caps)):
+            one = Capsule(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
+            assert np.array_equal(one.ray(origin, dirs),
+                                  Capsules.between(one.p0, one.p1, one.radius).hits(origin, dirs)[0])
 
 
 class TestCasting:

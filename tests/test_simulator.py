@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 from collections import Counter
@@ -9,7 +10,8 @@ from contacttrack.geometry import project
 from contacttrack.io import read_visibility
 from contacttrack.primitives import Box
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
-from contacttrack.scenes import builtin_scene, crossing_clean, induction_lite
+from contacttrack import simulator
+from contacttrack.scenes import builtin_scene, crossing_clean, crossing_noisy, induction_lite
 from contacttrack.simulator import (
     SceneDepthProvider,
     Simulator,
@@ -17,6 +19,8 @@ from contacttrack.simulator import (
     place_template,
     two_bone_reach,
 )
+
+from helpers import reference_cast_rays
 
 SCHEMA = JointSchema()
 
@@ -237,6 +241,24 @@ class TestGroundTruth:
         assert flagged == expected
         assert flagged
 
+    def test_every_surface_of_a_label_counts(self):
+        # A far copy of the bed shares its label; the bed still scores
+        # its touches (one of the three episodes in these frames).
+        scene = induction_lite(frame_count=160)
+        base = Simulator(scene).gt_episodes()
+        bed = copy.deepcopy(next(s for s in scene["surfaces"] if s["label"] == 1))
+        bed["min"][2] += 5.0
+        bed["max"][2] += 5.0
+        scene["surfaces"] = scene["surfaces"] + [bed]
+        dup = Simulator(scene).gt_episodes()
+
+        def rows(eps):
+            return [(e.person_id, e.side, e.surface_label, e.t_start, e.t_stop,
+                     e.min_distance, e.contact_point.tolist()) for e in eps]
+
+        assert 1 in {e.surface_label for e in base} and len(base) == 3
+        assert rows(dup) == rows(base)
+
     def test_absent_person_missing_from_tracks(self):
         scene = tiny_scene(frame_count=10)
         scene["persons"][0]["absent"] = [[3, 6]]
@@ -274,3 +296,37 @@ class TestEmission:
         assert builtin_scene("crossing-clean")["frame_count"] == 600
         with pytest.raises(KeyError):
             builtin_scene("nope")
+
+
+class TestStackedKernel:
+    @staticmethod
+    def crowd(frames):
+        """The induction persons and surfaces plus the three crossing
+        persons, with depth noise: six bodies, five surface labels."""
+        scene = induction_lite(frame_count=frames)
+        for p in crossing_noisy(frames)["persons"]:
+            scene["persons"].append(dict(p, id=p["id"] + 10))
+        scene["noise"] = {"pixel_sigma": 1.0, "dropout": 0.1, "depth_sigma": 0.01}
+        return scene
+
+    def outputs(self, out_dir):
+        """Every dataset file's bytes and the depth patches at every seen
+        joint pixel."""
+        sim = emit_dataset(self.crowd(2), str(out_dir), seed=3)
+        files = {str(path.relative_to(out_dir)): path.read_bytes()
+                 for path in out_dir.rglob("*") if path.is_file()}
+        provider = SceneDepthProvider(sim)
+        patches = []
+        for frame in range(2):
+            for (cam_id, _), (uv, _, seen) in sorted(sim.sightings(frame).items()):
+                for u, v in np.round(uv[seen]).astype(int):
+                    patches.append(provider.patch(frame, cam_id, u, v, 5).tobytes())
+        return files, patches
+
+    def test_matches_reference_kernel_byte_for_byte(self, tmp_path, monkeypatch):
+        files, patches = self.outputs(tmp_path / "stacked")
+        monkeypatch.setattr(simulator, "cast_rays", reference_cast_rays)
+        ref_files, ref_patches = self.outputs(tmp_path / "reference")
+        assert len(files) == 9 and len(patches) > 200
+        assert files == ref_files
+        assert patches == ref_patches
