@@ -146,8 +146,10 @@ class ContactTracker:
             active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
             self._active[key] = active
             if active:
+                # A copy: the point is a row of the cloud's positions, and a
+                # view would keep the whole frame's cloud alive.
                 self._records.setdefault(key, []).append(
-                    (frame, float(d), np.asarray(point, dtype=float), hand.person_id, hand.side)
+                    (frame, float(d), np.array(point, dtype=float), hand.person_id, hand.side)
                 )
             rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
         return rows

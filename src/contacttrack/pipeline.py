@@ -9,7 +9,8 @@ map and the live person tracks, plus two kinds of state that grow with
 the recording: tables keyed by id (hand tracks, contact filters, stitch
 votes, coexistence counts), which grow with the number of ids ever
 created, and the contact tracker's records of in-contact frames, kept
-until finalize() assembles the episodes.
+until finalize() assembles the episodes. Each record copies its contact
+point, so no frame's semantic map outlives the frame.
 """
 
 from __future__ import annotations

@@ -187,7 +187,9 @@ class Capsules:
     def hits(self, origin, dirs):
         """(K, N) first-hit parameters of N rays against every capsule, inf
         on a miss. Approximated at the ray point closest to the axis
-        segment: exact enough for occlusion and depth noise scales."""
+        segment: exact enough for occlusion and depth noise scales. The
+        first positive crossing counts, so a ray starting inside a capsule
+        hits it where it leaves."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         a, r = self.axis, self.radius[:, None]
@@ -207,9 +209,10 @@ class Capsules:
         t = (dirs * diff).sum(axis=2) / dd
         pts = origin + t[:, :, None] * dirs
         dist = np.linalg.norm(pts - seg, axis=2)
-        hit = (dist <= r) & (t > 0)
-        depth_back = np.sqrt(np.maximum(r**2 - dist**2, 0.0))
-        return np.where(hit, t - depth_back / np.sqrt(dd), np.inf)
+        back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
+        t_in = t - back
+        t_hit = np.where(t_in > 0, t_in, t + back)
+        return np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
 
     def ray(self, origin, dirs):
         """(t, k): per ray the first hit over the stack and its row, the
@@ -220,32 +223,6 @@ class Capsules:
         t = self.hits(origin, dirs)
         k = t.argmin(axis=0)
         return t[k, np.arange(n)], k
-
-
-@dataclass
-class Capsule:
-    """One capsule; its ray query is the batch of one of Capsules.hits."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.p0 = np.asarray(self.p0, dtype=float)
-        self.p1 = np.asarray(self.p1, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("capsule radius must be positive")
-
-    def ray(self, origin, dirs):
-        """First-hit parameter per ray, inf on a miss (see Capsules.hits)."""
-        return Capsules.between(self.p0, self.p1, self.radius).hits(origin, dirs)[0]
-
-    def distance(self, p):
-        p = np.asarray(p, dtype=float)
-        a = self.p1 - self.p0
-        aa = float(a @ a)
-        s = 0.0 if aa < _EPS else float(np.clip((p - self.p0) @ a / aa, 0.0, 1.0))
-        return float(abs(np.linalg.norm(p - (self.p0 + s * a)) - self.radius))
 
 
 def cast_rays(primitives, origin, dirs):

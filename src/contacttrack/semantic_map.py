@@ -25,6 +25,10 @@ class EmptyCloud(ContactTrackError):
     pass
 
 
+class VoxelGridTooLarge(ContactTrackError):
+    """The fused points span more (voxel, label) cells than an int64 key packs."""
+
+
 @dataclass
 class LabeledPointCloud:
     """Labeled world-frame points from one camera."""
@@ -103,25 +107,26 @@ class SemanticCloud:
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):
     """Back-project labeled pixels on the stride lattice to world points.
 
-    Background (label 0) and invalid depth (<= 0) pixels are skipped.
+    The lattice is read as strided views of the two grids, and the pixel
+    coordinates of kept cells come from their lattice indices times the
+    stride, so no full-lattice coordinate arrays are built. Points are in
+    row-major lattice order. Background (label 0) and invalid depth (<= 0)
+    pixels are skipped.
     """
     label_grid = np.asarray(label_grid)
-    depth_grid = np.asarray(depth_grid, dtype=float)
+    depth_grid = np.asarray(depth_grid)
     if label_grid.shape != depth_grid.shape:
         raise ResolutionMismatch(
             f"label grid {label_grid.shape} vs depth grid {depth_grid.shape}"
         )
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    h, w = label_grid.shape
-    vs, us = np.meshgrid(np.arange(0, h, stride), np.arange(0, w, stride), indexing="ij")
-    us = us.ravel()
-    vs = vs.ravel()
-    lab = label_grid[vs, us]
-    dep = depth_grid[vs, us]
+    lab = label_grid[::stride, ::stride]
+    dep = depth_grid[::stride, ::stride]
     keep = (lab > 0) & (dep > 0)
-    uv = np.stack([us[keep].astype(float), vs[keep].astype(float)], axis=1)
-    pts = backproject_many(uv, dep[keep], cal) if keep.any() else np.zeros((0, 3))
+    vs, us = np.nonzero(keep)
+    uv = np.stack([us * stride, vs * stride], axis=1).astype(float)
+    pts = backproject_many(uv, dep[keep], cal) if len(uv) else np.zeros((0, 3))
     return LabeledPointCloud(pts, lab[keep].astype(int), cal.camera_id)
 
 
@@ -131,6 +136,14 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
     Ties break to the smallest label id; the voxel representative is the
     centroid of the members carrying the winning label. Order-invariant
     over input clouds.
+
+    Each (voxel, label) pair is packed into one int64: voxel keys are
+    shifted by their minimum and combined with row-major strides over
+    their extent, then the label offset is appended as the fastest digit.
+    One 1D sort of the packed keys therefore orders pairs by voxel in
+    lexicographic key order and by label within a voxel, and gives both
+    the pair counts and the voxel of every point. Raises VoxelGridTooLarge
+    when the packed range would pass 2**62.
     """
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
@@ -141,28 +154,46 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
     pos = np.concatenate(pos_list)
     lab = np.concatenate(lab_list).astype(int)
 
-    keys = np.floor(pos / voxel_size).astype(np.int64)
-    _, voxel_of = np.unique(keys, axis=0, return_inverse=True)
-    n_vox = voxel_of.max() + 1
+    keys = np.floor(pos / voxel_size)
+    lo = keys.min(axis=0)
+    extent = keys.max(axis=0) - lo + 1
+    lab_min = int(lab.min())
+    n_lab = int(lab.max()) - lab_min + 1
+    if float(np.prod(extent)) * n_lab > 2.0**62:
+        raise VoxelGridTooLarge(
+            f"voxel_size {voxel_size} m gives a {' x '.join(f'{e:.3g}' for e in extent)} "
+            f"voxel grid over {n_lab} labels, past the 2**62 packed-key range"
+        )
+    keys = (keys - lo).astype(np.int64)
+    ey, ez = (int(e) for e in extent[1:])
+    packed = ((keys[:, 0] * ey + keys[:, 1]) * ez + keys[:, 2]) * n_lab + (lab - lab_min)
+    pairs, pair_of, counts = np.unique(packed, return_inverse=True, return_counts=True)
 
-    # Count (voxel, label) pairs, then pick per voxel the max count with
-    # smallest-label tie-break.
-    pair = np.stack([voxel_of, lab], axis=1)
-    pairs, pair_of = np.unique(pair, axis=0, return_inverse=True)
-    counts = np.bincount(pair_of)
-    order = np.lexsort((pairs[:, 1], -counts, pairs[:, 0]))
-    sorted_vox = pairs[order, 0]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = sorted_vox[1:] != sorted_vox[:-1]
-    win_rows = order[first]
-    win_label = np.zeros(n_vox, dtype=int)
-    win_label[pairs[win_rows, 0]] = pairs[win_rows, 1]
+    # Pairs are sorted by (voxel, label); number the voxels along them.
+    pair_vox_key = pairs // n_lab
+    new_vox = np.ones(len(pairs), dtype=bool)
+    new_vox[1:] = pair_vox_key[1:] != pair_vox_key[:-1]
+    starts = np.flatnonzero(new_vox)
+    pair_vox = np.cumsum(new_vox) - 1
+    voxel_of = pair_vox[pair_of]
+    n_vox = len(starts)
 
-    # Centroid over members carrying the winning label of their voxel.
+    # Per voxel the max count; its first pair is the smallest such label.
+    top = np.maximum.reduceat(counts, starts)
+    cand = np.flatnonzero(counts == top[pair_vox])
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = pair_vox[cand[1:]] != pair_vox[cand[:-1]]
+    win_label = pairs[cand[first]] % n_lab + lab_min
+
+    # Centroid over members carrying the winning label of their voxel,
+    # each voxel's members summed in input order.
     winner = lab == win_label[voxel_of]
-    sums = np.zeros((n_vox, 3))
-    np.add.at(sums, voxel_of[winner], pos[winner])
-    nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
+    vox_w = voxel_of[winner]
+    pos_w = pos[winner]
+    sums = np.stack(
+        [np.bincount(vox_w, weights=pos_w[:, a], minlength=n_vox) for a in range(3)], axis=1
+    )
+    nums = np.bincount(vox_w, minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
     return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)
 

@@ -603,7 +603,9 @@ class SceneDepthProvider:
     def grids(self, frame, cam_id, stride=4):
         """Full-resolution (label, depth) grids populated on the stride
         lattice only; other pixels are zero. Surfaces only, so the map is
-        built from static geometry."""
+        built from static geometry. Noise is drawn only for the lattice
+        cells that see a surface, and those cells are written through
+        strided views of the grids."""
         cal = self.sim.cals[cam_id]
         key = (cam_id, stride)
         if key not in self._surface_cache:
@@ -612,17 +614,18 @@ class SceneDepthProvider:
                 np.arange(0, cal.image_width, stride),
                 indexing="ij",
             )
-            us = us.ravel()
-            vs = vs.ravel()
             depth, labels = self._cast(frame, cam_id, us, vs, include_bodies=False)
-            self._surface_cache[key] = (us, vs, depth, labels)
-        us, vs, depth, labels = self._surface_cache[key]
+            hit = (labels > 0).reshape(us.shape)
+            self._surface_cache[key] = (
+                hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
+            )
+        hit, us, vs, depth, labels = self._surface_cache[key]
         noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
         noisy = np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
         label_grid = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
         depth_grid = np.zeros((cal.image_height, cal.image_width))
-        label_grid[vs, us] = labels
-        depth_grid[vs, us] = np.where(labels > 0, noisy, 0.0)
+        label_grid[::stride, ::stride][hit] = labels
+        depth_grid[::stride, ::stride][hit] = noisy
         return label_grid, depth_grid
 
 

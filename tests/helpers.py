@@ -14,6 +14,7 @@ from contacttrack.geometry import (
 )
 from contacttrack.primitives import Capsules
 from contacttrack.schema import JOINT_COUNT
+from contacttrack.semantic_map import SemanticCloud
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
@@ -188,7 +189,8 @@ def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
 
 def reference_capsule_ray(p0, a, radius, origin, dirs):
     """Per-capsule reference for Capsules.hits: the first-hit formula of
-    one capsule with segment start p0, axis a and radius, inf on a miss."""
+    one capsule with segment start p0, axis a and radius, inf on a miss.
+    The first positive crossing counts, the exit for an origin inside."""
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     aa = float(a @ a)
@@ -207,9 +209,13 @@ def reference_capsule_ray(p0, a, radius, origin, dirs):
     t = (dirs * diff).sum(axis=1) / dd
     pts = origin + t[:, None] * dirs
     dist = np.linalg.norm(pts - seg, axis=1)
-    hit = (dist <= radius) & (t > 0)
-    depth_back = np.sqrt(np.maximum(radius**2 - dist**2, 0.0))
-    out[hit] = t[hit] - depth_back[hit] / np.sqrt(dd[hit])
+    back = np.sqrt(np.maximum(radius**2 - dist**2, 0.0)) / np.sqrt(dd)
+    for i in np.flatnonzero(dist <= radius):
+        # The first positive crossing: the entry, else the exit (origin inside).
+        for crossing in (t[i] - back[i], t[i] + back[i]):
+            if crossing > 0:
+                out[i] = crossing
+                break
     return out
 
 
@@ -247,3 +253,37 @@ def per_pair_association_cost(tracks, dets, cal, tau_joint):
             if k.any():
                 cost[ti, di] = np.linalg.norm(uv[k] - det[k, :2], axis=1).mean()
     return cost
+
+
+def reference_fuse_clouds(clouds, voxel_size, label_table, frame=0):
+    """Two-sort reference for fuse_clouds: np.unique over (N, 3) voxel keys,
+    then over (voxel, label) pairs, a lexsort for the per-voxel majority
+    (smallest label on ties) and an unbuffered add for the centroids."""
+    pos_list = [c.positions for c in clouds if len(c.positions)]
+    lab_list = [c.labels for c in clouds if len(c.positions)]
+    if not pos_list:
+        return SemanticCloud(frame, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
+    pos = np.concatenate(pos_list)
+    lab = np.concatenate(lab_list).astype(int)
+
+    keys = np.floor(pos / voxel_size).astype(np.int64)
+    _, voxel_of = np.unique(keys, axis=0, return_inverse=True)
+    n_vox = voxel_of.max() + 1
+
+    pair = np.stack([voxel_of, lab], axis=1)
+    pairs, pair_of = np.unique(pair, axis=0, return_inverse=True)
+    counts = np.bincount(pair_of)
+    order = np.lexsort((pairs[:, 1], -counts, pairs[:, 0]))
+    sorted_vox = pairs[order, 0]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sorted_vox[1:] != sorted_vox[:-1]
+    win_rows = order[first]
+    win_label = np.zeros(n_vox, dtype=int)
+    win_label[pairs[win_rows, 0]] = pairs[win_rows, 1]
+
+    winner = lab == win_label[voxel_of]
+    sums = np.zeros((n_vox, 3))
+    np.add.at(sums, voxel_of[winner], pos[winner])
+    nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
+    centroids = sums / nums[:, None]
+    return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)

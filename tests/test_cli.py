@@ -98,6 +98,18 @@ class TestRun:
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_voxel_grid_past_key_range(self, tmp_path, mini_induction, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"voxel_size": 1e-9}')
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: voxel_size 1e-09 m gives a ")
+        assert "past the 2**62 packed-key range" in err
+        assert "Traceback" not in err
+
     def test_missing_input_exit_code(self, tmp_path, mini_induction):
         ds = mini_induction["ds"]
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,14 @@ class TestContactTracker:
         empty = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), {})
         assert ct.update(0, hand((0, 0, 1.0), 0), empty) == []
         assert ct.finalize() == []
+
+    def test_records_do_not_keep_the_cloud_alive(self):
+        ct = ContactTracker(ContactConfig(ema_alpha=1.0))
+        cloud = flat_cloud()
+        positions = weakref.ref(cloud.positions.base)  # the array owning the points
+        ct.update(0, hand((0.0, 0.0, 0.85), 0), cloud)
+        assert ct._records  # the hand is in contact, so a record holds a point
+        del cloud
+        gc.collect()
+        assert positions() is None
+        assert ct._records[(1, 1)][0][2].tolist() == [0.0, 0.0, 0.8]

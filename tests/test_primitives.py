@@ -3,7 +3,6 @@ import pytest
 
 from contacttrack.primitives import (
     Box,
-    Capsule,
     Capsules,
     Rect,
     Sphere,
@@ -105,19 +104,33 @@ class TestRect:
 
 
 class TestCapsule:
+    """One capsule is a stack of one."""
+
     def test_ray_hits_cylinder(self):
-        c = Capsule([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
-        t = c.ray(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
-        assert t[0] == pytest.approx(1.7, abs=1e-6)
+        c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
+        t = c.hits(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+        assert t[0, 0] == pytest.approx(1.7, abs=1e-6)
 
     def test_ray_misses(self):
-        c = Capsule([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
-        t = c.ray(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
-        assert np.isinf(t[0])
+        c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
+        t = c.hits(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
+        assert np.isinf(t[0, 0])
 
     def test_distance_to_side(self):
-        c = Capsule([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.1)
-        assert c.distance([0.5, 0.0, 0.5]) == pytest.approx(0.4)
+        # The side lies along the normal towards the axis, at the distance.
+        c = Capsules.between([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.1)
+        t = c.hits(np.array([0.5, 0.0, 0.5]), np.array([[-1.0, 0.0, 0.0]]))
+        assert t[0, 0] == pytest.approx(0.4)
+
+    def test_ray_from_inside_exits(self):
+        c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
+        origin = np.array([0.0, 0.5, 2.1])
+        dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [1.0, 0.0, 0.0]])
+        t = c.hits(origin, dirs)[0]
+        assert t[0] == pytest.approx(0.2)
+        assert t[1] == pytest.approx(0.2)  # 0.4 m at |d| = 2
+        assert t[2] == pytest.approx(np.sqrt(0.3**2 - 0.1**2))
+        assert np.array_equal(t, reference_capsule_ray(c.p0[0], c.axis[0], 0.3, origin, dirs))
 
 
 def capsule_bundle(rng, k=12, n=40):
@@ -162,13 +175,16 @@ class TestStackedCapsules:
         seen = set()
         for _ in range(40):
             origin, caps, dirs = capsule_bundle(rng)
-            prims = [Box([-3.0, -3.0, 3.5], [3.0, 3.0, 4.0]), caps[2:],
-                     Sphere(origin + [0.0, 0.0, 2.0], 0.5), caps[:2]]
-            t, i = cast_rays(prims, origin, dirs)
-            ref_t, ref_i = reference_cast_rays(prims, origin, dirs)
-            assert np.array_equal(i, ref_i)
-            np.testing.assert_allclose(t, ref_t, rtol=1e-12, atol=0.0)
-            seen |= set(ref_i.tolist())
+            # Capsule 1 holds the origin, so every ray hits it on the way
+            # out; each bundle is cast with and without it.
+            for last in (caps[:2], caps[:1]):
+                prims = [Box([-3.0, -3.0, 3.5], [3.0, 3.0, 4.0]), caps[2:],
+                         Sphere(origin + [0.0, 0.0, 2.0], 0.5), last]
+                t, i = cast_rays(prims, origin, dirs)
+                ref_t, ref_i = reference_cast_rays(prims, origin, dirs)
+                assert np.array_equal(i, ref_i)
+                np.testing.assert_allclose(t, ref_t, rtol=1e-12, atol=0.0)
+                seen |= set(ref_i.tolist())
         assert seen == set(range(-1, len(caps) + 2))  # misses and every primitive
 
     def test_ties_go_to_the_lowest_index(self):
@@ -186,9 +202,8 @@ class TestStackedCapsules:
         rng = np.random.default_rng(13)
         origin, caps, dirs = capsule_bundle(rng)
         for row in range(len(caps)):
-            one = Capsule(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
-            assert np.array_equal(one.ray(origin, dirs),
-                                  Capsules.between(one.p0, one.p1, one.radius).hits(origin, dirs)[0])
+            one = Capsules.between(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
+            assert np.array_equal(one.hits(origin, dirs)[0], caps[row:row + 1].hits(origin, dirs)[0])
 
 
 class TestCasting:

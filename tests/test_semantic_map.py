@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contacttrack.errors import InputFormatError
+from contacttrack.errors import ContactTrackError, InputFormatError
+from contacttrack.geometry import backproject_many
 from contacttrack.semantic_map import (
     EmptyCloud,
     LabeledPointCloud,
     ResolutionMismatch,
     SemanticCloud,
+    VoxelGridTooLarge,
     backproject_labeled,
     fuse_clouds,
     read_label_grid,
@@ -15,7 +19,7 @@ from contacttrack.semantic_map import (
     write_label_table,
 )
 
-from helpers import identity_camera
+from helpers import identity_camera, reference_fuse_clouds
 
 TABLE = {0: "background", 1: "bed", 2: "monitor", 3: "table"}
 
@@ -49,6 +53,20 @@ class TestBackprojectLabeled:
         dep = np.full((480, 640), 1.0)  # plane z=1 in camera frame
         out = backproject_labeled(lab, dep, cal, stride=8)
         assert np.all(np.abs(out.positions[:, 2] - 1.0) < 1e-6)
+
+    @pytest.mark.parametrize("stride", [1, 3, 4, 7])
+    def test_matches_full_lattice_gather(self, stride):
+        cal = identity_camera(cx=18.5, cy=14.5, w=37, h=29)
+        rng = np.random.default_rng(stride)
+        lab = rng.integers(0, 3, size=(29, 37)).astype(np.uint8)
+        dep = np.where(rng.random((29, 37)) < 0.2, 0.0, rng.uniform(0.5, 4.0, (29, 37)))
+        vs, us = np.meshgrid(np.arange(0, 29, stride), np.arange(0, 37, stride), indexing="ij")
+        us, vs = us.ravel(), vs.ravel()
+        keep = (lab[vs, us] > 0) & (dep[vs, us] > 0)
+        uv = np.stack([us[keep], vs[keep]], axis=1).astype(float)
+        out = backproject_labeled(lab, dep, cal, stride=stride)
+        assert np.array_equal(out.positions, backproject_many(uv, dep[vs, us][keep], cal))
+        assert np.array_equal(out.labels, lab[vs, us][keep].astype(int))
 
     def test_resolution_mismatch(self):
         cal = identity_camera()
@@ -117,6 +135,64 @@ class TestFuseClouds:
         assert set(by_label) == {1, 2}
         assert np.allclose(by_label[1][0], np.mean([0.002 + 1e-4 * i for i in range(18)]))
         assert np.allclose(by_label[2][0], np.mean([0.012 + 1e-4 * i for i in range(10, 20)]))
+
+
+    def test_packed_range_guard_names_voxel_size(self):
+        pts = [[-1.0, -1.0, 0.0], [1.0, 1.0, 2.0]]
+        with pytest.raises(VoxelGridTooLarge, match="voxel_size 1e-07") as err:
+            fuse_clouds([cloud_of(pts, [1, 3])], 1e-7, TABLE)
+        assert isinstance(err.value, ContactTrackError)
+        # A room at a millimetre, far inside the range, packs.
+        assert len(fuse_clouds([cloud_of(pts, [1, 3])], 1e-3, TABLE)) == 2
+
+
+# Points as (voxel index, offset in the voxel, label): indices in a small
+# signed range, so voxels are shared, hold one point or hold equal counts
+# of two labels.
+_point = st.tuples(
+    st.tuples(*[st.integers(-4, 3)] * 3),
+    st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
+    st.integers(1, 3),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    points=st.lists(_point, min_size=1, max_size=60),
+    cuts=st.lists(st.integers(0, 60), max_size=3),
+    voxel_size=st.sampled_from([0.01, 0.25, 1.0]),
+)
+@example(  # a 2-2 tie between labels 3 and 1, and a single-point voxel
+    points=[((0, 0, 0), (0.1, 0.1, 0.1), 3), ((0, 0, 0), (0.2, 0.1, 0.1), 1),
+            ((0, 0, 0), (0.3, 0.1, 0.1), 3), ((0, 0, 0), (0.4, 0.1, 0.1), 1),
+            ((-1, -2, -3), (0.5, 0.5, 0.5), 2)],
+    cuts=[2],
+    voxel_size=0.25,
+)
+def test_fuse_matches_two_sort_reference(points, cuts, voxel_size):
+    idx = np.array([p[0] for p in points], dtype=float)
+    off = np.array([p[1] for p in points])
+    labs = np.array([p[2] for p in points])
+    pos = (idx + off) * voxel_size
+    bounds = [0, *sorted(min(c, len(points)) for c in cuts), len(points)]
+    clouds = [cloud_of(pos[a:b], labs[a:b], f"cam{i}") for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    got = fuse_clouds(clouds, voxel_size, TABLE)
+    ref = reference_fuse_clouds(clouds, voxel_size, TABLE)
+    assert np.array_equal(got.positions, ref.positions)
+    assert np.array_equal(got.labels, ref.labels)
+
+
+def test_fuse_matches_two_sort_reference_on_dense_voxels():
+    # About 16 points a voxel, so the centroid sums depend on adding order.
+    rng = np.random.default_rng(4)
+    pos = rng.uniform(-0.03, 0.02, size=(2000, 3))
+    labs = rng.integers(1, 4, size=2000)
+    clouds = [cloud_of(pos[:700], labs[:700]), cloud_of(pos[700:], labs[700:], "cam1")]
+    got = fuse_clouds(clouds, 0.01, TABLE)
+    ref = reference_fuse_clouds(clouds, 0.01, TABLE)
+    assert len(got) == 125
+    assert np.array_equal(got.positions, ref.positions)
+    assert np.array_equal(got.labels, ref.labels)
 
 
 class TestNearestSurface:
