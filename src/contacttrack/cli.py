@@ -28,12 +28,12 @@ def _load_scene(spec):
         except KeyError as e:
             raise InputFormatError(str(e))
     try:
-        with open(spec) as f:
+        with open(spec, encoding="utf-8") as f:
             return json.load(f)
     except OSError as e:
         raise InputFormatError(f"cannot read scene file: {e}", path=spec)
-    except json.JSONDecodeError as e:
-        raise InputFormatError(f"scene file is not valid JSON: {e}", path=spec)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise InputFormatError(f"scene file is not valid UTF-8 JSON: {e}", path=spec)
 
 
 def cmd_simulate(args):

@@ -104,6 +104,13 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
+def _object(data, path, what):
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: {what} must hold a JSON object, "
+                          f"got {type(data).__name__}")
+    return data
+
+
 def _fill(cls, data, path):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
@@ -117,18 +124,21 @@ def load_pipeline_config(path=None, overrides=None):
     data = {}
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 data = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}")
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}")
+    _object(data, path, "the file")
     if overrides:
         data.update(overrides)
     try:
-        tracker = _fill(TrackerConfig, data.pop("tracker", {}), path)
-        fusion = _fill(FusionConfig, data.pop("fusion", {}), path)
-        contact = _fill(ContactConfig, data.pop("contact", {}), path)
+        tracker, fusion, contact = (
+            _fill(cls, _object(data.pop(key, {}), path, f"{key!r}"), path)
+            for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
+                             (ContactConfig, "contact"))
+        )
         cfg = _fill(PipelineConfig, data, path)
     except TypeError as e:
         raise ConfigError(f"config {path}: {e}")

@@ -32,6 +32,21 @@ def _round(x, nd=6):
     return round(float(x), nd)
 
 
+def _json_lines(path, what):
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file. A line that is not UTF-8 JSON raises InputFormatError naming the
+    file and line."""
+    with open(path, "rb") as f:
+        for ln, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+                raise InputFormatError(f"bad {what} record: {e}", path=path, line=ln)
+            yield ln, rec
+
+
 # -- calibration -----------------------------------------------------------
 
 def write_calibration(path, cals):
@@ -51,16 +66,23 @@ def write_calibration(path, cals):
 
 def read_calibration(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
         raise InputFormatError(f"cannot parse calibration: {e}", path=path)
+    if not isinstance(data, dict):
+        raise InputFormatError(
+            f"calibration must hold a JSON object, got {type(data).__name__}", path=path
+        )
     if data.get("gravity_axis") != GRAVITY_AXIS:
         raise InputFormatError(
             f"unsupported gravity axis {data.get('gravity_axis')!r}", path=path
         )
+    cameras = data.get("cameras", [])
+    if not isinstance(cameras, list):
+        raise InputFormatError("calibration cameras must be a JSON list", path=path)
     cals = {}
-    for cam in data.get("cameras", []):
+    for cam in cameras:
         try:
             cal = CameraCalibration(
                 camera_id=cam["camera_id"],
@@ -69,7 +91,7 @@ def read_calibration(path):
                 T_cw=np.array(cam["T_cw"], dtype=float).reshape(4, 4),
                 image_width=int(cam["width"]), image_height=int(cam["height"]),
             )
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad camera record: {e}", path=path)
         cals[cal.camera_id] = cal
     if not cals:
@@ -108,49 +130,47 @@ def write_detections(path, records):
 def read_detections(path, cameras=None, hand_vertex_count=None):
     """Yield (frame, camera_id, persons, hands_raw) records in file order.
 
-    persons are (26, 3) float arrays of finite values; hands_raw are dicts
-    with side ("left" or "right"), a finite non-negative sigma_fit and a
-    finite (N, 3) vertices array. A record that repeats the (frame,
-    camera) of an earlier record of the same frame is rejected, as are,
-    when given, cameras outside `cameras` and hands whose vertex count is
-    not `hand_vertex_count`.
+    frame is a JSON integer (not a bool); persons are (26, 3) float arrays
+    of finite values; hands_raw are dicts with side ("left" or "right"), a
+    finite non-negative sigma_fit and a finite (N, 3) vertices array. A
+    record that repeats the (frame, camera) of an earlier record of the
+    same frame is rejected, as are, when given, cameras outside `cameras`
+    and hands whose vertex count is not `hand_vertex_count`.
     """
     current, frame_cams = None, set()
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                frame = int(rec["frame"])
-                camera_id = rec["camera_id"]
-                persons = [np.array(p["joints"], dtype=float) for p in rec.get("persons", [])]
-                hands = [
-                    {
-                        "side": h["side"],
-                        "sigma_fit": float(h["sigma_fit"]),
-                        "vertices": np.array(h["vertices"], dtype=float),
-                    }
-                    for h in rec.get("hands", [])
-                ]
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
+    for ln, rec in _json_lines(path, "detection"):
+        try:
+            frame = rec["frame"]
+            camera_id = rec["camera_id"]
+            persons = [np.array(p["joints"], dtype=float) for p in rec.get("persons", [])]
+            hands = [
+                {
+                    "side": h["side"],
+                    "sigma_fit": float(h["sigma_fit"]),
+                    "vertices": np.array(h["vertices"], dtype=float),
+                }
+                for h in rec.get("hands", [])
+            ]
+        except (KeyError, ValueError, TypeError) as e:
+            raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
+        problem = _detection_problem(
+            frame, camera_id, persons, hands, cameras, hand_vertex_count
+        )
+        if problem is None:
             if frame != current:
                 current, frame_cams = frame, set()
-            problem = _detection_problem(
-                camera_id, persons, hands, cameras, hand_vertex_count
-            )
-            if problem is None and camera_id in frame_cams:
+            if camera_id in frame_cams:
                 problem = f"second record for frame {frame}, camera {camera_id!r}"
-            if problem is not None:
-                raise InputFormatError(problem, path=path, line=ln)
-            frame_cams.add(camera_id)
-            yield frame, camera_id, persons, hands
+        if problem is not None:
+            raise InputFormatError(problem, path=path, line=ln)
+        frame_cams.add(camera_id)
+        yield frame, camera_id, persons, hands
 
 
-def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
+def _detection_problem(frame, camera_id, persons, hands, cameras, hand_vertex_count):
     """What is wrong with one parsed detection record, or None."""
+    if isinstance(frame, bool) or not isinstance(frame, int):
+        return f"frame must be an integer, got {json.dumps(frame)}"
     if not isinstance(camera_id, str):
         return f"camera_id must be a string, got {camera_id!r}"
     if cameras is not None and camera_id not in cameras:
@@ -195,22 +215,16 @@ def write_track_line(f, frame, track_id, existence, joints, available):
 
 def read_tracks(path):
     """Yield (frame, id, E, joints (26,3), available (26,)) records."""
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                arr = np.array(rec["joints"], dtype=float)
-                if arr.shape != (JOINT_COUNT, 4):
-                    raise ValueError(f"joints shape {arr.shape}")
-                yield (
-                    int(rec["frame"]), int(rec["id"]), float(rec["E"]),
-                    arr[:, :3], arr[:, 3] > 0.5,
-                )
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
+    for ln, rec in _json_lines(path, "track"):
+        try:
+            arr = np.array(rec["joints"], dtype=float)
+            if arr.shape != (JOINT_COUNT, 4):
+                raise ValueError(f"joints shape {arr.shape}")
+            row = (int(rec["frame"]), int(rec["id"]), float(rec["E"]),
+                   arr[:, :3], arr[:, 3] > 0.5)
+        except (KeyError, ValueError, TypeError) as e:
+            raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
+        yield row
 
 
 def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
@@ -227,21 +241,17 @@ def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchor
 
 def read_hand_tracks(path):
     """Yield (frame, hand_track_id, side, person_id, palm (3,), anchors (6,3))."""
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                yield (
-                    int(rec["frame"]), int(rec["hand_track_id"]), rec["side"],
-                    None if rec["person_id"] is None else int(rec["person_id"]),
-                    np.array(rec["palm_center"], dtype=float),
-                    np.array(rec["anchors"], dtype=float),
-                )
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise InputFormatError(f"bad hand track record: {e}", path=path, line=ln)
+    for ln, rec in _json_lines(path, "hand track"):
+        try:
+            row = (
+                int(rec["frame"]), int(rec["hand_track_id"]), rec["side"],
+                None if rec["person_id"] is None else int(rec["person_id"]),
+                np.array(rec["palm_center"], dtype=float),
+                np.array(rec["anchors"], dtype=float),
+            )
+        except (KeyError, ValueError, TypeError) as e:
+            raise InputFormatError(f"bad hand track record: {e}", path=path, line=ln)
+        yield row
 
 
 # -- episodes --------------------------------------------------------------
@@ -306,16 +316,12 @@ def write_visibility(path, records):
 
 
 def read_visibility(path):
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                yield int(rec["frame"]), int(rec["person_id"]), rec["side"], bool(rec["visible"])
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise InputFormatError(f"bad visibility record: {e}", path=path, line=ln)
+    for ln, rec in _json_lines(path, "visibility"):
+        try:
+            row = int(rec["frame"]), int(rec["person_id"]), rec["side"], bool(rec["visible"])
+        except (KeyError, ValueError, TypeError) as e:
+            raise InputFormatError(f"bad visibility record: {e}", path=path, line=ln)
+        yield row
 
 
 # -- distance traces (for threshold sweeps) --------------------------------
@@ -333,20 +339,16 @@ def write_traces(f, rows):
 
 def read_traces(path):
     """Yield (frame, hand_id, side, person_id, label, distance) records."""
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                yield (
-                    int(rec["frame"]), int(rec["hand"]), rec["side"],
-                    None if rec["person"] is None else int(rec["person"]),
-                    int(rec["label"]), float(rec["d"]),
-                )
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
-                raise InputFormatError(f"bad trace record: {e}", path=path, line=ln)
+    for ln, rec in _json_lines(path, "trace"):
+        try:
+            row = (
+                int(rec["frame"]), int(rec["hand"]), rec["side"],
+                None if rec["person"] is None else int(rec["person"]),
+                int(rec["label"]), float(rec["d"]),
+            )
+        except (KeyError, ValueError, TypeError) as e:
+            raise InputFormatError(f"bad trace record: {e}", path=path, line=ln)
+        yield row
 
 
 # -- depth grids -----------------------------------------------------------
@@ -387,23 +389,25 @@ class GridDepthProvider:
     """Depth and label source over per-(frame, camera) grid files.
 
     Files live under root as frame_{frame:06d}_{camera}.dep (DEP1) and
-    .lbl (LBL1); the most recently touched depth grid stays cached.
+    .lbl (LBL1). The depth grids of the most recent frame stay cached, one
+    per camera, so each file is read once however the cameras interleave;
+    a new frame drops them.
     """
 
     def __init__(self, root):
         self.root = root
-        self._key = None
-        self._grid = None
+        self._frame = None
+        self._grids = {}
 
     def _path(self, frame, cam_id, ext):
         return os.path.join(self.root, f"frame_{frame:06d}_{cam_id}{ext}")
 
     def _load(self, frame, cam_id):
-        key = (frame, cam_id)
-        if key != self._key:
-            self._grid = read_depth_grid(self._path(frame, cam_id, ".dep"))
-            self._key = key
-        return self._grid
+        if frame != self._frame:
+            self._frame, self._grids = frame, {}
+        if cam_id not in self._grids:
+            self._grids[cam_id] = read_depth_grid(self._path(frame, cam_id, ".dep"))
+        return self._grids[cam_id]
 
     def patch(self, frame, cam_id, u, v, size):
         grid = self._load(frame, cam_id)

@@ -3,10 +3,11 @@
 Per-camera association against projected track joints, epipolar-gated
 weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
-existence-score lifecycle. Triangulation is one batched kernel call per
-track and per birth group, covering all of its joints that pass the view
-gates; the epipolar gates take one stacked call per camera pair. All
-state mutation happens in a single sequential commit per frame;
+existence-score lifecycle. Each frame triangulates every matched track's
+joints that pass the view gates in one batched kernel call, after one
+stacked epipolar call per camera pair over all of those tracks; each
+birth group makes its own kernel call, its views in pair-merge order.
+All state mutation happens in a single sequential commit per frame;
 per-camera association is read-only on track state.
 """
 
@@ -114,36 +115,65 @@ def _consistent_view_sets(dist, seen, tau_epi):
     return members
 
 
-def update_triangulated(track, obs_by_cam, cals, fmat, cfg: TrackerConfig):
-    """Triangulate joints seen consistently in >= v_min cameras.
+def update_triangulated(tracks, obs_by_track, cals, fmat, cfg: TrackerConfig):
+    """Triangulate the joints of every matched track in one kernel call.
 
-    obs_by_cam: {camera_id: (26, 3) joint array} of this track's matched
-    detections. All joints that pass the view gates are triangulated in
-    one batched call. Accepted joints overwrite the track with c=1 and are
-    returned as a set of joint indices.
+    obs_by_track: {track index: {camera_id: (26, 3) joint array}} of the
+    tracks' matched detections this frame. The frame's cameras are the
+    sorted union of the cameras in obs_by_track; each (track, joint) row
+    gets zero weight in a camera that did not see its track. The epipolar
+    gates take one stacked call per camera pair over the joints of every
+    track seen in both, and each row's view set is picked as if its track
+    were alone. Rows whose view set holds >= v_min cameras are solved in
+    one batched triangulate_weighted call, which packs each problem's used
+    views first in camera order, so a row's result does not depend on the
+    other tracks. Accepted joints (err < eps_tri) overwrite their track
+    with c=1 and are returned as a set of (track index, joint) pairs.
     """
-    cam_ids = sorted(obs_by_cam)
+    order = sorted(ti for ti, obs in obs_by_track.items() if obs)
+    cam_ids = sorted(set().union(*(obs_by_track[ti] for ti in order)))
     n = len(cam_ids)
     if n < cfg.v_min:
         return set()
-    dets = np.stack([obs_by_cam[c] for c in cam_ids], axis=1)  # (26, n, 3)
-    dist = np.full((JOINT_COUNT, n, n), np.inf)
+    dets = np.zeros((len(order), JOINT_COUNT, n, 3))
+    has = np.zeros((len(order), n), dtype=bool)
+    for r, ti in enumerate(order):
+        for i, c in enumerate(cam_ids):
+            if c in obs_by_track[ti]:
+                dets[r, :, i] = obs_by_track[ti][c]
+                has[r, i] = True
+    dist = np.full((len(order), JOINT_COUNT, n, n), np.inf)
     for a in range(n):
         for b in range(a + 1, n):
-            F = fmat(cam_ids[a], cam_ids[b])
-            dist[:, a, b] = dist[:, b, a] = epipolar_distance(dets[:, a, :2], dets[:, b, :2], F)
-    members = _consistent_view_sets(dist, dets[:, :, 2] >= cfg.tau_joint, cfg.tau_epi)
-    joints = np.flatnonzero(members.sum(axis=1) >= cfg.v_min)
-    if not joints.size:
+            both = np.flatnonzero(has[:, a] & has[:, b])
+            if not both.size:
+                continue
+            d = epipolar_distance(dets[both, :, a, :2].reshape(-1, 2),
+                                  dets[both, :, b, :2].reshape(-1, 2),
+                                  fmat(cam_ids[a], cam_ids[b])).reshape(-1, JOINT_COUNT)
+            dist[both, :, a, b] = dist[both, :, b, a] = d
+    # A camera that did not see a track has confidence 0 and distance inf
+    # there, so it neither seeds nor joins a view set, and the track's own
+    # cameras keep their relative order.
+    seen = dets[..., 2] >= cfg.tau_joint
+    members = _consistent_view_sets(dist.reshape(-1, n, n), seen.reshape(-1, n), cfg.tau_epi)
+    rows = np.flatnonzero(members.sum(axis=1) >= cfg.v_min)
+    if not rows.size:
         return set()
-    weights = np.where(members[joints], dets[joints, :, 2], 0.0)
-    obs = [(cals[c], dets[joints, i, :2], weights[:, i]) for i, c in enumerate(cam_ids)]
-    hint = np.where(track.available[joints, None], track.joints[joints], np.nan)
-    X, err = triangulate_weighted(obs, init_hint=hint)
+    dets = dets.reshape(-1, n, 3)[rows]
+    weights = np.where(members[rows], dets[:, :, 2], 0.0)
+    obs = [(cals[c], dets[:, i, :2], weights[:, i]) for i, c in enumerate(cam_ids)]
+    state = np.concatenate([tracks[ti].joints for ti in order])[rows]
+    known = np.concatenate([tracks[ti].available for ti in order])[rows]
+    X, err = triangulate_weighted(obs, init_hint=np.where(known[:, None], state, np.nan))
     ok = err < cfg.eps_tri
-    track.joints[joints[ok]] = X[ok]
-    track.available[joints[ok]] = True
-    return set(joints[ok].tolist())
+    pos, joints = np.divmod(rows[ok], JOINT_COUNT)
+    X = X[ok]
+    for p in np.unique(pos):
+        track, mine = tracks[order[p]], pos == p
+        track.joints[joints[mine]] = X[mine]
+        track.available[joints[mine]] = True
+    return {(order[p], k) for p, k in zip(pos.tolist(), joints.tolist())}
 
 
 def depth_lift(track, unresolved, obs_by_cam, depth_provider, frame, cals,
@@ -299,12 +329,16 @@ class Tracker:
             for di in um:
                 unmatched.append((cam_id, dets[di]))
 
+        accepted = update_triangulated(self.tracks, matched_obs, self.cals, self._fmat, cfg)
+        tri_by_track = {}
+        for ti, k in accepted:
+            tri_by_track.setdefault(ti, set()).add(k)
         updated_tracks = set()
         for ti, obs in matched_obs.items():
             if not obs:
                 continue
             track = self.tracks[ti]
-            tri = update_triangulated(track, obs, self.cals, self._fmat, cfg)
+            tri = tri_by_track.get(ti, set())
             lifted = set()
             if depth_provider is not None:
                 unresolved = [k for k in range(JOINT_COUNT) if k not in tri]

@@ -54,10 +54,10 @@ def _depth_source(in_dir, cfg: PipelineConfig):
     scene_path = os.path.join(in_dir, "scene.json")
     if os.path.exists(scene_path):
         try:
-            with open(scene_path) as f:
+            with open(scene_path, encoding="utf-8") as f:
                 data = json.load(f)
             sim = Simulator(data["scene"], seed=int(data.get("seed", cfg.seed)))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: not UTF-8 JSON, bad seed
             raise InputFormatError(f"bad scene file: {e}", path=scene_path)
         return SceneDepthProvider(sim)
     grids_dir = os.path.join(in_dir, "grids")

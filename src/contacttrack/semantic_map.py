@@ -238,11 +238,14 @@ def write_label_table(path, table):
 
 
 def read_label_table(path):
-    """{label id: name} from "<id> <name>" lines."""
+    """{label id: name} from "<id> <name>" lines of UTF-8 text."""
     table = {}
-    with open(path) as f:
+    with open(path, "rb") as f:
         for ln, line in enumerate(f, 1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise InputFormatError(f"not UTF-8 text: {e}", path=path, line=ln)
             if not line:
                 continue
             try:

@@ -1,5 +1,6 @@
 """Shared fixtures/oracles for the test suite."""
 
+import os
 from itertools import permutations
 
 import numpy as np
@@ -15,6 +16,17 @@ from contacttrack.geometry import (
 from contacttrack.primitives import Capsules
 from contacttrack.schema import JOINT_COUNT
 from contacttrack.semantic_map import SemanticCloud
+
+
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under root."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):

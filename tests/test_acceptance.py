@@ -33,7 +33,7 @@ from contacttrack.scenes import builtin_scene, induction_lite
 from contacttrack.semantic_map import LabeledPointCloud, SemanticCloud, fuse_clouds
 from contacttrack.simulator import emit_dataset
 
-from helpers import brute_force_assign, make_ring, random_rotation
+from helpers import brute_force_assign, make_ring, random_rotation, tree_bytes
 
 
 _CAPTURE = None
@@ -410,16 +410,6 @@ def test_criterion_8_threshold_sweep(induction_runs, bench_dir):
 
 # -- criterion 9: determinism -------------------------------------------------
 
-def _tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as f:
-                out[os.path.relpath(path, root)] = f.read()
-    return out
-
-
 def test_criterion_9_determinism(bench_dir):
     scene_path = str(bench_dir / "mini_scene.json")
     with open(scene_path, "w") as f:
@@ -435,7 +425,7 @@ def test_criterion_9_determinism(bench_dir):
                          "--in", ds, "--out", run_dir, "--static-map"]) == 0
         assert cli_main(["evaluate", "--pred", run_dir, "--gt", ds,
                          "--out", ev]) == 0
-        pairs.append((_tree_bytes(ds), _tree_bytes(run_dir), _tree_bytes(ev)))
+        pairs.append((tree_bytes(ds), tree_bytes(run_dir), tree_bytes(ev)))
     ok = pairs[0] == pairs[1]
     n_files = sum(len(p) for p in pairs[0])
     report(9, ok, f"simulate+run+evaluate byte-identical across reruns "

@@ -110,6 +110,34 @@ class TestRun:
         assert "past the 2**62 packed-key range" in err
         assert "Traceback" not in err
 
+    def test_config_not_an_object(self, tmp_path, mini_induction, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config {cfg}: the file must hold a JSON object, got list" in err
+
+    def test_config_section_not_an_object(self, tmp_path, mini_induction, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tracker": [1]}')
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert "'tracker' must hold a JSON object, got list" in capsys.readouterr().err
+
+    def test_calibration_not_an_object(self, tmp_path, mini_induction, capsys):
+        calib = tmp_path / "calibration.json"
+        calib.write_text("[]")
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", str(calib), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib}: calibration must hold a JSON object, got list" in err
+
     def test_missing_input_exit_code(self, tmp_path, mini_induction):
         ds = mini_induction["ds"]
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
@@ -203,6 +231,21 @@ def _duplicate_frame_camera(recs):
     return 3
 
 
+def _frame_fraction(recs):
+    recs[1]["frame"] = 0.5
+    return 2
+
+
+def _frame_string(recs):
+    recs[0]["frame"] = "0"
+    return 1
+
+
+def _frame_bool(recs):
+    recs[2]["frame"] = True
+    return 3
+
+
 def _hand_side(recs):
     recs[1]["hands"][0]["side"] = "middle"
     return 2
@@ -247,12 +290,15 @@ class TestRunBadDetections:
         (_joint_nan, "non-finite"),
         (_joint_inf, "non-finite"),
         (_duplicate_frame_camera, "second record for frame 0"),
+        (_frame_fraction, "frame must be an integer, got 0.5"),
+        (_frame_string, 'frame must be an integer, got "0"'),
+        (_frame_bool, "frame must be an integer, got true"),
         (_hand_side, "hand side must be left or right"),
         (_hand_sigma_negative, "sigma_fit must be finite and >= 0"),
         (_hand_vertices_not_n_by_3, "hand vertices shape"),
         (_hand_vertices_not_finite, "non-finite"),
     ], ids=["camera-not-calibrated", "joint-nan", "joint-inf", "duplicate-frame-camera",
-            "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
+            "frame-fraction", "frame-string", "frame-bool", "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
             "hand-vertices-not-finite"])
     def test_bad_record(self, tmp_path, mini_induction, capsys, corrupt, message):
         code, det, line = self._run(tmp_path, mini_induction["ds"], corrupt)
@@ -267,6 +313,51 @@ class TestRunBadDetections:
         err = capsys.readouterr().err
         assert f"input error: {det}:1: " in err
         assert "hand_schema.json missing" in err
+
+
+class TestRunNotUtf8:
+    """An input file starting with a byte that is not UTF-8: exit 2 and a
+    message naming the file (and line), or exit 3 for --config."""
+
+    def _input_dir(self, tmp_path, ds):
+        inp = tmp_path / "in"
+        inp.mkdir()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            (inp / "detections.jsonl").write_text("".join(next(f) for _ in range(4)))
+        for name in ("calibration.json", "scene.json", "label_table.txt", "hand_schema.json"):
+            shutil.copy(os.path.join(ds, name), inp / name)
+        return inp
+
+    def _run(self, tmp_path, inp, *extra):
+        return main(["run", "--static-map", "--calib", str(inp / "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out"), *extra])
+
+    def test_valid_copy_runs(self, tmp_path, mini_induction):
+        assert self._run(tmp_path, self._input_dir(tmp_path, mini_induction["ds"])) == EXIT_OK
+
+    @pytest.mark.parametrize("name, where", [
+        ("detections.jsonl", ":1: "),
+        ("calibration.json", ": "),
+        ("scene.json", ": "),
+        ("label_table.txt", ":1: "),
+    ])
+    def test_input_file(self, tmp_path, mini_induction, capsys, name, where):
+        inp = self._input_dir(tmp_path, mini_induction["ds"])
+        path = inp / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert self._run(tmp_path, inp) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}{where}" in err
+        assert "can't decode byte 0xff in position 0" in err
+
+    def test_config_file(self, tmp_path, mini_induction, capsys):
+        inp = self._input_dir(tmp_path, mini_induction["ds"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff{}")
+        assert self._run(tmp_path, inp, "--config", str(cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config {cfg} is not valid UTF-8 JSON: " in err
+        assert "can't decode byte 0xff in position 0" in err
 
 
 class TestRunBadHandSchema:

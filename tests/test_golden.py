@@ -1,0 +1,191 @@
+"""Byte-identity guard for the builtin scenes.
+
+Holds the sha256 of every file that `simulate` writes, and of every file
+that `run` writes with a per-frame map and with --static-map, for a short
+fixed-seed window of each builtin scene. A change that moves any output
+byte fails here. When a change moves bytes on purpose, say which and why
+in CHANGES.md and record the new hashes, printed by
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import copy
+import hashlib
+import os
+
+import pytest
+
+from contacttrack.config import PipelineConfig
+from contacttrack.pipeline import run_pipeline
+from contacttrack.scenes import builtin_scene
+from contacttrack.simulator import emit_dataset
+
+from helpers import tree_bytes
+
+SEED = 0
+# (first frame, frame count) per builtin: the induction windows hold the
+# first scripted touches, crossing-clean the first births and
+# crossing-noisy a person leaving the room.
+WINDOWS = {
+    "crossing-clean": (0, 24),
+    "crossing-noisy": (240, 24),
+    "induction-lite": (60, 36),
+    "induction-lite-noisy": (60, 36),
+}
+
+GOLDEN = {
+    "crossing-clean": {
+        "run": {
+            "distance_traces.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "hand_tracks.jsonl": "d4fa005c68bc84162c70edc9c8ac99a8016a3e463aaa3804a3a97a8d511d9188",
+            "run_meta.json": "166e4a2c389d1f24edfc2c70c00a081e7d9588662d38c436b9fa65973fdc415b",
+            "tracks.jsonl": "85740ed8c25620af1c02d57466c921ae7f63d5b4c298e81814deba1cf9dca06e"
+        },
+        "run-static": {
+            "distance_traces.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "hand_tracks.jsonl": "d4fa005c68bc84162c70edc9c8ac99a8016a3e463aaa3804a3a97a8d511d9188",
+            "run_meta.json": "3a049fd2943ffb58645fe38214e40296a4e9c754328cc813a8c2d01ee40afc82",
+            "tracks.jsonl": "85740ed8c25620af1c02d57466c921ae7f63d5b4c298e81814deba1cf9dca06e"
+        },
+        "simulate": {
+            "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
+            "detections.jsonl": "4aa27d86a97a86f02eee2c928b9a604ca88673693447faf7b05f10e8140073f2",
+            "gt/episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "gt/meta.json": "6d61e41f82b7a0a490a5378366a675c5535fdecc5004f77ccf125a49837efdb9",
+            "gt/tracks.jsonl": "f6da32eb29ba6cd7bec8f9cb0723b16686802a162881057f95c2e8f83e459046",
+            "gt/visibility.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
+            "label_table.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "scene.json": "49e887d18dd8371acddeaf8d43827d872f849d46b818e5e127aa7e0fc992fe36"
+        }
+    },
+    "crossing-noisy": {
+        "run": {
+            "distance_traces.jsonl": "68febb6ebc8053b7bb81a51eb1447d2ec40be386e6b5d473246a1978553d6a3f",
+            "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "hand_tracks.jsonl": "fba404dc5abfa9fe7e3b1ded1acf72914a8ee3e382187595ff378018e500eb3f",
+            "run_meta.json": "166e4a2c389d1f24edfc2c70c00a081e7d9588662d38c436b9fa65973fdc415b",
+            "tracks.jsonl": "13714caf7692002f95ace9f353f738ab5e23e47c52a4a578641c3eae803588b4"
+        },
+        "run-static": {
+            "distance_traces.jsonl": "68febb6ebc8053b7bb81a51eb1447d2ec40be386e6b5d473246a1978553d6a3f",
+            "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "hand_tracks.jsonl": "fba404dc5abfa9fe7e3b1ded1acf72914a8ee3e382187595ff378018e500eb3f",
+            "run_meta.json": "3a049fd2943ffb58645fe38214e40296a4e9c754328cc813a8c2d01ee40afc82",
+            "tracks.jsonl": "13714caf7692002f95ace9f353f738ab5e23e47c52a4a578641c3eae803588b4"
+        },
+        "simulate": {
+            "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
+            "detections.jsonl": "33e483df312d4a3afd9e441f1e1ed9c04a3d3978fd03f10a9da14416ebe92bf5",
+            "gt/episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "gt/meta.json": "6d61e41f82b7a0a490a5378366a675c5535fdecc5004f77ccf125a49837efdb9",
+            "gt/tracks.jsonl": "d62ec1b5271e5afedda9246e2cb915d00b4da28ce3c64ec9fd83044d66cef8a0",
+            "gt/visibility.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
+            "label_table.txt": "cb1464f7eccc8aa25aa911596052fb2ee4dd431d9e916577475f0db6cd548d84",
+            "scene.json": "f93a70157abf9e23583b8821e278719d8d2ea1ea91dd45a04f9ad870486c9906"
+        }
+    },
+    "induction-lite": {
+        "run": {
+            "distance_traces.jsonl": "91afb4c3de25a0f9a9df1610deab19b4679e71c62c7dcac2021718121f555d9b",
+            "episodes.csv": "1112132199410c2105b63f4bd7fe4a87897dc2205747ce5170ed3ac243f920d2",
+            "hand_tracks.jsonl": "1f41e91f339b3fe86d2694e23a7392e335cfc4ea7a8656a342eee31d84b395f7",
+            "run_meta.json": "67b10146179086c1637388cd751e2a14f62402a088731c3786d1fd012db3e348",
+            "tracks.jsonl": "c866b338ad5df7c70fc8ab34f59ce1780998b0b2479b51ab2d78a3b454f9626d"
+        },
+        "run-static": {
+            "distance_traces.jsonl": "91afb4c3de25a0f9a9df1610deab19b4679e71c62c7dcac2021718121f555d9b",
+            "episodes.csv": "1112132199410c2105b63f4bd7fe4a87897dc2205747ce5170ed3ac243f920d2",
+            "hand_tracks.jsonl": "1f41e91f339b3fe86d2694e23a7392e335cfc4ea7a8656a342eee31d84b395f7",
+            "run_meta.json": "027a1aac72b1b7ccbd44593fa719adb217291081cb9da83888b75336f22d29cf",
+            "tracks.jsonl": "c866b338ad5df7c70fc8ab34f59ce1780998b0b2479b51ab2d78a3b454f9626d"
+        },
+        "simulate": {
+            "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
+            "detections.jsonl": "adeebf3b77b8c77189352608998259a69d5e42aa2c39b51fb3fb0cba64e6beea",
+            "gt/episodes.csv": "51b3728c428bec4163d36c33bee62e3ca0b4f3fcfd24231e62a48fc7308d3766",
+            "gt/meta.json": "a3873c5179f970dfb2137dac5d369ed114051c7ec9956016cd3e6207d69c9507",
+            "gt/tracks.jsonl": "43f776df7fcac16ab231e6b3b6ef2dc39c14cec73d7c6bb0d07a8d8bfa14bb1a",
+            "gt/visibility.jsonl": "dcc108a60d2c5fb1ed955d673f8eb8746432c568eebcc8d2e0316ec3876ba39e",
+            "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
+            "label_table.txt": "22f91d221aa56ef782d08c1e967104fcda38033a491de3c8c9bebaf030e14ab3",
+            "scene.json": "145e53cb4553dc75e0b1d45626fee26c27973272dab2b896c5227d4f8b44e103"
+        }
+    },
+    "induction-lite-noisy": {
+        "run": {
+            "distance_traces.jsonl": "733b23a209b691a516f9b9991890fb02109957115baa3132efb6a2333ae2591f",
+            "episodes.csv": "ee613dcc39e03df3bbc59cb03c69134478f880953457860d03a71a68cc474f9f",
+            "hand_tracks.jsonl": "021f2177954e6db34c35c00a4a54ef37b233ee726536541658c8e6435f2a9c74",
+            "run_meta.json": "67b10146179086c1637388cd751e2a14f62402a088731c3786d1fd012db3e348",
+            "tracks.jsonl": "96116b7d1e5562ca4ebd453123d28bd97737494e29847afb28201c151a82bb9a"
+        },
+        "run-static": {
+            "distance_traces.jsonl": "856922dd8a488638f7287b574f53ef7fca13ec70c97f324a0d167f395cdfaa76",
+            "episodes.csv": "e90441213b9b4eb426f91b38f162f3c2ffb72cd7d9d872a8f10e728ba3200129",
+            "hand_tracks.jsonl": "021f2177954e6db34c35c00a4a54ef37b233ee726536541658c8e6435f2a9c74",
+            "run_meta.json": "027a1aac72b1b7ccbd44593fa719adb217291081cb9da83888b75336f22d29cf",
+            "tracks.jsonl": "96116b7d1e5562ca4ebd453123d28bd97737494e29847afb28201c151a82bb9a"
+        },
+        "simulate": {
+            "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
+            "detections.jsonl": "3b21d83b828710c8b9d0e8c972b550c2879057869879c5b821fc6e3dca7b04cb",
+            "gt/episodes.csv": "51b3728c428bec4163d36c33bee62e3ca0b4f3fcfd24231e62a48fc7308d3766",
+            "gt/meta.json": "a3873c5179f970dfb2137dac5d369ed114051c7ec9956016cd3e6207d69c9507",
+            "gt/tracks.jsonl": "43f776df7fcac16ab231e6b3b6ef2dc39c14cec73d7c6bb0d07a8d8bfa14bb1a",
+            "gt/visibility.jsonl": "dcc108a60d2c5fb1ed955d673f8eb8746432c568eebcc8d2e0316ec3876ba39e",
+            "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
+            "label_table.txt": "22f91d221aa56ef782d08c1e967104fcda38033a491de3c8c9bebaf030e14ab3",
+            "scene.json": "ba840050f6d78364fbc01bdc038029d80aafd0a32c3381bf3c642d03ff592bd9"
+        }
+    }
+}
+
+
+def window(scene, start, count):
+    """Frames [start, start + count) of a builtin scene, renumbered from 0."""
+    scene = copy.deepcopy(scene)
+    scene["frame_count"] = count
+    for person in scene["persons"]:
+        for wp in person["waypoints"]:
+            wp["frame"] -= start
+        person["absent"] = [[a - start, b - start] for a, b in person.get("absent", [])]
+        for hand in person.get("hands", []):
+            for ev in hand["events"]:
+                ev["frame"] -= start
+    return scene
+
+
+def digests(root):
+    """{relative path: sha256} of every file under root."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(root).items()}
+
+
+def outputs(name, root):
+    """Digests of the simulate, run and run --static-map outputs of one window."""
+    ds = os.path.join(root, "data")
+    emit_dataset(window(builtin_scene(name), *WINDOWS[name]), ds, seed=SEED)
+    got = {"simulate": digests(ds)}
+    for mode, static in (("run", False), ("run-static", True)):
+        out = os.path.join(root, mode)
+        run_pipeline(os.path.join(ds, "calibration.json"), ds, out,
+                     PipelineConfig(static_map=static, seed=SEED))
+        got[mode] = digests(out)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_outputs_keep_their_bytes(name, tmp_path):
+    assert outputs(name, str(tmp_path)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import json
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {name: outputs(name, os.path.join(tmp, name)) for name in sorted(WINDOWS)}
+    print(json.dumps(got, indent=4, sort_keys=True))

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from contacttrack import io
 from contacttrack.contact import ContactEpisode
 from contacttrack.errors import InputFormatError
 from contacttrack.hand_fusion import HandInstance
@@ -221,6 +224,27 @@ class TestGridDepthProvider:
         assert np.allclose(patch, expected)
         corner = provider.patch(3, "camA", 0, 0, 5)
         assert corner.shape == (3, 3)
+
+    def test_interleaved_cameras_read_each_file_once(self, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(io, "read_depth_grid",
+                            lambda path: reads.append(os.path.basename(path)) or np.ones((4, 4)))
+        provider = GridDepthProvider(str(tmp_path))
+        for frame in (0, 1):
+            for _ in range(3):
+                for cam in ("camA", "camB", "camC"):
+                    provider.patch(frame, cam, 1, 1, 1)
+        assert reads == [f"frame_{f:06d}_{c}.dep" for f in (0, 1) for c in ("camA", "camB", "camC")]
+
+    def test_new_frame_drops_the_old_grids(self, tmp_path):
+        for frame in (0, 1):
+            write_depth_grid(tmp_path / f"frame_{frame:06d}_camA.dep", np.ones((4, 4)))
+        provider = GridDepthProvider(str(tmp_path))
+        provider.patch(0, "camA", 1, 1, 1)
+        provider.patch(1, "camA", 1, 1, 1)
+        (tmp_path / "frame_000000_camA.dep").unlink()
+        with pytest.raises(InputFormatError, match="cannot read depth grid"):
+            provider.patch(0, "camA", 1, 1, 1)
 
     def test_cache_reuse(self, tmp_path):
         write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 4)))

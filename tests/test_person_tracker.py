@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contacttrack import person_tracker
 from contacttrack.config import TrackerConfig
 from contacttrack.geometry import fundamental_matrix, project, triangulate_weighted
 from contacttrack.person_tracker import (
@@ -144,8 +145,8 @@ class TestTriangulationUpdate:
         tr = track_at(joints)
         tr.joints += 0.05  # stale state, should be re-estimated
         obs = {c: detect(joints, cams[c]) for c in ("cam0", "cam1", "cam2")}
-        updated = update_triangulated(tr, obs, cams, self._fmat(cams), TrackerConfig())
-        assert updated == set(range(JOINT_COUNT))
+        updated = update_triangulated([tr], {0: obs}, cams, self._fmat(cams), TrackerConfig())
+        assert updated == {(0, k) for k in range(JOINT_COUNT)}
         assert np.all(np.linalg.norm(tr.joints - joints, axis=1) < 1e-6)
 
     def test_corrupt_view_excluded(self, cams):
@@ -154,8 +155,8 @@ class TestTriangulationUpdate:
         tr = track_at(joints)
         obs = {c: detect(joints, cams[c]) for c in ("cam0", "cam1", "cam2")}
         obs["cam2"][:, 0] += 50.0  # corrupt every joint in cam2 by 50 px
-        updated = update_triangulated(tr, obs, cams, self._fmat(cams), cfg)
-        assert updated == set(range(JOINT_COUNT))
+        updated = update_triangulated([tr], {0: obs}, cams, self._fmat(cams), cfg)
+        assert updated == {(0, k) for k in range(JOINT_COUNT)}
         for k in (0, 9, 15):
             two_view = [
                 (cams[c], detect(joints, cams[c])[k, :2], 0.95) for c in ("cam0", "cam1")
@@ -185,17 +186,89 @@ class TestTriangulationUpdate:
             tr.available[rng.choice(JOINT_COUNT, 10, replace=False)] = False
             ref = track_at(tr.joints)
             ref.available = tr.available.copy()
-            got = update_triangulated(tr, obs, cams, fmat, cfg)
+            got = update_triangulated([tr], {0: obs}, cams, fmat, cfg)
             want = per_joint_update(ref, obs, cams, fmat, cfg)
-            assert got == want and len(got) > 10
+            assert got == {(0, k) for k in want} and len(got) > 10
             assert np.array_equal(tr.joints, ref.joints)
             assert np.array_equal(tr.available, ref.available)
 
     def test_single_view_not_triangulated(self, cams):
         tr = track_at(place_template())
         obs = {"cam0": detect(place_template(), cams["cam0"])}
-        updated = update_triangulated(tr, obs, cams, self._fmat(cams), TrackerConfig())
+        updated = update_triangulated([tr], {0: obs}, cams, self._fmat(cams), TrackerConfig())
         assert updated == set()
+
+    def test_frame_batch_matches_per_track_calls(self, cams):
+        # Tracks over different camera subsets (2 of 4 on non-adjacent
+        # cameras, 3 of 4, 4 of 4), with noise, dropouts, an outlier view
+        # and hinted and unhinted rows, plus a track without observations:
+        # one frame-wide call gives the joints and the accepted set of one
+        # call per track, and of the per-joint reference.
+        rng = np.random.default_rng(23)
+        cfg = TrackerConfig()
+        fmat = self._fmat(cams)
+        subsets = [("cam1", "cam3"), ("cam0", "cam2", "cam3"), tuple(sorted(cams)),
+                   tuple(sorted(cams)), ("cam0", "cam1")]
+        tracks, obs_by_track = [], {}
+        for ti, subset in enumerate(subsets):
+            joints = place_template(rng.uniform(-1.0, 1.0, 2), yaw=rng.uniform(0, 2 * np.pi))
+            obs = {}
+            for c in subset:
+                d = detect(joints, cams[c])
+                d[:, :2] += rng.normal(0, 1.5, size=(JOINT_COUNT, 2))
+                d[:, 2] = rng.uniform(0.1, 1.0, size=JOINT_COUNT)
+                obs[c] = d
+            obs[subset[-1]][rng.choice(JOINT_COUNT, 5, replace=False), :2] += 40.0
+            tr = track_at(joints + rng.normal(0, 0.02, size=joints.shape), tid=ti + 1)
+            tr.available[rng.choice(JOINT_COUNT, 10, replace=False)] = False
+            tracks.append(tr)
+            obs_by_track[ti] = obs
+        tracks.append(track_at(place_template(), tid=len(tracks) + 1))
+        obs_by_track[len(tracks) - 1] = {}
+
+        def copies():
+            out = [track_at(t.joints, tid=t.id) for t in tracks]
+            for c, t in zip(out, tracks):
+                c.available = t.available.copy()
+            return out
+
+        alone, oracle = copies(), copies()
+        hinted = [t.available.copy() for t in tracks]
+        got = update_triangulated(tracks, obs_by_track, cams, fmat, cfg)
+        want = set()
+        for ti, obs in obs_by_track.items():
+            want |= update_triangulated(alone, {ti: obs}, cams, fmat, cfg)
+            ref = per_joint_update(oracle[ti], obs, cams, fmat, cfg)
+            assert {k for t, k in got if t == ti} == ref
+        assert got == want
+        assert {t for t, _ in got} == set(range(len(subsets)))
+        assert {hinted[t][k] for t, k in got} == {True, False}
+        for t, a, o in zip(tracks, alone, oracle):
+            assert np.array_equal(t.joints, a.joints) and np.array_equal(t.joints, o.joints)
+            assert np.array_equal(t.available, a.available)
+            assert np.array_equal(t.available, o.available)
+
+    def test_one_kernel_call_for_all_matched_tracks(self, cams, monkeypatch):
+        # Three matched tracks (one seen by three cameras only) and two new
+        # persons: one kernel call covers every matched track's joints,
+        # then each birth group makes its own.
+        tracker = Tracker(cams, TrackerConfig())
+        old = [place_template(xy) for xy in ((-1.0, 0.6), (1.0, 0.6), (0.0, -1.0))]
+        tracker.step(0, {c: [detect(j, cams[c]) for j in old] for c in cams})
+        assert len(tracker.tracks) == 3
+        problems = []
+
+        def counted(obs, init_hint=None):
+            problems.append(len(obs[0][1]))
+            return triangulate_weighted(obs, init_hint=init_hint)
+
+        monkeypatch.setattr(person_tracker, "triangulate_weighted", counted)
+        new = [place_template(xy, yaw=1.0) for xy in ((-1.2, -1.3), (1.2, -1.3))]
+        dets = {c: [detect(j, cams[c]) for j in old + new] for c in cams}
+        dets["cam3"] = dets["cam3"][1:]
+        tracker.step(1, dets)
+        assert len(tracker.tracks) == 5
+        assert problems == [3 * JOINT_COUNT, JOINT_COUNT, JOINT_COUNT]
 
 
 class TestDepthLift:

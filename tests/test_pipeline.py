@@ -2,11 +2,12 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from contacttrack import pipeline, simulator
+from contacttrack import io, pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
 from contacttrack.geometry import project_many
@@ -17,22 +18,12 @@ from contacttrack.pipeline import (
     run_pipeline,
 )
 from contacttrack.person_tracker import PersonTrack, Tracker
-from contacttrack.scenes import crossing_clean, induction_lite
+from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
 from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.semantic_map import write_label_grid
 from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
-from helpers import make_camera, make_ring
-
-
-def tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as f:
-                out[os.path.relpath(path, root)] = f.read()
-    return out
+from helpers import make_camera, make_ring, tree_bytes
 
 
 class TestOutputs:
@@ -125,25 +116,29 @@ class TestDeterminism:
                 == (eb.person_id, eb.side, eb.surface_label, eb.t_start, eb.t_stop)
 
 
-@pytest.fixture(scope="module")
-def grid_dataset(tmp_path_factory):
-    """A 10-frame induction-lite dataset twice: as simulated (scene.json),
-    and with its map input exported to grids/ and scene.json removed."""
-    root = tmp_path_factory.mktemp("grid_dataset")
+def export_grids(scene, root):
+    """A dataset twice: as simulated (scene.json), and with its map input
+    exported to grids/ and scene.json removed."""
     scene_ds = root / "scene"
-    sim = emit_dataset(induction_lite(frame_count=10), str(scene_ds), seed=0)
+    sim = emit_dataset(scene, str(scene_ds), seed=0)
     grid_ds = root / "grids"
     shutil.copytree(scene_ds, grid_ds)
     (grid_ds / "scene.json").unlink()
     (grid_ds / "grids").mkdir()
     provider = SceneDepthProvider(sim)
-    for frame in range(10):
+    for frame in range(scene["frame_count"]):
         for cam_id in sim.cals:
             labels, depth = provider.grids(frame, cam_id, stride=4)
             base = grid_ds / "grids" / f"frame_{frame:06d}_{cam_id}"
             write_label_grid(f"{base}.lbl", labels)
             write_depth_grid(f"{base}.dep", depth)
     return str(scene_ds), str(grid_ds)
+
+
+@pytest.fixture(scope="module")
+def grid_dataset(tmp_path_factory):
+    """10 frames of induction-lite, from scene.json and from grids/."""
+    return export_grids(induction_lite(frame_count=10), tmp_path_factory.mktemp("grid_dataset"))
 
 
 class TestGridsInput:
@@ -159,6 +154,32 @@ class TestGridsInput:
                                    "hand_tracks.jsonl", "run_meta.json", "tracks.jsonl"]
         assert outs[0]["distance_traces.jsonl"]  # the map was built and queried
         assert outs[0] == outs[1]
+
+    def test_each_depth_file_read_once(self, tmp_path, monkeypatch):
+        # The per-frame map reads every camera's grid, and depth lifting
+        # (busy under dropout and pixel noise) patches them joint by joint
+        # across cameras; the provider keeps the frame's grids, so each
+        # file is read exactly once.
+        _, ds = export_grids(induction_lite_noisy(frame_count=6), tmp_path)
+        read_depth_grid, patch = io.read_depth_grid, io.GridDepthProvider.patch
+        reads = Counter()
+
+        def counted(path):
+            reads[os.path.basename(path)] += 1
+            return read_depth_grid(path)
+
+        monkeypatch.setattr(io, "read_depth_grid", counted)
+        patches = []
+        monkeypatch.setattr(io.GridDepthProvider, "patch",
+                            lambda self, *a: patches.append(a) or patch(self, *a))
+        run_pipeline(os.path.join(ds, "calibration.json"), ds, str(tmp_path / "out"),
+                     PipelineConfig())
+        keys = [(frame, cam) for frame, cam, *_ in patches]
+        switches = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert switches > len(set(keys))  # the patches come back to a grid
+        files = sorted(f for f in os.listdir(os.path.join(ds, "grids")) if f.endswith(".dep"))
+        assert len(files) == 6 * 4
+        assert reads == Counter(dict.fromkeys(files, 1))
 
 
 class TestStitchRewrite:
