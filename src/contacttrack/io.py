@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from io import StringIO
 
 import numpy as np
 
@@ -30,6 +31,31 @@ EPISODE_HEADER = [
 
 def _round(x, nd=6):
     return round(float(x), nd)
+
+
+def _rounded(x):
+    """round(float(v), 6) of every element of array-like x, as nested
+    lists of floats. rint(x * 1e6) / 1e6 is exact wherever the scaled
+    value is not within 1e-3 of a half (its rounding error is below
+    1.2e-4 when |x * 1e6| < 2**40, and the division is correctly
+    rounded); near-halves, large values, NaN and inf use round itself."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 1e6
+        out = np.rint(y) / 1e6
+        exact = (np.abs(y) < 2.0**40) & (np.abs(np.abs(y - np.trunc(y)) - 0.5) > 1e-3)
+    if not exact.all():
+        out[~exact] = [_round(v) for v in x[~exact]]
+    return out.tolist()
+
+
+def _json_int(rec, key):
+    """rec[key] if it is a JSON integer (not a bool), else ValueError:
+    int() would truncate 0.5 to 0 without a word."""
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _json_lines(path, what):
@@ -111,15 +137,12 @@ def write_detections(path, records):
             rec = {
                 "frame": int(frame),
                 "camera_id": camera_id,
-                "persons": [
-                    {"joints": [[_round(u), _round(v), _round(s)] for u, v, s in p]}
-                    for p in persons
-                ],
+                "persons": [{"joints": _rounded(p)} for p in persons],
                 "hands": [
                     {
                         "side": h.side,
                         "sigma_fit": _round(h.sigma_fit),
-                        "vertices": [[_round(x), _round(y), _round(z)] for x, y, z in h.vertices],
+                        "vertices": _rounded(h.vertices),
                     }
                     for h in hands
                 ],
@@ -140,7 +163,7 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
     current, frame_cams = None, set()
     for ln, rec in _json_lines(path, "detection"):
         try:
-            frame = rec["frame"]
+            frame = _json_int(rec, "frame")
             camera_id = rec["camera_id"]
             persons = [np.array(p["joints"], dtype=float) for p in rec.get("persons", [])]
             hands = [
@@ -153,9 +176,7 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
             ]
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
-        problem = _detection_problem(
-            frame, camera_id, persons, hands, cameras, hand_vertex_count
-        )
+        problem = _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count)
         if problem is None:
             if frame != current:
                 current, frame_cams = frame, set()
@@ -167,10 +188,8 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
         yield frame, camera_id, persons, hands
 
 
-def _detection_problem(frame, camera_id, persons, hands, cameras, hand_vertex_count):
+def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
     """What is wrong with one parsed detection record, or None."""
-    if isinstance(frame, bool) or not isinstance(frame, int):
-        return f"frame must be an integer, got {json.dumps(frame)}"
     if not isinstance(camera_id, str):
         return f"camera_id must be a string, got {camera_id!r}"
     if cameras is not None and camera_id not in cameras:
@@ -205,10 +224,7 @@ def write_track_line(f, frame, track_id, existence, joints, available):
         "frame": int(frame),
         "id": int(track_id),
         "E": _round(existence, 4),
-        "joints": [
-            [_round(x), _round(y), _round(z), 1 if a else 0]
-            for (x, y, z), a in zip(joints, available)
-        ],
+        "joints": [xyz + [1 if a else 0] for xyz, a in zip(_rounded(joints), available)],
     }
     f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
@@ -220,7 +236,7 @@ def read_tracks(path):
             arr = np.array(rec["joints"], dtype=float)
             if arr.shape != (JOINT_COUNT, 4):
                 raise ValueError(f"joints shape {arr.shape}")
-            row = (int(rec["frame"]), int(rec["id"]), float(rec["E"]),
+            row = (_json_int(rec, "frame"), _json_int(rec, "id"), float(rec["E"]),
                    arr[:, :3], arr[:, 3] > 0.5)
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
@@ -233,8 +249,8 @@ def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchor
         "hand_track_id": int(hand_track_id),
         "side": side,
         "person_id": None if person_id is None else int(person_id),
-        "palm_center": [_round(v) for v in palm],
-        "anchors": [[_round(v) for v in a] for a in anchors],
+        "palm_center": _rounded(palm),
+        "anchors": _rounded(anchors),
     }
     f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
@@ -244,8 +260,8 @@ def read_hand_tracks(path):
     for ln, rec in _json_lines(path, "hand track"):
         try:
             row = (
-                int(rec["frame"]), int(rec["hand_track_id"]), rec["side"],
-                None if rec["person_id"] is None else int(rec["person_id"]),
+                _json_int(rec, "frame"), _json_int(rec, "hand_track_id"), rec["side"],
+                None if rec["person_id"] is None else _json_int(rec, "person_id"),
                 np.array(rec["palm_center"], dtype=float),
                 np.array(rec["anchors"], dtype=float),
             )
@@ -275,30 +291,39 @@ def write_episodes(path, episodes):
 
 
 def read_episodes(path):
+    """ContactEpisode list of an episodes.csv file. A file that is not
+    UTF-8 raises InputFormatError naming the file and the line of the
+    first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputFormatError(f"episode file is not UTF-8: {e}", path=path,
+                               line=data.count(b"\n", 0, e.start) + 1)
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputFormatError("empty episode file", path=path)
+    if header != EPISODE_HEADER:
+        raise InputFormatError(f"bad episode header {header}", path=path, line=1)
     episodes = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    for ln, row in enumerate(reader, 2):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError("empty episode file", path=path)
-        if header != EPISODE_HEADER:
-            raise InputFormatError(f"bad episode header {header}", path=path, line=1)
-        for ln, row in enumerate(reader, 2):
-            if not row:
-                continue
-            try:
-                episodes.append(ContactEpisode(
-                    person_id=None if row[0] == "" else int(row[0]),
-                    side=row[1],
-                    surface_label=int(row[2]),
-                    t_start=int(row[3]),
-                    t_stop=int(row[4]),
-                    contact_point=np.array([float(row[5]), float(row[6]), float(row[7])]),
-                    min_distance=float(row[8]),
-                ))
-            except (ValueError, IndexError) as e:
-                raise InputFormatError(f"bad episode row: {e}", path=path, line=ln)
+            episodes.append(ContactEpisode(
+                person_id=None if row[0] == "" else int(row[0]),
+                side=row[1],
+                surface_label=int(row[2]),
+                t_start=int(row[3]),
+                t_stop=int(row[4]),
+                contact_point=np.array([float(row[5]), float(row[6]), float(row[7])]),
+                min_distance=float(row[8]),
+            ))
+        except (ValueError, IndexError) as e:
+            raise InputFormatError(f"bad episode row: {e}", path=path, line=ln)
     return episodes
 
 
@@ -318,7 +343,8 @@ def write_visibility(path, records):
 def read_visibility(path):
     for ln, rec in _json_lines(path, "visibility"):
         try:
-            row = int(rec["frame"]), int(rec["person_id"]), rec["side"], bool(rec["visible"])
+            row = (_json_int(rec, "frame"), _json_int(rec, "person_id"), rec["side"],
+                   bool(rec["visible"]))
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad visibility record: {e}", path=path, line=ln)
         yield row
@@ -342,9 +368,9 @@ def read_traces(path):
     for ln, rec in _json_lines(path, "trace"):
         try:
             row = (
-                int(rec["frame"]), int(rec["hand"]), rec["side"],
-                None if rec["person"] is None else int(rec["person"]),
-                int(rec["label"]), float(rec["d"]),
+                _json_int(rec, "frame"), _json_int(rec, "hand"), rec["side"],
+                None if rec["person"] is None else _json_int(rec, "person"),
+                _json_int(rec, "label"), float(rec["d"]),
             )
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad trace record: {e}", path=path, line=ln)

@@ -1,12 +1,13 @@
 """Analytic scene primitives: labeled surfaces and body capsules.
 
-Each primitive answers vectorized ray queries (first-hit parameter along
-a bundle of rays) and point queries (distance to the surface and the
-closest surface point). Surfaces answer one at a time; body capsules are
-stacked (Capsules), so a cast intersects a whole stack in one numpy pass
-over (capsule, ray) arrays. Used by the scene simulator for rendering
-depth and label grids, occlusion tests, and ground-truth contact
-distances.
+Each surface answers vectorized ray queries (first-hit parameter along a
+bundle of rays) and point queries (distances from a batch of points, and
+the closest surface point). Surfaces answer one at a time; body capsules
+are stacked (Capsules), so a cast intersects a whole stack in one numpy
+pass over (capsule, ray) arrays, and a (capsule, ray) skip mask lets one
+bundle hold rays that must not see some rows, such as each person's own
+body. Used by the scene simulator for rendering depth and label grids,
+occlusion tests, and ground-truth contact distances.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ import numpy as np
 _EPS = 1e-12
 
 AXES = {"x": 0, "y": 1, "z": 2}
+
+
+def _norms(v):
+    """Row norms of (N, 3) vectors, each bit-identical to np.linalg.norm of
+    that row alone (a dot product, where norm(axis=1) sums squares)."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 @dataclass
@@ -54,20 +61,24 @@ class Box:
         return np.where(hit, t, np.inf)
 
     def closest_point(self, p):
+        """Closest surface point of one point (3,) or of each of (N, 3)."""
         p = np.asarray(p, dtype=float)
-        q = np.clip(p, self.lo, self.hi)
-        if np.any(q != p):
-            return q
-        # Inside: project to the nearest face.
-        d_lo = p - self.lo
-        d_hi = self.hi - p
-        axis = int(np.argmin(np.minimum(d_lo, d_hi)))
-        q = p.copy()
-        q[axis] = self.lo[axis] if d_lo[axis] < d_hi[axis] else self.hi[axis]
-        return q
+        flat = p.reshape(-1, 3)
+        q = np.clip(flat, self.lo, self.hi)
+        # Inside (clipping moved nothing): project to the nearest face, the
+        # lowest axis on ties, its lo face unless hi is strictly nearer.
+        inside = np.flatnonzero((q == flat).all(axis=1))
+        d_lo = flat[inside] - self.lo
+        d_hi = self.hi - flat[inside]
+        axis = np.argmin(np.minimum(d_lo, d_hi), axis=1)
+        rows = np.arange(len(inside))
+        q[inside, axis] = np.where(
+            d_lo[rows, axis] < d_hi[rows, axis], self.lo[axis], self.hi[axis])
+        return q.reshape(p.shape)
 
-    def distance(self, p):
-        return float(np.linalg.norm(np.asarray(p, dtype=float) - self.closest_point(p)))
+    def distances(self, points):
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        return _norms(points - self.closest_point(points))
 
 
 @dataclass
@@ -107,9 +118,9 @@ class Sphere:
             return self.center + np.array([self.radius, 0.0, 0.0])
         return self.center + v * (self.radius / n)
 
-    def distance(self, p):
-        p = np.asarray(p, dtype=float)
-        return float(abs(np.linalg.norm(p - self.center) - self.radius))
+    def distances(self, points):
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        return np.abs(_norms(points - self.center) - self.radius)
 
 
 @dataclass
@@ -146,27 +157,31 @@ class Rect:
         return np.where((t > 0) & inside, t, np.inf)
 
     def closest_point(self, p):
-        p = np.asarray(p, dtype=float)
-        q = p.copy()
-        q[self._n] = self.center[self._n]
-        u, v = self._uv
-        q[u] = np.clip(q[u], self.center[u] - self.half_sizes[0], self.center[u] + self.half_sizes[0])
-        q[v] = np.clip(q[v], self.center[v] - self.half_sizes[1], self.center[v] + self.half_sizes[1])
+        """Closest surface point of one point (3,) or of each of (N, 3)."""
+        q = np.array(p, dtype=float)
+        q[..., self._n] = self.center[self._n]
+        for axis, half in zip(self._uv, self.half_sizes):
+            q[..., axis] = np.clip(q[..., axis], self.center[axis] - half, self.center[axis] + half)
         return q
 
-    def distance(self, p):
-        return float(np.linalg.norm(np.asarray(p, dtype=float) - self.closest_point(p)))
+    def distances(self, points):
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        return _norms(points - self.closest_point(points))
 
 
 @dataclass
 class Capsules:
     """K capsules (segments with radius; person body volume) stacked for
     one-pass ray casting: segment starts (K, 3), axes p1 - p0 (K, 3) and
-    radii (K,). Indexing with a row mask or slice gives a sub-stack."""
+    radii (K,). An optional (K, N) skip mask, for a cast of N rays, marks
+    the (capsule, ray) pairs that do not count: a skipped capsule is
+    invisible to that ray. Indexing with a row mask or slice gives a
+    sub-stack."""
 
     p0: np.ndarray
     axis: np.ndarray
     radius: np.ndarray
+    skip: np.ndarray | None = None
 
     @classmethod
     def between(cls, p0, p1, radius):
@@ -182,7 +197,8 @@ class Capsules:
         return len(self.radius)
 
     def __getitem__(self, rows):
-        return Capsules(self.p0[rows], self.axis[rows], self.radius[rows])
+        skip = None if self.skip is None else self.skip[rows]
+        return Capsules(self.p0[rows], self.axis[rows], self.radius[rows], skip)
 
     def hits(self, origin, dirs):
         """(K, N) first-hit parameters of N rays against every capsule, inf
@@ -215,12 +231,15 @@ class Capsules:
         return np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
 
     def ray(self, origin, dirs):
-        """(t, k): per ray the first hit over the stack and its row, the
-        lowest row on ties; t is inf where no capsule is hit."""
+        """(t, k): per ray the first hit over the stack's rows it does not
+        skip and its row, the lowest row on ties; t is inf where no capsule
+        is hit."""
         n = len(np.asarray(dirs).reshape(-1, 3))
         if not len(self):
             return np.full(n, np.inf), np.zeros(n, dtype=int)
         t = self.hits(origin, dirs)
+        if self.skip is not None:
+            t[self.skip] = np.inf
         k = t.argmin(axis=0)
         return t[k, np.arange(n)], k
 
@@ -230,8 +249,9 @@ def cast_rays(primitives, origin, dirs):
 
     Returns (t, index) arrays; t is inf and index -1 where nothing is hit.
     A Capsules stack in the list stands for its K capsules in row order
-    (K consecutive indices) and answers for all of them in one pass; every
-    other primitive answers alone. On equal t the lowest index wins.
+    (K consecutive indices) and answers for all of them in one pass, each
+    ray ignoring the rows its skip mask marks; every other primitive
+    answers alone. On equal t the lowest index wins.
     """
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)

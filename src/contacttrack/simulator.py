@@ -4,10 +4,13 @@ Scripted persons (rigid 26-joint template plus two-bone arm reaches),
 labeled surface primitives, parametric hand blobs, and per-camera
 projection with analytic occlusion. Emits the exact pipeline input
 formats plus a ground-truth bundle. One sighting pass per frame feeds
-both the detections and the visibility ground truth; ground-truth
-episodes come from the pipeline's ContactTracker on noise-free anchors.
-Each frame's body capsules are stacked once and shared by the sighting
-pass and every depth patch of the frame.
+both the detections and the visibility ground truth; it casts one ray
+bundle per camera, holding every present person's joints, against the
+surfaces and the frame's body capsules, each ray skipping its own body.
+Ground-truth episodes come from the pipeline's ContactTracker on
+noise-free anchors, measured against the analytic surfaces in array
+passes. Each frame's body capsules are stacked once and shared by the
+sighting pass and every depth patch of the frame.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,7 +206,9 @@ class SurfaceDistances:
     """Analytic stand-in for a SemanticCloud of the scene surfaces: per
     label, the least distance over the label's surfaces and the query
     points, and the surface point closest to the first (surface, point)
-    pair attaining it."""
+    pair attaining it, the first surface in scene order and then the first
+    point on ties. Each surface measures all query points in one array
+    pass; the closest point is computed for the winning pair only."""
 
     def __init__(self, surfaces):
         self._by_label = {}
@@ -214,11 +219,13 @@ class SurfaceDistances:
         return len(self._by_label)
 
     def nearest_per_label(self, queries):
+        queries = np.asarray(queries, dtype=float).reshape(-1, 3)
         out = {}
         for label, prims in self._by_label.items():
-            d = [[prim.distance(q) for q in queries] for prim in prims]
-            i, j = np.unravel_index(np.argmin(d), np.shape(d))
-            out[label] = (d[i][j], prims[i].closest_point(queries[j]))
+            d = np.array([prim.distances(queries) for prim in prims])
+            # argmin takes the first minimum in row-major (surface, point) order.
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            out[label] = (float(d[i, j]), prims[i].closest_point(queries[j]))
         return out
 
 
@@ -429,23 +436,31 @@ class Simulator:
         """{(camera_id, person_id): (uv, occ, seen)} per present person: the
         joints' pixels, occlusion classes (0 visible, 1 partial, 2 hidden)
         and seen mask (in front, not hidden, in bounds). One ray bundle per
-        (camera, person) against the surfaces and the other persons'
-        capsules; the last frame is cached for render_frame and gt_visibility."""
+        camera holds every present person's joints and is cast against the
+        surfaces and the frame's capsule stack, each ray skipping its own
+        person's capsules; the last frame is cached for render_frame and
+        gt_visibility."""
         if self._sighting_cache[0] == frame:
             return self._sighting_cache[1]
         state = self.frame_state(frame)
         caps, owner = self.frame_capsules(frame)
-        out = {}
-        for pid, (joints, _) in state.items():
-            occluders = self.scene["surfaces"] + [caps[owner != pid]]
-            for cam_id, cal in self.cals.items():
-                dirs = joints - cal.center
-                dist = np.linalg.norm(dirs, axis=1)
-                t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
-                near = dist - OCCLUSION_MARGIN
-                occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
-                uv, in_front = project_many(joints, cal)
-                out[(cam_id, pid)] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
+        joints = np.array([j for j, _ in state.values()]).reshape(-1, 3)
+        ray_owner = np.repeat(list(state), JOINT_COUNT)
+        occluders = self.scene["surfaces"] + [replace(caps, skip=owner[:, None] == ray_owner)]
+        per_camera = {}
+        for cam_id, cal in self.cals.items():
+            dirs = joints - cal.center
+            dist = np.linalg.norm(dirs, axis=1)
+            t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
+            near = dist - OCCLUSION_MARGIN
+            occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
+            uv, in_front = project_many(joints, cal)
+            per_camera[cam_id] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
+        out = {
+            (cam_id, pid): tuple(a[i * JOINT_COUNT:(i + 1) * JOINT_COUNT] for a in arrays)
+            for i, pid in enumerate(state)
+            for cam_id, arrays in per_camera.items()
+        }
         self._sighting_cache = (frame, out)
         return out
 

@@ -1,5 +1,6 @@
 """Shared fixtures/oracles for the test suite."""
 
+import math
 import os
 from itertools import permutations
 
@@ -13,9 +14,11 @@ from contacttrack.geometry import (
     project_many,
     triangulate_weighted,
 )
-from contacttrack.primitives import Capsules
+from contacttrack.primitives import Box, Capsules, Rect, Sphere, cast_rays
+from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
 from contacttrack.semantic_map import SemanticCloud
+from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN
 
 
 def tree_bytes(root):
@@ -27,6 +30,36 @@ def tree_bytes(root):
             with open(path, "rb") as f:
                 out[os.path.relpath(path, root)] = f.read()
     return out
+
+
+def crowd_crossing(frames=24, seed=0):
+    """Eight persons in four pairs whose straight paths cross, 0.35 m apart
+    on roughly perpendicular headings, each pair at its own frame, in the
+    corner-camera room with crossing-noisy noise. Most joints have several
+    other bodies between them and some camera."""
+    rng = np.random.default_rng(seed)
+    scene = crossing_clean(frames)
+    scene["noise"] = dict(crossing_noisy(frames)["noise"])
+    persons = []
+    for k, (qx, qy) in enumerate(((2.3, 2.3), (4.7, 2.3), (4.7, 4.7), (2.3, 4.7))):
+        cx, cy = qx + rng.uniform(-0.05, 0.05), qy + rng.uniform(-0.05, 0.05)
+        t_cross = frames * (k + 2) / 6 + rng.uniform(-0.5, 0.5)
+        base = math.pi / 4 + k * math.pi / 2 + rng.uniform(-0.05, 0.05)
+        for j, (heading, lateral) in enumerate(((base, 0.0), (base + math.pi / 2, 0.35))):
+            dx, dy = math.cos(heading), math.sin(heading)
+            speed = rng.uniform(0.95, 1.05) / scene["fps"]
+            px, py = cx - lateral * dy, cy + lateral * dx
+            persons.append({
+                "id": 2 * k + j + 1,
+                "waypoints": [
+                    {"frame": f, "position": [px + speed * (f - t_cross) * dx,
+                                              py + speed * (f - t_cross) * dy],
+                     "facing": math.degrees(heading)}
+                    for f in (0, frames)
+                ],
+            })
+    scene["persons"] = persons
+    return scene
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
@@ -233,16 +266,18 @@ def reference_capsule_ray(p0, a, radius, origin, dirs):
 
 def reference_cast_rays(primitives, origin, dirs):
     """Per-primitive reference for cast_rays: a Capsules stack is unrolled
-    into its capsules, each cast alone by reference_capsule_ray, and the
-    first hit is kept by a strict < over the list in order."""
+    into its capsules, each cast alone by reference_capsule_ray and missing
+    the rays its skip-mask row marks, and the first hit is kept by a
+    strict < over the list in order."""
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     casts = []
     for prim in primitives:
         if isinstance(prim, Capsules):
-            casts += [lambda o, d, c=c: reference_capsule_ray(*c, o, d)
-                      for c in zip(prim.p0, prim.axis, prim.radius)]
+            skip = np.zeros((len(prim), len(dirs)), dtype=bool) if prim.skip is None else prim.skip
+            casts += [lambda o, d, c=c, s=s: np.where(s, np.inf, reference_capsule_ray(*c, o, d))
+                      for c, s in zip(zip(prim.p0, prim.axis, prim.radius), skip)]
         else:
             casts.append(prim.ray)
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
     for i, cast in enumerate(casts):
@@ -299,3 +334,71 @@ def reference_fuse_clouds(clouds, voxel_size, label_table, frame=0):
     nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
     return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)
+
+
+def per_person_sightings(sim, frame):
+    """Per-(camera, person) reference for Simulator.sightings: one ray
+    bundle per camera and person, cast against the surfaces and a capsule
+    stack without that person's rows."""
+    caps, owner = sim.frame_capsules(frame)
+    out = {}
+    for pid, (joints, _) in sim.frame_state(frame).items():
+        occluders = sim.scene["surfaces"] + [caps[owner != pid]]
+        for cam_id, cal in sim.cals.items():
+            dirs = joints - cal.center
+            dist = np.linalg.norm(dirs, axis=1)
+            t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
+            near = dist - OCCLUSION_MARGIN
+            occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
+            uv, in_front = project_many(joints, cal)
+            out[(cam_id, pid)] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
+    return out
+
+
+def reference_closest_point(prim, p):
+    """One point's closest surface point, by each surface kind's scalar
+    formula; inside a Box, the nearest face (lowest axis on ties)."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(prim, Sphere):
+        return prim.closest_point(p)
+    if isinstance(prim, Rect):
+        c, (hu, hv) = prim.center, prim.half_sizes
+        u, v = prim._uv
+        q = p.copy()
+        q[prim._n] = c[prim._n]
+        q[u] = np.clip(q[u], c[u] - hu, c[u] + hu)
+        q[v] = np.clip(q[v], c[v] - hv, c[v] + hv)
+        return q
+    assert isinstance(prim, Box)
+    q = np.clip(p, prim.lo, prim.hi)
+    if np.any(q != p):
+        return q
+    d_lo = p - prim.lo
+    d_hi = prim.hi - p
+    axis = int(np.argmin(np.minimum(d_lo, d_hi)))
+    q = p.copy()
+    q[axis] = prim.lo[axis] if d_lo[axis] < d_hi[axis] else prim.hi[axis]
+    return q
+
+
+def reference_surface_distance(prim, p):
+    """One point's distance to a surface, by the scalar formula."""
+    p = np.asarray(p, dtype=float)
+    if isinstance(prim, Sphere):
+        return float(abs(np.linalg.norm(p - prim.center) - prim.radius))
+    return float(np.linalg.norm(p - reference_closest_point(prim, p)))
+
+
+def per_point_nearest_per_label(surfaces, queries):
+    """Per-(surface, point) reference for SurfaceDistances.nearest_per_label:
+    a nested list of scalar distances per label, its first minimum in
+    (surface, point) order, and the closest point of that pair."""
+    by_label = {}
+    for prim in surfaces:
+        by_label.setdefault(prim.label, []).append(prim)
+    out = {}
+    for label, prims in by_label.items():
+        d = [[reference_surface_distance(prim, q) for q in queries] for prim in prims]
+        i, j = np.unravel_index(np.argmin(d), np.shape(d))
+        out[label] = (d[i][j], reference_closest_point(prims[i], queries[j]))
+    return out

@@ -405,6 +405,75 @@ class TestEvaluate:
                      "--out", str(tmp_path / "eval")]) == EXIT_INPUT
 
 
+def _first_line_edit(path, key, value):
+    """Set one field of the first record of a JSON-lines file."""
+    head, rest = path.read_text().split("\n", 1)
+    rec = json.loads(head)
+    rec[key] = value
+    path.write_text(json.dumps(rec) + "\n" + rest)
+
+
+class TestScoringBadInput:
+    """Malformed evaluate and sweep inputs: exit 2, and a message naming
+    the file and line."""
+
+    def _copies(self, tmp_path, run):
+        """Copies of the run's outputs and of the dataset's gt/ directory."""
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for name in ("tracks.jsonl", "episodes.csv", "distance_traces.jsonl"):
+            shutil.copy(os.path.join(run["out"], name), pred / name)
+        gt = tmp_path / "gt"
+        shutil.copytree(os.path.join(run["ds"], "gt"), gt)
+        return pred, gt
+
+    def _evaluate(self, tmp_path, pred, gt):
+        return main(["evaluate", "--pred", str(pred), "--gt", str(gt),
+                     "--out", str(tmp_path / "eval")])
+
+    def test_valid_copies_score(self, tmp_path, mini_induction):
+        pred, gt = self._copies(tmp_path, mini_induction)
+        assert self._evaluate(tmp_path, pred, gt) == EXIT_OK
+        assert main(["sweep", "--in", str(pred), "--gt", str(gt), "--grid", "0.1:0.1:0.1",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_episodes_not_utf8(self, tmp_path, mini_induction, capsys, side):
+        dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
+        path = dirs[side] / "episodes.csv"
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head + b"\n\xff" + rest)
+        assert self._evaluate(tmp_path, dirs["pred"], dirs["gt"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:2: " in err
+        assert "can't decode byte 0xff in position" in err
+
+    @pytest.mark.parametrize("side, name, key", [
+        ("pred", "tracks.jsonl", "frame"),
+        ("pred", "tracks.jsonl", "id"),
+        ("gt", "tracks.jsonl", "id"),
+        ("gt", "visibility.jsonl", "person_id"),
+    ], ids=["pred-track-frame", "pred-track-id", "gt-track-id", "visibility-person"])
+    def test_fraction_in_an_integer_field(self, tmp_path, mini_induction, capsys, side, name, key):
+        dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
+        path = dirs[side] / name
+        _first_line_edit(path, key, 0.5)
+        assert self._evaluate(tmp_path, dirs["pred"], dirs["gt"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:1: " in err
+        assert f"{key} must be an integer, got 0.5" in err
+
+    def test_fraction_in_a_trace(self, tmp_path, mini_induction, capsys):
+        pred, gt = self._copies(tmp_path, mini_induction)
+        path = pred / "distance_traces.jsonl"
+        _first_line_edit(path, "hand", 1.5)
+        assert main(["sweep", "--in", str(pred), "--gt", str(gt), "--grid", "0.1:0.1:0.1",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:1: " in err
+        assert "hand must be an integer, got 1.5" in err
+
+
 class TestSweep:
     def test_bad_grid(self, tmp_path, mini_induction):
         assert main(["sweep", "--in", mini_induction["out"],

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contacttrack import io
 from contacttrack.contact import ContactEpisode
@@ -121,6 +123,55 @@ class TestTracks:
         assert exc.value.line == 1
 
 
+class TestRounding:
+    # np.round(x, 6) misses round(x, 6) on the first two (a scaled product
+    # on the wrong side of a half, and a decimal half); round passes the
+    # rest through unchanged or to zero.
+    HARD = [75734.1733075, -1.9999995, 0.0078125, 0.0, -0.0, 1e-300, -1e-300,
+            1e12, -1e12, float("nan"), float("inf"), float("-inf")]
+
+    def test_matches_round_on_hard_values(self):
+        assert [repr(v) for v in io._rounded(self.HARD)] == [repr(round(x, 6)) for x in self.HARD]
+
+    def test_keeps_the_array_shape(self):
+        assert io._rounded(np.full((2, 3), 0.1234567)) == [[0.123457] * 3] * 2
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.floats(-1e5, 1e5),
+        st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),  # decimal halves
+    ), min_size=1, max_size=30))
+    def test_matches_round(self, xs):
+        assert [repr(v) for v in io._rounded(xs)] == [repr(round(x, 6)) for x in xs]
+
+
+class TestIntegerFields:
+    """Integer fields of the track, hand-track, trace and visibility
+    streams must be JSON integers: int() would read 0.5 as 0."""
+
+    @pytest.mark.parametrize("read, line", [
+        (read_tracks, '{"frame":0,"id":1.9,"E":1.0,"joints":%s}' % ([[0, 0, 0, 1]] * JOINT_COUNT)),
+        (read_hand_tracks, '{"frame":0,"hand_track_id":1.9,"side":"left","person_id":1,'
+                           '"palm_center":[0,0,0],"anchors":[[0,0,0]]}'),
+        (read_traces, '{"frame":0,"hand":1.9,"side":"left","person":1,"label":2,"d":0.1}'),
+        (read_visibility, '{"frame":0,"person_id":1.9,"side":"left","visible":false}'),
+    ], ids=["tracks", "hand-tracks", "traces", "visibility"])
+    def test_fraction_rejected(self, tmp_path, read, line):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line.replace("1.9", "1") + "\n" + line + "\n")
+        with pytest.raises(InputFormatError, match="must be an integer, got 1.9") as exc:
+            list(read(path))
+        assert exc.value.line == 2
+
+    def test_bool_and_null_rejected(self, tmp_path):
+        path = tmp_path / "vis.jsonl"
+        for frame in ("true", "null", '"0"'):
+            path.write_text('{"frame":%s,"person_id":1,"side":"left","visible":false}\n' % frame)
+            with pytest.raises(InputFormatError, match=f"frame must be an integer, got {frame}"):
+                list(read_visibility(path))
+
+
 class TestHandTracks:
     def test_round_trip(self, tmp_path):
         palm = np.array([0.1, 0.2, 0.3])
@@ -168,6 +219,15 @@ class TestEpisodes:
         path = tmp_path / "eps.csv"
         write_episodes(path, [])
         assert read_episodes(path) == []
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "eps.csv"
+        write_episodes(path, [self.make(), self.make()])
+        head, *rows = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([head, rows[0], b"\xff" + rows[1], *rows[2:]]))
+        with pytest.raises(InputFormatError, match="can't decode byte 0xff") as exc:
+            read_episodes(path)
+        assert exc.value.line == 3
 
 
 class TestVisibility:

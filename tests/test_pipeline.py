@@ -239,17 +239,19 @@ class TestBenchmarkHooks:
         assert t.calls("geometry.epipolar_distance") >= 1
         assert t.counts["geometry.triangulate_weighted.from_update"] >= 1
 
-    def test_tracer_sees_one_sighting_cast_per_camera_and_person(self, tracer, tmp_path):
-        # The simulator casts one ray bundle per (frame, camera, present
-        # person), shared by the detections and the visibility ground truth.
+    def test_tracer_sees_one_sighting_cast_per_camera(self, tracer, tmp_path):
+        # The simulator casts one ray bundle per (frame, camera), holding
+        # every present person's joints and shared by the detections and
+        # the visibility ground truth.
         scene = crossing_clean(frame_count=3)
         scene["persons"][2]["absent"] = [[1, 1]]
         t = tracer.Tracer()
         with tracer.patched(tracer.instrument(t)):
             emit_dataset(scene, str(tmp_path), seed=0)
-        bundles = (3 + 2 + 3) * len(scene["cameras"])  # present persons x cameras
-        assert t.calls("primitives.cast_rays.render") == bundles
-        assert t.counts["primitives.cast_rays.render.rays"] == bundles * len(TEMPLATE_JOINTS)
+        cameras = len(scene["cameras"])
+        assert t.calls("primitives.cast_rays.render") == 3 * cameras  # frames x cameras
+        rays = (3 + 2 + 3) * cameras * len(TEMPLATE_JOINTS)  # present persons' joints
+        assert t.counts["primitives.cast_rays.render.rays"] == rays
         assert t.calls("simulator.gt_visibility") >= 1
         assert t.calls("simulator.gt_episodes") == 1
 

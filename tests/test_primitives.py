@@ -30,13 +30,13 @@ class TestBox:
         assert t[0] == pytest.approx(0.5)
 
     def test_distance_outside(self):
-        assert self.box.distance([0.0, 0.0, 0.5]) == pytest.approx(1.0)
+        assert self.box.distances([0.0, 0.0, 0.5])[0] == pytest.approx(1.0)
 
     def test_distance_on_surface(self):
-        assert self.box.distance([1.0, 0.0, 0.5]) == pytest.approx(0.0)
+        assert self.box.distances([1.0, 0.0, 0.5])[0] == pytest.approx(0.0)
 
     def test_distance_inside_nearest_face(self):
-        assert self.box.distance([1.1, 0.0, 0.5]) == pytest.approx(0.1)
+        assert self.box.distances([1.1, 0.0, 0.5])[0] == pytest.approx(0.1)
 
     def test_closest_point_corner(self):
         q = self.box.closest_point([0.0, -2.0, 2.0])
@@ -58,7 +58,7 @@ class TestBox:
                     ]
                     for q in faces:
                         best = min(best, float(np.linalg.norm(p - np.array(q))))
-            assert self.box.distance(p) <= best + 1e-9
+            assert self.box.distances(p)[0] <= best + 1e-9
 
 
 class TestSphere:
@@ -74,8 +74,8 @@ class TestSphere:
 
     def test_distance(self):
         s = Sphere([1.0, 1.0, 1.0], 0.5)
-        assert s.distance([1.0, 1.0, 2.0]) == pytest.approx(0.5)
-        assert s.distance([1.0, 1.0, 1.0]) == pytest.approx(0.5)
+        assert s.distances([1.0, 1.0, 2.0])[0] == pytest.approx(0.5)
+        assert s.distances([1.0, 1.0, 1.0])[0] == pytest.approx(0.5)
 
     def test_closest_point_on_surface(self):
         s = Sphere([0.0, 0.0, 0.0], 2.0)
@@ -96,11 +96,11 @@ class TestRect:
 
     def test_distance_off_plane(self):
         r = Rect([0.0, 0.0, 1.0], "z", (0.5, 0.5))
-        assert r.distance([0.0, 0.0, 1.3]) == pytest.approx(0.3)
+        assert r.distances([0.0, 0.0, 1.3])[0] == pytest.approx(0.3)
 
     def test_distance_beyond_edge(self):
         r = Rect([0.0, 0.0, 1.0], "z", (0.5, 0.5))
-        assert r.distance([1.5, 0.0, 1.0]) == pytest.approx(1.0)
+        assert r.distances([1.5, 0.0, 1.0])[0] == pytest.approx(1.0)
 
 
 class TestCapsule:

@@ -8,19 +8,25 @@ import pytest
 
 from contacttrack.geometry import project
 from contacttrack.io import read_visibility
-from contacttrack.primitives import Box
+from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 from contacttrack import simulator
 from contacttrack.scenes import builtin_scene, crossing_clean, crossing_noisy, induction_lite
 from contacttrack.simulator import (
     SceneDepthProvider,
     Simulator,
+    SurfaceDistances,
     emit_dataset,
     place_template,
     two_bone_reach,
 )
 
-from helpers import reference_cast_rays
+from helpers import (
+    crowd_crossing,
+    per_person_sightings,
+    per_point_nearest_per_label,
+    reference_cast_rays,
+)
 
 SCHEMA = JointSchema()
 
@@ -202,8 +208,7 @@ class TestDepthProvider:
         cloud = backproject_labeled(labels, depths, sim.cals["cam0"], stride=4)
         assert len(cloud.positions) > 50
         box = Box([3.0, 3.0, 0.0], [4.0, 4.0, 1.0])
-        for p in cloud.positions[::10]:
-            assert box.distance(p) < 0.01
+        assert (box.distances(cloud.positions[::10]) < 0.01).all()
 
 
 class TestGroundTruth:
@@ -330,3 +335,69 @@ class TestStackedKernel:
         assert len(files) == 9 and len(patches) > 200
         assert files == ref_files
         assert patches == ref_patches
+
+
+class TestOneBundlePerCamera:
+    def test_matches_per_person_reference(self):
+        # Frame 12 holds all eight crossing persons, 13 two, 14 one, 15 none.
+        scene = crowd_crossing()
+        for p in scene["persons"]:
+            p["absent"] = [[{1: 15, 2: 14}.get(p["id"], 13), 23]]
+        sim = Simulator(scene, seed=0)
+        for frame, count in ((12, 8), (13, 2), (14, 1), (15, 0)):
+            ref = per_person_sightings(sim, frame)
+            got = sim.sightings(frame)
+            assert len(ref) == 4 * count
+            assert got.keys() == ref.keys()
+            for key, arrays in ref.items():
+                assert all(np.array_equal(a, b) for a, b in zip(got[key], arrays)), key
+            if count == 8:  # the scene has no surfaces: other bodies hide these
+                assert sum((occ == 2).sum() for _, occ, _ in got.values()) > 20
+
+
+class TestSurfaceDistances:
+    SURFACES = [
+        Box([0.0, 0.0, 0.0], [1.0, 2.0, 0.5], label=1),
+        Rect([0.0, -3.0, 1.0], "z", (0.5, 0.4), label=3),
+        Sphere([-1.0, 5.0, 0.0], 0.5, label=2),
+        Box([3.0, 0.0, 0.0], [4.0, 1.0, 1.0], label=1),
+        Sphere([1.0, 5.0, 0.0], 0.5, label=2),
+        Sphere([0.0, -6.0, 0.0], 0.5, label=4),
+    ]
+    # Label 2: the two spheres are 0.5 m from the first point. Label 4:
+    # the second and third points are 1.5 m from its sphere. Label 1: the
+    # centre of the second box is 0.5 m from all six faces.
+    TIES = np.array([[0.0, 5.0, 0.0], [0.0, -6.0, 2.0], [0.0, -6.0, -2.0],
+                     [10.0, 10.0, 10.0], [3.5, 0.5, 0.5], [10.0, -10.0, 10.0]])
+
+    def batches(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            yield rng.uniform([-2.0, -7.0, -1.0], [5.0, 6.0, 2.0], size=(6, 3))
+        inside = rng.uniform([0.0, 0.0, 0.0], [1.0, 2.0, 0.5], size=(6, 3))
+        yield inside
+        for axis, value in ((0, 0.0), (0, 1.0), (1, 2.0), (2, 0.0)):
+            on_face = inside.copy()
+            on_face[:, axis] = value
+            yield on_face
+        yield self.TIES
+
+    def test_matches_per_point_reference(self):
+        distances = SurfaceDistances(self.SURFACES)
+        inside = 0
+        for queries in self.batches():
+            got = distances.nearest_per_label(queries)
+            ref = per_point_nearest_per_label(self.SURFACES, queries)
+            assert list(got) == list(ref)
+            for label, (d, point) in ref.items():
+                assert got[label][0] == d
+                assert np.array_equal(got[label][1], point)
+            box = self.SURFACES[0]
+            inside += ((queries > box.lo) & (queries < box.hi)).all(axis=1).sum()
+        assert inside >= 6
+
+    def test_ties_go_to_the_first_surface_then_the_first_point(self):
+        got = SurfaceDistances(self.SURFACES).nearest_per_label(self.TIES)
+        assert got[2][0] == 0.5 and got[2][1].tolist() == [-0.5, 5.0, 0.0]
+        assert got[4][0] == 1.5 and got[4][1].tolist() == [0.0, -6.0, 0.5]
+        assert got[1][0] == 0.5 and got[1][1].tolist() == [4.0, 0.5, 0.5]
