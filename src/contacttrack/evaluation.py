@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import ContactConfig
 from .contact import merge_episodes, run_hysteresis
@@ -110,7 +109,9 @@ def mot_metrics(correspondence, pred_by_frame, gt_by_frame):
     """IDF1 and identity switches from a per-frame correspondence.
 
     IDF1 uses the optimal global one-to-one mapping between gt and
-    predicted identities that maximizes identity true positives; IDSW
+    predicted identities that maximizes identity true positives (among
+    equal optima, hungarian_assign's lexicographically smallest pairs of
+    sorted gt and predicted ids); IDSW
     counts strictly consecutive matched frames where a gt id's predicted
     id changes.
     """
@@ -129,11 +130,10 @@ def mot_metrics(correspondence, pred_by_frame, gt_by_frame):
         w = np.zeros((len(gt_ids), len(pred_ids)))
         for (g, p), n in overlap.items():
             w[gt_ids.index(g), pred_ids.index(p)] = n
-        rows, cols = linear_sum_assignment(-w)
-        for r, c in zip(rows, cols):
-            if w[r, c] > 0:
-                idtp += int(w[r, c])
-                id_map[pred_ids[c]] = gt_ids[r]
+        # Pairs that never overlapped cost 0, as leaving both unmatched does.
+        for r, c in hungarian_assign(-w, 0.0):
+            idtp += int(w[r, c])
+            id_map[pred_ids[c]] = gt_ids[r]
     denom = 2 * idtp + (pred_total - idtp) + (gt_total - idtp)
     idf1 = (2 * idtp / denom) if denom else 1.0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContactTrackError
 
@@ -582,9 +581,58 @@ def fit_sim3_ransac(src, dst, cfg: Sim3RansacConfig | None = None, rng=None):
 _BIG = 1e15
 
 
-def _solve_augmented(A):
-    rows, cols = linear_sum_assignment(A)
-    return float(A[rows, cols].sum()), list(zip(rows.tolist(), cols.tolist()))
+def _min_cost_matching(A):
+    """Min-cost perfect matching of a square matrix given as a list of rows.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant,
+    Computing 1987): each row in turn is joined by a Dijkstra search over
+    reduced costs A[i][j] - u[i] - v[j], which stay >= 0, and the
+    potentials are shifted so that every matched edge keeps reduced cost 0.
+    Returns (col_of_row, row_of_col, u, v).
+    """
+    n = len(A)
+    inf = float("inf")
+    u = [0.0] * n
+    v = [0.0] * (n + 1)
+    row_of = [-1] * (n + 1)  # column n is the search root
+    col_of = [-1] * n
+    way = [0] * (n + 1)
+    for i in range(n):
+        row_of[n] = i
+        j0 = n
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            row = A[i0]
+            ui = u[i0]
+            delta = inf
+            j1 = -1
+            for j in range(n):
+                if not used[j]:
+                    cur = row[j] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if row_of[j0] < 0:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            col_of[row_of[j0]] = j0
+            j0 = j1
+    return col_of, row_of[:n], u, v
 
 
 def hungarian_assign(cost, max_cost):
@@ -593,6 +641,18 @@ def hungarian_assign(cost, max_cost):
     Entries >= max_cost are never matched; leaving a row or column
     unmatched incurs max_cost. Among equal-cost optima the (row, col)
     lexicographically smallest matching is returned.
+
+    The m x n problem becomes a square (m+n) x (n+m) one: row i may take
+    its own "unmatched" column n+i and column j its own "unmatched" row
+    m+j at max_cost, the unmatched rows and columns pair up at 0, and
+    every other entry is _BIG. One shortest-augmenting-path solve gives an
+    optimal matching and dual potentials u, v; by complementary slackness
+    the optimal matchings are exactly the perfect matchings on the tight
+    edges, those with reduced cost A[i][j] - u[i] - v[j] <= tol / (m+n)
+    (tol = 1e-9 max(1, |optimum|)). Rows 0..m-1 are then fixed in order
+    to their smallest tight choice (real columns in order, then n+i)
+    that an alternating cycle of tight edges through the not yet fixed
+    rows can swap into the matching.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
@@ -605,28 +665,55 @@ def hungarian_assign(cost, max_cost):
     if not allowed.any():
         return []
 
-    A = np.full((m + n, n + m), _BIG)
+    N = m + n
+    A = np.full((N, N), _BIG)
     A[:m, :n] = np.where(allowed, cost, _BIG)
     A[np.arange(m), n + np.arange(m)] = max_cost
     A[m + np.arange(n), np.arange(n)] = max_cost
     A[m:, n:] = 0.0
+    A = A.tolist()
 
-    opt, _ = _solve_augmented(A)
-    tol = 1e-9 * max(1.0, abs(opt))
+    col_of, row_of, u, v = _min_cost_matching(A)
+    opt = sum(A[i][col_of[i]] for i in range(N))
+    eps = 1e-9 * max(1.0, abs(opt)) / N
 
-    # Fix rows in order to the lexicographically smallest optimal choice.
-    fixed = A.copy()
+    def tight(i, j):
+        return A[i][j] - u[i] - v[j] <= eps
+
+    def swap_cycle(r, c):
+        """Make (r, c) a matched edge by an alternating cycle of tight
+        edges through rows after r; False if there is none."""
+        target = col_of[r]
+        start = row_of[c]
+        if start < r:
+            return False
+        reached = {start: None}
+        queue = [start]
+        for x in queue:
+            for y in range(N):
+                if y == col_of[x] or not tight(x, y):
+                    continue
+                if y == target:
+                    moves = [(r, c), (x, y)]
+                    while reached[x] is not None:
+                        x, y = reached[x]
+                        moves.append((x, y))
+                    for i, j in moves:
+                        col_of[i] = j
+                        row_of[j] = i
+                    return True
+                z = row_of[y]
+                if z > r and z not in reached:
+                    reached[z] = (x, y)
+                    queue.append(z)
+        return False
+
     matches = []
     for r in range(m):
-        row = fixed[r].copy()
-        choices = [c for c in range(n) if row[c] < _BIG] + [n + r]
-        for c in choices:
-            fixed[r] = _BIG
-            fixed[r, c] = row[c]
-            total, _ = _solve_augmented(fixed)
-            if total <= opt + tol:
-                if c < n:
-                    matches.append((r, c))
+        row = A[r]
+        for c in [c for c in range(n) if row[c] < _BIG] + [n + r]:
+            if c == col_of[r] or (tight(r, c) and swap_cycle(r, c)):
                 break
-            fixed[r] = row
+        if col_of[r] < n:
+            matches.append((r, col_of[r]))
     return matches

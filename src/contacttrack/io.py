@@ -293,7 +293,9 @@ def write_episodes(path, episodes):
 def read_episodes(path):
     """ContactEpisode list of an episodes.csv file. A file that is not
     UTF-8 raises InputFormatError naming the file and the line of the
-    first bad byte."""
+    first bad byte; so does a row whose side is not left or right, whose
+    t_start is after its t_stop, whose contact point is not finite or
+    whose min_distance_m is negative or not finite."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -324,7 +326,23 @@ def read_episodes(path):
             ))
         except (ValueError, IndexError) as e:
             raise InputFormatError(f"bad episode row: {e}", path=path, line=ln)
+        problem = _episode_problem(episodes[-1])
+        if problem is not None:
+            raise InputFormatError(f"bad episode row: {problem}", path=path, line=ln)
     return episodes
+
+
+def _episode_problem(ep):
+    """What is wrong with one parsed episode row, or None."""
+    if ep.side not in SIDES:
+        return f"side must be left or right, got {ep.side!r}"
+    if ep.t_start > ep.t_stop:
+        return f"t_start {ep.t_start} is after t_stop {ep.t_stop}"
+    if not np.isfinite(ep.contact_point).all():
+        return "contact point holds a non-finite value"
+    if not (np.isfinite(ep.min_distance) and ep.min_distance >= 0):
+        return f"min_distance_m must be finite and >= 0, got {ep.min_distance}"
+    return None
 
 
 # -- visibility stream -----------------------------------------------------
@@ -341,13 +359,23 @@ def write_visibility(path, records):
 
 
 def read_visibility(path):
+    """Yield (frame, person_id, side, visible) records; side is left or
+    right and visible a JSON bool (bool() would read "false" as True)."""
     for ln, rec in _json_lines(path, "visibility"):
         try:
-            row = (_json_int(rec, "frame"), _json_int(rec, "person_id"), rec["side"],
-                   bool(rec["visible"]))
+            frame, person_id = _json_int(rec, "frame"), _json_int(rec, "person_id")
+            side, visible = rec["side"], rec["visible"]
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad visibility record: {e}", path=path, line=ln)
-        yield row
+        if side not in SIDES:
+            raise InputFormatError(
+                f"side must be left or right, got {json.dumps(side)}", path=path, line=ln
+            )
+        if not isinstance(visible, bool):
+            raise InputFormatError(
+                f"visible must be true or false, got {json.dumps(visible)}", path=path, line=ln
+            )
+        yield frame, person_id, side, visible
 
 
 # -- distance traces (for threshold sweeps) --------------------------------

@@ -2,8 +2,9 @@
 
 Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
-cloud's points do not change; the whole-cloud KD-tree and the per-label
-KD-trees are built lazily, on the first query that needs them.
+cloud's points do not change; its index, the points grouped by (label,
+coarse cell), is built on the first query and answers every label of a
+query batch in one pass of numpy calls.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ContactTrackError, InputFormatError
 from .geometry import CameraCalibration, backproject_many
@@ -46,8 +46,80 @@ class SurfaceHit:
     index: int
 
 
+# Edge (m) of the coarse cells the nearest-surface index groups points in.
+INDEX_CELL = 0.25
+
+
+def _distances(queries, xyz):
+    """(Q, P) Euclidean distances from queries (Q, 3) to points given
+    coordinate-major as xyz (3, P). The squares are summed x, y, z in
+    order, which gives the bits a KD-tree query returns."""
+    return np.sqrt(sum((queries[:, a, None] - xyz[a]) ** 2 for a in range(3)))
+
+
+def _box_distances(queries, lo, hi):
+    """(Q, B) distances from queries (Q, 3) to axis-aligned boxes given
+    coordinate-major by their corners lo, hi (3, B). Each step rounds
+    monotonically and in the order _distances uses, so a box's distance
+    never exceeds the computed distance to a point inside it."""
+    q = queries[:, :, None]
+    return np.sqrt(sum(np.maximum(np.maximum(lo[a] - q[:, a], q[:, a] - hi[a]), 0.0) ** 2
+                       for a in range(3)))
+
+
+class _CellIndex:
+    """Exact nearest-point search per label over a fixed point set.
+
+    The points are sorted once by (label, INDEX_CELL cell, point index)
+    into groups of one label in one cell. A query batch bounds each
+    group's distance from below by its bounding box, and each label's
+    nearest distance from above by the distance to the first point of each
+    of its groups; only the groups whose lower bound does not pass their
+    label's upper bound are searched point by point.
+    """
+
+    def __init__(self, positions, labels):
+        cells = np.floor(positions / INDEX_CELL)
+        self.order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], labels))
+        labels, cells = labels[self.order], cells[self.order]
+        new = np.ones(len(labels), dtype=bool)
+        new[1:] = (labels[1:] != labels[:-1]) | (cells[1:] != cells[:-1]).any(axis=1)
+        self.starts = np.flatnonzero(new)
+        self.ends = np.append(self.starts[1:], len(labels))
+        self.xyz = np.ascontiguousarray(positions[self.order].T)
+        self.lo = np.minimum.reduceat(self.xyz, self.starts, axis=1)
+        self.hi = np.maximum.reduceat(self.xyz, self.starts, axis=1)
+        self.heads = np.ascontiguousarray(self.xyz[:, self.starts])
+        new_label = np.ones(len(self.starts), dtype=bool)
+        new_label[1:] = labels[self.starts[1:]] != labels[self.starts[:-1]]
+        self.label_groups = np.flatnonzero(new_label)
+        self.group_label = np.cumsum(new_label) - 1
+
+    def nearest_by_label(self, queries):
+        """(distance, point index) arrays in label order: each label's
+        nearest point to any of queries (Q, 3), ties to the first query and
+        then the smallest point index."""
+        lower = _box_distances(queries, self.lo, self.hi).min(axis=0)
+        upper = _distances(queries, self.heads).min(axis=0)
+        bound = np.minimum.reduceat(upper, self.label_groups)
+        keep = np.flatnonzero(lower <= bound[self.group_label])
+        # The kept groups' rows, concatenated.
+        lens = self.ends[keep] - self.starts[keep]
+        rows = np.repeat(self.starts[keep] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        d = _distances(queries, self.xyz[:, rows])
+        query = d.argmin(axis=0)
+        d = d[query, np.arange(len(rows))]
+        label = np.repeat(self.group_label[keep], lens)
+        label_rows = np.flatnonzero(np.diff(label, prepend=-1))
+        best = np.minimum.reduceat(d, label_rows)
+        n = len(self.order)
+        key = np.where(d == best[label], query * n + self.order[rows], len(queries) * n)
+        return best, np.minimum.reduceat(key, label_rows) % n
+
+
 class SemanticCloud:
-    """Voxel-fused labeled point set with a KD-tree index."""
+    """Voxel-fused labeled point set with an exact nearest-surface index,
+    built on the first query."""
 
     def __init__(self, frame, voxel_size, positions, labels, label_table):
         self.frame = frame
@@ -59,49 +131,36 @@ class SemanticCloud:
         for lid in self.label_ids:
             if lid not in self.label_table:
                 raise ValueError(f"label id {lid} missing from label table")
-        self._tree = None
-        self._label_trees = {}
+        self._index = None
 
     def __len__(self):
         return len(self.positions)
 
-    def _subtree(self, label):
-        if label not in self._label_trees:
-            idx = np.flatnonzero(self.labels == label)
-            self._label_trees[label] = (idx, cKDTree(self.positions[idx]))
-        return self._label_trees[label]
+    def _nearest_by_label(self, queries):
+        if not len(self):
+            raise EmptyCloud("nearest_surface on an empty cloud")
+        if self._index is None:
+            self._index = _CellIndex(self.positions, self.labels)
+        return self._index.nearest_by_label(queries)
 
     def nearest(self, query):
         """Exact nearest point; distance ties break to the smallest point index."""
-        if not len(self):
-            raise EmptyCloud("nearest_surface on an empty cloud")
-        if self._tree is None:
-            self._tree = cKDTree(self.positions)
-        query = np.asarray(query, dtype=float)
-        d, i = self._tree.query(query)
-        # Canonicalize exact ties by re-scanning the tie ball.
-        ball = self._tree.query_ball_point(query, d + 1e-12 * max(d, 1.0))
-        dists = np.linalg.norm(self.positions[ball] - query, axis=1)
-        dmin = dists.min()
-        best = min(int(ball[j]) for j in np.flatnonzero(dists == dmin))
-        return SurfaceHit(float(dmin), int(self.labels[best]), self.positions[best], best)
+        d, idx = self._nearest_by_label(np.asarray(query, dtype=float).reshape(1, 3))
+        k = np.lexsort((idx, d))[0]
+        best = int(idx[k])
+        return SurfaceHit(float(d[k]), int(self.labels[best]), self.positions[best], best)
 
     def nearest_per_label(self, queries):
         """Min distance (and closest point) per surface label over a query batch.
 
-        queries: (Q, 3). Returns {label: (distance, point)} using exact
-        per-label subindexes.
+        queries: (Q, 3). Returns {label: (distance, point)} in label order;
+        ties go to the first query and then the smallest point index.
         """
-        if not len(self):
-            raise EmptyCloud("nearest_surface on an empty cloud")
-        queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-        out = {}
-        for label in self.label_ids:
-            idx, tree = self._subtree(label)
-            d, i = tree.query(queries)
-            j = int(np.argmin(d))
-            out[label] = (float(d[j]), self.positions[idx[i[j]]])
-        return out
+        d, idx = self._nearest_by_label(np.asarray(queries, dtype=float).reshape(-1, 3))
+        return {
+            label: (float(d[k]), self.positions[idx[k]])
+            for k, label in enumerate(self.label_ids)
+        }
 
 
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):

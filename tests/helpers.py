@@ -5,6 +5,8 @@ import os
 from itertools import permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from contacttrack.geometry import (
     CameraCalibration,
@@ -17,7 +19,7 @@ from contacttrack.geometry import (
 from contacttrack.primitives import Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
-from contacttrack.semantic_map import SemanticCloud
+from contacttrack.semantic_map import SemanticCloud, SurfaceHit
 from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN
 
 
@@ -182,6 +184,102 @@ def brute_force_assign(cost, max_cost):
 
     recurse(0, set(), 0.0, [])
     return best[1], best[0]
+
+
+_BIG = 1e15
+
+
+def _solve_augmented(A):
+    rows, cols = linear_sum_assignment(A)
+    return float(A[rows, cols].sum()), list(zip(rows.tolist(), cols.tolist()))
+
+
+def scipy_hungarian_assign(cost, max_cost):
+    """Oracle for hungarian_assign: scipy's linear_sum_assignment on the
+    same augmented matrix, with each row fixed in order to its smallest
+    choice that a full re-solve still finds optimal."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return []
+    m, n = cost.shape
+    if not np.isfinite(max_cost):
+        # Everything is allowed: plain rectangular assignment.
+        max_cost = float(np.nanmax(np.where(np.isfinite(cost), cost, 0.0))) + 1.0
+    allowed = np.isfinite(cost) & (cost < max_cost)
+    if not allowed.any():
+        return []
+
+    A = np.full((m + n, n + m), _BIG)
+    A[:m, :n] = np.where(allowed, cost, _BIG)
+    A[np.arange(m), n + np.arange(m)] = max_cost
+    A[m + np.arange(n), np.arange(n)] = max_cost
+    A[m:, n:] = 0.0
+
+    opt, _ = _solve_augmented(A)
+    tol = 1e-9 * max(1.0, abs(opt))
+
+    # Fix rows in order to the lexicographically smallest optimal choice.
+    fixed = A.copy()
+    matches = []
+    for r in range(m):
+        row = fixed[r].copy()
+        choices = [c for c in range(n) if row[c] < _BIG] + [n + r]
+        for c in choices:
+            fixed[r] = _BIG
+            fixed[r, c] = row[c]
+            total, _ = _solve_augmented(fixed)
+            if total <= opt + tol:
+                if c < n:
+                    matches.append((r, c))
+                break
+            fixed[r] = row
+    return matches
+
+
+def kdtree_nearest(cloud, query):
+    """Oracle for SemanticCloud.nearest: a cKDTree over the whole cloud,
+    with exact ties re-scanned to the smallest point index."""
+    tree = cKDTree(cloud.positions)
+    query = np.asarray(query, dtype=float)
+    d, i = tree.query(query)
+    # Canonicalize exact ties by re-scanning the tie ball.
+    ball = tree.query_ball_point(query, d + 1e-12 * max(d, 1.0))
+    dists = np.linalg.norm(cloud.positions[ball] - query, axis=1)
+    dmin = dists.min()
+    best = min(int(ball[j]) for j in np.flatnonzero(dists == dmin))
+    return SurfaceHit(float(dmin), int(cloud.labels[best]), cloud.positions[best], best)
+
+
+def kdtree_nearest_per_label(cloud, queries):
+    """Oracle for SemanticCloud.nearest_per_label: one cKDTree per label.
+    Among exact distance ties the point is whichever the tree returns."""
+    queries = np.asarray(queries, dtype=float).reshape(-1, 3)
+    out = {}
+    for label in cloud.label_ids:
+        idx = np.flatnonzero(cloud.labels == label)
+        tree = cKDTree(cloud.positions[idx])
+        d, i = tree.query(queries)
+        j = int(np.argmin(d))
+        out[label] = (float(d[j]), cloud.positions[idx[i[j]]])
+    return out
+
+
+def brute_force_nearest_per_label(cloud, queries):
+    """{label: (distance, point index)} by scanning every (query, point)
+    pair: ties go to the first query, then the smallest point index."""
+    queries = np.asarray(queries, dtype=float).reshape(-1, 3).tolist()
+    points = cloud.positions.tolist()
+    out = {}
+    for label in cloud.label_ids:
+        best = None
+        for q in queries:
+            for pi in np.flatnonzero(cloud.labels == label).tolist():
+                dx, dy, dz = (a - b for a, b in zip(q, points[pi]))
+                d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                if best is None or d < best[0]:
+                    best = (d, pi)
+        out[label] = best
+    return out
 
 
 def brute_force_min_permutation_cost(cost):

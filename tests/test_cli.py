@@ -2,6 +2,9 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -463,6 +466,39 @@ class TestScoringBadInput:
         assert f"input error: {path}:1: " in err
         assert f"{key} must be an integer, got 0.5" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("visible", "false", 'visible must be true or false, got "false"'),
+        ("side", "middle", 'side must be left or right, got "middle"'),
+    ], ids=["visible-string", "side-middle"])
+    def test_bad_visibility_record(self, tmp_path, mini_induction, capsys, key, value, message):
+        pred, gt = self._copies(tmp_path, mini_induction)
+        path = gt / "visibility.jsonl"
+        _first_line_edit(path, key, value)
+        assert self._evaluate(tmp_path, pred, gt) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:1: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("side, column, value, message", [
+        ("pred", "side", "up", "side must be left or right, got 'up'"),
+        ("gt", "t_start", "100000", "t_start 100000 is after t_stop"),
+        ("pred", "py", "nan", "contact point holds a non-finite value"),
+        ("gt", "min_distance_m", "-5", "min_distance_m must be finite and >= 0, got -5.0"),
+        ("pred", "min_distance_m", "inf", "min_distance_m must be finite and >= 0, got inf"),
+    ], ids=["side", "start-after-stop", "point-nan", "distance-negative", "distance-inf"])
+    def test_bad_episode_row(self, tmp_path, mini_induction, capsys, side, column, value, message):
+        dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
+        path = dirs[side] / "episodes.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) > 1
+        rows[1][rows[0].index(column)] = value
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        assert self._evaluate(tmp_path, dirs["pred"], dirs["gt"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:2: bad episode row: {message}" in err
+
     def test_fraction_in_a_trace(self, tmp_path, mini_induction, capsys):
         pred, gt = self._copies(tmp_path, mini_induction)
         path = pred / "distance_traces.jsonl"
@@ -504,3 +540,41 @@ class TestSweep:
         with open(out) as f:
             (row,) = list(csv.DictReader(f))
         assert abs(float(row["binary_f1"]) - report["binary_f1"]) < 1e-6
+
+
+class TestWithoutScipy:
+    """Every command runs in a process where scipy cannot be imported."""
+
+    CHILD = textwrap.dedent("""
+        import json, os, sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from contacttrack.cli import main
+        from contacttrack.scenes import induction_lite
+
+        root = sys.argv[1]
+        scene = os.path.join(root, "scene.json")
+        with open(scene, "w") as f:
+            json.dump(induction_lite(frame_count=120), f)
+        ds, run, static = (os.path.join(root, d) for d in ("ds", "run", "static"))
+        codes = [
+            main(["simulate", "--scene", scene, "--out", ds, "--seed", "0"]),
+            main(["run", "--calib", os.path.join(ds, "calibration.json"), "--in", ds,
+                  "--out", run]),
+            main(["run", "--calib", os.path.join(ds, "calibration.json"), "--in", ds,
+                  "--out", static, "--static-map"]),
+            main(["evaluate", "--pred", static, "--gt", ds,
+                  "--out", os.path.join(root, "eval")]),
+            main(["sweep", "--in", run, "--gt", ds, "--grid", "0.02:0.20:0.02",
+                  "--out", os.path.join(root, "sweep.csv")]),
+        ]
+        print(json.dumps(codes))
+    """)
+
+    def test_all_commands(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run([sys.executable, "-c", self.CHILD, str(tmp_path)],
+                               env=env, capture_output=True, text=True, timeout=600)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == [EXIT_OK] * 5, child.stderr

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contacttrack.geometry import (
     BehindCamera,
@@ -29,6 +33,7 @@ from helpers import (
     make_camera,
     make_ring,
     random_rotation,
+    scipy_hungarian_assign,
 )
 
 
@@ -313,6 +318,24 @@ class TestSim3:
         assert np.isclose(np.linalg.det(tr.R), 1.0, atol=1e-9)
 
 
+@st.composite
+def _assignment_problems(draw):
+    """Gated assignment problems of shape 0..7 x 0..7. Costs are small
+    integers (many exact ties) or multiples of 1e-6 in [0, 1], a quarter
+    of them inf; max_cost is inf or on the same grid as the costs, so
+    every tie is exact or at least 1e-6 wide for all three solvers."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        value = st.integers(0, 4).map(float)
+        gate = st.integers(1, 5).map(float)
+    else:
+        value = st.integers(0, 10**6).map(lambda k: k / 10**6)
+        gate = st.integers(100, 1500).map(lambda k: k / 1000)
+    cell = st.one_of(value, value, value, st.just(math.inf))
+    cost = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n)), dtype=float)
+    return cost.reshape(m, n), draw(st.one_of(st.just(math.inf), gate))
+
+
 class TestHungarian:
     def test_single(self):
         assert hungarian_assign([[0.5]], 1.0) == [(0, 0)]
@@ -341,6 +364,19 @@ class TestHungarian:
             )
             assert abs(got_total - want_total) < 1e-9
             assert sorted(got) == want
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_assignment_problems())
+    def test_matches_scipy_and_brute_force(self, problem):
+        cost, max_cost = problem
+        got = hungarian_assign(cost, max_cost)
+        assert got == scipy_hungarian_assign(cost, max_cost)
+        if 0 < cost.size <= 30:
+            # The brute force charges max_cost per unmatched row or
+            # column, so give it the finite gate an infinite one becomes.
+            finite = np.where(np.isfinite(cost), cost, 0.0)
+            gate = max_cost if np.isfinite(max_cost) else float(finite.max()) + 1.0
+            assert got == brute_force_assign(cost, gate)[0]
 
     def test_full_permutation_optimum(self):
         rng = np.random.default_rng(13)

@@ -19,7 +19,13 @@ from contacttrack.semantic_map import (
     write_label_table,
 )
 
-from helpers import identity_camera, reference_fuse_clouds
+from helpers import (
+    brute_force_nearest_per_label,
+    identity_camera,
+    kdtree_nearest,
+    kdtree_nearest_per_label,
+    reference_fuse_clouds,
+)
 
 TABLE = {0: "background", 1: "bed", 2: "monitor", 3: "table"}
 
@@ -230,6 +236,72 @@ class TestNearestSurface:
             sub = pts[labs == label]
             d = np.linalg.norm(sub[None, :, :] - qs[:, None, :], axis=2)
             assert np.isclose(got[label][0], d.min())
+
+
+FIVE = {i: f"s{i}" for i in range(1, 6)}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3000),
+    n_labels=st.integers(1, 5),
+    n_queries=st.integers(1, 8),
+    scale=st.sampled_from([0.05, 1.0, 5.0]),
+    offset=st.sampled_from([0.0, -3.1, 250.0]),
+)
+def test_nearest_matches_kdtree_oracle(seed, n, n_labels, n_queries, scale, offset):
+    # Random real coordinates: no two distances tie, so every point and
+    # distance is fixed and must match the trees bit for bit.
+    rng = np.random.default_rng(seed)
+    pts = offset + rng.uniform(-scale, scale, size=(n, 3))
+    cloud = SemanticCloud(0, 0.01, pts, rng.integers(1, n_labels + 1, size=n), FIVE)
+    queries = offset + rng.uniform(-1.5 * scale, 1.5 * scale, size=(n_queries, 3))
+    got = cloud.nearest_per_label(queries)
+    want = kdtree_nearest_per_label(cloud, queries)
+    assert list(got) == list(want)
+    for label, (d, point) in want.items():
+        assert got[label][0] == d
+        assert np.array_equal(got[label][1], point)
+    for q in queries:
+        hit, ref = cloud.nearest(q), kdtree_nearest(cloud, q)
+        assert (hit.distance, hit.label, hit.index) == (ref.distance, ref.label, ref.index)
+        assert np.array_equal(hit.point, ref.point)
+
+
+_eighths = st.integers(-4, 4).map(lambda k: k / 8)
+
+
+@st.composite
+def _lattice_cloud(draw):
+    """Points and queries on a 1/8 m lattice in [-0.5, 0.5]^3, labels
+    1-3: squared distances are exact, so many (query, point) pairs tie
+    exactly, and points sit on index cell faces."""
+    points = draw(st.lists(st.tuples(_eighths, _eighths, _eighths), min_size=1, max_size=40))
+    labels = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    queries = draw(st.lists(st.tuples(_eighths, _eighths, _eighths), min_size=1, max_size=6))
+    return SemanticCloud(0, 0.01, points, labels, TABLE), np.array(queries, dtype=float)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lattice_cloud())
+# Point 0 is as near to both queries as point 1 is to the first: the
+# first query's tie goes to point 0.
+@example((SemanticCloud(0, 0.01, [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], [1, 1], TABLE),
+          np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])))
+def test_nearest_ties_go_to_first_query_then_smallest_index(case):
+    cloud, queries = case
+    got = cloud.nearest_per_label(queries)
+    want = brute_force_nearest_per_label(cloud, queries)
+    assert list(got) == list(want)
+    for label, (d, index) in want.items():
+        assert got[label][0] == d
+        assert np.array_equal(got[label][1], cloud.positions[index])
+    for q in queries:
+        d = np.sqrt(((cloud.positions - q) ** 2).sum(axis=1))
+        hit = cloud.nearest(q)
+        assert hit.distance == d.min()
+        assert hit.index == int(np.flatnonzero(d == d.min())[0])
 
 
 class TestGridIO:
