@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -111,11 +112,26 @@ def _object(data, path, what):
     return data
 
 
-def _fill(cls, data, path):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+# JSON value types each field type accepts; bools are checked apart,
+# since a JSON true is a Python int, and NaN and Infinity are refused.
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a finite number")}
+
+
+def _fill(cls, data, path, section=""):
+    """cls built from a JSON object whose values match the field defaults'
+    types; values are not coerced, so run_meta.json echoes them as given."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown parameter(s) {sorted(unknown)}")
+    for key, value in data.items():
+        want = type(defaults[key])
+        types, what = _JSON_TYPES[want]
+        if (isinstance(value, bool) != (want is bool) or not isinstance(value, types)
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"config {path}: {section}{key} must be {what}, "
+                              f"got {json.dumps(value)}")
     return cls(**data)
 
 
@@ -133,14 +149,11 @@ def load_pipeline_config(path=None, overrides=None):
     _object(data, path, "the file")
     if overrides:
         data.update(overrides)
-    try:
-        tracker, fusion, contact = (
-            _fill(cls, _object(data.pop(key, {}), path, f"{key!r}"), path)
-            for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
-                             (ContactConfig, "contact"))
-        )
-        cfg = _fill(PipelineConfig, data, path)
-    except TypeError as e:
-        raise ConfigError(f"config {path}: {e}")
+    tracker, fusion, contact = (
+        _fill(cls, _object(data.pop(key, {}), path, f"{key!r}"), path, f"{key}.")
+        for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
+                         (ContactConfig, "contact"))
+    )
+    cfg = _fill(PipelineConfig, data, path)
     cfg.tracker, cfg.fusion, cfg.contact = tracker, fusion, contact
     return cfg.validate()

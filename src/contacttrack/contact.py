@@ -1,8 +1,11 @@
-"""Hand-surface contact detection with hysteresis and episode assembly.
+"""Hand-surface contact detection with hysteresis and online episode assembly.
 
 Smoothed hand anchors are tested against the semantic surface cloud with
-a per-(hand, label) hysteresis state machine; active frames merge into
-contact episodes with gap bridging and a minimum-duration filter.
+a per-(hand, label) hysteresis state machine. Each active frame folds into
+its key's one open episode: gaps of at most max_gap_frames are bridged, a
+longer gap closes the episode, and closed episodes shorter than
+min_episode_frames are dropped. A key keeps no per-frame list, so memory
+grows with the keys and the finished episodes, not with in-contact frames.
 """
 
 from __future__ import annotations
@@ -58,54 +61,20 @@ def run_hysteresis(distances, tau_on, tau_off, initial=False):
     return out
 
 
-def merge_episodes(records, cfg: ContactConfig, label=-1):
-    """Assemble episodes from one (hand, label) stream of active frames.
-
-    records: list of (frame, distance, point, person_id, side), sorted by
-    frame, one entry per active frame. Gaps of at most max_gap_frames are
-    bridged; merged intervals shorter than min_episode_frames are dropped.
-    The contact point is taken at the global minimum-distance frame.
-    """
-    if not records:
-        return []
-    runs = [[records[0]]]
-    for rec in records[1:]:
-        if rec[0] - runs[-1][-1][0] - 1 <= cfg.max_gap_frames:
-            runs[-1].append(rec)
-        else:
-            runs.append([rec])
-    episodes = []
-    for run in runs:
-        t_start, t_stop = run[0][0], run[-1][0]
-        if t_stop - t_start + 1 < cfg.min_episode_frames:
-            continue
-        best = min(run, key=lambda r: (r[1], r[0]))
-        persons = [r[3] for r in run if r[3] is not None]
-        if persons:
-            counts = {}
-            for p in persons:
-                counts[p] = counts.get(p, 0) + 1
-            person = min(counts, key=lambda p: (-counts[p], p))
-        else:
-            person = None
-        episodes.append(
-            ContactEpisode(
-                person_id=person,
-                side=run[0][4],
-                surface_label=label,
-                t_start=t_start,
-                t_stop=t_stop,
-                contact_point=np.asarray(best[2], dtype=float),
-                min_distance=float(best[1]),
-            )
-        )
-    return episodes
-
-
 @dataclass
 class _HandState:
     last_frame: int
     smoothed: np.ndarray
+
+
+@dataclass
+class _OpenEpisode:
+    side: str
+    t_start: int
+    t_stop: int
+    min_distance: float
+    point: np.ndarray
+    votes: dict  # person_id -> active frames
 
 
 class ContactTracker:
@@ -113,14 +82,16 @@ class ContactTracker:
 
     Call update() once per frame per fused hand with the frame's semantic
     cloud, then finalize() for the episode list. update() returns the
-    hand's per-label distance trace rows for the caller to write out.
+    hand's per-label distance trace rows for the caller to write out;
+    replaying such rows through observe() yields the same episodes.
     """
 
     def __init__(self, cfg: ContactConfig | None = None):
         self.cfg = cfg or ContactConfig()
         self._hands: dict[int, _HandState] = {}
         self._active: dict[tuple, bool] = {}
-        self._records: dict[tuple, list] = {}
+        self._open: dict[tuple, _OpenEpisode] = {}
+        self._closed: list[tuple[int, ContactEpisode]] = []  # (hand_id, episode)
 
     def update(self, frame, hand, cloud):
         """Advance contact state for one fused hand on one frame.
@@ -130,41 +101,85 @@ class ContactTracker:
         order: (frame, hand_id, side, person_id, label, distance).
         """
         cfg = self.cfg
-        state = self._hands.get(hand.hand_track_id)
+        hand_id, side, person = hand.hand_track_id, hand.side, hand.person_id
+        state = self._hands.get(hand_id)
         if state is not None and frame - state.last_frame > cfg.max_gap_frames:
             state = None  # gap too long, restart the filter
         smoothed = smooth_anchors(
             state.smoothed if state else None, hand.anchors, cfg.ema_alpha
         )
-        self._hands[hand.hand_track_id] = _HandState(frame, smoothed)
+        self._hands[hand_id] = _HandState(frame, smoothed)
 
         rows = []
         if len(cloud) == 0:
             return rows
         for label, (d, point) in sorted(cloud.nearest_per_label(smoothed).items()):
-            key = (hand.hand_track_id, label)
-            active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
-            self._active[key] = active
-            if active:
-                # A copy: the point is a row of the cloud's positions, and a
-                # view would keep the whole frame's cloud alive.
-                self._records.setdefault(key, []).append(
-                    (frame, float(d), np.array(point, dtype=float), hand.person_id, hand.side)
-                )
-            rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
+            self.observe(frame, hand_id, side, person, label, d, point)
+            rows.append((frame, hand_id, side, person, label, float(d)))
         return rows
 
+    def observe(self, frame, hand_id, side, person_id, label, d, point):
+        """One hysteresis step for the (hand, label) key at distance d.
+
+        An active frame folds into the key's open episode, which keeps its
+        first side, the first frame of least distance and per-person frame
+        counts; an active frame more than max_gap_frames after the open
+        episode's last one closes it first. Frames must arrive in
+        non-decreasing order per key. Returns the new active state.
+        """
+        cfg = self.cfg
+        key = (hand_id, label)
+        active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
+        self._active[key] = active
+        if not active:
+            return False
+        d = float(d)
+        ep = self._open.get(key)
+        if ep is not None and frame - ep.t_stop - 1 > cfg.max_gap_frames:
+            self._close(key, ep)
+            ep = None
+        if ep is None:
+            # Points are copied: a point is a row of the cloud's positions,
+            # and a view would keep the whole frame's cloud alive.
+            ep = self._open[key] = _OpenEpisode(
+                side, frame, frame, d, np.array(point, dtype=float), {}
+            )
+        else:
+            ep.t_stop = frame
+            if d < ep.min_distance:
+                ep.min_distance, ep.point = d, np.array(point, dtype=float)
+        if person_id is not None:
+            ep.votes[person_id] = ep.votes.get(person_id, 0) + 1
+        return True
+
+    def _close(self, key, ep):
+        if ep.t_stop - ep.t_start + 1 < self.cfg.min_episode_frames:
+            return
+        votes = ep.votes
+        person = min(votes, key=lambda p: (-votes[p], p)) if votes else None
+        self._closed.append((key[0], ContactEpisode(
+            person_id=person,
+            side=ep.side,
+            surface_label=key[1],
+            t_start=ep.t_start,
+            t_stop=ep.t_stop,
+            contact_point=ep.point,
+            min_distance=ep.min_distance,
+        )))
+
     def finalize(self):
-        """All contact episodes, sorted by (t_start, person, side, label)."""
-        episodes = []
-        for (hand_id, label), records in sorted(self._records.items()):
-            episodes.extend(merge_episodes(records, self.cfg, label))
-        episodes.sort(
-            key=lambda e: (
-                e.t_start,
-                -1 if e.person_id is None else e.person_id,
-                e.side,
-                e.surface_label,
+        """Close the open episodes at the end of the sequence and return
+        all episodes, sorted by (t_start, person, side, label, hand id)."""
+        for key, ep in self._open.items():
+            self._close(key, ep)
+        self._open.clear()
+        self._closed.sort(
+            key=lambda he: (
+                he[1].t_start,
+                -1 if he[1].person_id is None else he[1].person_id,
+                he[1].side,
+                he[1].surface_label,
+                he[0],
             )
         )
-        return episodes
+        return [ep for _, ep in self._closed]

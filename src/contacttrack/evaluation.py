@@ -9,20 +9,16 @@ re-runs the contact stage on cached distance traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .config import ContactConfig
-from .contact import merge_episodes, run_hysteresis
-from .errors import ContactTrackError
+from .contact import ContactTracker
 from .geometry import hungarian_assign
 from .schema import JointSchema
 
-SIDES = ("left", "right")
-
-
-class EmptyGroundTruth(ContactTrackError):
-    pass
+SWEEP_HYSTERESIS_MARGIN = 0.03  # m, tau_off - tau_on in a threshold sweep
 
 
 @dataclass
@@ -191,10 +187,9 @@ def contact_metrics(pred_episodes, gt: GroundTruth, id_map=None):
 
     id_map translates predicted person ids into gt id space (from
     mot_metrics); identity accuracy scores matched predicted episodes
-    against the gt episode identity.
+    against the gt episode identity. With no gt episodes the recall is
+    1.0 (0 of 0 detected), as the framewise scores are on empty sets.
     """
-    if not gt.episodes:
-        raise EmptyGroundTruth("ground truth contains no episodes")
     id_map = id_map or {}
 
     detected = 0
@@ -208,7 +203,7 @@ def contact_metrics(pred_episodes, gt: GroundTruth, id_map=None):
             ):
                 detected += 1
                 break
-    recall = detected / len(gt.episodes)
+    recall = detected / len(gt.episodes) if gt.episodes else 1.0
 
     binary_f1, binary_iou = _framewise_sets(pred_episodes, gt, id_map, semantic=False)
     semantic_f1, semantic_iou = _framewise_sets(pred_episodes, gt, id_map, semantic=True)
@@ -262,39 +257,23 @@ def evaluate(pred_by_frame, pred_episodes, gt: GroundTruth, radius=0.2, schema=N
     )
 
 
-def threshold_sweep(traces, gt: GroundTruth, grid, base_cfg: ContactConfig | None = None,
-                    id_map=None, hysteresis_margin=0.03):
+def threshold_sweep(traces, gt: GroundTruth, grid, id_map=None):
     """Re-run the contact stage per threshold on cached distance traces.
 
-    traces: iterable of (frame, hand_id, side, person_id, label, distance).
-    Returns rows (tau_on, binary_f1, binary_iou); tau_off is kept at
-    tau_on + hysteresis_margin.
+    traces: iterable of (frame, hand_id, side, person_id, label, distance),
+    replayed in frame order through ContactTracker.observe with the default
+    contact settings. Returns rows (tau_on, binary_f1, binary_iou); tau_off
+    is kept at tau_on + SWEEP_HYSTERESIS_MARGIN.
     """
-    base = base_cfg or ContactConfig()
-    series = {}
-    for frame, hand_id, side, person, label, d in traces:
-        series.setdefault((hand_id, label), []).append((frame, d, person, side))
-    for seq in series.values():
-        seq.sort(key=lambda r: r[0])
-
-    rows = []
+    rows = sorted(traces, key=itemgetter(0))
+    point = np.zeros(3)
+    out = []
     for tau_on in grid:
-        cfg = ContactConfig(
-            tau_on=tau_on, tau_off=tau_on + hysteresis_margin,
-            ema_alpha=base.ema_alpha,
-            min_episode_frames=base.min_episode_frames,
-            max_gap_frames=base.max_gap_frames,
+        tracker = ContactTracker(
+            ContactConfig(tau_on=tau_on, tau_off=tau_on + SWEEP_HYSTERESIS_MARGIN)
         )
-        episodes = []
-        for (hand_id, label), seq in sorted(series.items()):
-            dists = [d for _, d, _, _ in seq]
-            active = run_hysteresis(dists, cfg.tau_on, cfg.tau_off)
-            records = [
-                (f, d, np.zeros(3), person, side)
-                for (f, d, person, side), a in zip(seq, active)
-                if a
-            ]
-            episodes.extend(merge_episodes(records, cfg, label))
-        f1, iou = _framewise_sets(episodes, gt, id_map or {}, semantic=False)
-        rows.append((float(tau_on), f1, iou))
-    return rows
+        for frame, hand_id, side, person, label, d in rows:
+            tracker.observe(frame, hand_id, side, person, label, d, point)
+        f1, iou = _framewise_sets(tracker.finalize(), gt, id_map or {}, semantic=False)
+        out.append((float(tau_on), f1, iou))
+    return out

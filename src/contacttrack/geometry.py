@@ -74,13 +74,15 @@ class CameraCalibration:
     image_height: int
 
     def __post_init__(self):
+        if not isinstance(self.camera_id, str):
+            raise TypeError(f"camera_id must be a string, got {type(self.camera_id).__name__}")
         self.T_cw = np.asarray(self.T_cw, dtype=float)
         if self.T_cw.shape != (4, 4):
             raise ValueError("T_cw must be 4x4")
         if not np.isfinite(self.T_cw).all():
             raise ValueError("T_cw must be finite")
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be finite and positive")
         if not (0 < self.cx < self.image_width and 0 < self.cy < self.image_height):
             raise ValueError("principal point outside image")
         _check_rotation(self.R)
@@ -475,10 +477,6 @@ class Sim3:
 
     def apply(self, points):
         return self.scale * (np.asarray(points, dtype=float) @ self.R.T) + self.t
-
-    def inverse(self):
-        Rinv = self.R.T
-        return Sim3(1.0 / self.scale, Rinv, -Rinv @ self.t / self.scale)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Per-camera metric hand reconstructions are lifted to the world frame,
 clustered per side on their palm centers, reduced to one representative
 per cluster, and attached to tracked persons' side slots with temporal
 persistence. Re-association votes accumulated across the sequence drive
-an end-of-run merge of fragmented person IDs.
+an end-of-run merge of fragmented person IDs, vetoed for pairs of ids
+that were seen together.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ContactTrackError
 from .schema import HandSchema, JointSchema
 
 SIDES = ("left", "right")
+COEXIST_FRAMES = 3  # frames two person ids share before they may never merge
 
 
 class EmptyCluster(ContactTrackError):
@@ -170,11 +172,13 @@ class _HandTrack:
 
 @dataclass
 class AssociationState:
-    """Mutable cross-frame state: hand tracks, side slots, vote matrix."""
+    """Mutable cross-frame state: hand tracks, vote matrix, coexistence."""
 
     tracks: dict = field(default_factory=dict)  # hand_track_id -> _HandTrack
     votes: dict = field(default_factory=dict)   # (new_id, prev_id) -> count
     next_id: int = 1
+    coexist: dict = field(default_factory=dict)  # (id, larger id) -> frames
+    existence: dict = field(default_factory=dict)  # person id -> last existence
 
 
 class HandFusion:
@@ -385,12 +389,32 @@ class HandFusion:
                     self.state.votes[key] = self.state.votes.get(key, 0) + 1
         return fused
 
+    def _count_coexistence(self, persons):
+        """Count the frame for each pair of persons that both received
+        detections (existence not decaying); a dying track coasting beside
+        its replacement must not block stitching them."""
+        last = self.state.existence
+        active = []
+        for p in persons:
+            if p.existence >= last.get(p.id, 0.0):
+                active.append(p.id)
+            last[p.id] = p.existence
+        active.sort()
+        coexist = self.state.coexist
+        for i, a in enumerate(active):
+            for b in active[i + 1:]:
+                coexist[(a, b)] = coexist.get((a, b), 0) + 1
+
     def step(self, frame, hands, cals, persons):
         """Fuse one frame of hand instances and associate them to persons."""
+        self._count_coexistence(persons)
         fused = self.fuse(frame, hands, cals)
         self._match_hand_tracks(frame, fused)
         return self.associate(frame, fused, persons)
 
-    def stitch_mapping(self, forbidden=frozenset()):
-        """Fragment-to-persistent id mapping from the accumulated votes."""
+    def stitch_mapping(self):
+        """Fragment-to-persistent id mapping from the accumulated votes,
+        never merging ids that coexisted for COEXIST_FRAMES frames."""
+        strong = {pair for pair, n in self.state.coexist.items() if n >= COEXIST_FRAMES}
+        forbidden = strong | {(b, a) for a, b in strong}
         return stitch_ids(self.state.votes, self.cfg.stitch_min_votes, forbidden)

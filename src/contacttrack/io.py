@@ -119,6 +119,8 @@ def read_calibration(path):
             )
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad camera record: {e}", path=path)
+        if cal.camera_id in cals:
+            raise InputFormatError(f"camera {cal.camera_id!r} listed twice", path=path)
         cals[cal.camera_id] = cal
     if not cals:
         raise InputFormatError("calibration lists no cameras", path=path)

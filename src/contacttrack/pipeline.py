@@ -6,10 +6,10 @@ are written inside the frame loop; when identity stitching is enabled a
 second pass streams each of them through a temporary file to rewrite
 fragment person ids. Memory holds one frame's detections and semantic
 map and the live person tracks, plus two kinds of state that grow with
-the recording: tables keyed by id (hand tracks, contact filters, stitch
-votes, coexistence counts), which grow with the number of ids ever
-created, and the contact tracker's records of in-contact frames, kept
-until finalize() assembles the episodes. Each record copies its contact
+the recording: tables keyed by id (hand tracks, contact filters and open
+episodes, stitch votes, coexistence counts), which grow with the number
+of ids ever created, and the finished contact episodes. No per-frame
+record is kept for in-contact frames, and each episode copies its contact
 point, so no frame's semantic map outlives the frame.
 """
 
@@ -179,8 +179,6 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
 
     os.makedirs(out_dir, exist_ok=True)
     cloud = None
-    coexist = {}
-    last_e = {}
     frames_seen = 0
     missing_frames = 0
     last_frame = None
@@ -199,19 +197,6 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
             snapshots = tracker.step(frame, dets_by_cam, depth_provider)
             fused = fusion.step(frame, hands, cals, snapshots)
 
-            # Two ids genuinely coexist only on frames where both received
-            # detections (existence not decaying); a dying track coasting
-            # beside its replacement must not block stitching them.
-            active = []
-            for s in snapshots:
-                if s.existence >= last_e.get(s.id, 0.0):
-                    active.append(s.id)
-                last_e[s.id] = s.existence
-            active.sort()
-            for i, a in enumerate(active):
-                for b in active[i + 1:]:
-                    coexist[(a, b)] = coexist.get((a, b), 0) + 1
-
             for snap in snapshots:
                 write_track_line(
                     tracks_f, frame, snap.id, snap.existence, snap.joints, snap.available
@@ -227,9 +212,7 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     episodes = contact.finalize()
     mapping = {}
     if stitch:
-        strong = [p for p, n in coexist.items() if n >= 3]
-        forbidden = {(a, b) for a, b in strong} | {(b, a) for a, b in strong}
-        mapping = fusion.stitch_mapping(forbidden)
+        mapping = fusion.stitch_mapping()
     for ep in episodes:
         ep.person_id = mapping.get(ep.person_id, ep.person_id)
     write_episodes(os.path.join(out_dir, "episodes.csv"), episodes)

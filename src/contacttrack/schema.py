@@ -158,28 +158,6 @@ class JointSchema:
                 return L
         raise KeyError((a, b))
 
-    def to_json(self):
-        return {
-            "names": self.names,
-            "edges": [[a, b, L] for a, b, L in self.edges],
-            "side_joints": self.side_joints,
-            "torso_indices": list(self.torso_indices),
-        }
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as f:
-            data = json.load(f)
-        return cls(
-            names=data["names"],
-            edges=[(int(a), int(b), float(L)) for a, b, L in data["edges"]],
-            side_joints={
-                side: {k: int(v) for k, v in joints.items()}
-                for side, joints in data["side_joints"].items()
-            },
-            torso_indices=tuple(data.get("torso_indices", (5, 6, 11, 12))),
-        )
-
 
 @dataclass
 class HandSchema:
@@ -233,6 +211,3 @@ class HandSchema:
     def from_file(cls, path):
         with open(path) as f:
             return cls.from_json(json.load(f))
-
-
-DEFAULT_SCHEMA = JointSchema()

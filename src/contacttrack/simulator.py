@@ -664,12 +664,12 @@ def emit_dataset(scene_data, out_dir, seed=0):
 
     visibility = []  # filled from the same per-frame sightings as the detections
 
-    def det_records():
+    def detections():
         for frame in range(sim.scene["frame_count"]):
             yield from sim.render_frame(frame)
             visibility.extend(sim.gt_visibility(frame))
 
-    write_detections(os.path.join(out_dir, "detections.jsonl"), det_records())
+    write_detections(os.path.join(out_dir, "detections.jsonl"), detections())
     write_visibility(os.path.join(gt_dir, "visibility.jsonl"), visibility)
 
     with open(os.path.join(gt_dir, "tracks.jsonl"), "w") as f:

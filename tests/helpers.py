@@ -8,6 +8,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
+from contacttrack.config import ContactConfig
+from contacttrack.contact import (
+    ContactEpisode,
+    _HandState,
+    hysteresis_step,
+    run_hysteresis,
+    smooth_anchors,
+)
+from contacttrack.evaluation import _framewise_sets
 from contacttrack.geometry import (
     CameraCalibration,
     IllConditioned,
@@ -500,3 +509,137 @@ def per_point_nearest_per_label(surfaces, queries):
         i, j = np.unravel_index(np.argmin(d), np.shape(d))
         out[label] = (d[i][j], reference_closest_point(prims[i], queries[j]))
     return out
+
+
+def merge_episodes(records, cfg: ContactConfig, label=-1):
+    """Assemble episodes from one (hand, label) stream of active frames.
+
+    records: list of (frame, distance, point, person_id, side), sorted by
+    frame, one entry per active frame. Gaps of at most max_gap_frames are
+    bridged; merged intervals shorter than min_episode_frames are dropped.
+    The contact point is taken at the global minimum-distance frame.
+    """
+    if not records:
+        return []
+    runs = [[records[0]]]
+    for rec in records[1:]:
+        if rec[0] - runs[-1][-1][0] - 1 <= cfg.max_gap_frames:
+            runs[-1].append(rec)
+        else:
+            runs.append([rec])
+    episodes = []
+    for run in runs:
+        t_start, t_stop = run[0][0], run[-1][0]
+        if t_stop - t_start + 1 < cfg.min_episode_frames:
+            continue
+        best = min(run, key=lambda r: (r[1], r[0]))
+        persons = [r[3] for r in run if r[3] is not None]
+        if persons:
+            counts = {}
+            for p in persons:
+                counts[p] = counts.get(p, 0) + 1
+            person = min(counts, key=lambda p: (-counts[p], p))
+        else:
+            person = None
+        episodes.append(
+            ContactEpisode(
+                person_id=person,
+                side=run[0][4],
+                surface_label=label,
+                t_start=t_start,
+                t_stop=t_stop,
+                contact_point=np.asarray(best[2], dtype=float),
+                min_distance=float(best[1]),
+            )
+        )
+    return episodes
+
+
+class RecordContactTracker:
+    """Reference contact detector that keeps one record per in-contact
+    frame and merges them into episodes only at finalize()."""
+
+    def __init__(self, cfg: ContactConfig | None = None):
+        self.cfg = cfg or ContactConfig()
+        self._hands: dict[int, _HandState] = {}
+        self._active: dict[tuple, bool] = {}
+        self._records: dict[tuple, list] = {}
+
+    def update(self, frame, hand, cloud):
+        cfg = self.cfg
+        state = self._hands.get(hand.hand_track_id)
+        if state is not None and frame - state.last_frame > cfg.max_gap_frames:
+            state = None  # gap too long, restart the filter
+        smoothed = smooth_anchors(
+            state.smoothed if state else None, hand.anchors, cfg.ema_alpha
+        )
+        self._hands[hand.hand_track_id] = _HandState(frame, smoothed)
+
+        rows = []
+        if len(cloud) == 0:
+            return rows
+        for label, (d, point) in sorted(cloud.nearest_per_label(smoothed).items()):
+            key = (hand.hand_track_id, label)
+            active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
+            self._active[key] = active
+            if active:
+                # A copy: the point is a row of the cloud's positions, and a
+                # view would keep the whole frame's cloud alive.
+                self._records.setdefault(key, []).append(
+                    (frame, float(d), np.array(point, dtype=float), hand.person_id, hand.side)
+                )
+            rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
+        return rows
+
+    def finalize(self):
+        """All contact episodes, sorted by (t_start, person, side, label)."""
+        episodes = []
+        for (hand_id, label), records in sorted(self._records.items()):
+            episodes.extend(merge_episodes(records, self.cfg, label))
+        episodes.sort(
+            key=lambda e: (
+                e.t_start,
+                -1 if e.person_id is None else e.person_id,
+                e.side,
+                e.surface_label,
+            )
+        )
+        return episodes
+
+
+def per_key_threshold_sweep(traces, gt, grid, base_cfg: ContactConfig | None = None,
+                            id_map=None, hysteresis_margin=0.03):
+    """Re-run the contact stage per threshold on cached distance traces.
+
+    traces: iterable of (frame, hand_id, side, person_id, label, distance).
+    Returns rows (tau_on, binary_f1, binary_iou); tau_off is kept at
+    tau_on + hysteresis_margin.
+    """
+    base = base_cfg or ContactConfig()
+    series = {}
+    for frame, hand_id, side, person, label, d in traces:
+        series.setdefault((hand_id, label), []).append((frame, d, person, side))
+    for seq in series.values():
+        seq.sort(key=lambda r: r[0])
+
+    rows = []
+    for tau_on in grid:
+        cfg = ContactConfig(
+            tau_on=tau_on, tau_off=tau_on + hysteresis_margin,
+            ema_alpha=base.ema_alpha,
+            min_episode_frames=base.min_episode_frames,
+            max_gap_frames=base.max_gap_frames,
+        )
+        episodes = []
+        for (hand_id, label), seq in sorted(series.items()):
+            dists = [d for _, d, _, _ in seq]
+            active = run_hysteresis(dists, cfg.tau_on, cfg.tau_off)
+            records = [
+                (f, d, np.zeros(3), person, side)
+                for (f, d, person, side), a in zip(seq, active)
+                if a
+            ]
+            episodes.extend(merge_episodes(records, cfg, label))
+        f1, iou = _framewise_sets(episodes, gt, id_map or {}, semantic=False)
+        rows.append((float(tau_on), f1, iou))
+    return rows

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, main
+from contacttrack.config import load_pipeline_config
 from contacttrack.io import read_calibration
 from contacttrack.scenes import crossing_clean
 from contacttrack.semantic_map import write_label_grid
@@ -101,6 +102,39 @@ class TestRun:
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"voxel_size": "a"}', 'voxel_size must be a finite number, got "a"'),
+        ('{"voxel_size": NaN}', "voxel_size must be a finite number, got NaN"),
+        ('{"fusion": {"fps": -Infinity}}', "fusion.fps must be a finite number, got -Infinity"),
+        ('{"stride": 2.5}', "stride must be an integer, got 2.5"),
+        ('{"stride": true}', "stride must be an integer, got true"),
+        ('{"tracker": {"tau_joint": "x"}}', 'tracker.tau_joint must be a finite number, got "x"'),
+        ('{"tracker": {"max_inactive_frames": "x"}}',
+         'tracker.max_inactive_frames must be an integer, got "x"'),
+        ('{"contact": {"min_episode_frames": null}}',
+         "contact.min_episode_frames must be an integer, got null"),
+        ('{"fusion": {"fps": false}}', "fusion.fps must be a finite number, got false"),
+        ('{"static_map": "no"}', 'static_map must be true or false, got "no"'),
+        ('{"static_map": 1}', "static_map must be true or false, got 1"),
+    ])
+    def test_config_value_of_the_wrong_type(self, tmp_path, mini_induction, capsys,
+                                            config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: config {cfg}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_integer_for_a_float_kept_as_given(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"voxel_size": 1, "contact": {"tau_off": 1}}')
+        loaded = load_pipeline_config(str(cfg)).to_json()
+        assert type(loaded["voxel_size"]) is int
+        assert type(loaded["contact"]["tau_off"]) is int
+
     def test_voxel_grid_past_key_range(self, tmp_path, mini_induction, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"voxel_size": 1e-9}')
@@ -162,6 +196,46 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"input error: {calib_path}: bad camera record: " in err
         assert "T_cw must be finite" in err
+
+    def _edit_calibration(self, tmp_path, ds, edit):
+        with open(os.path.join(ds, "calibration.json")) as f:
+            calib = json.load(f)
+        edit(calib["cameras"])
+        calib_path = tmp_path / "calibration.json"
+        calib_path.write_text(json.dumps(calib))
+        return calib_path
+
+    @pytest.mark.parametrize("key, value", [
+        ("fx", float("inf")), ("fy", float("nan")), ("fx", 0.0), ("fy", -600.0),
+    ])
+    def test_bad_focal_length(self, tmp_path, mini_induction, capsys, key, value):
+        ds = mini_induction["ds"]
+        calib_path = self._edit_calibration(
+            tmp_path, ds, lambda cams: cams[0].__setitem__(key, value))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib_path}: bad camera record: " \
+               "focal lengths must be finite and positive" in err
+
+    def test_camera_id_not_a_string(self, tmp_path, mini_induction, capsys):
+        ds = mini_induction["ds"]
+        calib_path = self._edit_calibration(
+            tmp_path, ds, lambda cams: cams[0].__setitem__("camera_id", 0))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib_path}: bad camera record: " \
+               "camera_id must be a string, got int" in err
+
+    def test_camera_listed_twice(self, tmp_path, mini_induction, capsys):
+        ds = mini_induction["ds"]
+        calib_path = self._edit_calibration(
+            tmp_path, ds, lambda cams: cams.append(dict(cams[1])))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib_path}: camera 'cam1' listed twice" in err
 
 
 def _lbl_without_dep(lbl):
@@ -401,6 +475,20 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "Binary Contact F1" in printed
         assert "Episode ID Acc." in printed
+
+    def test_tracking_only_scene(self, tmp_path):
+        # crossing-clean has no surfaces, so its ground truth holds no
+        # episodes; recall is vacuously 1.0 and the tracking scores stand.
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(crossing_clean(frame_count=30)))
+        ds, run, out = (str(tmp_path / d) for d in ("ds", "run", "eval"))
+        assert main(["simulate", "--scene", str(scene), "--out", ds]) == EXIT_OK
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", run]) == EXIT_OK
+        assert main(["evaluate", "--pred", run, "--gt", ds, "--out", out]) == EXIT_OK
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert 0.0 < report["idf1"] <= 1.0
+        assert (report["gt_episodes"], report["episode_recall"]) == (0, 1.0)
 
     def test_missing_pred_episodes(self, tmp_path, mini_induction):
         assert main(["evaluate", "--pred", str(tmp_path),

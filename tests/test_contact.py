@@ -1,19 +1,23 @@
 import gc
+import pickle
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contacttrack.config import ContactConfig
 from contacttrack.contact import (
     ContactTracker,
     hysteresis_step,
-    merge_episodes,
     run_hysteresis,
     smooth_anchors,
 )
 from contacttrack.hand_fusion import FusedHand
 from contacttrack.semantic_map import SemanticCloud
+
+from helpers import RecordContactTracker
 
 
 def oracle_fsm(distances, tau_on, tau_off):
@@ -96,10 +100,21 @@ def rec(frame, d=0.05, person=1, side="right", point=(0.0, 0.0, 0.0)):
     return (frame, d, np.asarray(point, dtype=float), person, side)
 
 
+def merge_via_observe(records, cfg, label=-1):
+    """Episodes from one (hand, label) stream of active-frame records fed
+    through ContactTracker.observe; every record is below tau_on."""
+    ct = ContactTracker(cfg)
+    for frame, d, point, person, side in records:
+        assert ct.observe(frame, 1, side, person, label, d, point)
+    return ct.finalize()
+
+
 class TestMergeEpisodes:
+    """Episode assembly from active frames, through observe()."""
+
     def test_contiguous_run(self):
         cfg = ContactConfig()
-        eps = merge_episodes([rec(f) for f in range(10, 21)], cfg, label=3)
+        eps = merge_via_observe([rec(f) for f in range(10, 21)], cfg, label=3)
         assert len(eps) == 1
         assert (eps[0].t_start, eps[0].t_stop) == (10, 20)
         assert eps[0].surface_label == 3
@@ -107,19 +122,19 @@ class TestMergeEpisodes:
     def test_gap_bridged(self):
         cfg = ContactConfig(max_gap_frames=2)
         frames = list(range(10, 15)) + list(range(17, 21))
-        eps = merge_episodes([rec(f) for f in frames], cfg)
+        eps = merge_via_observe([rec(f) for f in frames], cfg)
         assert len(eps) == 1
         assert (eps[0].t_start, eps[0].t_stop) == (10, 20)
 
     def test_long_gap_splits(self):
         cfg = ContactConfig(max_gap_frames=2)
         frames = list(range(10, 15)) + list(range(20, 25))
-        eps = merge_episodes([rec(f) for f in frames], cfg)
+        eps = merge_via_observe([rec(f) for f in frames], cfg)
         assert [(e.t_start, e.t_stop) for e in eps] == [(10, 14), (20, 24)]
 
     def test_short_episode_dropped(self):
         cfg = ContactConfig(min_episode_frames=3)
-        assert merge_episodes([rec(5), rec(6)], cfg) == []
+        assert merge_via_observe([rec(5), rec(6)], cfg) == []
 
     def test_contact_point_at_global_min(self):
         cfg = ContactConfig()
@@ -128,20 +143,39 @@ class TestMergeEpisodes:
             rec(11, 0.03, point=(2, 0, 0)),
             rec(12, 0.05, point=(3, 0, 0)),
         ]
-        eps = merge_episodes(records, cfg)
+        eps = merge_via_observe(records, cfg)
         assert eps[0].min_distance == pytest.approx(0.03)
+        assert np.allclose(eps[0].contact_point, (2, 0, 0))
+
+    def test_distance_tie_keeps_first_frame(self):
+        cfg = ContactConfig()
+        records = [
+            rec(10, 0.05, point=(1, 0, 0)),
+            rec(11, 0.03, point=(2, 0, 0)),
+            rec(12, 0.03, point=(3, 0, 0)),
+        ]
+        eps = merge_via_observe(records, cfg)
         assert np.allclose(eps[0].contact_point, (2, 0, 0))
 
     def test_person_majority_vote(self):
         cfg = ContactConfig()
         records = [rec(10, person=2), rec(11, person=3), rec(12, person=3), rec(13, person=None)]
-        eps = merge_episodes(records, cfg)
+        eps = merge_via_observe(records, cfg)
         assert eps[0].person_id == 3
 
     def test_all_unassociated_person_none(self):
         cfg = ContactConfig()
-        eps = merge_episodes([rec(f, person=None) for f in range(5, 10)], cfg)
+        eps = merge_via_observe([rec(f, person=None) for f in range(5, 10)], cfg)
         assert eps[0].person_id is None
+
+    def test_person_tie_goes_to_smallest_id(self):
+        cfg = ContactConfig()
+        records = [rec(10, person=7), rec(11, person=3), rec(12, person=7), rec(13, person=3)]
+        assert merge_via_observe(records, cfg)[0].person_id == 3
+
+    def test_first_side_kept(self):
+        records = [rec(10, side="left"), rec(11), rec(12)]
+        assert merge_via_observe(records, ContactConfig())[0].side == "left"
 
 
 def flat_cloud(label=1, y=0.0, n=41):
@@ -213,8 +247,114 @@ class TestContactTracker:
         cloud = flat_cloud()
         positions = weakref.ref(cloud.positions.base)  # the array owning the points
         ct.update(0, hand((0.0, 0.0, 0.85), 0), cloud)
-        assert ct._records  # the hand is in contact, so a record holds a point
+        assert ct._open  # the hand is in contact, so an open episode holds a point
         del cloud
         gc.collect()
         assert positions() is None
-        assert ct._records[(1, 1)][0][2].tolist() == [0.0, 0.0, 0.8]
+        assert ct._open[(1, 1)].point.tolist() == [0.0, 0.0, 0.8]
+        assert ct.finalize() == []  # one frame is shorter than min_episode_frames
+
+
+class ScriptedCloud:
+    """Stands in for a SemanticCloud: nearest_per_label returns the
+    scripted {label: (distance, point)} whatever the anchors."""
+
+    def __init__(self, nearest):
+        self.nearest = nearest
+
+    def __len__(self):
+        return len(self.nearest)
+
+    def nearest_per_label(self, anchors):
+        return self.nearest
+
+
+def episode_fields(episodes):
+    return [
+        (e.person_id, e.side, e.surface_label, e.t_start, e.t_stop,
+         e.contact_point.tolist(), e.min_distance)
+        for e in episodes
+    ]
+
+
+# Distances on and around the thresholds (0.12 on, 0.15 off), repeated so
+# that ties on the least distance are common.
+DISTANCES = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.05, 0.11999, 0.12, 0.13, 0.15, 0.15001, 0.3]),
+    st.floats(0.0, 0.4),
+)
+HAND_STEP = st.tuples(
+    st.sampled_from(["left", "right"]),
+    st.sampled_from([None, 1, 2, 3]),
+    st.dictionaries(st.integers(0, 2), st.tuples(DISTANCES, st.integers(0, 3)), max_size=3),
+)
+# Per frame: the frame increment (gaps of up to 4 frames) and the hands
+# present, keyed by hand id.
+FRAMES = st.lists(
+    st.tuples(st.integers(1, 4), st.dictionaries(st.integers(1, 3), HAND_STEP, max_size=3)),
+    max_size=40,
+)
+CONFIGS = st.builds(
+    ContactConfig,
+    ema_alpha=st.sampled_from([1.0, 0.5]),
+    min_episode_frames=st.integers(1, 4),
+    max_gap_frames=st.integers(0, 3),
+)
+
+
+def replay(tracker, frames):
+    rows = []
+    frame = 0
+    for step, present in frames:
+        frame += step
+        for hand_id, (side, person, nearest) in present.items():
+            cloud = ScriptedCloud({
+                label: (d, np.array([d, label, k], dtype=float))
+                for label, (d, k) in nearest.items()
+            })
+            rows.append(tracker.update(frame, hand((0.0, 0.0, 1.0), frame, hand_id, person, side), cloud))
+    return rows, tracker.finalize()
+
+
+class TestOnlineEpisodes:
+    """Online folding matches merging every in-contact frame at the end."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(FRAMES, CONFIGS)
+    def test_matches_per_frame_records(self, frames, cfg):
+        rows, episodes = replay(ContactTracker(cfg), frames)
+        want_rows, want = replay(RecordContactTracker(cfg), frames)
+        assert rows == want_rows
+        assert episode_fields(episodes) == episode_fields(want)
+
+    def test_equal_sort_keys_order_by_hand_id(self):
+        # Two hands of one person and side touch one label over the same
+        # frames; hand 2 updates first but its episode sorts second.
+        frames = [(1, {2: ("right", 4, {1: (0.05, 2)}), 1: ("right", 4, {1: (0.06, 1)})})] * 5
+        cfg = ContactConfig()
+        _, episodes = replay(ContactTracker(cfg), frames)
+        _, want = replay(RecordContactTracker(cfg), frames)
+        assert [e.min_distance for e in episodes] == [0.06, 0.05]
+        assert episode_fields(episodes) == episode_fields(want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(DISTANCES, max_size=60), st.floats(0.01, 0.3), st.floats(0.0, 0.1))
+    def test_active_states_match_run_hysteresis(self, distances, tau_on, margin):
+        ct = ContactTracker(ContactConfig(tau_on=tau_on, tau_off=tau_on + margin))
+        got = [ct.observe(f, 1, "right", 1, 0, d, np.zeros(3)) for f, d in enumerate(distances)]
+        assert got == run_hysteresis(distances, tau_on, tau_on + margin).tolist()
+
+    def test_memory_does_not_grow_with_contact_frames(self):
+        cloud = ScriptedCloud({1: (0.05, np.array([0.0, 0.0, 0.8]))})
+
+        def pickled_size(tracker, frames):
+            for f in range(frames):
+                tracker.update(f, hand((0.0, 0.0, 0.85), f), cloud)
+            return len(pickle.dumps(tracker))
+
+        small = pickled_size(ContactTracker(), 100)
+        ct = ContactTracker()
+        assert pickled_size(ct, 10_000) <= 2 * small
+        assert list(ct._open) == [(1, 1)] and ct._closed == []
+        # The per-frame reference grows past the bound, so the check bites.
+        assert pickled_size(RecordContactTracker(), 10_000) > 2 * small

@@ -2,10 +2,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contacttrack.contact import ContactEpisode
 from contacttrack.evaluation import (
-    EmptyGroundTruth,
     GroundTruth,
     contact_metrics,
     evaluate,
@@ -15,6 +16,8 @@ from contacttrack.evaluation import (
     threshold_sweep,
 )
 from contacttrack.schema import JOINT_COUNT, JointSchema
+
+from helpers import per_key_threshold_sweep
 
 SCHEMA = JointSchema()
 
@@ -187,9 +190,15 @@ class TestContactMetrics:
         m = contact_metrics([episode(1, "right", 3, 10, 14)], gt)
         assert m["binary_f1"] == 1.0
 
-    def test_empty_gt_raises(self):
-        with pytest.raises(EmptyGroundTruth):
-            contact_metrics([], GroundTruth(tracks={}, episodes=[]))
+    def test_empty_gt_is_vacuous(self):
+        # 0 of 0 gt episodes detected counts as full recall, as the
+        # framewise scores count empty sets as perfect.
+        m = contact_metrics([], GroundTruth(tracks={}, episodes=[]))
+        assert (m["episode_recall"], m["detected_episodes"], m["gt_episodes"]) == (1.0, 0, 0)
+        assert m["binary_f1"] == m["semantic_iou"] == 1.0
+        m = contact_metrics([episode(1, "right", 3, 10, 20)], GroundTruth(tracks={}, episodes=[]))
+        assert m["episode_recall"] == 1.0
+        assert m["binary_f1"] == 0.0
 
     def test_relabeling_invariance(self):
         eps = [episode(1, "right", 3, 10, 20), episode(2, "left", 4, 5, 12)]
@@ -261,3 +270,36 @@ class TestSweep:
         m = contact_metrics(pred, gt)
         assert rows[0][1] == pytest.approx(m["binary_f1"])
         assert rows[0][2] == pytest.approx(m["binary_iou"])
+
+
+TRACE_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 30),
+        st.integers(1, 3),
+        st.sampled_from(["left", "right"]),
+        st.sampled_from([None, 1, 2]),
+        st.integers(0, 2),
+        st.one_of(st.sampled_from([0.05, 0.1, 0.12, 0.15, 0.3]), st.floats(0.0, 0.4)),
+    ),
+    max_size=80,
+)
+GT_EPISODES = st.lists(
+    st.builds(
+        lambda person, side, label, t0, n: episode(person, side, label, t0, t0 + n),
+        st.integers(1, 2), st.sampled_from(["left", "right"]), st.integers(0, 2),
+        st.integers(0, 30), st.integers(0, 10),
+    ),
+    max_size=4,
+)
+
+
+class TestSweepReplay:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(TRACE_ROWS, GT_EPISODES,
+           st.lists(st.sampled_from([0.02, 0.05, 0.1, 0.12, 0.2, 0.3]), min_size=1, max_size=4),
+           st.sampled_from([{}, {1: 2, 2: 1}]))
+    def test_matches_per_key_sweep(self, traces, gt_episodes, grid, id_map):
+        # Rows arrive unsorted and may repeat a frame on one key.
+        gt = GroundTruth(tracks={}, episodes=gt_episodes)
+        got = threshold_sweep(traces, gt, grid, id_map=id_map)
+        assert got == per_key_threshold_sweep(traces, gt, grid, id_map=id_map)
