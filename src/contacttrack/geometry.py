@@ -24,10 +24,6 @@ from .errors import ContactTrackError
 _ROT_TOL = 1e-9
 
 
-class BehindCamera(ContactTrackError):
-    pass
-
-
 class NonPositiveDepth(ContactTrackError):
     pass
 
@@ -117,17 +113,6 @@ class CameraCalibration:
     def in_bounds(self, uv):
         u, v = uv[..., 0], uv[..., 1]
         return (u >= 0) & (u <= self.image_width - 1) & (v >= 0) & (v <= self.image_height - 1)
-
-
-def project(point, cal: CameraCalibration):
-    """Project a world point to pixel coordinates (u, v).
-
-    Raises BehindCamera if the point is at or behind the image plane.
-    """
-    pc = cal.world_to_camera(np.asarray(point, dtype=float))
-    if pc[2] <= 1e-6:
-        raise BehindCamera(f"camera-frame z={pc[2]:.3g} <= 1e-6")
-    return np.array([cal.fx * pc[0] / pc[2] + cal.cx, cal.fy * pc[1] / pc[2] + cal.cy])
 
 
 def project_many(points, cal: CameraCalibration):

@@ -409,19 +409,6 @@ def read_traces(path):
 
 # -- depth grids -----------------------------------------------------------
 
-def write_depth_grid(path, depth_m):
-    """Write a DEP1 grid: u16 little-endian millimeters, 0 marks invalid."""
-    depth_m = np.asarray(depth_m, dtype=float)
-    mm = np.clip(np.round(depth_m * 1000.0), 0, 65535).astype("<u2")
-    mm[depth_m <= 0] = 0
-    h, w = mm.shape
-    with open(path, "wb") as f:
-        f.write(DEPTH_GRID_MAGIC)
-        f.write(np.uint32(w).tobytes())
-        f.write(np.uint32(h).tobytes())
-        f.write(mm.tobytes())
-
-
 def read_depth_grid(path):
     """Read a DEP1 grid back to float meters (0 where invalid)."""
     try:
@@ -435,8 +422,13 @@ def read_depth_grid(path):
         if len(header) < 12:
             raise InputFormatError("truncated depth grid", path=path)
         w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
-        data = f.read(w * h * 2)
-        if len(data) != w * h * 2:
+        need, held = w * h * 2, os.fstat(f.fileno()).st_size - 12
+        if need > held:  # checked before reading, so a huge header allocates nothing
+            raise InputFormatError(
+                f"truncated depth grid: a {w}x{h} header needs {need} bytes, the file holds {held}",
+                path=path)
+        data = f.read(need)
+        if len(data) != need:
             raise InputFormatError("truncated depth grid", path=path)
         return np.frombuffer(data, dtype="<u2").reshape(h, w).astype(float) / 1000.0
 
@@ -445,9 +437,9 @@ class GridDepthProvider:
     """Depth and label source over per-(frame, camera) grid files.
 
     Files live under root as frame_{frame:06d}_{camera}.dep (DEP1) and
-    .lbl (LBL1). The depth grids of the most recent frame stay cached, one
-    per camera, so each file is read once however the cameras interleave;
-    a new frame drops them.
+    .lbl (LBL1) and hold full-resolution grids. The depth grids of the
+    most recent frame stay cached, one per camera, so each file is read
+    once however the cameras interleave; a new frame drops them.
     """
 
     def __init__(self, root):
@@ -465,21 +457,33 @@ class GridDepthProvider:
             self._grids[cam_id] = read_depth_grid(self._path(frame, cam_id, ".dep"))
         return self._grids[cam_id]
 
-    def patch(self, frame, cam_id, u, v, size):
+    def patch(self, frame, cam_id, us, vs, size):
+        """(n, size, size) windows of one camera's depth grid centred on
+        the n pixels (us[i], vs[i]), zero-padded past the grid's edges."""
         grid = self._load(frame, cam_id)
         h, w = grid.shape
         r = size // 2
-        u0, u1 = max(0, u - r), min(w, u + r + 1)
-        v0, v1 = max(0, v - r), min(h, v + r + 1)
-        if u0 >= u1 or v0 >= v1:
-            return np.zeros((0, 0))
-        return grid[v0:v1, u0:u1]
+        off = np.arange(-r, r + 1)
+        rows = np.asarray(vs, dtype=int)[:, None] + off
+        cols = np.asarray(us, dtype=int)[:, None] + off
+        inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+        if not grid.size:
+            return np.zeros(inside.shape)
+        window = grid[np.clip(rows, 0, h - 1)[:, :, None], np.clip(cols, 0, w - 1)[:, None, :]]
+        return np.where(inside, window, 0.0)
 
     def grids(self, frame, cam_id, stride=4):
-        """(label, depth) grids of one camera, or None when the frame has no
-        label file. The files hold full-resolution grids, so stride is
-        left to back-projection."""
+        """(label, depth) on the stride lattice of one camera, as strided
+        views of its full-resolution files, or None when the frame has no
+        label file. Files of different shapes raise InputFormatError
+        naming the label file."""
         lbl = self._path(frame, cam_id, ".lbl")
         if not os.path.exists(lbl):
             return None
-        return read_label_grid(lbl), self._load(frame, cam_id)
+        labels, depth = read_label_grid(lbl), self._load(frame, cam_id)
+        if labels.shape != depth.shape:
+            (h, w), (dh, dw) = labels.shape, depth.shape
+            raise InputFormatError(
+                f"label grid is {w}x{h} but depth grid "
+                f"{self._path(frame, cam_id, '.dep')} is {dw}x{dh}", path=lbl)
+        return labels[::stride, ::stride], depth[::stride, ::stride]

@@ -7,6 +7,8 @@ existence-score lifecycle. Each frame triangulates every matched track's
 joints that pass the view gates in one batched kernel call, after one
 stacked epipolar call per camera pair over all of those tracks; each
 birth group makes its own kernel call, its views in pair-merge order.
+Depth lifting reads patches fetched before any track is lifted, with one
+depth-source call per camera for every track's unresolved joints.
 All state mutation happens in a single sequential commit per frame;
 per-camera association is read-only on track state.
 """
@@ -176,10 +178,36 @@ def update_triangulated(tracks, obs_by_track, cals, fmat, cfg: TrackerConfig):
     return {(order[p], k) for p, k in zip(pos.tolist(), joints.tolist())}
 
 
-def depth_lift(track, unresolved, obs_by_cam, depth_provider, frame, cals,
+def depth_patches(depth_provider, frame, wanted, cfg: TrackerConfig):
+    """The depth patches depth_lift reads, fetched with one provider call
+    per camera.
+
+    wanted: {key: (obs_by_cam, unresolved joints)}. Each unresolved joint
+    gets a patch in every camera of obs_by_cam that detected it with
+    confidence >= tau_joint, centred on its rounded pixel. Returns {key:
+    {(joint, camera_id): (patch_w, patch_w) patch}}.
+    """
+    requests = {}  # camera_id -> [(key, joint, u, v)]
+    for key, (obs_by_cam, unresolved) in wanted.items():
+        for k in unresolved:
+            for cam_id in sorted(obs_by_cam):
+                u, v, s = obs_by_cam[cam_id][k]
+                if s >= cfg.tau_joint:
+                    requests.setdefault(cam_id, []).append((key, k, int(round(u)), int(round(v))))
+    out = {key: {} for key in wanted}
+    for cam_id, reqs in sorted(requests.items()):
+        keys, joints, us, vs = zip(*reqs)
+        patches = depth_provider.patch(frame, cam_id, us, vs, cfg.patch_w)
+        for key, k, patch in zip(keys, joints, patches):
+            out[key][(k, cam_id)] = patch
+    return out
+
+
+def depth_lift(track, unresolved, obs_by_cam, patches, cals,
                schema: JointSchema, cfg: TrackerConfig, fixed_joints=()):
     """Recover unresolved joints from single-view depth patches.
 
+    patches: {(joint, camera_id): patch} as depth_patches fetches them.
     Candidates pass the patch-variance and confidence gates, are
     back-projected, and survive only inside the largest bone-consistent
     connected component. Joints in fixed_joints (triangulated this frame)
@@ -192,7 +220,7 @@ def depth_lift(track, unresolved, obs_by_cam, depth_provider, frame, cals,
             u, v, s = obs_by_cam[cam_id][k]
             if s < cfg.tau_joint:
                 continue
-            patch = depth_provider.patch(frame, cam_id, int(round(u)), int(round(v)), cfg.patch_w)
+            patch = patches[(k, cam_id)]
             valid = patch[patch > 0]
             if valid.size < 3:
                 continue
@@ -330,20 +358,22 @@ class Tracker:
                 unmatched.append((cam_id, dets[di]))
 
         accepted = update_triangulated(self.tracks, matched_obs, self.cals, self._fmat, cfg)
-        tri_by_track = {}
+        tri_by_track = {ti: set() for ti, obs in matched_obs.items() if obs}
         for ti, k in accepted:
-            tri_by_track.setdefault(ti, set()).add(k)
+            tri_by_track[ti].add(k)
+        unresolved = {ti: [k for k in range(JOINT_COUNT) if k not in tri]
+                      for ti, tri in tri_by_track.items()}
+        patches = None
+        if depth_provider is not None:
+            patches = depth_patches(depth_provider, frame, {
+                ti: (matched_obs[ti], joints) for ti, joints in unresolved.items()}, cfg)
         updated_tracks = set()
-        for ti, obs in matched_obs.items():
-            if not obs:
-                continue
+        for ti, tri in tri_by_track.items():
             track = self.tracks[ti]
-            tri = tri_by_track.get(ti, set())
             lifted = set()
-            if depth_provider is not None:
-                unresolved = [k for k in range(JOINT_COUNT) if k not in tri]
+            if patches is not None:
                 lifted = depth_lift(
-                    track, unresolved, obs, depth_provider, frame, self.cals,
+                    track, unresolved[ti], matched_obs[ti], patches[ti], self.cals,
                     self.schema, cfg, fixed_joints=tri,
                 )
             if tri or lifted:

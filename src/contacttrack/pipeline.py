@@ -110,6 +110,7 @@ def _group_frames(det_path, cals, hand_schema):
 
 
 def _build_cloud(provider, cals, frame, cfg, label_table):
+    """The frame's semantic map, fused from each camera's stride lattice."""
     clouds = []
     for cam_id in sorted(cals):
         grids = provider.grids(frame, cam_id, stride=cfg.stride)

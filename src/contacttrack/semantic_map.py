@@ -9,6 +9,7 @@ query batch in one pass of numpy calls.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,24 +165,19 @@ class SemanticCloud:
 
 
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):
-    """Back-project labeled pixels on the stride lattice to world points.
+    """Back-project the labeled cells of a stride lattice to world points.
 
-    The lattice is read as strided views of the two grids, and the pixel
-    coordinates of kept cells come from their lattice indices times the
-    stride, so no full-lattice coordinate arrays are built. Points are in
-    row-major lattice order. Background (label 0) and invalid depth (<= 0)
-    pixels are skipped.
+    label_grid and depth_grid are the lattice a depth source returns:
+    cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in row-major
+    lattice order. Background (label 0) and invalid depth (<= 0) cells are
+    skipped.
     """
-    label_grid = np.asarray(label_grid)
-    depth_grid = np.asarray(depth_grid)
-    if label_grid.shape != depth_grid.shape:
-        raise ResolutionMismatch(
-            f"label grid {label_grid.shape} vs depth grid {depth_grid.shape}"
-        )
+    lab = np.asarray(label_grid)
+    dep = np.asarray(depth_grid)
+    if lab.shape != dep.shape:
+        raise ResolutionMismatch(f"label grid {lab.shape} vs depth grid {dep.shape}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    lab = label_grid[::stride, ::stride]
-    dep = depth_grid[::stride, ::stride]
     keep = (lab > 0) & (dep > 0)
     vs, us = np.nonzero(keep)
     uv = np.stack([us * stride, vs * stride], axis=1).astype(float)
@@ -262,16 +258,6 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
 LABEL_GRID_MAGIC = b"LBL1"
 
 
-def write_label_grid(path, grid):
-    grid = np.asarray(grid, dtype=np.uint8)
-    h, w = grid.shape
-    with open(path, "wb") as f:
-        f.write(LABEL_GRID_MAGIC)
-        f.write(np.uint32(w).tobytes())
-        f.write(np.uint32(h).tobytes())
-        f.write(grid.tobytes())
-
-
 def read_label_grid(path):
     try:
         f = open(path, "rb")
@@ -284,6 +270,11 @@ def read_label_grid(path):
         if len(header) < 12:
             raise InputFormatError("truncated label grid", path=path)
         w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
+        held = os.fstat(f.fileno()).st_size - 12
+        if w * h > held:  # checked before reading, so a huge header allocates nothing
+            raise InputFormatError(
+                f"truncated label grid: a {w}x{h} header needs {w * h} bytes, the file holds {held}",
+                path=path)
         data = np.frombuffer(f.read(w * h), dtype=np.uint8)
         if data.size != w * h:
             raise InputFormatError("truncated label grid", path=path)

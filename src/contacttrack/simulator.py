@@ -10,7 +10,9 @@ surfaces and the frame's body capsules, each ray skipping its own body.
 Ground-truth episodes come from the pipeline's ContactTracker on
 noise-free anchors, measured against the analytic surfaces in array
 passes. Each frame's body capsules are stacked once and shared by the
-sighting pass and every depth patch of the frame.
+sighting pass and every depth patch of the frame. SceneDepthProvider
+answers a batch of patch centres per call, cast in chunks of at most
+DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order.
 """
@@ -46,6 +48,7 @@ PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
 MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
+DEPTH_CHUNK_RAYS = 200  # rays per depth-patch cast: 8 patches at patch_w 5
 # Body capsules (start joint, end joint, radius): neck-pelvis torso, the
 # upper and lower bone of each limb, head.
 BODY_BONES = (
@@ -562,7 +565,10 @@ class SceneDepthProvider:
     """Lazy depth and label source backed by analytic ray casting.
 
     Depth noise is hashed per (seed, frame, camera, pixel) and quantized
-    to millimeters, matching the DEP1 file format bit for bit.
+    to millimeters, matching the DEP1 file format bit for bit. A patch
+    call answers every patch one camera needs in a frame, cast in chunks
+    of at most DEPTH_CHUNK_RAYS rays; grids answer with the stride lattice
+    only.
     """
 
     def __init__(self, sim: Simulator):
@@ -598,29 +604,35 @@ class SceneDepthProvider:
         table = np.array([s.label for s in surfaces] + [0], dtype=int)
         return depth, table[np.minimum(idx, len(surfaces))]
 
-    def patch(self, frame, cam_id, u, v, size):
+    def patch(self, frame, cam_id, us, vs, size):
+        """(n, size, size) depth patches, surfaces and bodies, centred on
+        the n pixels (us[i], vs[i]); 0 outside the image. The in-image
+        pixels of all patches are cast in chunks of DEPTH_CHUNK_RAYS rays,
+        which bounds the (capsules, rays) temporaries of a cast; each
+        pixel's depth does not depend on the chunk it falls in."""
         cal = self.sim.cals[cam_id]
         r = size // 2
-        us, vs = np.meshgrid(
-            np.arange(u - r, u + r + 1), np.arange(v - r, v + r + 1)
-        )
-        shape = us.shape
-        us = us.ravel()
-        vs = vs.ravel()
+        off = np.arange(-r, r + 1)
+        us = np.asarray(us, dtype=int)[:, None, None] + off[None, None, :]
+        vs = np.asarray(vs, dtype=int)[:, None, None] + off[None, :, None]
+        us, vs = np.broadcast_arrays(us, vs)
         ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
-        depth = np.zeros(len(us))
-        if ok.any():
-            d, _ = self._cast(frame, cam_id, us[ok], vs[ok], include_bodies=True)
-            d = d + np.where(d > 0, self._noise(frame, cam_id, us[ok], vs[ok]), 0.0)
-            depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
-        return depth.reshape(shape)
+        us, vs = us[ok], vs[ok]
+        d = np.zeros(len(us))
+        for lo in range(0, len(us), DEPTH_CHUNK_RAYS):
+            hi = lo + DEPTH_CHUNK_RAYS
+            d[lo:hi], _ = self._cast(frame, cam_id, us[lo:hi], vs[lo:hi], include_bodies=True)
+        d = d + np.where(d > 0, self._noise(frame, cam_id, us, vs), 0.0)
+        depth = np.zeros(ok.shape)
+        depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
+        return depth
 
     def grids(self, frame, cam_id, stride=4):
-        """Full-resolution (label, depth) grids populated on the stride
-        lattice only; other pixels are zero. Surfaces only, so the map is
-        built from static geometry. Noise is drawn only for the lattice
-        cells that see a surface, and those cells are written through
-        strided views of the grids."""
+        """(label, depth) on the stride lattice, pixel (v, u) = (i, j) *
+        stride, as (ceil(height / stride), ceil(width / stride)) arrays.
+        Surfaces only, so the map is built from static geometry: the
+        lattice cells that see a surface are cast once per (camera,
+        stride), and each frame draws noise for those cells only."""
         cal = self.sim.cals[cam_id]
         key = (cam_id, stride)
         if key not in self._surface_cache:
@@ -637,10 +649,10 @@ class SceneDepthProvider:
         hit, us, vs, depth, labels = self._surface_cache[key]
         noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
         noisy = np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
-        label_grid = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
-        depth_grid = np.zeros((cal.image_height, cal.image_width))
-        label_grid[::stride, ::stride][hit] = labels
-        depth_grid[::stride, ::stride][hit] = noisy
+        label_grid = np.zeros(hit.shape, dtype=np.uint8)
+        depth_grid = np.zeros(hit.shape)
+        label_grid[hit] = labels
+        depth_grid[hit] = noisy
         return label_grid, depth_grid
 
 

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from contacttrack.config import ContactConfig
+from contacttrack.errors import ContactTrackError
 from contacttrack.contact import (
     ContactEpisode,
     _HandState,
@@ -17,6 +18,7 @@ from contacttrack.contact import (
     smooth_anchors,
 )
 from contacttrack.evaluation import _framewise_sets
+from contacttrack.io import DEPTH_GRID_MAGIC
 from contacttrack.geometry import (
     CameraCalibration,
     IllConditioned,
@@ -28,7 +30,7 @@ from contacttrack.geometry import (
 from contacttrack.primitives import Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
-from contacttrack.semantic_map import SemanticCloud, SurfaceHit
+from contacttrack.semantic_map import LABEL_GRID_MAGIC, SemanticCloud, SurfaceHit
 from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN
 
 
@@ -71,6 +73,106 @@ def crowd_crossing(frames=24, seed=0):
             })
     scene["persons"] = persons
     return scene
+
+
+class BehindCamera(ContactTrackError):
+    pass
+
+
+def project(point, cal: CameraCalibration):
+    """Project a world point to pixel coordinates (u, v).
+
+    Raises BehindCamera if the point is at or behind the image plane.
+    """
+    pc = cal.world_to_camera(np.asarray(point, dtype=float))
+    if pc[2] <= 1e-6:
+        raise BehindCamera(f"camera-frame z={pc[2]:.3g} <= 1e-6")
+    return np.array([cal.fx * pc[0] / pc[2] + cal.cx, cal.fy * pc[1] / pc[2] + cal.cy])
+
+
+def write_depth_grid(path, depth_m):
+    """Write a DEP1 grid: u16 little-endian millimeters, 0 marks invalid."""
+    depth_m = np.asarray(depth_m, dtype=float)
+    mm = np.clip(np.round(depth_m * 1000.0), 0, 65535).astype("<u2")
+    mm[depth_m <= 0] = 0
+    h, w = mm.shape
+    with open(path, "wb") as f:
+        f.write(DEPTH_GRID_MAGIC)
+        f.write(np.uint32(w).tobytes())
+        f.write(np.uint32(h).tobytes())
+        f.write(mm.tobytes())
+
+
+def write_label_grid(path, grid):
+    grid = np.asarray(grid, dtype=np.uint8)
+    h, w = grid.shape
+    with open(path, "wb") as f:
+        f.write(LABEL_GRID_MAGIC)
+        f.write(np.uint32(w).tobytes())
+        f.write(np.uint32(h).tobytes())
+        f.write(grid.tobytes())
+
+
+# The depth sources' single-centre patches and full-resolution grids as
+# they were before patches came in batches and grids as the stride
+# lattice, verbatim; `self` is a SceneDepthProvider or GridDepthProvider.
+
+def scene_patch(self, frame, cam_id, u, v, size):
+    cal = self.sim.cals[cam_id]
+    r = size // 2
+    us, vs = np.meshgrid(
+        np.arange(u - r, u + r + 1), np.arange(v - r, v + r + 1)
+    )
+    shape = us.shape
+    us = us.ravel()
+    vs = vs.ravel()
+    ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
+    depth = np.zeros(len(us))
+    if ok.any():
+        d, _ = self._cast(frame, cam_id, us[ok], vs[ok], include_bodies=True)
+        d = d + np.where(d > 0, self._noise(frame, cam_id, us[ok], vs[ok]), 0.0)
+        depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
+    return depth.reshape(shape)
+
+
+def scene_grids(self, frame, cam_id, stride=4):
+    """Full-resolution (label, depth) grids populated on the stride
+    lattice only; other pixels are zero. Surfaces only, so the map is
+    built from static geometry. Noise is drawn only for the lattice
+    cells that see a surface, and those cells are written through
+    strided views of the grids."""
+    cal = self.sim.cals[cam_id]
+    key = (cam_id, stride)
+    if key not in self._surface_cache:
+        vs, us = np.meshgrid(
+            np.arange(0, cal.image_height, stride),
+            np.arange(0, cal.image_width, stride),
+            indexing="ij",
+        )
+        depth, labels = self._cast(frame, cam_id, us, vs, include_bodies=False)
+        hit = (labels > 0).reshape(us.shape)
+        self._surface_cache[key] = (
+            hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
+        )
+    hit, us, vs, depth, labels = self._surface_cache[key]
+    noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
+    noisy = np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+    label_grid = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
+    depth_grid = np.zeros((cal.image_height, cal.image_width))
+    label_grid[::stride, ::stride][hit] = labels
+    depth_grid[::stride, ::stride][hit] = noisy
+    return label_grid, depth_grid
+
+
+def grid_patch(self, frame, cam_id, u, v, size):
+    grid = self._load(frame, cam_id)
+    h, w = grid.shape
+    r = size // 2
+    u0, u1 = max(0, u - r), min(w, u + r + 1)
+    v0, v1 = max(0, v - r), min(h, v + r + 1)
+    if u0 >= u1 or v0 >= v1:
+        return np.zeros((0, 0))
+    return grid[v0:v1, u0:u1]
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):

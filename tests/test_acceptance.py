@@ -23,7 +23,6 @@ from contacttrack.geometry import (
     Sim3RansacConfig,
     fit_sim3_ransac,
     hungarian_assign,
-    project,
     triangulate_weighted,
 )
 from contacttrack.hand_fusion import dbscan
@@ -33,7 +32,7 @@ from contacttrack.scenes import builtin_scene, induction_lite
 from contacttrack.semantic_map import LabeledPointCloud, SemanticCloud, fuse_clouds
 from contacttrack.simulator import emit_dataset
 
-from helpers import brute_force_assign, make_ring, random_rotation, tree_bytes
+from helpers import brute_force_assign, make_ring, project, random_rotation, tree_bytes
 
 
 _CAPTURE = None

@@ -13,7 +13,8 @@ from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, mai
 from contacttrack.config import load_pipeline_config
 from contacttrack.io import read_calibration
 from contacttrack.scenes import crossing_clean
-from contacttrack.semantic_map import write_label_grid
+
+from helpers import write_depth_grid, write_label_grid
 
 
 class TestParser:
@@ -254,6 +255,30 @@ def _lbl_truncated(lbl):
     return str(lbl)
 
 
+def _huge_header(magic):
+    # w = h = 2**32 - 1: w * h bytes cannot be read, nor even allocated.
+    return magic + b"\xff" * 8 + b"\x00" * 16
+
+
+def _lbl_huge_header(lbl):
+    lbl.write_bytes(_huge_header(b"LBL1"))
+    return str(lbl)
+
+
+def _dep_huge_header(lbl):
+    write_label_grid(lbl, np.ones((4, 4)))
+    dep = str(lbl)[:-len(".lbl")] + ".dep"
+    with open(dep, "wb") as f:
+        f.write(_huge_header(b"DEP1"))
+    return dep
+
+
+def _lbl_dep_shapes_differ(lbl):
+    write_label_grid(lbl, np.ones((4, 4)))
+    write_depth_grid(str(lbl)[:-len(".lbl")] + ".dep", np.ones((4, 5)))
+    return str(lbl)
+
+
 class TestRunBadDepthInput:
     """Malformed grids/ files or label table: exit 2, message names the file."""
 
@@ -270,8 +295,12 @@ class TestRunBadDepthInput:
         return main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", str(inp), "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("make", [_lbl_without_dep, _lbl_bad_magic, _lbl_truncated],
-                             ids=["lbl-without-dep", "lbl-bad-magic", "lbl-truncated"])
+    @pytest.mark.parametrize(
+        "make",
+        [_lbl_without_dep, _lbl_bad_magic, _lbl_truncated, _lbl_huge_header, _dep_huge_header,
+         _lbl_dep_shapes_differ],
+        ids=["lbl-without-dep", "lbl-bad-magic", "lbl-truncated", "lbl-huge-header",
+             "dep-huge-header", "lbl-dep-shapes-differ"])
     def test_bad_grid_file(self, tmp_path, mini_induction, capsys, make):
         ds = mini_induction["ds"]
         inp = self._input_dir(tmp_path, ds)

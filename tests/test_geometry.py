@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contacttrack.geometry import (
-    BehindCamera,
     DegenerateBaseline,
     IllConditioned,
     InsufficientViews,
@@ -20,18 +19,19 @@ from contacttrack.geometry import (
     fit_sim3_ransac,
     fundamental_matrix,
     hungarian_assign,
-    project,
     triangulate_weighted,
     umeyama,
 )
 
 from helpers import (
+    BehindCamera,
     brute_force_assign,
     brute_force_min_permutation_cost,
     grid_refine_cost,
     identity_camera,
     make_camera,
     make_ring,
+    project,
     random_rotation,
     scipy_hungarian_assign,
 )

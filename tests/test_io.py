@@ -20,7 +20,6 @@ from contacttrack.io import (
     read_traces,
     read_visibility,
     write_calibration,
-    write_depth_grid,
     write_detections,
     write_episodes,
     write_hand_track_line,
@@ -30,7 +29,7 @@ from contacttrack.io import (
 )
 from contacttrack.schema import JOINT_COUNT
 
-from helpers import make_camera
+from helpers import grid_patch, make_camera, write_depth_grid, write_label_grid
 
 
 class TestCalibration:
@@ -279,11 +278,57 @@ class TestGridDepthProvider:
         grid = np.arange(48, dtype=float).reshape(6, 8) / 100.0
         write_depth_grid(tmp_path / "frame_000003_camA.dep", grid)
         provider = GridDepthProvider(str(tmp_path))
-        patch = provider.patch(3, "camA", 4, 3, 3)
-        expected = np.round(grid[2:5, 3:6] * 1000) / 1000
+        patch, corner = provider.patch(3, "camA", [4, 0], [3, 0], 5)
+        expected = np.round(grid[1:6, 2:7] * 1000) / 1000
         assert np.allclose(patch, expected)
-        corner = provider.patch(3, "camA", 0, 0, 5)
-        assert corner.shape == (3, 3)
+        # Past the border a patch is zero-padded, not clipped.
+        assert corner.shape == (5, 5)
+        assert np.allclose(corner[2:, 2:], np.round(grid[:3, :3] * 1000) / 1000)
+        assert not corner[:2].any() and not corner[:, :2].any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), size=st.sampled_from([1, 3, 5, 7]))
+    def test_batched_patches_equal_single_centre_oracle(self, tmp_path_factory, data, size):
+        # Zero padding keeps patch[patch > 0] the oracle's values in the
+        # oracle's order.
+        h, w = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(h * 16 + w)
+        grid = np.where(rng.random((h, w)) < 0.2, 0.0, rng.uniform(0.5, 4.0, (h, w)))
+        root = tmp_path_factory.mktemp("grids")
+        write_depth_grid(root / "frame_000000_camA.dep", grid)
+        provider = GridDepthProvider(str(root))
+        coord = st.integers(-size - 1, max(h, w) + size)
+        centres = data.draw(st.lists(st.tuples(coord, coord), max_size=12))
+        us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
+        got = provider.patch(0, "camA", us, vs, size)
+        assert got.shape == (len(centres), size, size)
+        r = size // 2
+        for (u, v), patch in zip(centres, got):
+            want = grid_patch(provider, 0, "camA", u, v, size)
+            assert np.array_equal(patch[patch > 0], want[want > 0])
+            expected = np.zeros((size, size))
+            if want.size:
+                v0, u0 = max(v - r, 0) - (v - r), max(u - r, 0) - (u - r)
+                expected[v0:v0 + want.shape[0], u0:u0 + want.shape[1]] = want
+            assert np.array_equal(patch, expected)
+
+    @pytest.mark.parametrize("stride", range(1, 9))
+    def test_grids_are_the_stride_lattice_of_the_files(self, tmp_path, stride):
+        rng = np.random.default_rng(stride)
+        labels = rng.integers(0, 4, size=(29, 37)).astype(np.uint8)
+        depth = rng.uniform(0.5, 4.0, size=(29, 37))
+        write_label_grid(tmp_path / "frame_000002_camA.lbl", labels)
+        write_depth_grid(tmp_path / "frame_000002_camA.dep", depth)
+        got_labels, got_depth = GridDepthProvider(str(tmp_path)).grids(2, "camA", stride)
+        assert np.array_equal(got_labels, labels[::stride, ::stride])
+        assert np.array_equal(got_depth, read_depth_grid(tmp_path / "frame_000002_camA.dep")[::stride, ::stride])
+
+    def test_label_and_depth_shapes_must_match(self, tmp_path):
+        write_label_grid(tmp_path / "frame_000000_camA.lbl", np.ones((4, 4)))
+        write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 5)))
+        with pytest.raises(InputFormatError, match=r"frame_000000_camA\.lbl: label grid is 4x4 "
+                                                   r"but depth grid .*frame_000000_camA\.dep is 5x4"):
+            GridDepthProvider(str(tmp_path)).grids(0, "camA")
 
     def test_interleaved_cameras_read_each_file_once(self, tmp_path, monkeypatch):
         reads = []
@@ -293,23 +338,23 @@ class TestGridDepthProvider:
         for frame in (0, 1):
             for _ in range(3):
                 for cam in ("camA", "camB", "camC"):
-                    provider.patch(frame, cam, 1, 1, 1)
+                    provider.patch(frame, cam, [1], [1], 1)
         assert reads == [f"frame_{f:06d}_{c}.dep" for f in (0, 1) for c in ("camA", "camB", "camC")]
 
     def test_new_frame_drops_the_old_grids(self, tmp_path):
         for frame in (0, 1):
             write_depth_grid(tmp_path / f"frame_{frame:06d}_camA.dep", np.ones((4, 4)))
         provider = GridDepthProvider(str(tmp_path))
-        provider.patch(0, "camA", 1, 1, 1)
-        provider.patch(1, "camA", 1, 1, 1)
+        provider.patch(0, "camA", [1], [1], 1)
+        provider.patch(1, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
         with pytest.raises(InputFormatError, match="cannot read depth grid"):
-            provider.patch(0, "camA", 1, 1, 1)
+            provider.patch(0, "camA", [1], [1], 1)
 
     def test_cache_reuse(self, tmp_path):
         write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 4)))
         provider = GridDepthProvider(str(tmp_path))
-        provider.patch(0, "camA", 1, 1, 1)
+        provider.patch(0, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
-        patch = provider.patch(0, "camA", 2, 2, 1)
-        assert patch[0, 0] == pytest.approx(1.0)
+        patch = provider.patch(0, "camA", [2], [2], 1)
+        assert patch[0, 0, 0] == pytest.approx(1.0)

@@ -3,18 +3,19 @@ import pytest
 
 from contacttrack import person_tracker
 from contacttrack.config import TrackerConfig
-from contacttrack.geometry import fundamental_matrix, project, triangulate_weighted
+from contacttrack.geometry import fundamental_matrix, triangulate_weighted
 from contacttrack.person_tracker import (
     PersonTrack,
     Tracker,
     associate_camera,
     association_cost,
     depth_lift,
+    depth_patches,
     update_triangulated,
 )
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
 
-from helpers import make_ring, per_joint_update, per_pair_association_cost
+from helpers import make_ring, per_joint_update, per_pair_association_cost, project
 
 SCHEMA = JointSchema()
 
@@ -45,13 +46,23 @@ def track_at(joints, tid=1, existence=0.9):
 
 
 class ConstantDepth:
-    """Depth provider returning the true camera-frame z per joint pixel."""
+    """Depth provider returning the true camera-frame z per joint pixel;
+    it records each patch call's (frame, camera, centres)."""
 
     def __init__(self, fn):
         self.fn = fn
+        self.calls = []
 
-    def patch(self, frame, cam_id, u, v, size):
-        return np.full((size, size), self.fn(cam_id, u, v))
+    def patch(self, frame, cam_id, us, vs, size):
+        self.calls.append((frame, cam_id, list(zip(us, vs))))
+        return np.array([np.full((size, size), self.fn(cam_id, u, v)) for u, v in zip(us, vs)])
+
+
+def lift(track, obs, provider, cams, cfg=TrackerConfig()):
+    """depth_lift of every joint of one track, its patches fetched first."""
+    unresolved = list(range(JOINT_COUNT))
+    patches = depth_patches(provider, 0, {"track": (obs, unresolved)}, cfg)["track"]
+    return depth_lift(track, unresolved, obs, patches, cams, SCHEMA, cfg)
 
 
 @pytest.fixture
@@ -283,9 +294,7 @@ class TestDepthLift:
             u, v = np.round(project(joints[k], cal)).astype(int)
             depth_by_pixel[(u, v)] = cal.world_to_camera(joints[k])[2]
         provider = ConstantDepth(lambda c, u, v: depth_by_pixel[(u, v)])
-        lifted = depth_lift(
-            tr, list(range(JOINT_COUNT)), obs, provider, 0, cams, SCHEMA, TrackerConfig()
-        )
+        lifted = lift(tr, obs, provider, cams)
         assert lifted == set(range(JOINT_COUNT))
         # Pixel rounding keeps lifted joints within a few mm at this range.
         assert np.all(np.linalg.norm(tr.joints - joints, axis=1) < 0.02)
@@ -304,9 +313,7 @@ class TestDepthLift:
             depth_by_pixel[(u, v)] = cal.world_to_camera(joints[k])[2]
         depth_by_pixel[(uw, vw)] += 1.0  # wrist depth falls on a background plane
         provider = ConstantDepth(lambda c, u, v: depth_by_pixel[(u, v)])
-        lifted = depth_lift(
-            tr, list(range(JOINT_COUNT)), obs, provider, 0, cams, SCHEMA, TrackerConfig()
-        )
+        lifted = lift(tr, obs, provider, cams)
         assert wrist not in lifted
         assert lifted == set(range(JOINT_COUNT)) - {wrist}
 
@@ -318,15 +325,33 @@ class TestDepthLift:
         obs = {"cam0": detect(joints, cal)}
 
         class NoisyDepth:
-            def patch(self, frame, cam_id, u, v, size):
-                p = np.full((size, size), 3.0)
-                p[0, 0] = 13.0  # variance way above (0.05)^2
+            def patch(self, frame, cam_id, us, vs, size):
+                p = np.full((len(us), size, size), 3.0)
+                p[:, 0, 0] = 13.0  # variance way above (0.05)^2
                 return p
 
-        lifted = depth_lift(
-            tr, list(range(JOINT_COUNT)), obs, NoisyDepth(), 0, cams, SCHEMA, TrackerConfig()
-        )
+        lifted = lift(tr, obs, NoisyDepth(), cams)
         assert lifted == set()
+
+    def test_step_fetches_every_request_with_one_call_per_camera(self, cams):
+        # Joints seen by one camera stay unresolved by triangulation; each
+        # is requested from that camera, joints below tau_joint nowhere.
+        cfg = TrackerConfig()
+        people = [place_template((-0.6, 0.0)), place_template((0.6, 0.2), yaw=1.0)]
+        tracker = Tracker(cams, cfg)
+        tracker.tracks = [track_at(j, tid=i + 1) for i, j in enumerate(people)]
+        dets = {c: [detect(j, cams[c]) for j in people] for c in cams}
+        wrists = [SCHEMA.side_joints[side]["wrist"] for side in ("left", "right")]
+        for c in ("cam1", "cam2", "cam3"):
+            for det in dets[c]:
+                det[wrists, 2] = 0.1
+        dets["cam0"][1][wrists[1], 2] = 0.1  # seen by no camera
+        provider = ConstantDepth(lambda c, u, v: 0.0)
+        tracker.step(4, dets, provider)
+        want = [(4, "cam0", sorted(
+            (int(round(u)), int(round(v))) for u, v, s in
+            (dets["cam0"][0][wrists[0]], dets["cam0"][0][wrists[1]], dets["cam0"][1][wrists[0]])))]
+        assert [(f, c, sorted(uv)) for f, c, uv in provider.calls] == want
 
 
 class TestLifecycleAndBirths:

@@ -11,7 +11,7 @@ from contacttrack import io, pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
 from contacttrack.geometry import project_many
-from contacttrack.io import read_episodes, write_calibration, write_depth_grid
+from contacttrack.io import read_episodes, write_calibration
 from contacttrack.pipeline import (
     load_ground_truth,
     load_track_stream,
@@ -20,10 +20,9 @@ from contacttrack.pipeline import (
 from contacttrack.person_tracker import PersonTrack, Tracker
 from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
 from contacttrack.schema import TEMPLATE_JOINTS
-from contacttrack.semantic_map import write_label_grid
 from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
-from helpers import make_camera, make_ring, tree_bytes
+from helpers import make_camera, make_ring, tree_bytes, write_depth_grid, write_label_grid
 
 
 class TestOutputs:
@@ -118,7 +117,8 @@ class TestDeterminism:
 
 def export_grids(scene, root):
     """A dataset twice: as simulated (scene.json), and with its map input
-    exported to grids/ and scene.json removed."""
+    exported to grids/ and scene.json removed. The provider's stride-4
+    lattice is scattered into full-resolution files, zero elsewhere."""
     scene_ds = root / "scene"
     sim = emit_dataset(scene, str(scene_ds), seed=0)
     grid_ds = root / "grids"
@@ -128,7 +128,10 @@ def export_grids(scene, root):
     provider = SceneDepthProvider(sim)
     for frame in range(scene["frame_count"]):
         for cam_id in sim.cals:
-            labels, depth = provider.grids(frame, cam_id, stride=4)
+            cal = sim.cals[cam_id]
+            labels = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
+            depth = np.zeros((cal.image_height, cal.image_width))
+            labels[::4, ::4], depth[::4, ::4] = provider.grids(frame, cam_id, stride=4)
             base = grid_ds / "grids" / f"frame_{frame:06d}_{cam_id}"
             write_label_grid(f"{base}.lbl", labels)
             write_depth_grid(f"{base}.dep", depth)
@@ -156,9 +159,9 @@ class TestGridsInput:
         assert outs[0] == outs[1]
 
     def test_each_depth_file_read_once(self, tmp_path, monkeypatch):
-        # The per-frame map reads every camera's grid, and depth lifting
-        # (busy under dropout and pixel noise) patches them joint by joint
-        # across cameras; the provider keeps the frame's grids, so each
+        # The per-frame map reads every camera's grid, then depth lifting
+        # (busy under dropout and pixel noise) patches them again, one
+        # call per camera; the provider keeps the frame's grids, so each
         # file is read exactly once.
         _, ds = export_grids(induction_lite_noisy(frame_count=6), tmp_path)
         read_depth_grid, patch = io.read_depth_grid, io.GridDepthProvider.patch
@@ -175,8 +178,8 @@ class TestGridsInput:
         run_pipeline(os.path.join(ds, "calibration.json"), ds, str(tmp_path / "out"),
                      PipelineConfig())
         keys = [(frame, cam) for frame, cam, *_ in patches]
-        switches = sum(a != b for a, b in zip(keys, keys[1:]))
-        assert switches > len(set(keys))  # the patches come back to a grid
+        assert keys and len(keys) == len(set(keys))  # one patch call per (frame, camera)
+        assert sum(len(us) for _, _, us, *_ in patches) > len(keys)  # each holds several joints
         files = sorted(f for f in os.listdir(os.path.join(ds, "grids")) if f.endswith(".dep"))
         assert len(files) == 6 * 4
         assert reads == Counter(dict.fromkeys(files, 1))
@@ -257,8 +260,8 @@ class TestBenchmarkHooks:
 
     def test_depth_patches_of_a_frame_build_its_capsules_once(self, tracer, monkeypatch):
         # Each present person's capsule stack is built once per frame and
-        # shared by every patch; the tracer's cast counts stay one call and
-        # one ray per patch pixel.
+        # shared by every patch; the tracer sees one patch call, cast in
+        # chunks of DEPTH_CHUNK_RAYS rays, and one ray per patch pixel.
         built = []
         body_capsules = simulator.body_capsules
         monkeypatch.setattr(simulator, "body_capsules",
@@ -266,10 +269,11 @@ class TestBenchmarkHooks:
         provider = SceneDepthProvider(Simulator(crossing_clean(frame_count=2)))
         t = tracer.Tracer()
         with tracer.patched(tracer.instrument(t)):
-            for u in range(100, 400, 25):
-                provider.patch(1, "cam0", u, 240, 5)
+            provider.patch(1, "cam0", range(100, 400, 25), [240] * 12, 5)
         assert sum(len(caps) for caps in built) == 3 * 10  # three persons, ten capsules each
-        assert t.calls("primitives.cast_rays.depth") == 12
+        assert t.calls("simulator.depth_patch") == 1
+        assert simulator.DEPTH_CHUNK_RAYS == 200
+        assert t.calls("primitives.cast_rays.depth") == 2  # 300 rays in chunks of 200
         assert t.counts["primitives.cast_rays.depth.rays"] == 12 * 25
 
 

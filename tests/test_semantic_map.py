@@ -15,7 +15,6 @@ from contacttrack.semantic_map import (
     fuse_clouds,
     read_label_grid,
     read_label_table,
-    write_label_grid,
     write_label_table,
 )
 
@@ -25,6 +24,7 @@ from helpers import (
     kdtree_nearest,
     kdtree_nearest_per_label,
     reference_fuse_clouds,
+    write_label_grid,
 )
 
 TABLE = {0: "background", 1: "bed", 2: "monitor", 3: "table"}
@@ -39,7 +39,7 @@ class TestBackprojectLabeled:
         cal = identity_camera()
         lab = np.zeros((480, 640), dtype=np.uint8)
         dep = np.full((480, 640), 2.0)
-        out = backproject_labeled(lab, dep, cal, stride=4)
+        out = backproject_labeled(lab[::4, ::4], dep[::4, ::4], cal, stride=4)
         assert len(out.positions) == 0
 
     def test_single_pixel_matches_backproject(self):
@@ -48,7 +48,7 @@ class TestBackprojectLabeled:
         dep = np.zeros((480, 640))
         lab[240, 320] = 2
         dep[240, 320] = 1.5
-        out = backproject_labeled(lab, dep, cal, stride=4)
+        out = backproject_labeled(lab[::4, ::4], dep[::4, ::4], cal, stride=4)
         assert len(out.positions) == 1
         assert out.labels[0] == 2
         assert np.allclose(out.positions[0], [0.0, 0.0, 1.5])
@@ -57,7 +57,7 @@ class TestBackprojectLabeled:
         cal = identity_camera()
         lab = np.full((480, 640), 1, dtype=np.uint8)
         dep = np.full((480, 640), 1.0)  # plane z=1 in camera frame
-        out = backproject_labeled(lab, dep, cal, stride=8)
+        out = backproject_labeled(lab[::8, ::8], dep[::8, ::8], cal, stride=8)
         assert np.all(np.abs(out.positions[:, 2] - 1.0) < 1e-6)
 
     @pytest.mark.parametrize("stride", [1, 3, 4, 7])
@@ -70,7 +70,7 @@ class TestBackprojectLabeled:
         us, vs = us.ravel(), vs.ravel()
         keep = (lab[vs, us] > 0) & (dep[vs, us] > 0)
         uv = np.stack([us[keep], vs[keep]], axis=1).astype(float)
-        out = backproject_labeled(lab, dep, cal, stride=stride)
+        out = backproject_labeled(lab[::stride, ::stride], dep[::stride, ::stride], cal, stride=stride)
         assert np.array_equal(out.positions, backproject_many(uv, dep[vs, us][keep], cal))
         assert np.array_equal(out.labels, lab[vs, us][keep].astype(int))
 

@@ -5,8 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contacttrack.geometry import project
 from contacttrack.io import read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
@@ -25,7 +26,10 @@ from helpers import (
     crowd_crossing,
     per_person_sightings,
     per_point_nearest_per_label,
+    project,
     reference_cast_rays,
+    scene_grids,
+    scene_patch,
 )
 
 SCHEMA = JointSchema()
@@ -165,8 +169,8 @@ class TestDepthProvider:
         # world z axis is awkward here; instead query the floor through cam0.
         provider = SceneDepthProvider(sim)
         cal = sim.cals["cam0"]
-        patch = provider.patch(0, "cam0", int(cal.cx), int(cal.cy), 5)
-        assert patch.shape == (5, 5)
+        patch = provider.patch(0, "cam0", [int(cal.cx)], [int(cal.cy)], 5)
+        assert patch.shape == (1, 5, 5)
         assert np.all(patch > 0)
 
     def test_patch_depth_matches_geometry(self):
@@ -180,18 +184,76 @@ class TestDepthProvider:
         provider = SceneDepthProvider(sim)
         cal = sim.cals["cam0"]
         u, v = project(np.array([3.5, 3.5, 1.1]), cal)
-        patch = provider.patch(0, "cam0", int(round(u)), int(round(v)), 1)
+        patch = provider.patch(0, "cam0", [int(round(u))], [int(round(v))], 1)
         center_depth = cal.world_to_camera(np.array([3.5, 3.5, 1.1]))[2]
-        assert patch[0, 0] == pytest.approx(center_depth - 0.5, abs=2e-3)
+        assert patch[0, 0, 0] == pytest.approx(center_depth - 0.5, abs=2e-3)
 
     def test_order_free_determinism(self):
         scene = tiny_scene(depth_sigma=0.01)
         sim = Simulator(scene, seed=3)
-        p1 = SceneDepthProvider(sim).patch(2, "cam1", 320, 240, 5)
+        p1 = SceneDepthProvider(sim).patch(2, "cam1", [320], [240], 5)
         other = SceneDepthProvider(sim)
-        other.patch(5, "cam0", 100, 100, 3)
-        p2 = other.patch(2, "cam1", 320, 240, 5)
-        assert np.array_equal(p1, p2)
+        other.patch(5, "cam0", [100], [100], 3)
+        p2 = other.patch(2, "cam1", [500, 320], [60, 240], 5)
+        assert np.array_equal(p1[0], p2[1])
+
+    @staticmethod
+    def centres(width, height):
+        """Pixel coordinates on, across and outside an image's border."""
+        def axis(n):
+            inside = st.integers(0, n - 1)
+            return st.one_of(inside, st.integers(-9, 9), inside, st.integers(n - 9, n + 9))
+        return st.lists(st.tuples(axis(width), axis(height)), min_size=10, max_size=40)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), size=st.sampled_from([1, 3, 5, 7]), frame=st.integers(0, 2))
+    def test_batched_patches_equal_single_centre_oracle(self, data, size, frame):
+        # Bodies and depth noise included; the batch is cast in chunks
+        # that cut across patches, and no cast holds more rays than the
+        # chunk constant.
+        sim = Simulator(induction_lite(3) | {"noise": {"depth_sigma": 0.01}}, seed=5)
+        provider = SceneDepthProvider(sim)
+        cal = sim.cals["cam2"]
+        centres = data.draw(self.centres(cal.image_width, cal.image_height))
+        casts = []
+        cast_rays = simulator.cast_rays
+
+        def counted(prims, origin, dirs):
+            casts.append(len(dirs))
+            return cast_rays(prims, origin, dirs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "cast_rays", counted)
+            us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
+            got = provider.patch(frame, "cam2", us, vs, size)
+        want = [scene_patch(provider, frame, "cam2", u, v, size) for u, v in centres]
+        assert got.shape == (len(centres), size, size)
+        assert np.array_equal(got, np.array(want).reshape(got.shape))
+        r = size // 2
+        rays = sum(len(range(max(u - r, 0), min(u + r + 1, cal.image_width)))
+                   * len(range(max(v - r, 0), min(v + r + 1, cal.image_height)))
+                   for u, v in centres)
+        assert sum(casts) == rays
+        assert len(casts) == -(-rays // simulator.DEPTH_CHUNK_RAYS)
+        assert max(casts, default=0) <= simulator.DEPTH_CHUNK_RAYS
+
+    @pytest.mark.parametrize("width, height", [(101, 77), (64, 48)])
+    @pytest.mark.parametrize("stride", range(1, 9))
+    def test_lattice_grids_equal_sliced_oracle(self, width, height, stride):
+        scene = induction_lite(frame_count=2)
+        scene["noise"] = {"depth_sigma": 0.01}
+        for cam in scene["cameras"]:
+            cam.update(width=width, height=height, cx=width / 2, cy=height / 2, fx=90.0, fy=90.0)
+        sim = Simulator(scene, seed=1)
+        for cam_id in sim.cals:
+            for frame in (0, 1):
+                labels, depth = SceneDepthProvider(sim).grids(frame, cam_id, stride)
+                full_labels, full_depth = scene_grids(SceneDepthProvider(sim), frame, cam_id, stride)
+                assert labels.shape == (-(-height // stride), -(-width // stride))
+                assert labels.dtype == full_labels.dtype
+                assert np.array_equal(labels, full_labels[::stride, ::stride])
+                assert np.array_equal(depth, full_depth[::stride, ::stride])
+        assert (labels > 0).any() and (depth > 0).any()
 
     def test_grids_consistent_with_backprojection(self):
         from contacttrack.semantic_map import backproject_labeled
@@ -324,15 +386,15 @@ class TestStackedKernel:
         patches = []
         for frame in range(2):
             for (cam_id, _), (uv, _, seen) in sorted(sim.sightings(frame).items()):
-                for u, v in np.round(uv[seen]).astype(int):
-                    patches.append(provider.patch(frame, cam_id, u, v, 5).tobytes())
+                us, vs = np.round(uv[seen]).astype(int).T
+                patches.append(provider.patch(frame, cam_id, us, vs, 5).tobytes())
         return files, patches
 
     def test_matches_reference_kernel_byte_for_byte(self, tmp_path, monkeypatch):
         files, patches = self.outputs(tmp_path / "stacked")
         monkeypatch.setattr(simulator, "cast_rays", reference_cast_rays)
         ref_files, ref_patches = self.outputs(tmp_path / "reference")
-        assert len(files) == 9 and len(patches) > 200
+        assert len(files) == 9 and sum(map(len, patches)) > 200 * 25 * 8
         assert files == ref_files
         assert patches == ref_patches
 
