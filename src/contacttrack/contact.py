@@ -84,6 +84,11 @@ class ContactTracker:
     cloud, then finalize() for the episode list. update() returns the
     hand's per-label distance trace rows for the caller to write out;
     replaying such rows through observe() yields the same episodes.
+
+    A cloud is anything with len() and nearest_per_label(queries), which
+    returns {label: (distance, closest)} for the (6, 3) smoothed anchors:
+    closest() gives the surface point at that distance. Episodes keep
+    few points, so observe() calls closest() only for a point it keeps.
     """
 
     def __init__(self, cfg: ContactConfig | None = None):
@@ -113,19 +118,21 @@ class ContactTracker:
         rows = []
         if len(cloud) == 0:
             return rows
-        for label, (d, point) in sorted(cloud.nearest_per_label(smoothed).items()):
-            self.observe(frame, hand_id, side, person, label, d, point)
+        for label, (d, closest) in sorted(cloud.nearest_per_label(smoothed).items()):
+            self.observe(frame, hand_id, side, person, label, d, closest)
             rows.append((frame, hand_id, side, person, label, float(d)))
         return rows
 
-    def observe(self, frame, hand_id, side, person_id, label, d, point):
+    def observe(self, frame, hand_id, side, person_id, label, d, closest):
         """One hysteresis step for the (hand, label) key at distance d.
 
         An active frame folds into the key's open episode, which keeps its
         first side, the first frame of least distance and per-person frame
         counts; an active frame more than max_gap_frames after the open
-        episode's last one closes it first. Frames must arrive in
-        non-decreasing order per key. Returns the new active state.
+        episode's last one closes it first. closest() gives the contact
+        point at d, and is called only when the frame opens an episode or
+        lowers its least distance. Frames must arrive in non-decreasing
+        order per key. Returns the new active state.
         """
         cfg = self.cfg
         key = (hand_id, label)
@@ -142,12 +149,12 @@ class ContactTracker:
             # Points are copied: a point is a row of the cloud's positions,
             # and a view would keep the whole frame's cloud alive.
             ep = self._open[key] = _OpenEpisode(
-                side, frame, frame, d, np.array(point, dtype=float), {}
+                side, frame, frame, d, np.array(closest(), dtype=float), {}
             )
         else:
             ep.t_stop = frame
             if d < ep.min_distance:
-                ep.min_distance, ep.point = d, np.array(point, dtype=float)
+                ep.min_distance, ep.point = d, np.array(closest(), dtype=float)
         if person_id is not None:
             ep.votes[person_id] = ep.votes.get(person_id, 0) + 1
         return True

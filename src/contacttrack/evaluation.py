@@ -9,6 +9,7 @@ re-runs the contact stage on cached distance traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -266,14 +267,14 @@ def threshold_sweep(traces, gt: GroundTruth, grid, id_map=None):
     is kept at tau_on + SWEEP_HYSTERESIS_MARGIN.
     """
     rows = sorted(traces, key=itemgetter(0))
-    point = np.zeros(3)
+    no_point = partial(np.zeros, 3)  # traces hold no contact points
     out = []
     for tau_on in grid:
         tracker = ContactTracker(
             ContactConfig(tau_on=tau_on, tau_off=tau_on + SWEEP_HYSTERESIS_MARGIN)
         )
         for frame, hand_id, side, person, label, d in rows:
-            tracker.observe(frame, hand_id, side, person, label, d, point)
+            tracker.observe(frame, hand_id, side, person, label, d, no_point)
         f1, iou = _framewise_sets(tracker.finalize(), gt, id_map or {}, semantic=False)
         out.append((float(tau_on), f1, iou))
     return out

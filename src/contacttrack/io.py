@@ -58,6 +58,15 @@ def _json_int(rec, key):
     return value
 
 
+def _json_list(rec, key):
+    """rec[key] if it is a JSON array, [] if absent, else ValueError:
+    iterating an object would read its keys."""
+    value = rec.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be an array, got {json.dumps(value)}")
+    return value
+
+
 def _json_lines(path, what):
     """Yield (line number, record) for each non-blank line of a JSON-lines
     file. A line that is not UTF-8 JSON raises InputFormatError naming the
@@ -155,30 +164,34 @@ def write_detections(path, records):
 def read_detections(path, cameras=None, hand_vertex_count=None):
     """Yield (frame, camera_id, persons, hands_raw) records in file order.
 
-    frame is a JSON integer (not a bool); persons are (26, 3) float arrays
-    of finite values; hands_raw are dicts with side ("left" or "right"), a
-    finite non-negative sigma_fit and a finite (N, 3) vertices array. A
-    record that repeats the (frame, camera) of an earlier record of the
-    same frame is rejected, as are, when given, cameras outside `cameras`
-    and hands whose vertex count is not `hand_vertex_count`.
+    frame is a JSON integer (not a bool) no lower than the frame of the
+    record before; persons, from a JSON array, are (26, 3) float arrays of
+    finite values; hands_raw, from a JSON array, are dicts with side
+    ("left" or "right"), a finite non-negative sigma_fit and a finite
+    (N, 3) vertices array. A record that repeats the (frame, camera) of an
+    earlier record of the same frame is rejected, as are, when given,
+    cameras outside `cameras` and hands whose vertex count is not
+    `hand_vertex_count`.
     """
     current, frame_cams = None, set()
     for ln, rec in _json_lines(path, "detection"):
         try:
             frame = _json_int(rec, "frame")
             camera_id = rec["camera_id"]
-            persons = [np.array(p["joints"], dtype=float) for p in rec.get("persons", [])]
+            persons = [np.array(p["joints"], dtype=float) for p in _json_list(rec, "persons")]
             hands = [
                 {
                     "side": h["side"],
                     "sigma_fit": float(h["sigma_fit"]),
                     "vertices": np.array(h["vertices"], dtype=float),
                 }
-                for h in rec.get("hands", [])
+                for h in _json_list(rec, "hands")
             ]
         except (KeyError, ValueError, TypeError) as e:
             raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
         problem = _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count)
+        if problem is None and current is not None and frame < current:
+            problem = f"detections not frame-ordered ({frame} after {current})"
         if problem is None:
             if frame != current:
                 current, frame_cams = frame, set()

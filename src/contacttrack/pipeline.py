@@ -79,19 +79,15 @@ def _load_hand_schema(in_dir):
 def _group_frames(det_path, cals, hand_schema):
     """Yield (frame, {camera_id: persons}, hands list) in frame order.
 
-    Records must be frame-ordered, name calibrated cameras and carry hands
-    of the schema's vertex count; gaps are tolerated and reported by the
-    caller as missing frames.
+    read_detections checks that records are frame-ordered, name calibrated
+    cameras and carry hands of the schema's vertex count; gaps are
+    tolerated and reported by the caller as missing frames.
     """
     current = None
     dets = {}
     hands = []
     records = read_detections(det_path, cals, hand_schema.vertex_count)
     for frame, cam_id, persons, hand_dicts in records:
-        if current is not None and frame < current:
-            raise InputFormatError(
-                f"detections not frame-ordered ({frame} after {current})", path=det_path
-            )
         if frame != current:
             if current is not None:
                 yield current, dets, hands

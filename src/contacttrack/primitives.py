@@ -3,11 +3,15 @@
 Each surface answers vectorized ray queries (first-hit parameter along a
 bundle of rays) and point queries (distances from a batch of points, and
 the closest surface point). Surfaces answer one at a time; body capsules
-are stacked (Capsules), so a cast intersects a whole stack in one numpy
-pass over (capsule, ray) arrays, and a (capsule, ray) skip mask lets one
-bundle hold rays that must not see some rows, such as each person's own
-body. Used by the scene simulator for rendering depth and label grids,
-occlusion tests, and ground-truth contact distances.
+are stacked (Capsules), so a cast answers a whole stack in one numpy
+pass, and a (capsule, ray) skip mask lets one bundle hold rays that must
+not see some rows, such as each person's own body. A cast first culls
+the (capsule, ray) pairs whose ray line passes outside the capsule's
+bounding sphere, a test on cheap (K, N) arrays that can only drop pairs
+the hit formula would miss, and then runs the hit formula on the few
+surviving pairs, giving the same bits as measuring every pair. Used by
+the scene simulator for rendering depth and label grids, occlusion
+tests, and ground-truth contact distances.
 """
 
 from __future__ import annotations
@@ -17,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+# Margins that widen a capsule's bounding-sphere reach in the ray cull, so
+# that rounding in the cull's line distance (cancellation grows with the
+# distance from the origin) never rules out a pair the kernel would hit.
+CULL_REL = 1e-6
+CULL_ABS = 1e-9  # m
 
 AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -202,33 +211,59 @@ class Capsules:
 
     def hits(self, origin, dirs):
         """(K, N) first-hit parameters of N rays against every capsule, inf
-        on a miss. Approximated at the ray point closest to the axis
-        segment: exact enough for occlusion and depth noise scales. The
-        first positive crossing counts, so a ray starting inside a capsule
-        hits it where it leaves."""
+        on a miss or a skipped pair. Approximated at the ray point closest
+        to the axis segment: exact enough for occlusion and depth noise
+        scales. The first positive crossing counts, so a ray starting
+        inside a capsule hits it where it leaves.
+
+        Only the pairs a bounding-sphere test cannot rule out are measured.
+        The sphere has the axis midpoint as centre and half the axis length
+        plus the radius as reach; a pair is culled when the centre lies
+        farther than the reach (widened by CULL_REL and CULL_ABS) from the
+        ray's line. The measured distance is from the line to a segment
+        point, at least the centre's line distance minus half the axis, so
+        a culled pair could not hit. The survivors are gathered into rows
+        and measured with the same arithmetic as a full (K, N) pass, from
+        the same (K, N) axis and offset products, so every hit keeps its
+        bits."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        a, r = self.axis, self.radius[:, None]
+        a = self.axis
         aa = (a * a).sum(axis=1)
         dd = (dirs * dirs).sum(axis=1)
         # Closest-approach parameters between ray o + t d and segment p0 + s a.
         w = origin - self.p0
         da = a @ dirs.T
         dw = w @ dirs.T
-        aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
-        denom = dd * aa[:, None] - da * da
+        # Squared line distance of each centre, p0 + a/2 - o = a/2 - w; a
+        # zero direction gives nan, which no comparison culls.
+        oc = 0.5 * a - w
+        cd = 0.5 * da - dw
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > _EPS, (dd * aw[:, None] - da * dw) / denom, 0.0)
+            line2 = (oc * oc).sum(axis=1)[:, None] - cd * cd / dd
+        reach = (0.5 * np.sqrt(aa) + self.radius) * (1.0 + CULL_REL) + CULL_ABS
+        keep = ~(line2 > (reach * reach)[:, None])
+        if self.skip is not None:
+            keep &= ~self.skip
+        k, n = np.nonzero(keep)
+        out = np.full(keep.shape, np.inf)
+        aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
+        a, aa, aw, r = a[k], aa[k], aw[k], self.radius[k]
+        d, dd, da, dw = dirs[n], dd[n], da[k, n], dw[k, n]
+        denom = dd * aa - da * da
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(denom > _EPS, (dd * aw - da * dw) / denom, 0.0)
         s = np.clip(s, 0.0, 1.0)
-        seg = self.p0[:, None, :] + s[:, :, None] * a[:, None, :]
+        seg = self.p0[k] + s[:, None] * a
         diff = seg - origin
-        t = (dirs * diff).sum(axis=2) / dd
-        pts = origin + t[:, :, None] * dirs
-        dist = np.linalg.norm(pts - seg, axis=2)
+        t = (d * diff).sum(axis=1) / dd
+        pts = origin + t[:, None] * d
+        dist = np.linalg.norm(pts - seg, axis=1)
         back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
         t_in = t - back
         t_hit = np.where(t_in > 0, t_in, t + back)
-        return np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
+        out[k, n] = np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
+        return out
 
     def ray(self, origin, dirs):
         """(t, k): per ray the first hit over the stack's rows it does not
@@ -238,8 +273,6 @@ class Capsules:
         if not len(self):
             return np.full(n, np.inf), np.zeros(n, dtype=int)
         t = self.hits(origin, dirs)
-        if self.skip is not None:
-            t[self.skip] = np.inf
         k = t.argmin(axis=0)
         return t[k, np.arange(n)], k
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -154,12 +155,13 @@ class SemanticCloud:
     def nearest_per_label(self, queries):
         """Min distance (and closest point) per surface label over a query batch.
 
-        queries: (Q, 3). Returns {label: (distance, point)} in label order;
+        queries: (Q, 3). Returns {label: (distance, closest)} in label
+        order, where closest() gives the cloud point at that distance;
         ties go to the first query and then the smallest point index.
         """
         d, idx = self._nearest_by_label(np.asarray(queries, dtype=float).reshape(-1, 3))
         return {
-            label: (float(d[k]), self.positions[idx[k]])
+            label: (float(d[k]), partial(self.positions.__getitem__, idx[k]))
             for k, label in enumerate(self.label_ids)
         }
 

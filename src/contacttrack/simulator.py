@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +49,9 @@ PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
 MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
-DEPTH_CHUNK_RAYS = 200  # rays per depth-patch cast: 8 patches at patch_w 5
+# Rays per depth-patch cast (8 patches at patch_w 5): bounds a cast's
+# (capsules, rays) cull arrays and its surviving pairs' rows.
+DEPTH_CHUNK_RAYS = 200
 # Body capsules (start joint, end joint, radius): neck-pelvis torso, the
 # upper and lower bone of each limb, head.
 BODY_BONES = (
@@ -208,10 +211,11 @@ def body_capsules(joints):
 class SurfaceDistances:
     """Analytic stand-in for a SemanticCloud of the scene surfaces: per
     label, the least distance over the label's surfaces and the query
-    points, and the surface point closest to the first (surface, point)
-    pair attaining it, the first surface in scene order and then the first
-    point on ties. Each surface measures all query points in one array
-    pass; the closest point is computed for the winning pair only."""
+    points, and a closest() that gives the surface point closest to the
+    first (surface, point) pair attaining it, the first surface in scene
+    order and then the first point on ties. Each surface measures all
+    query points in one array pass; the closest point is computed for the
+    winning pair only, and only when closest() is called."""
 
     def __init__(self, surfaces):
         self._by_label = {}
@@ -228,7 +232,7 @@ class SurfaceDistances:
             d = np.array([prim.distances(queries) for prim in prims])
             # argmin takes the first minimum in row-major (surface, point) order.
             i, j = np.unravel_index(np.argmin(d), d.shape)
-            out[label] = (float(d[i, j]), prims[i].closest_point(queries[j]))
+            out[label] = (float(d[i, j]), partial(prims[i].closest_point, queries[j]))
         return out
 
 
@@ -608,8 +612,9 @@ class SceneDepthProvider:
         """(n, size, size) depth patches, surfaces and bodies, centred on
         the n pixels (us[i], vs[i]); 0 outside the image. The in-image
         pixels of all patches are cast in chunks of DEPTH_CHUNK_RAYS rays,
-        which bounds the (capsules, rays) temporaries of a cast; each
-        pixel's depth does not depend on the chunk it falls in."""
+        which bounds a cast's (capsules, rays) cull arrays and the rows of
+        the pairs that survive the cull; each pixel's depth does not
+        depend on the chunk it falls in."""
         cal = self.sim.cals[cam_id]
         r = size // 2
         off = np.arange(-r, r + 1)

@@ -27,7 +27,7 @@ from contacttrack.geometry import (
     project_many,
     triangulate_weighted,
 )
-from contacttrack.primitives import Box, Capsules, Rect, Sphere, cast_rays
+from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
 from contacttrack.semantic_map import LABEL_GRID_MAGIC, SemanticCloud, SurfaceHit
@@ -441,6 +441,36 @@ def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
     return updated
 
 
+def full_capsule_hits(caps, origin, dirs):
+    """Full-pass oracle for Capsules.hits: the (K, N) first-hit formula
+    evaluated on every (capsule, ray) pair, with no cull and no skip mask;
+    inf on a miss. The first positive crossing counts, so a ray starting
+    inside a capsule hits it where it leaves."""
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    a, r = caps.axis, caps.radius[:, None]
+    aa = (a * a).sum(axis=1)
+    dd = (dirs * dirs).sum(axis=1)
+    # Closest-approach parameters between ray o + t d and segment p0 + s a.
+    w = origin - caps.p0
+    da = a @ dirs.T
+    dw = w @ dirs.T
+    aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
+    denom = dd * aa[:, None] - da * da
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > _EPS, (dd * aw[:, None] - da * dw) / denom, 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    seg = caps.p0[:, None, :] + s[:, :, None] * a[:, None, :]
+    diff = seg - origin
+    t = (dirs * diff).sum(axis=2) / dd
+    pts = origin + t[:, :, None] * dirs
+    dist = np.linalg.norm(pts - seg, axis=2)
+    back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
+    t_in = t - back
+    t_hit = np.where(t_in > 0, t_in, t + back)
+    return np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
+
+
 def reference_capsule_ray(p0, a, radius, origin, dirs):
     """Per-capsule reference for Capsules.hits: the first-hit formula of
     one capsule with segment start p0, axis a and radius, inf on a miss.
@@ -680,7 +710,7 @@ class RecordContactTracker:
         rows = []
         if len(cloud) == 0:
             return rows
-        for label, (d, point) in sorted(cloud.nearest_per_label(smoothed).items()):
+        for label, (d, closest) in sorted(cloud.nearest_per_label(smoothed).items()):
             key = (hand.hand_track_id, label)
             active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
             self._active[key] = active
@@ -688,7 +718,7 @@ class RecordContactTracker:
                 # A copy: the point is a row of the cloud's positions, and a
                 # view would keep the whole frame's cloud alive.
                 self._records.setdefault(key, []).append(
-                    (frame, float(d), np.array(point, dtype=float), hand.person_id, hand.side)
+                    (frame, float(d), np.array(closest(), dtype=float), hand.person_id, hand.side)
                 )
             rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
         return rows

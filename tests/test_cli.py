@@ -352,6 +352,21 @@ def _frame_bool(recs):
     return 3
 
 
+def _frame_backwards(recs):
+    recs[2]["frame"] = -1
+    return 3
+
+
+def _persons_object(recs):
+    recs[1]["persons"] = {}
+    return 2
+
+
+def _hands_object(recs):
+    recs[3]["hands"] = {}
+    return 4
+
+
 def _hand_side(recs):
     recs[1]["hands"][0]["side"] = "middle"
     return 2
@@ -399,12 +414,16 @@ class TestRunBadDetections:
         (_frame_fraction, "frame must be an integer, got 0.5"),
         (_frame_string, 'frame must be an integer, got "0"'),
         (_frame_bool, "frame must be an integer, got true"),
+        (_frame_backwards, "detections not frame-ordered (-1 after 0)"),
+        (_persons_object, "persons must be an array, got {}"),
+        (_hands_object, "hands must be an array, got {}"),
         (_hand_side, "hand side must be left or right"),
         (_hand_sigma_negative, "sigma_fit must be finite and >= 0"),
         (_hand_vertices_not_n_by_3, "hand vertices shape"),
         (_hand_vertices_not_finite, "non-finite"),
     ], ids=["camera-not-calibrated", "joint-nan", "joint-inf", "duplicate-frame-camera",
-            "frame-fraction", "frame-string", "frame-bool", "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
+            "frame-fraction", "frame-string", "frame-bool", "frame-backwards",
+            "persons-object", "hands-object", "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
             "hand-vertices-not-finite"])
     def test_bad_record(self, tmp_path, mini_induction, capsys, corrupt, message):
         code, det, line = self._run(tmp_path, mini_induction["ds"], corrupt)

@@ -105,7 +105,7 @@ def merge_via_observe(records, cfg, label=-1):
     through ContactTracker.observe; every record is below tau_on."""
     ct = ContactTracker(cfg)
     for frame, d, point, person, side in records:
-        assert ct.observe(frame, 1, side, person, label, d, point)
+        assert ct.observe(frame, 1, side, person, label, d, lambda: point)
     return ct.finalize()
 
 
@@ -256,7 +256,7 @@ class TestContactTracker:
 
 
 class ScriptedCloud:
-    """Stands in for a SemanticCloud: nearest_per_label returns the
+    """Stands in for a SemanticCloud: nearest_per_label answers the
     scripted {label: (distance, point)} whatever the anchors."""
 
     def __init__(self, nearest):
@@ -266,7 +266,7 @@ class ScriptedCloud:
         return len(self.nearest)
 
     def nearest_per_label(self, anchors):
-        return self.nearest
+        return {label: (d, lambda p=p: p) for label, (d, p) in self.nearest.items()}
 
 
 def episode_fields(episodes):
@@ -341,7 +341,8 @@ class TestOnlineEpisodes:
     @given(st.lists(DISTANCES, max_size=60), st.floats(0.01, 0.3), st.floats(0.0, 0.1))
     def test_active_states_match_run_hysteresis(self, distances, tau_on, margin):
         ct = ContactTracker(ContactConfig(tau_on=tau_on, tau_off=tau_on + margin))
-        got = [ct.observe(f, 1, "right", 1, 0, d, np.zeros(3)) for f, d in enumerate(distances)]
+        got = [ct.observe(f, 1, "right", 1, 0, d, lambda: np.zeros(3))
+               for f, d in enumerate(distances)]
         assert got == run_hysteresis(distances, tau_on, tau_on + margin).tolist()
 
     def test_memory_does_not_grow_with_contact_frames(self):

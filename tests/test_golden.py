@@ -5,9 +5,10 @@ that `run` writes with a per-frame map and with --static-map, for a short
 fixed-seed window of each builtin scene, plus the `simulate` files and the
 per-frame-map `run` files of an eight-person crossing window whose joints
 are hidden by other bodies far more often, so depth lifting casts against
-all 80 body capsules of a frame. A change that moves any output byte
-fails here. When a change moves bytes on purpose, say which and why in
-CHANGES.md and record the new hashes, printed by
+a frame's 80 body capsules, culled to the few each ray may hit. A change
+that moves any output byte fails here. When a change moves bytes on
+purpose, say which and why in CHANGES.md and record the new hashes,
+printed by
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -1,7 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contacttrack.primitives import (
+    CULL_ABS,
+    CULL_REL,
     Box,
     Capsules,
     Rect,
@@ -10,7 +16,7 @@ from contacttrack.primitives import (
     surface_from_config,
 )
 
-from helpers import reference_capsule_ray, reference_cast_rays
+from helpers import full_capsule_hits, reference_capsule_ray, reference_cast_rays
 
 
 class TestBox:
@@ -204,6 +210,125 @@ class TestStackedCapsules:
         for row in range(len(caps)):
             one = Capsules.between(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
             assert np.array_equal(one.hits(origin, dirs)[0], caps[row:row + 1].hits(origin, dirs)[0])
+
+
+def assert_culled_kernel_exact(caps, origin, dirs):
+    """hits, ray and cast_rays are bit-identical to the full pass, where
+    skipped pairs miss and the lowest row wins ties. Returns the hits."""
+    want = full_capsule_hits(caps, origin, dirs)
+    if caps.skip is not None:
+        want = np.where(caps.skip, np.inf, want)
+    assert np.array_equal(caps.hits(origin, dirs), want)
+    rays = np.arange(want.shape[1])
+    k = want.argmin(axis=0) if len(caps) else np.zeros(len(rays), dtype=int)
+    best = want[k, rays] if len(caps) else np.full(len(rays), np.inf)
+    t, row = caps.ray(origin, dirs)
+    assert np.array_equal(t, best) and np.array_equal(row, k)
+    t, i = cast_rays([caps], origin, dirs)
+    assert np.array_equal(t, best) and np.array_equal(i, np.where(np.isfinite(best), k, -1))
+    return want
+
+
+def boundary_capsule(origin, d, e, t0, half, r, delta):
+    """A capsule whose axis points straight at the line o + t d (e is a
+    unit vector normal to d) and whose centre lies at t0 along the unit
+    ray, reach + delta from the line: the near end is r + delta from it,
+    so the cull's bound is tight and the kernel's dist is r + delta."""
+    centre = origin + t0 * d / np.linalg.norm(d) + (half + r + delta) * e
+    return centre + half * e, centre - half * e
+
+
+def unit_normal(d, rng):
+    e = np.cross(d, rng.normal(size=3))
+    return e / np.linalg.norm(e)
+
+
+class TestCulledKernel:
+    """The bounding-sphere cull in Capsules.hits changes no bit: every
+    cast equals the full (capsule, ray) pass of full_capsule_hits, with
+    np.array_equal, on the cull's edge cases."""
+
+    def test_capsule_bundles(self):
+        rng = np.random.default_rng(21)
+        kept = culled = 0
+        for _ in range(60):
+            origin, caps, dirs = capsule_bundle(rng)
+            want = assert_culled_kernel_exact(caps, origin, dirs)
+            kept += np.isfinite(want).sum()
+            culled += np.isinf(want).sum()
+            skip = rng.random((len(caps), len(dirs))) < 0.3
+            assert_culled_kernel_exact(replace(caps, skip=skip), origin, dirs)
+        assert kept > 1000 and culled > 1000
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t0=st.sampled_from([-2.0, 0.5, 3.0, 50.0]),
+        half=st.sampled_from([0.0, 0.2, 0.45]),
+        r=st.sampled_from([0.05, 0.1, 0.14]),
+        scale=st.sampled_from([0.25, 1.0, 7.0]),
+    )
+    def test_centre_at_the_reach(self, seed, t0, half, r, scale):
+        # Rays whose centre line-distance is the reach within +-1e-9 (and
+        # within the cull's own margins), at 50 m too, where the cull's
+        # squared distance loses most to cancellation.
+        rng = np.random.default_rng(seed)
+        origin = rng.uniform(-3.0, 3.0, size=3)
+        d = rng.normal(size=3) * scale  # not unit length
+        e = unit_normal(d, rng)
+        reach = half + r
+        margin = reach * CULL_REL + CULL_ABS
+        deltas = [-1e-9, -1e-10, 0.0, 1e-10, 1e-9, margin, 2 * margin, -margin]
+        p0, p1 = zip(*(boundary_capsule(origin, d, e, t0, half, r, x) for x in deltas))
+        caps = Capsules.between(p0, p1, r)
+        dirs = np.vstack([d, d * 3.0, -d])
+        want = assert_culled_kernel_exact(caps, origin, dirs)
+        if t0 > r + half and half > 0:
+            assert np.isfinite(want[0, 0]) and np.isinf(want[-2, 0])
+
+    def test_tangent_rays(self):
+        # dist == r: rays grazing a capsule's side and its end cap.
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            origin = rng.uniform(-1.0, 1.0, size=3)
+            d = rng.normal(size=3)
+            e = unit_normal(d, rng)
+            f = np.cross(d, e)
+            f /= np.linalg.norm(f)
+            r = rng.choice([0.05, 0.1, 0.125, 0.14])
+            t0 = rng.choice([1.0, 2.5, 50.0])
+            centre = origin + t0 * d / np.linalg.norm(d) + r * e
+            half = rng.uniform(0.1, 0.5)
+            side = (centre - half * f, centre + half * f)  # axis along f: grazes the side
+            end = boundary_capsule(origin, d, e, t0, half, r, 0.0)  # grazes the end cap
+            caps = Capsules.between(*zip(side, end), r)
+            assert_culled_kernel_exact(caps, origin, d[None])
+
+    def test_far_capsules(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            origin, caps, dirs = capsule_bundle(rng)
+            far = replace(caps, p0=caps.p0 + np.array([50.0, -30.0, 40.0]))
+            toward = dirs + np.array([50.0, -30.0, 40.0]) * rng.uniform(0.2, 1.0, (len(dirs), 1))
+            assert_culled_kernel_exact(far, origin, toward)
+            assert_culled_kernel_exact(far, origin + [50.0, -30.0, 40.0], dirs)
+
+    def test_zero_survivors(self):
+        caps = Capsules.between([[5.0, 0.0, 1.0], [-5.0, 0.0, 1.0]],
+                                [[5.0, 0.0, 2.0], [-5.0, 0.0, 2.0]], 0.1)
+        dirs = np.array([[0.0, 1.0, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, 1.0]])
+        want = assert_culled_kernel_exact(caps, np.zeros(3), dirs)
+        assert np.isinf(want).all()
+
+    def test_zero_direction(self):
+        caps = Capsules.between([[0.0, 0.0, 1.0]], [[0.0, 0.0, 2.0]], 0.1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert_culled_kernel_exact(caps, np.zeros(3), np.zeros((2, 3)))
+
+    def test_empty_stack(self):
+        empty = Capsules.between(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)
+        dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        assert assert_culled_kernel_exact(empty, np.zeros(3), dirs).shape == (0, 2)
 
 
 class TestCasting:

@@ -262,7 +262,7 @@ def test_nearest_matches_kdtree_oracle(seed, n, n_labels, n_queries, scale, offs
     assert list(got) == list(want)
     for label, (d, point) in want.items():
         assert got[label][0] == d
-        assert np.array_equal(got[label][1], point)
+        assert np.array_equal(got[label][1](), point)
     for q in queries:
         hit, ref = cloud.nearest(q), kdtree_nearest(cloud, q)
         assert (hit.distance, hit.label, hit.index) == (ref.distance, ref.label, ref.index)
@@ -296,7 +296,7 @@ def test_nearest_ties_go_to_first_query_then_smallest_index(case):
     assert list(got) == list(want)
     for label, (d, index) in want.items():
         assert got[label][0] == d
-        assert np.array_equal(got[label][1], cloud.positions[index])
+        assert np.array_equal(got[label][1](), cloud.positions[index])
     for q in queries:
         d = np.sqrt(((cloud.positions - q) ** 2).sum(axis=1))
         hit = cloud.nearest(q)

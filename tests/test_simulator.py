@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contacttrack.config import ContactConfig
+from contacttrack.contact import ContactTracker, run_hysteresis
 from contacttrack.io import read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
@@ -326,6 +328,48 @@ class TestGroundTruth:
         assert 1 in {e.surface_label for e in base} and len(base) == 3
         assert rows(dup) == rows(base)
 
+    def test_closest_points_only_for_kept_points(self, monkeypatch):
+        # Ground truth measures every label on every hand update, but an
+        # episode keeps a point only when a frame opens it or lowers its
+        # least distance; only those frames may compute a closest point.
+        # distances() measures whole batches through closest_point too, so
+        # only single-point calls are counted.
+        calls = Counter()
+        for cls in (Box, Rect, Sphere):
+            def counted(prim, p, original=cls.closest_point):
+                calls["closest_point"] += np.ndim(p) == 1
+                return original(prim, p)
+            monkeypatch.setattr(cls, "closest_point", counted)
+        steps = []
+
+        def recorded(tracker, frame, hand_id, side, person_id, label, d, closest):
+            steps.append((frame, (hand_id, label), d))
+            return observe(tracker, frame, hand_id, side, person_id, label, d, closest)
+
+        observe = ContactTracker.observe
+        monkeypatch.setattr(ContactTracker, "observe", recorded)
+        episodes = Simulator(induction_lite(frame_count=160), seed=0).gt_episodes()
+        assert len(episodes) == 3
+
+        cfg = ContactConfig()
+        streams = {}
+        for frame, key, d in steps:
+            streams.setdefault(key, []).append((frame, d))
+        kept = 0
+        for seq in streams.values():
+            active = run_hysteresis([d for _, d in seq], cfg.tau_on, cfg.tau_off)
+            last = least = None
+            for (frame, d), on in zip(seq, active):
+                if not on:
+                    continue
+                if last is None or frame - last - 1 > cfg.max_gap_frames:
+                    least = None  # the frame opens an episode
+                if least is None or d < least:
+                    kept, least = kept + 1, d
+                last = frame
+        assert calls["closest_point"] == kept > 0
+        assert 20 * kept < len(steps)
+
     def test_absent_person_missing_from_tracks(self):
         scene = tiny_scene(frame_count=10)
         scene["persons"][0]["absent"] = [[3, 6]]
@@ -453,13 +497,13 @@ class TestSurfaceDistances:
             assert list(got) == list(ref)
             for label, (d, point) in ref.items():
                 assert got[label][0] == d
-                assert np.array_equal(got[label][1], point)
+                assert np.array_equal(got[label][1](), point)
             box = self.SURFACES[0]
             inside += ((queries > box.lo) & (queries < box.hi)).all(axis=1).sum()
         assert inside >= 6
 
     def test_ties_go_to_the_first_surface_then_the_first_point(self):
         got = SurfaceDistances(self.SURFACES).nearest_per_label(self.TIES)
-        assert got[2][0] == 0.5 and got[2][1].tolist() == [-0.5, 5.0, 0.0]
-        assert got[4][0] == 1.5 and got[4][1].tolist() == [0.0, -6.0, 0.5]
-        assert got[1][0] == 0.5 and got[1][1].tolist() == [4.0, 0.5, 0.5]
+        assert got[2][0] == 0.5 and got[2][1]().tolist() == [-0.5, 5.0, 0.0]
+        assert got[4][0] == 1.5 and got[4][1]().tolist() == [0.0, -6.0, 0.5]
+        assert got[1][0] == 0.5 and got[1][1]().tolist() == [4.0, 0.5, 0.5]
