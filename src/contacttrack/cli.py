@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .config import load_pipeline_config
 from .errors import ConfigError, ContactTrackError, InputFormatError
@@ -94,11 +95,11 @@ def cmd_evaluate(args):
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump(report.to_dict(), f, indent=1, sort_keys=True)
+        json.dump(asdict(report), f, indent=1, sort_keys=True)
         f.write("\n")
     with open(os.path.join(args.out, "report.csv"), "w", newline="") as f:
         w = csv.writer(f)
-        items = sorted(report.to_dict().items())
+        items = sorted(asdict(report).items())
         w.writerow([k for k, _ in items])
         w.writerow([v for _, v in items])
 

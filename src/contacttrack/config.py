@@ -135,7 +135,7 @@ def _fill(cls, data, path, section=""):
     return cls(**data)
 
 
-def load_pipeline_config(path=None, overrides=None):
+def load_pipeline_config(path=None):
     """Load a PipelineConfig from a JSON file; missing fields take defaults."""
     data = {}
     if path is not None:
@@ -147,8 +147,6 @@ def load_pipeline_config(path=None, overrides=None):
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}")
     _object(data, path, "the file")
-    if overrides:
-        data.update(overrides)
     tracker, fusion, contact = (
         _fill(cls, _object(data.pop(key, {}), path, f"{key!r}"), path, f"{key}.")
         for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),

@@ -17,9 +17,10 @@ import numpy as np
 from .config import ContactConfig
 from .contact import ContactTracker
 from .geometry import hungarian_assign
-from .schema import JointSchema
+from .schema import TORSO_JOINTS
 
 SWEEP_HYSTERESIS_MARGIN = 0.03  # m, tau_off - tau_on in a threshold sweep
+MATCH_RADIUS = 0.2  # m, floor distance gate of the per-frame track matching
 
 
 @dataclass
@@ -36,6 +37,8 @@ class GroundTruth:
 
 @dataclass
 class EvalReport:
+    """mot_metrics' idf1 and id_switches, then contact_metrics' fields."""
+
     idf1: float
     id_switches: int
     episode_recall: float
@@ -47,36 +50,19 @@ class EvalReport:
     detected_episodes: int
     gt_episodes: int
 
-    def to_dict(self):
-        return {
-            "idf1": self.idf1,
-            "id_switches": self.id_switches,
-            "episode_recall": self.episode_recall,
-            "binary_f1": self.binary_f1,
-            "binary_iou": self.binary_iou,
-            "semantic_f1": self.semantic_f1,
-            "semantic_iou": self.semantic_iou,
-            "identity_accuracy": self.identity_accuracy,
-            "detected_episodes": self.detected_episodes,
-            "gt_episodes": self.gt_episodes,
-        }
 
-
-def floor_center(joints, available, schema: JointSchema | None = None):
+def floor_center(joints, available):
     """Planar (x, y) center: mean of available torso joints, gravity axis
     dropped. None when no torso joint is available."""
-    torso = (schema or _SCHEMA).torso_indices
-    idx = [k for k in torso if available[k]]
+    idx = [k for k in TORSO_JOINTS if available[k]]
     if not idx:
         return None
     return np.asarray(joints, dtype=float)[idx, :2].mean(axis=0)
 
 
-_SCHEMA = JointSchema()
-
-
-def match_tracks(pred_by_frame, gt_by_frame, radius=0.2, schema=None):
-    """Per-frame gated Hungarian matching of floor-projected centers.
+def match_tracks(pred_by_frame, gt_by_frame):
+    """Per-frame Hungarian matching of floor-projected centers, gated at
+    MATCH_RADIUS.
 
     pred_by_frame / gt_by_frame: frame -> {id: (joints, available)}.
     Returns {frame: {gt_id: pred_id}} over the union of frames.
@@ -87,8 +73,8 @@ def match_tracks(pred_by_frame, gt_by_frame, radius=0.2, schema=None):
         preds = pred_by_frame.get(frame, {})
         gt_ids = sorted(gts)
         pred_ids = sorted(preds)
-        centers_g = [floor_center(*gts[g], schema) for g in gt_ids]
-        centers_p = [floor_center(*preds[p], schema) for p in pred_ids]
+        centers_g = [floor_center(*gts[g]) for g in gt_ids]
+        centers_p = [floor_center(*preds[p]) for p in pred_ids]
         cost = np.full((len(gt_ids), len(pred_ids)), np.inf)
         for i, cg in enumerate(centers_g):
             if cg is None:
@@ -97,7 +83,7 @@ def match_tracks(pred_by_frame, gt_by_frame, radius=0.2, schema=None):
                 if cp is None:
                     continue
                 cost[i, j] = np.linalg.norm(cg - cp)
-        pairs = hungarian_assign(cost, radius)
+        pairs = hungarian_assign(cost, MATCH_RADIUS)
         out[frame] = {gt_ids[i]: pred_ids[j] for i, j in pairs}
     return out
 
@@ -239,23 +225,11 @@ def contact_metrics(pred_episodes, gt: GroundTruth, id_map=None):
     }
 
 
-def evaluate(pred_by_frame, pred_episodes, gt: GroundTruth, radius=0.2, schema=None):
+def evaluate(pred_by_frame, pred_episodes, gt: GroundTruth):
     """Full evaluation of one recording; returns an EvalReport."""
-    corr = match_tracks(pred_by_frame, gt.tracks, radius, schema)
+    corr = match_tracks(pred_by_frame, gt.tracks)
     idf1, switches, id_map = mot_metrics(corr, pred_by_frame, gt.tracks)
-    cm = contact_metrics(pred_episodes, gt, id_map)
-    return EvalReport(
-        idf1=idf1,
-        id_switches=switches,
-        episode_recall=cm["episode_recall"],
-        binary_f1=cm["binary_f1"],
-        binary_iou=cm["binary_iou"],
-        semantic_f1=cm["semantic_f1"],
-        semantic_iou=cm["semantic_iou"],
-        identity_accuracy=cm["identity_accuracy"],
-        detected_episodes=cm["detected_episodes"],
-        gt_episodes=cm["gt_episodes"],
-    )
+    return EvalReport(idf1, switches, **contact_metrics(pred_episodes, gt, id_map))
 
 
 def threshold_sweep(traces, gt: GroundTruth, grid, id_map=None):

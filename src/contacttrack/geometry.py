@@ -15,13 +15,17 @@ InsufficientViews or IllConditioned instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContactTrackError
 
 _ROT_TOL = 1e-9
+# Gauss-Newton stopping: at most GN_MAX_ITER iterations, or a step below
+# GN_STEP_TOL (m).
+GN_MAX_ITER = 50
+GN_STEP_TOL = 1e-8
 
 
 class NonPositiveDepth(ContactTrackError):
@@ -48,11 +52,11 @@ class NoConsensus(ContactTrackError):
     pass
 
 
-def _check_rotation(R, tol=_ROT_TOL):
+def _check_rotation(R):
     # Written as "not below" so that a NaN entry fails too.
-    if not np.linalg.norm(R.T @ R - np.eye(3)) < tol * 10 + 1e-12:
+    if not np.linalg.norm(R.T @ R - np.eye(3)) < _ROT_TOL * 10 + 1e-12:
         raise ValueError("rotation block is not orthonormal")
-    if not abs(np.linalg.det(R) - 1.0) < tol * 10 + 1e-12:
+    if not abs(np.linalg.det(R) - 1.0) < _ROT_TOL * 10 + 1e-12:
         raise ValueError("rotation block has det != 1")
 
 
@@ -298,12 +302,13 @@ def _dlt_init(cals, views, uv, n):
     return Xh[:, :3] / Xh[:, 3:]
 
 
-def _gauss_newton(T, C, n, X, max_iter, step_tol):
+def _gauss_newton(T, C, n, X):
     """Damped Gauss-Newton for G problems, each over its n used views.
 
     T (G, V, 4, 4) and C (G, V, 9) describe each problem's packed views
     (see _residuals). Each problem carries its own damping and stops on
-    its own. X (G, 3) holds the starting points, NaN rows for problems
+    its own, after a rejected step, a step below GN_STEP_TOL or
+    GN_MAX_ITER iterations. X (G, 3) holds the starting points, NaN rows for problems
     already failed. Returns (X, err) with NaN rows for failed problems.
     """
     G, V = C.shape[:2]
@@ -318,7 +323,7 @@ def _gauss_newton(T, C, n, X, max_iter, step_tol):
     J[act] = _jacobians(T[act], C[act], pc, z)
     cost[act] = _sq_norms(r[act], n[act])
     eye = np.eye(3)
-    for _ in range(max_iter):
+    for _ in range(GN_MAX_ITER):
         if not act.size:
             break
         H, g = _normal_equations(J[act], r[act], n[act])
@@ -364,7 +369,7 @@ def _gauss_newton(T, C, n, X, max_iter, step_tol):
             improved[pend[hit]] = True
             step[pend] = s[pick]
             pend = pend[~hit]
-        done = ~improved | (np.sqrt(_row_dots(step, step)) < step_tol)
+        done = ~improved | (np.sqrt(_row_dots(step, step)) < GN_STEP_TOL)
         act = act[~done]
 
     pc = _to_camera(X, T)
@@ -381,7 +386,7 @@ def _gauss_newton(T, C, n, X, max_iter, step_tol):
     return X, err
 
 
-def triangulate_weighted(obs, init_hint=None, max_iter=50, step_tol=1e-8):
+def triangulate_weighted(obs, init_hint=None):
     """Weighted nonlinear triangulation of one point or of P independent points.
 
     obs: one (CameraCalibration, uv, w) per camera; uv is (2,) for one
@@ -433,8 +438,7 @@ def triangulate_weighted(obs, init_hint=None, max_iter=50, step_tol=1e-8):
     X[rows], err[rows] = _gauss_newton(
         np.stack([cal.T_cw for cal in cals])[views],
         np.concatenate([fc, uv_p, sw, sw * fc[..., :2]], axis=-1),
-        n, X0, max_iter, step_tol,
-    )
+        n, X0)
     if not single:
         return X, err
     if np.isnan(err[0]):

@@ -10,13 +10,13 @@ that were seen together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FusionConfig
 from .errors import ContactTrackError
-from .schema import HandSchema, JointSchema
+from .schema import SIDE_JOINTS, HandSchema
 
 SIDES = ("left", "right")
 COEXIST_FRAMES = 3  # frames two person ids share before they may never merge
@@ -47,15 +47,14 @@ class HandInstance:
 class FusedHand:
     """World-frame hand instance after cross-camera fusion."""
 
-    frame: int
     side: str
-    vertices_world: np.ndarray
-    palm_center: np.ndarray
     anchors: np.ndarray  # (6, 3): palm centroid then five fingertips
-    sigma_fit: float
-    source_cameras: list
     hand_track_id: int = -1
     person_id: int | None = None
+
+    @property
+    def palm_center(self):
+        return self.anchors[0]
 
 
 def to_world(hand: HandInstance, cal) -> np.ndarray:
@@ -170,31 +169,22 @@ class _HandTrack:
     prev_person: int | None = None
 
 
-@dataclass
-class AssociationState:
-    """Mutable cross-frame state: hand tracks, vote matrix, coexistence."""
-
-    tracks: dict = field(default_factory=dict)  # hand_track_id -> _HandTrack
-    votes: dict = field(default_factory=dict)   # (new_id, prev_id) -> count
-    next_id: int = 1
-    coexist: dict = field(default_factory=dict)  # (id, larger id) -> frames
-    existence: dict = field(default_factory=dict)  # person id -> last existence
-
-
 class HandFusion:
     """Per-frame hand fusion and association against confirmed person tracks."""
 
-    def __init__(self, cfg: FusionConfig | None = None,
-                 hand_schema: HandSchema | None = None,
-                 joint_schema: JointSchema | None = None):
+    def __init__(self, cfg: FusionConfig | None = None, hand_schema: HandSchema | None = None):
         self.cfg = cfg or FusionConfig()
         self.hand_schema = hand_schema or HandSchema()
-        self.joint_schema = joint_schema or JointSchema()
-        self.state = AssociationState()
+        # Cross-frame state.
+        self.tracks = {}     # hand_track_id -> _HandTrack
+        self.votes = {}      # (new_id, prev_id) -> count
+        self.next_id = 1     # next hand_track_id
+        self.coexist = {}    # (id, larger id) -> frames
+        self.existence = {}  # person id -> last existence
 
     # -- fusion -----------------------------------------------------------
 
-    def fuse(self, frame, hands, cals):
+    def fuse(self, hands, cals):
         """Cluster per-camera hand instances and pick one per cluster.
 
         hands: list of HandInstance, pre-sorted by (camera_id, index).
@@ -211,17 +201,7 @@ class HandFusion:
         fused = []
         for members in cluster_hands(centers, sides, self.cfg.dbscan_eps, self.cfg.dbscan_min_pts):
             rep = select_representative(members, sigma, cam_ids)
-            fused.append(
-                FusedHand(
-                    frame=frame,
-                    side=hands[rep].side,
-                    vertices_world=worlds[rep],
-                    palm_center=anchors[rep][0],
-                    anchors=anchors[rep],
-                    sigma_fit=hands[rep].sigma_fit,
-                    source_cameras=sorted({cam_ids[m] for m in members}),
-                )
-            )
+            fused.append(FusedHand(side=hands[rep].side, anchors=anchors[rep]))
         return fused
 
     # -- hand track continuity ---------------------------------------------
@@ -234,10 +214,10 @@ class HandFusion:
         """
         cfg = self.cfg
         alive = {
-            tid: tr for tid, tr in self.state.tracks.items()
+            tid: tr for tid, tr in self.tracks.items()
             if frame - tr.last_frame <= cfg.hand_gap_frames
         }
-        self.state.tracks = dict(alive)
+        self.tracks = dict(alive)
         pairs = []
         for fi, fh in enumerate(fused):
             for tid, tr in alive.items():
@@ -261,9 +241,9 @@ class HandFusion:
         for fi, fh in enumerate(fused):
             if fi in taken_f:
                 continue
-            tid = self.state.next_id
-            self.state.next_id += 1
-            self.state.tracks[tid] = _HandTrack(
+            tid = self.next_id
+            self.next_id += 1
+            self.tracks[tid] = _HandTrack(
                 id=tid, side=fh.side, center=fh.palm_center, last_frame=frame
             )
             fh.hand_track_id = tid
@@ -276,7 +256,7 @@ class HandFusion:
         Tier 0 is the wrist, 1 the elbow, 2 the shoulder; the highest
         priority joint available on the person track is used.
         """
-        joints = self.joint_schema.side_joints[fh.side]
+        joints = SIDE_JOINTS[fh.side]
         for tier, name in enumerate(("wrist", "elbow", "shoulder")):
             k = joints[name]
             if snapshot.available[k]:
@@ -302,7 +282,7 @@ class HandFusion:
         # arbitrarily far away.
         pool = []
         for fi, fh in enumerate(fused):
-            tr = self.state.tracks[fh.hand_track_id]
+            tr = self.tracks[fh.hand_track_id]
             gap = max(frame - tr.last_frame, 1)
             gate = cfg.v_max * gap / cfg.fps + cfg.slack_delta
             td = (
@@ -375,7 +355,7 @@ class HandFusion:
 
         # Commit: update hand tracks, cast per-frame re-association votes.
         for fi, fh in enumerate(fused):
-            tr = self.state.tracks[fh.hand_track_id]
+            tr = self.tracks[fh.hand_track_id]
             tr.center = fh.palm_center
             tr.last_frame = frame
             pid = assigned.get(fi)
@@ -386,21 +366,21 @@ class HandFusion:
                     tr.person = pid
                 if tr.prev_person is not None and pid != tr.prev_person:
                     key = (pid, tr.prev_person)
-                    self.state.votes[key] = self.state.votes.get(key, 0) + 1
+                    self.votes[key] = self.votes.get(key, 0) + 1
         return fused
 
     def _count_coexistence(self, persons):
         """Count the frame for each pair of persons that both received
         detections (existence not decaying); a dying track coasting beside
         its replacement must not block stitching them."""
-        last = self.state.existence
+        last = self.existence
         active = []
         for p in persons:
             if p.existence >= last.get(p.id, 0.0):
                 active.append(p.id)
             last[p.id] = p.existence
         active.sort()
-        coexist = self.state.coexist
+        coexist = self.coexist
         for i, a in enumerate(active):
             for b in active[i + 1:]:
                 coexist[(a, b)] = coexist.get((a, b), 0) + 1
@@ -408,13 +388,13 @@ class HandFusion:
     def step(self, frame, hands, cals, persons):
         """Fuse one frame of hand instances and associate them to persons."""
         self._count_coexistence(persons)
-        fused = self.fuse(frame, hands, cals)
+        fused = self.fuse(hands, cals)
         self._match_hand_tracks(frame, fused)
         return self.associate(frame, fused, persons)
 
     def stitch_mapping(self):
         """Fragment-to-persistent id mapping from the accumulated votes,
         never merging ids that coexisted for COEXIST_FRAMES frames."""
-        strong = {pair for pair, n in self.state.coexist.items() if n >= COEXIST_FRAMES}
+        strong = {pair for pair, n in self.coexist.items() if n >= COEXIST_FRAMES}
         forbidden = strong | {(b, a) for a, b in strong}
-        return stitch_ids(self.state.votes, self.cfg.stitch_min_votes, forbidden)
+        return stitch_ids(self.votes, self.cfg.stitch_min_votes, forbidden)

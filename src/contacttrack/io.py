@@ -1,4 +1,5 @@
-"""File formats: calibration, detection/track streams, episodes, depth grids.
+"""File formats: calibration, detection/track streams, episodes, label
+tables, depth and label grids.
 
 All streams are line-delimited JSON; episodes are CSV. Writers are
 deterministic so identical runs produce byte-identical files.
@@ -18,10 +19,12 @@ from .errors import InputFormatError
 from .geometry import CameraCalibration
 from .hand_fusion import SIDES
 from .schema import JOINT_COUNT
-from .semantic_map import read_label_grid
 
 GRAVITY_AXIS = "+z"
 DEPTH_GRID_MAGIC = b"DEP1"
+LABEL_GRID_MAGIC = b"LBL1"
+# magic -> (cell dtype, name in messages)
+GRID_FORMATS = {DEPTH_GRID_MAGIC: ("<u2", "depth grid"), LABEL_GRID_MAGIC: (np.uint8, "label grid")}
 
 EPISODE_HEADER = [
     "person_id", "side", "surface_label", "t_start", "t_stop",
@@ -420,30 +423,69 @@ def read_traces(path):
         yield row
 
 
-# -- depth grids -----------------------------------------------------------
+# -- label tables ----------------------------------------------------------
 
-def read_depth_grid(path):
-    """Read a DEP1 grid back to float meters (0 where invalid)."""
+def write_label_table(path, table):
+    with open(path, "w") as f:
+        for lid in sorted(table):
+            f.write(f"{lid} {table[lid]}\n")
+
+
+def read_label_table(path):
+    """{label id: name} from "<id> <name>" lines of UTF-8 text."""
+    table = {}
+    with open(path, "rb") as f:
+        for ln, line in enumerate(f, 1):
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise InputFormatError(f"not UTF-8 text: {e}", path=path, line=ln)
+            if not line:
+                continue
+            try:
+                lid, name = line.split(None, 1)
+                table[int(lid)] = name
+            except ValueError:
+                raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
+    return table
+
+
+# -- depth and label grids -------------------------------------------------
+
+def read_grid(path, magic):
+    """(h, w) cells of a grid file: the 4-byte magic, uint32 width and
+    height, then h * w row-major cells of the GRID_FORMATS dtype."""
+    dtype, what = GRID_FORMATS[magic]
     try:
         f = open(path, "rb")
     except OSError as e:
-        raise InputFormatError(f"cannot read depth grid: {e.strerror}", path=path)
+        raise InputFormatError(f"cannot read {what}: {e.strerror}", path=path)
     with f:
         header = f.read(12)
-        if header[:4] != DEPTH_GRID_MAGIC:
-            raise InputFormatError(f"bad depth grid magic {header[:4]!r}", path=path)
+        if header[:4] != magic:
+            raise InputFormatError(f"bad {what} magic {header[:4]!r}", path=path)
         if len(header) < 12:
-            raise InputFormatError("truncated depth grid", path=path)
+            raise InputFormatError(f"truncated {what}", path=path)
         w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
-        need, held = w * h * 2, os.fstat(f.fileno()).st_size - 12
+        need, held = w * h * np.dtype(dtype).itemsize, os.fstat(f.fileno()).st_size - 12
         if need > held:  # checked before reading, so a huge header allocates nothing
             raise InputFormatError(
-                f"truncated depth grid: a {w}x{h} header needs {need} bytes, the file holds {held}",
+                f"truncated {what}: a {w}x{h} header needs {need} bytes, the file holds {held}",
                 path=path)
         data = f.read(need)
         if len(data) != need:
-            raise InputFormatError("truncated depth grid", path=path)
-        return np.frombuffer(data, dtype="<u2").reshape(h, w).astype(float) / 1000.0
+            raise InputFormatError(f"truncated {what}", path=path)
+        return np.frombuffer(data, dtype=dtype).reshape(h, w)
+
+
+def read_depth_grid(path):
+    """Read a DEP1 grid back to float meters (0 where invalid)."""
+    return read_grid(path, DEPTH_GRID_MAGIC).astype(float) / 1000.0
+
+
+def read_label_grid(path):
+    """Read an LBL1 grid of uint8 labels (0 for background)."""
+    return read_grid(path, LABEL_GRID_MAGIC)
 
 
 class GridDepthProvider:

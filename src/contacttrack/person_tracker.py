@@ -9,13 +9,16 @@ stacked epipolar call per camera pair over all of those tracks; each
 birth group makes its own kernel call, its views in pair-merge order.
 Depth lifting reads patches fetched before any track is lifted, with one
 depth-source call per camera for every track's unresolved joints.
-All state mutation happens in a single sequential commit per frame;
-per-camera association is read-only on track state.
+Per-camera association reads track state only. The frame then mutates
+tracks in four steps, in order: update_triangulated writes the accepted
+joints of the matched tracks, depth_lift writes each matched track's
+lifted joints, _spawn adopts birth groups into stale tracks or appends
+new ones, and _lifecycle updates existence scores and drops dead tracks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .geometry import (
     project_many,
     triangulate_weighted,
 )
-from .schema import JOINT_COUNT, JointSchema
+from .schema import BONES, JOINT_COUNT
 
 
 @dataclass
@@ -40,7 +43,6 @@ class PersonTrack:
     joints: np.ndarray  # (26, 3)
     available: np.ndarray  # (26,) bool
     existence: float
-    last_update_frame: int
     confirmed: bool = False
     idle_frames: int = 0
 
@@ -52,7 +54,6 @@ class PersonTrack:
 
 @dataclass
 class TrackSnapshot:
-    frame: int
     id: int
     existence: float
     joints: np.ndarray
@@ -203,8 +204,8 @@ def depth_patches(depth_provider, frame, wanted, cfg: TrackerConfig):
     return out
 
 
-def depth_lift(track, unresolved, obs_by_cam, patches, cals,
-               schema: JointSchema, cfg: TrackerConfig, fixed_joints=()):
+def depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
+               fixed_joints=()):
     """Recover unresolved joints from single-view depth patches.
 
     patches: {(joint, camera_id): patch} as depth_patches fetches them.
@@ -248,7 +249,7 @@ def depth_lift(track, unresolved, obs_by_cam, patches, cals,
             x = parent[x]
         return x
 
-    for a, b, L in schema.edges:
+    for a, b, L in BONES:
         if a in nodes and b in nodes:
             d = np.linalg.norm(nodes[a][0] - nodes[b][0])
             if cfg.bone_alpha * L <= d <= cfg.bone_beta * L:
@@ -326,10 +327,9 @@ def _group_unmatched(unmatched, cals, fmat, cfg: TrackerConfig):
 class Tracker:
     """Owns track state; step() commits one frame in the spec's stage order."""
 
-    def __init__(self, cals, cfg: TrackerConfig | None = None, schema: JointSchema | None = None):
+    def __init__(self, cals, cfg: TrackerConfig | None = None):
         self.cals = dict(cals)
         self.cfg = cfg or TrackerConfig()
-        self.schema = schema or JointSchema()
         self.tracks: list[PersonTrack] = []
         self.next_id = 1
         self._fcache = {}
@@ -374,18 +374,17 @@ class Tracker:
             if patches is not None:
                 lifted = depth_lift(
                     track, unresolved[ti], matched_obs[ti], patches[ti], self.cals,
-                    self.schema, cfg, fixed_joints=tri,
+                    cfg, fixed_joints=tri,
                 )
             if tri or lifted:
                 updated_tracks.add(ti)
-                track.last_update_frame = frame
 
-        born = self._spawn(unmatched, frame, updated_tracks)
-        return self._lifecycle(frame, updated_tracks, born)
+        born = self._spawn(unmatched, updated_tracks)
+        return self._lifecycle(updated_tracks, born)
 
     # -- births ---------------------------------------------------------
 
-    def _spawn(self, unmatched, frame, updated_tracks):
+    def _spawn(self, unmatched, updated_tracks):
         cfg = self.cfg
         born = set()
         for group in _group_unmatched(unmatched, self.cals, self._fmat, cfg):
@@ -422,7 +421,6 @@ class Tracker:
                 track = self.tracks[best[1]]
                 track.joints[avail] = joints[avail]
                 track.available |= avail
-                track.last_update_frame = frame
                 updated_tracks.add(best[1])
             else:
                 self.tracks.append(
@@ -431,7 +429,6 @@ class Tracker:
                         joints=joints,
                         available=avail,
                         existence=cfg.e_init,
-                        last_update_frame=frame,
                     )
                 )
                 self.next_id += 1
@@ -440,7 +437,7 @@ class Tracker:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _lifecycle(self, frame, updated_tracks, born=()):
+    def _lifecycle(self, updated_tracks, born=()):
         cfg = self.cfg
         survivors = []
         out = []
@@ -461,7 +458,6 @@ class Tracker:
             if track.confirmed:
                 out.append(
                     TrackSnapshot(
-                        frame=frame,
                         id=track.id,
                         existence=track.existence,
                         joints=track.joints.copy(),

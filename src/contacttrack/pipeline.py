@@ -31,6 +31,7 @@ from .io import (
     read_detections,
     read_episodes,
     read_hand_tracks,
+    read_label_table,
     read_tracks,
     read_traces,
     read_visibility,
@@ -40,8 +41,8 @@ from .io import (
     write_traces,
 )
 from .person_tracker import Tracker
-from .schema import HandSchema, JointSchema
-from .semantic_map import backproject_labeled, fuse_clouds, read_label_table
+from .schema import HandSchema
+from .semantic_map import UnknownLabel, backproject_labeled, fuse_clouds
 from .simulator import SceneDepthProvider, Simulator
 
 
@@ -105,8 +106,10 @@ def _group_frames(det_path, cals, hand_schema):
         yield current, dets, hands
 
 
-def _build_cloud(provider, cals, frame, cfg, label_table):
-    """The frame's semantic map, fused from each camera's stride lattice."""
+def _build_cloud(provider, cals, frame, cfg, label_table, table_path):
+    """The frame's semantic map, fused from each camera's stride lattice.
+    A label that label_table, read from table_path, does not name raises
+    InputFormatError naming that file."""
     clouds = []
     for cam_id in sorted(cals):
         grids = provider.grids(frame, cam_id, stride=cfg.stride)
@@ -114,7 +117,10 @@ def _build_cloud(provider, cals, frame, cfg, label_table):
             continue
         labels, depth = grids
         clouds.append(backproject_labeled(labels, depth, cals[cam_id], cfg.stride))
-    return fuse_clouds(clouds, cfg.voxel_size, label_table, frame)
+    try:
+        return fuse_clouds(clouds, cfg.voxel_size, label_table, frame)
+    except UnknownLabel as e:
+        raise InputFormatError(f"{e} (frame {frame})", path=table_path)
 
 
 def _rewrite_ids(out_dir, mapping):
@@ -164,14 +170,19 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     det_path = os.path.join(in_dir, "detections.jsonl")
     if not os.path.exists(det_path):
         raise InputFormatError("missing detections.jsonl", path=det_path)
-    table_path = os.path.join(in_dir, "label_table.txt")
-    label_table = read_label_table(table_path) if os.path.exists(table_path) else {}
     depth_provider = _depth_source(in_dir, cfg)
+    table_path = os.path.join(in_dir, "label_table.txt")
+    label_table = None
+    if depth_provider is not None:
+        if not os.path.exists(table_path):
+            raise InputFormatError(
+                "missing label_table.txt, which names the map's surface labels and is "
+                "required with scene.json or grids/", path=table_path)
+        label_table = read_label_table(table_path)
     hand_schema = _load_hand_schema(in_dir)
-    joint_schema = JointSchema()
 
-    tracker = Tracker(cals, cfg.tracker, joint_schema)
-    fusion = HandFusion(cfg.fusion, hand_schema, joint_schema)
+    tracker = Tracker(cals, cfg.tracker)
+    fusion = HandFusion(cfg.fusion, hand_schema)
     contact = ContactTracker(cfg.contact)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -189,7 +200,7 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
             frames_seen += 1
 
             if depth_provider is not None and (cloud is None or not cfg.static_map):
-                cloud = _build_cloud(depth_provider, cals, frame, cfg, label_table)
+                cloud = _build_cloud(depth_provider, cals, frame, cfg, label_table, table_path)
 
             snapshots = tracker.step(frame, dets_by_cam, depth_provider)
             fused = fusion.step(frame, hands, cals, snapshots)

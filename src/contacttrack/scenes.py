@@ -11,18 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 ROOM_CENTER = (3.5, 3.5, 1.1)
+CAMERA_HEIGHT = 2.4  # m
+CAMERA_INSET = 0.25  # m, along both walls from the corner
 
 SHOULDER_HEIGHT = 1.45
 SHOULDER_LATERAL = 0.20
 STAND_BACK = 0.25  # horizontal shoulder-to-target distance while touching
 
 
-def corner_cameras(height=2.4, inset=0.25):
-    pts = [(inset, inset), (7 - inset, inset), (7 - inset, 7 - inset), (inset, 7 - inset)]
+def corner_cameras():
+    """The four cameras, CAMERA_INSET m in from each corner at CAMERA_HEIGHT
+    m, looking at the room centre."""
+    lo, hi = CAMERA_INSET, 7 - CAMERA_INSET
+    pts = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
     return [
         {
             "id": f"cam{i}",
-            "position": [x, y, height],
+            "position": [x, y, CAMERA_HEIGHT],
             "look_at": list(ROOM_CENTER),
             "fx": 360.0, "fy": 360.0, "width": 640, "height": 480,
         }

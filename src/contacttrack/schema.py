@@ -1,16 +1,18 @@
-"""Body and hand schemas.
+"""Body constants and the hand schema.
 
-The 26-joint body schema carries the skeleton edge list with nominal bone
-lengths used by the depth-lifting bone gate. Nominal lengths are derived
-from a canonical standing template so that synthetic skeletons satisfy the
-table exactly. The hand schema designates palm and fingertip vertex indices
-on the hand vertex set.
+The 26-joint body is fixed: its joint names, the skeleton bones with the
+nominal lengths used by the depth-lifting bone gate, the arm joints of
+each side and the torso joints are module constants. Nominal lengths are
+derived from a canonical standing template so that synthetic skeletons
+satisfy them exactly. The hand schema, read from a recording's
+hand_schema.json, designates palm and fingertip vertex indices on the
+hand vertex set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,55 +110,20 @@ _EDGE_PAIRS = [
 ]
 
 
-@dataclass
-class JointSchema:
-    """26-joint skeleton schema with nominal bone lengths (meters)."""
+_INDEX = {name: k for k, name in enumerate(JOINT_NAMES)}
 
-    names: list[str] = field(default_factory=lambda: list(JOINT_NAMES))
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-    side_joints: dict = field(default_factory=dict)
-    torso_indices: tuple = (5, 6, 11, 12)
-    template: np.ndarray = field(default_factory=lambda: TEMPLATE_JOINTS.copy())
-
-    def __post_init__(self):
-        if len(self.names) != JOINT_COUNT:
-            raise ValueError("schema must name 26 joints")
-        if not self.edges:
-            idx = {n: i for i, n in enumerate(self.names)}
-            self.edges = [
-                (idx[a], idx[b], float(np.linalg.norm(self.template[idx[a]] - self.template[idx[b]])))
-                for a, b in _EDGE_PAIRS
-            ]
-        if not self.side_joints:
-            idx = {n: i for i, n in enumerate(self.names)}
-            self.side_joints = {
-                "left": {"wrist": idx["left_wrist"], "elbow": idx["left_elbow"], "shoulder": idx["left_shoulder"]},
-                "right": {"wrist": idx["right_wrist"], "elbow": idx["right_elbow"], "shoulder": idx["right_shoulder"]},
-            }
-        if any(L <= 0 for _, _, L in self.edges):
-            raise ValueError("nominal bone lengths must be positive")
-        if not self._connected():
-            raise ValueError("skeleton edge list must connect all 26 joints")
-
-    def _connected(self):
-        adj = {i: set() for i in range(JOINT_COUNT)}
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == JOINT_COUNT
-
-    def bone_length(self, a, b):
-        for i, j, L in self.edges:
-            if {i, j} == {a, b}:
-                return L
-        raise KeyError((a, b))
+# Skeleton bones (a, b, nominal length L in m), L the template's bone length.
+BONES = tuple(
+    (i, j, float(np.linalg.norm(TEMPLATE_JOINTS[i] - TEMPLATE_JOINTS[j])))
+    for i, j in ((_INDEX[a], _INDEX[b]) for a, b in _EDGE_PAIRS)
+)
+BONE_LENGTH = {(a, b): L for a, b, L in BONES}
+# side -> {"wrist", "elbow", "shoulder"} -> joint index.
+SIDE_JOINTS = {
+    side: {part: _INDEX[f"{side}_{part}"] for part in ("wrist", "elbow", "shoulder")}
+    for side in ("left", "right")
+}
+TORSO_JOINTS = (5, 6, 11, 12)  # shoulders and hips
 
 
 @dataclass
@@ -165,21 +132,25 @@ class HandSchema:
 
     palm_indices designate the vertex subset whose centroid is the palm
     center anchor; fingertip_indices are the five fingertip vertices.
+    Either left out (None) takes the default layout; lists given are
+    used as they are.
     """
 
     vertex_count: int = 778
-    palm_indices: list[int] = field(default_factory=list)
-    fingertip_indices: list[int] = field(default_factory=list)
+    palm_indices: list[int] | None = None
+    fingertip_indices: list[int] | None = None
 
     def __post_init__(self):
-        if not self.palm_indices:
+        if self.palm_indices is None:
             # Default layout: fingertips are the last five vertices and the
             # palm set is the first eight.
             self.palm_indices = list(range(min(8, self.vertex_count - 5)))
-        if not self.fingertip_indices:
+        if self.fingertip_indices is None:
             self.fingertip_indices = list(
                 range(self.vertex_count - 5, self.vertex_count)
             )
+        if not self.palm_indices:
+            raise ValueError("palm_indices must name at least one vertex")
         if len(self.fingertip_indices) != 5:
             raise ValueError("exactly five fingertip indices required")
         indices = self.palm_indices + self.fingertip_indices

@@ -9,13 +9,12 @@ query batch in one pass of numpy calls.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import ContactTrackError, InputFormatError
+from .errors import ContactTrackError
 from .geometry import CameraCalibration, backproject_many
 
 
@@ -25,6 +24,10 @@ class ResolutionMismatch(ContactTrackError):
 
 class EmptyCloud(ContactTrackError):
     pass
+
+
+class UnknownLabel(ContactTrackError):
+    """A cloud label that its label table does not name."""
 
 
 class VoxelGridTooLarge(ContactTrackError):
@@ -132,7 +135,7 @@ class SemanticCloud:
         self.label_ids = [int(lid) for lid in np.unique(self.labels)]
         for lid in self.label_ids:
             if lid not in self.label_table:
-                raise ValueError(f"label id {lid} missing from label table")
+                raise UnknownLabel(f"label id {lid} missing from label table")
         self._index = None
 
     def __len__(self):
@@ -253,56 +256,3 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
     nums = np.bincount(vox_w, minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
     return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)
-
-
-# -- file formats --------------------------------------------------------
-
-LABEL_GRID_MAGIC = b"LBL1"
-
-
-def read_label_grid(path):
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise InputFormatError(f"cannot read label grid: {e.strerror}", path=path)
-    with f:
-        header = f.read(12)
-        if header[:4] != LABEL_GRID_MAGIC:
-            raise InputFormatError(f"bad label grid magic {header[:4]!r}", path=path)
-        if len(header) < 12:
-            raise InputFormatError("truncated label grid", path=path)
-        w, h = (int(n) for n in np.frombuffer(header[4:], dtype=np.uint32))
-        held = os.fstat(f.fileno()).st_size - 12
-        if w * h > held:  # checked before reading, so a huge header allocates nothing
-            raise InputFormatError(
-                f"truncated label grid: a {w}x{h} header needs {w * h} bytes, the file holds {held}",
-                path=path)
-        data = np.frombuffer(f.read(w * h), dtype=np.uint8)
-        if data.size != w * h:
-            raise InputFormatError("truncated label grid", path=path)
-        return data.reshape(h, w).copy()
-
-
-def write_label_table(path, table):
-    with open(path, "w") as f:
-        for lid in sorted(table):
-            f.write(f"{lid} {table[lid]}\n")
-
-
-def read_label_table(path):
-    """{label id: name} from "<id> <name>" lines of UTF-8 text."""
-    table = {}
-    with open(path, "rb") as f:
-        for ln, line in enumerate(f, 1):
-            try:
-                line = line.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise InputFormatError(f"not UTF-8 text: {e}", path=path, line=ln)
-            if not line:
-                continue
-            try:
-                lid, name = line.split(None, 1)
-                table[int(lid)] = name
-            except ValueError:
-                raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
-    return table

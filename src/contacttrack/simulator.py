@@ -35,12 +35,12 @@ from .io import (
     write_calibration,
     write_detections,
     write_episodes,
+    write_label_table,
     write_track_line,
     write_visibility,
 )
 from .primitives import Capsules, cast_rays, surface_from_config
-from .schema import HandSchema, JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
-from .semantic_map import write_label_table
+from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema
 
 OCCLUSION_MARGIN = 0.05  # m, occluder must be this much nearer than the joint
 PARTIAL_MARGIN = 0.02    # m, near-miss band that only degrades confidence
@@ -91,14 +91,16 @@ def _hash_normals(seed, frame, cam_index, pixel_ids):
 
 # -- camera construction ---------------------------------------------------
 
-def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
+def look_at_extrinsics(position, target):
+    """World-to-camera transform of a camera at position looking at
+    target, its image x axis level (perpendicular to the +z gravity axis)
+    unless it looks straight up or down."""
     position = np.asarray(position, dtype=float)
     z = np.asarray(target, dtype=float) - position
     if not np.linalg.norm(z) > 0:
         raise ValueError("camera look_at must differ from its position")
     z = z / np.linalg.norm(z)
-    up = np.asarray(up, dtype=float)
-    x = np.cross(z, up)
+    x = np.cross(z, (0.0, 0.0, 1.0))
     if np.linalg.norm(x) < 1e-9:
         x = np.cross(z, (1.0, 0.0, 0.0))
     x = x / np.linalg.norm(x)
@@ -366,7 +368,6 @@ class Simulator:
             raise InputFormatError("scene config must be a mapping with cameras")
         self.scene = parse_scene(scene) if "raw" not in scene else scene
         self.seed = int(seed)
-        self.schema = JointSchema()
         self.hand_schema = HandSchema(vertex_count=self.scene["hand_vertex_count"])
         self.cals = self.scene["cameras"]
         self.cam_index = {c: i for i, c in enumerate(sorted(self.cals))}
@@ -379,8 +380,6 @@ class Simulator:
                 self._blobs[(p.id, side)] = hand_blob(
                     self.scene["hand_vertex_count"], self.seed, p.id, side
                 )
-        self._l_upper = self.schema.bone_length(5, 7)
-        self._l_fore = self.schema.bone_length(7, 9)
 
     # -- world state -------------------------------------------------------
 
@@ -393,14 +392,14 @@ class Simulator:
             ev = person.active_event(frame, side)
             if ev is None:
                 continue
-            sj = self.schema.side_joints[side]
+            sj = SIDE_JOINTS[side]
             shoulder = joints[sj["shoulder"]]
             idle_wrist = joints[sj["wrist"]]
             w = ev.weight(frame)
             target = idle_wrist + w * (ev.target - idle_wrist)
             out_dir = _yaw_matrix(yaw) @ np.array([0.0, 1.0 if side == "left" else -1.0, 0.0])
             elbow, wrist, cl = two_bone_reach(
-                shoulder, target, self._l_upper, self._l_fore, out_dir
+                shoulder, target, BONE_LENGTH[5, 7], BONE_LENGTH[7, 9], out_dir
             )
             joints[sj["elbow"]] = elbow
             joints[sj["wrist"]] = wrist
@@ -408,13 +407,11 @@ class Simulator:
         return joints, clamped
 
     def frame_state(self, frame):
-        """{person_id: (joints, clamped)} for persons present at the frame."""
+        """{person_id: (26, 3) joints} for persons present at the frame."""
         if self._frame_cache[0] == frame:
             return self._frame_cache[1]
-        state = {}
-        for p in self.scene["persons"]:
-            if p.present(frame):
-                state[p.id] = self.skeleton(p, frame)
+        state = {p.id: self.skeleton(p, frame)[0]
+                 for p in self.scene["persons"] if p.present(frame)}
         self._frame_cache = (frame, state)
         return state
 
@@ -426,7 +423,7 @@ class Simulator:
         if self._capsule_cache[0] == frame:
             return self._capsule_cache[1]
         state = self.frame_state(frame)
-        caps = body_capsules([joints for joints, _ in state.values()])
+        caps = body_capsules(list(state.values()))
         owner = np.repeat(list(state), len(BODY_BONES))
         self._capsule_cache = (frame, (caps, owner))
         return caps, owner
@@ -434,7 +431,7 @@ class Simulator:
     def hand_vertices(self, person_id, side, joints):
         """World hand vertex set: the local blob carried by the wrist so
         that the palm centroid sits exactly on the wrist joint."""
-        wrist = joints[self.schema.side_joints[side]["wrist"]]
+        wrist = joints[SIDE_JOINTS[side]["wrist"]]
         return self._blobs[(person_id, side)] + wrist
 
     # -- rendering ---------------------------------------------------------
@@ -451,7 +448,7 @@ class Simulator:
             return self._sighting_cache[1]
         state = self.frame_state(frame)
         caps, owner = self.frame_capsules(frame)
-        joints = np.array([j for j, _ in state.values()]).reshape(-1, 3)
+        joints = np.array(list(state.values())).reshape(-1, 3)
         ray_owner = np.repeat(list(state), JOINT_COUNT)
         occluders = self.scene["surfaces"] + [replace(caps, skip=owner[:, None] == ray_owner)]
         per_camera = {}
@@ -494,7 +491,7 @@ class Simulator:
             persons_out = []
             hands_out = []
             for pid in sorted(state):
-                joints, _ = state[pid]
+                joints = state[pid]
                 dropped = rng.random() < dropout
                 uv, occ, seen = sightings[(cam_id, pid)]
                 seen = seen & (not dropped)
@@ -509,7 +506,7 @@ class Simulator:
                 # Hands ride on the wrist; exported when the wrist is seen.
                 for side in ("left", "right"):
                     vnoise = rng.normal(0.0, 1.0, size=(self.scene["hand_vertex_count"], 3))
-                    if not seen[self.schema.side_joints[side]["wrist"]]:
+                    if not seen[SIDE_JOINTS[side]["wrist"]]:
                         continue
                     verts = self.hand_vertices(pid, side, joints) + jitter * vnoise
                     hands_out.append(
@@ -529,7 +526,7 @@ class Simulator:
         for frame in range(self.scene["frame_count"]):
             state = self.frame_state(frame)
             for pid in sorted(state):
-                yield frame, pid, state[pid][0]
+                yield frame, pid, state[pid]
 
     def gt_visibility(self, frame):
         """(frame, person, side, False) records of one frame for the wrists
@@ -539,7 +536,7 @@ class Simulator:
         out = []
         for pid in sorted(self.frame_state(frame)):
             for side in ("left", "right"):
-                wk = self.schema.side_joints[side]["wrist"]
+                wk = SIDE_JOINTS[side]["wrist"]
                 if sum(bool(sightings[(cam_id, pid)][2][wk]) for cam_id in self.cals) < 2:
                     out.append((frame, pid, side, False))
         return out
@@ -552,15 +549,11 @@ class Simulator:
         tracker = ContactTracker(cfg)
         surfaces = SurfaceDistances(self.scene["surfaces"])
         for frame in range(self.scene["frame_count"]):
-            for pid, (joints, _) in self.frame_state(frame).items():
+            for pid, joints in self.frame_state(frame).items():
                 for side in ("left", "right"):
-                    verts = self.hand_vertices(pid, side, joints)
-                    anchors = self.hand_schema.anchors(verts)
-                    hand = FusedHand(
-                        frame=frame, side=side, vertices_world=verts, palm_center=anchors[0],
-                        anchors=anchors, sigma_fit=0.0, source_cameras=[],
-                        hand_track_id=2 * pid + (side == "right"), person_id=pid,
-                    )
+                    anchors = self.hand_schema.anchors(self.hand_vertices(pid, side, joints))
+                    hand = FusedHand(side, anchors, hand_track_id=2 * pid + (side == "right"),
+                                     person_id=pid)
                     tracker.update(frame, hand, surfaces)
         return tracker.finalize()
 

@@ -18,7 +18,7 @@ from contacttrack.contact import (
     smooth_anchors,
 )
 from contacttrack.evaluation import _framewise_sets
-from contacttrack.io import DEPTH_GRID_MAGIC
+from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC
 from contacttrack.geometry import (
     CameraCalibration,
     IllConditioned,
@@ -30,7 +30,7 @@ from contacttrack.geometry import (
 from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
-from contacttrack.semantic_map import LABEL_GRID_MAGIC, SemanticCloud, SurfaceHit
+from contacttrack.semantic_map import SemanticCloud, SurfaceHit
 from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN
 
 
@@ -581,7 +581,7 @@ def per_person_sightings(sim, frame):
     stack without that person's rows."""
     caps, owner = sim.frame_capsules(frame)
     out = {}
-    for pid, (joints, _) in sim.frame_state(frame).items():
+    for pid, joints in sim.frame_state(frame).items():
         occluders = sim.scene["surfaces"] + [caps[owner != pid]]
         for cam_id, cal in sim.cals.items():
             dirs = joints - cal.center

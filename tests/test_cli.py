@@ -288,7 +288,8 @@ class TestRunBadDepthInput:
         with open(os.path.join(ds, "detections.jsonl")) as f:
             first_frame = [line for line in f if json.loads(line)["frame"] == 0]
         (inp / "detections.jsonl").write_text("".join(first_frame))
-        shutil.copy(os.path.join(ds, "hand_schema.json"), inp / "hand_schema.json")
+        for name in ("hand_schema.json", "label_table.txt"):
+            shutil.copy(os.path.join(ds, name), inp / name)
         return inp
 
     def _run(self, tmp_path, ds, inp):
@@ -315,6 +316,41 @@ class TestRunBadDepthInput:
         (inp / "label_table.txt").write_text("0 background\n1\n")
         assert self._run(tmp_path, ds, inp) == EXIT_INPUT
         assert f"input error: {inp / 'label_table.txt'}:2: " in capsys.readouterr().err
+
+
+class TestRunLabelTable:
+    """label_table.txt is required beside scene.json or grids/ and must
+    name every label the map holds: exit 2, message names the file."""
+
+    def _input_dir(self, tmp_path, ds):
+        inp = tmp_path / "in"
+        inp.mkdir()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            (inp / "detections.jsonl").write_text(
+                "".join(line for line in f if json.loads(line)["frame"] < 5))
+        for name in ("hand_schema.json", "scene.json"):
+            shutil.copy(os.path.join(ds, name), inp / name)
+        return inp
+
+    def _run(self, tmp_path, ds, inp):
+        return main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")])
+
+    def test_missing_table(self, tmp_path, mini_induction, capsys):
+        ds = mini_induction["ds"]
+        inp = self._input_dir(tmp_path, ds)
+        assert self._run(tmp_path, ds, inp) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {inp / 'label_table.txt'}: missing label_table.txt" in err
+
+    def test_table_without_a_map_label(self, tmp_path, mini_induction, capsys):
+        ds = mini_induction["ds"]
+        inp = self._input_dir(tmp_path, ds)
+        (inp / "label_table.txt").write_text("1 bed\n")
+        assert self._run(tmp_path, ds, inp) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert (f"input error: {inp / 'label_table.txt'}: label id 2 missing from label table"
+                in err)
 
 
 def _camera_not_calibrated(recs):
@@ -494,7 +530,11 @@ class TestRunBadHandSchema:
           "fingertip_indices": [35, 36, 37, 38]}, "exactly five fingertip indices"),
         ({"vertex_count": 40, "palm_indices": [-1, 0, 1],
           "fingertip_indices": [35, 36, 37, 38, 39]}, "anchor index out of range"),
-    ], ids=["not-json", "four-fingertips", "negative-index"])
+        ({"vertex_count": 40, "palm_indices": [],
+          "fingertip_indices": [35, 36, 37, 38, 39]}, "palm_indices must name at least one vertex"),
+        ({"vertex_count": 40, "palm_indices": [0, 1, 2],
+          "fingertip_indices": []}, "exactly five fingertip indices"),
+    ], ids=["not-json", "four-fingertips", "negative-index", "empty-palm", "empty-fingertips"])
     def test_bad_schema(self, tmp_path, mini_induction, capsys, schema, message):
         ds = mini_induction["ds"]
         inp = tmp_path / "in"

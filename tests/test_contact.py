@@ -184,19 +184,9 @@ def flat_cloud(label=1, y=0.0, n=41):
     return SemanticCloud(0, 0.01, pos, np.full(n, label), {label: "table"})
 
 
-def hand(anchors_center, frame, hand_id=1, person=4, side="right"):
+def hand(anchors_center, hand_id=1, person=4, side="right"):
     a = np.tile(np.asarray(anchors_center, dtype=float), (6, 1))
-    return FusedHand(
-        frame=frame,
-        side=side,
-        vertices_world=a.copy(),
-        palm_center=a[0],
-        anchors=a,
-        sigma_fit=0.003,
-        source_cameras=["cam0"],
-        hand_track_id=hand_id,
-        person_id=person,
-    )
+    return FusedHand(side=side, anchors=a, hand_track_id=hand_id, person_id=person)
 
 
 class TestContactTracker:
@@ -207,7 +197,7 @@ class TestContactTracker:
         # Approach, dwell within tau_on, retract.
         heights = [0.30, 0.20, 0.10, 0.05, 0.05, 0.05, 0.20, 0.30]
         for f, h in enumerate(heights):
-            ct.update(f, hand((0.0, 0.0, 0.8 + h), f), cloud)
+            ct.update(f, hand((0.0, 0.0, 0.8 + h)), cloud)
         eps = ct.finalize()
         assert len(eps) == 1
         ep = eps[0]
@@ -220,17 +210,17 @@ class TestContactTracker:
         cfg = ContactConfig(ema_alpha=0.5, max_gap_frames=2)
         ct = ContactTracker(cfg)
         cloud = flat_cloud()
-        ct.update(0, hand((0.0, 0.0, 1.8), 0), cloud)
+        ct.update(0, hand((0.0, 0.0, 1.8)), cloud)
         # Long absence, then reappear touching; with a stale EMA the first
         # smoothed distance would be ~0.5 m, with a reset it is ~5 cm.
-        ct.update(10, hand((0.0, 0.0, 0.85), 10), cloud)
+        ct.update(10, hand((0.0, 0.0, 0.85)), cloud)
         key = (1, 1)
         assert ct._active[key]
 
     def test_traces_recorded(self):
         ct = ContactTracker(ContactConfig(ema_alpha=1.0))
         cloud = flat_cloud()
-        rows = ct.update(0, hand((0.0, 0.0, 1.0), 0), cloud)
+        rows = ct.update(0, hand((0.0, 0.0, 1.0)), cloud)
         assert len(rows) == 1
         frame, hid, side, person, label, d = rows[0]
         assert (frame, hid, side, person, label) == (0, 1, "right", 4, 1)
@@ -239,14 +229,14 @@ class TestContactTracker:
     def test_empty_cloud_no_state(self):
         ct = ContactTracker(ContactConfig())
         empty = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), {})
-        assert ct.update(0, hand((0, 0, 1.0), 0), empty) == []
+        assert ct.update(0, hand((0, 0, 1.0)), empty) == []
         assert ct.finalize() == []
 
     def test_records_do_not_keep_the_cloud_alive(self):
         ct = ContactTracker(ContactConfig(ema_alpha=1.0))
         cloud = flat_cloud()
         positions = weakref.ref(cloud.positions.base)  # the array owning the points
-        ct.update(0, hand((0.0, 0.0, 0.85), 0), cloud)
+        ct.update(0, hand((0.0, 0.0, 0.85)), cloud)
         assert ct._open  # the hand is in contact, so an open episode holds a point
         del cloud
         gc.collect()
@@ -312,7 +302,7 @@ def replay(tracker, frames):
                 label: (d, np.array([d, label, k], dtype=float))
                 for label, (d, k) in nearest.items()
             })
-            rows.append(tracker.update(frame, hand((0.0, 0.0, 1.0), frame, hand_id, person, side), cloud))
+            rows.append(tracker.update(frame, hand((0.0, 0.0, 1.0), hand_id, person, side), cloud))
     return rows, tracker.finalize()
 
 
@@ -350,7 +340,7 @@ class TestOnlineEpisodes:
 
         def pickled_size(tracker, frames):
             for f in range(frames):
-                tracker.update(f, hand((0.0, 0.0, 0.85), f), cloud)
+                tracker.update(f, hand((0.0, 0.0, 0.85)), cloud)
             return len(pickle.dumps(tracker))
 
         small = pickled_size(ContactTracker(), 100)

@@ -15,18 +15,16 @@ from contacttrack.evaluation import (
     mot_metrics,
     threshold_sweep,
 )
-from contacttrack.schema import JOINT_COUNT, JointSchema
+from contacttrack.schema import JOINT_COUNT, TORSO_JOINTS
 
 from helpers import per_key_threshold_sweep
-
-SCHEMA = JointSchema()
 
 
 def body(x, y):
     """A minimal person entry: torso joints at (x, y), varied heights."""
     joints = np.zeros((JOINT_COUNT, 3))
     avail = np.zeros(JOINT_COUNT, dtype=bool)
-    for k, z in zip(SCHEMA.torso_indices, (1.45, 1.45, 1.0, 1.0)):
+    for k, z in zip(TORSO_JOINTS, (1.45, 1.45, 1.0, 1.0)):
         joints[k] = (x, y, z)
         avail[k] = True
     return joints, avail
@@ -54,13 +52,13 @@ class TestFloorCenter:
 class TestMatchTracks:
     def test_identical_streams(self):
         frames = {f: {1: body(0, 0), 2: body(2, 2)} for f in range(5)}
-        corr = match_tracks(frames, frames, 0.2)
+        corr = match_tracks(frames, frames)
         assert all(corr[f] == {1: 1, 2: 2} for f in range(5))
 
     def test_beyond_radius_unmatched(self):
         gt = {0: {1: body(0, 0)}}
         pred = {0: {7: body(0.25, 0)}}
-        assert match_tracks(pred, gt, 0.2) == {0: {}}
+        assert match_tracks(pred, gt) == {0: {}}
 
     def test_three_way_matches_permutation_oracle(self):
         rng = np.random.default_rng(5)
@@ -68,7 +66,7 @@ class TestMatchTracks:
         pred_pos = [(x + rng.normal(0, 0.05), y + rng.normal(0, 0.05)) for x, y in gt_pos]
         gt = {0: {i: body(*p) for i, p in enumerate(gt_pos)}}
         pred = {0: {10 + j: body(*p) for j, p in enumerate(pred_pos)}}
-        corr = match_tracks(pred, gt, 0.2)[0]
+        corr = match_tracks(pred, gt)[0]
         dist = np.array(
             [[np.hypot(g[0] - p[0], g[1] - p[1]) for p in pred_pos] for g in gt_pos]
         )
@@ -79,7 +77,7 @@ class TestMatchTracks:
 class TestMotMetrics:
     def test_perfect(self):
         frames = {f: {1: body(0, 0), 2: body(2, 2)} for f in range(20)}
-        corr = match_tracks(frames, frames, 0.2)
+        corr = match_tracks(frames, frames)
         idf1, sw, id_map = mot_metrics(corr, frames, frames)
         assert idf1 == 1.0
         assert sw == 0
@@ -88,7 +86,7 @@ class TestMotMetrics:
     def test_half_coverage_closed_form(self):
         gt = {f: {1: body(0, 0)} for f in range(10)}
         pred = {f: {100 if f < 5 else 200: body(0, 0)} for f in range(10)}
-        corr = match_tracks(pred, gt, 0.2)
+        corr = match_tracks(pred, gt)
         idf1, sw, _ = mot_metrics(corr, pred, gt)
         assert idf1 == pytest.approx(0.5)
         assert sw == 1
@@ -97,7 +95,7 @@ class TestMotMetrics:
         gt = {f: {1: body(0, 0)} for f in (0, 1, 5, 6)}
         pred = {0: {9: body(0, 0)}, 1: {9: body(0, 0)},
                 5: {8: body(0, 0)}, 6: {8: body(0, 0)}}
-        corr = match_tracks(pred, gt, 0.2)
+        corr = match_tracks(pred, gt)
         _, sw, _ = mot_metrics(corr, pred, gt)
         assert sw == 0  # id change across the 1..5 gap is not a switch
 

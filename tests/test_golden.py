@@ -5,7 +5,9 @@ that `run` writes with a per-frame map and with --static-map, for a short
 fixed-seed window of each builtin scene, plus the `simulate` files and the
 per-frame-map `run` files of an eight-person crossing window whose joints
 are hidden by other bodies far more often, so depth lifting casts against
-a frame's 80 body capsules, culled to the few each ray may hit. A change
+a frame's 80 body capsules, culled to the few each ray may hit. For each
+builtin window it also holds the `evaluate` report and a fixed-grid
+`sweep` of the per-frame-map `run` against the simulated ground truth. A change
 that moves any output byte fails here. When a change moves bytes on
 purpose, say which and why in CHANGES.md and record the new hashes,
 printed by
@@ -13,12 +15,15 @@ printed by
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import os
 
 import pytest
 
+from contacttrack.cli import main
 from contacttrack.config import PipelineConfig
 from contacttrack.pipeline import run_pipeline
 from contacttrack.scenes import builtin_scene
@@ -36,6 +41,7 @@ WINDOWS = {
     "induction-lite": (60, 36),
     "induction-lite-noisy": (60, 36),
 }
+SWEEP_GRID = "0.02:0.12:0.01"  # m, tau_on values of the pinned sweep
 
 GOLDEN = {
     "crossing-clean": {
@@ -52,6 +58,11 @@ GOLDEN = {
             "hand_tracks.jsonl": "d4fa005c68bc84162c70edc9c8ac99a8016a3e463aaa3804a3a97a8d511d9188",
             "run_meta.json": "3a049fd2943ffb58645fe38214e40296a4e9c754328cc813a8c2d01ee40afc82",
             "tracks.jsonl": "85740ed8c25620af1c02d57466c921ae7f63d5b4c298e81814deba1cf9dca06e"
+        },
+        "score": {
+            "report.csv": "dbe4cf5a31a8903278119cd1c243b798160bab1527ec63c95f22134afcafb507",
+            "report.json": "686788eb6be5ccaf60d5f16390f7badfd57d4b5501b6f12aac11b4be6bf6344f",
+            "sweep.csv": "40d1c22df22104ec52c96d047035f6a833156dda998422de68442129e91e26d0"
         },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
@@ -79,6 +90,11 @@ GOLDEN = {
             "hand_tracks.jsonl": "fba404dc5abfa9fe7e3b1ded1acf72914a8ee3e382187595ff378018e500eb3f",
             "run_meta.json": "3a049fd2943ffb58645fe38214e40296a4e9c754328cc813a8c2d01ee40afc82",
             "tracks.jsonl": "13714caf7692002f95ace9f353f738ab5e23e47c52a4a578641c3eae803588b4"
+        },
+        "score": {
+            "report.csv": "a7151ba1a110b01744a906b35cd2e579aa5fdf7bcb668f86e576379d0d3a6150",
+            "report.json": "8d3daa65062f3583d77b07871c8bfbbc3867643aa28203a8535f68ff48c289cc",
+            "sweep.csv": "40d1c22df22104ec52c96d047035f6a833156dda998422de68442129e91e26d0"
         },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
@@ -127,6 +143,11 @@ GOLDEN = {
             "run_meta.json": "027a1aac72b1b7ccbd44593fa719adb217291081cb9da83888b75336f22d29cf",
             "tracks.jsonl": "c866b338ad5df7c70fc8ab34f59ce1780998b0b2479b51ab2d78a3b454f9626d"
         },
+        "score": {
+            "report.csv": "6dee67bf49efd43a1d7623c7d0fcc4016d0ea5fffc201b1618b96d3afc60d728",
+            "report.json": "744853cb66135583a1d57a253067fde8829c5fdc1520bdd5d01f520e26928723",
+            "sweep.csv": "650e9028e96f08529ac5b51e8ae8b8f70f267103d260e7fc1fcb9b7cd8cabfe5"
+        },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
             "detections.jsonl": "adeebf3b77b8c77189352608998259a69d5e42aa2c39b51fb3fb0cba64e6beea",
@@ -153,6 +174,11 @@ GOLDEN = {
             "hand_tracks.jsonl": "021f2177954e6db34c35c00a4a54ef37b233ee726536541658c8e6435f2a9c74",
             "run_meta.json": "027a1aac72b1b7ccbd44593fa719adb217291081cb9da83888b75336f22d29cf",
             "tracks.jsonl": "96116b7d1e5562ca4ebd453123d28bd97737494e29847afb28201c151a82bb9a"
+        },
+        "score": {
+            "report.csv": "6dee67bf49efd43a1d7623c7d0fcc4016d0ea5fffc201b1618b96d3afc60d728",
+            "report.json": "744853cb66135583a1d57a253067fde8829c5fdc1520bdd5d01f520e26928723",
+            "sweep.csv": "b74affaa1159564cc7049bd578b7ec6286baa9391f5d324e1d26f7a916df3b5d"
         },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
@@ -191,7 +217,8 @@ def digests(root):
 def outputs(name, root):
     """Digests of the simulate outputs of one window and of its run
     outputs: per-frame map and --static-map for the builtin windows, the
-    per-frame map only for the crowd, which has no surfaces."""
+    per-frame map only for the crowd, which has no surfaces. The builtin
+    windows add the evaluate and sweep outputs of the per-frame run."""
     ds = os.path.join(root, "data")
     scene = crowd_crossing() if name == "crowd-8" else window(builtin_scene(name), *WINDOWS[name])
     emit_dataset(scene, ds, seed=SEED)
@@ -202,6 +229,14 @@ def outputs(name, root):
         run_pipeline(os.path.join(ds, "calibration.json"), ds, out,
                      PipelineConfig(static_map=static, seed=SEED))
         got[mode] = digests(out)
+    if name in WINDOWS:
+        score = os.path.join(root, "score")
+        gt, pred = os.path.join(ds, "gt"), os.path.join(root, "run")
+        with contextlib.redirect_stdout(io.StringIO()):  # the commands' summaries
+            assert main(["evaluate", "--pred", pred, "--gt", gt, "--out", score]) == 0
+            assert main(["sweep", "--in", pred, "--gt", gt, "--grid", SWEEP_GRID,
+                         "--out", os.path.join(score, "sweep.csv")]) == 0
+        got["score"] = digests(score)
     return got
 
 

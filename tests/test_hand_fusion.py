@@ -14,14 +14,13 @@ from contacttrack.hand_fusion import (
     to_world,
 )
 from contacttrack.person_tracker import TrackSnapshot
-from contacttrack.schema import HandSchema, JOINT_COUNT, JointSchema
+from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, HandSchema
 
 from contacttrack.geometry import CameraCalibration
 
 from helpers import identity_camera
 
 HAND_SCHEMA = HandSchema(vertex_count=16)
-JOINTS = JointSchema()
 
 
 def hand_vertices(palm_center, spread=0.02):
@@ -37,10 +36,10 @@ def person(pid, wrist_l=None, wrist_r=None, existence=1.0):
     avail = np.zeros(JOINT_COUNT, dtype=bool)
     for side, w in (("left", wrist_l), ("right", wrist_r)):
         if w is not None:
-            k = JOINTS.side_joints[side]["wrist"]
+            k = SIDE_JOINTS[side]["wrist"]
             joints[k] = w
             avail[k] = True
-    return TrackSnapshot(frame=0, id=pid, existence=existence, joints=joints, available=avail)
+    return TrackSnapshot(id=pid, existence=existence, joints=joints, available=avail)
 
 
 def naive_dbscan(points, eps, min_pts):
@@ -167,7 +166,7 @@ class TestStitch:
 class TestFusionAndAssociation:
     def setup_method(self):
         self.cals = {"cam0": identity_camera("cam0"), "cam1": identity_camera("cam1")}
-        self.hf = HandFusion(FusionConfig(), HAND_SCHEMA, JOINTS)
+        self.hf = HandFusion(FusionConfig(), HAND_SCHEMA)
 
     def test_two_cameras_fuse_to_one_hand(self):
         c = np.array([0.1, 0.0, 2.0])
@@ -175,11 +174,12 @@ class TestFusionAndAssociation:
             HandInstance("cam0", "right", hand_vertices(c), 0.004),
             HandInstance("cam1", "right", hand_vertices(c + 0.01), 0.002),
         ]
-        fused = self.hf.fuse(0, hands, self.cals)
+        fused = self.hf.fuse(hands, self.cals)
         assert len(fused) == 1
-        assert fused[0].sigma_fit == 0.002
-        assert fused[0].source_cameras == ["cam0", "cam1"]
-        assert np.allclose(fused[0].palm_center, fused[0].anchors[0])
+        # The representative is cam1's hand, the one with the lower sigma_fit.
+        assert np.array_equal(fused[0].anchors,
+                              HAND_SCHEMA.anchors(to_world(hands[1], self.cals["cam1"])))
+        assert np.array_equal(fused[0].palm_center, fused[0].anchors[0])
 
     def test_hand_near_wrist_assigned(self):
         c = np.array([0.05, 0.0, 2.0])
@@ -258,7 +258,7 @@ class TestFusionAndAssociation:
         for f in range(10, 20):
             out = self.hf.step(f, mk(), self.cals, [person(5, wrist_r=wrist)])
             assert out[0].person_id == 5
-        assert self.hf.state.votes == {(5, 2): 10}
+        assert self.hf.votes == {(5, 2): 10}
         assert self.hf.stitch_mapping() == {5: 2}
 
     def fragment_with_bystander(self, bystander):
@@ -279,7 +279,7 @@ class TestFusionAndAssociation:
             if e is not None:
                 persons.insert(0, person(2, wrist_r=wrist + [3.0, 0, 0], existence=e))
             self.hf.step(f, mk(), self.cals, persons)
-        assert self.hf.state.votes == {(5, 2): 10}
+        assert self.hf.votes == {(5, 2): 10}
         return self.hf.stitch_mapping()
 
     def test_coexisting_ids_never_stitched(self):

@@ -13,11 +13,9 @@ from contacttrack.person_tracker import (
     depth_patches,
     update_triangulated,
 )
-from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
+from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 
 from helpers import make_ring, per_joint_update, per_pair_association_cost, project
-
-SCHEMA = JointSchema()
 
 
 def place_template(xy=(0.0, 0.0), yaw=0.0):
@@ -40,7 +38,6 @@ def track_at(joints, tid=1, existence=0.9):
         joints=joints.copy(),
         available=np.ones(JOINT_COUNT, dtype=bool),
         existence=existence,
-        last_update_frame=0,
         confirmed=True,
     )
 
@@ -62,7 +59,7 @@ def lift(track, obs, provider, cams, cfg=TrackerConfig()):
     """depth_lift of every joint of one track, its patches fetched first."""
     unresolved = list(range(JOINT_COUNT))
     patches = depth_patches(provider, 0, {"track": (obs, unresolved)}, cfg)["track"]
-    return depth_lift(track, unresolved, obs, patches, cams, SCHEMA, cfg)
+    return depth_lift(track, unresolved, obs, patches, cams, cfg)
 
 
 @pytest.fixture
@@ -305,7 +302,7 @@ class TestDepthLift:
         tr = track_at(joints)
         tr.available[:] = False
         obs = {"cam0": detect(joints, cal)}
-        wrist = SCHEMA.side_joints["left"]["wrist"]
+        wrist = SIDE_JOINTS["left"]["wrist"]
         uw, vw = np.round(project(joints[wrist], cal)).astype(int)
         depth_by_pixel = {}
         for k in range(JOINT_COUNT):
@@ -341,7 +338,7 @@ class TestDepthLift:
         tracker = Tracker(cams, cfg)
         tracker.tracks = [track_at(j, tid=i + 1) for i, j in enumerate(people)]
         dets = {c: [detect(j, cams[c]) for j in people] for c in cams}
-        wrists = [SCHEMA.side_joints[side]["wrist"] for side in ("left", "right")]
+        wrists = [SIDE_JOINTS[side]["wrist"] for side in ("left", "right")]
         for c in ("cam1", "cam2", "cam3"):
             for det in dets[c]:
                 det[wrists, 2] = 0.1

@@ -233,7 +233,7 @@ class TestBenchmarkHooks:
         tracker = Tracker(cams)
         tracker.tracks.append(PersonTrack(
             id=1, joints=joints + 0.01, available=np.ones(len(joints), dtype=bool),
-            existence=0.9, last_update_frame=0, confirmed=True,
+            existence=0.9, confirmed=True,
         ))
         t = tracer.Tracer()
         with tracer.patched(tracer.instrument(t)):

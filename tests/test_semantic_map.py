@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from contacttrack.errors import ContactTrackError, InputFormatError
 from contacttrack.geometry import backproject_many
+from contacttrack.io import read_label_grid, read_label_table, write_label_table
 from contacttrack.semantic_map import (
     EmptyCloud,
     LabeledPointCloud,
@@ -13,9 +14,6 @@ from contacttrack.semantic_map import (
     VoxelGridTooLarge,
     backproject_labeled,
     fuse_clouds,
-    read_label_grid,
-    read_label_table,
-    write_label_table,
 )
 
 from helpers import (
@@ -305,6 +303,8 @@ def test_nearest_ties_go_to_first_query_then_smallest_index(case):
 
 
 class TestGridIO:
+    """The label grid and label table formats, which io reads and writes."""
+
     def test_label_grid_round_trip(self, tmp_path):
         grid = np.arange(12, dtype=np.uint8).reshape(3, 4)
         p = tmp_path / "g.lbl1"

@@ -12,7 +12,7 @@ from contacttrack.config import ContactConfig
 from contacttrack.contact import ContactTracker, run_hysteresis
 from contacttrack.io import read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
-from contacttrack.schema import JOINT_COUNT, JointSchema, TEMPLATE_JOINTS
+from contacttrack.schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 from contacttrack import simulator
 from contacttrack.scenes import builtin_scene, crossing_clean, crossing_noisy, induction_lite
 from contacttrack.simulator import (
@@ -34,8 +34,6 @@ from helpers import (
     scene_patch,
 )
 
-SCHEMA = JointSchema()
-
 
 def tiny_scene(frame_count=10, **noise):
     scene = crossing_clean(frame_count)
@@ -45,8 +43,8 @@ def tiny_scene(frame_count=10, **noise):
 
 
 class TestReach:
-    L1 = SCHEMA.bone_length(5, 7)
-    L2 = SCHEMA.bone_length(7, 9)
+    L1 = BONE_LENGTH[5, 7]
+    L2 = BONE_LENGTH[7, 9]
 
     def test_idle_pose_is_template(self):
         joints = place_template((2.0, 3.0), 0.0)
@@ -86,7 +84,7 @@ class TestReach:
         ev = p.events["right"][0]
         for frame in range(ev.start + ev.approach, ev.start + ev.approach + ev.dwell):
             joints, clamped = sim.skeleton(p, frame)
-            wrist = joints[SCHEMA.side_joints["right"]["wrist"]]
+            wrist = joints[SIDE_JOINTS["right"]["wrist"]]
             assert not clamped.get("right", False)
             assert np.linalg.norm(wrist - ev.target) < 0.01
 
@@ -98,7 +96,7 @@ class TestRendering:
         for frame, cam_id, persons, hands in sim.render_frame(0):
             cal = sim.cals[cam_id]
             assert len(persons) == 1
-            joints = state[1][0]
+            joints = state[1]
             for k in range(JOINT_COUNT):
                 u, v, s = persons[0][k]
                 if s <= 0:
@@ -130,11 +128,11 @@ class TestRendering:
     def test_hands_follow_wrists(self):
         sim = Simulator(tiny_scene(), seed=0)
         state = sim.frame_state(0)
-        joints = state[1][0]
+        joints = state[1]
         for _, cam_id, _, hands in sim.render_frame(0):
             cal = sim.cals[cam_id]
             for h in hands:
-                wrist = joints[SCHEMA.side_joints[h.side]["wrist"]]
+                wrist = joints[SIDE_JOINTS[h.side]["wrist"]]
                 palm = cal.camera_to_world(h.vertices[:8].mean(axis=0))
                 assert np.linalg.norm(palm - wrist) < 1e-9
 
@@ -287,8 +285,8 @@ class TestGroundTruth:
         # A box around the person's right wrist hides it from at least
         # three cameras; the other wrist stays in view.
         scene = tiny_scene(frame_count=3)
-        wk = {side: SCHEMA.side_joints[side]["wrist"] for side in ("left", "right")}
-        wrist = Simulator(scene).frame_state(0)[1][0][wk["right"]]
+        wk = {side: SIDE_JOINTS[side]["wrist"] for side in ("left", "right")}
+        wrist = Simulator(scene).frame_state(0)[1][wk["right"]]
         scene["surfaces"] = [
             {"type": "box", "label": 1, "name": "sleeve",
              "min": list(wrist - 0.12), "max": list(wrist + 0.12)},
