@@ -7,8 +7,10 @@ robust similarity-transform registration, and gated linear assignment.
 epipolar_distance and triangulate_weighted take one point or a stack of
 independent problems. triangulate_weighted solves P points over the V
 cameras they share in one damped Gauss-Newton kernel, each problem with
-its own damping and stopping state, and gives each the result it would
-get alone, bit for bit. A failing problem comes back as a NaN row (and
+its own damping, stopping state and view order, and gives each the
+result it would get alone, bit for bit. Its conditioning gate bounds
+cond(J^T J) in closed form and takes an SVD only for the rows the bound
+cannot decide. A failing problem comes back as a NaN row (and
 NaN error) in the batch form; the single-point form raises
 InsufficientViews or IllConditioned instead.
 """
@@ -212,11 +214,11 @@ def epipolar_distance(x_i, x_j, F):
 
 
 # Batched triangulation. Each problem's views are packed used-first, in
-# camera order, with zero-weight padding after them. Each stacked product
-# below is one small BLAS call per stacked item (per point and camera, or
-# per problem over exactly its used views), the call a problem solved
-# alone makes, so a problem's result does not depend on its batch. Sums
-# over zero-padded views would round differently in the last bit.
+# its own view order, with zero-weight padding after them. Each stacked
+# product below is one small BLAS call per stacked item (per point and
+# camera, or per problem over exactly its used views), the call a problem
+# solved alone makes, so a problem's result does not depend on its batch.
+# Sums over zero-padded views would round differently in the last bit.
 
 def _to_camera(X, T):
     """World points X (G, 3) in the camera frames T (G, V, 4, 4): (G, V, 3)."""
@@ -302,6 +304,25 @@ def _dlt_init(cals, views, uv, n):
     return Xh[:, :3] / Xh[:, 3:]
 
 
+def _ill_conditioned(H):
+    """cond(H) > 1e14 for each symmetric positive semi-definite H (G, 3, 3),
+    bit for bit as np.linalg.cond gives it.
+
+    cond(H) = lmax / lmin <= tr(H)^3 / det(H), so a row with a finite
+    det(H) >= 1e-12 tr(H)^3 has a condition number of at most about 1e12
+    even after rounding and needs no SVD. Only the other rows (singular,
+    near-singular or non-finite) go to np.linalg.cond, which takes one SVD
+    per matrix, so each gets the value it would get in any batch.
+    """
+    det = np.linalg.det(H)
+    sure = (np.trace(H, axis1=1, axis2=2) ** 3 <= 1e12 * det) & np.isfinite(det)
+    ill = np.zeros(len(H), dtype=bool)
+    doubt = np.flatnonzero(~sure)
+    if doubt.size:
+        ill[doubt] = np.linalg.cond(H[doubt]) > 1e14
+    return ill
+
+
 def _gauss_newton(T, C, n, X):
     """Damped Gauss-Newton for G problems, each over its n used views.
 
@@ -328,7 +349,7 @@ def _gauss_newton(T, C, n, X):
             break
         H, g = _normal_equations(J[act], r[act], n[act])
         # Near-parallel rays leave the depth direction unconstrained.
-        ill = np.linalg.cond(H) > 1e14
+        ill = _ill_conditioned(H)
         failed[act[ill]] = True
         act, H, g = act[~ill], H[~ill], g[~ill]
         improved = np.zeros(len(act), dtype=bool)
@@ -386,13 +407,17 @@ def _gauss_newton(T, C, n, X):
     return X, err
 
 
-def triangulate_weighted(obs, init_hint=None):
+def triangulate_weighted(obs, init_hint=None, order=None):
     """Weighted nonlinear triangulation of one point or of P independent points.
 
     obs: one (CameraCalibration, uv, w) per camera; uv is (2,) for one
     point or (P, 2) for a batch, w a scalar or (P,) of weights >= 0. A
     zero weight leaves the view out of that problem. init_hint: (3,) or
-    (P, 3), NaN rows meaning no hint.
+    (P, 3), NaN rows meaning no hint. order: (P, V), each problem's
+    permutation of the V views of obs, in which it packs its used views
+    (by default the order of obs). A problem's result depends on its used
+    views and their order only, so a batch gives each problem what a call
+    with just its views, in that order, gives it.
 
     Each problem minimizes sum_i w_i * ||pi_i(X) - u_i||^2 over its used
     views by damped Gauss-Newton with its own damping and stopping,
@@ -424,7 +449,9 @@ def triangulate_weighted(obs, init_hint=None):
     finite = np.isfinite(uv).all(axis=2) & np.isfinite(w)
     rows = np.flatnonzero((n_used >= 2) & (finite | ~used).all(axis=1))
     n = n_used[rows]
-    views = np.argsort(~used[rows], axis=1, kind="stable")
+    order = np.broadcast_to(np.arange(len(obs)) if order is None else order, used.shape)[rows]
+    views = np.take_along_axis(order, np.argsort(
+        ~np.take_along_axis(used[rows], order, axis=1), axis=1, kind="stable"), axis=1)
     pad = np.arange(len(obs)) >= n[:, None]
     uv_p = np.where(pad[..., None], 0.0, uv[rows[:, None], views])
     sw = np.sqrt(np.where(pad, 0.0, w[rows[:, None], views]))[..., None]

@@ -61,6 +61,30 @@ def _json_int(rec, key):
     return value
 
 
+def _json_number(rec, key):
+    """rec[key] as a float if it is a JSON number (not a bool), else
+    ValueError: float() would parse the string "0.5"."""
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_numbers(rec, key):
+    """rec[key] as a float array if it is JSON numbers in evenly nested
+    arrays, else ValueError: np.array(..., dtype=float) would parse the
+    string "0.5", and read an array of bools as 0.0 and 1.0. One dtype
+    check per array: numpy infers a string, bool or object dtype for such
+    values and refuses ragged nesting."""
+    try:
+        value = np.array(rec[key])
+    except ValueError:  # ragged nesting
+        value = None
+    if value is None or value.dtype.kind not in "fi":
+        raise ValueError(f"{key} must be numbers in evenly nested arrays")
+    return value.astype(float, copy=False)
+
+
 def _json_list(rec, key):
     """rec[key] if it is a JSON array, [] if absent, else ValueError:
     iterating an object would read its keys."""
@@ -169,28 +193,28 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
 
     frame is a JSON integer (not a bool) no lower than the frame of the
     record before; persons, from a JSON array, are (26, 3) float arrays of
-    finite values; hands_raw, from a JSON array, are dicts with side
-    ("left" or "right"), a finite non-negative sigma_fit and a finite
-    (N, 3) vertices array. A record that repeats the (frame, camera) of an
-    earlier record of the same frame is rejected, as are, when given,
-    cameras outside `cameras` and hands whose vertex count is not
-    `hand_vertex_count`.
+    finite JSON numbers; hands_raw, from a JSON array, are dicts with side
+    ("left" or "right"), a finite non-negative JSON number sigma_fit and a
+    finite (N, 3) vertices array of JSON numbers. A record that repeats
+    the (frame, camera) of an earlier record of the same frame is
+    rejected, as are, when given, cameras outside `cameras` and hands
+    whose vertex count is not `hand_vertex_count`.
     """
     current, frame_cams = None, set()
     for ln, rec in _json_lines(path, "detection"):
         try:
             frame = _json_int(rec, "frame")
             camera_id = rec["camera_id"]
-            persons = [np.array(p["joints"], dtype=float) for p in _json_list(rec, "persons")]
+            persons = [_json_numbers(p, "joints") for p in _json_list(rec, "persons")]
             hands = [
                 {
                     "side": h["side"],
-                    "sigma_fit": float(h["sigma_fit"]),
-                    "vertices": np.array(h["vertices"], dtype=float),
+                    "sigma_fit": _json_number(h, "sigma_fit"),
+                    "vertices": _json_numbers(h, "vertices"),
                 }
                 for h in _json_list(rec, "hands")
             ]
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
         problem = _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count)
         if problem is None and current is not None and frame < current:
@@ -215,7 +239,7 @@ def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
     for p in persons:
         if p.shape != (JOINT_COUNT, 3):
             return f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)"
-        if not np.isfinite(p).all():
+        if np.count_nonzero(np.isfinite(p)) < p.size:
             return "person joints hold a non-finite value"
     for h in hands:
         v = h["vertices"]
@@ -225,7 +249,7 @@ def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
             return f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}"
         if v.ndim != 2 or v.shape[1] != 3:
             return f"hand vertices shape {v.shape}, want (N, 3)"
-        if not np.isfinite(v).all():
+        if np.count_nonzero(np.isfinite(v)) < v.size:
             return "hand vertices hold a non-finite value"
         if hand_vertex_count is not None and len(v) != hand_vertex_count:
             return (

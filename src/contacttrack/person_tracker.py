@@ -5,10 +5,12 @@ weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
 existence-score lifecycle. Each frame triangulates every matched track's
 joints that pass the view gates in one batched kernel call, after one
-stacked epipolar call per camera pair over all of those tracks; each
-birth group makes its own kernel call, its views in pair-merge order.
-Depth lifting reads patches fetched before any track is lifted, with one
-depth-source call per camera for every track's unresolved joints.
+stacked epipolar call per camera pair over all of those tracks. Births
+take one stacked epipolar call per camera pair over the unmatched
+detections, and one more kernel call for every birth group's joints,
+each group's views packed in its pair-merge order. Depth lifting reads
+patches fetched before any track is lifted, with one depth-source call
+per camera for every track's unresolved joints.
 Per-camera association reads track state only. The frame then mutates
 tracks in four steps, in order: update_triangulated writes the accepted
 joints of the matched tracks, depth_lift writes each matched track's
@@ -272,32 +274,54 @@ def depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
     return lifted
 
 
-def _group_unmatched(unmatched, cals, fmat, cfg: TrackerConfig):
-    """Greedy epipolar grouping of unmatched detections into person hypotheses.
+def _birth_pairs(unmatched, fmat, cfg: TrackerConfig):
+    """Sorted (affinity, a, b) of the pairs of unmatched detections a < b
+    from different cameras whose affinity is under tau_epi.
 
-    unmatched: list of (camera_id, joints (26,3)). Returns groups as lists of
-    indices into `unmatched`, each covering distinct cameras.
+    A pair's affinity is the mean epipolar distance over the joints both
+    detect with confidence >= tau_joint; pairs sharing none are skipped.
+    The distances take one stacked call per camera pair, and the means
+    are grouped by shared-joint count as in association_cost, so each
+    affinity is the float a per-pair mean gives.
     """
     n = len(unmatched)
-    pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            cam_a, ja = unmatched[a]
-            cam_b, jb = unmatched[b]
-            if cam_a == cam_b:
-                continue
-            shared = (ja[:, 2] >= cfg.tau_joint) & (jb[:, 2] >= cfg.tau_joint)
-            if not shared.any():
-                continue
-            F = fmat(cam_a, cam_b)
-            aff = float(np.mean(epipolar_distance(ja[shared, :2], jb[shared, :2], F)))
-            if aff < cfg.tau_epi:
-                pairs.append((aff, a, b))
-    pairs.sort()
+    cam_ids = sorted({cam for cam, _ in unmatched})
+    m = len(cam_ids)
+    cam = np.array([cam_ids.index(c) for c, _ in unmatched], dtype=int)
+    joints = np.array([j for _, j in unmatched]).reshape(n, JOINT_COUNT, 3)
+    seen = joints[:, :, 2] >= cfg.tau_joint
+    a, b = np.triu_indices(n, 1)
+    shared = seen[a] & seen[b]
+    keep = (cam[a] != cam[b]) & shared.any(axis=1)
+    a, b, shared = a[keep], b[keep], shared[keep]
+    dist = np.empty(shared.shape)
+    key = cam[a] * m + cam[b]
+    for k in np.unique(key):
+        sel = np.flatnonzero(key == k)
+        dist[sel] = epipolar_distance(joints[a[sel], :, :2].reshape(-1, 2),
+                                      joints[b[sel], :, :2].reshape(-1, 2),
+                                      fmat(cam_ids[k // m], cam_ids[k % m])).reshape(-1, JOINT_COUNT)
+    rows = np.take_along_axis(dist, np.argsort(~shared, axis=1, kind="stable"), axis=1)
+    count = shared.sum(axis=1)
+    aff = np.empty(len(a))
+    for c in np.unique(count):
+        same = count == c
+        aff[same] = rows[same, :c].mean(axis=1)
+    ok = aff < cfg.tau_epi
+    return sorted(zip(aff[ok].tolist(), a[ok].tolist(), b[ok].tolist()))
 
+
+def _group_unmatched(unmatched, fmat, cfg: TrackerConfig):
+    """Greedy epipolar grouping of unmatched detections into person hypotheses.
+
+    unmatched: list of (camera_id, joints (26,3)). The pairs of
+    _birth_pairs merge in order into groups that never hold two
+    detections of one camera. Returns the groups that span >= 2 cameras,
+    as lists of indices into `unmatched` in merge order.
+    """
     group_of = {}
     groups = []
-    for _, a, b in pairs:
+    for _, a, b in _birth_pairs(unmatched, fmat, cfg):
         ga = group_of.get(a)
         gb = group_of.get(b)
         if ga is None and gb is None:
@@ -385,23 +409,51 @@ class Tracker:
     # -- births ---------------------------------------------------------
 
     def _spawn(self, unmatched, updated_tracks):
+        """Birth groups from the unmatched detections: adopt each into the
+        nearest stale track within r_reuse, or append it as a new track.
+
+        Every group's joints seen by >= 2 of its members are triangulated
+        in one batched kernel call over the groups' cameras, each problem
+        packing its used views in its group's pair-merge order, so each
+        group gets the joints a call of its own would give. A group with
+        fewer than min_birth_joints joints under eps_init is dropped. ID
+        reuse then runs group by group, in group order, so a later group
+        may adopt a track born earlier in the frame.
+        """
         cfg = self.cfg
-        born = set()
-        for group in _group_unmatched(unmatched, self.cals, self._fmat, cfg):
-            members = [unmatched[i] for i in group]
-            seen = np.stack([j[:, 2] >= cfg.tau_joint for _, j in members])
+        groups = [[unmatched[i] for i in group]
+                  for group in _group_unmatched(unmatched, self._fmat, cfg)]
+        cam_ids = sorted({cam for members in groups for cam, _ in members})
+        V = len(cam_ids)
+        todos, uv, w, order = [], [], [], []
+        for members in groups:
+            dets = np.stack([j for _, j in members])
+            seen = dets[:, :, 2] >= cfg.tau_joint
             todo = np.flatnonzero(seen.sum(axis=0) >= 2)
+            cols = [cam_ids.index(cam) for cam, _ in members]
+            u = np.zeros((len(todo), V, 2))
+            wt = np.zeros((len(todo), V))
+            u[:, cols] = dets[:, todo, :2].swapaxes(0, 1)
+            wt[:, cols] = np.where(seen[:, todo], dets[:, todo, 2], 0.0).T
+            todos.append(todo)
+            uv.append(u)
+            w.append(wt)
+            order.append(np.broadcast_to(cols + [c for c in range(V) if c not in cols],
+                                         (len(todo), V)))
+        X, err = np.empty((0, 3)), np.empty(0)
+        if sum(map(len, todos)):
+            uv, w = np.concatenate(uv), np.concatenate(w)
+            X, err = triangulate_weighted(
+                [(self.cals[c], uv[:, i], w[:, i]) for i, c in enumerate(cam_ids)],
+                order=np.concatenate(order))
+        cuts = np.cumsum([len(todo) for todo in todos])[:-1]
+        born = set()
+        for todo, Xg, eg in zip(todos, np.split(X, cuts), np.split(err, cuts)):
+            ok = eg < cfg.eps_init
             joints = np.zeros((JOINT_COUNT, 3))
             avail = np.zeros(JOINT_COUNT, dtype=bool)
-            if todo.size:
-                obs = [
-                    (self.cals[cam], j[todo, :2], np.where(seen[i, todo], j[todo, 2], 0.0))
-                    for i, (cam, j) in enumerate(members)
-                ]
-                X, err = triangulate_weighted(obs)
-                ok = err < cfg.eps_init
-                joints[todo[ok]] = X[ok]
-                avail[todo[ok]] = True
+            joints[todo[ok]] = Xg[ok]
+            avail[todo[ok]] = True
             if avail.sum() < cfg.min_birth_joints:
                 continue
             centroid = joints[avail].mean(axis=0)

@@ -118,7 +118,7 @@ def _build_cloud(provider, cals, frame, cfg, label_table, table_path):
         labels, depth = grids
         clouds.append(backproject_labeled(labels, depth, cals[cam_id], cfg.stride))
     try:
-        return fuse_clouds(clouds, cfg.voxel_size, label_table, frame)
+        return fuse_clouds(clouds, cfg.voxel_size, label_table)
     except UnknownLabel as e:
         raise InputFormatError(f"{e} (frame {frame})", path=table_path)
 

@@ -127,14 +127,13 @@ class SemanticCloud:
     built on the first query."""
 
     def __init__(self, frame, voxel_size, positions, labels, label_table):
-        self.frame = frame
-        self.voxel_size = voxel_size
+        # frame and voxel_size are not kept, since nothing reads them; the
+        # signature keeps them for callers that pass them positionally.
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.labels = np.asarray(labels, dtype=int).reshape(-1)
-        self.label_table = dict(label_table)
         self.label_ids = [int(lid) for lid in np.unique(self.labels)]
         for lid in self.label_ids:
-            if lid not in self.label_table:
+            if lid not in label_table:
                 raise UnknownLabel(f"label id {lid} missing from label table")
         self._index = None
 
@@ -190,7 +189,7 @@ def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4
     return LabeledPointCloud(pts, lab[keep].astype(int), cal.camera_id)
 
 
-def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
+def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     """Voxel down-sampling with per-voxel majority label voting.
 
     Ties break to the smallest label id; the voxel representative is the
@@ -210,7 +209,7 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
     pos_list = [c.positions for c in clouds if len(c.positions)]
     lab_list = [c.labels for c in clouds if len(c.positions)]
     if not pos_list:
-        return SemanticCloud(frame, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
+        return SemanticCloud(None, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
     pos = np.concatenate(pos_list)
     lab = np.concatenate(lab_list).astype(int)
 
@@ -255,4 +254,4 @@ def fuse_clouds(clouds, voxel_size, label_table, frame=0) -> SemanticCloud:
     )
     nums = np.bincount(vox_w, minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
-    return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)
+    return SemanticCloud(None, voxel_size, centroids, win_label, label_table)

@@ -27,6 +27,7 @@ from contacttrack.geometry import (
     project_many,
     triangulate_weighted,
 )
+from contacttrack.person_tracker import PersonTrack
 from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
@@ -441,6 +442,113 @@ def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
     return updated
 
 
+def svd_cond_gate(H):
+    """SVD reference for geometry._ill_conditioned: cond(H) > 1e14 from
+    the singular values of every matrix."""
+    return np.linalg.cond(H) > 1e14
+
+
+def per_pair_birth_pairs(unmatched, fmat, cfg):
+    """Per-pair reference for person_tracker._birth_pairs: one
+    epipolar_distance call and one mean per cross-camera detection pair."""
+    n = len(unmatched)
+    pairs = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            cam_a, ja = unmatched[a]
+            cam_b, jb = unmatched[b]
+            if cam_a == cam_b:
+                continue
+            shared = (ja[:, 2] >= cfg.tau_joint) & (jb[:, 2] >= cfg.tau_joint)
+            if not shared.any():
+                continue
+            F = fmat(cam_a, cam_b)
+            aff = float(np.mean(epipolar_distance(ja[shared, :2], jb[shared, :2], F)))
+            if aff < cfg.tau_epi:
+                pairs.append((aff, a, b))
+    return sorted(pairs)
+
+
+def per_pair_group_unmatched(unmatched, fmat, cfg):
+    """Per-pair reference for person_tracker._group_unmatched: the pairs of
+    per_pair_birth_pairs, merged by the greedy loop."""
+    group_of = {}
+    groups = []
+    for _, a, b in per_pair_birth_pairs(unmatched, fmat, cfg):
+        ga = group_of.get(a)
+        gb = group_of.get(b)
+        if ga is None and gb is None:
+            groups.append([a, b])
+            group_of[a] = group_of[b] = len(groups) - 1
+        elif ga is not None and gb is None:
+            cams = {unmatched[i][0] for i in groups[ga]}
+            if unmatched[b][0] not in cams:
+                groups[ga].append(b)
+                group_of[b] = ga
+        elif ga is None and gb is not None:
+            cams = {unmatched[i][0] for i in groups[gb]}
+            if unmatched[a][0] not in cams:
+                groups[gb].append(a)
+                group_of[a] = gb
+        elif ga != gb:
+            cams_a = {unmatched[i][0] for i in groups[ga]}
+            cams_b = {unmatched[i][0] for i in groups[gb]}
+            if not cams_a & cams_b:
+                for i in groups[gb]:
+                    group_of[i] = ga
+                groups[ga].extend(groups[gb])
+                groups[gb] = []
+    return [g for g in groups if len({unmatched[i][0] for i in g}) >= 2]
+
+
+def per_group_spawn(tracker, unmatched, updated_tracks):
+    """Per-group reference for Tracker._spawn (bind it as the method): the
+    per-pair grouping, then one triangulate_weighted call per group over
+    its members' cameras in pair-merge order, each group adopted or born
+    before the next is triangulated."""
+    cfg = tracker.cfg
+    born = set()
+    for group in per_pair_group_unmatched(unmatched, tracker._fmat, cfg):
+        members = [unmatched[i] for i in group]
+        seen = np.stack([j[:, 2] >= cfg.tau_joint for _, j in members])
+        todo = np.flatnonzero(seen.sum(axis=0) >= 2)
+        joints = np.zeros((JOINT_COUNT, 3))
+        avail = np.zeros(JOINT_COUNT, dtype=bool)
+        if todo.size:
+            obs = [
+                (tracker.cals[cam], j[todo, :2], np.where(seen[i, todo], j[todo, 2], 0.0))
+                for i, (cam, j) in enumerate(members)
+            ]
+            X, err = triangulate_weighted(obs)
+            ok = err < cfg.eps_init
+            joints[todo[ok]] = X[ok]
+            avail[todo[ok]] = True
+        if avail.sum() < cfg.min_birth_joints:
+            continue
+        centroid = joints[avail].mean(axis=0)
+        best = None
+        for ti, track in enumerate(tracker.tracks):
+            if ti in updated_tracks:
+                continue
+            tc = track.centroid()
+            if tc is None:
+                continue
+            d = np.linalg.norm(tc - centroid)
+            if d < cfg.r_reuse and (best is None or d < best[0]):
+                best = (d, ti)
+        if best is not None:
+            track = tracker.tracks[best[1]]
+            track.joints[avail] = joints[avail]
+            track.available |= avail
+            updated_tracks.add(best[1])
+        else:
+            tracker.tracks.append(PersonTrack(
+                id=tracker.next_id, joints=joints, available=avail, existence=cfg.e_init))
+            tracker.next_id += 1
+            born.add(len(tracker.tracks) - 1)
+    return born
+
+
 def full_capsule_hits(caps, origin, dirs):
     """Full-pass oracle for Capsules.hits: the (K, N) first-hit formula
     evaluated on every (capsule, ray) pair, with no cull and no skip mask;
@@ -541,14 +649,14 @@ def per_pair_association_cost(tracks, dets, cal, tau_joint):
     return cost
 
 
-def reference_fuse_clouds(clouds, voxel_size, label_table, frame=0):
+def reference_fuse_clouds(clouds, voxel_size, label_table):
     """Two-sort reference for fuse_clouds: np.unique over (N, 3) voxel keys,
     then over (voxel, label) pairs, a lexsort for the per-voxel majority
     (smallest label on ties) and an unbuffered add for the centroids."""
     pos_list = [c.positions for c in clouds if len(c.positions)]
     lab_list = [c.labels for c in clouds if len(c.positions)]
     if not pos_list:
-        return SemanticCloud(frame, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
+        return SemanticCloud(None, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
     pos = np.concatenate(pos_list)
     lab = np.concatenate(lab_list).astype(int)
 
@@ -572,7 +680,7 @@ def reference_fuse_clouds(clouds, voxel_size, label_table, frame=0):
     np.add.at(sums, voxel_of[winner], pos[winner])
     nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
-    return SemanticCloud(frame, voxel_size, centroids, win_label, label_table)
+    return SemanticCloud(None, voxel_size, centroids, win_label, label_table)
 
 
 def per_person_sightings(sim, frame):

@@ -423,6 +423,43 @@ def _hand_vertices_not_finite(recs):
     return 4
 
 
+def _joints_strings(recs):
+    p = recs[0]["persons"][0]
+    p["joints"] = [[str(v) for v in row] for row in p["joints"]]
+    return 1
+
+
+def _joints_bools(recs):
+    p = recs[1]["persons"][0]
+    p["joints"] = [[True, False, True] for _ in p["joints"]]
+    return 2
+
+
+def _joints_ragged(recs):
+    recs[2]["persons"][0]["joints"][3].pop()
+    return 3
+
+
+def _hand_vertices_string(recs):
+    recs[1]["hands"][0]["vertices"][2][1] = "0.5"
+    return 2
+
+
+def _hand_sigma_string(recs):
+    recs[0]["hands"][0]["sigma_fit"] = "0.01"
+    return 1
+
+
+def _hand_sigma_bool(recs):
+    recs[3]["hands"][1]["sigma_fit"] = True
+    return 4
+
+
+def _hand_sigma_huge_int(recs):
+    recs[2]["hands"][0]["sigma_fit"] = 10 ** 400
+    return 3
+
+
 class TestRunBadDetections:
     """Malformed detection records: exit 2, message names the file and line."""
 
@@ -457,10 +494,19 @@ class TestRunBadDetections:
         (_hand_sigma_negative, "sigma_fit must be finite and >= 0"),
         (_hand_vertices_not_n_by_3, "hand vertices shape"),
         (_hand_vertices_not_finite, "non-finite"),
+        (_joints_strings, "joints must be numbers in evenly nested arrays"),
+        (_joints_bools, "joints must be numbers in evenly nested arrays"),
+        (_joints_ragged, "joints must be numbers in evenly nested arrays"),
+        (_hand_vertices_string, "vertices must be numbers in evenly nested arrays"),
+        (_hand_sigma_string, 'sigma_fit must be a number, got "0.01"'),
+        (_hand_sigma_bool, "sigma_fit must be a number, got true"),
+        (_hand_sigma_huge_int, "int too large to convert to float"),
     ], ids=["camera-not-calibrated", "joint-nan", "joint-inf", "duplicate-frame-camera",
             "frame-fraction", "frame-string", "frame-bool", "frame-backwards",
             "persons-object", "hands-object", "hand-side", "hand-sigma-negative", "hand-vertices-not-n-by-3",
-            "hand-vertices-not-finite"])
+            "hand-vertices-not-finite", "joints-strings", "joints-bools", "joints-ragged",
+            "hand-vertices-string", "hand-sigma-string", "hand-sigma-bool",
+            "hand-sigma-huge-int"])
     def test_bad_record(self, tmp_path, mini_induction, capsys, corrupt, message):
         code, det, line = self._run(tmp_path, mini_induction["ds"], corrupt)
         assert code == EXIT_INPUT

@@ -14,6 +14,7 @@ from contacttrack.geometry import (
     Sim3,
     Sim3RansacConfig,
     TooFewCorrespondences,
+    _ill_conditioned,
     backproject,
     epipolar_distance,
     fit_sim3_ransac,
@@ -34,6 +35,7 @@ from helpers import (
     project,
     random_rotation,
     scipy_hungarian_assign,
+    svd_cond_gate,
 )
 
 
@@ -242,6 +244,98 @@ class TestBatchedTriangulation:
         )
         assert np.isfinite(Xg).all() and np.isfinite(errg).all()
         assert np.array_equal(X[good], Xg) and np.array_equal(err[good], errg)
+
+
+    def test_per_problem_order_matches_separate_calls(self):
+        # Each problem of the mixed batch packs its used views in its own
+        # random order: the batch gives each problem, failing ones
+        # included, what a call with the views in that order gives it.
+        cams, uv, w, hint = _mixed_batch()
+        rng = np.random.default_rng(29)
+        P = uv.shape[1]
+        order = np.array([rng.permutation(len(cams)) for _ in range(P)])
+        X, err = triangulate_weighted([(c, uv[v], w[v]) for v, c in enumerate(cams)],
+                                      init_hint=hint, order=order)
+        for p in range(P):
+            Xp, errp = triangulate_weighted(
+                [(cams[v], uv[v, p:p + 1], w[v, p:p + 1]) for v in order[p]],
+                init_hint=hint[p:p + 1])
+            assert np.array_equal(X[p], Xp[0], equal_nan=True)
+            assert np.array_equal(err[p], errp[0], equal_nan=True)
+        assert np.isfinite(err[:9]).all() and np.isnan(err[9:]).all()
+        # The order moves the last bits: the camera-ordered batch differs.
+        X0, _ = triangulate_weighted([(c, uv[v], w[v]) for v, c in enumerate(cams)],
+                                     init_hint=hint)
+        assert not np.array_equal(X0, X, equal_nan=True)
+
+
+def _psd(rng, eig):
+    """A symmetric positive semi-definite matrix with eigenvalues eig in a
+    random basis."""
+    Q = random_rotation(rng)
+    return (Q * eig) @ Q.T
+
+
+def _gate_batch():
+    """Symmetric PSD 3x3 matrices with condition numbers 1 to 1e18 at
+    scales 1e-12 to 1e12, singular and rank-1 ones, and rows on either
+    side of tr^3 = 1e12 det and of cond = 1e14."""
+    rng = np.random.default_rng(37)
+    H = []
+    for scale in 10.0 ** np.arange(-12, 13, 2):
+        for c in 10.0 ** np.arange(0, 19):
+            lo = scale / c
+            H.append(_psd(rng, [scale, np.exp(rng.uniform(np.log(lo), np.log(scale))), lo]))
+        H.append(np.diag([scale, scale, 0.0]))
+        H.append(_psd(rng, [scale, 0.5 * scale, 0.0]))
+        # Rank 1: the Jacobian rows of parallel rays.
+        J = np.outer(rng.uniform(0.5, 2.0, size=6), rng.normal(size=3)) * np.sqrt(scale)
+        H.append(J.T @ J)
+    # Eigenvalues (1, 1, t) with (2 + t)^3 = 1e12 t, and (1, 0.5, 1e-14).
+    t = 8e-12
+    for _ in range(5):
+        t = (2 + t) ** 3 / 1e12
+    for base in ([1.0, 1.0, t], [1.0, 0.5, 1e-14]):
+        for f in (1 - 1e-6, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6):
+            eig = np.array(base) * [1.0, 1.0, f]
+            H += [np.diag(eig), _psd(rng, eig)]
+    return np.array(H)
+
+
+class TestConditioningGate:
+    def test_matches_svd_oracle(self):
+        H = _gate_batch()
+        got = _ill_conditioned(H)
+        assert np.array_equal(got, svd_cond_gate(H))
+        assert got.any() and not got.all()
+
+    def test_svd_only_where_the_bound_cannot_decide(self, monkeypatch):
+        rows = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda H: rows.append(len(H)) or cond(H))
+        # cond up to 1e6 at every scale: no SVD at all.
+        rng = np.random.default_rng(41)
+        well = np.array([_psd(rng, s * np.array([1.0, rng.uniform(1e-6, 1.0), 1e-6]))
+                         for s in 10.0 ** np.arange(-12, 13)])
+        assert not _ill_conditioned(well).any()
+        assert rows == []
+        H = _gate_batch()
+        _ill_conditioned(H)
+        tr = np.trace(H, axis1=1, axis2=2)
+        assert rows == [np.count_nonzero(~(tr ** 3 <= 1e12 * np.linalg.det(H)))]
+        assert 0 < rows[0] < len(H)
+
+    def test_non_finite_rows(self):
+        well = np.diag([1.0, 2.0, 3.0])
+        with_inf = np.array([np.diag([np.inf, 1.0, 1.0]), np.full((3, 3), np.inf), well,
+                             [[1.0, np.inf, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(_ill_conditioned(with_inf), svd_cond_gate(with_inf))
+            # A NaN row makes the SVD fail, in the oracle and in the gate.
+            with_nan = np.array([well, np.full((3, 3), np.nan)])
+            for gate in (svd_cond_gate, _ill_conditioned):
+                with pytest.raises(np.linalg.LinAlgError):
+                    gate(with_nan)
 
 
 class TestStackedEpipolar:

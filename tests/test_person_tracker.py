@@ -14,8 +14,18 @@ from contacttrack.person_tracker import (
     update_triangulated,
 )
 from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
+from contacttrack.simulator import Simulator
 
-from helpers import make_ring, per_joint_update, per_pair_association_cost, project
+from helpers import (
+    crowd_crossing,
+    make_ring,
+    per_group_spawn,
+    per_joint_update,
+    per_pair_association_cost,
+    per_pair_birth_pairs,
+    per_pair_group_unmatched,
+    project,
+)
 
 
 def place_template(xy=(0.0, 0.0), yaw=0.0):
@@ -259,16 +269,16 @@ class TestTriangulationUpdate:
     def test_one_kernel_call_for_all_matched_tracks(self, cams, monkeypatch):
         # Three matched tracks (one seen by three cameras only) and two new
         # persons: one kernel call covers every matched track's joints,
-        # then each birth group makes its own.
+        # then one more covers both birth groups.
         tracker = Tracker(cams, TrackerConfig())
         old = [place_template(xy) for xy in ((-1.0, 0.6), (1.0, 0.6), (0.0, -1.0))]
         tracker.step(0, {c: [detect(j, cams[c]) for j in old] for c in cams})
         assert len(tracker.tracks) == 3
         problems = []
 
-        def counted(obs, init_hint=None):
+        def counted(obs, init_hint=None, order=None):
             problems.append(len(obs[0][1]))
-            return triangulate_weighted(obs, init_hint=init_hint)
+            return triangulate_weighted(obs, init_hint=init_hint, order=order)
 
         monkeypatch.setattr(person_tracker, "triangulate_weighted", counted)
         new = [place_template(xy, yaw=1.0) for xy in ((-1.2, -1.3), (1.2, -1.3))]
@@ -276,7 +286,7 @@ class TestTriangulationUpdate:
         dets["cam3"] = dets["cam3"][1:]
         tracker.step(1, dets)
         assert len(tracker.tracks) == 5
-        assert problems == [3 * JOINT_COUNT, JOINT_COUNT, JOINT_COUNT]
+        assert problems == [3 * JOINT_COUNT, 2 * JOINT_COUNT]
 
 
 class TestDepthLift:
@@ -438,3 +448,94 @@ class TestLifecycleAndBirths:
         for f in range(5):
             assert tracker.step(f, {c: [] for c in cams}) == []
         assert tracker.tracks == []
+
+
+@pytest.fixture(scope="module")
+def crowd():
+    """The cameras of helpers.crowd_crossing at seed 0, and each frame's
+    detections {camera_id: [(26, 3) arrays]}, rendered in memory."""
+    sim = Simulator(crowd_crossing(), seed=0)
+    frames = [{cam: persons for _, cam, persons, _ in sim.render_frame(f)}
+              for f in range(sim.scene["frame_count"])]
+    return sim.cals, frames
+
+
+class TestBatchedBirths:
+    def test_grouping_matches_per_pair_oracle(self, crowd, monkeypatch):
+        cals, frames = crowd
+        tracker = Tracker(cals, TrackerConfig())
+        group = person_tracker._group_unmatched
+        sizes = []
+
+        def checked(unmatched, fmat, cfg):
+            got = group(unmatched, fmat, cfg)
+            assert got == per_pair_group_unmatched(unmatched, fmat, cfg)
+            sizes.append(len(got))
+            return got
+
+        monkeypatch.setattr(person_tracker, "_group_unmatched", checked)
+        for f, dets in enumerate(frames):
+            tracker.step(f, dets)
+        assert sizes[0] == 8
+
+    def test_affinities_of_shuffled_detections(self, crowd):
+        # Frame 0's detections in random orders, so that a camera pair
+        # comes in both orders, with random joints dropped, so that pairs
+        # share anything from one joint to all of them. With no epipolar
+        # gate every cross-camera pair's affinity is compared, bit for bit.
+        cals, frames = crowd
+        fmat = Tracker(cals)._fmat
+        dets = [(cam, np.array(d)) for cam in sorted(frames[0]) for d in frames[0][cam]]
+        rng = np.random.default_rng(43)
+        for drop in (0.0, 0.5, 0.9):
+            unmatched = []
+            for i in rng.permutation(len(dets)):
+                cam, j = dets[i][0], dets[i][1].copy()
+                j[rng.random(JOINT_COUNT) < drop, 2] = 0.0
+                unmatched.append((cam, j))
+            for cfg in (TrackerConfig(), TrackerConfig(tau_epi=np.inf)):
+                pairs = person_tracker._birth_pairs(unmatched, fmat, cfg)
+                assert pairs == per_pair_birth_pairs(unmatched, fmat, cfg)
+                assert pairs
+                got = person_tracker._group_unmatched(unmatched, fmat, cfg)
+                assert got == per_pair_group_unmatched(unmatched, fmat, cfg)
+
+    def test_births_match_per_group_oracle(self, crowd):
+        cals, frames = crowd
+        batched, oracle = Tracker(cals, TrackerConfig()), Tracker(cals, TrackerConfig())
+        oracle._spawn = lambda unmatched, updated: per_group_spawn(oracle, unmatched, updated)
+        for f in (0, 1):
+            got, want = batched.step(f, frames[f]), oracle.step(f, frames[f])
+            assert [t.id for t in batched.tracks] == [t.id for t in oracle.tracks]
+            for a, b in zip(batched.tracks, oracle.tracks):
+                assert np.array_equal(a.joints, b.joints)
+                assert np.array_equal(a.available, b.available)
+                assert a.existence == b.existence
+            assert [s.id for s in got] == [s.id for s in want]
+        assert batched.next_id == 9
+
+    def test_one_birth_kernel_call_per_frame(self, crowd, monkeypatch):
+        cals, frames = crowd
+        tracker = Tracker(cals, TrackerConfig())
+        kernel = person_tracker.triangulate_weighted
+        log = []
+
+        def counted(*args, **kwargs):
+            log.append("kernel")
+            return kernel(*args, **kwargs)
+
+        spawn = tracker._spawn
+
+        def marked(*args):
+            log.append("spawn")
+            return spawn(*args)
+
+        monkeypatch.setattr(person_tracker, "triangulate_weighted", counted)
+        tracker._spawn = marked
+        birth_calls = []
+        for f, dets in enumerate(frames):
+            log.clear()
+            tracker.step(f, dets)
+            birth_calls.append(log[log.index("spawn"):].count("kernel"))
+        assert max(birth_calls) == 1
+        assert birth_calls[0] == 1
