@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -65,8 +66,8 @@ def _parse_grid(spec):
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise InputFormatError(f"grid must be lo:hi:step, got {spec!r}")
-    if step <= 0 or hi < lo:
-        raise InputFormatError(f"bad grid range {spec!r}")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise InputFormatError(f"bad grid range {spec!r}: want finite lo <= hi and step > 0")
     grid = []
     tau = lo
     while tau <= hi + 1e-9:

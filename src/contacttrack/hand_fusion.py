@@ -180,7 +180,6 @@ class HandFusion:
         self.votes = {}      # (new_id, prev_id) -> count
         self.next_id = 1     # next hand_track_id
         self.coexist = {}    # (id, larger id) -> frames
-        self.existence = {}  # person id -> last existence
 
     # -- fusion -----------------------------------------------------------
 
@@ -371,19 +370,13 @@ class HandFusion:
 
     def _count_coexistence(self, persons):
         """Count the frame for each pair of persons that both received
-        detections (existence not decaying); a dying track coasting beside
-        its replacement must not block stitching them."""
-        last = self.existence
-        active = []
-        for p in persons:
-            if p.existence >= last.get(p.id, 0.0):
-                active.append(p.id)
-            last[p.id] = p.existence
-        active.sort()
-        coexist = self.coexist
+        detections this frame (TrackSnapshot.detected, which the tracker
+        sets); a dying track coasting beside its replacement must not
+        block stitching them."""
+        active = sorted(p.id for p in persons if p.detected)
         for i, a in enumerate(active):
             for b in active[i + 1:]:
-                coexist[(a, b)] = coexist.get((a, b), 0) + 1
+                self.coexist[(a, b)] = self.coexist.get((a, b), 0) + 1
 
     def step(self, frame, hands, cals, persons):
         """Fuse one frame of hand instances and associate them to persons."""

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .contact import ContactEpisode
 from .errors import InputFormatError
 from .geometry import CameraCalibration
 from .hand_fusion import SIDES
-from .schema import JOINT_COUNT
+from .schema import JOINT_COUNT, json_int
 
 GRAVITY_AXIS = "+z"
 DEPTH_GRID_MAGIC = b"DEP1"
@@ -53,12 +54,8 @@ def _rounded(x):
 
 
 def _json_int(rec, key):
-    """rec[key] if it is a JSON integer (not a bool), else ValueError:
-    int() would truncate 0.5 to 0 without a word."""
-    value = rec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
+    """rec[key] if it is a JSON integer (not a bool), else ValueError."""
+    return json_int(rec[key], key)
 
 
 def _json_number(rec, key):
@@ -73,16 +70,16 @@ def _json_number(rec, key):
 def _json_numbers(rec, key):
     """rec[key] as a float array if it is JSON numbers in evenly nested
     arrays, else ValueError: np.array(..., dtype=float) would parse the
-    string "0.5", and read an array of bools as 0.0 and 1.0. One dtype
-    check per array: numpy infers a string, bool or object dtype for such
-    values and refuses ragged nesting."""
-    try:
-        value = np.array(rec[key])
-    except ValueError:  # ragged nesting
-        value = None
-    if value is None or value.dtype.kind not in "fi":
+    string "0.5", and read true as 1.0 even beside numbers. Each level of
+    nesting is flattened while it holds arrays of one length, so ragged
+    arrays are left as leaves, and the leaves are checked by their type."""
+    flat, shape = [rec[key]], []
+    while (types := set(map(type, flat))) == {list} and len(set(map(len, flat))) == 1:
+        shape.append(len(flat[0]))
+        flat = list(chain.from_iterable(flat))
+    if not types <= {int, float}:
         raise ValueError(f"{key} must be numbers in evenly nested arrays")
-    return value.astype(float, copy=False)
+    return np.array(flat, dtype=float).reshape(shape)
 
 
 def _json_list(rec, key):
@@ -260,11 +257,13 @@ def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
 
 
 # -- track streams ---------------------------------------------------------
+TRACK_PERSON_KEY = "id"  # the person id of a tracks.jsonl record
+
 
 def write_track_line(f, frame, track_id, existence, joints, available):
     rec = {
         "frame": int(frame),
-        "id": int(track_id),
+        TRACK_PERSON_KEY: int(track_id),
         "E": _round(existence, 4),
         "joints": [xyz + [1 if a else 0] for xyz, a in zip(_rounded(joints), available)],
     }
@@ -272,17 +271,21 @@ def write_track_line(f, frame, track_id, existence, joints, available):
 
 
 def read_tracks(path):
-    """Yield (frame, id, E, joints (26,3), available (26,)) records."""
+    """Yield (frame, id, E, joints (26,3), available (26,)) records. frame
+    and id are JSON integers, E and the joints JSON numbers."""
     for ln, rec in _json_lines(path, "track"):
         try:
-            arr = np.array(rec["joints"], dtype=float)
+            arr = _json_numbers(rec, "joints")
             if arr.shape != (JOINT_COUNT, 4):
                 raise ValueError(f"joints shape {arr.shape}")
-            row = (_json_int(rec, "frame"), _json_int(rec, "id"), float(rec["E"]),
+            row = (_json_int(rec, "frame"), _json_int(rec, "id"), _json_number(rec, "E"),
                    arr[:, :3], arr[:, 3] > 0.5)
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
         yield row
+
+
+HAND_TRACK_PERSON_KEY = "person_id"  # the person id of a hand_tracks.jsonl record
 
 
 def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
@@ -290,26 +293,11 @@ def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchor
         "frame": int(frame),
         "hand_track_id": int(hand_track_id),
         "side": side,
-        "person_id": None if person_id is None else int(person_id),
+        HAND_TRACK_PERSON_KEY: None if person_id is None else int(person_id),
         "palm_center": _rounded(palm),
         "anchors": _rounded(anchors),
     }
     f.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-def read_hand_tracks(path):
-    """Yield (frame, hand_track_id, side, person_id, palm (3,), anchors (6,3))."""
-    for ln, rec in _json_lines(path, "hand track"):
-        try:
-            row = (
-                _json_int(rec, "frame"), _json_int(rec, "hand_track_id"), rec["side"],
-                None if rec["person_id"] is None else _json_int(rec, "person_id"),
-                np.array(rec["palm_center"], dtype=float),
-                np.array(rec["anchors"], dtype=float),
-            )
-        except (KeyError, ValueError, TypeError) as e:
-            raise InputFormatError(f"bad hand track record: {e}", path=path, line=ln)
-        yield row
 
 
 # -- episodes --------------------------------------------------------------
@@ -421,30 +409,60 @@ def read_visibility(path):
 
 
 # -- distance traces (for threshold sweeps) --------------------------------
+TRACE_PERSON_KEY = "person"  # the person id of a distance_traces.jsonl record
+
 
 def write_traces(f, rows):
     """rows: list of (frame, hand_id, side, person_id, label, distance)."""
     for frame, hand_id, side, person_id, label, d in rows:
         rec = {
             "frame": int(frame), "hand": int(hand_id), "side": side,
-            "person": None if person_id is None else int(person_id),
+            TRACE_PERSON_KEY: None if person_id is None else int(person_id),
             "label": int(label), "d": _round(d),
         }
         f.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def read_traces(path):
-    """Yield (frame, hand_id, side, person_id, label, distance) records."""
+    """Yield (frame, hand_id, side, person_id, label, distance) records.
+    frame, hand, label and a non-null person are JSON integers, side is
+    left or right and d a finite JSON number >= 0."""
     for ln, rec in _json_lines(path, "trace"):
         try:
+            side, d = rec["side"], _json_number(rec, "d")
+            if side not in SIDES:
+                raise ValueError(f"side must be left or right, got {json.dumps(side)}")
+            if not (np.isfinite(d) and d >= 0):
+                raise ValueError(f"d must be finite and >= 0, got {d}")
             row = (
-                _json_int(rec, "frame"), _json_int(rec, "hand"), rec["side"],
+                _json_int(rec, "frame"), _json_int(rec, "hand"), side,
                 None if rec["person"] is None else _json_int(rec, "person"),
-                _json_int(rec, "label"), float(rec["d"]),
+                _json_int(rec, "label"), d,
             )
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             raise InputFormatError(f"bad trace record: {e}", path=path, line=ln)
         yield row
+
+
+def remap_ids(path, key, mapping):
+    """Rewrite a JSON-lines stream in place, replacing each rec[key] that
+    is a key of mapping by its value. Only those lines are re-dumped, in
+    the writers' compact form; the others are copied as they are. The
+    stream is copied to a temporary file beside it, which then replaces
+    it."""
+    tmp_path = path + ".tmp"
+    try:
+        with open(path) as src, open(tmp_path, "w") as dst:
+            for line in src:
+                rec = json.loads(line)
+                if rec[key] in mapping:
+                    rec[key] = mapping[rec[key]]
+                    line = json.dumps(rec, separators=(",", ":")) + "\n"
+                dst.write(line)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
 
 
 # -- label tables ----------------------------------------------------------

@@ -60,6 +60,7 @@ class TrackSnapshot:
     existence: float
     joints: np.ndarray
     available: np.ndarray
+    detected: bool  # born, updated or adopted from this frame's detections
 
 
 def association_cost(tracks, dets, cal: CameraCalibration, tau_joint):
@@ -494,6 +495,7 @@ class Tracker:
         survivors = []
         out = []
         for ti, track in enumerate(self.tracks):
+            detected = ti in born or ti in updated_tracks
             if ti in born:
                 pass  # fresh tracks keep e_init this frame
             elif ti in updated_tracks:
@@ -514,6 +516,7 @@ class Tracker:
                         existence=track.existence,
                         joints=track.joints.copy(),
                         available=track.available.copy(),
+                        detected=detected,
                     )
                 )
         self.tracks = survivors

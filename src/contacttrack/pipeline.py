@@ -2,9 +2,10 @@
 
 Each frame flows through semantic map assembly, person tracking, hand
 fusion, and contact detection. Tracks, hand tracks and distance traces
-are written inside the frame loop; when identity stitching is enabled a
-second pass streams each of them through a temporary file to rewrite
-fragment person ids. Memory holds one frame's detections and semantic
+are written inside the frame loop; when identity stitching merges ids, a
+second pass copies each of them line by line through a temporary file,
+re-dumping only the lines whose person-id key names a fragment id with
+that one key changed. Memory holds one frame's detections and semantic
 map and the live person tracks, plus two kinds of state that grow with
 the recording: tables keyed by id (hand tracks, contact filters and open
 episodes, stitch votes, coexistence counts), which grow with the number
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import groupby
-from operator import itemgetter
 
 from .config import PipelineConfig
 from .contact import ContactTracker
@@ -26,15 +25,17 @@ from .errors import InputFormatError
 from .evaluation import GroundTruth
 from .hand_fusion import HandFusion, HandInstance
 from .io import (
+    HAND_TRACK_PERSON_KEY,
+    TRACE_PERSON_KEY,
+    TRACK_PERSON_KEY,
     GridDepthProvider,
     read_calibration,
     read_detections,
     read_episodes,
-    read_hand_tracks,
     read_label_table,
     read_tracks,
-    read_traces,
     read_visibility,
+    remap_ids,
     write_episodes,
     write_hand_track_line,
     write_track_line,
@@ -124,46 +125,20 @@ def _build_cloud(provider, cals, frame, cfg, label_table, table_path):
 
 
 def _rewrite_ids(out_dir, mapping):
-    """Second pass: translate fragment person ids in the emitted streams.
-
-    Each stream is read, remapped and written record by record to a
-    temporary file in out_dir, which then replaces the original.
-    """
-    # (file, reader, index of the person id in a record, line writer);
-    # traces are written one frame's rows at a time instead. Built per
-    # call so the writers are looked up by their module names each time,
-    # where perfbench's tracer wraps them.
-    streams = (
-        ("tracks.jsonl", read_tracks, 1, write_track_line),
-        ("hand_tracks.jsonl", read_hand_tracks, 3, write_hand_track_line),
-        ("distance_traces.jsonl", read_traces, 3, None),
-    )
-    for name, read, slot, write_line in streams:
-        path = os.path.join(out_dir, name)
-        tmp_path = path + ".tmp"
-        try:
-            with open(tmp_path, "w") as f:
-                rows = (
-                    row[:slot] + (mapping.get(row[slot], row[slot]),) + row[slot + 1:]
-                    for row in read(path)
-                )
-                if write_line is None:
-                    for _, frame_rows in groupby(rows, key=itemgetter(0)):
-                        write_traces(f, list(frame_rows))
-                else:
-                    for row in rows:
-                        write_line(f, *row)
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
+    """Second pass: translate fragment person ids in the emitted streams."""
+    for name, key in (("tracks.jsonl", TRACK_PERSON_KEY),
+                      ("hand_tracks.jsonl", HAND_TRACK_PERSON_KEY),
+                      ("distance_traces.jsonl", TRACE_PERSON_KEY)):
+        remap_ids(os.path.join(out_dir, name), key, mapping)
 
 
 def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
                  stitch=True):
     """Process one recording directory end to end.
 
-    Returns a summary dict (frame counts, warnings, stitch mapping).
+    Writes the output files to out_dir and returns the summary that
+    run_meta.json holds: frames seen and missing, the episode count, the
+    stitch mapping (as string ids), the seed and the config.
     """
     cfg = (cfg or PipelineConfig()).validate()
     cals = read_calibration(calib_path)

@@ -126,6 +126,14 @@ SIDE_JOINTS = {
 TORSO_JOINTS = (5, 6, 11, 12)  # shoulders and hips
 
 
+def json_int(value, name):
+    """value if it is a JSON integer (not a bool), else ValueError naming
+    it: int() would read "40" as 40 and truncate 0.9 to 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 @dataclass
 class HandSchema:
     """Vertex-set layout of hand reconstructions.
@@ -173,9 +181,9 @@ class HandSchema:
     @classmethod
     def from_json(cls, data):
         return cls(
-            vertex_count=int(data["vertex_count"]),
-            palm_indices=[int(i) for i in data["palm_indices"]],
-            fingertip_indices=[int(i) for i in data["fingertip_indices"]],
+            vertex_count=json_int(data["vertex_count"], "vertex_count"),
+            palm_indices=[json_int(i, "palm_indices") for i in data["palm_indices"]],
+            fingertip_indices=[json_int(i, "fingertip_indices") for i in data["fingertip_indices"]],
         )
 
     @classmethod

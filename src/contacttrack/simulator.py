@@ -366,7 +366,7 @@ class Simulator:
     def __init__(self, scene, seed=0):
         if not isinstance(scene, dict) or "cameras" not in scene:
             raise InputFormatError("scene config must be a mapping with cameras")
-        self.scene = parse_scene(scene) if "raw" not in scene else scene
+        self.scene = parse_scene(scene)
         self.seed = int(seed)
         self.hand_schema = HandSchema(vertex_count=self.scene["hand_vertex_count"])
         self.cals = self.scene["cameras"]

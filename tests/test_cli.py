@@ -46,6 +46,18 @@ class TestSimulate:
                      "hand_schema.json", "label_table.txt"):
             assert (out / name).exists()
 
+    def test_top_level_raw_key_is_an_ordinary_key(self, tmp_path):
+        # A scene file is always parsed, whatever keys it holds.
+        scene = crossing_clean(frame_count=3)
+        detections = []
+        for name, data in (("plain", scene), ("raw", scene | {"raw": {"note": 1}})):
+            scene_path = tmp_path / f"{name}.json"
+            scene_path.write_text(json.dumps(data))
+            out = tmp_path / name
+            assert main(["simulate", "--scene", str(scene_path), "--out", str(out)]) == EXIT_OK
+            detections.append((out / "detections.jsonl").read_bytes())
+        assert detections[0] and detections[1] == detections[0]
+
     def test_unknown_builtin(self, tmp_path, capsys):
         assert main(["simulate", "--scene", "builtin:nope",
                      "--out", str(tmp_path / "x")]) == EXIT_INPUT
@@ -580,7 +592,12 @@ class TestRunBadHandSchema:
           "fingertip_indices": [35, 36, 37, 38, 39]}, "palm_indices must name at least one vertex"),
         ({"vertex_count": 40, "palm_indices": [0, 1, 2],
           "fingertip_indices": []}, "exactly five fingertip indices"),
-    ], ids=["not-json", "four-fingertips", "negative-index", "empty-palm", "empty-fingertips"])
+        ({"vertex_count": 40, "palm_indices": [0.9, 1, 2],
+          "fingertip_indices": [35, 36, 37, 38, 39]}, "palm_indices must be an integer, got 0.9"),
+        ({"vertex_count": "40", "palm_indices": [0, 1, 2],
+          "fingertip_indices": [35, 36, 37, 38, 39]}, 'vertex_count must be an integer, got "40"'),
+    ], ids=["not-json", "four-fingertips", "negative-index", "empty-palm", "empty-fingertips",
+            "fractional-index", "string-count"])
     def test_bad_schema(self, tmp_path, mini_induction, capsys, schema, message):
         ds = mini_induction["ds"]
         inp = tmp_path / "in"
@@ -733,10 +750,17 @@ class TestScoringBadInput:
 
 
 class TestSweep:
-    def test_bad_grid(self, tmp_path, mini_induction):
-        assert main(["sweep", "--in", mini_induction["out"],
-                     "--gt", mini_induction["ds"], "--grid", "0.4:0.1:0.1",
-                     "--out", str(tmp_path / "s.csv")]) == EXIT_INPUT
+    # An infinite lo or hi never leaves the grid loop where it is not
+    # rejected; a NaN one gives an empty grid.
+    @pytest.mark.parametrize("grid", [
+        "0.4:0.1:0.1", "nan:0.1:0.01", "0:nan:0.01", "0:0.1:nan",
+        "0:inf:0.01", "-inf:0.1:0.01", "0:0.1:inf",
+    ], ids=["hi-below-lo", "nan-lo", "nan-hi", "nan-step", "inf-hi", "minus-inf-lo", "inf-step"])
+    def test_bad_grid(self, tmp_path, mini_induction, grid):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--in", mini_induction["out"], "--gt", mini_induction["ds"],
+                     f"--grid={grid}", "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
     def test_grid_row_count(self, tmp_path, mini_induction):
         out = tmp_path / "s.csv"

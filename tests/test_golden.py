@@ -5,7 +5,8 @@ that `run` writes with a per-frame map and with --static-map, for a short
 fixed-seed window of each builtin scene, plus the `simulate` files and the
 per-frame-map `run` files of an eight-person crossing window whose joints
 are hidden by other bodies far more often, so depth lifting casts against
-a frame's 80 body capsules, culled to the few each ray may hit. For each
+a frame's 80 body capsules, culled to the few each ray may hit, and of a
+longer crossing-noisy window whose run stitches a fragment id. For each
 builtin window it also holds the `evaluate` report and a fixed-grid
 `sweep` of the per-frame-map `run` against the simulated ground truth. A change
 that moves any output byte fails here. When a change moves bytes on
@@ -42,6 +43,14 @@ WINDOWS = {
     "induction-lite-noisy": (60, 36),
 }
 SWEEP_GRID = "0.02:0.12:0.01"  # m, tau_on values of the pinned sweep
+# Windows pinned by their simulate and per-frame-map run outputs only: the
+# eight-person crowd, and crossing-noisy frames 240-329, the one window
+# whose run stitches a fragment id (4 into 3, recorded in run_meta.json),
+# so its tracks, hand tracks and traces pin the bytes of the id remap.
+RUN_ONLY = {
+    "crowd-8": crowd_crossing,
+    "crossing-noisy-stitch": lambda: window(builtin_scene("crossing-noisy"), 240, 90),
+}
 
 GOLDEN = {
     "crossing-clean": {
@@ -106,6 +115,26 @@ GOLDEN = {
             "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
             "label_table.txt": "cb1464f7eccc8aa25aa911596052fb2ee4dd431d9e916577475f0db6cd548d84",
             "scene.json": "f93a70157abf9e23583b8821e278719d8d2ea1ea91dd45a04f9ad870486c9906"
+        }
+    },
+    "crossing-noisy-stitch": {
+        "run": {
+            "distance_traces.jsonl": "ef92c9dfaa9f89b454b220c736a63be47a0ceab374592f037ea3ff951c156f0e",
+            "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "hand_tracks.jsonl": "0f97fa3f0f44710b6c9081a4b2e63b321cb83f2388871d969f3c31719925188d",
+            "run_meta.json": "db3a0f3203b086ee5a9d914624b805ae6778a73829b330e431aeace64b040b3e",
+            "tracks.jsonl": "fab9e4478562162857b1daee083fea5797ddaebf5636a395147d0ba4d828ecb5"
+        },
+        "simulate": {
+            "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
+            "detections.jsonl": "3e839273fd14700a7f3dc7dffd56076ed672116370f1b8ecff72deaf997ae600",
+            "gt/episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
+            "gt/meta.json": "45249c0bd717b26d26d9fd4339b2153991ef2e3b69c6a2bf22f006c8de04e77e",
+            "gt/tracks.jsonl": "5e7bdf9f39dddabe815e134b48ce8ef7a60ccd44481b9cdc9639347dc605fcd9",
+            "gt/visibility.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "hand_schema.json": "d5680986af011aab4dfb57ffb8efbeb746e35a4e60a032c6e32b9bac7b58d9b1",
+            "label_table.txt": "cb1464f7eccc8aa25aa911596052fb2ee4dd431d9e916577475f0db6cd548d84",
+            "scene.json": "4d5b9e2acc4902221b6a224e6b68f1889b4f3b95b14a87c5a953c6664ebfff8d"
         }
     },
     "crowd-8": {
@@ -217,10 +246,13 @@ def digests(root):
 def outputs(name, root):
     """Digests of the simulate outputs of one window and of its run
     outputs: per-frame map and --static-map for the builtin windows, the
-    per-frame map only for the crowd, which has no surfaces. The builtin
-    windows add the evaluate and sweep outputs of the per-frame run."""
+    per-frame map only for the RUN_ONLY windows. The builtin windows add
+    the evaluate and sweep outputs of the per-frame run."""
     ds = os.path.join(root, "data")
-    scene = crowd_crossing() if name == "crowd-8" else window(builtin_scene(name), *WINDOWS[name])
+    if name in RUN_ONLY:
+        scene = RUN_ONLY[name]()
+    else:
+        scene = window(builtin_scene(name), *WINDOWS[name])
     emit_dataset(scene, ds, seed=SEED)
     got = {"simulate": digests(ds)}
     modes = (("run", False), ("run-static", True)) if name in WINDOWS else (("run", False),)

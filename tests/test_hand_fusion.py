@@ -31,7 +31,7 @@ def hand_vertices(palm_center, spread=0.02):
     return v
 
 
-def person(pid, wrist_l=None, wrist_r=None, existence=1.0):
+def person(pid, wrist_l=None, wrist_r=None, detected=True):
     joints = np.zeros((JOINT_COUNT, 3))
     avail = np.zeros(JOINT_COUNT, dtype=bool)
     for side, w in (("left", wrist_l), ("right", wrist_r)):
@@ -39,7 +39,8 @@ def person(pid, wrist_l=None, wrist_r=None, existence=1.0):
             k = SIDE_JOINTS[side]["wrist"]
             joints[k] = w
             avail[k] = True
-    return TrackSnapshot(id=pid, existence=existence, joints=joints, available=avail)
+    return TrackSnapshot(id=pid, existence=1.0, joints=joints, available=avail,
+                         detected=detected)
 
 
 def naive_dbscan(points, eps, min_pts):
@@ -264,8 +265,8 @@ class TestFusionAndAssociation:
     def fragment_with_bystander(self, bystander):
         """test_fragment_votes_accumulate's scene, with person 2 also
         present (far from the hand) while fragment 5 holds it:
-        bystander(k) is person 2's existence on the k-th such frame, or
-        None when person 2 is absent."""
+        bystander(k) is whether person 2 received detections on the k-th
+        such frame, or None when person 2 is absent."""
         wrist = np.array([0.0, 0.0, 2.0])
         c = wrist + np.array([0.03, 0, 0])
         mk = lambda: [HandInstance("cam0", "right", hand_vertices(c), 0.003)]
@@ -275,23 +276,22 @@ class TestFusionAndAssociation:
             self.hf.step(f, mk(), self.cals, [])
         for k, f in enumerate(range(10, 20)):
             persons = [person(5, wrist_r=wrist)]
-            e = bystander(k)
-            if e is not None:
-                persons.insert(0, person(2, wrist_r=wrist + [3.0, 0, 0], existence=e))
+            detected = bystander(k)
+            if detected is not None:
+                persons.insert(0, person(2, wrist_r=wrist + [3.0, 0, 0], detected=detected))
             self.hf.step(f, mk(), self.cals, persons)
         assert self.hf.votes == {(5, 2): 10}
         return self.hf.stitch_mapping()
 
     def test_coexisting_ids_never_stitched(self):
-        assert self.fragment_with_bystander(lambda k: 1.0 if k < 3 else None) == {}
+        assert self.fragment_with_bystander(lambda k: True if k < 3 else None) == {}
 
     def test_brief_coexistence_does_not_block_stitch(self):
-        assert self.fragment_with_bystander(lambda k: 1.0 if k < 2 else None) == {5: 2}
+        assert self.fragment_with_bystander(lambda k: True if k < 2 else None) == {5: 2}
 
     def test_decaying_track_does_not_block_stitch(self):
-        # Person 2 coasts beside its replacement with existence decaying
-        # from its last detected value of 1.0.
-        assert self.fragment_with_bystander(lambda k: 0.9 ** (k + 1)) == {5: 2}
+        # Person 2 coasts beside its replacement without detections.
+        assert self.fragment_with_bystander(lambda k: False) == {5: 2}
 
     def test_hand_track_survives_gap(self):
         c = np.array([0.05, 0.0, 2.0])

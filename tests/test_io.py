@@ -15,14 +15,12 @@ from contacttrack.io import (
     read_depth_grid,
     read_detections,
     read_episodes,
-    read_hand_tracks,
     read_tracks,
     read_traces,
     read_visibility,
     write_calibration,
     write_detections,
     write_episodes,
-    write_hand_track_line,
     write_track_line,
     write_traces,
     write_visibility,
@@ -146,16 +144,14 @@ class TestRounding:
 
 
 class TestIntegerFields:
-    """Integer fields of the track, hand-track, trace and visibility
-    streams must be JSON integers: int() would read 0.5 as 0."""
+    """Integer fields of the track, trace and visibility streams must be
+    JSON integers: int() would read 0.5 as 0."""
 
     @pytest.mark.parametrize("read, line", [
         (read_tracks, '{"frame":0,"id":1.9,"E":1.0,"joints":%s}' % ([[0, 0, 0, 1]] * JOINT_COUNT)),
-        (read_hand_tracks, '{"frame":0,"hand_track_id":1.9,"side":"left","person_id":1,'
-                           '"palm_center":[0,0,0],"anchors":[[0,0,0]]}'),
         (read_traces, '{"frame":0,"hand":1.9,"side":"left","person":1,"label":2,"d":0.1}'),
         (read_visibility, '{"frame":0,"person_id":1.9,"side":"left","visible":false}'),
-    ], ids=["tracks", "hand-tracks", "traces", "visibility"])
+    ], ids=["tracks", "traces", "visibility"])
     def test_fraction_rejected(self, tmp_path, read, line):
         path = tmp_path / "stream.jsonl"
         path.write_text(line.replace("1.9", "1") + "\n" + line + "\n")
@@ -171,17 +167,36 @@ class TestIntegerFields:
                 list(read_visibility(path))
 
 
-class TestHandTracks:
-    def test_round_trip(self, tmp_path):
-        palm = np.array([0.1, 0.2, 0.3])
-        anchors = np.arange(18, dtype=float).reshape(6, 3) / 10
-        path = tmp_path / "hands.jsonl"
-        with open(path, "w") as f:
-            write_hand_track_line(f, 7, 3, "right", None, palm, anchors)
-        (frame, hid, side, pid, palm_back, anchors_back), = read_hand_tracks(path)
-        assert (frame, hid, side, pid) == (7, 3, "right", None)
-        assert np.allclose(palm_back, palm)
-        assert np.allclose(anchors_back, anchors)
+class TestNumberFields:
+    """Number fields of the track, trace and detection streams must be
+    JSON numbers: float() would parse "0.5", and float() and numpy read
+    true as 1.0. A trace's d must also be finite and >= 0, and its side
+    left or right."""
+
+    DETECTION = ('{"frame":0,"camera_id":"cam0","persons":[{"joints":%s}],"hands":[]}'
+                 % ([[0.5, 0, 0.9]] * JOINT_COUNT))
+    TRACK = '{"frame":0,"id":1,"E":1.0,"joints":%s}' % ([[0.5, 0, 0, 1]] * JOINT_COUNT)
+    TRACE = '{"frame":0,"hand":1,"side":"left","person":1,"label":2,"d":0.05}'
+
+    @pytest.mark.parametrize("read, good, bad, message", [
+        (read_tracks, TRACK, ('"E":1.0', '"E":"0.5"'), 'E must be a number, got "0.5"'),
+        (read_tracks, TRACK, ("[[0.5, ", '[["1.0", '), "joints must be numbers"),
+        (read_tracks, TRACK, (", 1]]", ", true]]"), "joints must be numbers"),
+        (read_traces, TRACE, ('"d":0.05', '"d":"0.05"'), 'd must be a number, got "0.05"'),
+        (read_traces, TRACE, ('"d":0.05', '"d":true'), "d must be a number, got true"),
+        (read_traces, TRACE, ('"d":0.05', '"d":NaN'), "d must be finite and >= 0, got nan"),
+        (read_traces, TRACE, ('"d":0.05', '"d":-0.01'), "d must be finite and >= 0, got -0.01"),
+        (read_traces, TRACE, ('"left"', '"sideways"'), 'side must be left or right, got "sideways"'),
+        (read_detections, DETECTION, ("[[0.5, ", "[[true, "), "joints must be numbers"),
+    ], ids=["tracks-E-string", "tracks-joint-string", "tracks-joint-bool", "traces-d-string",
+            "traces-d-bool", "traces-d-nan", "traces-d-negative", "traces-side",
+            "detections-joint-bool"])
+    def test_rejected(self, tmp_path, read, good, bad, message):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(good + "\n" + good.replace(*bad, 1) + "\n")
+        with pytest.raises(InputFormatError, match=message) as exc:
+            list(read(path))
+        assert exc.value.line == 2
 
 
 class TestEpisodes:

@@ -374,6 +374,18 @@ class TestLifecycleAndBirths:
         out2 = tracker.step(2, dets)
         assert len(out2) == 1 and tracker.tracks[0].existence == pytest.approx(0.7)
 
+    def test_snapshot_says_whether_detections_reached_the_track(self, cams):
+        tracker = Tracker(cams, TrackerConfig())
+        joints = place_template()
+        dets = {c: [detect(joints, cams[c])] for c in cams}
+        for f in range(6):  # existence climbs to its cap of 1.0
+            out = tracker.step(f, dets)
+        assert [(s.existence, s.detected) for s in out] == [(1.0, True)]
+        (coasting,) = tracker.step(6, {c: [] for c in cams})
+        assert coasting.existence < 1.0 and not coasting.detected
+        (back,) = tracker.step(7, dets)
+        assert back.detected
+
     def test_decay_removal_count(self, cams):
         cfg = TrackerConfig(decay_lambda=0.9, e_off=0.1)
         tracker = Tracker(cams, cfg)
