@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -13,7 +12,7 @@ from dataclasses import asdict
 from .config import load_pipeline_config
 from .errors import ConfigError, ContactTrackError, InputFormatError
 from .evaluation import match_tracks, mot_metrics, evaluate, threshold_sweep
-from .io import read_episodes, read_traces
+from .io import read_episodes, read_json, read_traces, write_json
 from .pipeline import load_ground_truth, load_track_stream, run_pipeline
 from .scenes import builtin_scene
 from .simulator import emit_dataset
@@ -29,18 +28,15 @@ def _load_scene(spec):
             return builtin_scene(spec[len("builtin:"):])
         except KeyError as e:
             raise InputFormatError(str(e))
-    try:
-        with open(spec, encoding="utf-8") as f:
-            return json.load(f)
-    except OSError as e:
-        raise InputFormatError(f"cannot read scene file: {e}", path=spec)
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise InputFormatError(f"scene file is not valid UTF-8 JSON: {e}", path=spec)
+    return read_json(spec, "scene file")
 
 
 def cmd_simulate(args):
     scene = _load_scene(args.scene)
-    sim = emit_dataset(scene, args.out, seed=args.seed)
+    try:
+        sim = emit_dataset(scene, args.out, seed=args.seed)
+    except InputFormatError as e:  # from parse_scene, which does not know the file
+        raise InputFormatError(str(e), path=args.scene) from None
     print(f"wrote {sim.scene['frame_count']} frames to {args.out}")
     return EXIT_OK
 
@@ -95,9 +91,7 @@ def cmd_evaluate(args):
     report = evaluate(pred_tracks, episodes, gt)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump(asdict(report), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(args.out, "report.json"), asdict(report), sort_keys=True)
     with open(os.path.join(args.out, "report.csv"), "w", newline="") as f:
         w = csv.writer(f)
         items = sorted(asdict(report).items())

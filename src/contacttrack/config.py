@@ -144,7 +144,7 @@ def load_pipeline_config(path=None):
                 data = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}")
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or nested too deep
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}")
     _object(data, path, "the file")
     tracker, fusion, contact = (

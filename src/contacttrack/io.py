@@ -1,8 +1,15 @@
-"""File formats: calibration, detection/track streams, episodes, label
-tables, depth and label grids.
+"""File formats: how each input and output file is read and written.
 
-All streams are line-delimited JSON; episodes are CSV. Writers are
-deterministic so identical runs produce byte-identical files.
+JSON files (calibration.json, scene.json or a --scene file,
+hand_schema.json, run_meta.json, gt/meta.json, report.json) are read by
+read_json and written, indented, by write_json. JSON-lines streams
+(detections, tracks, hand tracks, ground-truth visibility, distance
+traces) are written one compact record per line by _line; all but hand
+tracks are read by _records, which hands each record to the stream's
+parse function. Episodes are CSV, label tables "<id> <name>" lines, and
+depth and label grids DEP1 and LBL1 binaries. A malformed input raises
+InputFormatError naming the file, and the line for line-based files.
+Writers are deterministic so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ EPISODE_HEADER = [
     "person_id", "side", "surface_label", "t_start", "t_stop",
     "px", "py", "pz", "min_distance_m",
 ]
+
+# What decoding or parsing a malformed record raises: a missing key or
+# short row, a value of the wrong type or out of range, a number too large
+# to convert, or JSON nested deeper than the decoder follows.
+RECORD_ERRORS = (LookupError, ValueError, TypeError, OverflowError, RecursionError)
 
 
 def _round(x, nd=6):
@@ -91,19 +103,51 @@ def _json_list(rec, key):
     return value
 
 
-def _json_lines(path, what):
-    """Yield (line number, record) for each non-blank line of a JSON-lines
-    file. A line that is not UTF-8 JSON raises InputFormatError naming the
-    file and line."""
+def _json_side(rec, name="side"):
+    """rec["side"] if it is "left" or "right", else ValueError naming it
+    as name."""
+    side = rec["side"]
+    if side not in SIDES:
+        raise ValueError(f"{name} must be left or right, got {json.dumps(side)}")
+    return side
+
+
+def read_json(path, what):
+    """The JSON value of a UTF-8 file. A file that cannot be read, or is
+    not UTF-8 JSON, raises InputFormatError("bad <what>: ...") naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as e:  # not UTF-8 JSON, or nested too deep
+        raise InputFormatError(f"bad {what}: {e}", path=path)
+
+
+def write_json(path, obj, sort_keys=False):
+    """obj as an indented JSON file ending in a newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=sort_keys)
+        f.write("\n")
+
+
+def _records(path, what, parse):
+    """Yield parse(rec) for each record of a JSON-lines file, one per
+    non-blank line. A line that is not UTF-8 JSON, or whose record parse
+    rejects with one of RECORD_ERRORS, raises InputFormatError("bad <what>
+    record: ...") naming the file and line."""
     with open(path, "rb") as f:
         for ln, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line.decode("utf-8"))
-            except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+                item = parse(json.loads(line.decode("utf-8")))
+            except RECORD_ERRORS as e:
                 raise InputFormatError(f"bad {what} record: {e}", path=path, line=ln)
-            yield ln, rec
+            yield item
+
+
+def _line(rec):
+    """rec as one compact JSON line, the form of every JSON-lines stream."""
+    return json.dumps(rec, separators=(",", ":")) + "\n"
 
 
 # -- calibration -----------------------------------------------------------
@@ -118,17 +162,14 @@ def write_calibration(path, cals):
             "width": c.image_width, "height": c.image_height,
             "T_cw": [float(v) for v in np.asarray(c.T_cw).reshape(-1)],
         })
-    with open(path, "w") as f:
-        json.dump({"gravity_axis": GRAVITY_AXIS, "cameras": cams}, f, indent=1)
-        f.write("\n")
+    write_json(path, {"gravity_axis": GRAVITY_AXIS, "cameras": cams})
 
 
 def read_calibration(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
-        raise InputFormatError(f"cannot parse calibration: {e}", path=path)
+    """{camera id: CameraCalibration} of a calibration.json file. fx, fy,
+    cx and cy are JSON numbers, width and height JSON integers and T_cw 16
+    JSON numbers, row-major; a camera id listed twice is rejected."""
+    data = read_json(path, "calibration")
     if not isinstance(data, dict):
         raise InputFormatError(
             f"calibration must hold a JSON object, got {type(data).__name__}", path=path
@@ -145,15 +186,15 @@ def read_calibration(path):
         try:
             cal = CameraCalibration(
                 camera_id=cam["camera_id"],
-                fx=float(cam["fx"]), fy=float(cam["fy"]),
-                cx=float(cam["cx"]), cy=float(cam["cy"]),
-                T_cw=np.array(cam["T_cw"], dtype=float).reshape(4, 4),
-                image_width=int(cam["width"]), image_height=int(cam["height"]),
+                fx=_json_number(cam, "fx"), fy=_json_number(cam, "fy"),
+                cx=_json_number(cam, "cx"), cy=_json_number(cam, "cy"),
+                T_cw=_json_numbers(cam, "T_cw").reshape(4, 4),
+                image_width=_json_int(cam, "width"), image_height=_json_int(cam, "height"),
             )
-        except (KeyError, ValueError, TypeError) as e:
+            if cal.camera_id in cals:
+                raise ValueError(f"camera {cal.camera_id!r} listed twice")
+        except RECORD_ERRORS as e:
             raise InputFormatError(f"bad camera record: {e}", path=path)
-        if cal.camera_id in cals:
-            raise InputFormatError(f"camera {cal.camera_id!r} listed twice", path=path)
         cals[cal.camera_id] = cal
     if not cals:
         raise InputFormatError("calibration lists no cameras", path=path)
@@ -169,7 +210,7 @@ def write_detections(path, records):
     """
     with open(path, "w") as f:
         for frame, camera_id, persons, hands in records:
-            rec = {
+            f.write(_line({
                 "frame": int(frame),
                 "camera_id": camera_id,
                 "persons": [{"joints": _rounded(p)} for p in persons],
@@ -181,8 +222,7 @@ def write_detections(path, records):
                     }
                     for h in hands
                 ],
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            }))
 
 
 def read_detections(path, cameras=None, hand_vertex_count=None):
@@ -198,62 +238,53 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
     whose vertex count is not `hand_vertex_count`.
     """
     current, frame_cams = None, set()
-    for ln, rec in _json_lines(path, "detection"):
-        try:
-            frame = _json_int(rec, "frame")
-            camera_id = rec["camera_id"]
-            persons = [_json_numbers(p, "joints") for p in _json_list(rec, "persons")]
-            hands = [
-                {
-                    "side": h["side"],
-                    "sigma_fit": _json_number(h, "sigma_fit"),
-                    "vertices": _json_numbers(h, "vertices"),
-                }
-                for h in _json_list(rec, "hands")
-            ]
-        except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise InputFormatError(f"bad detection record: {e}", path=path, line=ln)
-        problem = _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count)
-        if problem is None and current is not None and frame < current:
-            problem = f"detections not frame-ordered ({frame} after {current})"
-        if problem is None:
-            if frame != current:
-                current, frame_cams = frame, set()
-            if camera_id in frame_cams:
-                problem = f"second record for frame {frame}, camera {camera_id!r}"
-        if problem is not None:
-            raise InputFormatError(problem, path=path, line=ln)
+
+    def parse(rec):
+        nonlocal current
+        frame = _json_int(rec, "frame")
+        camera_id = rec["camera_id"]
+        if not isinstance(camera_id, str):
+            raise ValueError(f"camera_id must be a string, got {camera_id!r}")
+        if cameras is not None and camera_id not in cameras:
+            raise ValueError(f"camera {camera_id!r} is not in the calibration")
+        persons = [_json_numbers(p, "joints") for p in _json_list(rec, "persons")]
+        for p in persons:
+            if p.shape != (JOINT_COUNT, 3):
+                raise ValueError(f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)")
+            if np.count_nonzero(np.isfinite(p)) < p.size:
+                raise ValueError("person joints hold a non-finite value")
+        hands = [
+            {
+                "side": _json_side(h, "hand side"),
+                "sigma_fit": _json_number(h, "sigma_fit"),
+                "vertices": _json_numbers(h, "vertices"),
+            }
+            for h in _json_list(rec, "hands")
+        ]
+        for h in hands:
+            v = h["vertices"]
+            if not (np.isfinite(h["sigma_fit"]) and h["sigma_fit"] >= 0):
+                raise ValueError(f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}")
+            if v.ndim != 2 or v.shape[1] != 3:
+                raise ValueError(f"hand vertices shape {v.shape}, want (N, 3)")
+            if np.count_nonzero(np.isfinite(v)) < v.size:
+                raise ValueError("hand vertices hold a non-finite value")
+            if hand_vertex_count is not None and len(v) != hand_vertex_count:
+                raise ValueError(
+                    f"hand has {len(v)} vertices but the hand schema has "
+                    f"{hand_vertex_count}; is the recording's hand_schema.json missing?"
+                )
+        if current is not None and frame < current:
+            raise ValueError(f"detections not frame-ordered ({frame} after {current})")
+        if frame != current:
+            current = frame
+            frame_cams.clear()
+        if camera_id in frame_cams:
+            raise ValueError(f"second record for frame {frame}, camera {camera_id!r}")
         frame_cams.add(camera_id)
-        yield frame, camera_id, persons, hands
+        return frame, camera_id, persons, hands
 
-
-def _detection_problem(camera_id, persons, hands, cameras, hand_vertex_count):
-    """What is wrong with one parsed detection record, or None."""
-    if not isinstance(camera_id, str):
-        return f"camera_id must be a string, got {camera_id!r}"
-    if cameras is not None and camera_id not in cameras:
-        return f"camera {camera_id!r} is not in the calibration"
-    for p in persons:
-        if p.shape != (JOINT_COUNT, 3):
-            return f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)"
-        if np.count_nonzero(np.isfinite(p)) < p.size:
-            return "person joints hold a non-finite value"
-    for h in hands:
-        v = h["vertices"]
-        if h["side"] not in SIDES:
-            return f"hand side must be left or right, got {h['side']!r}"
-        if not (np.isfinite(h["sigma_fit"]) and h["sigma_fit"] >= 0):
-            return f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}"
-        if v.ndim != 2 or v.shape[1] != 3:
-            return f"hand vertices shape {v.shape}, want (N, 3)"
-        if np.count_nonzero(np.isfinite(v)) < v.size:
-            return "hand vertices hold a non-finite value"
-        if hand_vertex_count is not None and len(v) != hand_vertex_count:
-            return (
-                f"hand has {len(v)} vertices but the hand schema has "
-                f"{hand_vertex_count}; is the recording's hand_schema.json missing?"
-            )
-    return None
+    return _records(path, "detection", parse)
 
 
 # -- track streams ---------------------------------------------------------
@@ -261,43 +292,44 @@ TRACK_PERSON_KEY = "id"  # the person id of a tracks.jsonl record
 
 
 def write_track_line(f, frame, track_id, existence, joints, available):
-    rec = {
+    f.write(_line({
         "frame": int(frame),
         TRACK_PERSON_KEY: int(track_id),
         "E": _round(existence, 4),
         "joints": [xyz + [1 if a else 0] for xyz, a in zip(_rounded(joints), available)],
-    }
-    f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    }))
+
+
+def _track(rec):
+    arr = _json_numbers(rec, "joints")
+    if arr.shape != (JOINT_COUNT, 4):
+        raise ValueError(f"joints shape {arr.shape}")
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValueError("joints hold a non-finite value")
+    e = _json_number(rec, "E")
+    if not np.isfinite(e):
+        raise ValueError(f"E must be finite, got {e}")
+    return _json_int(rec, "frame"), _json_int(rec, "id"), e, arr[:, :3], arr[:, 3] > 0.5
 
 
 def read_tracks(path):
     """Yield (frame, id, E, joints (26,3), available (26,)) records. frame
-    and id are JSON integers, E and the joints JSON numbers."""
-    for ln, rec in _json_lines(path, "track"):
-        try:
-            arr = _json_numbers(rec, "joints")
-            if arr.shape != (JOINT_COUNT, 4):
-                raise ValueError(f"joints shape {arr.shape}")
-            row = (_json_int(rec, "frame"), _json_int(rec, "id"), _json_number(rec, "E"),
-                   arr[:, :3], arr[:, 3] > 0.5)
-        except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise InputFormatError(f"bad track record: {e}", path=path, line=ln)
-        yield row
+    and id are JSON integers, E and the joints finite JSON numbers."""
+    return _records(path, "track", _track)
 
 
 HAND_TRACK_PERSON_KEY = "person_id"  # the person id of a hand_tracks.jsonl record
 
 
 def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
-    rec = {
+    f.write(_line({
         "frame": int(frame),
         "hand_track_id": int(hand_track_id),
         "side": side,
         HAND_TRACK_PERSON_KEY: None if person_id is None else int(person_id),
         "palm_center": _rounded(palm),
         "anchors": _rounded(anchors),
-    }
-    f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    }))
 
 
 # -- episodes --------------------------------------------------------------
@@ -345,7 +377,7 @@ def read_episodes(path):
         if not row:
             continue
         try:
-            episodes.append(ContactEpisode(
+            ep = ContactEpisode(
                 person_id=None if row[0] == "" else int(row[0]),
                 side=row[1],
                 surface_label=int(row[2]),
@@ -353,26 +385,19 @@ def read_episodes(path):
                 t_stop=int(row[4]),
                 contact_point=np.array([float(row[5]), float(row[6]), float(row[7])]),
                 min_distance=float(row[8]),
-            ))
-        except (ValueError, IndexError) as e:
+            )
+            if ep.side not in SIDES:
+                raise ValueError(f"side must be left or right, got {ep.side!r}")
+            if ep.t_start > ep.t_stop:
+                raise ValueError(f"t_start {ep.t_start} is after t_stop {ep.t_stop}")
+            if not np.isfinite(ep.contact_point).all():
+                raise ValueError("contact point holds a non-finite value")
+            if not (np.isfinite(ep.min_distance) and ep.min_distance >= 0):
+                raise ValueError(f"min_distance_m must be finite and >= 0, got {ep.min_distance}")
+        except RECORD_ERRORS as e:
             raise InputFormatError(f"bad episode row: {e}", path=path, line=ln)
-        problem = _episode_problem(episodes[-1])
-        if problem is not None:
-            raise InputFormatError(f"bad episode row: {problem}", path=path, line=ln)
+        episodes.append(ep)
     return episodes
-
-
-def _episode_problem(ep):
-    """What is wrong with one parsed episode row, or None."""
-    if ep.side not in SIDES:
-        return f"side must be left or right, got {ep.side!r}"
-    if ep.t_start > ep.t_stop:
-        return f"t_start {ep.t_start} is after t_stop {ep.t_stop}"
-    if not np.isfinite(ep.contact_point).all():
-        return "contact point holds a non-finite value"
-    if not (np.isfinite(ep.min_distance) and ep.min_distance >= 0):
-        return f"min_distance_m must be finite and >= 0, got {ep.min_distance}"
-    return None
 
 
 # -- visibility stream -----------------------------------------------------
@@ -381,31 +406,23 @@ def write_visibility(path, records):
     """records: iterable of (frame, person_id, side, visible)."""
     with open(path, "w") as f:
         for frame, person_id, side, visible in records:
-            rec = {
+            f.write(_line({
                 "frame": int(frame), "person_id": int(person_id),
                 "side": side, "visible": bool(visible),
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            }))
+
+
+def _visibility(rec):
+    visible = rec["visible"]
+    if not isinstance(visible, bool):
+        raise ValueError(f"visible must be true or false, got {json.dumps(visible)}")
+    return _json_int(rec, "frame"), _json_int(rec, "person_id"), _json_side(rec), visible
 
 
 def read_visibility(path):
     """Yield (frame, person_id, side, visible) records; side is left or
     right and visible a JSON bool (bool() would read "false" as True)."""
-    for ln, rec in _json_lines(path, "visibility"):
-        try:
-            frame, person_id = _json_int(rec, "frame"), _json_int(rec, "person_id")
-            side, visible = rec["side"], rec["visible"]
-        except (KeyError, ValueError, TypeError) as e:
-            raise InputFormatError(f"bad visibility record: {e}", path=path, line=ln)
-        if side not in SIDES:
-            raise InputFormatError(
-                f"side must be left or right, got {json.dumps(side)}", path=path, line=ln
-            )
-        if not isinstance(visible, bool):
-            raise InputFormatError(
-                f"visible must be true or false, got {json.dumps(visible)}", path=path, line=ln
-            )
-        yield frame, person_id, side, visible
+    return _records(path, "visibility", _visibility)
 
 
 # -- distance traces (for threshold sweeps) --------------------------------
@@ -415,33 +432,27 @@ TRACE_PERSON_KEY = "person"  # the person id of a distance_traces.jsonl record
 def write_traces(f, rows):
     """rows: list of (frame, hand_id, side, person_id, label, distance)."""
     for frame, hand_id, side, person_id, label, d in rows:
-        rec = {
+        f.write(_line({
             "frame": int(frame), "hand": int(hand_id), "side": side,
             TRACE_PERSON_KEY: None if person_id is None else int(person_id),
             "label": int(label), "d": _round(d),
-        }
-        f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        }))
+
+
+def _trace(rec):
+    d = _json_number(rec, "d")
+    if not (np.isfinite(d) and d >= 0):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
+    person = None if rec[TRACE_PERSON_KEY] is None else _json_int(rec, TRACE_PERSON_KEY)
+    return (_json_int(rec, "frame"), _json_int(rec, "hand"), _json_side(rec), person,
+            _json_int(rec, "label"), d)
 
 
 def read_traces(path):
     """Yield (frame, hand_id, side, person_id, label, distance) records.
     frame, hand, label and a non-null person are JSON integers, side is
     left or right and d a finite JSON number >= 0."""
-    for ln, rec in _json_lines(path, "trace"):
-        try:
-            side, d = rec["side"], _json_number(rec, "d")
-            if side not in SIDES:
-                raise ValueError(f"side must be left or right, got {json.dumps(side)}")
-            if not (np.isfinite(d) and d >= 0):
-                raise ValueError(f"d must be finite and >= 0, got {d}")
-            row = (
-                _json_int(rec, "frame"), _json_int(rec, "hand"), side,
-                None if rec["person"] is None else _json_int(rec, "person"),
-                _json_int(rec, "label"), d,
-            )
-        except (KeyError, ValueError, TypeError, OverflowError) as e:
-            raise InputFormatError(f"bad trace record: {e}", path=path, line=ln)
-        yield row
+    return _records(path, "trace", _trace)
 
 
 def remap_ids(path, key, mapping):
@@ -457,7 +468,7 @@ def remap_ids(path, key, mapping):
                 rec = json.loads(line)
                 if rec[key] in mapping:
                     rec[key] = mapping[rec[key]]
-                    line = json.dumps(rec, separators=(",", ":")) + "\n"
+                    line = _line(rec)
                 dst.write(line)
         os.replace(tmp_path, path)
     finally:

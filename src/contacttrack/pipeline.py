@@ -16,7 +16,6 @@ point, so no frame's semantic map outlives the frame.
 
 from __future__ import annotations
 
-import json
 import os
 
 from .config import PipelineConfig
@@ -26,23 +25,26 @@ from .evaluation import GroundTruth
 from .hand_fusion import HandFusion, HandInstance
 from .io import (
     HAND_TRACK_PERSON_KEY,
+    RECORD_ERRORS,
     TRACE_PERSON_KEY,
     TRACK_PERSON_KEY,
     GridDepthProvider,
     read_calibration,
     read_detections,
     read_episodes,
+    read_json,
     read_label_table,
     read_tracks,
     read_visibility,
     remap_ids,
     write_episodes,
     write_hand_track_line,
+    write_json,
     write_track_line,
     write_traces,
 )
 from .person_tracker import Tracker
-from .schema import HandSchema
+from .schema import HandSchema, json_int
 from .semantic_map import UnknownLabel, backproject_labeled, fuse_clouds
 from .simulator import SceneDepthProvider, Simulator
 
@@ -55,11 +57,12 @@ def _depth_source(in_dir, cfg: PipelineConfig):
     """
     scene_path = os.path.join(in_dir, "scene.json")
     if os.path.exists(scene_path):
+        data = read_json(scene_path, "scene file")
         try:
-            with open(scene_path, encoding="utf-8") as f:
-                data = json.load(f)
-            sim = Simulator(data["scene"], seed=int(data.get("seed", cfg.seed)))
-        except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: not UTF-8 JSON, bad seed
+            sim = Simulator(data["scene"], seed=json_int(data.get("seed", cfg.seed), "seed"))
+        except InputFormatError as e:  # from parse_scene, which does not know the file
+            raise InputFormatError(str(e), path=scene_path) from None
+        except RECORD_ERRORS as e:
             raise InputFormatError(f"bad scene file: {e}", path=scene_path)
         return SceneDepthProvider(sim)
     grids_dir = os.path.join(in_dir, "grids")
@@ -72,9 +75,10 @@ def _load_hand_schema(in_dir):
     path = os.path.join(in_dir, "hand_schema.json")
     if not os.path.exists(path):
         return HandSchema()
+    data = read_json(path, "hand schema")
     try:
-        return HandSchema.from_file(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        return HandSchema.from_json(data)
+    except RECORD_ERRORS as e:
         raise InputFormatError(f"bad hand schema: {e}", path=path)
 
 
@@ -210,9 +214,7 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
         "seed": cfg.seed,
         "config": cfg.to_json(),
     }
-    with open(os.path.join(out_dir, "run_meta.json"), "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "run_meta.json"), summary, sort_keys=True)
     return summary
 
 

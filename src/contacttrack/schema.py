@@ -185,8 +185,3 @@ class HandSchema:
             palm_indices=[json_int(i, "palm_indices") for i in data["palm_indices"]],
             fingertip_indices=[json_int(i, "fingertip_indices") for i in data["fingertip_indices"]],
         )
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as f:
-            return cls.from_json(json.load(f))

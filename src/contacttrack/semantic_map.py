@@ -126,9 +126,7 @@ class SemanticCloud:
     """Voxel-fused labeled point set with an exact nearest-surface index,
     built on the first query."""
 
-    def __init__(self, frame, voxel_size, positions, labels, label_table):
-        # frame and voxel_size are not kept, since nothing reads them; the
-        # signature keeps them for callers that pass them positionally.
+    def __init__(self, positions, labels, label_table):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.labels = np.asarray(labels, dtype=int).reshape(-1)
         self.label_ids = [int(lid) for lid in np.unique(self.labels)]
@@ -209,7 +207,7 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     pos_list = [c.positions for c in clouds if len(c.positions)]
     lab_list = [c.labels for c in clouds if len(c.positions)]
     if not pos_list:
-        return SemanticCloud(None, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
+        return SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
     pos = np.concatenate(pos_list)
     lab = np.concatenate(lab_list).astype(int)
 
@@ -254,4 +252,4 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     )
     nums = np.bincount(vox_w, minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
-    return SemanticCloud(None, voxel_size, centroids, win_label, label_table)
+    return SemanticCloud(centroids, win_label, label_table)

@@ -19,7 +19,6 @@ stateless per-pixel hashing so results do not depend on query order.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -32,9 +31,11 @@ from .errors import InputFormatError
 from .geometry import CameraCalibration, project_many
 from .hand_fusion import FusedHand, HandInstance
 from .io import (
+    RECORD_ERRORS,
     write_calibration,
     write_detections,
     write_episodes,
+    write_json,
     write_label_table,
     write_track_line,
     write_visibility,
@@ -350,7 +351,7 @@ def parse_scene(data):
             "hand_vertex_count": int(data.get("hand_vertex_count", 778)),
             "raw": data,
         }
-    except (KeyError, ValueError, TypeError, AttributeError) as e:
+    except (*RECORD_ERRORS, AttributeError) as e:  # AttributeError: .get on a non-object
         raise InputFormatError(f"bad scene config: {e}")
     if not cams:
         raise InputFormatError("scene config lists no cameras")
@@ -665,12 +666,9 @@ def emit_dataset(scene_data, out_dir, seed=0):
     write_label_table(
         os.path.join(out_dir, "label_table.txt"), sim.scene["label_table"]
     )
-    with open(os.path.join(out_dir, "hand_schema.json"), "w") as f:
-        json.dump(sim.hand_schema.to_json(), f, indent=1)
-        f.write("\n")
-    with open(os.path.join(out_dir, "scene.json"), "w") as f:
-        json.dump({"seed": seed, "scene": sim.scene["raw"]}, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "hand_schema.json"), sim.hand_schema.to_json())
+    write_json(os.path.join(out_dir, "scene.json"), {"seed": seed, "scene": sim.scene["raw"]},
+               sort_keys=True)
 
     visibility = []  # filled from the same per-frame sightings as the detections
 
@@ -687,16 +685,11 @@ def emit_dataset(scene_data, out_dir, seed=0):
             write_track_line(f, frame, pid, 1.0, joints, np.ones(JOINT_COUNT, dtype=bool))
     episodes = sim.gt_episodes()
     write_episodes(os.path.join(gt_dir, "episodes.csv"), episodes)
-    with open(os.path.join(gt_dir, "meta.json"), "w") as f:
-        json.dump(
-            {
-                "seed": seed,
-                "frame_count": sim.scene["frame_count"],
-                "fps": sim.scene["fps"],
-                "episodes": len(episodes),
-                "persons": [p.id for p in sim.scene["persons"]],
-            },
-            f, indent=1, sort_keys=True,
-        )
-        f.write("\n")
+    write_json(os.path.join(gt_dir, "meta.json"), {
+        "seed": seed,
+        "frame_count": sim.scene["frame_count"],
+        "fps": sim.scene["fps"],
+        "episodes": len(episodes),
+        "persons": [p.id for p in sim.scene["persons"]],
+    }, sort_keys=True)
     return sim

@@ -656,7 +656,7 @@ def reference_fuse_clouds(clouds, voxel_size, label_table):
     pos_list = [c.positions for c in clouds if len(c.positions)]
     lab_list = [c.labels for c in clouds if len(c.positions)]
     if not pos_list:
-        return SemanticCloud(None, voxel_size, np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
+        return SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
     pos = np.concatenate(pos_list)
     lab = np.concatenate(lab_list).astype(int)
 
@@ -680,7 +680,7 @@ def reference_fuse_clouds(clouds, voxel_size, label_table):
     np.add.at(sums, voxel_of[winner], pos[winner])
     nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
-    return SemanticCloud(None, voxel_size, centroids, win_label, label_table)
+    return SemanticCloud(centroids, win_label, label_table)
 
 
 def per_person_sightings(sim, frame):

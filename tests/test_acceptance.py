@@ -192,7 +192,7 @@ def test_criterion_1_kernel_oracles():
 
     pts = rng.uniform(0, 5, size=(10000, 3))
     labels = rng.integers(1, 6, size=10000)
-    cloud = SemanticCloud(0, 0.01, pts, labels, {i: f"s{i}" for i in range(1, 6)})
+    cloud = SemanticCloud(pts, labels, {i: f"s{i}" for i in range(1, 6)})
     queries = rng.uniform(0, 5, size=(1000, 3))
     for q in queries:
         hit = cloud.nearest(q)

@@ -95,7 +95,22 @@ class TestSimulate:
             scene["noise"] = 1
 
         assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
-        assert "bad scene config: " in capsys.readouterr().err
+        assert f"input error: {tmp_path / 'scene.json'}: bad scene config: " \
+            in capsys.readouterr().err
+
+    # 1e400 reads as inf, which int() cannot convert; a waypoint position
+    # needs x and y.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda scene: scene.__setitem__("frame_count", 1e400),
+         "cannot convert float infinity to integer"),
+        (lambda scene: scene["persons"][0]["waypoints"][0].__setitem__("position", []),
+         "list index out of range"),
+    ], ids=["frame-count-overflow", "waypoint-position-empty"])
+    def test_scene_value_out_of_range(self, tmp_path, capsys, edit, message):
+        assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {tmp_path / 'scene.json'}: bad scene config: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -241,6 +256,24 @@ class TestRun:
         assert f"input error: {calib_path}: bad camera record: " \
                "camera_id must be a string, got int" in err
 
+    # int() and float() would read the first two, and true as 1; 1e400
+    # reads as inf, which int() cannot convert.
+    @pytest.mark.parametrize("key, value, message", [
+        ("fx", "360", 'fx must be a number, got "360"'),
+        ("width", 640.9, "width must be an integer, got 640.9"),
+        ("width", True, "width must be an integer, got true"),
+        ("width", 1e400, "width must be an integer, got Infinity"),
+    ], ids=["fx-string", "width-fraction", "width-bool", "width-overflow"])
+    def test_camera_field_of_the_wrong_type(self, tmp_path, mini_induction, capsys,
+                                            key, value, message):
+        ds = mini_induction["ds"]
+        calib_path = self._edit_calibration(
+            tmp_path, ds, lambda cams: cams[0].__setitem__(key, value))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {calib_path}: bad camera record: {message}" in err
+
     def test_camera_listed_twice(self, tmp_path, mini_induction, capsys):
         ds = mini_induction["ds"]
         calib_path = self._edit_calibration(
@@ -248,7 +281,7 @@ class TestRun:
         assert main(["run", "--calib", str(calib_path), "--in", ds,
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"input error: {calib_path}: camera 'cam1' listed twice" in err
+        assert f"input error: {calib_path}: bad camera record: camera 'cam1' listed twice" in err
 
 
 def _lbl_without_dep(lbl):
@@ -535,8 +568,9 @@ class TestRunBadDetections:
 
 
 class TestRunNotUtf8:
-    """An input file starting with a byte that is not UTF-8: exit 2 and a
-    message naming the file (and line), or exit 3 for --config."""
+    """An input file starting with a byte that is not UTF-8, or with JSON
+    nested deeper than the parser follows: exit 2 and a message naming the
+    file (and line), or exit 3 for --config."""
 
     def _input_dir(self, tmp_path, ds):
         inp = tmp_path / "in"
@@ -569,6 +603,21 @@ class TestRunNotUtf8:
         assert f"input error: {path}{where}" in err
         assert "can't decode byte 0xff in position 0" in err
 
+    @pytest.mark.parametrize("name, where", [
+        ("detections.jsonl", ":1: "),
+        ("calibration.json", ": "),
+        ("scene.json", ": "),
+        ("hand_schema.json", ": "),
+    ])
+    def test_input_nested_too_deep(self, tmp_path, mini_induction, capsys, name, where):
+        inp = self._input_dir(tmp_path, mini_induction["ds"])
+        path = inp / name
+        path.write_text("[" * 100_000 + "\n")
+        assert self._run(tmp_path, inp) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}{where}" in err
+        assert "maximum recursion depth exceeded" in err
+
     def test_config_file(self, tmp_path, mini_induction, capsys):
         inp = self._input_dir(tmp_path, mini_induction["ds"])
         cfg = tmp_path / "cfg.json"
@@ -577,6 +626,45 @@ class TestRunNotUtf8:
         err = capsys.readouterr().err
         assert f"config error: config {cfg} is not valid UTF-8 JSON: " in err
         assert "can't decode byte 0xff in position 0" in err
+
+    def test_config_nested_too_deep(self, tmp_path, mini_induction, capsys):
+        inp = self._input_dir(tmp_path, mini_induction["ds"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        assert self._run(tmp_path, inp, "--config", str(cfg)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config {cfg} is not valid UTF-8 JSON: " in err
+        assert "maximum recursion depth exceeded" in err
+
+
+class TestRunBadSceneFile:
+    """A scene.json whose content is malformed: exit 2, message names the
+    file."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["scene"]["surfaces"][0].__setitem__("type", "cone"),
+         "bad scene config: unknown surface type 'cone'"),
+        (lambda data: data.__setitem__("seed", 1e400),
+         "bad scene file: seed must be an integer, got Infinity"),
+        (lambda data: data.__setitem__("seed", 0.5), "bad scene file: seed must be an integer, got 0.5"),
+    ], ids=["unknown-surface-type", "seed-overflow", "seed-fraction"])
+    def test_bad_scene(self, tmp_path, mini_induction, capsys, edit, message):
+        ds = mini_induction["ds"]
+        inp = tmp_path / "in"
+        inp.mkdir()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            (inp / "detections.jsonl").write_text("".join(next(f) for _ in range(4)))
+        for name in ("hand_schema.json", "label_table.txt"):
+            shutil.copy(os.path.join(ds, name), inp / name)
+        with open(os.path.join(ds, "scene.json")) as f:
+            data = json.load(f)
+        edit(data)
+        path = inp / "scene.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}: {message}" in err
 
 
 class TestRunBadHandSchema:
@@ -737,6 +825,22 @@ class TestScoringBadInput:
         assert self._evaluate(tmp_path, dirs["pred"], dirs["gt"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {path}:2: bad episode row: {message}" in err
+
+    @pytest.mark.parametrize("side, edit, message", [
+        ("pred", lambda rec: rec.__setitem__("E", float("nan")), "E must be finite, got nan"),
+        ("gt", lambda rec: rec["joints"][3].__setitem__(1, float("inf")),
+         "joints hold a non-finite value"),
+    ], ids=["pred-E-nan", "gt-joint-inf"])
+    def test_non_finite_track(self, tmp_path, mini_induction, capsys, side, edit, message):
+        dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
+        path = dirs[side] / "tracks.jsonl"
+        head, rest = path.read_text().split("\n", 1)
+        rec = json.loads(head)
+        edit(rec)
+        path.write_text(json.dumps(rec) + "\n" + rest)
+        assert self._evaluate(tmp_path, dirs["pred"], dirs["gt"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {path}:1: bad track record: {message}" in err
 
     def test_fraction_in_a_trace(self, tmp_path, mini_induction, capsys):
         pred, gt = self._copies(tmp_path, mini_induction)

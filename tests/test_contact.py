@@ -181,7 +181,7 @@ class TestMergeEpisodes:
 def flat_cloud(label=1, y=0.0, n=41):
     xs = np.linspace(-1.0, 1.0, n)
     pos = np.stack([xs, np.full(n, y), np.full(n, 0.8)], axis=1)
-    return SemanticCloud(0, 0.01, pos, np.full(n, label), {label: "table"})
+    return SemanticCloud(pos, np.full(n, label), {label: "table"})
 
 
 def hand(anchors_center, hand_id=1, person=4, side="right"):
@@ -228,7 +228,7 @@ class TestContactTracker:
 
     def test_empty_cloud_no_state(self):
         ct = ContactTracker(ContactConfig())
-        empty = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), {})
+        empty = SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), {})
         assert ct.update(0, hand((0, 0, 1.0)), empty) == []
         assert ct.finalize() == []
 

@@ -170,8 +170,8 @@ class TestIntegerFields:
 class TestNumberFields:
     """Number fields of the track, trace and detection streams must be
     JSON numbers: float() would parse "0.5", and float() and numpy read
-    true as 1.0. A trace's d must also be finite and >= 0, and its side
-    left or right."""
+    true as 1.0. A track's E and joints must also be finite, a trace's d
+    finite and >= 0, and its side left or right."""
 
     DETECTION = ('{"frame":0,"camera_id":"cam0","persons":[{"joints":%s}],"hands":[]}'
                  % ([[0.5, 0, 0.9]] * JOINT_COUNT))
@@ -182,13 +182,16 @@ class TestNumberFields:
         (read_tracks, TRACK, ('"E":1.0', '"E":"0.5"'), 'E must be a number, got "0.5"'),
         (read_tracks, TRACK, ("[[0.5, ", '[["1.0", '), "joints must be numbers"),
         (read_tracks, TRACK, (", 1]]", ", true]]"), "joints must be numbers"),
+        (read_tracks, TRACK, ('"E":1.0', '"E":NaN'), "E must be finite, got nan"),
+        (read_tracks, TRACK, ("[[0.5, ", "[[Infinity, "), "joints hold a non-finite value"),
         (read_traces, TRACE, ('"d":0.05', '"d":"0.05"'), 'd must be a number, got "0.05"'),
         (read_traces, TRACE, ('"d":0.05', '"d":true'), "d must be a number, got true"),
         (read_traces, TRACE, ('"d":0.05', '"d":NaN'), "d must be finite and >= 0, got nan"),
         (read_traces, TRACE, ('"d":0.05', '"d":-0.01'), "d must be finite and >= 0, got -0.01"),
         (read_traces, TRACE, ('"left"', '"sideways"'), 'side must be left or right, got "sideways"'),
         (read_detections, DETECTION, ("[[0.5, ", "[[true, "), "joints must be numbers"),
-    ], ids=["tracks-E-string", "tracks-joint-string", "tracks-joint-bool", "traces-d-string",
+    ], ids=["tracks-E-string", "tracks-joint-string", "tracks-joint-bool", "tracks-E-nan",
+            "tracks-joint-inf", "traces-d-string",
             "traces-d-bool", "traces-d-nan", "traces-d-negative", "traces-side",
             "detections-joint-bool"])
     def test_rejected(self, tmp_path, read, good, bad, message):

@@ -207,7 +207,7 @@ class TestNearestSurface:
         assert hit.label == cloud.labels[1]
 
     def test_empty_cloud(self):
-        cloud = SemanticCloud(0, 0.01, np.zeros((0, 3)), np.zeros(0, dtype=int), TABLE)
+        cloud = SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), TABLE)
         with pytest.raises(EmptyCloud):
             cloud.nearest([0.0, 0.0, 0.0])
 
@@ -215,7 +215,7 @@ class TestNearestSurface:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, size=(2000, 3))
         labs = rng.integers(1, 4, size=2000)
-        cloud = SemanticCloud(0, 0.01, pts, labs, TABLE)
+        cloud = SemanticCloud(pts, labs, TABLE)
         for q in rng.uniform(-1.2, 1.2, size=(200, 3)):
             hit = cloud.nearest(q)
             d = np.linalg.norm(pts - q, axis=1)
@@ -227,7 +227,7 @@ class TestNearestSurface:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, size=(500, 3))
         labs = rng.integers(1, 4, size=500)
-        cloud = SemanticCloud(0, 0.01, pts, labs, TABLE)
+        cloud = SemanticCloud(pts, labs, TABLE)
         qs = rng.uniform(-1, 1, size=(6, 3))
         got = cloud.nearest_per_label(qs)
         for label in (1, 2, 3):
@@ -253,7 +253,7 @@ def test_nearest_matches_kdtree_oracle(seed, n, n_labels, n_queries, scale, offs
     # distance is fixed and must match the trees bit for bit.
     rng = np.random.default_rng(seed)
     pts = offset + rng.uniform(-scale, scale, size=(n, 3))
-    cloud = SemanticCloud(0, 0.01, pts, rng.integers(1, n_labels + 1, size=n), FIVE)
+    cloud = SemanticCloud(pts, rng.integers(1, n_labels + 1, size=n), FIVE)
     queries = offset + rng.uniform(-1.5 * scale, 1.5 * scale, size=(n_queries, 3))
     got = cloud.nearest_per_label(queries)
     want = kdtree_nearest_per_label(cloud, queries)
@@ -278,14 +278,14 @@ def _lattice_cloud(draw):
     points = draw(st.lists(st.tuples(_eighths, _eighths, _eighths), min_size=1, max_size=40))
     labels = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
     queries = draw(st.lists(st.tuples(_eighths, _eighths, _eighths), min_size=1, max_size=6))
-    return SemanticCloud(0, 0.01, points, labels, TABLE), np.array(queries, dtype=float)
+    return SemanticCloud(points, labels, TABLE), np.array(queries, dtype=float)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_lattice_cloud())
 # Point 0 is as near to both queries as point 1 is to the first: the
 # first query's tie goes to point 0.
-@example((SemanticCloud(0, 0.01, [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], [1, 1], TABLE),
+@example((SemanticCloud([[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]], [1, 1], TABLE),
           np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])))
 def test_nearest_ties_go_to_first_query_then_smallest_index(case):
     cloud, queries = case
