@@ -185,6 +185,9 @@ def main(argv=None):
     except ContactTrackError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as e:  # e.g. an --out naming a file where a directory goes
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,14 +2,15 @@
 
 Per-camera metric hand reconstructions are lifted to the world frame,
 clustered per side on their palm centers, reduced to one representative
-per cluster, and attached to tracked persons' side slots with temporal
-persistence. Re-association votes accumulated across the sequence drive
-an end-of-run merge of fragmented person IDs, vetoed for pairs of ids
-that were seen together.
+per cluster, and attached to tracked persons' side slots by deferred
+acceptance with a persistence-first preference. Re-association votes
+accumulated across the sequence drive an end-of-run merge of fragmented
+person IDs, vetoed for pairs of ids that were seen together.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,11 @@ class HandFusion:
 
     # -- hand track continuity ---------------------------------------------
 
+    def _motion_gate(self, frame, track):
+        """Palm travel allowed since the track's last frame (a gap >= 1)."""
+        cfg = self.cfg
+        return cfg.v_max * max(frame - track.last_frame, 1) / cfg.fps + cfg.slack_delta
+
     def _match_hand_tracks(self, frame, fused):
         """Attach fused hands to surviving hand tracks by palm distance.
 
@@ -222,10 +228,8 @@ class HandFusion:
             for tid, tr in alive.items():
                 if tr.side != fh.side:
                     continue
-                gap = frame - tr.last_frame
-                gate = cfg.v_max * gap / cfg.fps + cfg.slack_delta
                 d = float(np.linalg.norm(fh.palm_center - tr.center))
-                if d < gate:
+                if d < self._motion_gate(frame, tr):
                     pairs.append((d, fi, tid))
         pairs.sort()
         taken_f, taken_t = set(), set()
@@ -263,101 +267,62 @@ class HandFusion:
         return None
 
     def associate(self, frame, fused, persons):
-        """Assign fused hands to person side slots; record stitch votes.
+        """Assign fused hands to person side slots by deferred acceptance;
+        record stitch votes.
+
+        Each hand ranks the persons within tau_assoc by (tier, distance,
+        id), with its track's previous person first if that person is
+        still confirmed and within tau_assoc, the palm moved less than the
+        motion gate and no earlier hand in fused order keeps that slot.
+        The radius check stops a hand swapped onto the wrong person while
+        two people pass each other from staying locked to them. Free
+        hands, persisting ones first, propose down their lists; a (person,
+        side) slot keeps the strictly lower (tier, distance), the holder on
+        a tie, and an evicted hand proposes on from where it stopped.
 
         persons: confirmed TrackSnapshot list for this frame. Mutates the
         fused records in place and returns them.
         """
         cfg = self.cfg
-        by_id = {p.id: p for p in persons}
-        slots = {}  # (person_id, side) -> fused index
-        assigned = {}  # fused index -> person_id
-
-        # Persistence pass: a hand track whose palm moved less than the
-        # gap-scaled gate keeps its previous person if that person is still
-        # confirmed and the hand remains within the association radius of
-        # it. Without the radius check a hand swapped onto the wrong person
-        # while two people pass each other would stay locked to that person
-        # arbitrarily far away.
-        pool = []
+        prefs, free = [], deque()
+        kept = set()  # (person_id, side) slots a persisting hand heads its list with
         for fi, fh in enumerate(fused):
             tr = self.tracks[fh.hand_track_id]
-            gap = max(frame - tr.last_frame, 1)
-            gate = cfg.v_max * gap / cfg.fps + cfg.slack_delta
-            td = (
-                self._person_distance(fh, by_id[tr.person])
-                if tr.person is not None and tr.person in by_id
-                else None
+            opts = sorted(
+                (*td, p.id) for p in persons
+                if (td := self._person_distance(fh, p)) is not None and td[1] < cfg.tau_assoc
             )
             if (
-                td is not None
-                and td[1] < cfg.tau_assoc
-                and np.linalg.norm(fh.palm_center - tr.center) < gate
-                and (tr.person, fh.side) not in slots
+                any(pid == tr.person for _, _, pid in opts)
+                and (tr.person, fh.side) not in kept
+                and np.linalg.norm(fh.palm_center - tr.center) < self._motion_gate(frame, tr)
             ):
-                slots[(tr.person, fh.side)] = fi
-                assigned[fi] = tr.person
+                kept.add((tr.person, fh.side))
+                opts.sort(key=lambda o: o[2] != tr.person)  # stable: the rest keep their order
+                free.appendleft(fi)
             else:
-                pool.append(fi)
+                free.append(fi)
+            prefs.append(iter(opts))
 
-        # Greedy pass over (tier, distance)-ranked candidates with slot
-        # eviction; an evicted hand re-enters the pool in the same frame.
-        candidates = {}
-        for fi in list(pool) + list(assigned):
-            opts = []
-            for p in persons:
-                td = self._person_distance(fused[fi], p)
-                if td is not None and td[1] < cfg.tau_assoc:
-                    opts.append((td[0], td[1], p.id))
-            opts.sort()
-            candidates[fi] = opts
-        rank_of = {}
-        for fi, pid in assigned.items():
-            # A persisted hand defends its slot with its true (tier,
-            # distance) to the kept person, so a closer hand can evict it.
-            td = self._person_distance(fused[fi], by_id[pid])
-            rank_of[fi] = td if td is not None else (2, float("inf"))
-
-        cursor = {fi: 0 for fi in pool}
-        while pool:
-            best = None
-            for fi in pool:
-                opts = candidates[fi]
-                if cursor[fi] >= len(opts):
-                    continue
-                key = opts[cursor[fi]]
-                if best is None or key < best[0]:
-                    best = (key, fi)
-            if best is None:
-                break
-            (tier, d, pid), fi = best
-            slot = (pid, fused[fi].side)
-            holder = slots.get(slot)
-            if holder is None:
-                slots[slot] = fi
-                assigned[fi] = pid
-                rank_of[fi] = (tier, d)
-                pool.remove(fi)
-            elif (tier, d) < rank_of[holder]:
-                slots[slot] = fi
-                assigned[fi] = pid
-                rank_of[fi] = (tier, d)
-                pool.remove(fi)
-                del assigned[holder]
-                pool.append(holder)
-                cursor[holder] = 0
-                candidates[holder] = [
-                    c for c in candidates[holder] if c[2] != pid
-                ]
-            else:
-                cursor[fi] += 1
+        held = {}  # (person_id, side) -> (tier, distance, fused index)
+        while free:
+            fi = free.popleft()
+            side = fused[fi].side
+            for tier, d, pid in prefs[fi]:
+                holder = held.get((pid, side))
+                if holder is None or (tier, d) < holder[:2]:
+                    held[(pid, side)] = (tier, d, fi)
+                    if holder is not None:
+                        free.append(holder[2])
+                    break
+        person_of = {fi: pid for (pid, _), (_, _, fi) in held.items()}
 
         # Commit: update hand tracks, cast per-frame re-association votes.
         for fi, fh in enumerate(fused):
             tr = self.tracks[fh.hand_track_id]
             tr.center = fh.palm_center
             tr.last_frame = frame
-            pid = assigned.get(fi)
+            pid = person_of.get(fi)
             fh.person_id = pid
             if pid is not None:
                 if pid != tr.person:

@@ -63,27 +63,33 @@ class TrackSnapshot:
     detected: bool  # born, updated or adopted from this frame's detections
 
 
+def _masked_mean(values, mask):
+    """Mean of values over mask along the last axis; inf where the mask is
+    empty. Each row is compressed to its masked entries and rows are
+    averaged in groups of equal count, so every mean adds the same values
+    in the same order as a per-row mean."""
+    rows = np.take_along_axis(values, np.argsort(~mask, axis=-1, kind="stable"), axis=-1)
+    count = mask.sum(axis=-1)
+    out = np.full(count.shape, np.inf)
+    for c in np.unique(count[count > 0]):
+        same = count == c
+        out[same] = rows[same, :c].mean(axis=-1)
+    return out
+
+
 def association_cost(tracks, dets, cal: CameraCalibration, tau_joint):
     """(n_tracks, n_dets) mean pixel error between each track's projected
     joints and each detection over the joints that are available, in front
     of the camera and detected with confidence >= tau_joint; inf where no
     joint qualifies. Each track is projected once."""
     dets = np.asarray(dets, dtype=float).reshape(-1, JOINT_COUNT, 3)
-    cost = np.full((len(tracks), len(dets)), np.inf)
     if not len(tracks) or not len(dets):
-        return cost
+        return np.full((len(tracks), len(dets)), np.inf)
     uv, in_front = zip(*(project_many(t.joints, cal) for t in tracks))
     proj_ok = np.array([t.available for t in tracks]) & np.array(in_front)
     k = proj_ok[:, None, :] & (dets[:, :, 2] >= tau_joint)  # (n_t, n_d, 26)
     err = np.linalg.norm(np.array(uv)[:, None] - dets[:, :, :2], axis=3)
-    # Mean over each pair's compressed row, grouped by its length, so the
-    # sum adds the same values in the same order as a per-pair mean.
-    rows = np.take_along_axis(err, np.argsort(~k, axis=2, kind="stable"), axis=2)
-    count = k.sum(axis=2)
-    for c in np.unique(count[count > 0]):
-        pairs = count == c
-        cost[pairs] = rows[pairs, :c].mean(axis=1)
-    return cost
+    return _masked_mean(err, k)
 
 
 def associate_camera(tracks, dets, cal: CameraCalibration, cfg: TrackerConfig):
@@ -281,9 +287,8 @@ def _birth_pairs(unmatched, fmat, cfg: TrackerConfig):
 
     A pair's affinity is the mean epipolar distance over the joints both
     detect with confidence >= tau_joint; pairs sharing none are skipped.
-    The distances take one stacked call per camera pair, and the means
-    are grouped by shared-joint count as in association_cost, so each
-    affinity is the float a per-pair mean gives.
+    The distances take one stacked call per camera pair, and _masked_mean
+    makes each affinity the float a per-pair mean gives.
     """
     n = len(unmatched)
     cam_ids = sorted({cam for cam, _ in unmatched})
@@ -302,12 +307,7 @@ def _birth_pairs(unmatched, fmat, cfg: TrackerConfig):
         dist[sel] = epipolar_distance(joints[a[sel], :, :2].reshape(-1, 2),
                                       joints[b[sel], :, :2].reshape(-1, 2),
                                       fmat(cam_ids[k // m], cam_ids[k % m])).reshape(-1, JOINT_COUNT)
-    rows = np.take_along_axis(dist, np.argsort(~shared, axis=1, kind="stable"), axis=1)
-    count = shared.sum(axis=1)
-    aff = np.empty(len(a))
-    for c in np.unique(count):
-        same = count == c
-        aff[same] = rows[same, :c].mean(axis=1)
+    aff = _masked_mean(dist, shared)
     ok = aff < cfg.tau_epi
     return sorted(zip(aff[ok].tolist(), a[ok].tolist(), b[ok].tolist()))
 

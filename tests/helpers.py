@@ -18,6 +18,7 @@ from contacttrack.contact import (
     smooth_anchors,
 )
 from contacttrack.evaluation import _framewise_sets
+from contacttrack.hand_fusion import HandFusion
 from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC
 from contacttrack.geometry import (
     CameraCalibration,
@@ -883,3 +884,112 @@ def per_key_threshold_sweep(traces, gt, grid, base_cfg: ContactConfig | None = N
         f1, iou = _framewise_sets(episodes, gt, id_map or {}, semantic=False)
         rows.append((float(tau_on), f1, iou))
     return rows
+
+
+def two_phase_associate(hf, frame, fused, persons, counts):
+    """Reference for HandFusion.associate: a persistence pass in fused
+    order, then a greedy pass that takes the globally smallest (tier,
+    distance, person id) proposal among the free hands each round, with
+    slot eviction. counts["claims"] and counts["evictions"] count the
+    persistence claims and evictions it makes."""
+    cfg = hf.cfg
+    by_id = {p.id: p for p in persons}
+    slots = {}  # (person_id, side) -> fused index
+    assigned = {}  # fused index -> person_id
+
+    pool = []
+    for fi, fh in enumerate(fused):
+        tr = hf.tracks[fh.hand_track_id]
+        gap = max(frame - tr.last_frame, 1)
+        gate = cfg.v_max * gap / cfg.fps + cfg.slack_delta
+        td = (
+            hf._person_distance(fh, by_id[tr.person])
+            if tr.person is not None and tr.person in by_id
+            else None
+        )
+        if (
+            td is not None
+            and td[1] < cfg.tau_assoc
+            and np.linalg.norm(fh.palm_center - tr.center) < gate
+            and (tr.person, fh.side) not in slots
+        ):
+            slots[(tr.person, fh.side)] = fi
+            assigned[fi] = tr.person
+            counts["claims"] += 1
+        else:
+            pool.append(fi)
+
+    candidates = {}
+    for fi in list(pool) + list(assigned):
+        opts = []
+        for p in persons:
+            td = hf._person_distance(fused[fi], p)
+            if td is not None and td[1] < cfg.tau_assoc:
+                opts.append((td[0], td[1], p.id))
+        opts.sort()
+        candidates[fi] = opts
+    rank_of = {}
+    for fi, pid in assigned.items():
+        td = hf._person_distance(fused[fi], by_id[pid])
+        rank_of[fi] = td if td is not None else (2, float("inf"))
+
+    cursor = {fi: 0 for fi in pool}
+    while pool:
+        best = None
+        for fi in pool:
+            opts = candidates[fi]
+            if cursor[fi] >= len(opts):
+                continue
+            key = opts[cursor[fi]]
+            if best is None or key < best[0]:
+                best = (key, fi)
+        if best is None:
+            break
+        (tier, d, pid), fi = best
+        slot = (pid, fused[fi].side)
+        holder = slots.get(slot)
+        if holder is None:
+            slots[slot] = fi
+            assigned[fi] = pid
+            rank_of[fi] = (tier, d)
+            pool.remove(fi)
+        elif (tier, d) < rank_of[holder]:
+            slots[slot] = fi
+            assigned[fi] = pid
+            rank_of[fi] = (tier, d)
+            pool.remove(fi)
+            del assigned[holder]
+            pool.append(holder)
+            cursor[holder] = 0
+            candidates[holder] = [
+                c for c in candidates[holder] if c[2] != pid
+            ]
+            counts["evictions"] += 1
+        else:
+            cursor[fi] += 1
+
+    for fi, fh in enumerate(fused):
+        tr = hf.tracks[fh.hand_track_id]
+        tr.center = fh.palm_center
+        tr.last_frame = frame
+        pid = assigned.get(fi)
+        fh.person_id = pid
+        if pid is not None:
+            if pid != tr.person:
+                tr.prev_person = tr.person
+                tr.person = pid
+            if tr.prev_person is not None and pid != tr.prev_person:
+                key = (pid, tr.prev_person)
+                hf.votes[key] = hf.votes.get(key, 0) + 1
+    return fused
+
+
+class TwoPhaseHandFusion(HandFusion):
+    """HandFusion whose association is two_phase_associate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counts = {"claims": 0, "evictions": 0}
+
+    def associate(self, frame, fused, persons):
+        return two_phase_associate(self, frame, fused, persons, self.counts)

@@ -17,6 +17,29 @@ from contacttrack.scenes import crossing_clean
 from helpers import write_depth_grid, write_label_grid
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 naming the path: an existing
+    file where simulate, run and evaluate make a directory, a directory
+    where sweep writes its CSV."""
+
+    @pytest.mark.parametrize("command", ["simulate", "run", "evaluate", "sweep"])
+    def test_exit_code_and_message(self, tmp_path, mini_induction, capsys, command):
+        ds, run = mini_induction["ds"], mini_induction["out"]
+        out = tmp_path / "out"
+        if command == "sweep":
+            out.mkdir()
+        else:
+            out.write_text("")
+        args = {
+            "simulate": ["--scene", "builtin:crossing-clean"],
+            "run": ["--calib", os.path.join(ds, "calibration.json"), "--in", ds],
+            "evaluate": ["--pred", run, "--gt", ds],
+            "sweep": ["--in", run, "--gt", ds, "--grid", "0.1:0.1:0.1"],
+        }[command]
+        assert main([command, *args, "--out", str(out)]) == EXIT_INPUT
+        assert f"error: {out}: " in capsys.readouterr().err
+
+
 class TestParser:
     def test_subcommands_present(self):
         parser = build_parser()

@@ -3,6 +3,7 @@ import pytest
 
 from contacttrack.config import FusionConfig
 from contacttrack.hand_fusion import (
+    SIDES,
     EmptyCluster,
     FusedHand,
     HandFusion,
@@ -18,7 +19,7 @@ from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, HandSchema
 
 from contacttrack.geometry import CameraCalibration
 
-from helpers import identity_camera
+from helpers import TwoPhaseHandFusion, identity_camera
 
 HAND_SCHEMA = HandSchema(vertex_count=16)
 
@@ -208,6 +209,31 @@ class TestFusionAndAssociation:
         assert winner.person_id == 1
         assert loser.person_id is None
 
+    def persisting_hand_with_newcomer(self, newcomer):
+        """Hand A holds person 1 at frame 0. At frame 1 both wrists drift
+        right, so A is nearer person 2's wrist but keeps person 1 by
+        persistence; with newcomer, a new hand B appears nearer person 1's
+        wrist than A. Returns (A's person, B's person or None)."""
+        a0 = np.array([0.10, 0.0, 2.0])
+        self.hf.step(0, [HandInstance("cam0", "right", hand_vertices(a0), 0.003)], self.cals,
+                     [person(1, wrist_r=[0.0, 0.0, 2.0]), person(2, wrist_r=[0.30, 0.0, 2.0])])
+        wrist1 = np.array([-0.05, 0.0, 2.0])
+        hands = [HandInstance("cam0", "right", hand_vertices(a0 + [0.02, 0, 0]), 0.003)]
+        if newcomer:
+            hands.append(HandInstance("cam0", "right", hand_vertices(wrist1 + [0, 0.01, 0]), 0.003))
+        out = self.hf.step(1, hands, self.cals,
+                           [person(1, wrist_r=wrist1), person(2, wrist_r=[0.25, 0.0, 2.0])])
+        assert out[0].hand_track_id == 1
+        return out[0].person_id, out[1].person_id if newcomer else None
+
+    @pytest.mark.parametrize("fusion", [HandFusion, TwoPhaseHandFusion])
+    def test_persisting_hand_evicted_falls_to_next_choice(self, fusion):
+        self.hf = fusion(FusionConfig(), HAND_SCHEMA)
+        assert self.persisting_hand_with_newcomer(False) == (1, None)
+        self.hf = fusion(FusionConfig(), HAND_SCHEMA)
+        assert self.persisting_hand_with_newcomer(True) == (2, 1)
+        assert self.hf.votes == {(2, 1): 1}
+
     def test_persistence_keeps_person(self):
         wrist = np.array([0.0, 0.0, 2.0])
         c = wrist + np.array([0.03, 0, 0])
@@ -307,3 +333,58 @@ class TestFusionAndAssociation:
         out0 = self.hf.step(0, mk(), self.cals, [])
         out = self.hf.step(200, mk(), self.cals, [])
         assert out[0].hand_track_id != out0[0].hand_track_id
+
+
+def random_association_frames(rng, frames=25):
+    """(frame, hands, persons) for one random sequence: up to four persons
+    wandering in a 0.4 m box, arm joints dropping out at random (so the
+    elbow and shoulder tiers come into play), and up to six hands that
+    each follow one person at a fixed offset with jitter, missing some
+    frames, in a random order each frame. Frames skip now and then."""
+    n = int(rng.integers(1, 5))
+    pids = rng.choice(np.arange(1, 9), n, replace=False)
+    pos = rng.uniform(0.0, 0.4, size=(n, 3))
+    hands = [(int(rng.integers(n)), SIDES[rng.integers(2)], rng.normal(0.0, 0.05, 3))
+             for _ in range(rng.integers(1, 7))]
+    frame = 0
+    for _ in range(frames):
+        frame += int(rng.integers(1, 3))
+        pos += rng.normal(0.0, 0.02, pos.shape)
+        persons = []
+        for i, pid in enumerate(pids):
+            if rng.random() < 0.1:
+                continue
+            joints = np.zeros((JOINT_COUNT, 3))
+            avail = np.zeros(JOINT_COUNT, dtype=bool)
+            for side in SIDES:
+                for name, p in (("wrist", 0.8), ("elbow", 0.5), ("shoulder", 0.9)):
+                    k = SIDE_JOINTS[side][name]
+                    joints[k] = pos[i] + rng.normal(0.0, 0.03, 3)
+                    avail[k] = rng.random() < p
+            persons.append(TrackSnapshot(id=int(pid), existence=1.0, joints=joints,
+                                         available=avail, detected=True))
+        seen = [(side, pos[owner] + offset + rng.normal(0.0, 0.02, 3))
+                for owner, side, offset in hands if rng.random() >= 0.15]
+        yield frame, [seen[j] for j in rng.permutation(len(seen))], persons
+
+
+class TestDeferredAcceptance:
+    def test_matches_two_phase_oracle(self):
+        """Deferred acceptance gives the two-phase method's person ids and
+        votes on random sequences with persistence claims and evictions."""
+        claims = evictions = 0
+        for seed in range(150):
+            new = HandFusion(FusionConfig(), HAND_SCHEMA)
+            old = TwoPhaseHandFusion(FusionConfig(), HAND_SCHEMA)
+            for frame, hands, persons in random_association_frames(np.random.default_rng(seed)):
+                got = []
+                for hf in (new, old):
+                    fused = [FusedHand(side, np.tile(palm, (6, 1))) for side, palm in hands]
+                    hf._match_hand_tracks(frame, fused)
+                    hf.associate(frame, fused, persons)
+                    got.append([(f.hand_track_id, f.person_id) for f in fused])
+                assert got[0] == got[1], (seed, frame)
+            assert new.votes == old.votes, seed
+            claims += old.counts["claims"]
+            evictions += old.counts["evictions"]
+        assert claims > 0 and evictions > 0
