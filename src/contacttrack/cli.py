@@ -75,10 +75,10 @@ def _parse_grid(spec):
 def _id_map(pred_dir, gt):
     pred_tracks = load_track_stream(os.path.join(pred_dir, "tracks.jsonl"))
     if not pred_tracks or not gt.tracks:
-        return {}, pred_tracks
+        return {}
     corr = match_tracks(pred_tracks, gt.tracks)
     _, _, id_map = mot_metrics(corr, pred_tracks, gt.tracks)
-    return id_map, pred_tracks
+    return id_map
 
 
 def cmd_evaluate(args):
@@ -120,7 +120,7 @@ def cmd_sweep(args):
         raise InputFormatError("missing distance_traces.jsonl", path=traces_path)
     traces = list(read_traces(traces_path))
     grid = _parse_grid(args.grid)
-    id_map, _ = _id_map(args.input, gt)
+    id_map = _id_map(args.input, gt)
     rows = threshold_sweep(traces, gt, grid, id_map=id_map)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)

@@ -44,6 +44,8 @@ class TrackerConfig:
             raise ConfigError("v_min must be >= 2")
         if self.patch_w < 1 or self.patch_w % 2 == 0:
             raise ConfigError("patch_w must be a positive odd size")
+        if self.min_birth_joints < 1:
+            raise ConfigError("min_birth_joints must be >= 1")
 
 
 @dataclass

@@ -4,10 +4,10 @@ Pinhole cameras (rectified, no lens distortion), projection and
 back-projection, epipolar tests, weighted nonlinear triangulation,
 robust similarity-transform registration, and gated linear assignment.
 
-epipolar_distance and triangulate_weighted take one point or a stack of
-independent problems. triangulate_weighted solves P points over the V
-cameras they share in one damped Gauss-Newton kernel, each problem with
-its own damping, stopping state and view order, and gives each the
+epipolar_distance takes stacked pixel pairs. triangulate_weighted takes
+one point or a stack of independent problems: it solves P points over
+the V cameras they share in one damped Gauss-Newton kernel, each problem
+with its own damping, stopping state and view order, and gives each the
 result it would get alone, bit for bit. Its conditioning gate bounds
 cond(J^T J) in closed form and takes an SVD only for the rows the bound
 cannot decide. A failing problem comes back as a NaN row (and
@@ -28,10 +28,6 @@ _ROT_TOL = 1e-9
 # GN_STEP_TOL (m).
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-8
-
-
-class NonPositiveDepth(ContactTrackError):
-    pass
 
 
 class DegenerateBaseline(ContactTrackError):
@@ -133,14 +129,6 @@ def project_many(points, cal: CameraCalibration):
     return uv, valid
 
 
-def backproject(u, v, depth, cal: CameraCalibration):
-    """Back-project pixel (u, v) at the given depth (camera-frame z) to a world point."""
-    if depth <= 0:
-        raise NonPositiveDepth(f"depth={depth}")
-    pc = np.array([(u - cal.cx) * depth / cal.fx, (v - cal.cy) * depth / cal.fy, depth])
-    return cal.camera_to_world(pc)
-
-
 def backproject_many(uv, depths, cal: CameraCalibration):
     """Vectorized back-projection of pixels with positive depths."""
     uv = np.asarray(uv, dtype=float)
@@ -177,10 +165,6 @@ def fundamental_matrix(cal_i: CameraCalibration, cal_j: CameraCalibration):
     return np.linalg.inv(cal_j.K).T @ E @ np.linalg.inv(cal_i.K)
 
 
-def _homogeneous(x):
-    return x if x.shape[1] == 3 else np.concatenate([x, np.ones((len(x), 1))], axis=1)
-
-
 def _row_dots(a, b):
     """Dot products of matching rows of a and b (K, d): (K,)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -195,22 +179,17 @@ def _point_line_distance(x, lines):
 def epipolar_distance(x_i, x_j, F):
     """Symmetric point-to-epipolar-line distance in pixels.
 
-    x_i, x_j: one pixel each, as (u, v) or homogeneous (u, v, 1), or K
-    stacked rows of either, (K, 2|3). Returns a float for one pixel pair
-    and a (K,) array for stacked rows; +inf where an epipolar line is
-    numerically null.
+    x_i, x_j: K stacked pixel pairs, (K, 2) each. Returns (K,) distances;
+    +inf where an epipolar line is numerically null.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    single = x_i.ndim == 1
-    x_i = _homogeneous(np.atleast_2d(x_i))
-    x_j = _homogeneous(np.atleast_2d(x_j))
+    ones = np.ones((len(x_i), 1))
+    x_i = np.concatenate([x_i, ones], axis=1)
+    x_j = np.concatenate([x_j, ones], axis=1)
     # One matrix-vector product per row, so a row's rounding does not
     # depend on the rows stacked with it.
     d_j = _point_line_distance(x_j, (F @ x_i[:, :, None])[:, :, 0])
     d_i = _point_line_distance(x_i, (F.T @ x_j[:, :, None])[:, :, 0])
-    d = 0.5 * (d_j + d_i)
-    return d[0] if single else d
+    return 0.5 * (d_j + d_i)
 
 
 # Batched triangulation. Each problem's views are packed used-first, in
@@ -653,8 +632,8 @@ def hungarian_assign(cost, max_cost):
     """Gated min-cost one-to-one assignment.
 
     Entries >= max_cost are never matched; leaving a row or column
-    unmatched incurs max_cost. Among equal-cost optima the (row, col)
-    lexicographically smallest matching is returned.
+    unmatched incurs max_cost, which must be finite. Among equal-cost
+    optima the (row, col) lexicographically smallest matching is returned.
 
     The m x n problem becomes a square (m+n) x (n+m) one: row i may take
     its own "unmatched" column n+i and column j its own "unmatched" row
@@ -668,13 +647,12 @@ def hungarian_assign(cost, max_cost):
     that an alternating cycle of tight edges through the not yet fixed
     rows can swap into the matching.
     """
+    if not np.isfinite(max_cost):
+        raise ValueError(f"max_cost must be finite, got {max_cost}")
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
         return []
     m, n = cost.shape
-    if not np.isfinite(max_cost):
-        # Everything is allowed: plain rectangular assignment.
-        max_cost = float(np.nanmax(np.where(np.isfinite(cost), cost, 0.0))) + 1.0
     allowed = np.isfinite(cost) & (cost < max_cost)
     if not allowed.any():
         return []

@@ -84,12 +84,14 @@ def _json_numbers(rec, key):
     arrays, else ValueError: np.array(..., dtype=float) would parse the
     string "0.5", and read true as 1.0 even beside numbers. Each level of
     nesting is flattened while it holds arrays of one length, so ragged
-    arrays are left as leaves, and the leaves are checked by their type."""
+    arrays are left as leaves, and the leaves are checked by their type
+    (a float subclass, such as numpy's float64 in a scene built in Python,
+    counts as a float)."""
     flat, shape = [rec[key]], []
     while (types := set(map(type, flat))) == {list} and len(set(map(len, flat))) == 1:
         shape.append(len(flat[0]))
         flat = list(chain.from_iterable(flat))
-    if not types <= {int, float}:
+    if not all(t is int or issubclass(t, float) for t in types):
         raise ValueError(f"{key} must be numbers in evenly nested arrays")
     return np.array(flat, dtype=float).reshape(shape)
 
@@ -225,7 +227,7 @@ def write_detections(path, records):
             }))
 
 
-def read_detections(path, cameras=None, hand_vertex_count=None):
+def read_detections(path, cameras, hand_vertex_count):
     """Yield (frame, camera_id, persons, hands_raw) records in file order.
 
     frame is a JSON integer (not a bool) no lower than the frame of the
@@ -234,8 +236,8 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
     ("left" or "right"), a finite non-negative JSON number sigma_fit and a
     finite (N, 3) vertices array of JSON numbers. A record that repeats
     the (frame, camera) of an earlier record of the same frame is
-    rejected, as are, when given, cameras outside `cameras` and hands
-    whose vertex count is not `hand_vertex_count`.
+    rejected, as are cameras outside `cameras` and hands whose vertex
+    count is not `hand_vertex_count`.
     """
     current, frame_cams = None, set()
 
@@ -245,7 +247,7 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
         camera_id = rec["camera_id"]
         if not isinstance(camera_id, str):
             raise ValueError(f"camera_id must be a string, got {camera_id!r}")
-        if cameras is not None and camera_id not in cameras:
+        if camera_id not in cameras:
             raise ValueError(f"camera {camera_id!r} is not in the calibration")
         persons = [_json_numbers(p, "joints") for p in _json_list(rec, "persons")]
         for p in persons:
@@ -269,7 +271,7 @@ def read_detections(path, cameras=None, hand_vertex_count=None):
                 raise ValueError(f"hand vertices shape {v.shape}, want (N, 3)")
             if np.count_nonzero(np.isfinite(v)) < v.size:
                 raise ValueError("hand vertices hold a non-finite value")
-            if hand_vertex_count is not None and len(v) != hand_vertex_count:
+            if len(v) != hand_vertex_count:
                 raise ValueError(
                     f"hand has {len(v)} vertices but the hand schema has "
                     f"{hand_vertex_count}; is the recording's hand_schema.json missing?"

@@ -27,7 +27,7 @@ import numpy as np
 from .config import TrackerConfig
 from .geometry import (
     CameraCalibration,
-    backproject,
+    backproject_many,
     epipolar_distance,
     fundamental_matrix,
     hungarian_assign,
@@ -49,8 +49,8 @@ class PersonTrack:
     idle_frames: int = 0
 
     def centroid(self):
-        if not self.available.any():
-            return None
+        """Mean of the available joints. Births need min_birth_joints >= 1
+        of them and nothing clears one, so a track always has some."""
         return self.joints[self.available].mean(axis=0)
 
 
@@ -218,10 +218,11 @@ def depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
     """Recover unresolved joints from single-view depth patches.
 
     patches: {(joint, camera_id): patch} as depth_patches fetches them.
-    Candidates pass the patch-variance and confidence gates, are
-    back-projected, and survive only inside the largest bone-consistent
-    connected component. Joints in fixed_joints (triangulated this frame)
-    participate as immutable graph nodes. Returns the set of lifted joints.
+    Candidates pass the patch-variance and confidence gates; each joint's
+    best one (highest confidence, then camera order) is back-projected and
+    survives only inside the largest bone-consistent connected component.
+    Joints in fixed_joints (triangulated this frame) participate as
+    immutable graph nodes. Returns the set of lifted joints.
     """
     candidates = {}
     for k in unresolved:
@@ -239,10 +240,10 @@ def depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
                 continue
             key = (-s, cam_id, var)
             if best is None or key < best[0]:
-                X = backproject(u, v, float(valid.mean()), cals[cam_id])
-                best = (key, X, s)
+                best = (key, cam_id, u, v, valid.mean(), s)
         if best is not None:
-            candidates[k] = (best[1], best[2])
+            _, cam_id, u, v, depth, s = best
+            candidates[k] = (backproject_many([[u, v]], [depth], cals[cam_id])[0], s)
     if not candidates:
         return set()
 
@@ -315,38 +316,29 @@ def _birth_pairs(unmatched, fmat, cfg: TrackerConfig):
 def _group_unmatched(unmatched, fmat, cfg: TrackerConfig):
     """Greedy epipolar grouping of unmatched detections into person hypotheses.
 
-    unmatched: list of (camera_id, joints (26,3)). The pairs of
-    _birth_pairs merge in order into groups that never hold two
-    detections of one camera. Returns the groups that span >= 2 cameras,
-    as lists of indices into `unmatched` in merge order.
+    unmatched: list of (camera_id, joints (26,3)). Each detection starts
+    as a group of its own, and the pairs (a, b) of _birth_pairs, in order,
+    merge their two groups when no camera is in both: b's group is
+    appended to a's, unless a is alone and b is not, when a is appended to
+    b's. Returns the groups of two or more detections, in the order they
+    formed, as lists of indices into `unmatched` in merge order.
     """
-    group_of = {}
-    groups = []
+    group = [[i] for i in range(len(unmatched))]  # group[i]: the group holding i
+    formed = []
     for _, a, b in _birth_pairs(unmatched, fmat, cfg):
-        ga = group_of.get(a)
-        gb = group_of.get(b)
-        if ga is None and gb is None:
-            groups.append([a, b])
-            group_of[a] = group_of[b] = len(groups) - 1
-        elif ga is not None and gb is None:
-            cams = {unmatched[i][0] for i in groups[ga]}
-            if unmatched[b][0] not in cams:
-                groups[ga].append(b)
-                group_of[b] = ga
-        elif ga is None and gb is not None:
-            cams = {unmatched[i][0] for i in groups[gb]}
-            if unmatched[a][0] not in cams:
-                groups[gb].append(a)
-                group_of[a] = gb
-        elif ga != gb:
-            cams_a = {unmatched[i][0] for i in groups[ga]}
-            cams_b = {unmatched[i][0] for i in groups[gb]}
-            if not cams_a & cams_b:
-                for i in groups[gb]:
-                    group_of[i] = ga
-                groups[ga].extend(groups[gb])
-                groups[gb] = []
-    return [g for g in groups if len({unmatched[i][0] for i in g}) >= 2]
+        keep, other = group[a], group[b]
+        if len(keep) == 1 < len(other):
+            keep, other = other, keep
+        if keep is other or ({unmatched[i][0] for i in keep}
+                             & {unmatched[i][0] for i in other}):
+            continue
+        if len(keep) == 1:
+            formed.append(keep)
+        keep.extend(other)
+        for i in other:
+            group[i] = keep
+        other.clear()
+    return [g for g in formed if g]
 
 
 class Tracker:
@@ -464,10 +456,7 @@ class Tracker:
             for ti, track in enumerate(self.tracks):
                 if ti in updated_tracks:
                     continue
-                tc = track.centroid()
-                if tc is None:
-                    continue
-                d = np.linalg.norm(tc - centroid)
+                d = np.linalg.norm(track.centroid() - centroid)
                 if d < cfg.r_reuse and (best is None or d < best[0]):
                     best = (d, ti)
             if best is not None:

@@ -6,12 +6,14 @@ are written inside the frame loop; when identity stitching merges ids, a
 second pass copies each of them line by line through a temporary file,
 re-dumping only the lines whose person-id key names a fragment id with
 that one key changed. Memory holds one frame's detections and semantic
-map and the live person tracks, plus two kinds of state that grow with
-the recording: tables keyed by id (hand tracks, contact filters and open
-episodes, stitch votes, coexistence counts), which grow with the number
-of ids ever created, and the finished contact episodes. No per-frame
-record is kept for in-contact frames, and each episode copies its contact
-point, so no frame's semantic map outlives the frame.
+map and the live person tracks, plus three kinds of state that grow
+with the recording: tables keyed by id (hand tracks, contact filters and
+open episodes, stitch votes), which grow with the number of ids ever
+created; the coexistence table, keyed by pairs of ids, which grows with
+the pairs of ids ever detected in one frame together (up to the square
+of the ids); and the finished contact episodes. No per-frame record is
+kept for in-contact frames, and each episode copies its contact point,
+so no frame's semantic map outlives the frame.
 """
 
 from __future__ import annotations

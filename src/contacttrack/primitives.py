@@ -184,8 +184,7 @@ class Capsules:
     one-pass ray casting: segment starts (K, 3), axes p1 - p0 (K, 3) and
     radii (K,). An optional (K, N) skip mask, for a cast of N rays, marks
     the (capsule, ray) pairs that do not count: a skipped capsule is
-    invisible to that ray. Indexing with a row mask or slice gives a
-    sub-stack."""
+    invisible to that ray."""
 
     p0: np.ndarray
     axis: np.ndarray
@@ -204,10 +203,6 @@ class Capsules:
 
     def __len__(self):
         return len(self.radius)
-
-    def __getitem__(self, rows):
-        skip = None if self.skip is None else self.skip[rows]
-        return Capsules(self.p0[rows], self.axis[rows], self.radius[rows], skip)
 
     def hits(self, origin, dirs):
         """(K, N) first-hit parameters of N rays against every capsule, inf
@@ -302,15 +297,3 @@ def cast_rays(primitives, origin, dirs):
         offset += size
     return best_t, best_i
 
-
-def surface_from_config(rec):
-    """Build a labeled surface primitive from a scene config record."""
-    kind = rec.get("type")
-    label = int(rec["label"])
-    if kind == "box":
-        return Box(rec["min"], rec["max"], label=label)
-    if kind == "sphere":
-        return Sphere(rec["center"], float(rec["radius"]), label=label)
-    if kind == "rect":
-        return Rect(rec["center"], rec["axis"], tuple(rec["half_sizes"]), label=label)
-    raise ValueError(f"unknown surface type {kind!r}")

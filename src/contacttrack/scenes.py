@@ -14,7 +14,6 @@ ROOM_CENTER = (3.5, 3.5, 1.1)
 CAMERA_HEIGHT = 2.4  # m
 CAMERA_INSET = 0.25  # m, along both walls from the corner
 
-SHOULDER_HEIGHT = 1.45
 SHOULDER_LATERAL = 0.20
 STAND_BACK = 0.25  # horizontal shoulder-to-target distance while touching
 

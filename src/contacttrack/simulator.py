@@ -32,6 +32,10 @@ from .geometry import CameraCalibration, project_many
 from .hand_fusion import FusedHand, HandInstance
 from .io import (
     RECORD_ERRORS,
+    _json_list,
+    _json_number,
+    _json_numbers,
+    _json_side,
     write_calibration,
     write_detections,
     write_episodes,
@@ -40,8 +44,8 @@ from .io import (
     write_track_line,
     write_visibility,
 )
-from .primitives import Capsules, cast_rays, surface_from_config
-from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema
+from .primitives import Box, Capsules, Rect, Sphere, cast_rays
+from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema, json_int
 
 OCCLUSION_MARGIN = 0.05  # m, occluder must be this much nearer than the joint
 PARTIAL_MARGIN = 0.02    # m, near-miss band that only degrades confidence
@@ -113,17 +117,60 @@ def look_at_extrinsics(position, target):
     return T
 
 
+# -- scene config fields ---------------------------------------------------
+# Scene files follow the rule of every other input file: integers are JSON
+# integers and numbers finite JSON numbers, else ValueError naming the key.
+
+def _number(rec, key, default=None):
+    """rec[key] as a finite float, or default if rec lacks key and a
+    default is given (rec.keys() also rejects a rec that is no object)."""
+    if default is not None and key not in rec.keys():
+        return float(default)
+    value = _json_number(rec, key)
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _integer(rec, key, default):
+    """rec[key], or default if rec lacks key, as a JSON integer."""
+    return json_int(rec.get(key, default), key)
+
+
+def _vector(rec, key, n):
+    """rec[key] as a float array of n finite JSON numbers."""
+    value = _json_numbers(rec, key)
+    if value.shape != (n,) or not np.isfinite(value).all():
+        raise ValueError(f"{key} must be {n} finite numbers")
+    return value
+
+
 def camera_from_config(rec):
+    width, height = _integer(rec, "width", 640), _integer(rec, "height", 480)
     return CameraCalibration(
         camera_id=rec["id"],
-        fx=float(rec.get("fx", 520.0)),
-        fy=float(rec.get("fy", 520.0)),
-        cx=float(rec.get("cx", rec.get("width", 640) / 2.0)),
-        cy=float(rec.get("cy", rec.get("height", 480) / 2.0)),
-        T_cw=look_at_extrinsics(rec["position"], rec["look_at"]),
-        image_width=int(rec.get("width", 640)),
-        image_height=int(rec.get("height", 480)),
+        fx=_number(rec, "fx", 520.0),
+        fy=_number(rec, "fy", 520.0),
+        cx=_number(rec, "cx", width / 2.0),
+        cy=_number(rec, "cy", height / 2.0),
+        T_cw=look_at_extrinsics(_vector(rec, "position", 3), _vector(rec, "look_at", 3)),
+        image_width=width,
+        image_height=height,
     )
+
+
+def surface_from_config(rec):
+    """Build a labeled surface primitive from a scene config record."""
+    kind = rec.get("type")
+    label = json_int(rec["label"], "label")
+    if kind == "box":
+        return Box(_vector(rec, "min", 3), _vector(rec, "max", 3), label=label)
+    if kind == "sphere":
+        return Sphere(_vector(rec, "center", 3), _number(rec, "radius"), label=label)
+    if kind == "rect":
+        return Rect(_vector(rec, "center", 3), rec["axis"],
+                    tuple(_vector(rec, "half_sizes", 2)), label=label)
+    raise ValueError(f"unknown surface type {kind!r}")
 
 
 # -- skeleton scripting ----------------------------------------------------
@@ -145,24 +192,21 @@ def place_template(position_xy, yaw):
 def two_bone_reach(shoulder, wrist_target, l_upper, l_fore, bend_hint):
     """Analytic elbow/wrist placement for a reach toward wrist_target.
 
-    Targets beyond full extension clamp to the arm length and are flagged.
-    Returns (elbow, wrist, clamped).
+    Targets beyond full extension clamp to the arm length. Returns
+    (elbow, wrist).
     """
     shoulder = np.asarray(shoulder, dtype=float)
     w = np.asarray(wrist_target, dtype=float)
     v = w - shoulder
     d = float(np.linalg.norm(v))
     reach = l_upper + l_fore
-    clamped = False
     if d < 1e-9:
         w = shoulder + np.array([0.0, 0.0, -reach])
         v = w - shoulder
         d = reach
-        clamped = True
     elif d > reach:
         w = shoulder + v * (reach / d)
         v = w - shoulder
-        clamped = d > reach + 1e-9
         d = reach
     u = v / d
     a = (l_upper**2 - l_fore**2 + d * d) / (2 * d)
@@ -176,7 +220,7 @@ def two_bone_reach(shoulder, wrist_target, l_upper, l_fore, bend_hint):
         n = np.linalg.norm(bend)
     bend = bend / n
     elbow = shoulder + a * u + h * bend
-    return elbow, w, clamped
+    return elbow, w
 
 
 def hand_blob(vertex_count, seed, person_id, side):
@@ -301,54 +345,51 @@ def parse_scene(data):
     """Validate and normalize a scene config dict."""
     try:
         cams = [camera_from_config(c) for c in data["cameras"]]
-        surfaces = [surface_from_config(s) for s in data.get("surfaces", [])]
-        label_table = {
-            int(s["label"]): s.get("name", f"surface_{s['label']}")
-            for s in data.get("surfaces", [])
-        }
+        surface_recs = _json_list(data, "surfaces")
+        surfaces = [surface_from_config(s) for s in surface_recs]
+        label_table = {prim.label: s.get("name", f"surface_{prim.label}")
+                       for prim, s in zip(surfaces, surface_recs)}
         persons = []
-        for p in data.get("persons", []):
+        for p in _json_list(data, "persons"):
             events = {}
-            for h in p.get("hands", []):
-                side = h["side"]
+            for h in _json_list(p, "hands"):
+                side = _json_side(h, "hand side")
                 events.setdefault(side, [])
-                for ev in h.get("events", []):
+                for ev in _json_list(h, "events"):
                     events[side].append(
                         HandEvent(
-                            start=int(ev["frame"]),
-                            approach=int(ev.get("approach", 20)),
-                            dwell=int(ev.get("dwell", 45)),
-                            retract=int(ev.get("retract", 20)),
-                            target=np.asarray(ev["target"], dtype=float),
-                            label=int(ev["label"]),
+                            start=json_int(ev["frame"], "frame"),
+                            approach=_integer(ev, "approach", 20),
+                            dwell=_integer(ev, "dwell", 45),
+                            retract=_integer(ev, "retract", 20),
+                            target=_vector(ev, "target", 3),
+                            label=json_int(ev["label"], "label"),
                         )
                     )
                 events[side].sort(key=lambda e: e.start)
-            persons.append(
-                PersonScript(
-                    id=int(p["id"]),
-                    waypoints=[
-                        (int(w["frame"]), float(w["position"][0]), float(w["position"][1]),
-                         float(np.deg2rad(w.get("facing", 0.0))))
-                        for w in p["waypoints"]
-                    ],
-                    absences=[tuple(int(v) for v in a) for a in p.get("absent", [])],
-                    events=events,
-                )
-            )
+            waypoints = []
+            for w in p["waypoints"]:
+                x, y = _vector(w, "position", 2)
+                waypoints.append((json_int(w["frame"], "frame"), float(x), float(y),
+                                  float(np.deg2rad(_number(w, "facing", 0.0)))))
+            absences = [tuple(json_int(v, "absent") for v in a) for a in _json_list(p, "absent")]
+            if not waypoints or any(len(a) != 2 for a in absences):
+                raise ValueError("a person needs waypoints, and absent [start, stop] pairs")
+            persons.append(PersonScript(id=json_int(p["id"], "id"), waypoints=waypoints,
+                                        absences=absences, events=events))
         noise = data.get("noise", {})
         scene = {
             "cameras": {c.camera_id: c for c in cams},
             "surfaces": surfaces,
             "label_table": label_table,
             "persons": persons,
-            "fps": float(data.get("fps", 30.0)),
-            "frame_count": int(data.get("frame_count", 0)),
-            "pixel_sigma": float(noise.get("pixel_sigma", 0.0)),
-            "dropout": float(noise.get("dropout", 0.0)),
-            "depth_sigma": float(noise.get("depth_sigma", 0.0)),
-            "hand_jitter": float(noise.get("hand_jitter", 0.0)),
-            "hand_vertex_count": int(data.get("hand_vertex_count", 778)),
+            "fps": _number(data, "fps", 30.0),
+            "frame_count": _integer(data, "frame_count", 0),
+            "pixel_sigma": _number(noise, "pixel_sigma", 0.0),
+            "dropout": _number(noise, "dropout", 0.0),
+            "depth_sigma": _number(noise, "depth_sigma", 0.0),
+            "hand_jitter": _number(noise, "hand_jitter", 0.0),
+            "hand_vertex_count": _integer(data, "hand_vertex_count", 778),
             "raw": data,
         }
     except (*RECORD_ERRORS, AttributeError) as e:  # AttributeError: .get on a non-object
@@ -365,8 +406,6 @@ class Simulator:
     """Deterministic scene state and per-frame rendering."""
 
     def __init__(self, scene, seed=0):
-        if not isinstance(scene, dict) or "cameras" not in scene:
-            raise InputFormatError("scene config must be a mapping with cameras")
         self.scene = parse_scene(scene)
         self.seed = int(seed)
         self.hand_schema = HandSchema(vertex_count=self.scene["hand_vertex_count"])
@@ -385,10 +424,9 @@ class Simulator:
     # -- world state -------------------------------------------------------
 
     def skeleton(self, person: PersonScript, frame):
-        """26 world joints for one person at one frame, plus reach flags."""
+        """26 world joints for one person at one frame."""
         xy, yaw = person.pose(frame)
         joints = place_template(xy, yaw)
-        clamped = {}
         for side in ("left", "right"):
             ev = person.active_event(frame, side)
             if ev is None:
@@ -399,19 +437,18 @@ class Simulator:
             w = ev.weight(frame)
             target = idle_wrist + w * (ev.target - idle_wrist)
             out_dir = _yaw_matrix(yaw) @ np.array([0.0, 1.0 if side == "left" else -1.0, 0.0])
-            elbow, wrist, cl = two_bone_reach(
+            elbow, wrist = two_bone_reach(
                 shoulder, target, BONE_LENGTH[5, 7], BONE_LENGTH[7, 9], out_dir
             )
             joints[sj["elbow"]] = elbow
             joints[sj["wrist"]] = wrist
-            clamped[side] = cl
-        return joints, clamped
+        return joints
 
     def frame_state(self, frame):
         """{person_id: (26, 3) joints} for persons present at the frame."""
         if self._frame_cache[0] == frame:
             return self._frame_cache[1]
-        state = {p.id: self.skeleton(p, frame)[0]
+        state = {p.id: self.skeleton(p, frame)
                  for p in self.scene["persons"] if p.present(frame)}
         self._frame_cache = (frame, state)
         return state

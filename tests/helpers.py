@@ -33,7 +33,7 @@ from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy
 from contacttrack.schema import JOINT_COUNT
 from contacttrack.semantic_map import SemanticCloud, SurfaceHit
-from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN
+from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN, body_capsules
 
 
 def tree_bytes(root):
@@ -315,9 +315,6 @@ def scipy_hungarian_assign(cost, max_cost):
     if cost.size == 0:
         return []
     m, n = cost.shape
-    if not np.isfinite(max_cost):
-        # Everything is allowed: plain rectangular assignment.
-        max_cost = float(np.nanmax(np.where(np.isfinite(cost), cost, 0.0))) + 1.0
     allowed = np.isfinite(cost) & (cost < max_cost)
     if not allowed.any():
         return []
@@ -417,9 +414,9 @@ def per_joint_update(track, obs_by_cam, cals, fmat, cfg):
         for a in range(n):
             for b in range(a + 1, n):
                 dist[a, b] = dist[b, a] = epipolar_distance(
-                    obs_by_cam[views[a]][k, :2], obs_by_cam[views[b]][k, :2],
+                    obs_by_cam[views[a]][k:k + 1, :2], obs_by_cam[views[b]][k:k + 1, :2],
                     fmat(views[a], views[b]),
-                )
+                )[0]
         seed = np.unravel_index(np.argmin(dist), dist.shape)
         if dist[seed] >= cfg.tau_epi:
             continue
@@ -472,10 +469,17 @@ def per_pair_birth_pairs(unmatched, fmat, cfg):
 
 def per_pair_group_unmatched(unmatched, fmat, cfg):
     """Per-pair reference for person_tracker._group_unmatched: the pairs of
-    per_pair_birth_pairs, merged by the greedy loop."""
+    per_pair_birth_pairs, merged by four_branch_merge."""
+    return four_branch_merge(unmatched, per_pair_birth_pairs(unmatched, fmat, cfg))
+
+
+def four_branch_merge(unmatched, pairs):
+    """Reference for the merge rule of person_tracker._group_unmatched: the
+    greedy loop over (affinity, a, b) pairs of detections of different
+    cameras, one branch for each of a and b being grouped or not."""
     group_of = {}
     groups = []
-    for _, a, b in per_pair_birth_pairs(unmatched, fmat, cfg):
+    for _, a, b in pairs:
         ga = group_of.get(a)
         gb = group_of.get(b)
         if ga is None and gb is None:
@@ -531,10 +535,7 @@ def per_group_spawn(tracker, unmatched, updated_tracks):
         for ti, track in enumerate(tracker.tracks):
             if ti in updated_tracks:
                 continue
-            tc = track.centroid()
-            if tc is None:
-                continue
-            d = np.linalg.norm(tc - centroid)
+            d = np.linalg.norm(track.centroid() - centroid)
             if d < cfg.r_reuse and (best is None or d < best[0]):
                 best = (d, ti)
         if best is not None:
@@ -686,12 +687,13 @@ def reference_fuse_clouds(clouds, voxel_size, label_table):
 
 def per_person_sightings(sim, frame):
     """Per-(camera, person) reference for Simulator.sightings: one ray
-    bundle per camera and person, cast against the surfaces and a capsule
-    stack without that person's rows."""
-    caps, owner = sim.frame_capsules(frame)
+    bundle per camera and person, cast against the surfaces and the body
+    capsules of the other persons."""
+    state = sim.frame_state(frame)
     out = {}
-    for pid, joints in sim.frame_state(frame).items():
-        occluders = sim.scene["surfaces"] + [caps[owner != pid]]
+    for pid, joints in state.items():
+        others = body_capsules([j for q, j in state.items() if q != pid])
+        occluders = sim.scene["surfaces"] + [others]
         for cam_id, cal in sim.cals.items():
             dirs = joints - cal.center
             dist = np.linalg.norm(dirs, axis=1)

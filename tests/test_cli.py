@@ -121,19 +121,50 @@ class TestSimulate:
         assert f"input error: {tmp_path / 'scene.json'}: bad scene config: " \
             in capsys.readouterr().err
 
-    # 1e400 reads as inf, which int() cannot convert; a waypoint position
-    # needs x and y.
+    # 1e400 reads as inf, which is no integer; a waypoint position is x
+    # and y.
     @pytest.mark.parametrize("edit, message", [
         (lambda scene: scene.__setitem__("frame_count", 1e400),
-         "cannot convert float infinity to integer"),
+         "frame_count must be an integer, got Infinity"),
         (lambda scene: scene["persons"][0]["waypoints"][0].__setitem__("position", []),
-         "list index out of range"),
+         "position must be 2 finite numbers"),
     ], ids=["frame-count-overflow", "waypoint-position-empty"])
     def test_scene_value_out_of_range(self, tmp_path, capsys, edit, message):
         assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {tmp_path / 'scene.json'}: bad scene config: {message}" in err
         assert "Traceback" not in err
+
+
+    # A scene file follows the rule of every other input file: int() and
+    # float() would read 2.5 as 2 frames and "0" as 0.0.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda scene: scene.__setitem__("frame_count", 2.5),
+         "frame_count must be an integer, got 2.5"),
+        (lambda scene: scene["persons"][0].__setitem__("id", 1.7),
+         "id must be an integer, got 1.7"),
+        (lambda scene: scene.__setitem__("surfaces", [
+            {"type": "box", "label": 1, "min": ["0", 0, 0], "max": [1, 1, 1]}]),
+         "min must be numbers in evenly nested arrays"),
+        (lambda scene: scene["noise"].__setitem__("pixel_sigma", "1"),
+         'pixel_sigma must be a number, got "1"'),
+        (lambda scene: scene["cameras"][0].__setitem__("width", 640.0),
+         "width must be an integer, got 640.0"),
+        (lambda scene: scene["persons"][0].__setitem__("hands", [{"side": "up"}]),
+         'hand side must be left or right, got "up"'),
+        # These two ended in a traceback once simulate rendered the person.
+        (lambda scene: scene["persons"][0].__setitem__("absent", [[1, 2, 3]]),
+         "a person needs waypoints, and absent [start, stop] pairs"),
+        (lambda scene: scene["persons"][0].__setitem__("waypoints", []),
+         "a person needs waypoints, and absent [start, stop] pairs"),
+    ], ids=["frame-count-fraction", "person-id-fraction", "surface-min-string",
+            "noise-string", "camera-width-float", "hand-side", "absent-triple",
+            "no-waypoints"])
+    def test_scene_value_of_the_wrong_type(self, tmp_path, capsys, edit, message):
+        assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"input error: {tmp_path / 'scene.json'}: bad scene config: {message}" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRun:
@@ -144,6 +175,17 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_min_birth_joints_below_one_exit_code(self, tmp_path, mini_induction, capsys):
+        # A track must always hold an available joint, and births are
+        # what give it one.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tracker": {"min_birth_joints": 0}}')
+        ds = mini_induction["ds"]
+        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", ds, "--out", str(tmp_path / "out"),
+                     "--config", str(cfg)]) == EXIT_CONFIG
+        assert "min_birth_joints must be >= 1" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_code(self, tmp_path, mini_induction):
         cfg = tmp_path / "cfg.json"

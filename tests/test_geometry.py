@@ -10,12 +10,11 @@ from contacttrack.geometry import (
     IllConditioned,
     InsufficientViews,
     NoConsensus,
-    NonPositiveDepth,
     Sim3,
     Sim3RansacConfig,
     TooFewCorrespondences,
     _ill_conditioned,
-    backproject,
+    backproject_many,
     epipolar_distance,
     fit_sim3_ransac,
     fundamental_matrix,
@@ -57,23 +56,16 @@ class TestProjection:
 
     def test_backproject_identity(self):
         cal = identity_camera()
-        p = backproject(320.0, 240.0, 2.0, cal)
-        assert np.allclose(p, [0.0, 0.0, 2.0])
-
-    def test_nonpositive_depth(self):
-        with pytest.raises(NonPositiveDepth):
-            backproject(10.0, 10.0, 0.0, identity_camera())
+        p = backproject_many([[320.0, 240.0]], [2.0], cal)
+        assert np.allclose(p, [[0.0, 0.0, 2.0]])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
         cal = make_camera("c", (2.0, -1.0, 1.5), (0.0, 0.0, 1.0))
-        for _ in range(200):
-            u = rng.uniform(0, 640)
-            v = rng.uniform(0, 480)
-            d = rng.uniform(0.2, 10.0)
-            p = backproject(u, v, d, cal)
-            uv = project(p, cal)
-            assert np.allclose(uv, [u, v], atol=1e-9)
+        uv = rng.uniform(0, 1, size=(200, 2)) * (640, 480)
+        d = rng.uniform(0.2, 10.0, size=200)
+        for p, want in zip(backproject_many(uv, d, cal), uv):
+            assert np.allclose(project(p, cal), want, atol=1e-9)
 
 
 class TestEpipolar:
@@ -87,7 +79,7 @@ class TestEpipolar:
             xa = np.append(project(P, cal_a), 1.0)
             xb = np.append(project(P, cal_b), 1.0)
             assert abs(xb @ F @ xa) < 1e-9 * max(1.0, abs(xb @ F @ xa) + 1)
-            assert epipolar_distance(xa, xb, F) < 1e-6
+            assert epipolar_distance(xa[None, :2], xb[None, :2], F)[0] < 1e-6
 
     def test_degenerate_baseline(self):
         cal = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))
@@ -98,8 +90,8 @@ class TestEpipolar:
         cal_a = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))
         cal_b = make_camera("b", (0.0, 3.0, 1.8), (0.0, 0.0, 1.0))
         F = fundamental_matrix(cal_a, cal_b)
-        xa = np.array([100.0, 120.0, 1.0])
-        xb = np.array([400.0, 260.0, 1.0])
+        xa = np.array([[100.0, 120.0]])
+        xb = np.array([[400.0, 260.0]])
         assert np.isclose(
             epipolar_distance(xa, xb, F), epipolar_distance(xb, xa, F.T)
         )
@@ -124,7 +116,8 @@ class TestEpipolar:
         d_b = pld(xb_shift, F @ xa)
         d_a = pld(xa, F.T @ xb_shift)
         assert abs(d_b - 5.0) < 1e-9
-        assert np.isclose(epipolar_distance(xa, xb_shift, F), 0.5 * (d_b + d_a))
+        assert np.isclose(epipolar_distance(xa[None, :2], xb_shift[None, :2], F)[0],
+                          0.5 * (d_b + d_a))
         # Mean semantics: were the other term zero, the result would be 2.5.
         assert np.isclose(0.5 * (5.0 + 0.0), 2.5)
 
@@ -340,6 +333,7 @@ class TestConditioningGate:
 
 class TestStackedEpipolar:
     def test_stacked_rows_match_single_calls(self):
+        # A row's distance does not depend on the rows stacked with it.
         rng = np.random.default_rng(23)
         cal_a = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))
         cal_b = make_camera("b", (0.0, 3.0, 1.8), (0.0, 0.0, 1.0))
@@ -352,9 +346,7 @@ class TestStackedEpipolar:
             d = epipolar_distance(xa, xb, F)
             assert d.shape == (26,)
             for k in range(26):
-                assert d[k] == epipolar_distance(xa[k], xb[k], F)
-            homog = epipolar_distance(np.c_[xa, np.ones(26)], xb, F)
-            assert np.array_equal(homog, d)
+                assert d[k] == epipolar_distance(xa[k:k + 1], xb[k:k + 1], F)[0]
         assert d[7] == np.inf
 
 
@@ -416,7 +408,7 @@ class TestSim3:
 def _assignment_problems(draw):
     """Gated assignment problems of shape 0..7 x 0..7. Costs are small
     integers (many exact ties) or multiples of 1e-6 in [0, 1], a quarter
-    of them inf; max_cost is inf or on the same grid as the costs, so
+    of them inf; max_cost is on the same grid as the costs, so
     every tie is exact or at least 1e-6 wide for all three solvers."""
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     if draw(st.booleans()):
@@ -427,7 +419,7 @@ def _assignment_problems(draw):
         gate = st.integers(100, 1500).map(lambda k: k / 1000)
     cell = st.one_of(value, value, value, st.just(math.inf))
     cost = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n)), dtype=float)
-    return cost.reshape(m, n), draw(st.one_of(st.just(math.inf), gate))
+    return cost.reshape(m, n), draw(gate)
 
 
 class TestHungarian:
@@ -466,11 +458,12 @@ class TestHungarian:
         got = hungarian_assign(cost, max_cost)
         assert got == scipy_hungarian_assign(cost, max_cost)
         if 0 < cost.size <= 30:
-            # The brute force charges max_cost per unmatched row or
-            # column, so give it the finite gate an infinite one becomes.
-            finite = np.where(np.isfinite(cost), cost, 0.0)
-            gate = max_cost if np.isfinite(max_cost) else float(finite.max()) + 1.0
-            assert got == brute_force_assign(cost, gate)[0]
+            assert got == brute_force_assign(cost, max_cost)[0]
+
+    @pytest.mark.parametrize("max_cost", [math.inf, math.nan])
+    def test_gate_must_be_finite(self, max_cost):
+        with pytest.raises(ValueError, match="max_cost must be finite"):
+            hungarian_assign([[0.5]], max_cost)
 
     def test_full_permutation_optimum(self):
         rng = np.random.default_rng(13)

@@ -1,4 +1,5 @@
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestDetections:
         ]
         path = tmp_path / "det.jsonl"
         write_detections(path, [(0, "a", persons, hands), (1, "a", [], [])])
-        recs = list(read_detections(path))
+        recs = list(read_detections(path, {"a"}, 13))
         assert len(recs) == 2
         frame, cam, ps, hs = recs[0]
         assert (frame, cam) == (0, "a")
@@ -87,7 +88,7 @@ class TestDetections:
         path = tmp_path / "det.jsonl"
         path.write_text('{"frame":0,"camera_id":"a","persons":[],"hands":[]}\nnot json\n')
         with pytest.raises(InputFormatError) as exc:
-            list(read_detections(path))
+            list(read_detections(path, {"a"}, 13))
         assert exc.value.line == 2
 
     def test_wrong_joint_count(self, tmp_path):
@@ -96,7 +97,7 @@ class TestDetections:
             '{"frame":0,"camera_id":"a","persons":[{"joints":[[1,2,3]]}],"hands":[]}\n'
         )
         with pytest.raises(InputFormatError, match="shape"):
-            list(read_detections(path))
+            list(read_detections(path, {"a"}, 13))
 
 
 class TestTracks:
@@ -189,7 +190,8 @@ class TestNumberFields:
         (read_traces, TRACE, ('"d":0.05', '"d":NaN'), "d must be finite and >= 0, got nan"),
         (read_traces, TRACE, ('"d":0.05', '"d":-0.01'), "d must be finite and >= 0, got -0.01"),
         (read_traces, TRACE, ('"left"', '"sideways"'), 'side must be left or right, got "sideways"'),
-        (read_detections, DETECTION, ("[[0.5, ", "[[true, "), "joints must be numbers"),
+        (partial(read_detections, cameras={"cam0"}, hand_vertex_count=778), DETECTION,
+         ("[[0.5, ", "[[true, "), "joints must be numbers"),
     ], ids=["tracks-E-string", "tracks-joint-string", "tracks-joint-bool", "tracks-E-nan",
             "tracks-joint-inf", "traces-d-string",
             "traces-d-bool", "traces-d-nan", "traces-d-negative", "traces-side",

@@ -18,6 +18,7 @@ from contacttrack.simulator import Simulator
 
 from helpers import (
     crowd_crossing,
+    four_branch_merge,
     make_ring,
     per_group_spawn,
     per_joint_update,
@@ -489,6 +490,36 @@ class TestBatchedBirths:
         for f, dets in enumerate(frames):
             tracker.step(f, dets)
         assert sizes[0] == 8
+
+    def test_merge_rule_matches_four_branch_oracle(self, monkeypatch):
+        # Random pair lists over detections of up to five cameras, not
+        # only the pairs that epipolar affinities give: every pair of
+        # different cameras may come, in any order.
+        rng = np.random.default_rng(44)
+        sizes = []
+        for _ in range(3000):
+            cams = rng.integers(0, 5, size=rng.integers(0, 13))
+            unmatched = [(f"cam{c}", None) for c in cams]
+            a, b = np.triu_indices(len(cams), 1)
+            cross = rng.permutation(np.flatnonzero(cams[a] != cams[b]))
+            pairs = [(float(i), int(a[k]), int(b[k]))
+                     for i, k in enumerate(cross[:rng.integers(0, len(cross) + 1)])]
+            monkeypatch.setattr(person_tracker, "_birth_pairs", lambda *_, p=pairs: p)
+            got = person_tracker._group_unmatched(unmatched, None, None)
+            assert got == four_branch_merge(unmatched, pairs)
+            sizes += map(len, got)
+        assert max(sizes) == 5
+
+    def test_live_tracks_keep_an_available_joint(self, crowd):
+        # PersonTrack.centroid relies on it: births need min_birth_joints
+        # >= 1 joints, and nothing clears one.
+        cals, frames = crowd
+        for cfg in (TrackerConfig(), TrackerConfig(min_birth_joints=1)):
+            tracker = Tracker(cals, cfg)
+            for f, dets in enumerate(frames):
+                tracker.step(f, dets)
+                assert tracker.tracks
+                assert all(t.available.any() for t in tracker.tracks)
 
     def test_affinities_of_shuffled_detections(self, crowd):
         # Frame 0's detections in random orders, so that a camera pair

@@ -13,8 +13,8 @@ from contacttrack.primitives import (
     Rect,
     Sphere,
     cast_rays,
-    surface_from_config,
 )
+from contacttrack.simulator import surface_from_config
 
 from helpers import full_capsule_hits, reference_capsule_ray, reference_cast_rays
 
@@ -161,6 +161,11 @@ def capsule_bundle(rng, k=12, n=40):
     return origin, caps, dirs
 
 
+def rows(caps, sel):
+    """The capsules of caps at rows sel, as a stack of their own."""
+    return Capsules(caps.p0[sel], caps.axis[sel], caps.radius[sel])
+
+
 class TestStackedCapsules:
     def test_hits_match_per_capsule_reference(self):
         rng = np.random.default_rng(11)
@@ -183,8 +188,8 @@ class TestStackedCapsules:
             origin, caps, dirs = capsule_bundle(rng)
             # Capsule 1 holds the origin, so every ray hits it on the way
             # out; each bundle is cast with and without it.
-            for last in (caps[:2], caps[:1]):
-                prims = [Box([-3.0, -3.0, 3.5], [3.0, 3.0, 4.0]), caps[2:],
+            for last in (rows(caps, slice(2)), rows(caps, slice(1))):
+                prims = [Box([-3.0, -3.0, 3.5], [3.0, 3.0, 4.0]), rows(caps, slice(2, None)),
                          Sphere(origin + [0.0, 0.0, 2.0], 0.5), last]
                 t, i = cast_rays(prims, origin, dirs)
                 ref_t, ref_i = reference_cast_rays(prims, origin, dirs)
@@ -209,7 +214,8 @@ class TestStackedCapsules:
         origin, caps, dirs = capsule_bundle(rng)
         for row in range(len(caps)):
             one = Capsules.between(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
-            assert np.array_equal(one.hits(origin, dirs)[0], caps[row:row + 1].hits(origin, dirs)[0])
+            stacked = rows(caps, slice(row, row + 1))
+            assert np.array_equal(one.hits(origin, dirs)[0], stacked.hits(origin, dirs)[0])
 
 
 def assert_culled_kernel_exact(caps, origin, dirs):

@@ -54,8 +54,7 @@ class TestReach:
     def test_full_extension_collinear(self):
         s = np.array([0.0, 0.0, 1.45])
         target = s + np.array([self.L1 + self.L2, 0.0, 0.0])
-        elbow, wrist, clamped = two_bone_reach(s, target, self.L1, self.L2, (0, 1, 0))
-        assert not clamped
+        elbow, wrist = two_bone_reach(s, target, self.L1, self.L2, (0, 1, 0))
         assert np.allclose(wrist, target, atol=1e-9)
         cross = np.cross(elbow - s, wrist - s)
         assert np.linalg.norm(cross) < 1e-6
@@ -65,28 +64,31 @@ class TestReach:
         s = np.array([0.0, 0.0, 1.45])
         for _ in range(50):
             target = s + rng.normal(0, 0.3, size=3)
-            elbow, wrist, _ = two_bone_reach(s, target, self.L1, self.L2, (0, 1, 0))
+            elbow, wrist = two_bone_reach(s, target, self.L1, self.L2, (0, 1, 0))
             assert np.linalg.norm(elbow - s) == pytest.approx(self.L1, abs=1e-9)
             assert np.linalg.norm(wrist - elbow) == pytest.approx(self.L2, abs=1e-9)
 
     def test_beyond_reach_clamped(self):
-        s = np.zeros(3)
-        elbow, wrist, clamped = two_bone_reach(
-            s, np.array([2.0, 0.0, 0.0]), self.L1, self.L2, (0, 1, 0)
-        )
-        assert clamped
-        assert np.linalg.norm(wrist) == pytest.approx(self.L1 + self.L2)
+        s = np.array([0.3, -0.2, 1.45])
+        toward = np.array([2.0, 1.0, -0.5])
+        _, wrist = two_bone_reach(s, s + toward, self.L1, self.L2, (0, 1, 0))
+        assert np.linalg.norm(wrist - s) == pytest.approx(self.L1 + self.L2, abs=1e-12)
+        # Clamped along the line to the target.
+        assert np.allclose(np.cross(wrist - s, toward), 0.0, atol=1e-12)
 
     def test_scripted_touch_reaches_target(self):
-        scene = induction_lite()
-        sim = Simulator(scene, seed=0)
-        p = sim.scene["persons"][0]
-        ev = p.events["right"][0]
-        for frame in range(ev.start + ev.approach, ev.start + ev.approach + ev.dwell):
-            joints, clamped = sim.skeleton(p, frame)
-            wrist = joints[SIDE_JOINTS["right"]["wrist"]]
-            assert not clamped.get("right", False)
-            assert np.linalg.norm(wrist - ev.target) < 0.01
+        sim = Simulator(induction_lite(), seed=0)
+        checked = 0
+        for p in sim.scene["persons"]:
+            for side, events in p.events.items():
+                for ev in events:
+                    full = [f for f in range(ev.start, ev.end) if ev.weight(f) == 1.0]
+                    assert full
+                    for frame in full:
+                        wrist = sim.skeleton(p, frame)[SIDE_JOINTS[side]["wrist"]]
+                        assert np.linalg.norm(wrist - ev.target) < 1e-9
+                    checked += 1
+        assert checked == 12
 
 
 class TestRendering:
