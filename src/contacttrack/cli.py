@@ -20,6 +20,10 @@ from .simulator import emit_dataset
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+# Most points a --grid may hold: 500 times the largest grid in use (20
+# points), so a mistyped range or step exits at once instead of building
+# a list without end.
+MAX_GRID_POINTS = 10_000
 
 
 def _load_scene(spec):
@@ -67,6 +71,8 @@ def _parse_grid(spec):
     grid = []
     tau = lo
     while tau <= hi + 1e-9:
+        if len(grid) == MAX_GRID_POINTS:  # also ends a step too small to move tau
+            raise InputFormatError(f"grid {spec!r} holds more than {MAX_GRID_POINTS} points")
         grid.append(round(tau, 10))
         tau += step
     return grid

@@ -6,16 +6,23 @@ read_json and written, indented, by write_json. JSON-lines streams
 (detections, tracks, hand tracks, ground-truth visibility, distance
 traces) are written one compact record per line by _line; all but hand
 tracks are read by _records, which hands each record to the stream's
-parse function. Episodes are CSV, label tables "<id> <name>" lines, and
-depth and label grids DEP1 and LBL1 binaries. A malformed input raises
-InputFormatError naming the file, and the line for line-based files.
-Writers are deterministic so identical runs produce byte-identical files.
+parse function. Five field readers hold the rule for the typed fields
+of every JSON input, the scene and the hand schema included: json_int
+(a JSON integer), json_number (a finite JSON number), json_array
+(finite JSON numbers of a given shape), json_list (a JSON array) and
+json_side (left or right). Each raises ValueError naming the field;
+callers add only range checks. Episodes are CSV, label tables
+"<id> <name>" lines, and depth and label grids DEP1 and LBL1 binaries.
+A malformed input raises InputFormatError naming the file, and the line
+for line-based files. Writers are deterministic so identical runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from io import StringIO
 from itertools import chain
@@ -26,7 +33,7 @@ from .contact import ContactEpisode
 from .errors import InputFormatError
 from .geometry import CameraCalibration
 from .hand_fusion import SIDES
-from .schema import JOINT_COUNT, json_int
+from .schema import JOINT_COUNT, HandSchema
 
 GRAVITY_AXIS = "+z"
 DEPTH_GRID_MAGIC = b"DEP1"
@@ -65,38 +72,65 @@ def _rounded(x):
     return out.tolist()
 
 
-def _json_int(rec, key):
-    """rec[key] if it is a JSON integer (not a bool), else ValueError."""
-    return json_int(rec[key], key)
+# -- field readers ---------------------------------------------------------
+
+def json_int(value, name):
+    """value if it is a JSON integer (not a bool), else ValueError naming
+    it: int() would read "40" as 40 and truncate 0.9 to 0. It takes the
+    value, not a record and key, because integer fields also come as
+    array elements (hand schema indices, a scene's absent frames)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
-def _json_number(rec, key):
-    """rec[key] as a float if it is a JSON number (not a bool), else
-    ValueError: float() would parse the string "0.5"."""
+def json_number(rec, key, default=None):
+    """rec[key] as a float if it is a finite JSON number (not a bool), or
+    float(default) if rec lacks key and a default is given, else
+    ValueError naming key: float() would parse the string "0.5", and a
+    JSON 1e400 reads as infinity."""
+    if default is not None and key not in rec.keys():  # keys(): rec must be an object
+        return float(default)
     value = rec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError as e:  # an integer beyond float range
+        raise ValueError(f"{key}: {e}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
 
 
-def _json_numbers(rec, key):
-    """rec[key] as a float array if it is JSON numbers in evenly nested
-    arrays, else ValueError: np.array(..., dtype=float) would parse the
+def json_array(rec, key, shape):
+    """rec[key] as a float array of the given shape, where None is a free
+    length, if it is finite JSON numbers in evenly nested arrays, else
+    ValueError naming key: np.array(..., dtype=float) would parse the
     string "0.5", and read true as 1.0 even beside numbers. Each level of
     nesting is flattened while it holds arrays of one length, so ragged
     arrays are left as leaves, and the leaves are checked by their type
     (a float subclass, such as numpy's float64 in a scene built in Python,
     counts as a float)."""
-    flat, shape = [rec[key]], []
+    flat, dims = [rec[key]], []
     while (types := set(map(type, flat))) == {list} and len(set(map(len, flat))) == 1:
-        shape.append(len(flat[0]))
+        dims.append(len(flat[0]))
         flat = list(chain.from_iterable(flat))
     if not all(t is int or issubclass(t, float) for t in types):
         raise ValueError(f"{key} must be numbers in evenly nested arrays")
-    return np.array(flat, dtype=float).reshape(shape)
+    if tuple(dims) != shape and not (  # equal tuples: the fixed-shape case, first
+            len(dims) == len(shape) and all(n in (None, d) for n, d in zip(shape, dims))):
+        raise ValueError(f"{key} shape {tuple(dims)}, want {str(shape).replace('None', 'N')}")
+    try:
+        arr = np.array(flat, dtype=float).reshape(dims)
+    except OverflowError as e:  # an integer beyond float range
+        raise ValueError(f"{key}: {e}") from None
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValueError(f"{key} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
-def _json_list(rec, key):
+def json_list(rec, key):
     """rec[key] if it is a JSON array, [] if absent, else ValueError:
     iterating an object would read its keys."""
     value = rec.get(key, [])
@@ -105,7 +139,7 @@ def _json_list(rec, key):
     return value
 
 
-def _json_side(rec, name="side"):
+def json_side(rec, name="side"):
     """rec["side"] if it is "left" or "right", else ValueError naming it
     as name."""
     side = rec["side"]
@@ -169,8 +203,9 @@ def write_calibration(path, cals):
 
 def read_calibration(path):
     """{camera id: CameraCalibration} of a calibration.json file. fx, fy,
-    cx and cy are JSON numbers, width and height JSON integers and T_cw 16
-    JSON numbers, row-major; a camera id listed twice is rejected."""
+    cx and cy are finite JSON numbers, width and height JSON integers and
+    T_cw 16 finite JSON numbers, row-major; a camera id listed twice is
+    rejected."""
     data = read_json(path, "calibration")
     if not isinstance(data, dict):
         raise InputFormatError(
@@ -188,10 +223,11 @@ def read_calibration(path):
         try:
             cal = CameraCalibration(
                 camera_id=cam["camera_id"],
-                fx=_json_number(cam, "fx"), fy=_json_number(cam, "fy"),
-                cx=_json_number(cam, "cx"), cy=_json_number(cam, "cy"),
-                T_cw=_json_numbers(cam, "T_cw").reshape(4, 4),
-                image_width=_json_int(cam, "width"), image_height=_json_int(cam, "height"),
+                fx=json_number(cam, "fx"), fy=json_number(cam, "fy"),
+                cx=json_number(cam, "cx"), cy=json_number(cam, "cy"),
+                T_cw=json_array(cam, "T_cw", (16,)).reshape(4, 4),
+                image_width=json_int(cam["width"], "width"),
+                image_height=json_int(cam["height"], "height"),
             )
             if cal.camera_id in cals:
                 raise ValueError(f"camera {cal.camera_id!r} listed twice")
@@ -201,6 +237,22 @@ def read_calibration(path):
     if not cals:
         raise InputFormatError("calibration lists no cameras", path=path)
     return cals
+
+
+# -- hand schema -----------------------------------------------------------
+
+def read_hand_schema(path):
+    """HandSchema of a hand_schema.json file: a JSON integer vertex_count
+    and JSON integer palm_indices and fingertip_indices, used as given."""
+    data = read_json(path, "hand schema")
+    try:
+        return HandSchema(
+            vertex_count=json_int(data["vertex_count"], "vertex_count"),
+            palm_indices=[json_int(i, "palm_indices") for i in data["palm_indices"]],
+            fingertip_indices=[json_int(i, "fingertip_indices") for i in data["fingertip_indices"]],
+        )
+    except RECORD_ERRORS as e:
+        raise InputFormatError(f"bad hand schema: {e}", path=path)
 
 
 # -- detection stream ------------------------------------------------------
@@ -243,34 +295,25 @@ def read_detections(path, cameras, hand_vertex_count):
 
     def parse(rec):
         nonlocal current
-        frame = _json_int(rec, "frame")
+        frame = json_int(rec["frame"], "frame")
         camera_id = rec["camera_id"]
         if not isinstance(camera_id, str):
             raise ValueError(f"camera_id must be a string, got {camera_id!r}")
         if camera_id not in cameras:
             raise ValueError(f"camera {camera_id!r} is not in the calibration")
-        persons = [_json_numbers(p, "joints") for p in _json_list(rec, "persons")]
-        for p in persons:
-            if p.shape != (JOINT_COUNT, 3):
-                raise ValueError(f"person joints shape {p.shape}, want ({JOINT_COUNT}, 3)")
-            if np.count_nonzero(np.isfinite(p)) < p.size:
-                raise ValueError("person joints hold a non-finite value")
+        persons = [json_array(p, "joints", (JOINT_COUNT, 3)) for p in json_list(rec, "persons")]
         hands = [
             {
-                "side": _json_side(h, "hand side"),
-                "sigma_fit": _json_number(h, "sigma_fit"),
-                "vertices": _json_numbers(h, "vertices"),
+                "side": json_side(h, "hand side"),
+                "sigma_fit": json_number(h, "sigma_fit"),
+                "vertices": json_array(h, "vertices", (None, 3)),
             }
-            for h in _json_list(rec, "hands")
+            for h in json_list(rec, "hands")
         ]
         for h in hands:
             v = h["vertices"]
-            if not (np.isfinite(h["sigma_fit"]) and h["sigma_fit"] >= 0):
+            if h["sigma_fit"] < 0:
                 raise ValueError(f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}")
-            if v.ndim != 2 or v.shape[1] != 3:
-                raise ValueError(f"hand vertices shape {v.shape}, want (N, 3)")
-            if np.count_nonzero(np.isfinite(v)) < v.size:
-                raise ValueError("hand vertices hold a non-finite value")
             if len(v) != hand_vertex_count:
                 raise ValueError(
                     f"hand has {len(v)} vertices but the hand schema has "
@@ -303,15 +346,9 @@ def write_track_line(f, frame, track_id, existence, joints, available):
 
 
 def _track(rec):
-    arr = _json_numbers(rec, "joints")
-    if arr.shape != (JOINT_COUNT, 4):
-        raise ValueError(f"joints shape {arr.shape}")
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:
-        raise ValueError("joints hold a non-finite value")
-    e = _json_number(rec, "E")
-    if not np.isfinite(e):
-        raise ValueError(f"E must be finite, got {e}")
-    return _json_int(rec, "frame"), _json_int(rec, "id"), e, arr[:, :3], arr[:, 3] > 0.5
+    arr, e = json_array(rec, "joints", (JOINT_COUNT, 4)), json_number(rec, "E")
+    return (json_int(rec["frame"], "frame"), json_int(rec["id"], "id"), e,
+            arr[:, :3], arr[:, 3] > 0.5)
 
 
 def read_tracks(path):
@@ -418,7 +455,8 @@ def _visibility(rec):
     visible = rec["visible"]
     if not isinstance(visible, bool):
         raise ValueError(f"visible must be true or false, got {json.dumps(visible)}")
-    return _json_int(rec, "frame"), _json_int(rec, "person_id"), _json_side(rec), visible
+    return (json_int(rec["frame"], "frame"), json_int(rec["person_id"], "person_id"),
+            json_side(rec), visible)
 
 
 def read_visibility(path):
@@ -442,12 +480,13 @@ def write_traces(f, rows):
 
 
 def _trace(rec):
-    d = _json_number(rec, "d")
-    if not (np.isfinite(d) and d >= 0):
+    d = json_number(rec, "d")
+    if d < 0:
         raise ValueError(f"d must be finite and >= 0, got {d}")
-    person = None if rec[TRACE_PERSON_KEY] is None else _json_int(rec, TRACE_PERSON_KEY)
-    return (_json_int(rec, "frame"), _json_int(rec, "hand"), _json_side(rec), person,
-            _json_int(rec, "label"), d)
+    person = rec[TRACE_PERSON_KEY]
+    return (json_int(rec["frame"], "frame"), json_int(rec["hand"], "hand"), json_side(rec),
+            None if person is None else json_int(person, TRACE_PERSON_KEY),
+            json_int(rec["label"], "label"), d)
 
 
 def read_traces(path):

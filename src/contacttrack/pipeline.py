@@ -31,9 +31,11 @@ from .io import (
     TRACE_PERSON_KEY,
     TRACK_PERSON_KEY,
     GridDepthProvider,
+    json_int,
     read_calibration,
     read_detections,
     read_episodes,
+    read_hand_schema,
     read_json,
     read_label_table,
     read_tracks,
@@ -46,7 +48,7 @@ from .io import (
     write_traces,
 )
 from .person_tracker import Tracker
-from .schema import HandSchema, json_int
+from .schema import HandSchema
 from .semantic_map import UnknownLabel, backproject_labeled, fuse_clouds
 from .simulator import SceneDepthProvider, Simulator
 
@@ -75,13 +77,7 @@ def _depth_source(in_dir, cfg: PipelineConfig):
 
 def _load_hand_schema(in_dir):
     path = os.path.join(in_dir, "hand_schema.json")
-    if not os.path.exists(path):
-        return HandSchema()
-    data = read_json(path, "hand schema")
-    try:
-        return HandSchema.from_json(data)
-    except RECORD_ERRORS as e:
-        raise InputFormatError(f"bad hand schema: {e}", path=path)
+    return read_hand_schema(path) if os.path.exists(path) else HandSchema()
 
 
 def _group_frames(det_path, cals, hand_schema):

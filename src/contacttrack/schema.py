@@ -4,14 +4,13 @@ The 26-joint body is fixed: its joint names, the skeleton bones with the
 nominal lengths used by the depth-lifting bone gate, the arm joints of
 each side and the torso joints are module constants. Nominal lengths are
 derived from a canonical standing template so that synthetic skeletons
-satisfy them exactly. The hand schema, read from a recording's
-hand_schema.json, designates palm and fingertip vertex indices on the
-hand vertex set.
+satisfy them exactly. The hand schema designates palm and fingertip
+vertex indices on the hand vertex set. This module holds no JSON code:
+io.read_hand_schema reads a recording's hand_schema.json.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +125,6 @@ SIDE_JOINTS = {
 TORSO_JOINTS = (5, 6, 11, 12)  # shoulders and hips
 
 
-def json_int(value, name):
-    """value if it is a JSON integer (not a bool), else ValueError naming
-    it: int() would read "40" as 40 and truncate 0.9 to 0."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 @dataclass
 class HandSchema:
     """Vertex-set layout of hand reconstructions.
@@ -170,18 +161,3 @@ class HandSchema:
         vertices = np.asarray(vertices, dtype=float)
         palm = vertices[self.palm_indices].mean(axis=0)
         return np.concatenate([palm[None, :], vertices[self.fingertip_indices]])
-
-    def to_json(self):
-        return {
-            "vertex_count": self.vertex_count,
-            "palm_indices": self.palm_indices,
-            "fingertip_indices": self.fingertip_indices,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            vertex_count=json_int(data["vertex_count"], "vertex_count"),
-            palm_indices=[json_int(i, "palm_indices") for i in data["palm_indices"]],
-            fingertip_indices=[json_int(i, "fingertip_indices") for i in data["fingertip_indices"]],
-        )

@@ -20,7 +20,7 @@ stateless per-pixel hashing so results do not depend on query order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -32,10 +32,11 @@ from .geometry import CameraCalibration, project_many
 from .hand_fusion import FusedHand, HandInstance
 from .io import (
     RECORD_ERRORS,
-    _json_list,
-    _json_number,
-    _json_numbers,
-    _json_side,
+    json_array,
+    json_int,
+    json_list,
+    json_number,
+    json_side,
     write_calibration,
     write_detections,
     write_episodes,
@@ -45,7 +46,7 @@ from .io import (
     write_visibility,
 )
 from .primitives import Box, Capsules, Rect, Sphere, cast_rays
-from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema, json_int
+from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema
 
 OCCLUSION_MARGIN = 0.05  # m, occluder must be this much nearer than the joint
 PARTIAL_MARGIN = 0.02    # m, near-miss band that only degrades confidence
@@ -54,6 +55,10 @@ PARTIAL_PENALTY = 0.3
 TORSO_RADIUS = 0.14
 LIMB_RADIUS = 0.05
 MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
+# Largest scene hand_vertex_count: well above MANO's 778 (the default) and
+# denser hand meshes, it bounds the (count, 3) vertex and noise arrays
+# drawn per person, side, camera and frame.
+MAX_HAND_VERTICES = 10_000
 # Rays per depth-patch cast (8 patches at patch_w 5): bounds a cast's
 # (capsules, rays) cull arrays and its surviving pairs' rows.
 DEPTH_CHUNK_RAYS = 200
@@ -117,43 +122,17 @@ def look_at_extrinsics(position, target):
     return T
 
 
-# -- scene config fields ---------------------------------------------------
-# Scene files follow the rule of every other input file: integers are JSON
-# integers and numbers finite JSON numbers, else ValueError naming the key.
-
-def _number(rec, key, default=None):
-    """rec[key] as a finite float, or default if rec lacks key and a
-    default is given (rec.keys() also rejects a rec that is no object)."""
-    if default is not None and key not in rec.keys():
-        return float(default)
-    value = _json_number(rec, key)
-    if not np.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
-    return value
-
-
-def _integer(rec, key, default):
-    """rec[key], or default if rec lacks key, as a JSON integer."""
-    return json_int(rec.get(key, default), key)
-
-
-def _vector(rec, key, n):
-    """rec[key] as a float array of n finite JSON numbers."""
-    value = _json_numbers(rec, key)
-    if value.shape != (n,) or not np.isfinite(value).all():
-        raise ValueError(f"{key} must be {n} finite numbers")
-    return value
-
-
 def camera_from_config(rec):
-    width, height = _integer(rec, "width", 640), _integer(rec, "height", 480)
+    width = json_int(rec.get("width", 640), "width")
+    height = json_int(rec.get("height", 480), "height")
     return CameraCalibration(
         camera_id=rec["id"],
-        fx=_number(rec, "fx", 520.0),
-        fy=_number(rec, "fy", 520.0),
-        cx=_number(rec, "cx", width / 2.0),
-        cy=_number(rec, "cy", height / 2.0),
-        T_cw=look_at_extrinsics(_vector(rec, "position", 3), _vector(rec, "look_at", 3)),
+        fx=json_number(rec, "fx", 520.0),
+        fy=json_number(rec, "fy", 520.0),
+        cx=json_number(rec, "cx", width / 2.0),
+        cy=json_number(rec, "cy", height / 2.0),
+        T_cw=look_at_extrinsics(json_array(rec, "position", (3,)),
+                                json_array(rec, "look_at", (3,))),
         image_width=width,
         image_height=height,
     )
@@ -164,12 +143,12 @@ def surface_from_config(rec):
     kind = rec.get("type")
     label = json_int(rec["label"], "label")
     if kind == "box":
-        return Box(_vector(rec, "min", 3), _vector(rec, "max", 3), label=label)
+        return Box(json_array(rec, "min", (3,)), json_array(rec, "max", (3,)), label=label)
     if kind == "sphere":
-        return Sphere(_vector(rec, "center", 3), _number(rec, "radius"), label=label)
+        return Sphere(json_array(rec, "center", (3,)), json_number(rec, "radius"), label=label)
     if kind == "rect":
-        return Rect(_vector(rec, "center", 3), rec["axis"],
-                    tuple(_vector(rec, "half_sizes", 2)), label=label)
+        return Rect(json_array(rec, "center", (3,)), rec["axis"],
+                    tuple(json_array(rec, "half_sizes", (2,))), label=label)
     raise ValueError(f"unknown surface type {kind!r}")
 
 
@@ -345,60 +324,62 @@ def parse_scene(data):
     """Validate and normalize a scene config dict."""
     try:
         cams = [camera_from_config(c) for c in data["cameras"]]
-        surface_recs = _json_list(data, "surfaces")
+        surface_recs = json_list(data, "surfaces")
         surfaces = [surface_from_config(s) for s in surface_recs]
         label_table = {prim.label: s.get("name", f"surface_{prim.label}")
                        for prim, s in zip(surfaces, surface_recs)}
         persons = []
-        for p in _json_list(data, "persons"):
+        for p in json_list(data, "persons"):
             events = {}
-            for h in _json_list(p, "hands"):
-                side = _json_side(h, "hand side")
+            for h in json_list(p, "hands"):
+                side = json_side(h, "hand side")
                 events.setdefault(side, [])
-                for ev in _json_list(h, "events"):
+                for ev in json_list(h, "events"):
                     events[side].append(
                         HandEvent(
                             start=json_int(ev["frame"], "frame"),
-                            approach=_integer(ev, "approach", 20),
-                            dwell=_integer(ev, "dwell", 45),
-                            retract=_integer(ev, "retract", 20),
-                            target=_vector(ev, "target", 3),
+                            approach=json_int(ev.get("approach", 20), "approach"),
+                            dwell=json_int(ev.get("dwell", 45), "dwell"),
+                            retract=json_int(ev.get("retract", 20), "retract"),
+                            target=json_array(ev, "target", (3,)),
                             label=json_int(ev["label"], "label"),
                         )
                     )
                 events[side].sort(key=lambda e: e.start)
             waypoints = []
             for w in p["waypoints"]:
-                x, y = _vector(w, "position", 2)
+                x, y = json_array(w, "position", (2,))
                 waypoints.append((json_int(w["frame"], "frame"), float(x), float(y),
-                                  float(np.deg2rad(_number(w, "facing", 0.0)))))
-            absences = [tuple(json_int(v, "absent") for v in a) for a in _json_list(p, "absent")]
+                                  float(np.deg2rad(json_number(w, "facing", 0.0)))))
+            absences = [tuple(json_int(v, "absent") for v in a) for a in json_list(p, "absent")]
             if not waypoints or any(len(a) != 2 for a in absences):
                 raise ValueError("a person needs waypoints, and absent [start, stop] pairs")
             persons.append(PersonScript(id=json_int(p["id"], "id"), waypoints=waypoints,
                                         absences=absences, events=events))
         noise = data.get("noise", {})
+        hand_vertex_count = json_int(data.get("hand_vertex_count", 778), "hand_vertex_count")
+        if hand_vertex_count < MIN_HAND_VERTICES:
+            raise ValueError(f"hand_vertex_count {hand_vertex_count} is below {MIN_HAND_VERTICES}")
+        if hand_vertex_count > MAX_HAND_VERTICES:
+            raise ValueError(f"hand_vertex_count {hand_vertex_count} is above {MAX_HAND_VERTICES}")
         scene = {
             "cameras": {c.camera_id: c for c in cams},
             "surfaces": surfaces,
             "label_table": label_table,
             "persons": persons,
-            "fps": _number(data, "fps", 30.0),
-            "frame_count": _integer(data, "frame_count", 0),
-            "pixel_sigma": _number(noise, "pixel_sigma", 0.0),
-            "dropout": _number(noise, "dropout", 0.0),
-            "depth_sigma": _number(noise, "depth_sigma", 0.0),
-            "hand_jitter": _number(noise, "hand_jitter", 0.0),
-            "hand_vertex_count": _integer(data, "hand_vertex_count", 778),
+            "fps": json_number(data, "fps", 30.0),
+            "frame_count": json_int(data.get("frame_count", 0), "frame_count"),
+            "pixel_sigma": json_number(noise, "pixel_sigma", 0.0),
+            "dropout": json_number(noise, "dropout", 0.0),
+            "depth_sigma": json_number(noise, "depth_sigma", 0.0),
+            "hand_jitter": json_number(noise, "hand_jitter", 0.0),
+            "hand_vertex_count": hand_vertex_count,
             "raw": data,
         }
     except (*RECORD_ERRORS, AttributeError) as e:  # AttributeError: .get on a non-object
         raise InputFormatError(f"bad scene config: {e}")
     if not cams:
         raise InputFormatError("scene config lists no cameras")
-    if scene["hand_vertex_count"] < MIN_HAND_VERTICES:
-        raise InputFormatError(
-            f"hand_vertex_count {scene['hand_vertex_count']} is below {MIN_HAND_VERTICES}")
     return scene
 
 
@@ -703,7 +684,7 @@ def emit_dataset(scene_data, out_dir, seed=0):
     write_label_table(
         os.path.join(out_dir, "label_table.txt"), sim.scene["label_table"]
     )
-    write_json(os.path.join(out_dir, "hand_schema.json"), sim.hand_schema.to_json())
+    write_json(os.path.join(out_dir, "hand_schema.json"), asdict(sim.hand_schema))
     write_json(os.path.join(out_dir, "scene.json"), {"seed": seed, "scene": sim.scene["raw"]},
                sort_keys=True)
 

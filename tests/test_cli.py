@@ -127,8 +127,10 @@ class TestSimulate:
         (lambda scene: scene.__setitem__("frame_count", 1e400),
          "frame_count must be an integer, got Infinity"),
         (lambda scene: scene["persons"][0]["waypoints"][0].__setitem__("position", []),
-         "position must be 2 finite numbers"),
-    ], ids=["frame-count-overflow", "waypoint-position-empty"])
+         "position shape (0,), want (2,)"),
+        (lambda scene: scene.__setitem__("hand_vertex_count", 10**12),
+         "hand_vertex_count 1000000000000 is above 10000"),
+    ], ids=["frame-count-overflow", "waypoint-position-empty", "hand-vertex-count-above-cap"])
     def test_scene_value_out_of_range(self, tmp_path, capsys, edit, message):
         assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -298,18 +300,20 @@ class TestRun:
         calib_path.write_text(json.dumps(calib))
         return calib_path
 
-    @pytest.mark.parametrize("key, value", [
-        ("fx", float("inf")), ("fy", float("nan")), ("fx", 0.0), ("fy", -600.0),
-    ])
-    def test_bad_focal_length(self, tmp_path, mini_induction, capsys, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        ("fx", float("inf"), "fx must be finite, got inf"),
+        ("fy", float("nan"), "fy must be finite, got nan"),
+        ("fx", 0.0, "focal lengths must be finite and positive"),
+        ("fy", -600.0, "focal lengths must be finite and positive"),
+    ], ids=["fx-inf", "fy-nan", "fx-0.0", "fy--600.0"])
+    def test_bad_focal_length(self, tmp_path, mini_induction, capsys, key, value, message):
         ds = mini_induction["ds"]
         calib_path = self._edit_calibration(
             tmp_path, ds, lambda cams: cams[0].__setitem__(key, value))
         assert main(["run", "--calib", str(calib_path), "--in", ds,
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"input error: {calib_path}: bad camera record: " \
-               "focal lengths must be finite and positive" in err
+        assert f"input error: {calib_path}: bad camera record: {message}" in err
 
     def test_camera_id_not_a_string(self, tmp_path, mini_induction, capsys):
         ds = mini_induction["ds"]
@@ -591,8 +595,8 @@ class TestRunBadDetections:
 
     @pytest.mark.parametrize("corrupt, message", [
         (_camera_not_calibrated, "camera 'nope' is not in the calibration"),
-        (_joint_nan, "non-finite"),
-        (_joint_inf, "non-finite"),
+        (_joint_nan, "joints must be finite, got nan"),
+        (_joint_inf, "joints must be finite, got inf"),
         (_duplicate_frame_camera, "second record for frame 0"),
         (_frame_fraction, "frame must be an integer, got 0.5"),
         (_frame_string, 'frame must be an integer, got "0"'),
@@ -602,8 +606,8 @@ class TestRunBadDetections:
         (_hands_object, "hands must be an array, got {}"),
         (_hand_side, "hand side must be left or right"),
         (_hand_sigma_negative, "sigma_fit must be finite and >= 0"),
-        (_hand_vertices_not_n_by_3, "hand vertices shape"),
-        (_hand_vertices_not_finite, "non-finite"),
+        (_hand_vertices_not_n_by_3, "vertices shape (40, 2), want (N, 3)"),
+        (_hand_vertices_not_finite, "vertices must be finite, got nan"),
         (_joints_strings, "joints must be numbers in evenly nested arrays"),
         (_joints_bools, "joints must be numbers in evenly nested arrays"),
         (_joints_ragged, "joints must be numbers in evenly nested arrays"),
@@ -894,7 +898,7 @@ class TestScoringBadInput:
     @pytest.mark.parametrize("side, edit, message", [
         ("pred", lambda rec: rec.__setitem__("E", float("nan")), "E must be finite, got nan"),
         ("gt", lambda rec: rec["joints"][3].__setitem__(1, float("inf")),
-         "joints hold a non-finite value"),
+         "joints must be finite, got inf"),
     ], ids=["pred-E-nan", "gt-joint-inf"])
     def test_non_finite_track(self, tmp_path, mini_induction, capsys, side, edit, message):
         dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
@@ -920,11 +924,15 @@ class TestScoringBadInput:
 
 class TestSweep:
     # An infinite lo or hi never leaves the grid loop where it is not
-    # rejected; a NaN one gives an empty grid.
+    # rejected; a NaN one gives an empty grid. The last three hold more
+    # than MAX_GRID_POINTS: 10**12 and 10**20 points, and a step so far
+    # below 1e12's float spacing that tau never moves.
     @pytest.mark.parametrize("grid", [
         "0.4:0.1:0.1", "nan:0.1:0.01", "0:nan:0.01", "0:0.1:nan",
         "0:inf:0.01", "-inf:0.1:0.01", "0:0.1:inf",
-    ], ids=["hi-below-lo", "nan-lo", "nan-hi", "nan-step", "inf-hi", "minus-inf-lo", "inf-step"])
+        "0:1e12:1", "1:2:1e-20", "1e12:1e12:1e-5",
+    ], ids=["hi-below-lo", "nan-lo", "nan-hi", "nan-step", "inf-hi", "minus-inf-lo", "inf-step",
+            "too-many-points", "step-far-too-small", "step-below-resolution"])
     def test_bad_grid(self, tmp_path, mini_induction, grid):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--in", mini_induction["out"], "--gt", mini_induction["ds"],

@@ -1,4 +1,7 @@
+import json
+import math
 import os
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -16,6 +19,7 @@ from contacttrack.io import (
     read_depth_grid,
     read_detections,
     read_episodes,
+    read_hand_schema,
     read_tracks,
     read_traces,
     read_visibility,
@@ -61,6 +65,25 @@ class TestCalibration:
         path.write_text('{"gravity_axis": "+z", "cameras": []}')
         with pytest.raises(InputFormatError, match="no cameras"):
             read_calibration(path)
+
+
+class TestHandSchema:
+    def test_file_lists_used_as_given(self, tmp_path):
+        data = {"vertex_count": 40, "palm_indices": [3], "fingertip_indices": [0, 1, 2, 4, 5]}
+        path = tmp_path / "hand_schema.json"
+        path.write_text(json.dumps(data))
+        assert asdict(read_hand_schema(path)) == data
+
+    @pytest.mark.parametrize("palm, tips, message", [
+        ([], [35, 36, 37, 38, 39], "palm_indices must name at least one vertex"),
+        ([0, 1], [], "exactly five fingertip indices"),
+    ], ids=["empty-palm", "empty-fingertips"])
+    def test_empty_file_lists_rejected(self, tmp_path, palm, tips, message):
+        path = tmp_path / "hand_schema.json"
+        path.write_text(json.dumps({"vertex_count": 40, "palm_indices": palm,
+                                    "fingertip_indices": tips}))
+        with pytest.raises(InputFormatError, match=message):
+            read_hand_schema(path)
 
 
 class TestDetections:
@@ -184,10 +207,10 @@ class TestNumberFields:
         (read_tracks, TRACK, ("[[0.5, ", '[["1.0", '), "joints must be numbers"),
         (read_tracks, TRACK, (", 1]]", ", true]]"), "joints must be numbers"),
         (read_tracks, TRACK, ('"E":1.0', '"E":NaN'), "E must be finite, got nan"),
-        (read_tracks, TRACK, ("[[0.5, ", "[[Infinity, "), "joints hold a non-finite value"),
+        (read_tracks, TRACK, ("[[0.5, ", "[[Infinity, "), "joints must be finite, got inf"),
         (read_traces, TRACE, ('"d":0.05', '"d":"0.05"'), 'd must be a number, got "0.05"'),
         (read_traces, TRACE, ('"d":0.05', '"d":true'), "d must be a number, got true"),
-        (read_traces, TRACE, ('"d":0.05', '"d":NaN'), "d must be finite and >= 0, got nan"),
+        (read_traces, TRACE, ('"d":0.05', '"d":NaN'), "d must be finite, got nan"),
         (read_traces, TRACE, ('"d":0.05', '"d":-0.01'), "d must be finite and >= 0, got -0.01"),
         (read_traces, TRACE, ('"left"', '"sideways"'), 'side must be left or right, got "sideways"'),
         (partial(read_detections, cameras={"cam0"}, hand_vertex_count=778), DETECTION,
@@ -202,6 +225,64 @@ class TestNumberFields:
         with pytest.raises(InputFormatError, match=message) as exc:
             list(read(path))
         assert exc.value.line == 2
+
+
+# JSON scalars that are no number, and numbers that are not finite: the
+# floats json.loads reads for NaN, Infinity and 1e400, and an integer
+# beyond float range.
+NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3))
+NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+BAD_LEAVES = st.sampled_from([None, True, "0.5", math.nan, math.inf, -math.inf, 10**400])
+CONTAINERS = st.one_of(st.lists(st.integers(), max_size=3),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def bad_vertex_arrays(draw):
+    """An (N, 3) array of finite numbers, broken one way: a bad leaf, a
+    short or long row (ragged), one rank more or less, or a scalar."""
+    row = st.lists(st.floats(-9, 9), min_size=3, max_size=3)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    i = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["leaf", "short", "long", "rank-up", "rank-down", "scalar"]))
+    if how == "leaf":
+        rows[i][draw(st.integers(0, 2))] = draw(BAD_LEAVES)
+    elif how in ("short", "long"):
+        rows[i] = rows[i][:2] if how == "short" else rows[i] + [0.0]
+    elif how == "rank-up":
+        rows = [rows]
+    elif how == "rank-down":
+        rows = rows[i]
+    else:
+        rows = draw(st.floats(-9, 9))
+    return rows
+
+
+class TestFieldReaders:
+    """Each field reader rejects every value of the wrong kind with a
+    ValueError naming the field, never another exception, so every
+    malformed input exits 2 with a message."""
+
+    READERS = {
+        "int": (lambda v: io.json_int(v, "field"), st.one_of(NOT_NUMBERS, st.floats(), CONTAINERS)),
+        "number": (lambda v: io.json_number({"field": v}, "field"),
+                   st.one_of(NOT_NUMBERS, NOT_FINITE, CONTAINERS)),
+        "array": (lambda v: io.json_array({"field": v}, "field", (None, 3)), bad_vertex_arrays()),
+        "list": (lambda v: io.json_list({"field": v}, "field"),
+                 st.one_of(NOT_NUMBERS, st.integers(), st.floats(),
+                           st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))),
+        "side": (lambda v: io.json_side({"side": v}, "field"),
+                 st.one_of(NOT_NUMBERS.filter(lambda v: v not in ("left", "right")),
+                           st.floats(), CONTAINERS)),
+    }
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_wrong_kind_raises_value_error_naming_the_field(self, data):
+        for name, (read, values) in self.READERS.items():
+            value = data.draw(values, label=name)
+            with pytest.raises(ValueError, match="field"):
+                read(value)
 
 
 class TestEpisodes:

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from contacttrack.schema import (
     BONE_LENGTH,
@@ -49,16 +48,3 @@ class TestHandSchema:
         s = HandSchema(vertex_count=16)
         assert s.palm_indices == list(range(8))
         assert s.fingertip_indices == list(range(11, 16))
-
-    def test_file_lists_used_as_given(self):
-        data = {"vertex_count": 40, "palm_indices": [3], "fingertip_indices": [0, 1, 2, 4, 5]}
-        assert HandSchema.from_json(data).to_json() == data
-
-    @pytest.mark.parametrize("palm, tips, message", [
-        ([], [35, 36, 37, 38, 39], "palm_indices must name at least one vertex"),
-        ([0, 1], [], "exactly five fingertip indices"),
-    ])
-    def test_empty_file_lists_rejected(self, palm, tips, message):
-        with pytest.raises(ValueError, match=message):
-            HandSchema.from_json({"vertex_count": 40, "palm_indices": palm,
-                                  "fingertip_indices": tips})
