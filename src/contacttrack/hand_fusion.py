@@ -16,15 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FusionConfig
-from .errors import ContactTrackError
 from .schema import SIDE_JOINTS, HandSchema
 
 SIDES = ("left", "right")
 COEXIST_FRAMES = 3  # frames two person ids share before they may never merge
-
-
-class EmptyCluster(ContactTrackError):
-    pass
 
 
 @dataclass
@@ -35,13 +30,6 @@ class HandInstance:
     side: str
     vertices: np.ndarray  # (N, 3) meters, camera frame
     sigma_fit: float
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.side not in SIDES:
-            raise ValueError(f"side must be left or right, got {self.side!r}")
-        if self.sigma_fit < 0:
-            raise ValueError("sigma_fit must be non-negative")
 
 
 @dataclass
@@ -56,11 +44,6 @@ class FusedHand:
     @property
     def palm_center(self):
         return self.anchors[0]
-
-
-def to_world(hand: HandInstance, cal) -> np.ndarray:
-    """Vertices mapped from the camera frame into the world frame."""
-    return cal.camera_to_world(hand.vertices)
 
 
 def dbscan(points, eps, min_pts):
@@ -121,8 +104,6 @@ def cluster_hands(palm_centers, sides, eps, min_pts):
 def select_representative(cluster, sigma_fits, camera_ids):
     """Index of the cluster member with minimum sigma_fit, ties to the
     lexicographically lowest camera_id."""
-    if not cluster:
-        raise EmptyCluster("cannot pick a representative from an empty cluster")
     return min(cluster, key=lambda i: (sigma_fits[i], camera_ids[i]))
 
 
@@ -192,8 +173,8 @@ class HandFusion:
         """
         if not hands:
             return []
-        worlds = [to_world(h, cals[h.camera_id]) for h in hands]
-        anchors = [self.hand_schema.anchors(w) for w in worlds]
+        anchors = [self.hand_schema.anchors(cals[h.camera_id].camera_to_world(h.vertices))
+                   for h in hands]
         centers = np.array([a[0] for a in anchors])
         sides = [h.side for h in hands]
         sigma = [h.sigma_fit for h in hands]

@@ -32,7 +32,7 @@ import numpy as np
 from .contact import ContactEpisode
 from .errors import InputFormatError
 from .geometry import CameraCalibration
-from .hand_fusion import SIDES
+from .hand_fusion import SIDES, HandInstance
 from .schema import JOINT_COUNT, HandSchema
 
 GRAVITY_AXIS = "+z"
@@ -280,16 +280,16 @@ def write_detections(path, records):
 
 
 def read_detections(path, cameras, hand_vertex_count):
-    """Yield (frame, camera_id, persons, hands_raw) records in file order.
+    """Yield (frame, camera_id, persons, hands) records in file order.
 
     frame is a JSON integer (not a bool) no lower than the frame of the
     record before; persons, from a JSON array, are (26, 3) float arrays of
-    finite JSON numbers; hands_raw, from a JSON array, are dicts with side
-    ("left" or "right"), a finite non-negative JSON number sigma_fit and a
-    finite (N, 3) vertices array of JSON numbers. A record that repeats
-    the (frame, camera) of an earlier record of the same frame is
-    rejected, as are cameras outside `cameras` and hands whose vertex
-    count is not `hand_vertex_count`.
+    finite JSON numbers; hands, from a JSON array, are HandInstances of the
+    record's camera with side ("left" or "right"), a finite non-negative
+    JSON number sigma_fit and a finite (N, 3) vertices array of JSON
+    numbers. A record that repeats the (frame, camera) of an earlier
+    record of the same frame is rejected, as are cameras outside `cameras`
+    and hands whose vertex count is not `hand_vertex_count`.
     """
     current, frame_cams = None, set()
 
@@ -303,20 +303,20 @@ def read_detections(path, cameras, hand_vertex_count):
             raise ValueError(f"camera {camera_id!r} is not in the calibration")
         persons = [json_array(p, "joints", (JOINT_COUNT, 3)) for p in json_list(rec, "persons")]
         hands = [
-            {
-                "side": json_side(h, "hand side"),
-                "sigma_fit": json_number(h, "sigma_fit"),
-                "vertices": json_array(h, "vertices", (None, 3)),
-            }
+            HandInstance(
+                camera_id=camera_id,
+                side=json_side(h, "hand side"),
+                sigma_fit=json_number(h, "sigma_fit"),
+                vertices=json_array(h, "vertices", (None, 3)),
+            )
             for h in json_list(rec, "hands")
         ]
         for h in hands:
-            v = h["vertices"]
-            if h["sigma_fit"] < 0:
-                raise ValueError(f"hand sigma_fit must be finite and >= 0, got {h['sigma_fit']}")
-            if len(v) != hand_vertex_count:
+            if h.sigma_fit < 0:
+                raise ValueError(f"hand sigma_fit must be finite and >= 0, got {h.sigma_fit}")
+            if len(h.vertices) != hand_vertex_count:
                 raise ValueError(
-                    f"hand has {len(v)} vertices but the hand schema has "
+                    f"hand has {len(h.vertices)} vertices but the hand schema has "
                     f"{hand_vertex_count}; is the recording's hand_schema.json missing?"
                 )
         if current is not None and frame < current:

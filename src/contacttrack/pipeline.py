@@ -24,7 +24,7 @@ from .config import PipelineConfig
 from .contact import ContactTracker
 from .errors import InputFormatError
 from .evaluation import GroundTruth
-from .hand_fusion import HandFusion, HandInstance
+from .hand_fusion import HandFusion
 from .io import (
     HAND_TRACK_PERSON_KEY,
     RECORD_ERRORS,
@@ -91,20 +91,14 @@ def _group_frames(det_path, cals, hand_schema):
     dets = {}
     hands = []
     records = read_detections(det_path, cals, hand_schema.vertex_count)
-    for frame, cam_id, persons, hand_dicts in records:
+    for frame, cam_id, persons, cam_hands in records:
         if frame != current:
             if current is not None:
                 yield current, dets, hands
             current, dets, hands = frame, {}, []
         if persons:
             dets[cam_id] = persons
-        for h in hand_dicts:
-            hands.append(
-                HandInstance(
-                    camera_id=cam_id, side=h["side"],
-                    vertices=h["vertices"], sigma_fit=h["sigma_fit"],
-                )
-            )
+        hands.extend(cam_hands)
     if current is not None:
         yield current, dets, hands
 

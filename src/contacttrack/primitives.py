@@ -197,8 +197,6 @@ class Capsules:
         p0 = np.asarray(p0, dtype=float).reshape(-1, 3)
         axis = np.asarray(p1, dtype=float).reshape(-1, 3) - p0
         radius = np.broadcast_to(np.asarray(radius, dtype=float), (len(p0),))
-        if np.any(radius <= 0):
-            raise ValueError("capsule radius must be positive")
         return cls(p0, axis, radius)
 
     def __len__(self):

@@ -18,10 +18,6 @@ from .errors import ContactTrackError
 from .geometry import CameraCalibration, backproject_many
 
 
-class ResolutionMismatch(ContactTrackError):
-    pass
-
-
 class EmptyCloud(ContactTrackError):
     pass
 
@@ -169,17 +165,13 @@ class SemanticCloud:
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):
     """Back-project the labeled cells of a stride lattice to world points.
 
-    label_grid and depth_grid are the lattice a depth source returns:
-    cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in row-major
-    lattice order. Background (label 0) and invalid depth (<= 0) cells are
-    skipped.
+    label_grid and depth_grid are the equal-shape lattice a depth source
+    returns: cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in
+    row-major lattice order. Background (label 0) and invalid depth (<= 0)
+    cells are skipped.
     """
     lab = np.asarray(label_grid)
     dep = np.asarray(depth_grid)
-    if lab.shape != dep.shape:
-        raise ResolutionMismatch(f"label grid {lab.shape} vs depth grid {dep.shape}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     keep = (lab > 0) & (dep > 0)
     vs, us = np.nonzero(keep)
     uv = np.stack([us * stride, vs * stride], axis=1).astype(float)
@@ -202,8 +194,6 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     the pair counts and the voxel of every point. Raises VoxelGridTooLarge
     when the packed range would pass 2**62.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
     pos_list = [c.positions for c in clouds if len(c.positions)]
     lab_list = [c.labels for c in clouds if len(c.positions)]
     if not pos_list:

@@ -74,6 +74,12 @@ BODY_BONES = (
 
 # -- deterministic hashing -------------------------------------------------
 
+def _u64(n):
+    """Integer n modulo 2**64 as a uint64 hash input: any seed, person id
+    or frame hashes, and one in [0, 2**64) keeps its bits."""
+    return np.uint64(int(n) % (1 << 64))
+
+
 def _splitmix64(x):
     with np.errstate(over="ignore"):
         z = (np.uint64(x) + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -85,12 +91,12 @@ def _splitmix64(x):
 def _hash_normals(seed, frame, cam_index, pixel_ids):
     """Standard normals keyed by (seed, frame, camera, pixel), order-free."""
     pixel_ids = np.asarray(pixel_ids, dtype=np.uint64)
-    base = _splitmix64(
-        np.uint64(seed) * np.uint64(0x100000001B3)
-        ^ np.uint64(frame) * np.uint64(0x1000193)
-        ^ np.uint64(cam_index + 1)
-    )
     with np.errstate(over="ignore"):
+        base = _splitmix64(
+            _u64(seed) * np.uint64(0x100000001B3)
+            ^ _u64(frame) * np.uint64(0x1000193)
+            ^ np.uint64(cam_index + 1)
+        )
         h1 = _splitmix64(pixel_ids ^ base)
         h2 = _splitmix64(h1 ^ np.uint64(0xDEADBEEFCAFEF00D))
     u1 = (h1 >> np.uint64(11)).astype(float) / float(1 << 53)
@@ -205,10 +211,8 @@ def two_bone_reach(shoulder, wrist_target, l_upper, l_fore, bend_hint):
 def hand_blob(vertex_count, seed, person_id, side):
     """Local-frame hand vertex set: palm ring (centroid exactly at the
     origin), ellipsoid filler, five fingertip protrusions at the end."""
-    if vertex_count < MIN_HAND_VERTICES:
-        raise ValueError(f"hand blob needs at least {MIN_HAND_VERTICES} vertices")
     rng = np.random.default_rng(
-        np.uint64(_splitmix64(np.uint64(seed) ^ np.uint64(person_id * 2 + (side == "right"))))
+        np.uint64(_splitmix64(_u64(seed) ^ _u64(person_id * 2 + (side == "right"))))
     )
     n_palm = 8
     ang = np.linspace(0, 2 * np.pi, n_palm, endpoint=False)
@@ -357,6 +361,13 @@ def parse_scene(data):
             persons.append(PersonScript(id=json_int(p["id"], "id"), waypoints=waypoints,
                                         absences=absences, events=events))
         noise = data.get("noise", {})
+        noise = {key: json_number(noise, key, 0.0)
+                 for key in ("pixel_sigma", "dropout", "depth_sigma", "hand_jitter")}
+        for key, value in noise.items():
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
+        if noise["dropout"] > 1:
+            raise ValueError(f"dropout must be <= 1, got {noise['dropout']}")
         hand_vertex_count = json_int(data.get("hand_vertex_count", 778), "hand_vertex_count")
         if hand_vertex_count < MIN_HAND_VERTICES:
             raise ValueError(f"hand_vertex_count {hand_vertex_count} is below {MIN_HAND_VERTICES}")
@@ -369,10 +380,7 @@ def parse_scene(data):
             "persons": persons,
             "fps": json_number(data, "fps", 30.0),
             "frame_count": json_int(data.get("frame_count", 0), "frame_count"),
-            "pixel_sigma": json_number(noise, "pixel_sigma", 0.0),
-            "dropout": json_number(noise, "dropout", 0.0),
-            "depth_sigma": json_number(noise, "depth_sigma", 0.0),
-            "hand_jitter": json_number(noise, "hand_jitter", 0.0),
+            **noise,
             "hand_vertex_count": hand_vertex_count,
             "raw": data,
         }
@@ -504,7 +512,7 @@ class Simulator:
             cal = self.cals[cam_id]
             rng = np.random.default_rng(
                 np.uint64(_splitmix64(
-                    np.uint64(self.seed) ^ np.uint64(frame * 1024 + self.cam_index[cam_id])
+                    _u64(self.seed) ^ _u64(frame * 1024 + self.cam_index[cam_id])
                 ))
             )
             persons_out = []

@@ -12,7 +12,7 @@ import pytest
 from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, main
 from contacttrack.config import load_pipeline_config
 from contacttrack.io import read_calibration
-from contacttrack.scenes import crossing_clean
+from contacttrack.scenes import crossing_clean, induction_lite_noisy
 
 from helpers import write_depth_grid, write_label_grid
 
@@ -130,7 +130,17 @@ class TestSimulate:
          "position shape (0,), want (2,)"),
         (lambda scene: scene.__setitem__("hand_vertex_count", 10**12),
          "hand_vertex_count 1000000000000 is above 10000"),
-    ], ids=["frame-count-overflow", "waypoint-position-empty", "hand-vertex-count-above-cap"])
+        (lambda scene: scene["noise"].__setitem__("hand_jitter", -0.01),
+         "hand_jitter must be >= 0, got -0.01"),
+        (lambda scene: scene["noise"].__setitem__("pixel_sigma", -1),
+         "pixel_sigma must be >= 0, got -1.0"),
+        (lambda scene: scene["noise"].__setitem__("depth_sigma", -0.1),
+         "depth_sigma must be >= 0, got -0.1"),
+        (lambda scene: scene["noise"].__setitem__("dropout", 1.5),
+         "dropout must be <= 1, got 1.5"),
+    ], ids=["frame-count-overflow", "waypoint-position-empty", "hand-vertex-count-above-cap",
+            "hand-jitter-negative", "pixel-sigma-negative", "depth-sigma-negative",
+            "dropout-above-one"])
     def test_scene_value_out_of_range(self, tmp_path, capsys, edit, message):
         assert self._simulate_edited(tmp_path, edit) == EXIT_INPUT
         err = capsys.readouterr().err
@@ -170,13 +180,18 @@ class TestSimulate:
 
 
 class TestRun:
-    def test_bad_config_exit_code(self, tmp_path, mini_induction):
+    @pytest.mark.parametrize("config, message", [
+        ('{"voxel_size": -1}', "voxel_size must be positive"),
+        ('{"stride": 0}', "stride must be >= 1"),
+    ], ids=["voxel-size-negative", "stride-zero"])
+    def test_bad_config_exit_code(self, tmp_path, mini_induction, capsys, config, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"voxel_size": -1}')
+        cfg.write_text(config)
         ds = mini_induction["ds"]
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {message}\n" in capsys.readouterr().err
 
     def test_min_birth_joints_below_one_exit_code(self, tmp_path, mini_induction, capsys):
         # A track must always hold an available joint, and births are
@@ -963,6 +978,70 @@ class TestSweep:
         with open(out) as f:
             (row,) = list(csv.DictReader(f))
         assert abs(float(row["binary_f1"]) - report["binary_f1"]) < 1e-6
+
+
+def _tree_bytes(root):
+    """{relative path: bytes} of every file under the directory root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestHashInputsAnyInteger:
+    """Seeds, scene person ids and detection frames may be any JSON
+    integer: each is reduced modulo 2**64 where it enters a hash, so runs
+    exit 0 and repeat byte for byte."""
+
+    def _twice(self, tmp_path, args):
+        trees = []
+        for name in ("a", "b"):
+            assert main([*args, "--out", str(tmp_path / name)]) == EXIT_OK
+            trees.append(_tree_bytes(tmp_path / name))
+        assert trees[0] and trees[1] == trees[0]
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_simulate_seed(self, tmp_path, seed):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(induction_lite_noisy(frame_count=3)))
+        self._twice(tmp_path, ["simulate", "--scene", str(scene_path), "--seed", seed])
+
+    def test_scene_person_id_negative(self, tmp_path):
+        scene = induction_lite_noisy(frame_count=3)
+        scene["persons"][0]["id"] = -2
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        self._twice(tmp_path, ["simulate", "--scene", str(scene_path)])
+
+    def _run_noisy(self, tmp_path, edit_record=lambda rec: None, edit_scene=lambda data: None):
+        """Run twice over a short noisy recording, whose scene.json makes
+        every frame hash depth noise, with its records and scene edited."""
+        ds = tmp_path / "ds"
+        scene_path = tmp_path / "noisy.json"
+        scene_path.write_text(json.dumps(induction_lite_noisy(frame_count=4)))
+        assert main(["simulate", "--scene", str(scene_path), "--out", str(ds)]) == EXIT_OK
+        inp = tmp_path / "in"
+        inp.mkdir()
+        for name in ("hand_schema.json", "label_table.txt"):
+            shutil.copy(ds / name, inp / name)
+        with open(ds / "detections.jsonl") as f:
+            recs = [json.loads(line) for line in f]
+        for rec in recs:
+            edit_record(rec)
+        (inp / "detections.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+        data = json.loads((ds / "scene.json").read_text())
+        edit_scene(data)
+        (inp / "scene.json").write_text(json.dumps(data))
+        self._twice(tmp_path, ["run", "--calib", str(ds / "calibration.json"), "--in", str(inp)])
+
+    @pytest.mark.parametrize("frame, new_frame", [(0, -5), (3, 10**30)],
+                             ids=["first-frame-negative", "last-frame-above-2-64"])
+    def test_detection_frame(self, tmp_path, frame, new_frame):
+        def edit(rec):
+            if rec["frame"] == frame:
+                rec["frame"] = new_frame
+
+        self._run_noisy(tmp_path, edit_record=edit)
+
+    def test_scene_file_seed_negative(self, tmp_path):
+        self._run_noisy(tmp_path, edit_scene=lambda data: data.__setitem__("seed", -3))
 
 
 class TestWithoutScipy:

@@ -4,7 +4,6 @@ import pytest
 from contacttrack.config import FusionConfig
 from contacttrack.hand_fusion import (
     SIDES,
-    EmptyCluster,
     FusedHand,
     HandFusion,
     HandInstance,
@@ -12,7 +11,6 @@ from contacttrack.hand_fusion import (
     dbscan,
     select_representative,
     stitch_ids,
-    to_world,
 )
 from contacttrack.person_tracker import TrackSnapshot
 from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, HandSchema
@@ -76,14 +74,14 @@ class TestWorldTransform:
     def test_identity(self):
         h = HandInstance("cam0", "left", np.random.default_rng(0).normal(size=(16, 3)), 0.003)
         cal = identity_camera()
-        assert np.allclose(to_world(h, cal), h.vertices)
+        assert np.allclose(cal.camera_to_world(h.vertices), h.vertices)
 
     def test_translation_only(self):
         T = np.eye(4)
         T[:3, 3] = [1.0, -2.0, 0.5]
         cal = CameraCalibration("cam0", 600.0, 600.0, 320.0, 240.0, T, 640, 480)
         h = HandInstance("cam0", "left", np.zeros((16, 3)), 0.0)
-        assert np.allclose(to_world(h, cal), -T[:3, 3])
+        assert np.allclose(cal.camera_to_world(h.vertices), -T[:3, 3])
 
     def test_round_trip(self):
         R = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
@@ -95,7 +93,7 @@ class TestWorldTransform:
         cal = CameraCalibration("cam0", 600.0, 600.0, 320.0, 240.0, T, 640, 480)
         pts = np.random.default_rng(4).normal(size=(16, 3))
         h = HandInstance("cam0", "right", cal.world_to_camera(pts), 0.001)
-        assert np.allclose(to_world(h, cal), pts, atol=1e-12)
+        assert np.allclose(cal.camera_to_world(h.vertices), pts, atol=1e-12)
 
 
 class TestClustering:
@@ -134,10 +132,6 @@ class TestRepresentative:
 
     def test_tie_breaks_on_camera(self):
         assert select_representative([0, 1], [0.003, 0.003], ["cam1", "cam0"]) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyCluster):
-            select_representative([], [], [])
 
 
 class TestStitch:
@@ -179,8 +173,8 @@ class TestFusionAndAssociation:
         fused = self.hf.fuse(hands, self.cals)
         assert len(fused) == 1
         # The representative is cam1's hand, the one with the lower sigma_fit.
-        assert np.array_equal(fused[0].anchors,
-                              HAND_SCHEMA.anchors(to_world(hands[1], self.cals["cam1"])))
+        want = HAND_SCHEMA.anchors(self.cals["cam1"].camera_to_world(hands[1].vertices))
+        assert np.array_equal(fused[0].anchors, want)
         assert np.array_equal(fused[0].palm_center, fused[0].anchors[0])
 
     def test_hand_near_wrist_assigned(self):

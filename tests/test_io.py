@@ -103,8 +103,9 @@ class TestDetections:
         frame, cam, ps, hs = recs[0]
         assert (frame, cam) == (0, "a")
         assert np.allclose(ps[0], persons[0], atol=1e-6)
-        assert hs[0]["side"] == "left"
-        assert np.allclose(hs[0]["vertices"], hands[0].vertices, atol=1e-6)
+        assert isinstance(hs[0], HandInstance)
+        assert (hs[0].side, hs[0].camera_id, hs[0].sigma_fit) == ("left", "a", 0.01)
+        assert np.allclose(hs[0].vertices, hands[0].vertices, atol=1e-6)
         assert recs[1][2] == [] and recs[1][3] == []
 
     def test_bad_json_reports_line(self, tmp_path):

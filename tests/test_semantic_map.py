@@ -9,7 +9,6 @@ from contacttrack.io import read_label_grid, read_label_table, write_label_table
 from contacttrack.semantic_map import (
     EmptyCloud,
     LabeledPointCloud,
-    ResolutionMismatch,
     SemanticCloud,
     VoxelGridTooLarge,
     backproject_labeled,
@@ -71,11 +70,6 @@ class TestBackprojectLabeled:
         out = backproject_labeled(lab[::stride, ::stride], dep[::stride, ::stride], cal, stride=stride)
         assert np.array_equal(out.positions, backproject_many(uv, dep[vs, us][keep], cal))
         assert np.array_equal(out.labels, lab[vs, us][keep].astype(int))
-
-    def test_resolution_mismatch(self):
-        cal = identity_camera()
-        with pytest.raises(ResolutionMismatch):
-            backproject_labeled(np.zeros((10, 10)), np.zeros((9, 10)), cal)
 
 
 class TestFuseClouds:
