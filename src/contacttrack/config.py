@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -107,10 +107,9 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-def _object(data, path, what):
+def _object(data, what):
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path}: {what} must hold a JSON object, "
-                          f"got {type(data).__name__}")
+        raise ConfigError(f"{what} must hold a JSON object, got {type(data).__name__}")
     return data
 
 
@@ -120,25 +119,28 @@ _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a finite number")}
 
 
-def _fill(cls, data, path, section=""):
+def _fill(cls, data, section=""):
     """cls built from a JSON object whose values match the field defaults'
-    types; values are not coerced, so run_meta.json echoes them as given."""
+    types; values are not coerced, so run_meta.json echoes them as given.
+    Numbers must fit the float64 and int64 that numpy takes them as."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(data) - set(defaults)
     if unknown:
-        raise ConfigError(f"{path}: unknown parameter(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown parameter(s) {sorted(unknown)}")
     for key, value in data.items():
         want = type(defaults[key])
         types, what = _JSON_TYPES[want]
         if (isinstance(value, bool) != (want is bool) or not isinstance(value, types)
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigError(f"config {path}: {section}{key} must be {what}, "
-                              f"got {json.dumps(value)}")
+                or want is float and not abs(value) <= sys.float_info.max):  # NaN fails too
+            raise ConfigError(f"{section}{key} must be {what}, got {json.dumps(value)}")
+        if want is int and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{section}{key} must be an int64 integer, got {value}")
     return cls(**data)
 
 
 def load_pipeline_config(path=None):
-    """Load a PipelineConfig from a JSON file; missing fields take defaults."""
+    """Load a PipelineConfig from a JSON file; missing fields take defaults.
+    Every error names the file."""
     data = {}
     if path is not None:
         try:
@@ -148,12 +150,15 @@ def load_pipeline_config(path=None):
             raise ConfigError(f"cannot read config {path}: {e}")
         except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or nested too deep
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}")
-    _object(data, path, "the file")
-    tracker, fusion, contact = (
-        _fill(cls, _object(data.pop(key, {}), path, f"{key!r}"), path, f"{key}.")
-        for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
-                         (ContactConfig, "contact"))
-    )
-    cfg = _fill(PipelineConfig, data, path)
-    cfg.tracker, cfg.fusion, cfg.contact = tracker, fusion, contact
-    return cfg.validate()
+    try:
+        _object(data, "the file")
+        tracker, fusion, contact = (
+            _fill(cls, _object(data.pop(key, {}), f"{key!r}"), f"{key}.")
+            for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
+                             (ContactConfig, "contact"))
+        )
+        cfg = _fill(PipelineConfig, data)
+        cfg.tracker, cfg.fusion, cfg.contact = tracker, fusion, contact
+        return cfg.validate()
+    except ConfigError as e:
+        raise ConfigError(f"config {path}: {e}") from None

@@ -4,9 +4,11 @@ JSON files (calibration.json, scene.json or a --scene file,
 hand_schema.json, run_meta.json, gt/meta.json, report.json) are read by
 read_json and written, indented, by write_json. JSON-lines streams
 (detections, tracks, hand tracks, ground-truth visibility, distance
-traces) are written one compact record per line by _line; all but hand
-tracks are read by _records, which hands each record to the stream's
-parse function. Five field readers hold the rule for the typed fields
+traces) are written one compact record per line by _line, into a file
+the caller holds open: a line writer per stream writes one record, and
+write_traces, the one rows writer, the distance rows of one contact
+update. All but hand tracks are read by _records, which hands each
+record to the stream's parse function. Five field readers hold the rule for the typed fields
 of every JSON input, the scene and the hand schema included: json_int
 (a JSON integer), json_number (a finite JSON number), json_array
 (finite JSON numbers of a given shape), json_list (a JSON array) and
@@ -257,26 +259,21 @@ def read_hand_schema(path):
 
 # -- detection stream ------------------------------------------------------
 
-def write_detections(path, records):
-    """records: iterable of (frame, camera_id, persons, hands).
-
-    persons: list of (26, 3) arrays; hands: list of HandInstance.
-    """
-    with open(path, "w") as f:
-        for frame, camera_id, persons, hands in records:
-            f.write(_line({
-                "frame": int(frame),
-                "camera_id": camera_id,
-                "persons": [{"joints": _rounded(p)} for p in persons],
-                "hands": [
-                    {
-                        "side": h.side,
-                        "sigma_fit": _round(h.sigma_fit),
-                        "vertices": _rounded(h.vertices),
-                    }
-                    for h in hands
-                ],
-            }))
+def write_detection_line(f, frame, camera_id, persons, hands):
+    """persons: list of (26, 3) arrays; hands: list of HandInstance."""
+    f.write(_line({
+        "frame": int(frame),
+        "camera_id": camera_id,
+        "persons": [{"joints": _rounded(p)} for p in persons],
+        "hands": [
+            {
+                "side": h.side,
+                "sigma_fit": _round(h.sigma_fit),
+                "vertices": _rounded(h.vertices),
+            }
+            for h in hands
+        ],
+    }))
 
 
 def read_detections(path, cameras, hand_vertex_count):
@@ -441,14 +438,11 @@ def read_episodes(path):
 
 # -- visibility stream -----------------------------------------------------
 
-def write_visibility(path, records):
-    """records: iterable of (frame, person_id, side, visible)."""
-    with open(path, "w") as f:
-        for frame, person_id, side, visible in records:
-            f.write(_line({
-                "frame": int(frame), "person_id": int(person_id),
-                "side": side, "visible": bool(visible),
-            }))
+def write_visibility_line(f, frame, person_id, side, visible):
+    f.write(_line({
+        "frame": int(frame), "person_id": int(person_id),
+        "side": side, "visible": bool(visible),
+    }))
 
 
 def _visibility(rec):

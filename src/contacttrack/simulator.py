@@ -2,26 +2,28 @@
 
 Scripted persons (rigid 26-joint template plus two-bone arm reaches),
 labeled surface primitives, parametric hand blobs, and per-camera
-projection with analytic occlusion. Emits the exact pipeline input
-formats plus a ground-truth bundle. One sighting pass per frame feeds
-both the detections and the visibility ground truth; it casts one ray
-bundle per camera, holding every present person's joints, against the
-surfaces and the frame's body capsules, each ray skipping its own body.
-Ground-truth episodes come from the pipeline's ContactTracker on
-noise-free anchors, measured against the analytic surfaces in array
-passes. Each frame's body capsules are stacked once and shared by the
-sighting pass and every depth patch of the frame. SceneDepthProvider
+projection with analytic occlusion. emit_dataset writes the exact
+pipeline inputs and a ground-truth bundle in one frame loop (each
+frame's detections, visibility rows and track lines), then the
+ground-truth episodes: the pipeline's ContactTracker on noise-free
+anchors, measured against the analytic surfaces in array passes. A
+frame's person state, body capsules and sightings live in one record of
+the last frame. The sighting pass feeds the detections and the
+visibility ground truth; it casts one ray bundle per camera, holding
+every present person's joints, against the surfaces and the frame's
+body capsules, each ray skipping its own body. SceneDepthProvider
 answers a batch of patch centres per call, cast in chunks of at most
-DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only.
-All randomness is derived from the scene seed; depth queries use
-stateless per-pixel hashing so results do not depend on query order.
+DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only, both
+under one measurement rule. All randomness is derived from the scene
+seed; depth queries use stateless per-pixel hashing so results do not
+depend on query order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -38,12 +40,12 @@ from .io import (
     json_number,
     json_side,
     write_calibration,
-    write_detections,
+    write_detection_line,
     write_episodes,
     write_json,
     write_label_table,
     write_track_line,
-    write_visibility,
+    write_visibility_line,
 )
 from .primitives import Box, Capsules, Rect, Sphere, cast_rays
 from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema
@@ -391,6 +393,20 @@ def parse_scene(data):
     return scene
 
 
+def _per_frame(method):
+    """method(self, frame), built once per frame into the one record the
+    per-frame methods share; a new frame drops the whole record."""
+    @wraps(method)
+    def cached(self, frame):
+        if self._frame_record[0] != frame:
+            self._frame_record = (frame, {})
+        record = self._frame_record[1]
+        if method not in record:
+            record[method] = method(self, frame)
+        return record[method]
+    return cached
+
+
 class Simulator:
     """Deterministic scene state and per-frame rendering."""
 
@@ -401,9 +417,7 @@ class Simulator:
         self.cals = self.scene["cameras"]
         self.cam_index = {c: i for i, c in enumerate(sorted(self.cals))}
         self._blobs = {}
-        self._frame_cache = (None, None)
-        self._capsule_cache = (None, None)
-        self._sighting_cache = (None, None)
+        self._frame_record = (None, {})
         for p in self.scene["persons"]:
             for side in ("left", "right"):
                 self._blobs[(p.id, side)] = hand_blob(
@@ -433,27 +447,19 @@ class Simulator:
             joints[sj["wrist"]] = wrist
         return joints
 
+    @_per_frame
     def frame_state(self, frame):
         """{person_id: (26, 3) joints} for persons present at the frame."""
-        if self._frame_cache[0] == frame:
-            return self._frame_cache[1]
-        state = {p.id: self.skeleton(p, frame)
-                 for p in self.scene["persons"] if p.present(frame)}
-        self._frame_cache = (frame, state)
-        return state
+        return {p.id: self.skeleton(p, frame)
+                for p in self.scene["persons"] if p.present(frame)}
 
+    @_per_frame
     def frame_capsules(self, frame):
         """(capsules, owner): the body capsules of the persons present at the
-        frame, stacked in frame_state order, and each row's person id.
-        Built once per frame (the last frame is cached like frame_state)
-        for the sighting pass and every depth patch of the frame."""
-        if self._capsule_cache[0] == frame:
-            return self._capsule_cache[1]
+        frame, stacked in frame_state order, and each row's person id, for
+        the sighting pass and every depth patch of the frame."""
         state = self.frame_state(frame)
-        caps = body_capsules(list(state.values()))
-        owner = np.repeat(list(state), len(BODY_BONES))
-        self._capsule_cache = (frame, (caps, owner))
-        return caps, owner
+        return body_capsules(list(state.values())), np.repeat(list(state), len(BODY_BONES))
 
     def hand_vertices(self, person_id, side, joints):
         """World hand vertex set: the local blob carried by the wrist so
@@ -463,16 +469,14 @@ class Simulator:
 
     # -- rendering ---------------------------------------------------------
 
+    @_per_frame
     def sightings(self, frame):
         """{(camera_id, person_id): (uv, occ, seen)} per present person: the
         joints' pixels, occlusion classes (0 visible, 1 partial, 2 hidden)
-        and seen mask (in front, not hidden, in bounds). One ray bundle per
-        camera holds every present person's joints and is cast against the
-        surfaces and the frame's capsule stack, each ray skipping its own
-        person's capsules; the last frame is cached for render_frame and
-        gt_visibility."""
-        if self._sighting_cache[0] == frame:
-            return self._sighting_cache[1]
+        and seen mask (in front, not hidden, in bounds), for render_frame
+        and gt_visibility. One ray bundle per camera holds every present
+        person's joints and is cast against the surfaces and the frame's
+        capsule stack, each ray skipping its own person's capsules."""
         state = self.frame_state(frame)
         caps, owner = self.frame_capsules(frame)
         joints = np.array(list(state.values())).reshape(-1, 3)
@@ -487,13 +491,11 @@ class Simulator:
             occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
             uv, in_front = project_many(joints, cal)
             per_camera[cam_id] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
-        out = {
+        return {
             (cam_id, pid): tuple(a[i * JOINT_COUNT:(i + 1) * JOINT_COUNT] for a in arrays)
             for i, pid in enumerate(state)
             for cam_id, arrays in per_camera.items()
         }
-        self._sighting_cache = (frame, out)
-        return out
 
     def render_frame(self, frame):
         """Per-camera detection records for one frame.
@@ -549,12 +551,6 @@ class Simulator:
 
     # -- ground truth ------------------------------------------------------
 
-    def gt_tracks(self):
-        for frame in range(self.scene["frame_count"]):
-            state = self.frame_state(frame)
-            for pid in sorted(state):
-                yield frame, pid, state[pid]
-
     def gt_visibility(self, frame):
         """(frame, person, side, False) records of one frame for the wrists
         seen by fewer than two cameras (hand not reconstructible), read
@@ -609,7 +605,15 @@ class SceneDepthProvider:
         )
         return sigma * _hash_normals(self.sim.seed, frame, self.sim.cam_index[cam_id], pixel_ids)
 
-    def _cast(self, frame, cam_id, us, vs, include_bodies=True):
+    def _measured(self, frame, cam_id, us, vs, depth):
+        """The depth a sensor reports at pixels (us, vs): hashed noise added
+        where depth > 0, then rounded to the millimetres of a DEP1 cell."""
+        noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
+        return np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+
+    def _cast(self, cam_id, us, vs, prims):
+        """(depth, label) of pixels (us, vs) cast against prims, surfaces
+        first: depth 0 on a miss, label 0 on a miss or a body."""
         cal = self.sim.cals[cam_id]
         us = np.asarray(us, dtype=float).ravel()
         vs = np.asarray(vs, dtype=float).ravel()
@@ -617,14 +621,12 @@ class SceneDepthProvider:
         y = (vs - cal.cy) / cal.fy
         dirs_cam = np.stack([x, y, np.ones_like(x)], axis=1)
         dirs_world = dirs_cam @ cal.R  # R^T applied row-wise
-        surfaces = self.sim.scene["surfaces"]
-        prims = surfaces + [self.sim.frame_capsules(frame)[0]] if include_bodies else surfaces
         t, idx = cast_rays(prims, cal.center, dirs_world)
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
         depth = np.where(np.isfinite(t), t, 0.0)
-        # Label 0 for bodies (idx past the surfaces) and misses (idx -1,
-        # which reads the table's last entry).
+        # A miss (idx -1) reads the table's last entry, 0.
+        surfaces = self.sim.scene["surfaces"]
         table = np.array([s.label for s in surfaces] + [0], dtype=int)
         return depth, table[np.minimum(idx, len(surfaces))]
 
@@ -643,13 +645,13 @@ class SceneDepthProvider:
         us, vs = np.broadcast_arrays(us, vs)
         ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
         us, vs = us[ok], vs[ok]
+        prims = self.sim.scene["surfaces"] + [self.sim.frame_capsules(frame)[0]]
         d = np.zeros(len(us))
         for lo in range(0, len(us), DEPTH_CHUNK_RAYS):
             hi = lo + DEPTH_CHUNK_RAYS
-            d[lo:hi], _ = self._cast(frame, cam_id, us[lo:hi], vs[lo:hi], include_bodies=True)
-        d = d + np.where(d > 0, self._noise(frame, cam_id, us, vs), 0.0)
+            d[lo:hi], _ = self._cast(cam_id, us[lo:hi], vs[lo:hi], prims)
         depth = np.zeros(ok.shape)
-        depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
+        depth[ok] = self._measured(frame, cam_id, us, vs, d)
         return depth
 
     def grids(self, frame, cam_id, stride=4):
@@ -666,18 +668,16 @@ class SceneDepthProvider:
                 np.arange(0, cal.image_width, stride),
                 indexing="ij",
             )
-            depth, labels = self._cast(frame, cam_id, us, vs, include_bodies=False)
+            depth, labels = self._cast(cam_id, us, vs, self.sim.scene["surfaces"])
             hit = (labels > 0).reshape(us.shape)
             self._surface_cache[key] = (
                 hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
             )
         hit, us, vs, depth, labels = self._surface_cache[key]
-        noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
-        noisy = np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
         label_grid = np.zeros(hit.shape, dtype=np.uint8)
         depth_grid = np.zeros(hit.shape)
         label_grid[hit] = labels
-        depth_grid[hit] = noisy
+        depth_grid[hit] = self._measured(frame, cam_id, us, vs, depth)
         return label_grid, depth_grid
 
 
@@ -696,19 +696,18 @@ def emit_dataset(scene_data, out_dir, seed=0):
     write_json(os.path.join(out_dir, "scene.json"), {"seed": seed, "scene": sim.scene["raw"]},
                sort_keys=True)
 
-    visibility = []  # filled from the same per-frame sightings as the detections
-
-    def detections():
+    available = np.ones(JOINT_COUNT, dtype=bool)
+    with (open(os.path.join(out_dir, "detections.jsonl"), "w") as detections,
+          open(os.path.join(gt_dir, "visibility.jsonl"), "w") as visibility,
+          open(os.path.join(gt_dir, "tracks.jsonl"), "w") as tracks):
         for frame in range(sim.scene["frame_count"]):
-            yield from sim.render_frame(frame)
-            visibility.extend(sim.gt_visibility(frame))
-
-    write_detections(os.path.join(out_dir, "detections.jsonl"), detections())
-    write_visibility(os.path.join(gt_dir, "visibility.jsonl"), visibility)
-
-    with open(os.path.join(gt_dir, "tracks.jsonl"), "w") as f:
-        for frame, pid, joints in sim.gt_tracks():
-            write_track_line(f, frame, pid, 1.0, joints, np.ones(JOINT_COUNT, dtype=bool))
+            for record in sim.render_frame(frame):
+                write_detection_line(detections, *record)
+            for row in sim.gt_visibility(frame):
+                write_visibility_line(visibility, *row)
+            state = sim.frame_state(frame)
+            for pid in sorted(state):
+                write_track_line(tracks, frame, pid, 1.0, state[pid], available)
     episodes = sim.gt_episodes()
     write_episodes(os.path.join(gt_dir, "episodes.csv"), episodes)
     write_json(os.path.join(gt_dir, "meta.json"), {

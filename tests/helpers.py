@@ -117,7 +117,8 @@ def write_label_grid(path, grid):
 
 # The depth sources' single-centre patches and full-resolution grids as
 # they were before patches came in batches and grids as the stride
-# lattice, verbatim; `self` is a SceneDepthProvider or GridDepthProvider.
+# lattice, verbatim but for the primitive list the ray cast now takes;
+# `self` is a SceneDepthProvider or GridDepthProvider.
 
 def scene_patch(self, frame, cam_id, u, v, size):
     cal = self.sim.cals[cam_id]
@@ -131,7 +132,8 @@ def scene_patch(self, frame, cam_id, u, v, size):
     ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
     depth = np.zeros(len(us))
     if ok.any():
-        d, _ = self._cast(frame, cam_id, us[ok], vs[ok], include_bodies=True)
+        d, _ = self._cast(cam_id, us[ok], vs[ok],
+                          self.sim.scene["surfaces"] + [self.sim.frame_capsules(frame)[0]])
         d = d + np.where(d > 0, self._noise(frame, cam_id, us[ok], vs[ok]), 0.0)
         depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
     return depth.reshape(shape)
@@ -151,7 +153,7 @@ def scene_grids(self, frame, cam_id, stride=4):
             np.arange(0, cal.image_width, stride),
             indexing="ij",
         )
-        depth, labels = self._cast(frame, cam_id, us, vs, include_bodies=False)
+        depth, labels = self._cast(cam_id, us, vs, self.sim.scene["surfaces"])
         hit = (labels > 0).reshape(us.shape)
         self._surface_cache[key] = (
             hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]

@@ -183,7 +183,16 @@ class TestRun:
     @pytest.mark.parametrize("config, message", [
         ('{"voxel_size": -1}', "voxel_size must be positive"),
         ('{"stride": 0}', "stride must be >= 1"),
-    ], ids=["voxel-size-negative", "stride-zero"])
+        # Integers that float64 or int64 cannot hold.
+        (f'{{"voxel_size": {10**400}}}', f"voxel_size must be a finite number, got {10**400}"),
+        (f'{{"fusion": {{"fps": {10**400}}}}}', f"fusion.fps must be a finite number, got {10**400}"),
+        (f'{{"tracker": {{"eps_tri": {-10**400}}}}}',
+         f"tracker.eps_tri must be a finite number, got {-10**400}"),
+        (f'{{"stride": {10**400}}}', f"stride must be an int64 integer, got {10**400}"),
+        (f'{{"stride": {2**63}}}', f"stride must be an int64 integer, got {2**63}"),
+    ], ids=["voxel-size-negative", "stride-zero", "voxel-size-beyond-float",
+            "fusion-fps-beyond-float", "eps-tri-beyond-float", "stride-beyond-int64",
+            "stride-just-beyond-int64"])
     def test_bad_config_exit_code(self, tmp_path, mini_induction, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -191,7 +200,7 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert f"config error: config {cfg}: {message}\n" in capsys.readouterr().err
 
     def test_min_birth_joints_below_one_exit_code(self, tmp_path, mini_induction, capsys):
         # A track must always hold an available joint, and births are
@@ -204,13 +213,15 @@ class TestRun:
                      "--config", str(cfg)]) == EXIT_CONFIG
         assert "min_birth_joints must be >= 1" in capsys.readouterr().err
 
-    def test_unknown_config_key_exit_code(self, tmp_path, mini_induction):
+    def test_unknown_config_key_exit_code(self, tmp_path, mini_induction, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"no_such_parameter": 1}')
         ds = mini_induction["ds"]
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
+        assert (f"config error: config {cfg}: unknown parameter(s) ['no_such_parameter']\n"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("config, message", [
         ('{"voxel_size": "a"}', 'voxel_size must be a finite number, got "a"'),

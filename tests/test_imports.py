@@ -1,21 +1,41 @@
 """Module boundaries of the package, checked on its source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "contacttrack"
 
 
+def imports(src):
+    """(file name, node) for each import statement of a module under src."""
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, node
+
+
 def private_imports(src):
     """'<file>:<line> <name>' for each leading-underscore name that a
     module under src imports from a module of the package."""
+    return [f"{name}:{node.lineno} {a.name}"
+            for name, node in imports(src)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "contacttrack")
+            for a in node.names if a.name.startswith("_")]
+
+
+def foreign_imports(src):
+    """'<file>:<line> <module>' for each module that a module under src
+    imports from outside the standard library, numpy and the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "contacttrack"}
     found = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "contacttrack"):
-                found += [f"{path.name}:{node.lineno} {a.name}"
-                          for a in node.names if a.name.startswith("_")]
+    for name, node in imports(src):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            modules = [] if node.level else [node.module]
+        found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     return found
 
 
@@ -23,3 +43,9 @@ def test_no_module_imports_a_private_name_of_another():
     # A leading underscore marks a name its module may change freely; a
     # sibling that imports one couples itself to that module's insides.
     assert private_imports(SRC) == []
+
+
+def test_package_needs_numpy_only():
+    # numpy is the one dependency pyproject.toml declares; scipy,
+    # hypothesis and pytest serve the tests alone.
+    assert foreign_imports(SRC) == []

@@ -24,11 +24,11 @@ from contacttrack.io import (
     read_traces,
     read_visibility,
     write_calibration,
-    write_detections,
+    write_detection_line,
     write_episodes,
     write_track_line,
     write_traces,
-    write_visibility,
+    write_visibility_line,
 )
 from contacttrack.schema import JOINT_COUNT
 
@@ -97,7 +97,9 @@ class TestDetections:
             )
         ]
         path = tmp_path / "det.jsonl"
-        write_detections(path, [(0, "a", persons, hands), (1, "a", [], [])])
+        with open(path, "w") as f:
+            write_detection_line(f, 0, "a", persons, hands)
+            write_detection_line(f, 1, "a", [], [])
         recs = list(read_detections(path, {"a"}, 13))
         assert len(recs) == 2
         frame, cam, ps, hs = recs[0]
@@ -334,7 +336,9 @@ class TestEpisodes:
 class TestVisibility:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "vis.jsonl"
-        write_visibility(path, [(0, 1, "left", False), (2, 1, "right", True)])
+        with open(path, "w") as f:
+            write_visibility_line(f, 0, 1, "left", False)
+            write_visibility_line(f, 2, 1, "right", True)
         recs = list(read_visibility(path))
         assert recs == [(0, 1, "left", False), (2, 1, "right", True)]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from contacttrack.config import ContactConfig
 from contacttrack.contact import ContactTracker, run_hysteresis
-from contacttrack.io import read_visibility
+from contacttrack.io import read_tracks, read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 from contacttrack import simulator
@@ -370,11 +370,11 @@ class TestGroundTruth:
         assert calls["closest_point"] == kept > 0
         assert 20 * kept < len(steps)
 
-    def test_absent_person_missing_from_tracks(self):
+    def test_absent_person_missing_from_tracks(self, tmp_path):
         scene = tiny_scene(frame_count=10)
         scene["persons"][0]["absent"] = [[3, 6]]
-        sim = Simulator(scene, seed=0)
-        frames = {f for f, pid, _ in sim.gt_tracks()}
+        emit_dataset(scene, str(tmp_path), seed=0)
+        frames = {f for f, *_ in read_tracks(tmp_path / "gt" / "tracks.jsonl")}
         assert frames == {0, 1, 2, 7, 8, 9}
 
 
