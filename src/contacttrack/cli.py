@@ -68,6 +68,9 @@ def _parse_grid(spec):
         raise InputFormatError(f"grid must be lo:hi:step, got {spec!r}")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise InputFormatError(f"bad grid range {spec!r}: want finite lo <= hi and step > 0")
+    if lo <= 0:
+        raise InputFormatError(
+            f"bad grid range {spec!r}: want lo > 0, as no contact starts at tau_on <= 0")
     grid = []
     tau = lo
     while tau <= hi + 1e-9:

@@ -11,6 +11,7 @@ grows with the keys and the finished episodes, not with in-contact frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,15 +81,18 @@ class _OpenEpisode:
 class ContactTracker:
     """Stateful per-sequence contact detector.
 
-    Call update() once per frame per fused hand with the frame's semantic
-    cloud, then finalize() for the episode list. update() returns the
-    hand's per-label distance trace rows for the caller to write out;
-    replaying such rows through observe() yields the same episodes.
+    Call update() once per frame with that frame's fused hands and
+    semantic cloud, then finalize() for the episode list. update()
+    returns the frame's per-(hand, label) distance trace rows for the
+    caller to write out; replaying such rows through observe() yields the
+    same episodes.
 
-    A cloud is anything with len() and nearest_per_label(queries), which
-    returns {label: (distance, closest)} for the (6, 3) smoothed anchors:
-    closest() gives the surface point at that distance. Episodes keep
-    few points, so observe() calls closest() only for a point it keeps.
+    A cloud is anything with len() and nearest_per_label(anchors), which
+    takes the (H, 6, 3) smoothed anchors of H hands and returns (labels,
+    distances, closest): the label ids in order, the (H, labels) table of
+    least distances, and closest(h, k), which gives the surface point at
+    distances[h, k]. Episodes keep few points, so observe() calls
+    closest() only for a point it keeps.
     """
 
     def __init__(self, cfg: ContactConfig | None = None):
@@ -98,29 +102,34 @@ class ContactTracker:
         self._open: dict[tuple, _OpenEpisode] = {}
         self._closed: list[tuple[int, ContactEpisode]] = []  # (hand_id, episode)
 
-    def update(self, frame, hand, cloud):
-        """Advance contact state for one fused hand on one frame.
+    def update(self, frame, hands, cloud):
+        """Advance contact state for one frame's fused hands.
 
-        hand: FusedHand with anchors, hand_track_id, side, person_id.
-        Returns the frame's trace rows, one per surface label in label
-        order: (frame, hand_id, side, person_id, label, distance).
+        hands: FusedHands with anchors, hand_track_id, side, person_id.
+        Each hand's anchors are smoothed, then the cloud answers all hands
+        in one nearest_per_label call. Returns the frame's trace rows in
+        hand order and, per hand, in label order: (frame, hand_id, side,
+        person_id, label, distance).
         """
         cfg = self.cfg
-        hand_id, side, person = hand.hand_track_id, hand.side, hand.person_id
-        state = self._hands.get(hand_id)
-        if state is not None and frame - state.last_frame > cfg.max_gap_frames:
-            state = None  # gap too long, restart the filter
-        smoothed = smooth_anchors(
-            state.smoothed if state else None, hand.anchors, cfg.ema_alpha
-        )
-        self._hands[hand_id] = _HandState(frame, smoothed)
+        smoothed = []
+        for hand in hands:
+            state = self._hands.get(hand.hand_track_id)
+            if state is not None and frame - state.last_frame > cfg.max_gap_frames:
+                state = None  # gap too long, restart the filter
+            anchors = smooth_anchors(state.smoothed if state else None, hand.anchors, cfg.ema_alpha)
+            self._hands[hand.hand_track_id] = _HandState(frame, anchors)
+            smoothed.append(anchors)
 
         rows = []
-        if len(cloud) == 0:
+        if not smoothed or len(cloud) == 0:
             return rows
-        for label, (d, closest) in sorted(cloud.nearest_per_label(smoothed).items()):
-            self.observe(frame, hand_id, side, person, label, d, closest)
-            rows.append((frame, hand_id, side, person, label, float(d)))
+        labels, distances, closest = cloud.nearest_per_label(np.stack(smoothed))
+        for h, (hand, hand_d) in enumerate(zip(hands, distances.tolist())):
+            hand_id, side, person = hand.hand_track_id, hand.side, hand.person_id
+            for k, (label, d) in enumerate(zip(labels, hand_d)):
+                self.observe(frame, hand_id, side, person, label, d, partial(closest, h, k))
+                rows.append((frame, hand_id, side, person, label, d))
         return rows
 
     def observe(self, frame, hand_id, side, person_id, label, d, closest):

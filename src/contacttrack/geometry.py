@@ -117,15 +117,34 @@ class CameraCalibration:
         return (u >= 0) & (u <= self.image_width - 1) & (v >= 0) & (v <= self.image_height - 1)
 
 
+def norms(v):
+    """Norms of the vectors along the last axis of v, each bit-identical to
+    np.linalg.norm of that vector alone (a dot product, where
+    norm(axis=-1) sums squares)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def project_many(points, cal: CameraCalibration):
     """Vectorized projection. Returns (uv (N,2), valid (N,)) with valid=False behind camera."""
-    pc = cal.world_to_camera(np.asarray(points, dtype=float))
-    z = pc[:, 2]
+    uv, valid = project_cameras(points, [cal])
+    return uv[0], valid[0]
+
+
+def project_cameras(points, cals):
+    """Points (N, 3) projected into every camera of cals in one stacked
+    pass: (uv (C, N, 2), valid (C, N)), valid=False behind a camera. Each
+    camera's rows are the bits world_to_camera and the pinhole give it
+    alone."""
+    points = np.asarray(points, dtype=float)
+    R = np.stack([cal.R for cal in cals])
+    t = np.stack([cal.t for cal in cals])
+    fx, fy, cx, cy = (np.array([[getattr(cal, k)] for cal in cals])
+                      for k in ("fx", "fy", "cx", "cy"))
+    pc = points @ R.transpose(0, 2, 1) + t[:, None]
+    z = pc[..., 2]
     valid = z > 1e-6
     zsafe = np.where(valid, z, 1.0)
-    uv = np.stack(
-        [cal.fx * pc[:, 0] / zsafe + cal.cx, cal.fy * pc[:, 1] / zsafe + cal.cy], axis=1
-    )
+    uv = np.stack([fx * pc[..., 0] / zsafe + cx, fy * pc[..., 1] / zsafe + cy], axis=-1)
     return uv, valid
 
 

@@ -1,9 +1,11 @@
 """World-frame hand fusion, hand-to-person association, and ID stitching.
 
-Per-camera metric hand reconstructions are lifted to the world frame,
-clustered per side on their palm centers, reduced to one representative
-per cluster, and attached to tracked persons' side slots by deferred
-acceptance with a persistence-first preference. Re-association votes
+A frame's per-camera metric hand reconstructions are stacked and their
+anchor vertices lifted to the world frame in one pass, clustered per
+side on their palm centers, reduced to one representative per cluster,
+and attached to tracked persons' side slots by deferred acceptance with
+a persistence-first preference. Palm distances to the hand tracks and to
+the persons' arm joints come from one table per frame. Re-association votes
 accumulated across the sequence drive an end-of-run merge of fragmented
 person IDs, vetoed for pairs of ids that were seen together.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FusionConfig
+from .geometry import norms
 from .schema import SIDE_JOINTS, HandSchema
 
 SIDES = ("left", "right")
@@ -50,16 +53,20 @@ def dbscan(points, eps, min_pts):
     """Plain DBSCAN over 3D points with deterministic index-order expansion.
 
     Returns an integer label per point. Noise points are kept as singleton
-    clusters so a hand seen by a single camera survives fusion.
+    clusters so a hand seen by a single camera survives fusion. Every
+    point's neighbour list, in index order, comes from one pass over the
+    pairwise distance table.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels
     dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    rows, cols = np.nonzero(dist <= eps)
+    counts = np.bincount(rows, minlength=n)
+    cols = cols.tolist()
+    ends = np.cumsum(counts).tolist()
+    neighbors = [cols[end - count:end] for end, count in zip(ends, counts.tolist())]
+    core = (counts >= min_pts).tolist()
+    labels = [-1] * n
     cluster = 0
     for i in range(n):
         if labels[i] != -1 or not core[i]:
@@ -80,7 +87,7 @@ def dbscan(points, eps, min_pts):
         if labels[i] == -1:
             labels[i] = cluster
             cluster += 1
-    return labels
+    return np.array(labels, dtype=int)
 
 
 def cluster_hands(palm_centers, sides, eps, min_pts):
@@ -95,9 +102,11 @@ def cluster_hands(palm_centers, sides, eps, min_pts):
         idx = [i for i, s in enumerate(sides) if s == side]
         if not idx:
             continue
-        labels = dbscan(palm_centers[idx], eps, min_pts)
-        for lab in range(labels.max() + 1):
-            clusters.append([idx[j] for j in np.flatnonzero(labels == lab)])
+        labels = dbscan(palm_centers[idx], eps, min_pts).tolist()
+        members = [[] for _ in range(max(labels) + 1)]
+        for i, label in zip(idx, labels):
+            members[label].append(i)
+        clusters.extend(members)
     return clusters
 
 
@@ -169,18 +178,23 @@ class HandFusion:
         """Cluster per-camera hand instances and pick one per cluster.
 
         hands: list of HandInstance, pre-sorted by (camera_id, index).
-        Returns FusedHand records without track or person assignment.
+        The hands are stacked, and only their anchor vertices move to the
+        world frame. Returns FusedHand records without track or person
+        assignment.
         """
         if not hands:
             return []
-        anchors = [self.hand_schema.anchors(cals[h.camera_id].camera_to_world(h.vertices))
-                   for h in hands]
-        centers = np.array([a[0] for a in anchors])
+        schema = self.hand_schema
+        T_cw = np.stack([cals[h.camera_id].T_cw for h in hands])
+        local = schema.anchor_vertices(np.stack([h.vertices for h in hands]))
+        # camera_to_world of each hand: (points - t) @ R.
+        anchors = schema.anchors_of((local - T_cw[:, None, :3, 3]) @ T_cw[:, :3, :3])
         sides = [h.side for h in hands]
         sigma = [h.sigma_fit for h in hands]
         cam_ids = [h.camera_id for h in hands]
         fused = []
-        for members in cluster_hands(centers, sides, self.cfg.dbscan_eps, self.cfg.dbscan_min_pts):
+        for members in cluster_hands(anchors[:, 0], sides, self.cfg.dbscan_eps,
+                                     self.cfg.dbscan_min_pts):
             rep = select_representative(members, sigma, cam_ids)
             fused.append(FusedHand(side=hands[rep].side, anchors=anchors[rep]))
         return fused
@@ -205,13 +219,15 @@ class HandFusion:
         }
         self.tracks = dict(alive)
         pairs = []
-        for fi, fh in enumerate(fused):
-            for tid, tr in alive.items():
-                if tr.side != fh.side:
-                    continue
-                d = float(np.linalg.norm(fh.palm_center - tr.center))
-                if d < self._motion_gate(frame, tr):
-                    pairs.append((d, fi, tid))
+        if fused and alive:
+            tracks = list(alive.values())
+            dist = norms(np.array([fh.palm_center for fh in fused])[:, None]
+                         - np.array([tr.center for tr in tracks]))
+            gate = np.array([self._motion_gate(frame, tr) for tr in tracks])
+            same_side = np.array([fh.side for fh in fused])[:, None] == [tr.side for tr in tracks]
+            fi, ti = np.nonzero(same_side & (dist < gate))
+            pairs = [(d, f, tracks[t].id)
+                     for d, f, t in zip(dist[fi, ti].tolist(), fi.tolist(), ti.tolist())]
         pairs.sort()
         taken_f, taken_t = set(), set()
         for d, fi, tid in pairs:
@@ -234,18 +250,29 @@ class HandFusion:
 
     # -- person association -------------------------------------------------
 
-    def _person_distance(self, fh, snapshot):
-        """(priority tier, distance) to the side-matching arm joint.
+    @staticmethod
+    def _person_distances(fused, persons):
+        """(priority tier, distance) lists per fused hand and person, to
+        the person's side-matching arm joint; tier None where the person
+        has none.
 
         Tier 0 is the wrist, 1 the elbow, 2 the shoulder; the highest
         priority joint available on the person track is used.
         """
-        joints = SIDE_JOINTS[fh.side]
-        for tier, name in enumerate(("wrist", "elbow", "shoulder")):
-            k = joints[name]
-            if snapshot.available[k]:
-                return tier, float(np.linalg.norm(fh.palm_center - snapshot.joints[k]))
-        return None
+        if not persons:
+            return [[] for _ in fused], [[] for _ in fused]
+        joints = np.array([p.joints for p in persons])
+        available = np.array([p.available for p in persons])
+        tiers, targets = {}, {}
+        for side in SIDES:
+            arm = [SIDE_JOINTS[side][name] for name in ("wrist", "elbow", "shoulder")]
+            tier = available[:, arm].argmax(axis=1)
+            tiers[side] = [t if ok else None
+                           for t, ok in zip(tier.tolist(), available[:, arm].any(axis=1))]
+            targets[side] = joints[np.arange(len(persons)), np.array(arm)[tier]]
+        palms = np.array([fh.palm_center for fh in fused])
+        dist = norms(palms[:, None] - np.array([targets[fh.side] for fh in fused]))
+        return [tiers[fh.side] for fh in fused], dist.tolist()
 
     def associate(self, frame, fused, persons):
         """Assign fused hands to person side slots by deferred acceptance;
@@ -264,19 +291,24 @@ class HandFusion:
         persons: confirmed TrackSnapshot list for this frame. Mutates the
         fused records in place and returns them.
         """
+        if not fused:
+            return fused
         cfg = self.cfg
         prefs, free = [], deque()
         kept = set()  # (person_id, side) slots a persisting hand heads its list with
-        for fi, fh in enumerate(fused):
-            tr = self.tracks[fh.hand_track_id]
+        tiers, dists = self._person_distances(fused, persons)
+        tracks = [self.tracks[fh.hand_track_id] for fh in fused]
+        moved = norms(np.array([fh.palm_center for fh in fused])
+                      - np.array([tr.center for tr in tracks])).tolist()
+        for fi, (fh, tr) in enumerate(zip(fused, tracks)):
             opts = sorted(
-                (*td, p.id) for p in persons
-                if (td := self._person_distance(fh, p)) is not None and td[1] < cfg.tau_assoc
+                (tier, d, p.id) for tier, d, p in zip(tiers[fi], dists[fi], persons)
+                if tier is not None and d < cfg.tau_assoc
             )
             if (
                 any(pid == tr.person for _, _, pid in opts)
                 and (tr.person, fh.side) not in kept
-                and np.linalg.norm(fh.palm_center - tr.center) < self._motion_gate(frame, tr)
+                and moved[fi] < self._motion_gate(frame, tr)
             ):
                 kept.add((tr.person, fh.side))
                 opts.sort(key=lambda o: o[2] != tr.person)  # stable: the rest keep their order

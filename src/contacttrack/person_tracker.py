@@ -1,6 +1,7 @@
 """Multi-person 3D skeleton tracking across synchronized cameras.
 
-Per-camera association against projected track joints, epipolar-gated
+Association against track joints projected into every camera in one
+stacked pass per frame (one Hungarian solve per camera), epipolar-gated
 weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
 existence-score lifecycle. Each frame triangulates every matched track's
@@ -11,7 +12,7 @@ detections, and one more kernel call for every birth group's joints,
 each group's views packed in its pair-merge order. Depth lifting reads
 patches fetched before any track is lifted, with one depth-source call
 per camera for every track's unresolved joints.
-Per-camera association reads track state only. The frame then mutates
+Association reads track state only. The frame then mutates
 tracks in four steps, in order: update_triangulated writes the accepted
 joints of the matched tracks, depth_lift writes each matched track's
 lifted joints, _spawn adopts birth groups into stale tracks or appends
@@ -26,12 +27,11 @@ import numpy as np
 
 from .config import TrackerConfig
 from .geometry import (
-    CameraCalibration,
     backproject_many,
     epipolar_distance,
     fundamental_matrix,
     hungarian_assign,
-    project_many,
+    project_cameras,
     triangulate_weighted,
 )
 from .schema import BONES, JOINT_COUNT
@@ -77,30 +77,45 @@ def _masked_mean(values, mask):
     return out
 
 
-def association_cost(tracks, dets, cal: CameraCalibration, tau_joint):
-    """(n_tracks, n_dets) mean pixel error between each track's projected
-    joints and each detection over the joints that are available, in front
-    of the camera and detected with confidence >= tau_joint; inf where no
-    joint qualifies. Each track is projected once."""
-    dets = np.asarray(dets, dtype=float).reshape(-1, JOINT_COUNT, 3)
-    if not len(tracks) or not len(dets):
-        return np.full((len(tracks), len(dets)), np.inf)
-    uv, in_front = zip(*(project_many(t.joints, cal) for t in tracks))
-    proj_ok = np.array([t.available for t in tracks]) & np.array(in_front)
-    k = proj_ok[:, None, :] & (dets[:, :, 2] >= tau_joint)  # (n_t, n_d, 26)
-    err = np.linalg.norm(np.array(uv)[:, None] - dets[:, :, :2], axis=3)
-    return _masked_mean(err, k)
+def association_costs(tracks, dets_by_cam, cals, tau_joint):
+    """{camera_id: (n_tracks, n_dets) cost} for the cameras of dets_by_cam,
+    in camera order: the mean pixel error between each track's projected
+    joints and each detection over the joints that are available, in
+    front of the camera and detected with confidence >= tau_joint; inf
+    where no joint qualifies. Every track is projected into every camera
+    in one stacked pass, and each camera's detections are padded to the
+    most any camera has, so one masked mean serves the whole frame."""
+    cam_ids = sorted(dets_by_cam)
+    counts = [len(dets_by_cam[c]) for c in cam_ids]
+    if not tracks or not any(counts):
+        return {c: np.full((len(tracks), n), np.inf) for c, n in zip(cam_ids, counts)}
+    dets = np.zeros((len(cam_ids), max(counts), JOINT_COUNT, 3))
+    for i, c in enumerate(cam_ids):
+        dets[i, :counts[i]] = np.asarray(dets_by_cam[c], dtype=float).reshape(-1, JOINT_COUNT, 3)
+    real = np.arange(dets.shape[1]) < np.array(counts)[:, None]  # (C, D)
+    uv, in_front = project_cameras(np.concatenate([t.joints for t in tracks]),
+                                   [cals[c] for c in cam_ids])
+    shape = (len(cam_ids), len(tracks), 1, JOINT_COUNT)  # (C, T, 1, 26)
+    proj_ok = np.array([t.available for t in tracks])[:, None] & in_front.reshape(shape)
+    k = proj_ok & ((dets[:, :, :, 2] >= tau_joint) & real[:, :, None])[:, None]  # (C, T, D, 26)
+    err = np.linalg.norm(uv.reshape(*shape, 2) - dets[:, None, :, :, :2], axis=4)
+    cost = _masked_mean(err, k)
+    return {c: cost[i, :, :n] for i, (c, n) in enumerate(zip(cam_ids, counts))}
 
 
-def associate_camera(tracks, dets, cal: CameraCalibration, cfg: TrackerConfig):
-    """Match tracks to one camera's detections by mean pixel error over
-    confident, available joints. Returns (matches, unmatched detection idxs);
-    matches are (track_index, detection_index) pairs.
+def associate_camera(tracks, dets_by_cam, cals, cfg: TrackerConfig):
+    """Match tracks to each camera's detections by mean pixel error over
+    confident, available joints: one stacked cost pass for the frame, then
+    one Hungarian solve per camera. Returns {camera_id: (matches,
+    unmatched detection idxs)} in camera order; matches are (track_index,
+    detection_index) pairs.
     """
-    cost = association_cost(tracks, dets, cal, cfg.tau_joint)
-    matches = hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
-    matched_d = {d for _, d in matches}
-    return matches, [d for d in range(len(dets)) if d not in matched_d]
+    out = {}
+    for cam_id, cost in association_costs(tracks, dets_by_cam, cals, cfg.tau_joint).items():
+        matches = hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
+        matched_d = {d for _, d in matches}
+        out[cam_id] = matches, [d for d in range(cost.shape[1]) if d not in matched_d]
+    return out
 
 
 def _consistent_view_sets(dist, seen, tau_epi):
@@ -366,9 +381,11 @@ class Tracker:
         cfg = self.cfg
         matched_obs = {i: {} for i in range(len(self.tracks))}  # track idx -> cam -> joints
         unmatched = []
-        for cam_id in sorted(dets_by_cam):
-            dets = [np.asarray(d, dtype=float) for d in dets_by_cam[cam_id]]
-            matches, um = associate_camera(self.tracks, dets, self.cals[cam_id], cfg)
+        dets_by_cam = {cam_id: [np.asarray(d, dtype=float) for d in dets]
+                       for cam_id, dets in dets_by_cam.items()}
+        for cam_id, (matches, um) in associate_camera(
+                self.tracks, dets_by_cam, self.cals, cfg).items():
+            dets = dets_by_cam[cam_id]
             for ti, di in matches:
                 matched_obs[ti][cam_id] = dets[di]
             for di in um:

@@ -1,9 +1,11 @@
 """End-to-end orchestration: detections in, tracks and episodes out.
 
 Each frame flows through semantic map assembly, person tracking, hand
-fusion, and contact detection. Tracks, hand tracks and distance traces
-are written inside the frame loop; when identity stitching merges ids, a
-second pass copies each of them line by line through a temporary file,
+fusion, and contact detection. Association, hand fusion and contact
+each make one array pass over the frame, not one per camera or hand.
+Tracks, hand tracks and distance traces are written inside the frame
+loop; when identity stitching merges ids, a second pass copies each of
+them line by line through a temporary file,
 re-dumping only the lines whose person-id key names a fragment id with
 that one key changed. Memory holds one frame's detections and semantic
 map and the live person tracks, plus three kinds of state that grow
@@ -185,8 +187,8 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
                     hands_f, frame, fh.hand_track_id, fh.side, fh.person_id,
                     fh.palm_center, fh.anchors,
                 )
-                if cloud is not None and len(cloud):
-                    write_traces(traces_f, contact.update(frame, fh, cloud))
+            if fused and cloud is not None and len(cloud):
+                write_traces(traces_f, contact.update(frame, fused, cloud))
 
     episodes = contact.finalize()
     mapping = {}

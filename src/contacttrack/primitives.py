@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import norms
+
 _EPS = 1e-12
 # Margins that widen a capsule's bounding-sphere reach in the ray cull, so
 # that rounding in the cull's line distance (cancellation grows with the
@@ -28,12 +30,6 @@ CULL_REL = 1e-6
 CULL_ABS = 1e-9  # m
 
 AXES = {"x": 0, "y": 1, "z": 2}
-
-
-def _norms(v):
-    """Row norms of (N, 3) vectors, each bit-identical to np.linalg.norm of
-    that row alone (a dot product, where norm(axis=1) sums squares)."""
-    return np.sqrt(np.vecdot(v, v))
 
 
 @dataclass
@@ -87,7 +83,7 @@ class Box:
 
     def distances(self, points):
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return _norms(points - self.closest_point(points))
+        return norms(points - self.closest_point(points))
 
 
 @dataclass
@@ -129,7 +125,7 @@ class Sphere:
 
     def distances(self, points):
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return np.abs(_norms(points - self.center) - self.radius)
+        return np.abs(norms(points - self.center) - self.radius)
 
 
 @dataclass
@@ -175,7 +171,7 @@ class Rect:
 
     def distances(self, points):
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return _norms(points - self.closest_point(points))
+        return norms(points - self.closest_point(points))
 
 
 @dataclass

@@ -155,9 +155,19 @@ class HandSchema:
         indices = self.palm_indices + self.fingertip_indices
         if not all(0 <= i < self.vertex_count for i in indices):
             raise ValueError("anchor index out of range")
+        self._anchor_index = np.array(indices)
+
+    def anchor_vertices(self, vertices):
+        """The anchor vertices of (..., V, 3) vertices: the palm set, then
+        the five fingertips, as (..., P + 5, 3)."""
+        return np.asarray(vertices, dtype=float)[..., self._anchor_index, :]
+
+    def anchors_of(self, anchor_vertices):
+        """(..., 6, 3) anchors of (..., P + 5, 3) anchor vertices: the palm
+        centroid followed by the five fingertips."""
+        palm = anchor_vertices[..., :-5, :].mean(axis=-2)
+        return np.concatenate([palm[..., None, :], anchor_vertices[..., -5:, :]], axis=-2)
 
     def anchors(self, vertices):
-        """6x3 anchor array: palm centroid followed by the five fingertips."""
-        vertices = np.asarray(vertices, dtype=float)
-        palm = vertices[self.palm_indices].mean(axis=0)
-        return np.concatenate([palm[None, :], vertices[self.fingertip_indices]])
+        """(..., 6, 3) anchors of (..., V, 3) vertices."""
+        return self.anchors_of(self.anchor_vertices(vertices))

@@ -3,14 +3,14 @@
 Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
 cloud's points do not change; its index, the points grouped by (label,
-coarse cell), is built on the first query and answers every label of a
-query batch in one pass of numpy calls.
+coarse cell), is built on the first query. The contact stage asks once
+per frame with every fused hand's anchors, and the index answers every
+(hand, label) pair in one pass of numpy calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,32 +51,34 @@ class SurfaceHit:
 INDEX_CELL = 0.25
 
 
-def _distances(queries, xyz):
-    """(Q, P) Euclidean distances from queries (Q, 3) to points given
-    coordinate-major as xyz (3, P). The squares are summed x, y, z in
-    order, which gives the bits a KD-tree query returns."""
-    return np.sqrt(sum((queries[:, a, None] - xyz[a]) ** 2 for a in range(3)))
-
-
-def _box_distances(queries, lo, hi):
-    """(Q, B) distances from queries (Q, 3) to axis-aligned boxes given
-    coordinate-major by their corners lo, hi (3, B). Each step rounds
-    monotonically and in the order _distances uses, so a box's distance
-    never exceeds the computed distance to a point inside it."""
-    q = queries[:, :, None]
-    return np.sqrt(sum(np.maximum(np.maximum(lo[a] - q[:, a], q[:, a] - hi[a]), 0.0) ** 2
-                       for a in range(3)))
+def _squares(queries, points):
+    """Squared Euclidean distances between queries and points, each given
+    by axis (x, y, z) and broadcast against each other. The squares are
+    summed x, y, z in order, whose root gives the bits a KD-tree query
+    returns; one axis at a time, so two arrays of the result's size are
+    live at most."""
+    out = None
+    for q, p in zip(queries, points):
+        d = np.subtract(q, p)
+        np.square(d, out=d)
+        if out is None:
+            out = d
+        else:
+            out += d
+    return out
 
 
 class _CellIndex:
     """Exact nearest-point search per label over a fixed point set.
 
     The points are sorted once by (label, INDEX_CELL cell, point index)
-    into groups of one label in one cell. A query batch bounds each
-    group's distance from below by its bounding box, and each label's
-    nearest distance from above by the distance to the first point of each
-    of its groups; only the groups whose lower bound does not pass their
-    label's upper bound are searched point by point.
+    into cell groups of one label in one cell. A query group bounds each
+    cell group's distance from below by the gap between their bounding
+    boxes, and each label's nearest distance from above by the distance
+    to the middle point (in sort order) of each of its cell groups, which
+    tends to lie nearer the cell's centre than its first point; only the
+    cell groups whose lower bound does not pass their label's upper bound
+    are searched point by point.
     """
 
     def __init__(self, positions, labels):
@@ -90,32 +92,58 @@ class _CellIndex:
         self.xyz = np.ascontiguousarray(positions[self.order].T)
         self.lo = np.minimum.reduceat(self.xyz, self.starts, axis=1)
         self.hi = np.maximum.reduceat(self.xyz, self.starts, axis=1)
-        self.heads = np.ascontiguousarray(self.xyz[:, self.starts])
+        self.heads = np.ascontiguousarray(self.xyz[:, (self.starts + self.ends - 1) // 2])
         new_label = np.ones(len(self.starts), dtype=bool)
         new_label[1:] = labels[self.starts[1:]] != labels[self.starts[:-1]]
         self.label_groups = np.flatnonzero(new_label)
         self.group_label = np.cumsum(new_label) - 1
 
     def nearest_by_label(self, queries):
-        """(distance, point index) arrays in label order: each label's
-        nearest point to any of queries (Q, 3), ties to the first query and
-        then the smallest point index."""
-        lower = _box_distances(queries, self.lo, self.hi).min(axis=0)
-        upper = _distances(queries, self.heads).min(axis=0)
-        bound = np.minimum.reduceat(upper, self.label_groups)
-        keep = np.flatnonzero(lower <= bound[self.group_label])
-        # The kept groups' rows, concatenated.
+        """(distance, point index) arrays of shape (H, labels), labels in
+        order: per group of queries (H, Q, 3) and label, the label's nearest
+        point to any of the group's queries, ties to the group's first
+        query and then the smallest point index.
+
+        A group's lower bound on a cell group is the gap between the box
+        of the group's queries and the cell group's box, which never
+        exceeds the bound from any one query. Minima are taken over
+        squared distances: the square root is monotone, so the root of a
+        minimum is the minimum of the roots.
+        """
+        H, Q, _ = queries.shape
+        qlo, qhi = queries.min(axis=1).T[:, :, None], queries.max(axis=1).T[:, :, None]
+        gap = np.maximum(np.maximum(self.lo[:, None] - qhi, qlo - self.hi[:, None]), 0.0) ** 2
+        lower = np.sqrt(gap[0] + gap[1] + gap[2])  # (H, cell groups)
+        upper = _squares(queries.reshape(-1, 3).T[:, :, None], self.heads)
+        upper = upper.reshape(H, Q, -1).min(axis=1)
+        bound = np.sqrt(np.minimum.reduceat(upper, self.label_groups, axis=1))
+        hand, keep = np.nonzero(lower <= bound[:, self.group_label])
+        # The kept cell groups' rows, concatenated in (group, label) order.
+        # Every (group, label) keeps the cell group its bound came from, so
+        # its rows form one segment, and the segments are all H x labels
+        # of them, in order.
         lens = self.ends[keep] - self.starts[keep]
-        rows = np.repeat(self.starts[keep] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-        d = _distances(queries, self.xyz[:, rows])
-        query = d.argmin(axis=0)
-        d = d[query, np.arange(len(rows))]
-        label = np.repeat(self.group_label[keep], lens)
-        label_rows = np.flatnonzero(np.diff(label, prepend=-1))
-        best = np.minimum.reduceat(d, label_rows)
+        offsets = np.cumsum(lens) - lens
+        rows = np.repeat(self.starts[keep] - offsets, lens) + np.arange(lens.sum())
+        seg = hand * len(self.label_groups) + self.group_label[keep]
+        seg_rows = offsets[np.flatnonzero(np.diff(seg, prepend=-1))]
+        # (Q, rows): each row against its group's queries, repeated per
+        # axis; both gathers keep the rows axis contiguous for the
+        # reductions.
+        repeats = np.bincount(hand, weights=lens, minlength=H).astype(np.intp)
+        sq = _squares((np.repeat(q, repeats, axis=1) for q in queries.T),
+                      np.take(self.xyz, rows, axis=1))
+        d = np.sqrt(sq.min(axis=0))
+        best = np.minimum.reduceat(d, seg_rows)
+        # Ties: the first query at the row's distance, then the smallest
+        # point index, over the rows at their segment's least distance.
+        tie = np.flatnonzero(d == np.repeat(best, np.diff(seg_rows, append=len(rows))))
+        query = (np.sqrt(sq[:, tie]) == d[tie]).argmax(axis=0)
         n = len(self.order)
-        key = np.where(d == best[label], query * n + self.order[rows], len(queries) * n)
-        return best, np.minimum.reduceat(key, label_rows) % n
+        key = np.full(len(rows), Q * n)
+        key[tie] = query * n + self.order[rows[tie]]
+        idx = np.minimum.reduceat(key, seg_rows) % n
+        return best.reshape(H, -1), idx.reshape(H, -1)
 
 
 class SemanticCloud:
@@ -143,23 +171,22 @@ class SemanticCloud:
 
     def nearest(self, query):
         """Exact nearest point; distance ties break to the smallest point index."""
-        d, idx = self._nearest_by_label(np.asarray(query, dtype=float).reshape(1, 3))
-        k = np.lexsort((idx, d))[0]
-        best = int(idx[k])
-        return SurfaceHit(float(d[k]), int(self.labels[best]), self.positions[best], best)
+        d, idx = self._nearest_by_label(np.asarray(query, dtype=float).reshape(1, 1, 3))
+        k = np.lexsort((idx[0], d[0]))[0]
+        best = int(idx[0, k])
+        return SurfaceHit(float(d[0, k]), int(self.labels[best]), self.positions[best], best)
 
-    def nearest_per_label(self, queries):
-        """Min distance (and closest point) per surface label over a query batch.
+    def nearest_per_label(self, anchors):
+        """Min distance (and closest point) per query group and surface label.
 
-        queries: (Q, 3). Returns {label: (distance, closest)} in label
-        order, where closest() gives the cloud point at that distance;
-        ties go to the first query and then the smallest point index.
+        anchors: (H, Q, 3), H groups of Q queries. Returns (labels,
+        distances, closest): the label ids in order, the (H, labels) table
+        of least distances over each group's queries, and closest(h, k),
+        the cloud point at distances[h, k]; ties go to the group's first
+        query and then the smallest point index.
         """
-        d, idx = self._nearest_by_label(np.asarray(queries, dtype=float).reshape(-1, 3))
-        return {
-            label: (float(d[k]), partial(self.positions.__getitem__, idx[k]))
-            for k, label in enumerate(self.label_ids)
-        }
+        d, idx = self._nearest_by_label(np.asarray(anchors, dtype=float))
+        return self.label_ids, d, lambda h, k: self.positions[idx[h, k]]
 
 
 def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -242,12 +242,13 @@ def body_capsules(joints):
 
 class SurfaceDistances:
     """Analytic stand-in for a SemanticCloud of the scene surfaces: per
-    label, the least distance over the label's surfaces and the query
-    points, and a closest() that gives the surface point closest to the
-    first (surface, point) pair attaining it, the first surface in scene
-    order and then the first point on ties. Each surface measures all
-    query points in one array pass; the closest point is computed for the
-    winning pair only, and only when closest() is called."""
+    query group and label, the least distance over the label's surfaces
+    and the group's query points, and a closest() that gives the surface
+    point closest to the first (surface, point) pair attaining it, the
+    first surface in scene order and then the first point on ties. Each
+    surface measures every group's points in one array pass; the closest
+    point is computed for the winning pair only, and only when closest()
+    is called."""
 
     def __init__(self, surfaces):
         self._by_label = {}
@@ -257,15 +258,26 @@ class SurfaceDistances:
     def __len__(self):
         return len(self._by_label)
 
-    def nearest_per_label(self, queries):
-        queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-        out = {}
-        for label, prims in self._by_label.items():
-            d = np.array([prim.distances(queries) for prim in prims])
+    def nearest_per_label(self, anchors):
+        anchors = np.asarray(anchors, dtype=float)
+        H, Q, _ = anchors.shape
+        labels = sorted(self._by_label)
+        distances = np.empty((H, len(labels)))
+        winners = []  # per label: the (surface, point) pair of each group
+        for k, label in enumerate(labels):
+            prims = self._by_label[label]
+            d = np.array([prim.distances(anchors.reshape(-1, 3)) for prim in prims])
             # argmin takes the first minimum in row-major (surface, point) order.
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            out[label] = (float(d[i, j]), partial(prims[i].closest_point, queries[j]))
-        return out
+            d = d.reshape(len(prims), H, Q).transpose(1, 0, 2).reshape(H, -1)
+            at = d.argmin(axis=1)
+            distances[:, k] = d[np.arange(H), at]
+            winners.append(np.divmod(at, Q))
+
+        def closest(h, k):
+            i, j = winners[k]
+            return self._by_label[labels[k]][i[h]].closest_point(anchors[h, j[h]])
+
+        return labels, distances, closest
 
 
 @dataclass
@@ -572,12 +584,17 @@ class Simulator:
         tracker = ContactTracker(cfg)
         surfaces = SurfaceDistances(self.scene["surfaces"])
         for frame in range(self.scene["frame_count"]):
+            keys, vertices = [], []
             for pid, joints in self.frame_state(frame).items():
                 for side in ("left", "right"):
-                    anchors = self.hand_schema.anchors(self.hand_vertices(pid, side, joints))
-                    hand = FusedHand(side, anchors, hand_track_id=2 * pid + (side == "right"),
-                                     person_id=pid)
-                    tracker.update(frame, hand, surfaces)
+                    keys.append((pid, side))
+                    vertices.append(self.hand_vertices(pid, side, joints))
+            if not keys:
+                continue
+            anchors = self.hand_schema.anchors(np.stack(vertices))
+            tracker.update(frame, [
+                FusedHand(side, a, hand_track_id=2 * pid + (side == "right"), person_id=pid)
+                for (pid, side), a in zip(keys, anchors)], surfaces)
         return tracker.finalize()
 
 

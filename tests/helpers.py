@@ -1,39 +1,55 @@
 """Shared fixtures/oracles for the test suite."""
 
+import copy
+import functools
 import math
 import os
+from collections import deque
 from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from contacttrack.config import ContactConfig
+from contacttrack.config import ContactConfig, TrackerConfig
 from contacttrack.errors import ContactTrackError
 from contacttrack.contact import (
     ContactEpisode,
+    ContactTracker,
     _HandState,
     hysteresis_step,
     run_hysteresis,
     smooth_anchors,
 )
 from contacttrack.evaluation import _framewise_sets
-from contacttrack.hand_fusion import HandFusion
+from contacttrack.hand_fusion import (
+    FusedHand,
+    HandFusion,
+    _HandTrack,
+    select_representative,
+)
 from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC
 from contacttrack.geometry import (
     CameraCalibration,
     IllConditioned,
     InsufficientViews,
     epipolar_distance,
+    hungarian_assign,
     project_many,
     triangulate_weighted,
 )
-from contacttrack.person_tracker import PersonTrack
+from contacttrack.person_tracker import PersonTrack, _masked_mean
 from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
-from contacttrack.scenes import crossing_clean, crossing_noisy
-from contacttrack.schema import JOINT_COUNT
+from contacttrack.scenes import crossing_clean, crossing_noisy, induction_lite
+from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS
 from contacttrack.semantic_map import SemanticCloud, SurfaceHit
-from contacttrack.simulator import OCCLUSION_MARGIN, PARTIAL_MARGIN, body_capsules
+from contacttrack.simulator import (
+    OCCLUSION_MARGIN,
+    PARTIAL_MARGIN,
+    Simulator,
+    SurfaceDistances,
+    body_capsules,
+)
 
 
 def tree_bytes(root):
@@ -77,6 +93,55 @@ def crowd_crossing(frames=24, seed=0):
     return scene
 
 
+def window(scene, start, count):
+    """Frames [start, start + count) of a scripted scene, renumbered from 0."""
+    scene = copy.deepcopy(scene)
+    scene["frame_count"] = count
+    for person in scene["persons"]:
+        for wp in person["waypoints"]:
+            wp["frame"] -= start
+        person["absent"] = [[a - start, b - start] for a, b in person.get("absent", [])]
+        for hand in person.get("hands", []):
+            for ev in hand["events"]:
+                ev["frame"] -= start
+    return scene
+
+
+def induction_window(start=60, count=36):
+    """induction-lite frames 60-95, which hold the first scripted touches."""
+    return window(induction_lite(), start, count)
+
+
+@functools.cache
+def rendered(name):
+    """frame_inputs of FRAME_SCENES[name] at seed 0, rendered once per
+    process; callers must not modify them."""
+    return frame_inputs(FRAME_SCENES[name]())
+
+
+def frame_inputs(scene, seed=0):
+    """(simulator, frames) of a scene rendered in memory; each frame is
+    (frame, {camera_id: persons}, hands), grouped as the pipeline groups
+    a detections file: cameras without persons are left out and the
+    hands run in camera order."""
+    sim = Simulator(scene, seed=seed)
+    frames = []
+    for frame in range(sim.scene["frame_count"]):
+        dets, hands = {}, []
+        for _, cam_id, persons, cam_hands in sim.render_frame(frame):
+            if persons:
+                dets[cam_id] = persons
+            hands.extend(cam_hands)
+        frames.append((frame, dets, hands))
+    return sim, frames
+
+
+# The scenes the per-frame passes are checked on against their per-item
+# oracles: eight persons crossing, whose crowd of hands and detections
+# stresses association and fusion, and an induction window with touches.
+FRAME_SCENES = {"crowd-8": crowd_crossing, "induction-window": induction_window}
+
+
 class BehindCamera(ContactTrackError):
     pass
 
@@ -115,56 +180,97 @@ def write_label_grid(path, grid):
         f.write(grid.tobytes())
 
 
-# The depth sources' single-centre patches and full-resolution grids as
-# they were before patches came in batches and grids as the stride
-# lattice, verbatim but for the primitive list the ray cast now takes;
-# `self` is a SceneDepthProvider or GridDepthProvider.
+_MASK64 = (1 << 64) - 1
 
-def scene_patch(self, frame, cam_id, u, v, size):
-    cal = self.sim.cals[cam_id]
+
+def _splitmix64_int(x):
+    """splitmix64 of a Python int in [0, 2**64)."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_measured(sim, frame, cam_id, us, vs, depth):
+    """The depth a sensor reports at pixels (us, vs) of true depth depth:
+    each pixel's noise hashed on its own with Python integers from the
+    seed, the frame, the camera's rank in sorted id order and the pixel
+    id (v * width + u), turned into a standard normal by Box-Muller,
+    scaled by depth_sigma and added where depth > 0, then rounded to the
+    millimetres of a DEP1 cell."""
+    depth = np.asarray(depth, dtype=float)
+    sigma = sim.scene["depth_sigma"]
+    noise = 0.0
+    if sigma != 0.0:
+        width = sim.cals[cam_id].image_width
+        rank = sorted(sim.cals).index(cam_id)
+        base = _splitmix64_int(
+            (sim.seed % 2**64 * 0x100000001B3 & _MASK64)
+            ^ (frame % 2**64 * 0x1000193 & _MASK64)
+            ^ (rank + 1))
+        u1, u2 = [], []
+        for u, v in zip(np.ravel(us).tolist(), np.ravel(vs).tolist()):
+            h1 = _splitmix64_int((v * width + u) ^ base)
+            h2 = _splitmix64_int(h1 ^ 0xDEADBEEFCAFEF00D)
+            u1.append(float(h1 >> 11) / float(1 << 53))
+            u2.append(float(h2 >> 11) / float(1 << 53))
+        u1 = np.clip(np.array(u1), 1e-12, 1.0)
+        noise = sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * np.array(u2)))
+    noisy = depth + np.where(depth > 0, noise, 0.0)
+    return np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+
+
+def reference_pixel_cast(sim, cam_id, us, vs, prims):
+    """(depth, label) of pixels (us, vs) cast against prims by
+    reference_cast_rays. A pixel's ray runs from the camera centre along
+    (x, y, 1) = ((u - cx) / fx, (v - cy) / fy, 1) turned to the world
+    frame, so its parameter is the camera-frame depth: 0 on a miss. The
+    label is the scene surface's, 0 on a miss or a body."""
+    cal = sim.cals[cam_id]
+    us = np.asarray(us, dtype=float).ravel()
+    vs = np.asarray(vs, dtype=float).ravel()
+    dirs = np.stack([(us - cal.cx) / cal.fx, (vs - cal.cy) / cal.fy, np.ones(len(us))], axis=1)
+    t, idx = reference_cast_rays(prims, cal.center, dirs @ cal.R)
+    surfaces = sim.scene["surfaces"]
+    labels = [surfaces[i].label if 0 <= i < len(surfaces) else 0 for i in idx.tolist()]
+    return np.where(np.isfinite(t), t, 0.0), np.array(labels, dtype=int)
+
+
+# Single-centre patches and full-resolution grids of a scene depth
+# source, built from the scene alone: the pixel rays, the reference ray
+# cast, the surfaces' labels and the per-pixel hashed noise.
+
+def scene_patch(sim, frame, cam_id, u, v, size):
+    """The (size, size) depth patch centred on pixel (u, v), surfaces and
+    bodies; 0 outside the image."""
+    cal = sim.cals[cam_id]
     r = size // 2
-    us, vs = np.meshgrid(
-        np.arange(u - r, u + r + 1), np.arange(v - r, v + r + 1)
-    )
+    us, vs = np.meshgrid(np.arange(u - r, u + r + 1), np.arange(v - r, v + r + 1))
     shape = us.shape
     us = us.ravel()
     vs = vs.ravel()
     ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
     depth = np.zeros(len(us))
     if ok.any():
-        d, _ = self._cast(cam_id, us[ok], vs[ok],
-                          self.sim.scene["surfaces"] + [self.sim.frame_capsules(frame)[0]])
-        d = d + np.where(d > 0, self._noise(frame, cam_id, us[ok], vs[ok]), 0.0)
-        depth[ok] = np.round(np.clip(d, 0.0, 65.535) * 1000.0) / 1000.0
+        d, _ = reference_pixel_cast(sim, cam_id, us[ok], vs[ok],
+                                    sim.scene["surfaces"] + [sim.frame_capsules(frame)[0]])
+        depth[ok] = reference_measured(sim, frame, cam_id, us[ok], vs[ok], d)
     return depth.reshape(shape)
 
 
-def scene_grids(self, frame, cam_id, stride=4):
+def scene_grids(sim, frame, cam_id, stride=4):
     """Full-resolution (label, depth) grids populated on the stride
-    lattice only; other pixels are zero. Surfaces only, so the map is
-    built from static geometry. Noise is drawn only for the lattice
-    cells that see a surface, and those cells are written through
-    strided views of the grids."""
-    cal = self.sim.cals[cam_id]
-    key = (cam_id, stride)
-    if key not in self._surface_cache:
-        vs, us = np.meshgrid(
-            np.arange(0, cal.image_height, stride),
-            np.arange(0, cal.image_width, stride),
-            indexing="ij",
-        )
-        depth, labels = self._cast(cam_id, us, vs, self.sim.scene["surfaces"])
-        hit = (labels > 0).reshape(us.shape)
-        self._surface_cache[key] = (
-            hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
-        )
-    hit, us, vs, depth, labels = self._surface_cache[key]
-    noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
-    noisy = np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+    lattice only, against the surfaces alone; other pixels are zero."""
+    cal = sim.cals[cam_id]
+    vs, us = np.meshgrid(np.arange(0, cal.image_height, stride),
+                         np.arange(0, cal.image_width, stride), indexing="ij")
+    depth, labels = reference_pixel_cast(sim, cam_id, us, vs, sim.scene["surfaces"])
+    hit = labels > 0
     label_grid = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
     depth_grid = np.zeros((cal.image_height, cal.image_width))
-    label_grid[::stride, ::stride][hit] = labels
-    depth_grid[::stride, ::stride][hit] = noisy
+    label_grid[vs.ravel()[hit], us.ravel()[hit]] = labels[hit]
+    depth_grid[vs.ravel()[hit], us.ravel()[hit]] = reference_measured(
+        sim, frame, cam_id, us.ravel()[hit], vs.ravel()[hit], depth[hit])
     return label_grid, depth_grid
 
 
@@ -653,6 +759,33 @@ def per_pair_association_cost(tracks, dets, cal, tau_joint):
     return cost
 
 
+def per_camera_association_cost(tracks, dets, cal, tau_joint):
+    """Per-camera reference for association_costs: each track projected
+    into the one camera alone, and one masked mean over that camera's
+    (tracks, detections) table."""
+    dets = np.asarray(dets, dtype=float).reshape(-1, JOINT_COUNT, 3)
+    if not len(tracks) or not len(dets):
+        return np.full((len(tracks), len(dets)), np.inf)
+    uv, in_front = zip(*(project_many(t.joints, cal) for t in tracks))
+    proj_ok = np.array([t.available for t in tracks]) & np.array(in_front)
+    k = proj_ok[:, None, :] & (dets[:, :, 2] >= tau_joint)  # (n_t, n_d, 26)
+    err = np.linalg.norm(np.array(uv)[:, None] - dets[:, :, :2], axis=3)
+    return _masked_mean(err, k)
+
+
+def per_camera_associate(tracks, dets_by_cam, cals, cfg: TrackerConfig):
+    """Per-camera reference for associate_camera: one cost table and one
+    Hungarian solve per camera, in camera order."""
+    out = {}
+    for cam_id in sorted(dets_by_cam):
+        dets = dets_by_cam[cam_id]
+        cost = per_camera_association_cost(tracks, dets, cals[cam_id], cfg.tau_joint)
+        matches = hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
+        matched_d = {d for _, d in matches}
+        out[cam_id] = matches, [d for d in range(len(dets)) if d not in matched_d]
+    return out
+
+
 def reference_fuse_clouds(clouds, voxel_size, label_table):
     """Two-sort reference for fuse_clouds: np.unique over (N, 3) voxel keys,
     then over (voxel, label) pairs, a lexsort for the per-voxel majority
@@ -756,6 +889,83 @@ def per_point_nearest_per_label(surfaces, queries):
     return out
 
 
+def _point_distances(queries, xyz):
+    """(Q, P) distances from queries (Q, 3) to points xyz (3, P), the
+    squares summed x, y, z in order."""
+    return np.sqrt(sum((queries[:, a, None] - xyz[a]) ** 2 for a in range(3)))
+
+
+def _point_box_distances(queries, lo, hi):
+    """(Q, B) distances from queries (Q, 3) to the boxes lo, hi (3, B)."""
+    q = queries[:, :, None]
+    return np.sqrt(sum(np.maximum(np.maximum(lo[a] - q[:, a], q[:, a] - hi[a]), 0.0) ** 2
+                       for a in range(3)))
+
+
+def per_hand_nearest_by_label(index, queries):
+    """Per-hand reference for _CellIndex.nearest_by_label: the (distance,
+    point index) arrays of one hand's queries (Q, 3), each cell group
+    bounded by its distance to every query."""
+    lower = _point_box_distances(queries, index.lo, index.hi).min(axis=0)
+    upper = _point_distances(queries, index.heads).min(axis=0)
+    bound = np.minimum.reduceat(upper, index.label_groups)
+    keep = np.flatnonzero(lower <= bound[index.group_label])
+    lens = index.ends[keep] - index.starts[keep]
+    rows = np.repeat(index.starts[keep] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    d = _point_distances(queries, index.xyz[:, rows])
+    query = d.argmin(axis=0)
+    d = d[query, np.arange(len(rows))]
+    label = np.repeat(index.group_label[keep], lens)
+    label_rows = np.flatnonzero(np.diff(label, prepend=-1))
+    best = np.minimum.reduceat(d, label_rows)
+    n = len(index.order)
+    key = np.where(d == best[label], query * n + index.order[rows], len(queries) * n)
+    return best, np.minimum.reduceat(key, label_rows) % n
+
+
+def per_hand_nearest_per_label(cloud, queries):
+    """Per-hand reference for nearest_per_label on a SemanticCloud or a
+    SurfaceDistances: {label: (distance, closest)} for one hand's
+    queries (Q, 3)."""
+    queries = np.asarray(queries, dtype=float).reshape(-1, 3)
+    out = {}
+    if isinstance(cloud, SurfaceDistances):
+        for label, prims in cloud._by_label.items():
+            d = np.array([prim.distances(queries) for prim in prims])
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            out[label] = (float(d[i, j]), lambda p=prims[i], q=queries[j]: p.closest_point(q))
+        return out
+    cloud.nearest_per_label(queries[None])  # builds the index
+    d, idx = per_hand_nearest_by_label(cloud._index, queries)
+    for k, label in enumerate(cloud.label_ids):
+        out[label] = (float(d[k]), lambda i=idx[k]: cloud.positions[i])
+    return out
+
+
+class PerHandContactTracker(ContactTracker):
+    """ContactTracker whose update asks the cloud once per hand, through
+    per_hand_nearest_per_label, and observes each hand's labels in sorted
+    order."""
+
+    def update(self, frame, hands, cloud):
+        cfg = self.cfg
+        rows = []
+        for hand in hands:
+            hand_id, side, person = hand.hand_track_id, hand.side, hand.person_id
+            state = self._hands.get(hand_id)
+            if state is not None and frame - state.last_frame > cfg.max_gap_frames:
+                state = None
+            smoothed = smooth_anchors(state.smoothed if state else None, hand.anchors,
+                                      cfg.ema_alpha)
+            self._hands[hand_id] = _HandState(frame, smoothed)
+            if len(cloud) == 0:
+                continue
+            for label, (d, closest) in sorted(per_hand_nearest_per_label(cloud, smoothed).items()):
+                self.observe(frame, hand_id, side, person, label, d, closest)
+                rows.append((frame, hand_id, side, person, label, float(d)))
+        return rows
+
+
 def merge_episodes(records, cfg: ContactConfig, label=-1):
     """Assemble episodes from one (hand, label) stream of active frames.
 
@@ -810,30 +1020,35 @@ class RecordContactTracker:
         self._active: dict[tuple, bool] = {}
         self._records: dict[tuple, list] = {}
 
-    def update(self, frame, hand, cloud):
+    def update(self, frame, hands, cloud):
         cfg = self.cfg
-        state = self._hands.get(hand.hand_track_id)
-        if state is not None and frame - state.last_frame > cfg.max_gap_frames:
-            state = None  # gap too long, restart the filter
-        smoothed = smooth_anchors(
-            state.smoothed if state else None, hand.anchors, cfg.ema_alpha
-        )
-        self._hands[hand.hand_track_id] = _HandState(frame, smoothed)
+        smoothed = []
+        for hand in hands:
+            state = self._hands.get(hand.hand_track_id)
+            if state is not None and frame - state.last_frame > cfg.max_gap_frames:
+                state = None  # gap too long, restart the filter
+            anchors = smooth_anchors(state.smoothed if state else None, hand.anchors, cfg.ema_alpha)
+            self._hands[hand.hand_track_id] = _HandState(frame, anchors)
+            smoothed.append(anchors)
 
         rows = []
-        if len(cloud) == 0:
+        if not smoothed or len(cloud) == 0:
             return rows
-        for label, (d, closest) in sorted(cloud.nearest_per_label(smoothed).items()):
-            key = (hand.hand_track_id, label)
-            active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
-            self._active[key] = active
-            if active:
-                # A copy: the point is a row of the cloud's positions, and a
-                # view would keep the whole frame's cloud alive.
-                self._records.setdefault(key, []).append(
-                    (frame, float(d), np.array(closest(), dtype=float), hand.person_id, hand.side)
-                )
-            rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, float(d)))
+        labels, distances, closest = cloud.nearest_per_label(np.stack(smoothed))
+        for h, hand in enumerate(hands):
+            for k, label in enumerate(labels):
+                d = float(distances[h, k])
+                key = (hand.hand_track_id, label)
+                active = hysteresis_step(self._active.get(key, False), d, cfg.tau_on, cfg.tau_off)
+                self._active[key] = active
+                if active:
+                    # A copy: the point is a row of the cloud's positions, and a
+                    # view would keep the whole frame's cloud alive.
+                    self._records.setdefault(key, []).append(
+                        (frame, d, np.array(closest(h, k), dtype=float), hand.person_id,
+                         hand.side)
+                    )
+                rows.append((frame, hand.hand_track_id, hand.side, hand.person_id, label, d))
         return rows
 
     def finalize(self):
@@ -890,6 +1105,164 @@ def per_key_threshold_sweep(traces, gt, grid, base_cfg: ContactConfig | None = N
     return rows
 
 
+def per_pair_person_distance(fh, snapshot):
+    """(priority tier, distance) of a fused hand to the side-matching arm
+    joint of one person track: tier 0 the wrist, 1 the elbow, 2 the
+    shoulder, the highest priority joint available; None when none is."""
+    joints = SIDE_JOINTS[fh.side]
+    for tier, name in enumerate(("wrist", "elbow", "shoulder")):
+        k = joints[name]
+        if snapshot.available[k]:
+            return tier, float(np.linalg.norm(fh.palm_center - snapshot.joints[k]))
+    return None
+
+
+def naive_dbscan(points, eps, min_pts):
+    """Reference DBSCAN straight from the textbook definition."""
+    n = len(points)
+    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+    core = (dist <= eps).sum(axis=1) >= min_pts
+    labels = np.full(n, -1)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        seeds = [j for j in range(n) if dist[i, j] <= eps]
+        k = 0
+        while k < len(seeds):
+            j = seeds[k]
+            k += 1
+            if labels[j] == -1:
+                labels[j] = cluster
+                if core[j]:
+                    seeds.extend(m for m in range(n) if dist[j, m] <= eps)
+        cluster += 1
+    for i in range(n):
+        if labels[i] == -1:
+            labels[i] = cluster
+            cluster += 1
+    return labels
+
+
+def naive_cluster_hands(palm_centers, sides, eps, min_pts):
+    """Reference for cluster_hands: naive_dbscan per side, left first,
+    each cluster's members in index order."""
+    palm_centers = np.asarray(palm_centers, dtype=float).reshape(-1, 3)
+    clusters = []
+    for side in ("left", "right"):
+        idx = [i for i, s in enumerate(sides) if s == side]
+        if idx:
+            labels = naive_dbscan(palm_centers[idx], eps, min_pts)
+            clusters += [[idx[j] for j in np.flatnonzero(labels == lab)]
+                         for lab in range(labels.max() + 1)]
+    return clusters
+
+
+class PerHandFusion(HandFusion):
+    """Per-hand reference for HandFusion: each hand moved to the world
+    frame alone with all its vertices, naive_dbscan clusters, and one
+    np.linalg.norm per (hand, track) and (hand, person) pair."""
+
+    def fuse(self, hands, cals):
+        if not hands:
+            return []
+        anchors = [self.hand_schema.anchors(cals[h.camera_id].camera_to_world(h.vertices))
+                   for h in hands]
+        centers = np.array([a[0] for a in anchors])
+        sides = [h.side for h in hands]
+        sigma = [h.sigma_fit for h in hands]
+        cam_ids = [h.camera_id for h in hands]
+        fused = []
+        for members in naive_cluster_hands(centers, sides, self.cfg.dbscan_eps,
+                                           self.cfg.dbscan_min_pts):
+            rep = select_representative(members, sigma, cam_ids)
+            fused.append(FusedHand(side=hands[rep].side, anchors=anchors[rep]))
+        return fused
+
+    def _match_hand_tracks(self, frame, fused):
+        cfg = self.cfg
+        alive = {
+            tid: tr for tid, tr in self.tracks.items()
+            if frame - tr.last_frame <= cfg.hand_gap_frames
+        }
+        self.tracks = dict(alive)
+        pairs = []
+        for fi, fh in enumerate(fused):
+            for tid, tr in alive.items():
+                if tr.side != fh.side:
+                    continue
+                d = float(np.linalg.norm(fh.palm_center - tr.center))
+                if d < self._motion_gate(frame, tr):
+                    pairs.append((d, fi, tid))
+        pairs.sort()
+        taken_f, taken_t = set(), set()
+        for d, fi, tid in pairs:
+            if fi in taken_f or tid in taken_t:
+                continue
+            taken_f.add(fi)
+            taken_t.add(tid)
+            fused[fi].hand_track_id = tid
+        for fi, fh in enumerate(fused):
+            if fi in taken_f:
+                continue
+            tid = self.next_id
+            self.next_id += 1
+            self.tracks[tid] = _HandTrack(
+                id=tid, side=fh.side, center=fh.palm_center, last_frame=frame
+            )
+            fh.hand_track_id = tid
+
+    def associate(self, frame, fused, persons):
+        cfg = self.cfg
+        prefs, free = [], deque()
+        kept = set()
+        for fi, fh in enumerate(fused):
+            tr = self.tracks[fh.hand_track_id]
+            opts = sorted(
+                (*td, p.id) for p in persons
+                if (td := per_pair_person_distance(fh, p)) is not None and td[1] < cfg.tau_assoc
+            )
+            if (
+                any(pid == tr.person for _, _, pid in opts)
+                and (tr.person, fh.side) not in kept
+                and np.linalg.norm(fh.palm_center - tr.center) < self._motion_gate(frame, tr)
+            ):
+                kept.add((tr.person, fh.side))
+                opts.sort(key=lambda o: o[2] != tr.person)
+                free.appendleft(fi)
+            else:
+                free.append(fi)
+            prefs.append(iter(opts))
+
+        held = {}
+        while free:
+            fi = free.popleft()
+            side = fused[fi].side
+            for tier, d, pid in prefs[fi]:
+                holder = held.get((pid, side))
+                if holder is None or (tier, d) < holder[:2]:
+                    held[(pid, side)] = (tier, d, fi)
+                    if holder is not None:
+                        free.append(holder[2])
+                    break
+        person_of = {fi: pid for (pid, _), (_, _, fi) in held.items()}
+        for fi, fh in enumerate(fused):
+            tr = self.tracks[fh.hand_track_id]
+            tr.center = fh.palm_center
+            tr.last_frame = frame
+            pid = person_of.get(fi)
+            fh.person_id = pid
+            if pid is not None:
+                if pid != tr.person:
+                    tr.prev_person = tr.person
+                    tr.person = pid
+                if tr.prev_person is not None and pid != tr.prev_person:
+                    key = (pid, tr.prev_person)
+                    self.votes[key] = self.votes.get(key, 0) + 1
+        return fused
+
+
 def two_phase_associate(hf, frame, fused, persons, counts):
     """Reference for HandFusion.associate: a persistence pass in fused
     order, then a greedy pass that takes the globally smallest (tier,
@@ -907,7 +1280,7 @@ def two_phase_associate(hf, frame, fused, persons, counts):
         gap = max(frame - tr.last_frame, 1)
         gate = cfg.v_max * gap / cfg.fps + cfg.slack_delta
         td = (
-            hf._person_distance(fh, by_id[tr.person])
+            per_pair_person_distance(fh, by_id[tr.person])
             if tr.person is not None and tr.person in by_id
             else None
         )
@@ -927,14 +1300,14 @@ def two_phase_associate(hf, frame, fused, persons, counts):
     for fi in list(pool) + list(assigned):
         opts = []
         for p in persons:
-            td = hf._person_distance(fused[fi], p)
+            td = per_pair_person_distance(fused[fi], p)
             if td is not None and td[1] < cfg.tau_assoc:
                 opts.append((td[0], td[1], p.id))
         opts.sort()
         candidates[fi] = opts
     rank_of = {}
     for fi, pid in assigned.items():
-        td = hf._person_distance(fused[fi], by_id[pid])
+        td = per_pair_person_distance(fused[fi], by_id[pid])
         rank_of[fi] = td if td is not None else (2, float("inf"))
 
     cursor = {fi: 0 for fi in pool}

@@ -950,20 +950,23 @@ class TestScoringBadInput:
 
 class TestSweep:
     # An infinite lo or hi never leaves the grid loop where it is not
-    # rejected; a NaN one gives an empty grid. The last three hold more
-    # than MAX_GRID_POINTS: 10**12 and 10**20 points, and a step so far
-    # below 1e12's float spacing that tau never moves.
+    # rejected; a NaN one gives an empty grid. A lo <= 0 would sweep
+    # tau_on values at which no contact can start. The last three hold
+    # more than MAX_GRID_POINTS: 10**12 and 10**20 points, and a step so
+    # far below 1e12's float spacing that tau never moves.
     @pytest.mark.parametrize("grid", [
-        "0.4:0.1:0.1", "nan:0.1:0.01", "0:nan:0.01", "0:0.1:nan",
-        "0:inf:0.01", "-inf:0.1:0.01", "0:0.1:inf",
-        "0:1e12:1", "1:2:1e-20", "1e12:1e12:1e-5",
+        "0.4:0.1:0.1", "nan:0.1:0.01", "0.01:nan:0.01", "0.01:0.1:nan",
+        "0.01:inf:0.01", "-inf:0.1:0.01", "0.01:0.1:inf", "0:0.1:0.02", "-0.1:0.1:0.05",
+        "1:1e12:1", "1:2:1e-20", "1e12:1e12:1e-5",
     ], ids=["hi-below-lo", "nan-lo", "nan-hi", "nan-step", "inf-hi", "minus-inf-lo", "inf-step",
-            "too-many-points", "step-far-too-small", "step-below-resolution"])
-    def test_bad_grid(self, tmp_path, mini_induction, grid):
+            "zero-lo", "negative-lo", "too-many-points", "step-far-too-small",
+            "step-below-resolution"])
+    def test_bad_grid(self, tmp_path, mini_induction, grid, capsys):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--in", mini_induction["out"], "--gt", mini_induction["ds"],
                      f"--grid={grid}", "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
+        assert repr(grid) in capsys.readouterr().err
 
     def test_grid_row_count(self, tmp_path, mini_induction):
         out = tmp_path / "s.csv"

@@ -7,17 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contacttrack.config import ContactConfig
+from contacttrack.config import ContactConfig, FusionConfig, PipelineConfig, TrackerConfig
 from contacttrack.contact import (
     ContactTracker,
     hysteresis_step,
     run_hysteresis,
     smooth_anchors,
 )
-from contacttrack.hand_fusion import FusedHand
+from contacttrack.hand_fusion import FusedHand, HandFusion
+from contacttrack.person_tracker import Tracker
+from contacttrack.pipeline import _build_cloud
 from contacttrack.semantic_map import SemanticCloud
+from contacttrack.simulator import SceneDepthProvider, Simulator, SurfaceDistances
 
-from helpers import RecordContactTracker
+from helpers import (
+    FRAME_SCENES,
+    PerHandContactTracker,
+    RecordContactTracker,
+    induction_window,
+    rendered,
+)
 
 
 def oracle_fsm(distances, tau_on, tau_off):
@@ -197,7 +206,7 @@ class TestContactTracker:
         # Approach, dwell within tau_on, retract.
         heights = [0.30, 0.20, 0.10, 0.05, 0.05, 0.05, 0.20, 0.30]
         for f, h in enumerate(heights):
-            ct.update(f, hand((0.0, 0.0, 0.8 + h)), cloud)
+            ct.update(f, [hand((0.0, 0.0, 0.8 + h))], cloud)
         eps = ct.finalize()
         assert len(eps) == 1
         ep = eps[0]
@@ -210,17 +219,17 @@ class TestContactTracker:
         cfg = ContactConfig(ema_alpha=0.5, max_gap_frames=2)
         ct = ContactTracker(cfg)
         cloud = flat_cloud()
-        ct.update(0, hand((0.0, 0.0, 1.8)), cloud)
+        ct.update(0, [hand((0.0, 0.0, 1.8))], cloud)
         # Long absence, then reappear touching; with a stale EMA the first
         # smoothed distance would be ~0.5 m, with a reset it is ~5 cm.
-        ct.update(10, hand((0.0, 0.0, 0.85)), cloud)
+        ct.update(10, [hand((0.0, 0.0, 0.85))], cloud)
         key = (1, 1)
         assert ct._active[key]
 
     def test_traces_recorded(self):
         ct = ContactTracker(ContactConfig(ema_alpha=1.0))
         cloud = flat_cloud()
-        rows = ct.update(0, hand((0.0, 0.0, 1.0)), cloud)
+        rows = ct.update(0, [hand((0.0, 0.0, 1.0))], cloud)
         assert len(rows) == 1
         frame, hid, side, person, label, d = rows[0]
         assert (frame, hid, side, person, label) == (0, 1, "right", 4, 1)
@@ -229,14 +238,14 @@ class TestContactTracker:
     def test_empty_cloud_no_state(self):
         ct = ContactTracker(ContactConfig())
         empty = SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), {})
-        assert ct.update(0, hand((0, 0, 1.0)), empty) == []
+        assert ct.update(0, [hand((0, 0, 1.0))], empty) == []
         assert ct.finalize() == []
 
     def test_records_do_not_keep_the_cloud_alive(self):
         ct = ContactTracker(ContactConfig(ema_alpha=1.0))
         cloud = flat_cloud()
         positions = weakref.ref(cloud.positions.base)  # the array owning the points
-        ct.update(0, hand((0.0, 0.0, 0.85)), cloud)
+        ct.update(0, [hand((0.0, 0.0, 0.85))], cloud)
         assert ct._open  # the hand is in contact, so an open episode holds a point
         del cloud
         gc.collect()
@@ -247,7 +256,8 @@ class TestContactTracker:
 
 class ScriptedCloud:
     """Stands in for a SemanticCloud: nearest_per_label answers the
-    scripted {label: (distance, point)} whatever the anchors."""
+    scripted {label: (distance, point)} for every hand, whatever the
+    anchors."""
 
     def __init__(self, nearest):
         self.nearest = nearest
@@ -256,7 +266,9 @@ class ScriptedCloud:
         return len(self.nearest)
 
     def nearest_per_label(self, anchors):
-        return {label: (d, lambda p=p: p) for label, (d, p) in self.nearest.items()}
+        labels = sorted(self.nearest)
+        d = np.array([[self.nearest[label][0] for label in labels]] * len(anchors))
+        return labels, d, lambda h, k: self.nearest[labels[k]][1]
 
 
 def episode_fields(episodes):
@@ -302,7 +314,8 @@ def replay(tracker, frames):
                 label: (d, np.array([d, label, k], dtype=float))
                 for label, (d, k) in nearest.items()
             })
-            rows.append(tracker.update(frame, hand((0.0, 0.0, 1.0), hand_id, person, side), cloud))
+            one = hand((0.0, 0.0, 1.0), hand_id, person, side)
+            rows.append(tracker.update(frame, [one], cloud))
     return rows, tracker.finalize()
 
 
@@ -340,7 +353,7 @@ class TestOnlineEpisodes:
 
         def pickled_size(tracker, frames):
             for f in range(frames):
-                tracker.update(f, hand((0.0, 0.0, 0.85)), cloud)
+                tracker.update(f, [hand((0.0, 0.0, 0.85))], cloud)
             return len(pickle.dumps(tracker))
 
         small = pickled_size(ContactTracker(), 100)
@@ -349,3 +362,38 @@ class TestOnlineEpisodes:
         assert list(ct._open) == [(1, 1)] and ct._closed == []
         # The per-frame reference grows past the bound, so the check bites.
         assert pickled_size(RecordContactTracker(), 10_000) > 2 * small
+
+
+@pytest.fixture(scope="module")
+def induction_surfaces():
+    """The induction-lite surfaces as the pipeline's semantic map (built
+    from the depth source's frame-0 lattice) and as the analytic
+    SurfaceDistances that ground truth uses."""
+    sim = Simulator(induction_window(), seed=0)
+    table = {s.label: f"s{s.label}" for s in sim.scene["surfaces"]}
+    cloud = _build_cloud(SceneDepthProvider(sim), sim.cals, 0, PipelineConfig(), table, "table")
+    return {"map": cloud, "analytic": SurfaceDistances(sim.scene["surfaces"])}
+
+
+@pytest.mark.parametrize("surfaces", ["map", "analytic"])
+@pytest.mark.parametrize("name", sorted(FRAME_SCENES))
+def test_frame_query_equals_per_hand_oracle(name, surfaces, induction_surfaces):
+    # The pipeline's fused hands, frame by frame, against the induction
+    # surfaces: one query per frame gives the trace rows and episodes of
+    # one query per hand, bit for bit, contact points included.
+    sim, frames = rendered(name)
+    cloud = induction_surfaces[surfaces]
+    tracker = Tracker(sim.cals, TrackerConfig())
+    fusion = HandFusion(FusionConfig(), sim.hand_schema)
+    stacked, oracle = ContactTracker(), PerHandContactTracker()
+    rows = 0
+    for frame, dets, hands in frames:
+        fused = fusion.step(frame, hands, sim.cals, tracker.step(frame, dets))
+        got = stacked.update(frame, fused, cloud)
+        assert got == oracle.update(frame, fused, cloud)
+        rows += len(got)
+    assert rows >= 5 * len(frames)
+    episodes, want = stacked.finalize(), oracle.finalize()
+    assert episode_fields(episodes) == episode_fields(want)
+    if name == "induction-window":
+        assert episodes

@@ -17,7 +17,6 @@ printed by
 """
 
 import contextlib
-import copy
 import hashlib
 import io
 import os
@@ -30,7 +29,7 @@ from contacttrack.pipeline import run_pipeline
 from contacttrack.scenes import builtin_scene
 from contacttrack.simulator import emit_dataset
 
-from helpers import crowd_crossing, tree_bytes
+from helpers import crowd_crossing, tree_bytes, window
 
 SEED = 0
 # (first frame, frame count) per builtin: the induction windows hold the
@@ -222,20 +221,6 @@ GOLDEN = {
         }
     }
 }
-
-
-def window(scene, start, count):
-    """Frames [start, start + count) of a builtin scene, renumbered from 0."""
-    scene = copy.deepcopy(scene)
-    scene["frame_count"] = count
-    for person in scene["persons"]:
-        for wp in person["waypoints"]:
-            wp["frame"] -= start
-        person["absent"] = [[a - start, b - start] for a, b in person.get("absent", [])]
-        for hand in person.get("hands", []):
-            for ev in hand["events"]:
-                ev["frame"] -= start
-    return scene
 
 
 def digests(root):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contacttrack.config import FusionConfig
+from contacttrack.config import FusionConfig, TrackerConfig
 from contacttrack.hand_fusion import (
     SIDES,
     FusedHand,
@@ -12,12 +12,19 @@ from contacttrack.hand_fusion import (
     select_representative,
     stitch_ids,
 )
-from contacttrack.person_tracker import TrackSnapshot
+from contacttrack.person_tracker import Tracker, TrackSnapshot
 from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, HandSchema
 
 from contacttrack.geometry import CameraCalibration
 
-from helpers import TwoPhaseHandFusion, identity_camera
+from helpers import (
+    FRAME_SCENES,
+    PerHandFusion,
+    TwoPhaseHandFusion,
+    identity_camera,
+    naive_dbscan,
+    rendered,
+)
 
 HAND_SCHEMA = HandSchema(vertex_count=16)
 
@@ -40,34 +47,6 @@ def person(pid, wrist_l=None, wrist_r=None, detected=True):
             avail[k] = True
     return TrackSnapshot(id=pid, existence=1.0, joints=joints, available=avail,
                          detected=detected)
-
-
-def naive_dbscan(points, eps, min_pts):
-    """Reference DBSCAN straight from the textbook definition."""
-    n = len(points)
-    dist = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-    core = (dist <= eps).sum(axis=1) >= min_pts
-    labels = np.full(n, -1)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        seeds = [j for j in range(n) if dist[i, j] <= eps]
-        k = 0
-        while k < len(seeds):
-            j = seeds[k]
-            k += 1
-            if labels[j] == -1:
-                labels[j] = cluster
-                if core[j]:
-                    seeds.extend(m for m in range(n) if dist[j, m] <= eps)
-        cluster += 1
-    for i in range(n):
-        if labels[i] == -1:
-            labels[i] = cluster
-            cluster += 1
-    return labels
 
 
 class TestWorldTransform:
@@ -382,3 +361,34 @@ class TestDeferredAcceptance:
             claims += old.counts["claims"]
             evictions += old.counts["evictions"]
         assert claims > 0 and evictions > 0
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_SCENES))
+def test_stacked_fusion_equals_per_hand_oracle(name):
+    # The pipeline's hands and confirmed persons, frame by frame: the
+    # stacked fusion gives each fused hand the anchors, track and person
+    # of the per-hand loop, bit for bit, and keeps the same tracks, votes
+    # and coexistence counts.
+    sim, frames = rendered(name)
+    tracker = Tracker(sim.cals, TrackerConfig())
+    stacked = HandFusion(FusionConfig(), sim.hand_schema)
+    oracle = PerHandFusion(FusionConfig(), sim.hand_schema)
+    assigned = 0
+    for frame, dets, hands in frames:
+        persons = tracker.step(frame, dets)
+        got = stacked.step(frame, hands, sim.cals, persons)
+        want = oracle.step(frame, hands, sim.cals, persons)
+        assert [(f.side, f.hand_track_id, f.person_id) for f in got] == [
+            (f.side, f.hand_track_id, f.person_id) for f in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.anchors, b.anchors)
+        assigned += sum(f.person_id is not None for f in got)
+
+    def tracks(hf):
+        return {tid: (tr.side, tr.center.tolist(), tr.last_frame, tr.person, tr.prev_person)
+                for tid, tr in hf.tracks.items()}
+
+    assert tracks(stacked) == tracks(oracle)
+    assert (stacked.votes, stacked.coexist, stacked.next_id) == (
+        oracle.votes, oracle.coexist, oracle.next_id)
+    assert assigned > len(frames)

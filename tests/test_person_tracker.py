@@ -8,7 +8,7 @@ from contacttrack.person_tracker import (
     PersonTrack,
     Tracker,
     associate_camera,
-    association_cost,
+    association_costs,
     depth_lift,
     depth_patches,
     update_triangulated,
@@ -17,15 +17,19 @@ from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 from contacttrack.simulator import Simulator
 
 from helpers import (
+    FRAME_SCENES,
     crowd_crossing,
     four_branch_merge,
     make_ring,
     per_group_spawn,
+    per_camera_associate,
+    per_camera_association_cost,
     per_joint_update,
     per_pair_association_cost,
     per_pair_birth_pairs,
     per_pair_group_unmatched,
     project,
+    rendered,
 )
 
 
@@ -84,7 +88,7 @@ class TestAssociate:
         joints = place_template()
         tr = track_at(joints)
         det = detect(joints, cal)
-        matches, um = associate_camera([tr], [det], cal, TrackerConfig())
+        matches, um = associate_camera([tr], {"cam0": [det]}, cams, TrackerConfig())["cam0"]
         assert matches == [(0, 0)]
         assert um == []
 
@@ -92,7 +96,8 @@ class TestAssociate:
         cal = cams["cam0"]
         joints = place_template()
         det = detect(joints, cal, conf=0.1)
-        matches, um = associate_camera([track_at(joints)], [det], cal, TrackerConfig())
+        matches, um = associate_camera([track_at(joints)], {"cam0": [det]}, cams,
+                                       TrackerConfig())["cam0"]
         assert matches == []
         assert um == [0]
 
@@ -111,7 +116,7 @@ class TestAssociate:
             d = detect(place_template(positions[i]), cal)
             d[:, :2] += rng.normal(0, 3.0, size=(JOINT_COUNT, 2))
             dets.append(d)
-        matches, _ = associate_camera(tracks, dets, cal, cfg)
+        matches, _ = associate_camera(tracks, {"cam0": dets}, cams, cfg)["cam0"]
 
         cost = np.zeros((3, 3))
         for ti, tr in enumerate(tracks):
@@ -124,8 +129,9 @@ class TestAssociate:
         assert sorted(matches) == [(i, best[i]) for i in range(3)]
 
     def test_cost_matches_per_pair_reference(self, cams):
-        # Bit for bit: partial availability and confidence, a track behind
-        # the camera and a track with no available joint.
+        # Bit for bit, every camera of one stacked call: partial
+        # availability and confidence, a track behind cam0, a track with
+        # no available joint, and cameras with no detection.
         rng = np.random.default_rng(5)
         cal = cams["cam0"]
         for _ in range(20):
@@ -136,16 +142,51 @@ class TestAssociate:
                 tracks.append(tr)
             tracks[3].joints += 2 * (cal.center - tracks[3].joints.mean(axis=0))
             tracks[4].available[:] = False
-            dets = []
-            for _ in range(rng.integers(1, 7)):
-                d = detect(place_template(rng.uniform(-1.5, 1.5, 2)), cal)
-                d[:, :2] += rng.normal(0.0, 5.0, size=(JOINT_COUNT, 2))
-                d[:, 2] = rng.uniform(0.0, 1.0, JOINT_COUNT)
-                dets.append(d)
-            cost = association_cost(tracks, dets, cal, TrackerConfig().tau_joint)
-            ref = per_pair_association_cost(tracks, dets, cal, TrackerConfig().tau_joint)
-            assert np.array_equal(cost, ref)
+            dets_by_cam = {}
+            for cam_id in sorted(cams):
+                dets = []
+                for _ in range(rng.integers(0 if cam_id != "cam0" else 1, 7)):
+                    d = detect(place_template(rng.uniform(-1.5, 1.5, 2)), cams[cam_id])
+                    d[:, :2] += rng.normal(0.0, 5.0, size=(JOINT_COUNT, 2))
+                    d[:, 2] = rng.uniform(0.0, 1.0, JOINT_COUNT)
+                    dets.append(d)
+                dets_by_cam[cam_id] = dets
+            costs = association_costs(tracks, dets_by_cam, cams, TrackerConfig().tau_joint)
+            assert list(costs) == sorted(cams)
+            for cam_id, cost in costs.items():
+                ref = per_pair_association_cost(tracks, dets_by_cam[cam_id], cams[cam_id],
+                                                TrackerConfig().tau_joint)
+                assert np.array_equal(cost, ref)
+            ref = per_pair_association_cost(tracks, dets_by_cam["cam0"], cal,
+                                            TrackerConfig().tau_joint)
             assert np.isfinite(ref[:3]).mean() > 0.5 and np.isinf(ref[3:]).all()
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_SCENES))
+def test_stacked_association_equals_per_camera_oracle(name, monkeypatch):
+    # The tracker's own frames, tracks and detections: each frame's
+    # stacked pass gives every camera the cost table, matches and
+    # unmatched detections of today's per-camera loop, bit for bit.
+    sim, frames = rendered(name)
+    associate = person_tracker.associate_camera
+    solved = []
+
+    def checked(tracks, dets_by_cam, cals, cfg):
+        got = associate(tracks, dets_by_cam, cals, cfg)
+        assert got == per_camera_associate(tracks, dets_by_cam, cals, cfg)
+        costs = association_costs(tracks, dets_by_cam, cals, cfg.tau_joint)
+        for cam_id, cost in costs.items():
+            want = per_camera_association_cost(tracks, dets_by_cam[cam_id], cals[cam_id],
+                                               cfg.tau_joint)
+            assert np.array_equal(cost, want)
+        solved.append(sum(np.isfinite(c).sum() for c in costs.values()))
+        return got
+
+    monkeypatch.setattr(person_tracker, "associate_camera", checked)
+    tracker = Tracker(sim.cals, TrackerConfig())
+    for frame, dets, _ in frames:
+        tracker.step(frame, dets)
+    assert len(solved) == len(frames) and sum(solved) > 10 * len(frames)
 
 
 class TestTriangulationUpdate:

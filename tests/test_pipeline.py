@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,14 @@ from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_n
 from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
-from helpers import make_camera, make_ring, tree_bytes, write_depth_grid, write_label_grid
+from helpers import (
+    make_camera,
+    make_ring,
+    tree_bytes,
+    window,
+    write_depth_grid,
+    write_label_grid,
+)
 
 
 class TestOutputs:
@@ -201,6 +209,57 @@ class TestStitchRewrite:
                 .replace(b'"person":1,', b'"person":7,')
             assert want != before[name]
             assert after[name] == want
+
+
+class TestWholeRunMemory:
+    """A run holds one frame's detections, map and per-frame stacks, plus
+    tables keyed by ids or pairs of ids, so its traced peak does not grow
+    with the frame count."""
+
+    FRAMES = 8  # F; the long run has 4F
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Input directories of the first F and 4F frames of one
+        induction-lite-noisy window, whose map is rebuilt every frame."""
+        root = tmp_path_factory.mktemp("memory")
+        full = str(root / "full")
+        emit_dataset(window(induction_lite_noisy(), 60, 4 * self.FRAMES), full, seed=0)
+        out = {}
+        for frames in (self.FRAMES, 4 * self.FRAMES):
+            d = str(root / f"first{frames}")
+            shutil.copytree(full, d)
+            with open(os.path.join(full, "detections.jsonl")) as f, \
+                    open(os.path.join(d, "detections.jsonl"), "w") as g:
+                g.writelines(line for line in f if json.loads(line)["frame"] < frames)
+            out[frames] = d
+        return out
+
+    @staticmethod
+    def peak(d):
+        tracemalloc.start()
+        try:
+            meta = run_pipeline(os.path.join(d, "calibration.json"), d, os.path.join(d, "out"),
+                                PipelineConfig(seed=0))
+            return meta["frames"], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_frames(self, runs, monkeypatch):
+        # The id and id-pair tables (hand tracks, contact filters, stitch
+        # votes, the coexistence counts) and the finished episodes hold a
+        # few hundred small entries here, well inside the allowance; one
+        # frame's map and its index take about 600 KiB. A run that kept
+        # each frame's map would pass the bound within a frame or two,
+        # as the leaky run below shows for F frames.
+        allowance = 256 * 1024
+        (short, low), (long, high) = (self.peak(runs[f]) for f in sorted(runs))
+        assert (short, long) == (self.FRAMES, 4 * self.FRAMES)
+        assert high <= low + allowance
+        kept = []
+        fuse = pipeline.fuse_clouds
+        monkeypatch.setattr(pipeline, "fuse_clouds", lambda *a: kept.append(fuse(*a)) or kept[-1])
+        assert self.peak(runs[self.FRAMES])[1] > low + (self.FRAMES - 1) * allowance
 
 
 class TestBenchmarkHooks:

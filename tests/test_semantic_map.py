@@ -27,6 +27,15 @@ from helpers import (
 TABLE = {0: "background", 1: "bed", 2: "monitor", 3: "table"}
 
 
+def per_label(cloud, groups):
+    """cloud.nearest_per_label of query groups (H, Q, 3), one call, as a
+    {label: (distance, closest)} dict per group."""
+    labels, d, closest = cloud.nearest_per_label(groups)
+    assert d.shape == (len(groups), len(labels))
+    return [{label: (d[h, k], lambda h=h, k=k: closest(h, k)) for k, label in enumerate(labels)}
+            for h in range(len(groups))]
+
+
 def cloud_of(points, labels, cam="cam0"):
     return LabeledPointCloud(np.asarray(points, dtype=float), np.asarray(labels), cam)
 
@@ -223,7 +232,7 @@ class TestNearestSurface:
         labs = rng.integers(1, 4, size=500)
         cloud = SemanticCloud(pts, labs, TABLE)
         qs = rng.uniform(-1, 1, size=(6, 3))
-        got = cloud.nearest_per_label(qs)
+        got, = per_label(cloud, qs[None])
         for label in (1, 2, 3):
             sub = pts[labs == label]
             d = np.linalg.norm(sub[None, :, :] - qs[:, None, :], axis=2)
@@ -249,12 +258,15 @@ def test_nearest_matches_kdtree_oracle(seed, n, n_labels, n_queries, scale, offs
     pts = offset + rng.uniform(-scale, scale, size=(n, 3))
     cloud = SemanticCloud(pts, rng.integers(1, n_labels + 1, size=n), FIVE)
     queries = offset + rng.uniform(-1.5 * scale, 1.5 * scale, size=(n_queries, 3))
-    got = cloud.nearest_per_label(queries)
-    want = kdtree_nearest_per_label(cloud, queries)
-    assert list(got) == list(want)
-    for label, (d, point) in want.items():
-        assert got[label][0] == d
-        assert np.array_equal(got[label][1](), point)
+    # Each query as a group of its own in one call, then all as one group.
+    cases = [(q[None], got) for q, got in zip(queries, per_label(cloud, queries[:, None]))]
+    cases.append((queries, per_label(cloud, queries[None])[0]))
+    for qs, got in cases:
+        want = kdtree_nearest_per_label(cloud, qs)
+        assert list(got) == list(want)
+        for label, (d, point) in want.items():
+            assert got[label][0] == d
+            assert np.array_equal(got[label][1](), point)
     for q in queries:
         hit, ref = cloud.nearest(q), kdtree_nearest(cloud, q)
         assert (hit.distance, hit.label, hit.index) == (ref.distance, ref.label, ref.index)
@@ -283,12 +295,14 @@ def _lattice_cloud(draw):
           np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])))
 def test_nearest_ties_go_to_first_query_then_smallest_index(case):
     cloud, queries = case
-    got = cloud.nearest_per_label(queries)
-    want = brute_force_nearest_per_label(cloud, queries)
-    assert list(got) == list(want)
-    for label, (d, index) in want.items():
-        assert got[label][0] == d
-        assert np.array_equal(got[label][1](), cloud.positions[index])
+    # The queries and their reverse as two groups of one call.
+    groups = np.stack([queries, queries[::-1]])
+    for qs, got in zip(groups, per_label(cloud, groups)):
+        want = brute_force_nearest_per_label(cloud, qs)
+        assert list(got) == list(want)
+        for label, (d, index) in want.items():
+            assert got[label][0] == d
+            assert np.array_equal(got[label][1](), cloud.positions[index])
     for q in queries:
         d = np.sqrt(((cloud.positions - q) ** 2).sum(axis=1))
         hit = cloud.nearest(q)

@@ -228,7 +228,7 @@ class TestDepthProvider:
             mp.setattr(simulator, "cast_rays", counted)
             us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
             got = provider.patch(frame, "cam2", us, vs, size)
-        want = [scene_patch(provider, frame, "cam2", u, v, size) for u, v in centres]
+        want = [scene_patch(sim, frame, "cam2", u, v, size) for u, v in centres]
         assert got.shape == (len(centres), size, size)
         assert np.array_equal(got, np.array(want).reshape(got.shape))
         r = size // 2
@@ -250,7 +250,7 @@ class TestDepthProvider:
         for cam_id in sim.cals:
             for frame in (0, 1):
                 labels, depth = SceneDepthProvider(sim).grids(frame, cam_id, stride)
-                full_labels, full_depth = scene_grids(SceneDepthProvider(sim), frame, cam_id, stride)
+                full_labels, full_depth = scene_grids(sim, frame, cam_id, stride)
                 assert labels.shape == (-(-height // stride), -(-width // stride))
                 assert labels.dtype == full_labels.dtype
                 assert np.array_equal(labels, full_labels[::stride, ::stride])
@@ -489,21 +489,24 @@ class TestSurfaceDistances:
         yield self.TIES
 
     def test_matches_per_point_reference(self):
-        distances = SurfaceDistances(self.SURFACES)
+        # Every batch is one group of a single call.
+        batches = np.stack(list(self.batches()))
+        labels, distances, closest = SurfaceDistances(self.SURFACES).nearest_per_label(batches)
+        assert labels == [1, 2, 3, 4]
         inside = 0
-        for queries in self.batches():
-            got = distances.nearest_per_label(queries)
+        for h, queries in enumerate(batches):
             ref = per_point_nearest_per_label(self.SURFACES, queries)
-            assert list(got) == list(ref)
-            for label, (d, point) in ref.items():
-                assert got[label][0] == d
-                assert np.array_equal(got[label][1](), point)
+            assert sorted(ref) == labels
+            for k, label in enumerate(labels):
+                assert distances[h, k] == ref[label][0]
+                assert np.array_equal(closest(h, k), ref[label][1])
             box = self.SURFACES[0]
             inside += ((queries > box.lo) & (queries < box.hi)).all(axis=1).sum()
         assert inside >= 6
 
     def test_ties_go_to_the_first_surface_then_the_first_point(self):
-        got = SurfaceDistances(self.SURFACES).nearest_per_label(self.TIES)
-        assert got[2][0] == 0.5 and got[2][1]().tolist() == [-0.5, 5.0, 0.0]
-        assert got[4][0] == 1.5 and got[4][1]().tolist() == [0.0, -6.0, 0.5]
-        assert got[1][0] == 0.5 and got[1][1]().tolist() == [4.0, 0.5, 0.5]
+        labels, d, closest = SurfaceDistances(self.SURFACES).nearest_per_label(self.TIES[None])
+        got = {label: (d[0, k], closest(0, k).tolist()) for k, label in enumerate(labels)}
+        assert got[2] == (0.5, [-0.5, 5.0, 0.0])
+        assert got[4] == (1.5, [0.0, -6.0, 0.5])
+        assert got[1] == (0.5, [4.0, 0.5, 0.5])
