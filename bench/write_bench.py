@@ -1,18 +1,17 @@
 """Write BENCH_<PR>.json: the benchmark of a parent and a change checkout.
 
-    python3 bench/write_bench.py --pr N --parent DIR --change DIR \
-        [--pairs 10] [--seeds 0 1] [--traces 5] [--runs-from BENCH.json] \
-        [--out BENCH_N.json]
+    python3 bench/write_bench.py --pr N --parent DIR --change DIR
 
-Each pair runs, in both checkouts and one after the other,
+Each of PAIRS pairs per seed in SEEDS runs, in both checkouts and one
+after the other,
 
     python3 perfbench/run.py --workload all --seed S --seconds 10 --trace 0
 
-and the side that runs first alternates from pair to pair (--runs-from
-reuses the pairs of an earlier file instead). Then each checkout runs
-`--trace 1` for every workload at the first seed, in --traces rounds that
-also alternate, and the change checkout runs the tier-1 suite once. The
-file holds every run's end-to-end metrics and samples, the per-layer
+and the side that runs first alternates from pair to pair. Then each
+checkout runs `--trace 1` for every workload at the first seed, in
+TRACES rounds that also alternate, and the change checkout runs the
+tier-1 suite once. BENCH_N.json is written in the change checkout. It
+holds every run's end-to-end metrics and samples, the per-layer
 tables and their medians over the rounds, the environment and
 input-sha256 lines, the tier-1 pass count and wall time, the line counts
 of src/contacttrack/*.py, and a per-seed summary of the pairs. Metrics
@@ -33,6 +32,9 @@ import sys
 import time
 
 PERFBENCH = ["python3", "perfbench/run.py"]
+PAIRS = 10
+SEEDS = (0, 1)
+TRACES = 5  # traced rounds per checkout
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -250,30 +252,20 @@ def main(argv=None):
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--traces", type=int, default=5, help="traced rounds per checkout")
-    p.add_argument("--runs-from", help="reuse the timed runs of an earlier BENCH file")
-    p.add_argument("--out")
     args = p.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as f:
         benchmark = json.load(f)
 
-    if args.runs_from:
-        with open(args.runs_from) as f:
-            earlier = json.load(f)
-        runs, seeds, pairs = earlier["runs"], earlier["seeds"], earlier["pairs_per_seed"]
-    else:
-        runs, seeds, pairs = timed_runs(sides, args.seeds, args.pairs), args.seeds, args.pairs
+    runs = timed_runs(sides, SEEDS, PAIRS)
     workloads = [spec["name"] for spec in benchmark["workloads"]]
-    traced, traced_medians = traced_runs(sides, workloads, seeds[0], args.traces)
+    traced, traced_medians = traced_runs(sides, workloads, SEEDS[0], TRACES)
 
     bench = {
         "pr": args.pr,
         "perfbench": " ".join(PERFBENCH) + " --workload all --seed S --seconds 10 --trace 0",
-        "pairs_per_seed": pairs,
-        "seeds": seeds,
+        "pairs_per_seed": PAIRS,
+        "seeds": list(SEEDS),
         "unreliable": UNRELIABLE,
         "summary": summarize(runs, benchmark["end_to_end"]),
         "traced_median": traced_medians,
@@ -282,7 +274,7 @@ def main(argv=None):
         "tier1": tier1(sides["change"]),
         "src_lines": {side: source_lines(checkout) for side, checkout in sides.items()},
     }
-    out = args.out or os.path.join(sides["change"], f"BENCH_{args.pr}.json")
+    out = os.path.join(sides["change"], f"BENCH_{args.pr}.json")
     write_json(out, bench)
     print(f"wrote {out}", file=sys.stderr)
     return 0

@@ -148,6 +148,15 @@ def project_cameras(points, cals):
     return uv, valid
 
 
+def cameras_to_world(points, cals):
+    """Points (H, P, 3), each row in the frame of its own camera, moved to
+    the world frame in one stacked pass: row h is camera_to_world of
+    cals[h] applied to points[h]."""
+    R = np.stack([cal.R for cal in cals])
+    t = np.stack([cal.t for cal in cals])
+    return (np.asarray(points, dtype=float) - t[:, None]) @ R
+
+
 def backproject_many(uv, depths, cal: CameraCalibration):
     """Vectorized back-projection of pixels with positive depths."""
     uv = np.asarray(uv, dtype=float)

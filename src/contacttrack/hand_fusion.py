@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FusionConfig
-from .geometry import norms
+from .geometry import cameras_to_world, norms
 from .schema import SIDE_JOINTS, HandSchema
 
 SIDES = ("left", "right")
@@ -185,10 +185,9 @@ class HandFusion:
         if not hands:
             return []
         schema = self.hand_schema
-        T_cw = np.stack([cals[h.camera_id].T_cw for h in hands])
         local = schema.anchor_vertices(np.stack([h.vertices for h in hands]))
-        # camera_to_world of each hand: (points - t) @ R.
-        anchors = schema.anchors_of((local - T_cw[:, None, :3, 3]) @ T_cw[:, :3, :3])
+        anchors = schema.anchors_of(
+            cameras_to_world(local, [cals[h.camera_id] for h in hands]))
         sides = [h.side for h in hands]
         sigma = [h.sigma_fit for h in hands]
         cam_ids = [h.camera_id for h in hands]
