@@ -3,9 +3,13 @@
 Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
 cloud's points do not change; its index, the points grouped by (label,
-coarse cell), is built on the first query. The contact stage asks once
-per frame with every fused hand's anchors, and the index answers every
-(hand, label) pair in one pass of numpy calls.
+coarse cell), is built on the first query. Fusion and the index each
+order points with one integer sort, of a packed int64 key, and both
+hold points by axis, (3, N), so that their passes read contiguous rows:
+a fused cloud's positions are the transpose of such an array, which the
+index reads without a copy. The contact stage asks once per frame with
+every fused hand's anchors, and the index answers every (hand, label)
+pair in one pass of numpy calls.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContactTrackError
-from .geometry import CameraCalibration, backproject_many
+from .geometry import CameraCalibration
 
 
 class EmptyCloud(ContactTrackError):
@@ -28,6 +32,11 @@ class UnknownLabel(ContactTrackError):
 
 class VoxelGridTooLarge(ContactTrackError):
     """The fused points span more (voxel, label) cells than an int64 key packs."""
+
+
+class IndexGridTooLarge(ContactTrackError):
+    """A cloud's points span more (label, index cell) pairs than an int64
+    key packs, or are not all finite."""
 
 
 @dataclass
@@ -72,31 +81,52 @@ class _CellIndex:
     """Exact nearest-point search per label over a fixed point set.
 
     The points are sorted once by (label, INDEX_CELL cell, point index)
-    into cell groups of one label in one cell. A query group bounds each
-    cell group's distance from below by the gap between their bounding
-    boxes, and each label's nearest distance from above by the distance
-    to the middle point (in sort order) of each of its cell groups, which
-    tends to lie nearer the cell's centre than its first point; only the
-    cell groups whose lower bound does not pass their label's upper bound
-    are searched point by point.
+    into cell groups of one label in one cell: one stable argsort of an
+    int64 key that packs each point's label rank, the major digit, and its
+    cell's offsets from the lowest cell, in row-major strides. A query
+    group bounds each cell group's distance from below by the gap between
+    their bounding boxes, and each label's nearest distance from above by
+    the distance to the middle point (in sort order) of each of its cell
+    groups, which tends to lie nearer the cell's centre than its first
+    point; only the cell groups whose lower bound does not pass their
+    label's upper bound are searched point by point. Raises
+    IndexGridTooLarge when the key would pass 2**53.
     """
 
-    def __init__(self, positions, labels):
-        cells = np.floor(positions / INDEX_CELL)
-        self.order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], labels))
-        labels, cells = labels[self.order], cells[self.order]
-        new = np.ones(len(labels), dtype=bool)
-        new[1:] = (labels[1:] != labels[:-1]) | (cells[1:] != cells[:-1]).any(axis=1)
+    def __init__(self, positions, labels, label_ids):
+        xyz = np.ascontiguousarray(positions.T)  # a view for fused clouds
+        cells = np.floor(xyz / INDEX_CELL)
+        lo = cells.min(axis=1)
+        extent = cells.max(axis=1) - lo + 1
+        # Below 2**53 the cell offsets, taken in float64, are exact
+        # integers, and the key cannot overflow; nan and inf fail too.
+        if not float(np.prod(extent)) * len(label_ids) <= 2.0**53:
+            raise IndexGridTooLarge(
+                f"points span a {' x '.join(f'{e:.3g}' for e in extent)} grid of "
+                f"{INDEX_CELL} m index cells over {len(label_ids)} labels, past the "
+                f"2**53 packed-key range"
+            )
+        cells = (cells - lo[:, None]).astype(np.int64)
+        ex, ey, ez = (int(e) for e in extent)
+        rank = np.searchsorted(label_ids, labels)
+        key = ((rank * ex + cells[0]) * ey + cells[1]) * ez + cells[2]
+        # A stable sort of 16-bit keys is a radix sort, several times
+        # faster than of int64 ones; a room's (label, cell) keys fit.
+        short = ex * ey * ez * len(label_ids) <= 2**16
+        self.order = np.argsort(key.astype(np.uint16) if short else key, kind="stable")
+        key = key[self.order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
         self.starts = np.flatnonzero(new)
-        self.ends = np.append(self.starts[1:], len(labels))
-        self.xyz = np.ascontiguousarray(positions[self.order].T)
+        self.ends = np.append(self.starts[1:], len(key))
+        self.xyz = np.take(xyz, self.order, axis=1)
         self.lo = np.minimum.reduceat(self.xyz, self.starts, axis=1)
         self.hi = np.maximum.reduceat(self.xyz, self.starts, axis=1)
         self.heads = np.ascontiguousarray(self.xyz[:, (self.starts + self.ends - 1) // 2])
-        new_label = np.ones(len(self.starts), dtype=bool)
-        new_label[1:] = labels[self.starts[1:]] != labels[self.starts[:-1]]
-        self.label_groups = np.flatnonzero(new_label)
-        self.group_label = np.cumsum(new_label) - 1
+        # Every label has points, so a cell group's label rank is its
+        # label's column in the tables.
+        self.group_label = key[self.starts] // (ex * ey * ez)
+        self.label_groups = np.flatnonzero(np.diff(self.group_label, prepend=-1))
 
     def nearest_by_label(self, queries):
         """(distance, point index) arrays of shape (H, labels), labels in
@@ -146,6 +176,17 @@ class _CellIndex:
         return best.reshape(H, -1), idx.reshape(H, -1)
 
 
+def _distinct(labels):
+    """The distinct labels in increasing order: a count over their range,
+    or a sort when the range is wider than the labels are many."""
+    if not len(labels):
+        return []
+    lo = int(labels.min())
+    if int(labels.max()) - lo >= len(labels):
+        return np.unique(labels).tolist()
+    return (np.flatnonzero(np.bincount(labels - lo)) + lo).tolist()
+
+
 class SemanticCloud:
     """Voxel-fused labeled point set with an exact nearest-surface index,
     built on the first query."""
@@ -153,7 +194,7 @@ class SemanticCloud:
     def __init__(self, positions, labels, label_table):
         self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         self.labels = np.asarray(labels, dtype=int).reshape(-1)
-        self.label_ids = [int(lid) for lid in np.unique(self.labels)]
+        self.label_ids = _distinct(self.labels)
         for lid in self.label_ids:
             if lid not in label_table:
                 raise UnknownLabel(f"label id {lid} missing from label table")
@@ -166,7 +207,7 @@ class SemanticCloud:
         if not len(self):
             raise EmptyCloud("nearest_surface on an empty cloud")
         if self._index is None:
-            self._index = _CellIndex(self.positions, self.labels)
+            self._index = _CellIndex(self.positions, self.labels, self.label_ids)
         return self._index.nearest_by_label(queries)
 
     def nearest(self, query):
@@ -195,42 +236,48 @@ def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4
     label_grid and depth_grid are the equal-shape lattice a depth source
     returns: cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in
     row-major lattice order. Background (label 0) and invalid depth (<= 0)
-    cells are skipped.
+    cells are skipped. The arithmetic is backproject_many's, with u - cx
+    taken per lattice column and v - cy per row, so no pixel coordinates
+    are gathered.
     """
     lab = np.asarray(label_grid)
     dep = np.asarray(depth_grid)
     keep = (lab > 0) & (dep > 0)
-    vs, us = np.nonzero(keep)
-    uv = np.stack([us * stride, vs * stride], axis=1).astype(float)
-    pts = backproject_many(uv, dep[keep], cal) if len(uv) else np.zeros((0, 3))
-    return LabeledPointCloud(pts, lab[keep].astype(int), cal.camera_id)
+    d = dep[keep]
+    u = np.broadcast_to(np.arange(lab.shape[1]) * stride - cal.cx, lab.shape)[keep]
+    v = np.broadcast_to(np.arange(lab.shape[0])[:, None] * stride - cal.cy, lab.shape)[keep]
+    pc = np.stack([u * d / cal.fx, v * d / cal.fy, d], axis=1)
+    return LabeledPointCloud(cal.camera_to_world(pc), lab[keep].astype(int), cal.camera_id)
 
 
 def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     """Voxel down-sampling with per-voxel majority label voting.
 
     Ties break to the smallest label id; the voxel representative is the
-    centroid of the members carrying the winning label. Order-invariant
-    over input clouds.
+    centroid of the members carrying the winning label, summed in input
+    order. The fused points are numbered in lexicographic voxel-key order.
+    The voxel set and each voxel's label do not depend on the order of the
+    input clouds or of their points; a centroid can, in its last bits,
+    because floating-point sums depend on the order of their terms.
 
     Each (voxel, label) pair is packed into one int64: voxel keys are
     shifted by their minimum and combined with row-major strides over
     their extent, then the label offset is appended as the fastest digit.
     One 1D sort of the packed keys therefore orders pairs by voxel in
     lexicographic key order and by label within a voxel, and gives both
-    the pair counts and the voxel of every point. Raises VoxelGridTooLarge
-    when the packed range would pass 2**62.
+    the pair counts and the pair of every point. The points are held by
+    axis, (3, N), so that the reductions and sums read contiguous rows.
+    Raises VoxelGridTooLarge when the packed range would pass 2**62.
     """
-    pos_list = [c.positions for c in clouds if len(c.positions)]
-    lab_list = [c.labels for c in clouds if len(c.positions)]
-    if not pos_list:
+    clouds = [c for c in clouds if len(c.positions)]
+    if not clouds:
         return SemanticCloud(np.zeros((0, 3)), np.zeros(0, dtype=int), label_table)
-    pos = np.concatenate(pos_list)
-    lab = np.concatenate(lab_list).astype(int)
+    lab = np.concatenate([c.labels for c in clouds]).astype(int, copy=False)
+    xyz = np.concatenate([c.positions.T for c in clouds], axis=1, out=np.empty((3, len(lab))))
 
-    keys = np.floor(pos / voxel_size)
-    lo = keys.min(axis=0)
-    extent = keys.max(axis=0) - lo + 1
+    keys = np.floor(xyz / voxel_size)
+    lo = keys.min(axis=1)
+    extent = keys.max(axis=1) - lo + 1
     lab_min = int(lab.min())
     n_lab = int(lab.max()) - lab_min + 1
     if float(np.prod(extent)) * n_lab > 2.0**62:
@@ -238,9 +285,9 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
             f"voxel_size {voxel_size} m gives a {' x '.join(f'{e:.3g}' for e in extent)} "
             f"voxel grid over {n_lab} labels, past the 2**62 packed-key range"
         )
-    keys = (keys - lo).astype(np.int64)
+    keys = (keys - lo[:, None]).astype(np.int64)
     ey, ez = (int(e) for e in extent[1:])
-    packed = ((keys[:, 0] * ey + keys[:, 1]) * ez + keys[:, 2]) * n_lab + (lab - lab_min)
+    packed = ((keys[0] * ey + keys[1]) * ez + keys[2]) * n_lab + (lab - lab_min)
     pairs, pair_of, counts = np.unique(packed, return_inverse=True, return_counts=True)
 
     # Pairs are sorted by (voxel, label); number the voxels along them.
@@ -249,7 +296,6 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     new_vox[1:] = pair_vox_key[1:] != pair_vox_key[:-1]
     starts = np.flatnonzero(new_vox)
     pair_vox = np.cumsum(new_vox) - 1
-    voxel_of = pair_vox[pair_of]
     n_vox = len(starts)
 
     # Per voxel the max count; its first pair is the smallest such label.
@@ -257,16 +303,13 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     cand = np.flatnonzero(counts == top[pair_vox])
     first = np.ones(len(cand), dtype=bool)
     first[1:] = pair_vox[cand[1:]] != pair_vox[cand[:-1]]
-    win_label = pairs[cand[first]] % n_lab + lab_min
+    win = cand[first]
+    win_label = pairs[win] % n_lab + lab_min
 
-    # Centroid over members carrying the winning label of their voxel,
-    # each voxel's members summed in input order.
-    winner = lab == win_label[voxel_of]
-    vox_w = voxel_of[winner]
-    pos_w = pos[winner]
-    sums = np.stack(
-        [np.bincount(vox_w, weights=pos_w[:, a], minlength=n_vox) for a in range(3)], axis=1
-    )
-    nums = np.bincount(vox_w, minlength=n_vox).astype(float)
-    centroids = sums / nums[:, None]
-    return SemanticCloud(centroids, win_label, label_table)
+    # Centroid over the top members of each voxel, those of its winning
+    # pair, summed in input order; every other point adds to a spare bin.
+    bin_of_pair = np.full(len(pairs), n_vox)
+    bin_of_pair[win] = np.arange(n_vox)
+    bins = bin_of_pair[pair_of]
+    sums = np.stack([np.bincount(bins, weights=row, minlength=n_vox + 1)[:n_vox] for row in xyz])
+    return SemanticCloud((sums / top).T, win_label, label_table)

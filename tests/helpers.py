@@ -42,7 +42,7 @@ from contacttrack.person_tracker import PersonTrack, _masked_mean
 from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
 from contacttrack.scenes import crossing_clean, crossing_noisy, induction_lite
 from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS
-from contacttrack.semantic_map import SemanticCloud, SurfaceHit
+from contacttrack.semantic_map import INDEX_CELL, SemanticCloud, SurfaceHit, _CellIndex
 from contacttrack.simulator import (
     OCCLUSION_MARGIN,
     PARTIAL_MARGIN,
@@ -721,6 +721,26 @@ def reference_capsule_ray(p0, a, radius, origin, dirs):
     return out
 
 
+def reference_box_ray(box, origin, dirs):
+    """Per-ray reference for Box.ray: the slab method in Python floats,
+    one axis at a time; a ray parallel to a slab (|d| <= _EPS) misses
+    unless its origin lies inside the slab."""
+    out = []
+    for d in np.asarray(dirs, dtype=float).reshape(-1, 3).tolist():
+        tmin, tmax = -math.inf, math.inf
+        for o, di, lo, hi in zip(np.asarray(origin, dtype=float).tolist(), d,
+                                 box.lo.tolist(), box.hi.tolist()):
+            if abs(di) <= _EPS:
+                if not lo <= o <= hi:
+                    tmin, tmax = math.inf, -math.inf
+                continue
+            ta, tb = (lo - o) / di, (hi - o) / di
+            tmin, tmax = max(tmin, min(ta, tb)), min(tmax, max(ta, tb))
+        hit = tmax >= tmin and tmax > 0
+        out.append((tmin if tmin > 0 else tmax) if hit else math.inf)
+    return np.array(out)
+
+
 def reference_cast_rays(primitives, origin, dirs):
     """Per-primitive reference for cast_rays: a Capsules stack is unrolled
     into its capsules, each cast alone by reference_capsule_ray and missing
@@ -818,6 +838,30 @@ def reference_fuse_clouds(clouds, voxel_size, label_table):
     nums = np.bincount(voxel_of[winner], minlength=n_vox).astype(float)
     centroids = sums / nums[:, None]
     return SemanticCloud(centroids, win_label, label_table)
+
+
+class LexsortCellIndex(_CellIndex):
+    """Reference grouping for _CellIndex: the points ordered by a lexsort
+    of four keys, label and the float x, y and z INDEX_CELL cells, ties
+    in point order, with the groups, label runs and bounds read off that
+    order. nearest_by_label is the index's own."""
+
+    def __init__(self, positions, labels):
+        cells = np.floor(positions / INDEX_CELL)
+        self.order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0], labels))
+        labels, cells = labels[self.order], cells[self.order]
+        new = np.ones(len(labels), dtype=bool)
+        new[1:] = (labels[1:] != labels[:-1]) | (cells[1:] != cells[:-1]).any(axis=1)
+        self.starts = np.flatnonzero(new)
+        self.ends = np.append(self.starts[1:], len(labels))
+        self.xyz = np.ascontiguousarray(positions[self.order].T)
+        self.lo = np.minimum.reduceat(self.xyz, self.starts, axis=1)
+        self.hi = np.maximum.reduceat(self.xyz, self.starts, axis=1)
+        self.heads = np.ascontiguousarray(self.xyz[:, (self.starts + self.ends - 1) // 2])
+        new_label = np.ones(len(self.starts), dtype=bool)
+        new_label[1:] = labels[self.starts[1:]] != labels[self.starts[:-1]]
+        self.label_groups = np.flatnonzero(new_label)
+        self.group_label = np.cumsum(new_label) - 1
 
 
 def per_person_sightings(sim, frame):

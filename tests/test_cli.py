@@ -200,7 +200,7 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert f"config error: config {cfg}: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: config {cfg}: {message}\n"
 
     def test_min_birth_joints_below_one_exit_code(self, tmp_path, mini_induction, capsys):
         # A track must always hold an available joint, and births are
@@ -211,7 +211,7 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert "min_birth_joints must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: config {cfg}: min_birth_joints must be >= 1\n"
 
     def test_unknown_config_key_exit_code(self, tmp_path, mini_induction, capsys):
         cfg = tmp_path / "cfg.json"
@@ -220,8 +220,8 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert (f"config error: config {cfg}: unknown parameter(s) ['no_such_parameter']\n"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == f"config error: config {cfg}: unknown parameter(s) ['no_such_parameter']\n")
 
     @pytest.mark.parametrize("config, message", [
         ('{"voxel_size": "a"}', 'voxel_size must be a finite number, got "a"'),
@@ -246,7 +246,7 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert f"config error: config {cfg}: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: config {cfg}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_config_integer_for_a_float_kept_as_given(self, tmp_path):

@@ -16,7 +16,12 @@ from contacttrack.primitives import (
 )
 from contacttrack.simulator import surface_from_config
 
-from helpers import full_capsule_hits, reference_capsule_ray, reference_cast_rays
+from helpers import (
+    full_capsule_hits,
+    reference_box_ray,
+    reference_capsule_ray,
+    reference_cast_rays,
+)
 
 
 class TestBox:
@@ -65,6 +70,21 @@ class TestBox:
                     for q in faces:
                         best = min(best, float(np.linalg.norm(p - np.array(q))))
             assert self.box.distances(p)[0] <= best + 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), inside=st.booleans())
+def test_box_ray_matches_per_ray_slabs(seed, inside):
+    # Rays in every direction, some parallel to one or two slabs (zero or
+    # below-_EPS components), from an origin outside or inside the box.
+    rng = np.random.default_rng(seed)
+    box = Box([1.0, -1.0, 0.0], [2.0, 1.0, 1.0])
+    origin = rng.uniform(box.lo, box.hi) if inside else rng.uniform(-3.0, 4.0, size=3)
+    dirs = rng.normal(size=(300, 3))
+    flat = rng.random((300, 3)) < 0.2
+    dirs[flat] = rng.choice([0.0, 1e-13, -1e-13], size=flat.sum())
+    want = reference_box_ray(box, origin, dirs)
+    assert box.ray(origin, dirs).tobytes() == want.tobytes()
 
 
 class TestSphere:

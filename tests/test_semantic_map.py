@@ -3,11 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contacttrack.config import PipelineConfig
 from contacttrack.errors import ContactTrackError, InputFormatError
 from contacttrack.geometry import backproject_many
 from contacttrack.io import read_label_grid, read_label_table, write_label_table
+from contacttrack.pipeline import _build_cloud
+from contacttrack.scenes import induction_lite_noisy
 from contacttrack.semantic_map import (
     EmptyCloud,
+    IndexGridTooLarge,
     LabeledPointCloud,
     SemanticCloud,
     VoxelGridTooLarge,
@@ -15,12 +19,16 @@ from contacttrack.semantic_map import (
     fuse_clouds,
 )
 
+from contacttrack.simulator import SceneDepthProvider, Simulator
+
 from helpers import (
+    LexsortCellIndex,
     brute_force_nearest_per_label,
     identity_camera,
     kdtree_nearest,
     kdtree_nearest_per_label,
     reference_fuse_clouds,
+    window,
     write_label_grid,
 )
 
@@ -308,6 +316,95 @@ def test_nearest_ties_go_to_first_query_then_smallest_index(case):
         hit = cloud.nearest(q)
         assert hit.distance == d.min()
         assert hit.index == int(np.flatnonzero(d == d.min())[0])
+
+
+def assert_index_matches_lexsort_oracle(cloud, groups):
+    """The cloud's index orders and groups the points as LexsortCellIndex
+    does, and its (distance, point index) tables for the query groups
+    (H, Q, 3) are the oracle's, bit for bit."""
+    d, idx = cloud._nearest_by_label(groups)
+    oracle = LexsortCellIndex(cloud.positions, cloud.labels)
+    for name in ("order", "starts", "ends", "label_groups", "group_label"):
+        assert np.array_equal(getattr(cloud._index, name), getattr(oracle, name)), name
+    want_d, want_idx = oracle.nearest_by_label(groups)
+    assert d.tobytes() == want_d.tobytes()
+    assert np.array_equal(idx, want_idx)
+    return d, idx
+
+
+NOISY_FRAMES = 12
+
+
+@pytest.fixture(scope="module")
+def noisy_window_maps():
+    """The per-frame maps of induction-lite-noisy frames 60-71, each fused
+    from all four cameras' lattices, with the frame's persons' joints as
+    query groups, one group per person."""
+    sim = Simulator(window(induction_lite_noisy(), 60, NOISY_FRAMES), seed=0)
+    assert len(sim.cals) == 4
+    provider = SceneDepthProvider(sim)
+    maps = []
+    for frame in range(NOISY_FRAMES):
+        cloud = _build_cloud(provider, sim.cals, frame, PipelineConfig(),
+                             sim.scene["label_table"], "label_table.txt")
+        maps.append((cloud, np.stack(list(sim.frame_state(frame).values()))))
+    return maps
+
+
+def test_index_matches_lexsort_oracle_on_noisy_window(noisy_window_maps):
+    for cloud, groups in noisy_window_maps:
+        assert len(cloud) > 5000 and len(cloud.label_ids) == 5
+        assert_index_matches_lexsort_oracle(cloud, groups)
+    # One person's joints of the first frame, point by point.
+    cloud, groups = noisy_window_maps[0]
+    d, idx = cloud._nearest_by_label(groups[:1])
+    want = brute_force_nearest_per_label(cloud, groups[0])
+    assert [(d[0, k], idx[0, k]) for k in range(len(want))] == list(want.values())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lattice_cloud())
+def test_index_matches_lexsort_oracle_on_lattice_ties(case):
+    # Exact distance ties, and points on index cell faces.
+    cloud, queries = case
+    groups = np.stack([queries, queries[::-1]])
+    d, idx = assert_index_matches_lexsort_oracle(cloud, groups)
+    for h, qs in enumerate(groups):
+        want = brute_force_nearest_per_label(cloud, qs)
+        assert [(d[h, k], idx[h, k]) for k in range(len(want))] == list(want.values())
+
+
+class TestIndexKeyRange:
+    """The index packs (label, cell) into an int64 key, which a cloud past
+    its range must not overflow."""
+
+    @pytest.mark.parametrize("far", [[1e6, 1e6, 1e6], [2.3e15, 0.0, 0.0]])
+    def test_cloud_past_the_key_range_raises(self, far):
+        cloud = SemanticCloud([[0.0, 0.0, 0.0], far], [1, 2], TABLE)
+        with pytest.raises(IndexGridTooLarge, match="2\\*\\*53") as err:
+            cloud.nearest([0.0, 0.0, 0.0])
+        assert isinstance(err.value, ContactTrackError)
+
+    @pytest.mark.parametrize("point", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+    def test_non_finite_point_raises(self, point):
+        cloud = SemanticCloud([[0.0, 0.0, 0.0], point], [1, 1], TABLE)
+        with pytest.raises(IndexGridTooLarge):
+            cloud.nearest_per_label(np.zeros((1, 1, 3)))
+
+    # An 8 x 8 x 3 m room over five labels packs 61,440 keys, within 16
+    # bits; a 20 x 20 x 4 m hall over three packs 307,200; a 10 km cube
+    # packs 6.4e13, inside the range.
+    @pytest.mark.parametrize("extent, n_labels", [
+        ((8.0, 8.0, 3.0), 5), ((20.0, 20.0, 4.0), 3), ((1e4, 1e4, 1e4), 1)])
+    def test_room_sized_cloud_indexes(self, extent, n_labels):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, extent, size=(3000, 3))
+        pts[:2] = [[0.0, 0.0, 0.0], np.nextafter(extent, 0.0)]
+        labels = np.arange(3000) % n_labels + 1
+        cloud = SemanticCloud(pts, labels, FIVE)
+        groups = rng.uniform(0.0, extent, size=(4, 3, 3))
+        assert_index_matches_lexsort_oracle(cloud, groups)
+        assert cloud.nearest(pts[7]).index == 7
 
 
 class TestGridIO:
