@@ -31,21 +31,23 @@ class TrackerConfig:
     max_inactive_frames: int = 90
     min_birth_joints: int = 6     # valid joints required to spawn a track
 
-    def validate(self):
+    def validate(self, prefix=""):
+        """Raise ConfigError on a value out of range; prefix goes before
+        every field the message names, "tracker." in a pipeline config."""
         if not 0 < self.tau_joint <= 1:
-            raise ConfigError("tau_joint must be in (0, 1]")
+            raise ConfigError(f"{prefix}tau_joint must be in (0, 1]")
         if not self.bone_alpha < 1 < self.bone_beta:
-            raise ConfigError("bone ratios must satisfy alpha < 1 < beta")
+            raise ConfigError(f"{prefix}bone_alpha < 1 < {prefix}bone_beta must hold")
         if not 0 < self.e_off < self.e_on <= 1:
-            raise ConfigError("existence thresholds must satisfy 0 < e_off < e_on <= 1")
+            raise ConfigError(f"0 < {prefix}e_off < {prefix}e_on <= 1 must hold")
         if not 0 < self.decay_lambda < 1:
-            raise ConfigError("decay_lambda must be in (0, 1)")
+            raise ConfigError(f"{prefix}decay_lambda must be in (0, 1)")
         if self.v_min < 2:
-            raise ConfigError("v_min must be >= 2")
+            raise ConfigError(f"{prefix}v_min must be >= 2")
         if self.patch_w < 1 or self.patch_w % 2 == 0:
-            raise ConfigError("patch_w must be a positive odd size")
+            raise ConfigError(f"{prefix}patch_w must be a positive odd size")
         if self.min_birth_joints < 1:
-            raise ConfigError("min_birth_joints must be >= 1")
+            raise ConfigError(f"{prefix}min_birth_joints must be >= 1")
 
 
 @dataclass
@@ -59,11 +61,10 @@ class FusionConfig:
     hand_gap_frames: int = 90     # hand track survives gaps up to this length
     stitch_min_votes: int = 3
 
-    def validate(self):
-        if self.dbscan_eps <= 0 or self.tau_assoc <= 0 or self.v_max <= 0:
-            raise ConfigError("fusion distances must be positive")
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
+    def validate(self, prefix=""):
+        for name in ("dbscan_eps", "tau_assoc", "v_max", "fps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{prefix}{name} must be positive")
 
 
 @dataclass
@@ -74,13 +75,15 @@ class ContactConfig:
     min_episode_frames: int = 3
     max_gap_frames: int = 2
 
-    def validate(self):
+    def validate(self, prefix=""):
         if not self.tau_off > self.tau_on > 0:
-            raise ConfigError("thresholds must satisfy tau_off > tau_on > 0")
+            raise ConfigError(f"{prefix}tau_off > {prefix}tau_on > 0 must hold")
         if not 0 < self.ema_alpha <= 1:
-            raise ConfigError("ema_alpha must be in (0, 1]")
-        if self.min_episode_frames < 1 or self.max_gap_frames < 0:
-            raise ConfigError("episode filters out of range")
+            raise ConfigError(f"{prefix}ema_alpha must be in (0, 1]")
+        if self.min_episode_frames < 1:
+            raise ConfigError(f"{prefix}min_episode_frames must be >= 1")
+        if self.max_gap_frames < 0:
+            raise ConfigError(f"{prefix}max_gap_frames must be >= 0")
 
 
 @dataclass
@@ -94,9 +97,9 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self):
-        self.tracker.validate()
-        self.fusion.validate()
-        self.contact.validate()
+        self.tracker.validate("tracker.")
+        self.fusion.validate("fusion.")
+        self.contact.validate("contact.")
         if self.voxel_size <= 0:
             raise ConfigError("voxel_size must be positive")
         if self.stride < 1:

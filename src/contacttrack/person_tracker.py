@@ -71,7 +71,7 @@ def _masked_mean(values, mask):
     rows = np.take_along_axis(values, np.argsort(~mask, axis=-1, kind="stable"), axis=-1)
     count = mask.sum(axis=-1)
     out = np.full(count.shape, np.inf)
-    for c in np.unique(count[count > 0]):
+    for c in np.flatnonzero(np.bincount(count.ravel())[1:]) + 1:
         same = count == c
         out[same] = rows[same, :c].mean(axis=-1)
     return out
@@ -196,7 +196,7 @@ def update_triangulated(tracks, obs_by_track, cals, fmat, cfg: TrackerConfig):
     ok = err < cfg.eps_tri
     pos, joints = np.divmod(rows[ok], JOINT_COUNT)
     X = X[ok]
-    for p in np.unique(pos):
+    for p in np.flatnonzero(np.bincount(pos)):
         track, mine = tracks[order[p]], pos == p
         track.joints[joints[mine]] = X[mine]
         track.available[joints[mine]] = True
@@ -318,7 +318,7 @@ def _birth_pairs(unmatched, fmat, cfg: TrackerConfig):
     a, b, shared = a[keep], b[keep], shared[keep]
     dist = np.empty(shared.shape)
     key = cam[a] * m + cam[b]
-    for k in np.unique(key):
+    for k in np.flatnonzero(np.bincount(key)):
         sel = np.flatnonzero(key == k)
         dist[sel] = epipolar_distance(joints[a[sel], :, :2].reshape(-1, 2),
                                       joints[b[sel], :, :2].reshape(-1, 2),

@@ -2,16 +2,20 @@
 
 Each surface answers vectorized ray queries (first-hit parameter along a
 bundle of rays) and point queries (distances from a batch of points, and
-the closest surface point). Surfaces answer one at a time; body capsules
-are stacked (Capsules), so a cast answers a whole stack in one numpy
-pass, and a (capsule, ray) skip mask lets one bundle hold rays that must
-not see some rows, such as each person's own body. A cast first culls
-the (capsule, ray) pairs whose ray line passes outside the capsule's
-bounding sphere, a test on cheap (K, N) arrays that can only drop pairs
-the hit formula would miss, and then runs the hit formula on the few
-surviving pairs, giving the same bits as measuring every pair. Used by
-the scene simulator for rendering depth and label grids, occlusion
-tests, and ground-truth contact distances.
+the closest surface point). Surfaces answer one at a time, and a cast
+may hand each surface only the rays it can hit: the depth provider culls
+a Box or Rect by the image of its bounds(). Their ray tests are
+elementwise, so each ray's hit keeps its bits in any bundle; a Sphere's
+is not (a one-row mat-vec takes another BLAS kernel), and it is not
+culled. Body capsules are stacked (Capsules), so a cast answers a whole
+stack in one numpy pass, and a (capsule, ray) skip mask lets one bundle
+hold rays that must not see some rows, such as each person's own body.
+A cast first culls the (capsule, ray) pairs whose ray line passes
+outside the capsule's bounding sphere, a test on cheap (K, N) arrays
+that can only drop pairs the hit formula would miss, and then runs the
+hit formula on the few surviving pairs, giving the same bits as
+measuring every pair. Used by the scene simulator for rendering depth
+and label grids, occlusion tests, and ground-truth contact distances.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class Box:
         hit = (tmax >= tmin) & (tmax > 0)
         t = np.where(tmin > 0, tmin, tmax)
         return np.where(hit, t, np.inf)
+
+    def bounds(self):
+        """(lo, hi) corners of the axis-aligned bounding box."""
+        return self.lo, self.hi
 
     def closest_point(self, p):
         """Closest surface point of one point (3,) or of each of (N, 3)."""
@@ -162,6 +170,12 @@ class Rect:
             & (np.abs(pts[:, v] - self.center[v]) <= self.half_sizes[1])
         )
         return np.where((t > 0) & inside, t, np.inf)
+
+    def bounds(self):
+        """(lo, hi): the rectangle itself, flat along its normal axis."""
+        half = np.zeros(3)
+        half[self._uv] = self.half_sizes
+        return self.center - half, self.center + half
 
     def closest_point(self, p):
         """Closest surface point of one point (3,) or of each of (N, 3)."""
@@ -268,7 +282,7 @@ class Capsules:
         return t[k, np.arange(n)], k
 
 
-def cast_rays(primitives, origin, dirs):
+def cast_rays(primitives, origin, dirs, rows=None):
     """First hit over a primitive list.
 
     Returns (t, index) arrays; t is inf and index -1 where nothing is hit.
@@ -276,20 +290,31 @@ def cast_rays(primitives, origin, dirs):
     (K consecutive indices) and answers for all of them in one pass, each
     ray ignoring the rows its skip mask marks; every other primitive
     answers alone. On equal t the lowest index wins.
+
+    rows, if given, holds for each primitive the indices of the rays it
+    may hit, or None for every ray (always None for a Capsules stack,
+    whose skip mask covers the whole bundle). A primitive is asked about
+    its rows alone, so the rays left out must be ones it misses, and the
+    cast gives the bits of a full one only if the primitive's ray test
+    gives a ray the same bits in any bundle, as Box and Rect do.
     """
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
     offset = 0
-    for prim in primitives:
+    for prim, sel in zip(primitives, rows or [None] * len(primitives)):
+        size = len(prim) if isinstance(prim, Capsules) else 1
+        if sel is None:
+            sel = slice(None)
+        elif not len(sel):
+            offset += size
+            continue
         if isinstance(prim, Capsules):
-            t, k = prim.ray(origin, dirs)
-            size = len(prim)
+            t, k = prim.ray(origin, dirs[sel])
         else:
-            t, k, size = prim.ray(origin, dirs), 0, 1
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_i = np.where(closer, offset + k, best_i)
+            t, k = prim.ray(origin, dirs[sel]), 0
+        closer = t < best_t[sel]
+        best_t[sel] = np.where(closer, t, best_t[sel])
+        best_i[sel] = np.where(closer, offset + k, best_i[sel])
         offset += size
     return best_t, best_i
-

@@ -31,7 +31,8 @@ class UnknownLabel(ContactTrackError):
 
 
 class VoxelGridTooLarge(ContactTrackError):
-    """The fused points span more (voxel, label) cells than an int64 key packs."""
+    """The fused points span more voxels along an axis than float64 offsets
+    count exactly, or more (voxel, label) cells than an int64 key packs."""
 
 
 class IndexGridTooLarge(ContactTrackError):
@@ -267,7 +268,10 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     lexicographic key order and by label within a voxel, and gives both
     the pair counts and the pair of every point. The points are held by
     axis, (3, N), so that the reductions and sums read contiguous rows.
-    Raises VoxelGridTooLarge when the packed range would pass 2**62.
+    The voxel offsets are taken in float64, which holds them exactly only
+    while an axis spans at most 2**53 voxels, the bound _CellIndex keeps
+    too; raises VoxelGridTooLarge past it, when the packed range would
+    pass 2**62, or when a point is not finite.
     """
     clouds = [c for c in clouds if len(c.positions)]
     if not clouds:
@@ -277,13 +281,19 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
 
     keys = np.floor(xyz / voxel_size)
     lo = keys.min(axis=1)
-    extent = keys.max(axis=1) - lo + 1
+    span = keys.max(axis=1) - lo
+    extent = span + 1
     lab_min = int(lab.min())
     n_lab = int(lab.max()) - lab_min + 1
-    if float(np.prod(extent)) * n_lab > 2.0**62:
+    # An offset below 2**53 is exact, since the difference of two floats
+    # is rounded only when it is not a float itself; nan and inf fail too.
+    limit = ("2**53 voxels along an axis" if not (span < 2.0**53).all()
+             else "the 2**62 packed-key range" if float(np.prod(extent)) * n_lab > 2.0**62
+             else None)
+    if limit:
         raise VoxelGridTooLarge(
             f"voxel_size {voxel_size} m gives a {' x '.join(f'{e:.3g}' for e in extent)} "
-            f"voxel grid over {n_lab} labels, past the 2**62 packed-key range"
+            f"voxel grid over {n_lab} labels, past {limit}"
         )
     keys = (keys - lo[:, None]).astype(np.int64)
     ey, ez = (int(e) for e in extent[1:])

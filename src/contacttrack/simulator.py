@@ -14,9 +14,12 @@ every present person's joints, against the surfaces and the frame's
 body capsules, each ray skipping its own body. SceneDepthProvider
 answers a batch of patch centres per call, cast in chunks of at most
 DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only, both
-under one measurement rule. All randomness is derived from the scene
-seed; depth queries use stateless per-pixel hashing so results do not
-depend on query order.
+under one measurement rule and one cast, in which each box and rectangle
+surface is asked only about the pixels inside the image of its bounding
+box. All randomness is derived from the scene seed; depth queries use
+stateless per-pixel hashing so results do not depend on query order. A
+hand blob is drawn on first use, so a process that asks for no hand
+vertices, as `run`'s depth source does, never loads numpy.random.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ MAX_HAND_VERTICES = 10_000
 # Rays per depth-patch cast (8 patches at patch_w 5): bounds a cast's
 # (capsules, rays) cull arrays and its surviving pairs' rows.
 DEPTH_CHUNK_RAYS = 200
+# The depth cast's surface cull: a surface's pixel rectangle is the image
+# of its bounding box widened by CULL_MARGIN_PX, and only a box whose
+# corners all lie CULL_NEAR or more in front of the camera gets one.
+# Rounding then moves a kernel hit's image by far less than the margin.
+CULL_MARGIN_PX = 2.0
+CULL_NEAR = 1e-3  # m
 # Body capsules (start joint, end joint, radius): neck-pelvis torso, the
 # upper and lower bone of each limb, head.
 BODY_BONES = (
@@ -429,13 +438,8 @@ class Simulator:
         self.hand_schema = HandSchema(vertex_count=self.scene["hand_vertex_count"])
         self.cals = self.scene["cameras"]
         self.cam_index = {c: i for i, c in enumerate(sorted(self.cals))}
-        self._blobs = {}
+        self._blobs = {}  # (person id, side) -> local hand blob, drawn on first use
         self._frame_record = (None, {})
-        for p in self.scene["persons"]:
-            for side in ("left", "right"):
-                self._blobs[(p.id, side)] = hand_blob(
-                    self.scene["hand_vertex_count"], self.seed, p.id, side
-                )
 
     # -- world state -------------------------------------------------------
 
@@ -477,8 +481,10 @@ class Simulator:
     def hand_vertices(self, person_id, side, joints):
         """World hand vertex set: the local blob carried by the wrist so
         that the palm centroid sits exactly on the wrist joint."""
-        wrist = joints[SIDE_JOINTS[side]["wrist"]]
-        return self._blobs[(person_id, side)] + wrist
+        key = (person_id, side)
+        if key not in self._blobs:
+            self._blobs[key] = hand_blob(self.scene["hand_vertex_count"], self.seed, *key)
+        return self._blobs[key] + joints[SIDE_JOINTS[side]["wrist"]]
 
     # -- rendering ---------------------------------------------------------
 
@@ -606,12 +612,14 @@ class SceneDepthProvider:
     to millimeters, matching the DEP1 file format bit for bit. A patch
     call answers every patch one camera needs in a frame, cast in chunks
     of at most DEPTH_CHUNK_RAYS rays; grids answer with the stride lattice
-    only.
+    only. Both cast through _cast, which hands each box and rectangle
+    surface only the pixels inside its rectangle from _pixel_boxes.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._surface_cache = {}
+        self._boxes = {}  # camera id -> the surfaces' pixel rectangles
 
     def _noise(self, frame, cam_id, us, vs):
         sigma = self.sim.scene["depth_sigma"]
@@ -629,9 +637,38 @@ class SceneDepthProvider:
         noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
         return np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
 
-    def _cast(self, cam_id, us, vs, prims):
-        """(depth, label) of pixels (us, vs) cast against prims, surfaces
-        first: depth 0 on a miss, label 0 on a miss or a body."""
+    def _pixel_boxes(self, cam_id):
+        """(S, 4) [u_lo, u_hi, v_lo, v_hi] per scene surface: the pixel
+        rectangle that holds the image of its bounding box, widened by
+        CULL_MARGIN_PX. A surface whose box reaches nearer than CULL_NEAR to
+        the camera plane, or behind it, gets an unbounded rectangle (every
+        pixel), and so does a sphere: its ray test takes a BLAS mat-vec
+        that numpy hands to another kernel for a single row, so a sphere
+        asked about fewer rays could move a hit's last bits."""
+        if cam_id not in self._boxes:
+            cal = self.sim.cals[cam_id]
+            surfaces = self.sim.scene["surfaces"]
+            boxes = np.tile([-np.inf, np.inf, -np.inf, np.inf], (len(surfaces), 1))
+            corner = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], dtype=bool)
+            for i, prim in enumerate(surfaces):
+                if isinstance(prim, Sphere):
+                    continue
+                lo, hi = prim.bounds()
+                pc = cal.world_to_camera(np.where(corner, hi, lo))
+                if pc[:, 2].min() >= CULL_NEAR:
+                    u = cal.fx * pc[:, 0] / pc[:, 2] + cal.cx
+                    v = cal.fy * pc[:, 1] / pc[:, 2] + cal.cy
+                    m = CULL_MARGIN_PX
+                    boxes[i] = u.min() - m, u.max() + m, v.min() - m, v.max() + m
+            self._boxes[cam_id] = boxes
+        return self._boxes[cam_id]
+
+    def _cast(self, cam_id, us, vs, bodies=None):
+        """(depth, label) of pixels (us, vs) cast against the scene
+        surfaces and then the bodies stack, if given: depth 0 on a miss,
+        label 0 on a miss or a body. Each surface is asked only about the
+        pixels inside its _pixel_boxes rectangle, which holds every pixel
+        whose ray it hits."""
         cal = self.sim.cals[cam_id]
         us = np.asarray(us, dtype=float).ravel()
         vs = np.asarray(vs, dtype=float).ravel()
@@ -639,12 +676,20 @@ class SceneDepthProvider:
         y = (vs - cal.cy) / cal.fy
         dirs_cam = np.stack([x, y, np.ones_like(x)], axis=1)
         dirs_world = dirs_cam @ cal.R  # R^T applied row-wise
-        t, idx = cast_rays(prims, cal.center, dirs_world)
+        surfaces = self.sim.scene["surfaces"]
+        box = self._pixel_boxes(cam_id)
+        inside = ((us >= box[:, :1]) & (us <= box[:, 1:2])
+                  & (vs >= box[:, 2:3]) & (vs <= box[:, 3:]))
+        prims = list(surfaces)
+        rows = [None if row.all() else np.flatnonzero(row) for row in inside]
+        if bodies is not None:
+            prims.append(bodies)
+            rows.append(None)
+        t, idx = cast_rays(prims, cal.center, dirs_world, rows=rows)
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
         depth = np.where(np.isfinite(t), t, 0.0)
         # A miss (idx -1) reads the table's last entry, 0.
-        surfaces = self.sim.scene["surfaces"]
         table = np.array([s.label for s in surfaces] + [0], dtype=int)
         return depth, table[np.minimum(idx, len(surfaces))]
 
@@ -663,11 +708,11 @@ class SceneDepthProvider:
         us, vs = np.broadcast_arrays(us, vs)
         ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
         us, vs = us[ok], vs[ok]
-        prims = self.sim.scene["surfaces"] + [self.sim.frame_capsules(frame)[0]]
+        bodies = self.sim.frame_capsules(frame)[0]
         d = np.zeros(len(us))
         for lo in range(0, len(us), DEPTH_CHUNK_RAYS):
             hi = lo + DEPTH_CHUNK_RAYS
-            d[lo:hi], _ = self._cast(cam_id, us[lo:hi], vs[lo:hi], prims)
+            d[lo:hi], _ = self._cast(cam_id, us[lo:hi], vs[lo:hi], bodies)
         depth = np.zeros(ok.shape)
         depth[ok] = self._measured(frame, cam_id, us, vs, d)
         return depth
@@ -676,8 +721,9 @@ class SceneDepthProvider:
         """(label, depth) on the stride lattice, pixel (v, u) = (i, j) *
         stride, as (ceil(height / stride), ceil(width / stride)) arrays.
         Surfaces only, so the map is built from static geometry: the
-        lattice cells that see a surface are cast once per (camera,
-        stride), and each frame draws noise for those cells only."""
+        lattice is cast once per (camera, stride), each surface over the
+        cells inside its pixel rectangle, and each frame draws noise for
+        the cells that see a surface only."""
         cal = self.sim.cals[cam_id]
         key = (cam_id, stride)
         if key not in self._surface_cache:
@@ -686,7 +732,7 @@ class SceneDepthProvider:
                 np.arange(0, cal.image_width, stride),
                 indexing="ij",
             )
-            depth, labels = self._cast(cam_id, us, vs, self.sim.scene["surfaces"])
+            depth, labels = self._cast(cam_id, us, vs)
             hit = (labels > 0).reshape(us.shape)
             self._surface_cache[key] = (
                 hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]

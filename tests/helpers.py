@@ -741,11 +741,12 @@ def reference_box_ray(box, origin, dirs):
     return np.array(out)
 
 
-def reference_cast_rays(primitives, origin, dirs):
+def reference_cast_rays(primitives, origin, dirs, rows=None):
     """Per-primitive reference for cast_rays: a Capsules stack is unrolled
     into its capsules, each cast alone by reference_capsule_ray and missing
     the rays its skip-mask row marks, and the first hit is kept by a
-    strict < over the list in order."""
+    strict < over the list in order. rows, cast_rays' cull, is ignored:
+    every primitive is cast over every ray."""
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     casts = []
     for prim in primitives:

@@ -190,9 +190,14 @@ class TestRun:
          f"tracker.eps_tri must be a finite number, got {-10**400}"),
         (f'{{"stride": {10**400}}}', f"stride must be an int64 integer, got {10**400}"),
         (f'{{"stride": {2**63}}}', f"stride must be an int64 integer, got {2**63}"),
+        # A range error in a section names the field with its section.
+        ('{"fusion": {"v_max": 0}}', "fusion.v_max must be positive"),
+        ('{"contact": {"tau_on": 0.2}}', "contact.tau_off > contact.tau_on > 0 must hold"),
+        ('{"tracker": {"bone_beta": 0.9}}', "tracker.bone_alpha < 1 < tracker.bone_beta must hold"),
     ], ids=["voxel-size-negative", "stride-zero", "voxel-size-beyond-float",
             "fusion-fps-beyond-float", "eps-tri-beyond-float", "stride-beyond-int64",
-            "stride-just-beyond-int64"])
+            "stride-just-beyond-int64", "fusion-v-max-zero", "contact-tau-on-above-off",
+            "tracker-bone-beta-below-one"])
     def test_bad_config_exit_code(self, tmp_path, mini_induction, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -211,7 +216,8 @@ class TestRun:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: config {cfg}: min_birth_joints must be >= 1\n"
+        assert (capsys.readouterr().err
+                == f"config error: config {cfg}: tracker.min_birth_joints must be >= 1\n")
 
     def test_unknown_config_key_exit_code(self, tmp_path, mini_induction, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1094,3 +1100,54 @@ class TestWithoutScipy:
                                env=env, capture_output=True, text=True, timeout=600)
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout.splitlines()[-1]) == [EXIT_OK] * 5, child.stderr
+
+
+class TestRunStartup:
+    """`run` loads only the numpy modules it uses: numpy.ma and
+    numpy.random each cost about 20 ms of CPU to import, a fixed cost of
+    every run process."""
+
+    CHILD = textwrap.dedent("""
+        import json, os, sys
+        from contacttrack import person_tracker, simulator
+        from contacttrack.cli import main
+
+        calls = {}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            setattr(owner, name, wrapper)
+
+        # The steps that once loaded them: depth patches (the simulator's
+        # hand blobs) and the tracker's groupings (np.unique).
+        counted(simulator.SceneDepthProvider, "patch")
+        for name in ("_masked_mean", "update_triangulated", "_birth_pairs"):
+            counted(person_tracker, name)
+        ds, out = sys.argv[1], sys.argv[2]
+        code = main(["run", "--calib", os.path.join(ds, "calibration.json"), "--in", ds,
+                     "--out", out])
+        print(json.dumps({"code": code, "calls": calls,
+                          "loaded": sorted(m for m in ("numpy.ma", "numpy.random")
+                                           if m in sys.modules)}))
+    """)
+
+    def test_run_loads_neither_numpy_ma_nor_numpy_random(self, tmp_path):
+        from contacttrack.simulator import emit_dataset
+
+        ds = str(tmp_path / "ds")
+        emit_dataset(induction_lite_noisy(frame_count=8), ds, seed=0)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run([sys.executable, "-c", self.CHILD, ds, str(tmp_path / "out")],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout.splitlines()[-1])
+        assert result["code"] == EXIT_OK
+        assert set(result["calls"]) == {"patch", "_masked_mean", "update_triangulated",
+                                        "_birth_pairs"}
+        assert result["loaded"] == []

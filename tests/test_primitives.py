@@ -370,6 +370,50 @@ class TestCasting:
         assert i[0] == -1
         assert np.isinf(t[0])
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_box_and_rect_rays_keep_their_bits_in_any_bundle(self, seed, n):
+        # The cull hands a surface a subset of the bundle, as few as one
+        # ray; each ray's hit must not depend on the others.
+        rng = np.random.default_rng(seed)
+        origin = rng.uniform(-1.0, 1.0, size=3)
+        dirs = rng.normal(size=(n, 3)) + [0.0, 0.0, 2.0]
+        lo = rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0]
+        for prim in (Box(lo, lo + rng.uniform(0.1, 2.0, size=3)),
+                     Rect(lo, "xyz"[rng.integers(3)], tuple(rng.uniform(0.1, 2.0, size=2)))):
+            full = prim.ray(origin, dirs)
+            for sel in (rng.permutation(n)[:rng.integers(1, n + 1)], [rng.integers(n)]):
+                assert prim.ray(origin, dirs[sel]).tobytes() == full[sel].tobytes()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_that_hold_every_hit_give_the_full_cast(self, seed):
+        # The box, the rectangle and the box again (which loses every tie)
+        # are each handed the rays they hit plus random others, or every
+        # ray; the sphere and the stack, which the depth cast never culls,
+        # every ray. The first hits keep their bits.
+        rng = np.random.default_rng(seed)
+        origin = rng.uniform(-0.2, 0.2, size=3)
+        dirs = rng.normal(size=(120, 3)) * 0.6 + [0.0, 0.0, 1.0]
+        box = Box([-1.5, -1.0, 2.0], [-0.2, 1.0, 2.5])
+        prims = [box, Rect([0.8, 0.0, 2.2], "z", (0.6, 0.8)), box,
+                 Sphere([0.0, 0.0, 4.0], 1.0),
+                 Capsules.between([[-1.5, 0.8, 1.8]], [[1.5, 0.8, 1.8]], 0.15)]
+        want_t, want_i = cast_rays(prims, origin, dirs)
+        rows = []
+        for prim in prims[:3]:
+            hit = np.isfinite(prim.ray(origin, dirs)) | (rng.random(len(dirs)) < 0.3)
+            rows.append(None if rng.random() < 0.2 else np.flatnonzero(hit))
+        t, i = cast_rays(prims, origin, dirs, rows=rows + [None, None])
+        assert t.tobytes() == want_t.tobytes() and i.tobytes() == want_i.tobytes()
+        assert {0, 1, 3, 4} <= set(want_i.tolist())
+
+    def test_empty_rows_skip_the_primitive(self):
+        dirs = np.array([[0.0, 0.0, 1.0]])
+        prims = [Sphere([0, 0, 5.0], 1.0), Sphere([0, 0, 2.5], 0.5)]
+        t, i = cast_rays(prims, np.zeros(3), dirs, rows=[None, np.zeros(0, dtype=int)])
+        assert i[0] == 0 and t[0] == pytest.approx(4.0)
+
 
 class TestConfig:
     def test_each_kind_builds(self):

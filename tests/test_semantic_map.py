@@ -160,6 +160,26 @@ class TestFuseClouds:
         # A room at a millimetre, far inside the range, packs.
         assert len(fuse_clouds([cloud_of(pts, [1, 3])], 1e-3, TABLE)) == 2
 
+    def test_axis_past_2_53_voxels_raises(self):
+        # The float64 offset of x = 1.5 from x = -2**54 rounds, which
+        # merged the voxels at 1 and 2 into one at x = 2.0.
+        pts = [[-2.0**54, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0]]
+        with pytest.raises(VoxelGridTooLarge, match="2\\*\\*53"):
+            fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
+        # 2**53 + 1 voxels along x: one past the exact offsets.
+        pts[0][0] = -(2.0**53 - 2)
+        with pytest.raises(VoxelGridTooLarge):
+            fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
+        # 2**53 voxels: every offset is exact, and the voxels stay apart.
+        pts[0][0] = -(2.0**53 - 3)
+        cloud = fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
+        assert cloud.positions[:, 0].tolist() == [-(2.0**53 - 3), 1.5, 2.5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, bad):
+        with pytest.raises(VoxelGridTooLarge):
+            fuse_clouds([cloud_of([[0.0, 0.0, 0.0], [bad, 1.0, 1.0]], [1, 1])], 0.01, TABLE)
+
 
 # Points as (voxel index, offset in the voxel, label): indices in a small
 # signed range, so voxels are shared, hold one point or hold equal counts

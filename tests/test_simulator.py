@@ -220,9 +220,9 @@ class TestDepthProvider:
         casts = []
         cast_rays = simulator.cast_rays
 
-        def counted(prims, origin, dirs):
+        def counted(prims, origin, dirs, **cull):
             casts.append(len(dirs))
-            return cast_rays(prims, origin, dirs)
+            return cast_rays(prims, origin, dirs, **cull)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "cast_rays", counted)
@@ -273,6 +273,101 @@ class TestDepthProvider:
         assert len(cloud.positions) > 50
         box = Box([3.0, 3.0, 0.0], [4.0, 4.0, 1.0])
         assert (box.distances(cloud.positions[::10]) < 0.01).all()
+
+
+# Where a surface lies from the camera: its centre's depth range (m) and
+# its lateral offset, as a multiple of the half image at that depth. In
+# front, a surface (at most 1.6 m across) is too far to fill the image;
+# centred on the camera plane, it reaches across it or lies in it; behind,
+# it lies wholly behind.
+PLACES = {
+    "in-view": ((3.0, 6.0), 0.4),
+    "off-image": ((3.0, 6.0), 1.0),  # straddling the image border
+    "across-plane": ((0.0, 0.0), 1.0),
+    "behind": ((-6.0, -1.5), 0.8),
+}
+
+
+class TestSurfaceCull:
+    """The depth cast hands each box and rectangle only the pixels inside
+    the image of its bounding box; grids and patches stay bit-equal to
+    the oracles that cast every pixel."""
+
+    W, H, F = 48, 36, 40.0
+
+    @classmethod
+    def scene(cls, data):
+        """One camera in a random pose and a box, a rectangle and a sphere,
+        each placed in view, across the image border, across the camera
+        plane or behind it."""
+        draw = lambda lo, hi: data.draw(st.floats(lo, hi))  # noqa: E731
+        position = [draw(-3.0, 3.0), draw(-3.0, 3.0), draw(0.5, 3.0)]
+        yaw, pitch = draw(-np.pi, np.pi), draw(-1.2, 0.5)
+        target = list(np.array(position) + [np.cos(pitch) * np.cos(yaw),
+                                            np.cos(pitch) * np.sin(yaw), np.sin(pitch)])
+        R = simulator.look_at_extrinsics(position, target)[:3, :3]
+        places, surfaces = [], []
+        for label, kind in enumerate(("box", "rect", "sphere"), start=1):
+            place = data.draw(st.sampled_from(sorted(PLACES)))
+            (near, far), side = PLACES[place]
+            depth = draw(near, far)
+            half = max(abs(depth), 1.0) * cls.W / (2 * cls.F) * side
+            lateral = [draw(-1.0, 1.0) * half, draw(-1.0, 1.0) * half]
+            if place != "in-view":
+                # Pushed out to the border (off-image) or, near and behind
+                # the camera plane, far enough aside to keep the camera out.
+                lateral[0] = (1 if lateral[0] >= 0 else -1) * max(half, 1.2)
+            centre = np.array(position) + R.T @ [*lateral, depth]
+            size = [draw(0.05, 0.8) for _ in range(3)]
+            if kind == "box":
+                rec = {"min": list(centre - size), "max": list(centre + size)}
+            elif kind == "rect":
+                rec = {"center": list(centre), "axis": data.draw(st.sampled_from("xyz")),
+                       "half_sizes": size[:2]}
+            else:
+                rec = {"center": list(centre), "radius": size[0]}
+            places.append(place)
+            surfaces.append({"type": kind, "label": label, **rec})
+        camera = {"id": "cam0", "position": position, "look_at": target, "width": cls.W,
+                  "height": cls.H, "fx": cls.F, "fy": cls.F, "cx": cls.W / 2, "cy": cls.H / 2}
+        scene = {"cameras": [camera], "surfaces": surfaces, "persons": [], "frame_count": 1,
+                 "noise": {"depth_sigma": 0.01}}
+        return scene, places
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_culled_cast_equals_full_cast_oracles(self, data):
+        scene, places = self.scene(data)
+        sim = Simulator(scene, seed=2)
+        provider = SceneDepthProvider(sim)
+        handed = []
+        cast_rays = simulator.cast_rays
+
+        def recorded(prims, origin, dirs, rows):
+            handed.append([len(dirs) if r is None else len(r) for r in rows[:len(prims)]])
+            return cast_rays(prims, origin, dirs, rows=rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "cast_rays", recorded)
+            for stride in (1, 4):
+                labels, depth = provider.grids(0, "cam0", stride)
+                want_labels, want_depth = scene_grids(sim, 0, "cam0", stride)
+                assert np.array_equal(labels, want_labels[::stride, ::stride])
+                assert depth.tobytes() == want_depth[::stride, ::stride].tobytes()
+            lattice = handed[0]  # stride 1: every pixel
+            centres = data.draw(TestDepthProvider.centres(self.W, self.H))
+            us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
+            got = provider.patch(0, "cam0", us, vs, 5)
+        want = [scene_patch(sim, 0, "cam0", u, v, 5) for u, v in centres]
+        assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+        # A box or rectangle in front of the camera is handed only the
+        # pixels near its image; one that reaches behind the camera plane,
+        # and the sphere, every pixel.
+        for kind, place, rays in zip(("box", "rect", "sphere"), places, lattice):
+            if kind != "sphere" and place in ("in-view", "off-image"):
+                assert rays < self.W * self.H
+            else:
+                assert rays == self.W * self.H
 
 
 class TestGroundTruth:
