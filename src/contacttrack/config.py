@@ -125,20 +125,27 @@ _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 def _fill(cls, data, section=""):
     """cls built from a JSON object whose values match the field defaults'
     types; values are not coerced, so run_meta.json echoes them as given.
-    Numbers must fit the float64 and int64 that numpy takes them as."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(defaults)
+    Numbers must fit the float64 and int64 that numpy takes them as. A
+    field whose default is a config section is filled from its own
+    object, and every message names a field with its section's prefix."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown parameter(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown parameter(s) {sorted(section + k for k in unknown)}")
+    values = dict(data)
     for key, value in data.items():
-        want = type(defaults[key])
+        factory = fields[key].default_factory
+        if dataclasses.is_dataclass(factory):  # a config section
+            values[key] = _fill(factory, _object(value, repr(section + key)), f"{section}{key}.")
+            continue
+        want = type(fields[key].default)
         types, what = _JSON_TYPES[want]
         if (isinstance(value, bool) != (want is bool) or not isinstance(value, types)
                 or want is float and not abs(value) <= sys.float_info.max):  # NaN fails too
             raise ConfigError(f"{section}{key} must be {what}, got {json.dumps(value)}")
         if want is int and not -2**63 <= value < 2**63:
             raise ConfigError(f"{section}{key} must be an int64 integer, got {value}")
-    return cls(**data)
+    return cls(**values)
 
 
 def load_pipeline_config(path=None):
@@ -154,14 +161,6 @@ def load_pipeline_config(path=None):
         except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or nested too deep
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}")
     try:
-        _object(data, "the file")
-        tracker, fusion, contact = (
-            _fill(cls, _object(data.pop(key, {}), f"{key!r}"), f"{key}.")
-            for cls, key in ((TrackerConfig, "tracker"), (FusionConfig, "fusion"),
-                             (ContactConfig, "contact"))
-        )
-        cfg = _fill(PipelineConfig, data)
-        cfg.tracker, cfg.fusion, cfg.contact = tracker, fusion, contact
-        return cfg.validate()
+        return _fill(PipelineConfig, _object(data, "the file")).validate()
     except ConfigError as e:
         raise ConfigError(f"config {path}: {e}") from None

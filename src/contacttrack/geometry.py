@@ -30,10 +30,6 @@ GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-8
 
 
-class DegenerateBaseline(ContactTrackError):
-    pass
-
-
 class InsufficientViews(ContactTrackError):
     pass
 
@@ -173,12 +169,9 @@ def backproject_many(uv, depths, cal: CameraCalibration):
 
 
 def fundamental_matrix(cal_i: CameraCalibration, cal_j: CameraCalibration):
-    """Fundamental matrix F such that x_j^T F x_i = 0 for projections of a common point."""
-    baseline = cal_j.center - cal_i.center
-    if np.linalg.norm(baseline) < 1e-6:
-        raise DegenerateBaseline(
-            f"camera centers of {cal_i.camera_id} and {cal_j.camera_id} coincide"
-        )
+    """Fundamental matrix F such that x_j^T F x_i = 0 for projections of a
+    common point. The camera centres must differ, which read_calibration
+    checks for every pair of a calibration file."""
     # Relative pose mapping camera-i coordinates into camera j.
     R_rel = cal_j.R @ cal_i.R.T
     t_rel = cal_j.t - R_rel @ cal_i.t

@@ -8,11 +8,13 @@ traces) are written one compact record per line by _line, into a file
 the caller holds open: a line writer per stream writes one record, and
 write_traces, the one rows writer, the distance rows of one contact
 update. All but hand tracks are read by _records, which hands each
-record to the stream's parse function. Five field readers hold the rule for the typed fields
-of every JSON input, the scene and the hand schema included: json_int
-(a JSON integer), json_number (a finite JSON number), json_array
-(finite JSON numbers of a given shape), json_list (a JSON array) and
-json_side (left or right). Each raises ValueError naming the field;
+record to the stream's parse function. It, the episode reader and the
+label table reader take their lines from _lines, the one UTF-8 line
+reader. Five field readers hold the rule for the typed fields of every
+JSON input, the scene and the hand schema included: json_int (a JSON
+integer), json_number (a finite JSON number), json_array (finite JSON
+numbers of a given shape), json_list (a JSON array) and json_side (left
+or right). Each raises ValueError naming the field;
 callers add only range checks. Episodes are CSV, label tables
 "<id> <name>" lines, and depth and label grids DEP1 and LBL1 binaries.
 A malformed input raises InputFormatError naming the file, and the line
@@ -26,8 +28,7 @@ import csv
 import json
 import math
 import os
-from io import StringIO
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -167,20 +168,33 @@ def write_json(path, obj, sort_keys=False):
         f.write("\n")
 
 
-def _records(path, what, parse):
-    """Yield parse(rec) for each record of a JSON-lines file, one per
-    non-blank line. A line that is not UTF-8 JSON, or whose record parse
-    rejects with one of RECORD_ERRORS, raises InputFormatError("bad <what>
-    record: ...") naming the file and line."""
+def _lines(path):
+    """Yield (line number, text with its line end) for each line of a
+    UTF-8 file, from 1. A line that is not UTF-8 raises InputFormatError(
+    "not UTF-8 text: ...") naming the file and line; the bad byte's
+    position counts from the start of that line."""
     with open(path, "rb") as f:
         for ln, line in enumerate(f, 1):
-            if not line.strip():
-                continue
             try:
-                item = parse(json.loads(line.decode("utf-8")))
-            except RECORD_ERRORS as e:
-                raise InputFormatError(f"bad {what} record: {e}", path=path, line=ln)
-            yield item
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise InputFormatError(f"not UTF-8 text: {e}", path=path, line=ln)
+            yield ln, text
+
+
+def _records(path, what, parse):
+    """Yield parse(rec) for each non-blank line of a JSON-lines file. A
+    line that is not JSON, or whose record parse rejects with one of
+    RECORD_ERRORS, raises InputFormatError("bad <what> record: ...")
+    naming the file and line."""
+    for ln, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            item = parse(json.loads(line))
+        except RECORD_ERRORS as e:
+            raise InputFormatError(f"bad {what} record: {e}", path=path, line=ln)
+        yield item
 
 
 def _line(rec):
@@ -207,7 +221,7 @@ def read_calibration(path):
     """{camera id: CameraCalibration} of a calibration.json file. fx, fy,
     cx and cy are finite JSON numbers, width and height JSON integers and
     T_cw 16 finite JSON numbers, row-major; a camera id listed twice is
-    rejected."""
+    rejected, and so are two cameras less than 1e-6 m apart."""
     data = read_json(path, "calibration")
     if not isinstance(data, dict):
         raise InputFormatError(
@@ -238,6 +252,10 @@ def read_calibration(path):
         cals[cal.camera_id] = cal
     if not cals:
         raise InputFormatError("calibration lists no cameras", path=path)
+    for a, b in combinations(cals.values(), 2):
+        if np.linalg.norm(b.center - a.center) < 1e-6:
+            raise InputFormatError(f"camera centers of {a.camera_id!r} and "
+                                   f"{b.camera_id!r} coincide (within 1e-6 m)", path=path)
     return cals
 
 
@@ -389,27 +407,22 @@ def write_episodes(path, episodes):
 
 
 def read_episodes(path):
-    """ContactEpisode list of an episodes.csv file. A file that is not
-    UTF-8 raises InputFormatError naming the file and the line of the
-    first bad byte; so does a row whose side is not left or right, whose
-    t_start is after its t_stop, whose contact point is not finite or
-    whose min_distance_m is negative or not finite."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """ContactEpisode list of an episodes.csv file. A line that is not
+    UTF-8 or that csv rejects (a lone carriage return, an oversized field),
+    then a row whose side is not left or right, whose t_start is after its
+    t_stop, whose contact point is not finite or whose min_distance_m is
+    negative or not finite raises InputFormatError naming the file and line."""
+    reader = csv.reader(text for _, text in _lines(path))
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise InputFormatError(f"episode file is not UTF-8: {e}", path=path,
-                               line=data.count(b"\n", 0, e.start) + 1)
-    reader = csv.reader(StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
+        rows = list(reader)
+    except csv.Error as e:
+        raise InputFormatError(f"bad episode row: {e}", path=path, line=reader.line_num)
+    if not rows:
         raise InputFormatError("empty episode file", path=path)
-    if header != EPISODE_HEADER:
-        raise InputFormatError(f"bad episode header {header}", path=path, line=1)
+    if rows[0] != EPISODE_HEADER:
+        raise InputFormatError(f"bad episode header {rows[0]}", path=path, line=1)
     episodes = []
-    for ln, row in enumerate(reader, 2):
+    for ln, row in enumerate(rows[1:], 2):
         if not row:
             continue
         try:
@@ -522,19 +535,15 @@ def write_label_table(path, table):
 def read_label_table(path):
     """{label id: name} from "<id> <name>" lines of UTF-8 text."""
     table = {}
-    with open(path, "rb") as f:
-        for ln, line in enumerate(f, 1):
-            try:
-                line = line.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise InputFormatError(f"not UTF-8 text: {e}", path=path, line=ln)
-            if not line:
-                continue
-            try:
-                lid, name = line.split(None, 1)
-                table[int(lid)] = name
-            except ValueError:
-                raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
+    for ln, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            lid, name = line.split(None, 1)
+            table[int(lid)] = name
+        except ValueError:
+            raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
     return table
 
 

@@ -161,9 +161,10 @@ class Rect:
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         dn = dirs[:, self._n]
         num = self.center[self._n] - origin[self._n]
+        # A ray parallel to the plane gets t = inf, and inf * 0 in pts.
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(np.abs(dn) > _EPS, num / dn, np.inf)
-        pts = origin + t[:, None] * dirs
+            pts = origin + t[:, None] * dirs
         u, v = self._uv
         inside = (
             (np.abs(pts[:, u] - self.center[u]) <= self.half_sizes[0])

@@ -4,12 +4,13 @@ Labeled per-camera depth observations are back-projected, voxel-fused with
 majority label voting, and indexed for nearest-surface queries. A built
 cloud's points do not change; its index, the points grouped by (label,
 coarse cell), is built on the first query. Fusion and the index each
-order points with one integer sort, of a packed int64 key, and both
-hold points by axis, (3, N), so that their passes read contiguous rows:
-a fused cloud's positions are the transpose of such an array, which the
-index reads without a copy. The contact stage asks once per frame with
-every fused hand's anchors, and the index answers every (hand, label)
-pair in one pass of numpy calls.
+order points with one integer sort, of a packed int64 key. Both floor
+points to cells, and bound the cell range, by one rule, _grid, and
+each packs its own key. Both hold points by axis, (3, N), so that their
+passes read contiguous rows: a fused cloud's positions are the
+transpose of such an array, which the index reads without a copy. The
+contact stage asks once per frame with every fused hand's anchors, and
+the index answers every (hand, label) pair in one pass of numpy calls.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ class UnknownLabel(ContactTrackError):
     """A cloud label that its label table does not name."""
 
 
-class VoxelGridTooLarge(ContactTrackError):
-    """The fused points span more voxels along an axis than float64 offsets
-    count exactly, or more (voxel, label) cells than an int64 key packs."""
-
-
-class IndexGridTooLarge(ContactTrackError):
-    """A cloud's points span more (label, index cell) pairs than an int64
-    key packs, or are not all finite."""
+class GridTooLarge(ContactTrackError):
+    """Points span more cells along an axis than float64 offsets count
+    exactly, or more (cell, label) pairs than a packed key holds, or are
+    not all finite."""
 
 
 @dataclass
@@ -59,6 +56,29 @@ class SurfaceHit:
 
 # Edge (m) of the coarse cells the nearest-surface index groups points in.
 INDEX_CELL = 0.25
+
+
+def _grid(xyz, edge, labels, what):
+    """Points held by axis, (3, N), floored to cells of `edge` m: the int64
+    cell offsets from the lowest cell, (3, N), and the extent per axis.
+
+    Every axis spans fewer than 2**53 cells (the span is checked, not the
+    extent, which rounds to 2**53 one cell past it) and the extents'
+    product times `labels` is at most 2**53, or GridTooLarge names the
+    cell as `what`; nan and inf fail too. Then the float64 offsets are
+    exact (a difference of floats is rounded only when it is not a float)
+    and a key packing a cell and a label rank cannot overflow int64.
+    """
+    cells = np.floor(xyz / edge)
+    lo = cells.min(axis=1)
+    span = cells.max(axis=1) - lo
+    extent = span + 1
+    if not ((span < 2.0**53).all() and float(np.prod(extent)) * labels <= 2.0**53):
+        raise GridTooLarge(
+            f"{what} gives a {' x '.join(f'{e:.3g}' for e in extent)} grid over "
+            f"{labels} labels, past the 2**53 packed-key range"
+        )
+    return (cells - lo[:, None]).astype(np.int64), tuple(int(e) for e in extent)
 
 
 def _squares(queries, points):
@@ -90,25 +110,14 @@ class _CellIndex:
     the distance to the middle point (in sort order) of each of its cell
     groups, which tends to lie nearer the cell's centre than its first
     point; only the cell groups whose lower bound does not pass their
-    label's upper bound are searched point by point. Raises
-    IndexGridTooLarge when the key would pass 2**53.
+    label's upper bound are searched point by point. Raises GridTooLarge
+    past _grid's bound.
     """
 
     def __init__(self, positions, labels, label_ids):
         xyz = np.ascontiguousarray(positions.T)  # a view for fused clouds
-        cells = np.floor(xyz / INDEX_CELL)
-        lo = cells.min(axis=1)
-        extent = cells.max(axis=1) - lo + 1
-        # Below 2**53 the cell offsets, taken in float64, are exact
-        # integers, and the key cannot overflow; nan and inf fail too.
-        if not float(np.prod(extent)) * len(label_ids) <= 2.0**53:
-            raise IndexGridTooLarge(
-                f"points span a {' x '.join(f'{e:.3g}' for e in extent)} grid of "
-                f"{INDEX_CELL} m index cells over {len(label_ids)} labels, past the "
-                f"2**53 packed-key range"
-            )
-        cells = (cells - lo[:, None]).astype(np.int64)
-        ex, ey, ez = (int(e) for e in extent)
+        cells, (ex, ey, ez) = _grid(xyz, INDEX_CELL, len(label_ids),
+                                    f"the {INDEX_CELL} m index cell")
         rank = np.searchsorted(label_ids, labels)
         key = ((rank * ex + cells[0]) * ey + cells[1]) * ez + cells[2]
         # A stable sort of 16-bit keys is a radix sort, several times
@@ -268,10 +277,8 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     lexicographic key order and by label within a voxel, and gives both
     the pair counts and the pair of every point. The points are held by
     axis, (3, N), so that the reductions and sums read contiguous rows.
-    The voxel offsets are taken in float64, which holds them exactly only
-    while an axis spans at most 2**53 voxels, the bound _CellIndex keeps
-    too; raises VoxelGridTooLarge past it, when the packed range would
-    pass 2**62, or when a point is not finite.
+    The voxels and their range check are _grid's, as for the index;
+    raises GridTooLarge past its bound.
     """
     clouds = [c for c in clouds if len(c.positions)]
     if not clouds:
@@ -279,24 +286,9 @@ def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:
     lab = np.concatenate([c.labels for c in clouds]).astype(int, copy=False)
     xyz = np.concatenate([c.positions.T for c in clouds], axis=1, out=np.empty((3, len(lab))))
 
-    keys = np.floor(xyz / voxel_size)
-    lo = keys.min(axis=1)
-    span = keys.max(axis=1) - lo
-    extent = span + 1
     lab_min = int(lab.min())
     n_lab = int(lab.max()) - lab_min + 1
-    # An offset below 2**53 is exact, since the difference of two floats
-    # is rounded only when it is not a float itself; nan and inf fail too.
-    limit = ("2**53 voxels along an axis" if not (span < 2.0**53).all()
-             else "the 2**62 packed-key range" if float(np.prod(extent)) * n_lab > 2.0**62
-             else None)
-    if limit:
-        raise VoxelGridTooLarge(
-            f"voxel_size {voxel_size} m gives a {' x '.join(f'{e:.3g}' for e in extent)} "
-            f"voxel grid over {n_lab} labels, past {limit}"
-        )
-    keys = (keys - lo[:, None]).astype(np.int64)
-    ey, ez = (int(e) for e in extent[1:])
+    keys, (_, ey, ez) = _grid(xyz, voxel_size, n_lab, f"voxel_size {voxel_size} m")
     packed = ((keys[0] * ey + keys[1]) * ez + keys[2]) * n_lab + (lab - lab_min)
     pairs, pair_of, counts = np.unique(packed, return_inverse=True, return_counts=True)
 

@@ -30,7 +30,6 @@ from functools import wraps
 
 import numpy as np
 
-from .config import ContactConfig
 from .contact import ContactTracker
 from .errors import InputFormatError
 from .geometry import CameraCalibration, project_many
@@ -583,12 +582,12 @@ class Simulator:
                     out.append((frame, pid, side, False))
         return out
 
-    def gt_episodes(self, cfg: ContactConfig | None = None):
-        """True episodes: the pipeline's ContactTracker fed noise-free
-        anchors, one hand track per (person, side), against the analytic
-        surfaces. The gt timing is what an ideal detector would produce
-        under the pipeline's own contact rule."""
-        tracker = ContactTracker(cfg)
+    def gt_episodes(self):
+        """True episodes: the pipeline's ContactTracker (default config) fed
+        noise-free anchors, one hand track per (person, side), against the
+        analytic surfaces. The gt timing is what an ideal detector would
+        produce under the pipeline's own contact rule."""
+        tracker = ContactTracker()
         surfaces = SurfaceDistances(self.scene["surfaces"])
         for frame in range(self.scene["frame_count"]):
             keys, vertices = [], []
@@ -698,8 +697,11 @@ class SceneDepthProvider:
         the n pixels (us[i], vs[i]); 0 outside the image. The in-image
         pixels of all patches are cast in chunks of DEPTH_CHUNK_RAYS rays,
         which bounds a cast's (capsules, rays) cull arrays and the rows of
-        the pairs that survive the cull; each pixel's depth does not
-        depend on the chunk it falls in."""
+        the pairs that survive the cull. Box, rectangle and capsule hits do
+        not depend on the chunk; a sphere hit in a one-ray chunk can differ
+        in its last bits (numpy takes another path for a one-row mat-vec),
+        which after the millimetre rounding moves a depth only on an exact
+        tie."""
         cal = self.sim.cals[cam_id]
         r = size // 2
         off = np.arange(-r, r + 1)

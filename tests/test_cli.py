@@ -219,15 +219,21 @@ class TestRun:
         assert (capsys.readouterr().err
                 == f"config error: config {cfg}: tracker.min_birth_joints must be >= 1\n")
 
-    def test_unknown_config_key_exit_code(self, tmp_path, mini_induction, capsys):
+    # A key unknown to a section is named with its section.
+    @pytest.mark.parametrize("config, names", [
+        ('{"no_such_parameter": 1}', "['no_such_parameter']"),
+        ('{"tracker": {"no_such": 1, "also_not": 2}}', "['tracker.also_not', 'tracker.no_such']"),
+    ], ids=["top-level", "in-section"])
+    def test_unknown_config_key_exit_code(self, tmp_path, mini_induction, capsys,
+                                          config, names):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"no_such_parameter": 1}')
+        cfg.write_text(config)
         ds = mini_induction["ds"]
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
         assert (capsys.readouterr().err
-                == f"config error: config {cfg}: unknown parameter(s) ['no_such_parameter']\n")
+                == f"config error: config {cfg}: unknown parameter(s) {names}\n")
 
     @pytest.mark.parametrize("config, message", [
         ('{"voxel_size": "a"}', 'voxel_size must be a finite number, got "a"'),
@@ -271,7 +277,7 @@ class TestRun:
                      "--config", str(cfg)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: voxel_size 1e-09 m gives a ")
-        assert "past the 2**62 packed-key range" in err
+        assert err.endswith(" labels, past the 2**53 packed-key range\n")
         assert "Traceback" not in err
 
     def test_config_not_an_object(self, tmp_path, mini_induction, capsys):
@@ -374,6 +380,18 @@ class TestRun:
                      "--out", str(tmp_path / "out")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {calib_path}: bad camera record: {message}" in err
+
+    def test_coincident_camera_centers(self, tmp_path, mini_induction, capsys):
+        # Two cameras at one centre share no epipolar geometry; the file
+        # is rejected before any frame is read.
+        ds = mini_induction["ds"]
+        calib_path = self._edit_calibration(
+            tmp_path, ds, lambda cams: cams[1].__setitem__("T_cw", cams[0]["T_cw"]))
+        assert main(["run", "--calib", str(calib_path), "--in", ds,
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {calib_path}: camera centers of 'cam0' and 'cam1' "
+            "coincide (within 1e-6 m)\n")
 
     def test_camera_listed_twice(self, tmp_path, mini_induction, capsys):
         ds = mini_induction["ds"]

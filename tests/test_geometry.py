@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contacttrack.geometry import (
-    DegenerateBaseline,
     IllConditioned,
     InsufficientViews,
     NoConsensus,
@@ -80,11 +79,6 @@ class TestEpipolar:
             xb = np.append(project(P, cal_b), 1.0)
             assert abs(xb @ F @ xa) < 1e-9 * max(1.0, abs(xb @ F @ xa) + 1)
             assert epipolar_distance(xa[None, :2], xb[None, :2], F)[0] < 1e-6
-
-    def test_degenerate_baseline(self):
-        cal = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))
-        with pytest.raises(DegenerateBaseline):
-            fundamental_matrix(cal, cal)
 
     def test_symmetry(self):
         cal_a = make_camera("a", (3.0, 0.0, 1.5), (0.0, 0.0, 1.0))

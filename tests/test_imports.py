@@ -39,6 +39,24 @@ def foreign_imports(src):
     return found
 
 
+def text_decoders(src):
+    """'<file>:<line> <name>' for each .decode() call and each use of the
+    name UnicodeDecodeError in a module under src, outside io._lines, the
+    one reader of text lines."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if path.name == "io.py" and isinstance(top, ast.FunctionDef) and top.name == "_lines":
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "decode"):
+                    found.append(f"{path.name}:{node.lineno} .decode()")
+                elif isinstance(node, ast.Name) and node.id == "UnicodeDecodeError":
+                    found.append(f"{path.name}:{node.lineno} UnicodeDecodeError")
+    return found
+
+
 def test_no_module_imports_a_private_name_of_another():
     # A leading underscore marks a name its module may change freely; a
     # sibling that imports one couples itself to that module's insides.
@@ -49,3 +67,28 @@ def test_package_needs_numpy_only():
     # numpy is the one dependency pyproject.toml declares; scipy,
     # hypothesis and pytest serve the tests alone.
     assert foreign_imports(SRC) == []
+
+
+def test_only_io_lines_decodes_text():
+    # A second decoder of text lines would keep its own rule for a bad
+    # byte and its own message.
+    assert text_decoders(SRC) == []
+
+
+def test_text_decoders_flags_a_stray_decode(tmp_path):
+    (tmp_path / "io.py").write_text(
+        "def _lines(b):\n"
+        "    try:\n"
+        "        return b.decode('utf-8')\n"
+        "    except UnicodeDecodeError:\n"
+        "        raise\n"
+        "\n"
+        "def read(b):\n"
+        "    return b.decode()\n")
+    (tmp_path / "stray.py").write_text(
+        "try:\n"
+        "    text = open('f', 'rb').read().decode('utf-8')\n"
+        "except UnicodeDecodeError:\n"
+        "    text = ''\n")
+    assert text_decoders(tmp_path) == [
+        "io.py:8 .decode()", "stray.py:2 .decode()", "stray.py:3 UnicodeDecodeError"]

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,14 @@ class TestRect:
         r = Rect([0.0, 0.0, 1.5], "z", (1.0, 1.0))
         t = r.ray(np.array([3.0, 0.0, 0.0]), np.array([[0.0, 0.0, 1.0]]))
         assert np.isinf(t[0])
+
+    def test_ray_parallel_to_plane_misses_without_warning(self):
+        r = Rect([0.0, 0.0, 1.5], "z", (1.0, 1.0))
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = r.ray(np.array([0.2, -0.5, 0.0]), dirs)
+        assert np.isinf(t[0]) and t[1] == 1.5 / 0.8
 
     def test_distance_off_plane(self):
         r = Rect([0.0, 0.0, 1.0], "z", (0.5, 0.5))

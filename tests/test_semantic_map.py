@@ -10,11 +10,11 @@ from contacttrack.io import read_label_grid, read_label_table, write_label_table
 from contacttrack.pipeline import _build_cloud
 from contacttrack.scenes import induction_lite_noisy
 from contacttrack.semantic_map import (
+    INDEX_CELL,
     EmptyCloud,
-    IndexGridTooLarge,
+    GridTooLarge,
     LabeledPointCloud,
     SemanticCloud,
-    VoxelGridTooLarge,
     backproject_labeled,
     fuse_clouds,
 )
@@ -154,7 +154,7 @@ class TestFuseClouds:
 
     def test_packed_range_guard_names_voxel_size(self):
         pts = [[-1.0, -1.0, 0.0], [1.0, 1.0, 2.0]]
-        with pytest.raises(VoxelGridTooLarge, match="voxel_size 1e-07") as err:
+        with pytest.raises(GridTooLarge, match="^voxel_size 1e-07 m gives a ") as err:
             fuse_clouds([cloud_of(pts, [1, 3])], 1e-7, TABLE)
         assert isinstance(err.value, ContactTrackError)
         # A room at a millimetre, far inside the range, packs.
@@ -163,21 +163,25 @@ class TestFuseClouds:
     def test_axis_past_2_53_voxels_raises(self):
         # The float64 offset of x = 1.5 from x = -2**54 rounds, which
         # merged the voxels at 1 and 2 into one at x = 2.0.
-        pts = [[-2.0**54, 0.0, 0.0], [1.5, 0.0, 0.0], [2.5, 0.0, 0.0]]
-        with pytest.raises(VoxelGridTooLarge, match="2\\*\\*53"):
-            fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
-        # 2**53 + 1 voxels along x: one past the exact offsets.
-        pts[0][0] = -(2.0**53 - 2)
-        with pytest.raises(VoxelGridTooLarge):
-            fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
-        # 2**53 voxels: every offset is exact, and the voxels stay apart.
-        pts[0][0] = -(2.0**53 - 3)
-        cloud = fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
+        past, one_past, at = _axis_boundary_points(1.0)
+        for pts in (past, one_past):
+            with pytest.raises(GridTooLarge, match="past the 2\\*\\*53 packed-key range"):
+                fuse_clouds([cloud_of(pts, [1, 1, 1])], 1.0, TABLE)
+        # Every offset is exact, and the voxels stay apart.
+        cloud = fuse_clouds([cloud_of(at, [1, 1, 1])], 1.0, TABLE)
         assert cloud.positions[:, 0].tolist() == [-(2.0**53 - 3), 1.5, 2.5]
+
+    def test_packed_key_bound_is_2_53(self):
+        # One label over a cube of millimetre voxels: 208,063**3 voxels
+        # fit in 2**53, 208,064**3 do not.
+        fits, past = ([[0.0] * 3, [(side - 0.5) * 1e-3] * 3] for side in (208_063, 208_064))
+        assert len(fuse_clouds([cloud_of(fits, [1, 1])], 1e-3, TABLE)) == 2
+        with pytest.raises(GridTooLarge, match="^voxel_size 0.001 m gives a 2.08e\\+05 x "):
+            fuse_clouds([cloud_of(past, [1, 1])], 1e-3, TABLE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_raises(self, bad):
-        with pytest.raises(VoxelGridTooLarge):
+        with pytest.raises(GridTooLarge):
             fuse_clouds([cloud_of([[0.0, 0.0, 0.0], [bad, 1.0, 1.0]], [1, 1])], 0.01, TABLE)
 
 
@@ -394,6 +398,14 @@ def test_index_matches_lexsort_oracle_on_lattice_ties(case):
         assert [(d[h, k], idx[h, k]) for k in range(len(want))] == list(want.values())
 
 
+def _axis_boundary_points(edge):
+    """Three points along x, in cells of `edge` m, three ways: spanning
+    2**54 + 3 cells, 2**53 + 1 cells (one past the exact offsets) and
+    2**53 cells. The last two points lie in the adjacent cells 1 and 2."""
+    return [[[-k * edge, 0.0, 0.0], [1.5 * edge, 0.0, 0.0], [2.5 * edge, 0.0, 0.0]]
+            for k in (2.0**54, 2.0**53 - 2, 2.0**53 - 3)]
+
+
 class TestIndexKeyRange:
     """The index packs (label, cell) into an int64 key, which a cloud past
     its range must not overflow."""
@@ -401,15 +413,27 @@ class TestIndexKeyRange:
     @pytest.mark.parametrize("far", [[1e6, 1e6, 1e6], [2.3e15, 0.0, 0.0]])
     def test_cloud_past_the_key_range_raises(self, far):
         cloud = SemanticCloud([[0.0, 0.0, 0.0], far], [1, 2], TABLE)
-        with pytest.raises(IndexGridTooLarge, match="2\\*\\*53") as err:
+        with pytest.raises(GridTooLarge, match="^the 0.25 m index cell gives a ") as err:
             cloud.nearest([0.0, 0.0, 0.0])
         assert isinstance(err.value, ContactTrackError)
 
     @pytest.mark.parametrize("point", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
     def test_non_finite_point_raises(self, point):
         cloud = SemanticCloud([[0.0, 0.0, 0.0], point], [1, 1], TABLE)
-        with pytest.raises(IndexGridTooLarge):
+        with pytest.raises(GridTooLarge):
             cloud.nearest_per_label(np.zeros((1, 1, 3)))
+
+    def test_axis_past_2_53_cells_raises(self):
+        # fuse_clouds's boundary cases, in index cells: a span of 2**53
+        # cells rounds to an extent of 2**53, which the product alone
+        # would let pass.
+        past, one_past, at = _axis_boundary_points(INDEX_CELL)
+        for pts in (past, one_past):
+            cloud = SemanticCloud(pts, [1, 1, 1], TABLE)
+            with pytest.raises(GridTooLarge, match="past the 2\\*\\*53 packed-key range"):
+                cloud.nearest([0.0, 0.0, 0.0])
+        cloud = SemanticCloud(at, [1, 1, 1], TABLE)
+        assert [cloud.nearest(p).index for p in at] == [0, 1, 2]
 
     # An 8 x 8 x 3 m room over five labels packs 61,440 keys, within 16
     # bits; a 20 x 20 x 4 m hall over three packs 307,200; a 10 km cube
