@@ -6,12 +6,14 @@ robust similarity-transform registration, and gated linear assignment.
 
 epipolar_distance takes stacked pixel pairs. triangulate_weighted takes
 one point or a stack of independent problems: it solves P points over
-the V cameras they share in one damped Gauss-Newton kernel, each problem
-with its own damping, stopping state and view order, and gives each the
-result it would get alone, bit for bit. Its conditioning gate bounds
-cond(J^T J) in closed form and takes an SVD only for the rows the bound
-cannot decide. A failing problem comes back as a NaN row (and
-NaN error) in the batch form; the single-point form raises
+the V cameras they share in one Levenberg-Marquardt kernel, each problem
+with its own damping and view order, and gives each the result it would
+get alone, bit for bit. Each iteration makes one damped try per problem,
+and a problem stops at the first step, accepted or rejected, below
+GN_STEP_TOL: below it the cost moves by rounding noise only. Its
+conditioning gate bounds cond(J^T J) in closed form and takes an SVD only
+for the rows the bound cannot decide. A failing problem comes back as a
+NaN row (and NaN error) in the batch form; the single-point form raises
 InsufficientViews or IllConditioned instead.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ContactTrackError
 
 _ROT_TOL = 1e-9
-# Gauss-Newton stopping: at most GN_MAX_ITER iterations, or a step below
+# Levenberg-Marquardt stopping: at most GN_MAX_ITER tries, or a step below
 # GN_STEP_TOL (m).
 GN_MAX_ITER = 50
 GN_STEP_TOL = 1e-8
@@ -324,12 +326,15 @@ def _ill_conditioned(H):
 
 
 def _gauss_newton(T, C, n, X):
-    """Damped Gauss-Newton for G problems, each over its n used views.
+    """Levenberg-Marquardt for G problems, each over its n used views.
 
     T (G, V, 4, 4) and C (G, V, 9) describe each problem's packed views
-    (see _residuals). Each problem carries its own damping and stops on
-    its own, after a rejected step, a step below GN_STEP_TOL or
-    GN_MAX_ITER iterations. X (G, 3) holds the starting points, NaN rows for problems
+    (see _residuals). Each iteration makes one try per active problem:
+    the step s solves (H + lam diag(H)) s = -g. A step that does not raise
+    the cost is accepted and sets lam = max(0.3 lam, 1e-12); a rejected
+    step leaves X as it is and multiplies lam by 10. A problem stops at a
+    step below GN_STEP_TOL, accepted or rejected, or after GN_MAX_ITER
+    tries. X (G, 3) holds the starting points, NaN rows for problems
     already failed. Returns (X, err) with NaN rows for failed problems.
     """
     G, V = C.shape[:2]
@@ -352,46 +357,21 @@ def _gauss_newton(T, C, n, X):
         ill = _ill_conditioned(H)
         failed[act[ill]] = True
         act, H, g = act[~ill], H[~ill], g[~ill]
-        improved = np.zeros(len(act), dtype=bool)
-        step = np.zeros((len(act), 3))
-        # Up to 8 damping tries per problem, the damping growing tenfold
-        # per rejected try: the first try of every problem, then the other
-        # seven at once for the problems that rejected it. The first
-        # accepted try counts, as if the tries ran in turn.
-        pend = np.arange(len(act))  # positions in act still damping
-        for tries in (1, 7):
-            if not pend.size:
-                break
-            rows = act[pend]
-            m = len(rows)
-            lams = np.empty((m, tries))
-            lams[:, 0] = lam[rows]
-            for j in range(1, tries):
-                lams[:, j] = lams[:, j - 1] * 10.0
-            Hp = np.repeat(H[pend], tries, axis=0)
-            # Past the conditioning gate H is positive definite, and so is
-            # H + lam diag(H): the solve cannot meet a singular system.
-            s = np.linalg.solve(Hp + lams.reshape(-1, 1, 1) * (Hp * eye),
-                                np.repeat(-g[pend], tries, axis=0)[:, :, None])[:, :, 0]
-            X_new = np.repeat(X[rows], tries, axis=0) + s
-            T_new = np.repeat(T[rows], tries, axis=0)
-            C_new = np.repeat(C[rows], tries, axis=0)
-            r_new, pc, z = _residuals(X_new, T_new, C_new)
-            cost_new = _sq_norms(r_new, np.repeat(n[rows], tries)).reshape(m, tries)
-            ok = cost_new <= cost[rows, None]
-            first = ok.argmax(axis=1)
-            hit = ok[np.arange(m), first]
-            pick = np.arange(m) * tries + first
-            up, i = rows[hit], pick[hit]
-            X[up], r[up], cost[up] = X_new[i], r_new[i], cost_new.ravel()[i]
-            J[up] = _jacobians(T_new[i], C_new[i], pc[i], z[i])
-            lam[up] = np.maximum(lams.ravel()[i] * 0.3, 1e-12)
-            lam[rows[~hit]] = lams[~hit, -1] * 10.0
-            improved[pend[hit]] = True
-            step[pend] = s[pick]
-            pend = pend[~hit]
-        done = ~improved | (np.sqrt(_row_dots(step, step)) < GN_STEP_TOL)
-        act = act[~done]
+        # Past the conditioning gate H is positive definite, and so is
+        # H + lam diag(H): the solve cannot meet a singular system. A step
+        # below GN_STEP_TOL ends the problem even when it is rejected: the
+        # cost then differs by rounding noise, which more damping only
+        # polishes.
+        s = np.linalg.solve(H + lam[act, None, None] * (H * eye), -g[:, :, None])[:, :, 0]
+        X_new = X[act] + s
+        r_new, pc, z = _residuals(X_new, T[act], C[act])
+        cost_new = _sq_norms(r_new, n[act])
+        ok = cost_new <= cost[act]
+        up = act[ok]
+        X[up], r[up], cost[up] = X_new[ok], r_new[ok], cost_new[ok]
+        J[up] = _jacobians(T[up], C[up], pc[ok], z[ok])
+        lam[act] = np.where(ok, np.maximum(lam[act] * 0.3, 1e-12), lam[act] * 10.0)
+        act = act[np.sqrt(_row_dots(s, s)) >= GN_STEP_TOL]
 
     pc = _to_camera(X, T)
     z = np.maximum(pc[..., 2], 1e-6)
@@ -420,10 +400,10 @@ def triangulate_weighted(obs, init_hint=None, order=None):
     with just its views, in that order, gives it.
 
     Each problem minimizes sum_i w_i * ||pi_i(X) - u_i||^2 over its used
-    views by damped Gauss-Newton with its own damping and stopping,
-    starting from its hint or else from a DLT on its used camera pair with
-    the largest baseline. err is the unweighted mean reprojection error in
-    pixels over the used views.
+    views by Levenberg-Marquardt with its own damping and stopping (see
+    _gauss_newton), starting from its hint or else from a DLT on its used
+    camera pair with the largest baseline. err is the unweighted mean
+    reprojection error in pixels over the used views.
 
     Batch form (uv (P, 2)): returns X (P, 3) and err (P,). A problem with
     fewer than two positive-weight views, a non-finite used observation,

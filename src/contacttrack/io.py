@@ -414,15 +414,17 @@ def read_episodes(path):
     negative or not finite raises InputFormatError naming the file and line."""
     reader = csv.reader(text for _, text in _lines(path))
     try:
-        rows = list(reader)
+        # (line, row): a quoted field may hold a line break, so a row ends
+        # on the line that line_num names, not on its row number plus one.
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as e:
         raise InputFormatError(f"bad episode row: {e}", path=path, line=reader.line_num)
     if not rows:
         raise InputFormatError("empty episode file", path=path)
-    if rows[0] != EPISODE_HEADER:
-        raise InputFormatError(f"bad episode header {rows[0]}", path=path, line=1)
+    if rows[0][1] != EPISODE_HEADER:
+        raise InputFormatError(f"bad episode header {rows[0][1]}", path=path, line=1)
     episodes = []
-    for ln, row in enumerate(rows[1:], 2):
+    for ln, row in rows[1:]:
         if not row:
             continue
         try:

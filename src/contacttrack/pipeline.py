@@ -21,6 +21,8 @@ so no frame's semantic map outlives the frame.
 from __future__ import annotations
 
 import os
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .config import PipelineConfig
 from .contact import ContactTracker
@@ -55,11 +57,12 @@ from .semantic_map import UnknownLabel, backproject_labeled, fuse_clouds
 from .simulator import SceneDepthProvider, Simulator
 
 
-def _depth_source(in_dir, cfg: PipelineConfig):
+def _depth_source(in_dir, cals, cfg: PipelineConfig):
     """Depth/label provider for an input directory, or None.
 
-    A scene.json reconstructs the analytic provider; otherwise a grids/
-    directory supplies DEP1 depth and LBL1 label files.
+    A scene.json reconstructs the analytic provider, which must know every
+    camera of the calibration cals; otherwise a grids/ directory supplies
+    DEP1 depth and LBL1 label files.
     """
     scene_path = os.path.join(in_dir, "scene.json")
     if os.path.exists(scene_path):
@@ -70,6 +73,10 @@ def _depth_source(in_dir, cfg: PipelineConfig):
             raise InputFormatError(str(e), path=scene_path) from None
         except RECORD_ERRORS as e:
             raise InputFormatError(f"bad scene file: {e}", path=scene_path)
+        for cam_id in cals:
+            if cam_id not in sim.cals:
+                raise InputFormatError(
+                    f"scene has no camera {cam_id!r} of the calibration", path=scene_path)
         return SceneDepthProvider(sim)
     grids_dir = os.path.join(in_dir, "grids")
     if os.path.isdir(grids_dir):
@@ -83,26 +90,24 @@ def _load_hand_schema(in_dir):
 
 
 def _group_frames(det_path, cals, hand_schema):
-    """Yield (frame, {camera_id: persons}, hands list) in frame order.
+    """Yield (frame, {camera_id: persons}, hands list) in frame order, the
+    hands sorted by (camera_id, index) whatever the order of the frame's
+    records.
 
     read_detections checks that records are frame-ordered, name calibrated
     cameras and carry hands of the schema's vertex count; gaps are
     tolerated and reported by the caller as missing frames.
     """
-    current = None
-    dets = {}
-    hands = []
     records = read_detections(det_path, cals, hand_schema.vertex_count)
-    for frame, cam_id, persons, cam_hands in records:
-        if frame != current:
-            if current is not None:
-                yield current, dets, hands
-            current, dets, hands = frame, {}, []
-        if persons:
-            dets[cam_id] = persons
-        hands.extend(cam_hands)
-    if current is not None:
-        yield current, dets, hands
+    for frame, group in groupby(records, key=itemgetter(0)):
+        dets = {}
+        hands = []
+        for _, cam_id, persons, cam_hands in group:
+            if persons:
+                dets[cam_id] = persons
+            hands.extend(cam_hands)
+        hands.sort(key=attrgetter("camera_id"))  # stable: a camera keeps its order
+        yield frame, dets, hands
 
 
 def _build_cloud(provider, cals, frame, cfg, label_table, table_path):
@@ -143,7 +148,7 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     det_path = os.path.join(in_dir, "detections.jsonl")
     if not os.path.exists(det_path):
         raise InputFormatError("missing detections.jsonl", path=det_path)
-    depth_provider = _depth_source(in_dir, cfg)
+    depth_provider = _depth_source(in_dir, cals, cfg)
     table_path = os.path.join(in_dir, "label_table.txt")
     label_table = None
     if depth_provider is not None:

@@ -155,10 +155,19 @@ def camera_from_config(rec):
     )
 
 
+def _label(rec):
+    """rec["label"], a surface label in 1..255: LBL1 grids and the map
+    lattice hold labels as uint8, with 0 for background."""
+    label = json_int(rec["label"], "label")
+    if not 1 <= label <= 255:
+        raise ValueError(f"label must be in 1..255, got {label}")
+    return label
+
+
 def surface_from_config(rec):
     """Build a labeled surface primitive from a scene config record."""
     kind = rec.get("type")
-    label = json_int(rec["label"], "label")
+    label = _label(rec)
     if kind == "box":
         return Box(json_array(rec, "min", (3,)), json_array(rec, "max", (3,)), label=label)
     if kind == "sphere":
@@ -369,7 +378,7 @@ def parse_scene(data):
                             dwell=json_int(ev.get("dwell", 45), "dwell"),
                             retract=json_int(ev.get("retract", 20), "retract"),
                             target=json_array(ev, "target", (3,)),
-                            label=json_int(ev["label"], "label"),
+                            label=_label(ev),
                         )
                     )
                 events[side].sort(key=lambda e: e.start)

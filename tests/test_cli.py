@@ -760,15 +760,9 @@ class TestRunBadSceneFile:
     """A scene.json whose content is malformed: exit 2, message names the
     file."""
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda data: data["scene"]["surfaces"][0].__setitem__("type", "cone"),
-         "bad scene config: unknown surface type 'cone'"),
-        (lambda data: data.__setitem__("seed", 1e400),
-         "bad scene file: seed must be an integer, got Infinity"),
-        (lambda data: data.__setitem__("seed", 0.5), "bad scene file: seed must be an integer, got 0.5"),
-    ], ids=["unknown-surface-type", "seed-overflow", "seed-fraction"])
-    def test_bad_scene(self, tmp_path, mini_induction, capsys, edit, message):
-        ds = mini_induction["ds"]
+    def _run_edited(self, tmp_path, ds, edit):
+        """Exit code of a run over the first frame with scene.json edited,
+        and the scene.json path."""
         inp = tmp_path / "in"
         inp.mkdir()
         with open(os.path.join(ds, "detections.jsonl")) as f:
@@ -780,10 +774,44 @@ class TestRunBadSceneFile:
         edit(data)
         path = inp / "scene.json"
         path.write_text(json.dumps(data))
-        assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
-                     "--in", str(inp), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        return main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                     "--in", str(inp), "--out", str(tmp_path / "out")]), path
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["scene"]["surfaces"][0].__setitem__("type", "cone"),
+         "bad scene config: unknown surface type 'cone'"),
+        (lambda data: data.__setitem__("seed", 1e400),
+         "bad scene file: seed must be an integer, got Infinity"),
+        (lambda data: data.__setitem__("seed", 0.5), "bad scene file: seed must be an integer, got 0.5"),
+    ], ids=["unknown-surface-type", "seed-overflow", "seed-fraction"])
+    def test_bad_scene(self, tmp_path, mini_induction, capsys, edit, message):
+        code, path = self._run_edited(tmp_path, mini_induction["ds"], edit)
+        assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {path}: {message}" in err
+
+    # LBL1 grids and the map hold labels as uint8, 0 for background: 257
+    # and 300 would wrap, -1 would drop the surface and 10**400 would
+    # overflow a C long.
+    @pytest.mark.parametrize("label", [257, -1, 300, 10**400],
+                             ids=["257", "negative", "300", "beyond-c-long"])
+    def test_surface_label_outside_a_byte(self, tmp_path, mini_induction, capsys, label):
+        def edit(data):
+            data["scene"]["surfaces"][0]["label"] = label
+
+        code, path = self._run_edited(tmp_path, mini_induction["ds"], edit)
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {path}: bad scene config: label must be in 1..255, got {label}\n")
+
+    def test_camera_the_calibration_lacks(self, tmp_path, mini_induction, capsys):
+        def edit(data):
+            data["scene"]["cameras"][0]["id"] = "x"
+
+        code, path = self._run_edited(tmp_path, mini_induction["ds"], edit)
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {path}: scene has no camera 'cam0' of the calibration\n")
 
 
 class TestRunBadHandSchema:
@@ -825,7 +853,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert main(["evaluate", "--pred", mini_induction["out"],
                      "--gt", mini_induction["ds"], "--out", str(out)]) == EXIT_OK
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["idf1"] <= 1.0
         with open(out / "report.csv") as f:
             rows = list(csv.reader(f))
@@ -844,7 +872,8 @@ class TestEvaluate:
         assert main(["run", "--calib", os.path.join(ds, "calibration.json"),
                      "--in", ds, "--out", run]) == EXIT_OK
         assert main(["evaluate", "--pred", run, "--gt", ds, "--out", out]) == EXIT_OK
-        report = json.load(open(os.path.join(out, "report.json")))
+        with open(os.path.join(out, "report.json")) as f:
+            report = json.load(f)
         assert 0.0 < report["idf1"] <= 1.0
         assert (report["gt_episodes"], report["episode_recall"]) == (0, 1.0)
 
@@ -1008,7 +1037,7 @@ class TestSweep:
         ev = tmp_path / "eval"
         assert main(["evaluate", "--pred", mini_induction["out"],
                      "--gt", mini_induction["ds"], "--out", str(ev)]) == EXIT_OK
-        report = json.load(open(ev / "report.json"))
+        report = json.loads((ev / "report.json").read_text())
         out = tmp_path / "s.csv"
         assert main(["sweep", "--in", mini_induction["out"],
                      "--gt", mini_induction["ds"], "--grid", "0.12:0.12:0.01",

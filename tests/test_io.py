@@ -332,6 +332,20 @@ class TestEpisodes:
             read_episodes(path)
         assert exc.value.line == 3
 
+    def test_bad_row_after_a_quoted_line_break_names_its_line(self, tmp_path):
+        # Row 1's quoted person id "0\n" spans lines 2 and 3, so row 4,
+        # whose side is "middle", sits on line 6, not on its row number
+        # plus one.
+        path = tmp_path / "eps.csv"
+        write_episodes(path, [self.make(pid=0)] + [self.make()] * 3)
+        head, *rows = path.read_text().split("\n")
+        rows[0] = '"0\n"' + rows[0][1:]
+        rows[3] = rows[3].replace(",left,", ",middle,")
+        path.write_text("\n".join([head, *rows]))
+        with pytest.raises(InputFormatError, match="side must be left or right") as exc:
+            read_episodes(path)
+        assert exc.value.line == 6
+
 
 class TestVisibility:
     def test_round_trip(self, tmp_path):

@@ -4,6 +4,7 @@ import shutil
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from contacttrack.pipeline import (
     run_pipeline,
 )
 from contacttrack.person_tracker import PersonTrack, Tracker
-from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
+from contacttrack.scenes import builtin_scene, crossing_clean, induction_lite, induction_lite_noisy
 from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
@@ -75,7 +76,8 @@ class TestInputHandling:
 
     def test_out_of_order_frames_rejected(self, tmp_path, mini_induction):
         ds = mini_induction["ds"]
-        lines = open(os.path.join(ds, "detections.jsonl")).readlines()
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            lines = f.readlines()
         (tmp_path / "detections.jsonl").write_text("".join(lines[40:44] + lines[:4]))
         shutil.copy(os.path.join(ds, "hand_schema.json"), tmp_path / "hand_schema.json")
         with pytest.raises(InputFormatError, match="frame-ordered"):
@@ -85,13 +87,13 @@ class TestInputHandling:
     def test_missing_frames_counted(self, tmp_path, mini_induction):
         ds = mini_induction["ds"]
         kept = []
-        for line in open(os.path.join(ds, "detections.jsonl")):
-            frame = json.loads(line)["frame"]
-            if not 20 <= frame < 25:
-                kept.append(line)
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            for line in f:
+                frame = json.loads(line)["frame"]
+                if not 20 <= frame < 25:
+                    kept.append(line)
         (tmp_path / "detections.jsonl").write_text("".join(kept))
-        schema = open(os.path.join(ds, "hand_schema.json")).read()
-        (tmp_path / "hand_schema.json").write_text(schema)
+        shutil.copy(os.path.join(ds, "hand_schema.json"), tmp_path / "hand_schema.json")
         summary = run_pipeline(
             os.path.join(ds, "calibration.json"), str(tmp_path),
             str(tmp_path / "out"), PipelineConfig(static_map=True),
@@ -106,6 +108,24 @@ class TestDeterminism:
         run_pipeline(os.path.join(ds, "calibration.json"), ds, str(out2),
                      PipelineConfig(static_map=True))
         assert tree_bytes(mini_induction["out"]) == tree_bytes(str(out2))
+
+    def test_record_order_within_a_frame_leaves_the_bytes(self, tmp_path):
+        # Hand fusion numbers new hand tracks in the order of its hands, so
+        # a frame's records in reverse camera order must give the same
+        # hand track ids and traces.
+        ds, rev = tmp_path / "ds", tmp_path / "rev"
+        emit_dataset(window(builtin_scene("crossing-noisy"), 0, 8), str(ds), seed=0)
+        shutil.copytree(ds, rev)
+        lines = (ds / "detections.jsonl").read_text().splitlines(keepends=True)
+        frames = groupby(lines, key=lambda line: json.loads(line)["frame"])
+        (rev / "detections.jsonl").write_text(
+            "".join(line for _, group in frames for line in reversed(list(group))))
+        for d in (ds, rev):
+            run_pipeline(str(ds / "calibration.json"), str(d), str(d / "out"),
+                         PipelineConfig(static_map=True))
+        got = tree_bytes(str(rev / "out"))
+        assert got["hand_tracks.jsonl"] and got["distance_traces.jsonl"]
+        assert got == tree_bytes(str(ds / "out"))
 
     def test_static_map_matches_per_frame_map(self, tmp_path, mini_induction):
         # The simulated surfaces never move, so building the map once must
