@@ -122,12 +122,6 @@ def norms(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def project_many(points, cal: CameraCalibration):
-    """Vectorized projection. Returns (uv (N,2), valid (N,)) with valid=False behind camera."""
-    uv, valid = project_cameras(points, [cal])
-    return uv[0], valid[0]
-
-
 def project_cameras(points, cals):
     """Points (N, 3) projected into every camera of cals in one stacked
     pass: (uv (C, N, 2), valid (C, N)), valid=False behind a camera. Each

@@ -28,7 +28,7 @@ import csv
 import json
 import math
 import os
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -278,18 +278,22 @@ def read_hand_schema(path):
 # -- detection stream ------------------------------------------------------
 
 def write_detection_line(f, frame, camera_id, persons, hands):
-    """persons: list of (26, 3) arrays; hands: list of HandInstance."""
+    """persons: list of (26, 3) arrays; hands: list of HandInstance. The
+    joint and vertex rows of the record are rounded in one pass."""
+    blocks = [*persons, *(h.vertices for h in hands)]
+    rows = iter(_rounded(np.concatenate(blocks)) if blocks else [])
+    cut = [list(islice(rows, len(b))) for b in blocks]
     f.write(_line({
         "frame": int(frame),
         "camera_id": camera_id,
-        "persons": [{"joints": _rounded(p)} for p in persons],
+        "persons": [{"joints": joints} for joints in cut[:len(persons)]],
         "hands": [
             {
                 "side": h.side,
                 "sigma_fit": _round(h.sigma_fit),
-                "vertices": _rounded(h.vertices),
+                "vertices": vertices,
             }
-            for h in hands
+            for h, vertices in zip(hands, cut[len(persons):])
         ],
     }))
 
@@ -406,12 +410,24 @@ def write_episodes(path, episodes):
             ])
 
 
+def _csv_int(text, name):
+    """A CSV field as an integer if it is one as write_episodes writes it,
+    an optional - and ASCII digits; int() would also read " 3 ", "0_2" and
+    "0\n"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
+
+
 def read_episodes(path):
     """ContactEpisode list of an episodes.csv file. A line that is not
     UTF-8 or that csv rejects (a lone carriage return, an oversized field),
-    then a row whose side is not left or right, whose t_start is after its
-    t_stop, whose contact point is not finite or whose min_distance_m is
-    negative or not finite raises InputFormatError naming the file and line."""
+    then a row whose integer fields are not written as write_episodes
+    writes them (an empty person_id means no person), whose side is not
+    left or right, whose t_start is after its t_stop, whose contact point
+    is not finite or whose min_distance_m is negative or not finite raises
+    InputFormatError naming the file and line."""
     reader = csv.reader(text for _, text in _lines(path))
     try:
         # (line, row): a quoted field may hold a line break, so a row ends
@@ -429,11 +445,11 @@ def read_episodes(path):
             continue
         try:
             ep = ContactEpisode(
-                person_id=None if row[0] == "" else int(row[0]),
+                person_id=None if row[0] == "" else _csv_int(row[0], "person_id"),
                 side=row[1],
-                surface_label=int(row[2]),
-                t_start=int(row[3]),
-                t_stop=int(row[4]),
+                surface_label=_csv_int(row[2], "surface_label"),
+                t_start=_csv_int(row[3], "t_start"),
+                t_stop=_csv_int(row[4], "t_stop"),
                 contact_point=np.array([float(row[5]), float(row[6]), float(row[7])]),
                 min_distance=float(row[8]),
             )

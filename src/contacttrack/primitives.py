@@ -2,20 +2,32 @@
 
 Each surface answers vectorized ray queries (first-hit parameter along a
 bundle of rays) and point queries (distances from a batch of points, and
-the closest surface point). Surfaces answer one at a time, and a cast
-may hand each surface only the rays it can hit: the depth provider culls
-a Box or Rect by the image of its bounds(). Their ray tests are
-elementwise, so each ray's hit keeps its bits in any bundle; a Sphere's
-is not (a one-row mat-vec takes another BLAS kernel), and it is not
-culled. Body capsules are stacked (Capsules), so a cast answers a whole
-stack in one numpy pass, and a (capsule, ray) skip mask lets one bundle
-hold rays that must not see some rows, such as each person's own body.
-A cast first culls the (capsule, ray) pairs whose ray line passes
-outside the capsule's bounding sphere, a test on cheap (K, N) arrays
-that can only drop pairs the hit formula would miss, and then runs the
-hit formula on the few surviving pairs, giving the same bits as
-measuring every pair. Used by the scene simulator for rendering depth
-and label grids, occlusion tests, and ground-truth contact distances.
+the closest surface point). A bundle holds the rays of one camera, from
+one origin, or of several cameras, each camera's rays consecutive and
+from its own origin, so one cast can answer every camera of a frame.
+
+Which steps keep a ray's bits in any bundle:
+- The elementwise ones do: the Box and Rect tests, the skip mask, and
+  the capsule hit formula, each run once over the whole bundle with
+  per-ray origins. So a cast may hand a Box or Rect only the rays it can
+  hit, as the depth provider does by the image of its bounds().
+- The BLAS products do not: a (K, 3) @ (3, n) product's bits can depend
+  on n, and numpy hands a one-ray mat-vec to another kernel. They run
+  per camera, at exactly the shape a cast of that camera's rays alone
+  gives them: a Sphere's dirs @ oc, and the capsule cull's a @ dirs.T
+  and w @ dirs.T. So the depth provider never culls a Sphere, and a
+  multi-camera cast gives every ray the bits of its own camera's cast.
+
+Body capsules are stacked (Capsules), so a cast answers a whole stack in
+one numpy pass, and a (capsule, ray) skip mask lets one bundle hold rays
+that must not see some rows, such as each person's own body. A cast
+first culls, camera by camera, the (capsule, ray) pairs whose ray line
+passes outside the capsule's bounding sphere, a test on cheap (K, n)
+arrays that can only drop pairs the hit formula would miss, and then
+runs the hit formula on the few surviving pairs of every camera at once,
+giving the same bits as measuring every pair. Used by the scene
+simulator for rendering depth and label grids, occlusion tests, and
+ground-truth contact distances.
 """
 
 from __future__ import annotations
@@ -36,6 +48,22 @@ CULL_ABS = 1e-9  # m
 AXES = {"x": 0, "y": 1, "z": 2}
 
 
+def _per_ray(origin, counts):
+    """Each ray's origin: origin (3,) itself for a one-camera bundle, else
+    camera c's origin[c] repeated for its counts[c] rays."""
+    return origin if counts is None else np.repeat(origin, counts, axis=0)
+
+
+def _cameras(origin, counts, n):
+    """(origin, slice of its rays) of each camera of a bundle of n rays:
+    one camera at origin (3,) if counts is None, else counts[c]
+    consecutive rays from origin[c]."""
+    if counts is None:
+        return [(origin, slice(0, n))]
+    ends = np.cumsum(counts).tolist()
+    return [(o, slice(end - c, end)) for o, c, end in zip(origin, counts, ends)]
+
+
 @dataclass
 class Box:
     """Axis-aligned box surface."""
@@ -50,8 +78,8 @@ class Box:
         if np.any(self.hi <= self.lo):
             raise ValueError("box needs hi > lo on every axis")
 
-    def ray(self, origin, dirs):
-        origin = np.asarray(origin, dtype=float)
+    def ray(self, origin, dirs, counts=None):
+        origin = _per_ray(np.asarray(origin, dtype=float), counts)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             ta = (self.lo - origin) / dirs
@@ -107,13 +135,16 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
 
-    def ray(self, origin, dirs):
+    def ray(self, origin, dirs, counts=None):
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        oc = origin - self.center
         a = (dirs * dirs).sum(axis=1)
-        b = 2.0 * dirs @ oc
-        c = oc @ oc - self.radius**2
+        # The mat-vec camera by camera, at the shape of its own cast.
+        b, c = [], []
+        for oc, rays in _cameras(origin - self.center, counts, len(dirs)):
+            b.append(2.0 * dirs[rays] @ oc)
+            c.append(np.full(len(b[-1]), oc @ oc - self.radius**2))
+        b, c = np.concatenate(b), np.concatenate(c)
         disc = b * b - 4 * a * c
         t = np.full(len(dirs), np.inf)
         ok = disc >= 0
@@ -156,11 +187,11 @@ class Rect:
         if len(self.half_sizes) != 2 or min(self.half_sizes) <= 0:
             raise ValueError("half_sizes must be two positive extents")
 
-    def ray(self, origin, dirs):
-        origin = np.asarray(origin, dtype=float)
+    def ray(self, origin, dirs, counts=None):
+        origin = _per_ray(np.asarray(origin, dtype=float), counts)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         dn = dirs[:, self._n]
-        num = self.center[self._n] - origin[self._n]
+        num = self.center[self._n] - origin[..., self._n]
         # A ray parallel to the plane gets t = inf, and inf * 0 in pts.
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(np.abs(dn) > _EPS, num / dn, np.inf)
@@ -215,12 +246,16 @@ class Capsules:
     def __len__(self):
         return len(self.radius)
 
-    def hits(self, origin, dirs):
+    def hits(self, origin, dirs, counts=None):
         """(K, N) first-hit parameters of N rays against every capsule, inf
-        on a miss or a skipped pair. Approximated at the ray point closest
-        to the axis segment: exact enough for occlusion and depth noise
-        scales. The first positive crossing counts, so a ray starting
-        inside a capsule hits it where it leaves.
+        on a miss or a skipped pair; origin and counts as in cast_rays.
+        Approximated at the ray point closest to the axis segment: exact
+        enough for occlusion and depth noise scales. The first positive
+        crossing counts, so a ray starting inside a capsule hits it where
+        it leaves. The array is the transpose of a C-ordered (N, K) one:
+        ray's minimum over each ray's hits is then a contiguous reduction,
+        several times faster than an argmin down the columns of a large
+        (K, N) array.
 
         Only the pairs a bounding-sphere test cannot rule out are measured.
         The sphere has the axis midpoint as centre and half the axis length
@@ -228,34 +263,40 @@ class Capsules:
         farther than the reach (widened by CULL_REL and CULL_ABS) from the
         ray's line. The measured distance is from the line to a segment
         point, at least the centre's line distance minus half the axis, so
-        a culled pair could not hit. The survivors are gathered into rows
-        and measured with the same arithmetic as a full (K, N) pass, from
-        the same (K, N) axis and offset products, so every hit keeps its
-        bits."""
+        a culled pair could not hit. The cull runs camera by camera, on the
+        (K, n) axis and offset products a cast of that camera's rays alone
+        makes. The survivors of every camera are gathered into rows and
+        measured at once, each from its own camera's origin, with the same
+        arithmetic as a full (K, N) pass, so every hit keeps its bits."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         a = self.axis
         aa = (a * a).sum(axis=1)
         dd = (dirs * dirs).sum(axis=1)
-        # Closest-approach parameters between ray o + t d and segment p0 + s a.
-        w = origin - self.p0
-        da = a @ dirs.T
-        dw = w @ dirs.T
-        # Squared line distance of each centre, p0 + a/2 - o = a/2 - w; a
-        # zero direction gives nan, which no comparison culls.
-        oc = 0.5 * a - w
-        cd = 0.5 * da - dw
-        with np.errstate(divide="ignore", invalid="ignore"):
-            line2 = (oc * oc).sum(axis=1)[:, None] - cd * cd / dd
         reach = (0.5 * np.sqrt(aa) + self.radius) * (1.0 + CULL_REL) + CULL_ABS
-        keep = ~(line2 > (reach * reach)[:, None])
-        if self.skip is not None:
-            keep &= ~self.skip
-        k, n = np.nonzero(keep)
-        out = np.full(keep.shape, np.inf)
-        aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
-        a, aa, aw, r = a[k], aa[k], aw[k], self.radius[k]
-        d, dd, da, dw = dirs[n], dd[n], da[k, n], dw[k, n]
+        pairs = []
+        for cam, (o, rays) in enumerate(_cameras(origin, counts, len(dirs))):
+            # Closest-approach parameters between ray o + t d and segment p0 + s a.
+            w = o - self.p0
+            da = a @ dirs[rays].T
+            dw = w @ dirs[rays].T
+            # Squared line distance of each centre, p0 + a/2 - o = a/2 - w; a
+            # zero direction gives nan, which no comparison culls.
+            oc = 0.5 * a - w
+            cd = 0.5 * da - dw
+            with np.errstate(divide="ignore", invalid="ignore"):
+                line2 = (oc * oc).sum(axis=1)[:, None] - cd * cd / dd[rays]
+            keep = ~(line2 > (reach * reach)[:, None])
+            if self.skip is not None:
+                keep &= ~self.skip[:, rays]
+            k, n = np.nonzero(keep)
+            aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
+            pairs.append((k, n + rays.start, da[k, n], dw[k, n], aw[k], np.full(len(k), cam)))
+        k, n, da, dw, aw, cam = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+        origin = origin if counts is None else origin[cam]
+        out = np.full((len(dirs), len(a)), np.inf)
+        a, aa, r = a[k], aa[k], self.radius[k]
+        d, dd = dirs[n], dd[n]
         denom = dd * aa - da * da
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom > _EPS, (dd * aw - da * dw) / denom, 0.0)
@@ -268,25 +309,29 @@ class Capsules:
         back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
         t_in = t - back
         t_hit = np.where(t_in > 0, t_in, t + back)
-        out[k, n] = np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
-        return out
+        out[n, k] = np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
+        return out.T
 
-    def ray(self, origin, dirs):
+    def ray(self, origin, dirs, counts=None):
         """(t, k): per ray the first hit over the stack's rows it does not
         skip and its row, the lowest row on ties; t is inf where no capsule
         is hit."""
         n = len(np.asarray(dirs).reshape(-1, 3))
         if not len(self):
             return np.full(n, np.inf), np.zeros(n, dtype=int)
-        t = self.hits(origin, dirs)
-        k = t.argmin(axis=0)
-        return t[k, np.arange(n)], k
+        t = self.hits(origin, dirs, counts).T
+        k = t.argmin(axis=1)
+        return t[np.arange(n), k], k
 
 
-def cast_rays(primitives, origin, dirs, rows=None):
+def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
     """First hit over a primitive list.
 
     Returns (t, index) arrays; t is inf and index -1 where nothing is hit.
+    origin is the one camera centre (3,) of every ray in dirs; with counts,
+    dirs holds the rays of C cameras one camera after another, counts[c]
+    rays from centre origin[c] of the (C, 3) origin. Every ray gets the
+    bits a cast of its own camera's rays alone gives it.
     A Capsules stack in the list stands for its K capsules in row order
     (K consecutive indices) and answers for all of them in one pass, each
     ray ignoring the rows its skip mask marks; every other primitive
@@ -297,8 +342,10 @@ def cast_rays(primitives, origin, dirs, rows=None):
     whose skip mask covers the whole bundle). A primitive is asked about
     its rows alone, so the rays left out must be ones it misses, and the
     cast gives the bits of a full one only if the primitive's ray test
-    gives a ray the same bits in any bundle, as Box and Rect do.
+    gives a ray the same bits in any bundle, as Box and Rect do. Rows
+    are for a one-camera bundle: a cast with counts passes none.
     """
+    origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
@@ -311,9 +358,9 @@ def cast_rays(primitives, origin, dirs, rows=None):
             offset += size
             continue
         if isinstance(prim, Capsules):
-            t, k = prim.ray(origin, dirs[sel])
+            t, k = prim.ray(origin, dirs[sel], counts)
         else:
-            t, k = prim.ray(origin, dirs[sel]), 0
+            t, k = prim.ray(origin, dirs[sel], counts), 0
         closer = t < best_t[sel]
         best_t[sel] = np.where(closer, t, best_t[sel])
         best_i[sel] = np.where(closer, offset + k, best_i[sel])

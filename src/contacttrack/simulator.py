@@ -9,9 +9,11 @@ ground-truth episodes: the pipeline's ContactTracker on noise-free
 anchors, measured against the analytic surfaces in array passes. A
 frame's person state, body capsules and sightings live in one record of
 the last frame. The sighting pass feeds the detections and the
-visibility ground truth; it casts one ray bundle per camera, holding
-every present person's joints, against the surfaces and the frame's
-body capsules, each ray skipping its own body. SceneDepthProvider
+visibility ground truth; it casts one ray bundle per frame, holding
+every camera's rays to every present person's joints, against the
+surfaces and the frame's body capsules, each ray skipping its own body,
+and gives each ray the bits of a cast of its camera's rays alone (see
+primitives). SceneDepthProvider
 answers a batch of patch centres per call, cast in chunks of at most
 DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only, both
 under one measurement rule and one cast, in which each box and rectangle
@@ -32,7 +34,7 @@ import numpy as np
 
 from .contact import ContactTracker
 from .errors import InputFormatError
-from .geometry import CameraCalibration, project_many
+from .geometry import CameraCalibration, project_cameras
 from .hand_fusion import FusedHand, HandInstance
 from .io import (
     RECORD_ERRORS,
@@ -501,28 +503,31 @@ class Simulator:
         """{(camera_id, person_id): (uv, occ, seen)} per present person: the
         joints' pixels, occlusion classes (0 visible, 1 partial, 2 hidden)
         and seen mask (in front, not hidden, in bounds), for render_frame
-        and gt_visibility. One ray bundle per camera holds every present
-        person's joints and is cast against the surfaces and the frame's
-        capsule stack, each ray skipping its own person's capsules."""
+        and gt_visibility. One ray bundle holds every camera's rays to every
+        present person's joints and is cast once against the surfaces and
+        the frame's capsule stack, each ray skipping its own person's
+        capsules; one stacked pass projects the joints into every camera."""
         state = self.frame_state(frame)
         caps, owner = self.frame_capsules(frame)
+        cals = list(self.cals.values())
         joints = np.array(list(state.values())).reshape(-1, 3)
-        ray_owner = np.repeat(list(state), JOINT_COUNT)
-        occluders = self.scene["surfaces"] + [replace(caps, skip=owner[:, None] == ray_owner)]
-        per_camera = {}
-        for cam_id, cal in self.cals.items():
-            dirs = joints - cal.center
-            dist = np.linalg.norm(dirs, axis=1)
-            t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
-            near = dist - OCCLUSION_MARGIN
-            occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
-            uv, in_front = project_many(joints, cal)
-            per_camera[cam_id] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
-        return {
-            (cam_id, pid): tuple(a[i * JOINT_COUNT:(i + 1) * JOINT_COUNT] for a in arrays)
-            for i, pid in enumerate(state)
-            for cam_id, arrays in per_camera.items()
-        }
+        skip = np.tile(owner[:, None] == np.repeat(list(state), JOINT_COUNT), len(cals))
+        occluders = self.scene["surfaces"] + [replace(caps, skip=skip)]
+        centers = np.array([cal.center for cal in cals])
+        dirs = joints - centers[:, None]
+        dist = np.linalg.norm(dirs, axis=2)
+        t, _ = cast_rays(occluders, centers, dirs / np.maximum(dist[..., None], 1e-12),
+                         counts=[len(joints)] * len(cals))
+        t = t.reshape(dist.shape)
+        near = dist - OCCLUSION_MARGIN
+        occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
+        uv, in_front = project_cameras(joints, cals)
+        seen = in_front & (occ < 2) & np.array([cal.in_bounds(u) for cal, u in zip(cals, uv)])
+        # Rows of (camera, person, joint).
+        shape = (len(cals), len(state), JOINT_COUNT)
+        uv, occ, seen = uv.reshape(*shape, 2), occ.reshape(shape), seen.reshape(shape)
+        return {(cal.camera_id, pid): (uv[c, i], occ[c, i], seen[c, i])
+                for i, pid in enumerate(state) for c, cal in enumerate(cals)}
 
     def render_frame(self, frame):
         """Per-camera detection records for one frame.
@@ -706,11 +711,14 @@ class SceneDepthProvider:
         the n pixels (us[i], vs[i]); 0 outside the image. The in-image
         pixels of all patches are cast in chunks of DEPTH_CHUNK_RAYS rays,
         which bounds a cast's (capsules, rays) cull arrays and the rows of
-        the pairs that survive the cull. Box, rectangle and capsule hits do
-        not depend on the chunk; a sphere hit in a one-ray chunk can differ
-        in its last bits (numpy takes another path for a one-row mat-vec),
-        which after the millimetre rounding moves a depth only on an exact
-        tie."""
+        the pairs that survive the cull. A ray's box and rectangle hits and
+        the capsule hit formula are elementwise, so they keep their bits in
+        any chunk. The BLAS products, a sphere's mat-vec and the capsule
+        cull's (K, 3) @ (3, n) products, keep them only at their own
+        shape: their bits can depend on the chunk's ray count n, and numpy
+        takes another path for a one-ray chunk. So a hit can differ in its
+        last bits from a cast of other chunks, which after the millimetre
+        rounding moves a patch depth only on an exact tie."""
         cal = self.sim.cals[cam_id]
         r = size // 2
         off = np.arange(-r, r + 1)

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 from collections import deque
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -35,7 +36,7 @@ from contacttrack.geometry import (
     InsufficientViews,
     epipolar_distance,
     hungarian_assign,
-    project_many,
+    project_cameras,
     triangulate_weighted,
 )
 from contacttrack.person_tracker import PersonTrack, _masked_mean
@@ -741,13 +742,16 @@ def reference_box_ray(box, origin, dirs):
     return np.array(out)
 
 
-def reference_cast_rays(primitives, origin, dirs, rows=None):
+def reference_cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
     """Per-primitive reference for cast_rays: a Capsules stack is unrolled
     into its capsules, each cast alone by reference_capsule_ray and missing
     the rays its skip-mask row marks, and the first hit is kept by a
     strict < over the list in order. rows, cast_rays' cull, is ignored:
-    every primitive is cast over every ray."""
+    every primitive is cast over every ray. With counts, each camera's
+    rays are cast alone from its own origin, with their skip-mask columns."""
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    if counts is not None:
+        return per_camera_cast(reference_cast_rays, primitives, origin, dirs, counts)
     casts = []
     for prim in primitives:
         if isinstance(prim, Capsules):
@@ -764,6 +768,29 @@ def reference_cast_rays(primitives, origin, dirs, rows=None):
         best_t[closer] = t[closer]
         best_i[closer] = i
     return best_t, best_i
+
+
+def per_camera_cast(cast, primitives, origins, dirs, counts):
+    """(t, index) of a multi-camera bundle cast one camera at a time by
+    cast(primitives, origin, dirs): camera c's counts[c] rays, copied to
+    an array of their own, from origins[c], each skip mask cut to that
+    camera's columns."""
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    out, start = [], 0
+    for origin, count in zip(origins, counts):
+        rays = slice(start, start + count)
+        start += count
+        prims = [replace(p, skip=p.skip[:, rays])
+                 if isinstance(p, Capsules) and p.skip is not None else p for p in primitives]
+        out.append(cast(prims, origin, dirs[rays].copy()))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def project_many(points, cal: CameraCalibration):
+    """One camera's projection, project_cameras of that camera alone:
+    (uv (N, 2), valid (N,)), valid=False behind the camera."""
+    uv, valid = project_cameras(points, [cal])
+    return uv[0], valid[0]
 
 
 def per_pair_association_cost(tracks, dets, cal, tau_joint):
@@ -883,6 +910,32 @@ def per_person_sightings(sim, frame):
             uv, in_front = project_many(joints, cal)
             out[(cam_id, pid)] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
     return out
+
+
+def per_camera_sightings(sim, frame):
+    """Per-camera reference for Simulator.sightings: one ray bundle per
+    camera, holding every present person's joints, cast against the
+    surfaces and the frame's capsule stack, each ray skipping its own
+    person's capsules, and each camera projected alone."""
+    state = sim.frame_state(frame)
+    caps, owner = sim.frame_capsules(frame)
+    joints = np.array(list(state.values())).reshape(-1, 3)
+    ray_owner = np.repeat(list(state), JOINT_COUNT)
+    occluders = sim.scene["surfaces"] + [replace(caps, skip=owner[:, None] == ray_owner)]
+    per_camera = {}
+    for cam_id, cal in sim.cals.items():
+        dirs = joints - cal.center
+        dist = np.linalg.norm(dirs, axis=1)
+        t, _ = cast_rays(occluders, cal.center, dirs / np.maximum(dist[:, None], 1e-12))
+        near = dist - OCCLUSION_MARGIN
+        occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
+        uv, in_front = project_many(joints, cal)
+        per_camera[cam_id] = (uv, occ, in_front & (occ < 2) & cal.in_bounds(uv))
+    return {
+        (cam_id, pid): tuple(a[i * JOINT_COUNT:(i + 1) * JOINT_COUNT] for a in arrays)
+        for i, pid in enumerate(state)
+        for cam_id, arrays in per_camera.items()
+    }
 
 
 def reference_closest_point(prim, p):

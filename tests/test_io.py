@@ -14,6 +14,7 @@ from contacttrack.contact import ContactEpisode
 from contacttrack.errors import InputFormatError
 from contacttrack.hand_fusion import HandInstance
 from contacttrack.io import (
+    EPISODE_HEADER,
     GridDepthProvider,
     read_calibration,
     read_depth_grid,
@@ -333,18 +334,37 @@ class TestEpisodes:
         assert exc.value.line == 3
 
     def test_bad_row_after_a_quoted_line_break_names_its_line(self, tmp_path):
-        # Row 1's quoted person id "0\n" spans lines 2 and 3, so row 4,
-        # whose side is "middle", sits on line 6, not on its row number
-        # plus one.
+        # Row 1's quoted px "1.0\n" spans lines 2 and 3, so row 4, whose
+        # side is "middle", sits on line 6, not on its row number plus one.
         path = tmp_path / "eps.csv"
-        write_episodes(path, [self.make(pid=0)] + [self.make()] * 3)
+        write_episodes(path, [self.make()] * 4)
         head, *rows = path.read_text().split("\n")
-        rows[0] = '"0\n"' + rows[0][1:]
+        rows[0] = rows[0].replace(",1.0,", ',"1.0\n",')
         rows[3] = rows[3].replace(",left,", ",middle,")
         path.write_text("\n".join([head, *rows]))
         with pytest.raises(InputFormatError, match="side must be left or right") as exc:
             read_episodes(path)
         assert exc.value.line == 6
+
+
+    @pytest.mark.parametrize("column,text,line", [
+        ("person_id", " 3 ", 2),
+        ("surface_label", "0_2", 2),
+        ("t_start", '"0\n"', 3),  # quoted, so the row ends on line 3
+    ])
+    def test_integer_fields_as_written_only(self, tmp_path, column, text, line):
+        # int() reads each of these; write_episodes writes none of them.
+        path = tmp_path / "eps.csv"
+        write_episodes(path, [self.make(pid=-2), self.make(pid=None)])
+        assert [ep.person_id for ep in read_episodes(path)] == [-2, None]
+        head, row, *rest = path.read_text().split("\n")
+        fields = row.split(",")
+        fields[EPISODE_HEADER.index(column)] = text
+        path.write_text("\n".join([head, ",".join(fields), *rest]))
+        with pytest.raises(InputFormatError) as exc:
+            read_episodes(path)
+        want = text.strip('"')
+        assert str(exc.value) == f"{path}:{line}: bad episode row: {column} must be an integer, got {want!r}"
 
 
 class TestVisibility:

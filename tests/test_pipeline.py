@@ -12,7 +12,6 @@ import pytest
 from contacttrack import io, pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
-from contacttrack.geometry import project_many
 from contacttrack.io import read_episodes, write_calibration
 from contacttrack.pipeline import (
     load_ground_truth,
@@ -27,6 +26,7 @@ from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 from helpers import (
     make_camera,
     make_ring,
+    project_many,
     tree_bytes,
     window,
     write_depth_grid,
@@ -321,17 +321,17 @@ class TestBenchmarkHooks:
         assert t.calls("geometry.epipolar_distance") >= 1
         assert t.counts["geometry.triangulate_weighted.from_update"] >= 1
 
-    def test_tracer_sees_one_sighting_cast_per_camera(self, tracer, tmp_path):
-        # The simulator casts one ray bundle per (frame, camera), holding
-        # every present person's joints and shared by the detections and
-        # the visibility ground truth.
+    def test_tracer_sees_one_sighting_cast_per_frame(self, tracer, tmp_path):
+        # The simulator casts one ray bundle per frame, holding every
+        # camera's rays to every present person's joints and shared by
+        # the detections and the visibility ground truth.
         scene = crossing_clean(frame_count=3)
         scene["persons"][2]["absent"] = [[1, 1]]
         t = tracer.Tracer()
         with tracer.patched(tracer.instrument(t)):
             emit_dataset(scene, str(tmp_path), seed=0)
         cameras = len(scene["cameras"])
-        assert t.calls("primitives.cast_rays.render") == 3 * cameras  # frames x cameras
+        assert t.calls("primitives.cast_rays.render") == 3  # frames
         rays = (3 + 2 + 3) * cameras * len(TEMPLATE_JOINTS)  # present persons' joints
         assert t.counts["primitives.cast_rays.render.rays"] == rays
         assert t.calls("simulator.gt_visibility") >= 1

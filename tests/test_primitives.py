@@ -19,6 +19,7 @@ from contacttrack.simulator import surface_from_config
 
 from helpers import (
     full_capsule_hits,
+    per_camera_cast,
     reference_box_ray,
     reference_capsule_ray,
     reference_cast_rays,
@@ -422,6 +423,47 @@ class TestCasting:
         prims = [Sphere([0, 0, 5.0], 1.0), Sphere([0, 0, 2.5], 0.5)]
         t, i = cast_rays(prims, np.zeros(3), dirs, rows=[None, np.zeros(0, dtype=int)])
         assert i[0] == 0 and t[0] == pytest.approx(4.0)
+
+
+class TestMultiCameraBundle:
+    @staticmethod
+    def scene(rng, n):
+        """A box, a rectangle, a sphere and a stack of twelve capsules with
+        a random skip mask over n rays, all ahead of origins near 0."""
+        lo = rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0]
+        p0 = rng.uniform(-1.5, 1.5, size=(12, 3)) + [0.0, 0.0, 2.5]
+        caps = Capsules.between(p0, p0 + rng.normal(0.0, 0.5, size=(12, 3)),
+                                rng.uniform(0.05, 0.4, size=12))
+        return [Box(lo, lo + rng.uniform(0.1, 2.0, size=3)),
+                Rect(lo + [0.5, 0.0, -1.0], "xyz"[rng.integers(3)],
+                     tuple(rng.uniform(0.1, 2.0, size=2))),
+                Sphere(rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0], rng.uniform(0.2, 1.0)),
+                replace(caps, skip=rng.random((12, n)) < 0.2)]
+
+    def test_equals_one_cast_per_camera(self):
+        # Random bundles of one to five cameras, some with one ray or none,
+        # cast at once and camera by camera: every hit, index and capsule
+        # hit keeps its bits.
+        rng = np.random.default_rng(14)
+        seen = set()
+        cases = [[1], [0], [0, 0], [0, 1, 0], [1, 1, 1]]
+        cases += [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(60)]
+        for counts in cases:
+            n = sum(counts)
+            origins = rng.uniform(-0.5, 0.5, size=(len(counts), 3))
+            dirs = rng.normal(size=(n, 3)) * 0.6 + [0.0, 0.0, 1.0]
+            prims = self.scene(rng, n)
+            want_t, want_i = per_camera_cast(cast_rays, prims, origins, dirs, counts)
+            t, i = cast_rays(prims, origins, dirs, counts=counts)
+            assert t.tobytes() == want_t.tobytes() and i.tobytes() == want_i.tobytes()
+            caps = prims[-1]
+            want = np.concatenate(
+                [replace(caps, skip=caps.skip[:, rays]).hits(o, dirs[rays])
+                 for o, rays in zip(origins, np.split(np.arange(n), np.cumsum(counts)[:-1]))],
+                axis=1)
+            assert caps.hits(origins, dirs, counts).tobytes() == want.tobytes()
+            seen |= set(want_i.tolist())
+        assert seen == set(range(-1, 15))  # misses, the surfaces and every capsule
 
 
 class TestConfig:

@@ -14,7 +14,13 @@ from contacttrack.io import read_tracks, read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 from contacttrack import simulator
-from contacttrack.scenes import builtin_scene, crossing_clean, crossing_noisy, induction_lite
+from contacttrack.scenes import (
+    builtin_scene,
+    crossing_clean,
+    crossing_noisy,
+    induction_lite,
+    induction_lite_noisy,
+)
 from contacttrack.simulator import (
     SceneDepthProvider,
     Simulator,
@@ -26,12 +32,15 @@ from contacttrack.simulator import (
 
 from helpers import (
     crowd_crossing,
+    per_camera_sightings,
     per_person_sightings,
     per_point_nearest_per_label,
     project,
     reference_cast_rays,
     scene_grids,
     scene_patch,
+    tree_bytes,
+    window,
 )
 
 
@@ -538,7 +547,41 @@ class TestStackedKernel:
         assert patches == ref_patches
 
 
-class TestOneBundlePerCamera:
+class TestSightings:
+    # simulate-score's window of induction-lite-noisy (its first touches),
+    # and the eight crossing persons, whose bodies hide each other.
+    SCENES = {"induction-noisy": lambda: window(induction_lite_noisy(), 60, 48),
+              "crowd": crowd_crossing}
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_matches_per_camera_reference(self, name):
+        # One cast per frame gives every camera's rays the bits of a cast
+        # of that camera's rays alone.
+        scene = self.SCENES[name]()
+        sim = Simulator(scene, seed=0)
+        occluded = 0
+        for frame in range(scene["frame_count"]):
+            got, ref = sim.sightings(frame), per_camera_sightings(sim, frame)
+            assert list(got) == list(ref)
+            for key, arrays in ref.items():
+                assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                           for a, b in zip(got[key], arrays)), (frame, key)
+            occluded += sum((occ > 0).sum() for _, occ, _ in ref.values())
+        assert occluded > 100
+
+    @pytest.mark.parametrize("name,start", [("induction-noisy", 0), ("crowd", 8)])
+    def test_camera_order_leaves_outputs_unchanged(self, name, start, tmp_path):
+        # Every output but scene.json, which records the scene as given, is
+        # the same bytes with the scene's camera list reversed.
+        scene = window(self.SCENES[name](), start, 8)
+        trees = []
+        for cameras in (scene["cameras"], scene["cameras"][::-1]):
+            out = tmp_path / str(len(trees))
+            emit_dataset(dict(scene, cameras=cameras), str(out), seed=1)
+            trees.append(tree_bytes(out))
+        assert trees[0].pop("scene.json") != trees[1].pop("scene.json")
+        assert len(trees[0]) == 8 and trees[1] == trees[0]
+
     def test_matches_per_person_reference(self):
         # Frame 12 holds all eight crossing persons, 13 two, 14 one, 15 none.
         scene = crowd_crossing()
