@@ -81,15 +81,6 @@ def _parse_grid(spec):
     return grid
 
 
-def _id_map(pred_dir, gt):
-    pred_tracks = load_track_stream(os.path.join(pred_dir, "tracks.jsonl"))
-    if not pred_tracks or not gt.tracks:
-        return {}
-    corr = match_tracks(pred_tracks, gt.tracks)
-    _, _, id_map = mot_metrics(corr, pred_tracks, gt.tracks)
-    return id_map
-
-
 def cmd_evaluate(args):
     gt = load_ground_truth(args.gt)
     pred_tracks = load_track_stream(os.path.join(args.pred, "tracks.jsonl"))
@@ -129,7 +120,8 @@ def cmd_sweep(args):
         raise InputFormatError("missing distance_traces.jsonl", path=traces_path)
     traces = list(read_traces(traces_path))
     grid = _parse_grid(args.grid)
-    id_map = _id_map(args.input, gt)
+    pred_tracks = load_track_stream(os.path.join(args.input, "tracks.jsonl"))
+    _, _, id_map = mot_metrics(match_tracks(pred_tracks, gt.tracks), pred_tracks, gt.tracks)
     rows = threshold_sweep(traces, gt, grid, id_map=id_map)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f)

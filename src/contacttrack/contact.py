@@ -29,6 +29,11 @@ class ContactEpisode:
     min_distance: float
 
 
+def episode_order(ep):
+    """Episodes' canonical order: t_start, person (none as -1), side, label."""
+    return ep.t_start, -1 if ep.person_id is None else ep.person_id, ep.side, ep.surface_label
+
+
 def smooth_anchors(prev, current, alpha):
     """EMA step over the 6x3 anchor array; the first observation passes
     through unchanged."""
@@ -185,17 +190,9 @@ class ContactTracker:
 
     def finalize(self):
         """Close the open episodes at the end of the sequence and return
-        all episodes, sorted by (t_start, person, side, label, hand id)."""
+        all episodes, sorted by episode_order, then hand id."""
         for key, ep in self._open.items():
             self._close(key, ep)
         self._open.clear()
-        self._closed.sort(
-            key=lambda he: (
-                he[1].t_start,
-                -1 if he[1].person_id is None else he[1].person_id,
-                he[1].side,
-                he[1].surface_label,
-                he[0],
-            )
-        )
+        self._closed.sort(key=lambda he: (*episode_order(he[1]), he[0]))
         return [ep for _, ep in self._closed]

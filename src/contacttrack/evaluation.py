@@ -1,9 +1,11 @@
 """Tracking and contact metrics over predicted vs. ground-truth streams.
 
 Per-frame Hungarian matching of floor-projected person centers feeds
-IDF1/IDSW; episode and framewise contact metrics compare predicted
-episodes against ground truth under a visibility mask; a threshold sweep
-re-runs the contact stage on cached distance traces.
+IDF1/IDSW, counted in one pass over the frames; episode recall and
+identity accuracy come from one table of the frames each predicted and
+gt episode share, and framewise F1/IoU from one frame-key rule under a
+visibility mask; a threshold sweep re-runs the contact stage on cached
+distance traces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import ContactConfig
-from .contact import ContactTracker
+from .contact import ContactTracker, episode_order
 from .geometry import hungarian_assign
 from .schema import TORSO_JOINTS
 
@@ -89,134 +91,105 @@ def match_tracks(pred_by_frame, gt_by_frame):
 
 
 def mot_metrics(correspondence, pred_by_frame, gt_by_frame):
-    """IDF1 and identity switches from a per-frame correspondence.
+    """IDF1 and identity switches of a per-frame correspondence, in one pass.
 
     IDF1 uses the optimal global one-to-one mapping between gt and
     predicted identities that maximizes identity true positives (among
     equal optima, hungarian_assign's lexicographically smallest pairs of
-    sorted gt and predicted ids); IDSW
-    counts strictly consecutive matched frames where a gt id's predicted
-    id changes.
+    sorted gt and predicted ids); IDSW counts strictly consecutive
+    matched frames where a gt id's predicted id changes.
     """
     overlap = {}
-    for frame, pairs in correspondence.items():
-        for g, p in pairs.items():
+    last = {}  # gt id -> (frame, pred id) of its latest match
+    switches = 0
+    for frame in sorted(correspondence):
+        for g, p in correspondence[frame].items():
             overlap[(g, p)] = overlap.get((g, p), 0) + 1
-    gt_total = sum(len(v) for v in gt_by_frame.values())
-    pred_total = sum(len(v) for v in pred_by_frame.values())
-
+            prev = last.get(g)
+            if prev is not None and prev[0] == frame - 1 and prev[1] != p:
+                switches += 1
+            last[g] = (frame, p)
     gt_ids = sorted({g for g, _ in overlap})
     pred_ids = sorted({p for _, p in overlap})
-    idtp = 0
-    id_map = {}
-    if overlap:
-        w = np.zeros((len(gt_ids), len(pred_ids)))
-        for (g, p), n in overlap.items():
-            w[gt_ids.index(g), pred_ids.index(p)] = n
-        # Pairs that never overlapped cost 0, as leaving both unmatched does.
-        for r, c in hungarian_assign(-w, 0.0):
-            idtp += int(w[r, c])
-            id_map[pred_ids[c]] = gt_ids[r]
-    denom = 2 * idtp + (pred_total - idtp) + (gt_total - idtp)
+    w = np.zeros((len(gt_ids), len(pred_ids)))
+    for (g, p), n in overlap.items():
+        w[gt_ids.index(g), pred_ids.index(p)] = n
+    # Pairs that never overlapped cost 0, as leaving both unmatched does.
+    pairs = hungarian_assign(-w, 0.0)
+    idtp = sum(int(w[r, c]) for r, c in pairs)
+    id_map = {pred_ids[c]: gt_ids[r] for r, c in pairs}
+    # 2 IDTP + IDFP + IDFN: every gt and every predicted box, once.
+    denom = sum(map(len, gt_by_frame.values())) + sum(map(len, pred_by_frame.values()))
     idf1 = (2 * idtp / denom) if denom else 1.0
-
-    switches = 0
-    frames = sorted(correspondence)
-    for g in {g for pairs in correspondence.values() for g in pairs}:
-        prev_frame = prev_pred = None
-        for frame in frames:
-            p = correspondence[frame].get(g)
-            if p is None:
-                continue
-            if prev_pred is not None and frame == prev_frame + 1 and p != prev_pred:
-                switches += 1
-            prev_frame, prev_pred = frame, p
     return idf1, switches, id_map
 
 
-def _episode_frames(ep):
-    return range(ep.t_start, ep.t_stop + 1)
-
-
 def _framewise_sets(pred_episodes, gt, id_map, semantic):
-    """Micro TP/FP/FN counts over framewise contact indicators.
+    """Micro F1 and IoU over framewise contact indicators, with one
+    frame-key rule for both sides: (frame, person, side[, label]), the
+    person mapped into gt id space through id_map (an empty one for the
+    gt side), leaving out frames where that person's gt hand is flagged
+    invisible. Predictions without a mapped person count as false."""
+    def keys(episodes, mapping):
+        out = set()
+        for ep in episodes:
+            person = mapping.get(ep.person_id, ep.person_id)
+            for f in range(ep.t_start, ep.t_stop + 1):
+                if person is not None and not gt.visible(f, person, ep.side):
+                    continue
+                key = (f, person, ep.side)
+                out.add(key + (ep.surface_label,) if semantic else key)
+        return out
 
-    Prediction person ids are mapped into gt id space through id_map;
-    predictions without a mapped person still count as positives (false
-    unless they land on a gt-active frame, which they cannot). Frames
-    where the gt hand is flagged invisible are excluded on both sides.
-    """
-    def key(person, side, label):
-        return (person, side, label) if semantic else (person, side)
-
-    gt_set = set()
-    for ep in gt.episodes:
-        for f in _episode_frames(ep):
-            if gt.visible(f, ep.person_id, ep.side):
-                gt_set.add((f,) + key(ep.person_id, ep.side, ep.surface_label))
-    pred_set = set()
-    for ep in pred_episodes:
-        person = id_map.get(ep.person_id, ep.person_id)
-        for f in _episode_frames(ep):
-            if person is not None and not gt.visible(f, person, ep.side):
-                continue
-            pred_set.add((f,) + key(person, ep.side, ep.surface_label))
+    gt_set = keys(gt.episodes, {})
+    pred_set = keys(pred_episodes, id_map)
     tp = len(pred_set & gt_set)
-    fp = len(pred_set - gt_set)
-    fn = len(gt_set - pred_set)
-    f1 = 2 * tp / (2 * tp + fp + fn) if (tp + fp + fn) else 1.0
-    iou = tp / (tp + fp + fn) if (tp + fp + fn) else 1.0
-    return f1, iou
+    union = len(pred_set | gt_set)  # tp + fp + fn
+    if not union:
+        return 1.0, 1.0
+    return 2 * tp / (tp + union), tp / union
 
 
 def contact_metrics(pred_episodes, gt: GroundTruth, id_map=None):
     """Episode recall, framewise binary/semantic F1 and IoU, identity accuracy.
 
-    id_map translates predicted person ids into gt id space (from
-    mot_metrics); identity accuracy scores matched predicted episodes
-    against the gt episode identity. With no gt episodes the recall is
-    1.0 (0 of 0 detected), as the framewise scores are on empty sets.
+    One table holds the frames each (predicted, gt) episode pair shares on
+    one side and label. A gt episode is detected when any prediction shares
+    a frame with it. Identity accuracy scores each prediction that shares
+    frames against the gt episode sharing most, through id_map (from
+    mot_metrics); a tie goes to the earliest t_start, then the lowest person
+    id (no person as -1), as episode_order sorts, whatever the gt row order.
+    With no gt episodes the recall is 1.0 (0 of 0), as the framewise scores
+    are on empty sets.
     """
     id_map = id_map or {}
-
-    detected = 0
-    for gep in gt.episodes:
-        for pep in pred_episodes:
-            if (
-                pep.side == gep.side
-                and pep.surface_label == gep.surface_label
-                and pep.t_start <= gep.t_stop
-                and pep.t_stop >= gep.t_start
-            ):
-                detected += 1
-                break
-    recall = detected / len(gt.episodes) if gt.episodes else 1.0
+    gt_episodes = sorted(gt.episodes, key=episode_order)  # max() keeps the first of equals
+    shared = [
+        [
+            min(pep.t_stop, gep.t_stop) - max(pep.t_start, gep.t_start) + 1
+            if (pep.side, pep.surface_label) == (gep.side, gep.surface_label) else 0
+            for gep in gt_episodes
+        ]
+        for pep in pred_episodes
+    ]
+    detected = sum(any(n > 0 for n in column) for column in zip(*shared))
+    recall = detected / len(gt_episodes) if gt_episodes else 1.0
 
     binary_f1, binary_iou = _framewise_sets(pred_episodes, gt, id_map, semantic=False)
     semantic_f1, semantic_iou = _framewise_sets(pred_episodes, gt, id_map, semantic=True)
 
     matched = correct = 0
-    for pep in pred_episodes:
-        best = None
-        for gep in gt.episodes:
-            if pep.side != gep.side or pep.surface_label != gep.surface_label:
-                continue
-            lo = max(pep.t_start, gep.t_start)
-            hi = min(pep.t_stop, gep.t_stop)
-            if hi - lo + 1 >= 1 and (best is None or hi - lo > best[0]):
-                best = (hi - lo, gep)
-        if best is None:
-            continue
-        matched += 1
-        mapped = id_map.get(pep.person_id, pep.person_id)
-        if mapped == best[1].person_id:
-            correct += 1
+    for pep, row in zip(pred_episodes, shared):
+        n, gep = max(zip(row, gt_episodes), key=itemgetter(0), default=(0, None))
+        if n > 0:
+            matched += 1
+            correct += id_map.get(pep.person_id, pep.person_id) == gep.person_id
     identity_accuracy = correct / matched if matched else 0.0
 
     return {
         "episode_recall": recall,
         "detected_episodes": detected,
-        "gt_episodes": len(gt.episodes),
+        "gt_episodes": len(gt_episodes),
         "binary_f1": binary_f1,
         "binary_iou": binary_iou,
         "semantic_f1": semantic_f1,

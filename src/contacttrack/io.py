@@ -1,4 +1,5 @@
-"""File formats: how each input and output file is read and written.
+"""File formats: how each input and output file but cli's report.csv and
+sweep.csv is read and written.
 
 JSON files (calibration.json, scene.json or a --scene file,
 hand_schema.json, run_meta.json, gt/meta.json, report.json) are read by
@@ -14,12 +15,12 @@ reader. Five field readers hold the rule for the typed fields of every
 JSON input, the scene and the hand schema included: json_int (a JSON
 integer), json_number (a finite JSON number), json_array (finite JSON
 numbers of a given shape), json_list (a JSON array) and json_side (left
-or right). Each raises ValueError naming the field;
-callers add only range checks. Episodes are CSV, label tables
-"<id> <name>" lines, and depth and label grids DEP1 and LBL1 binaries.
-A malformed input raises InputFormatError naming the file, and the line
-for line-based files. Writers are deterministic so identical runs
-produce byte-identical files.
+or right). Each raises ValueError naming the field; callers add only
+range checks. Episodes are CSV (NUMBER_TEXT numbers), label tables
+"<id> <name>" lines with ids in 0..255, and depth and label grids DEP1
+and LBL1 binaries. A malformed input raises InputFormatError naming the
+file, and the line for line-based files. Writers are deterministic so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import json
 import math
 import os
+import re
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -410,22 +412,29 @@ def write_episodes(path, episodes):
             ])
 
 
-def _csv_int(text, name):
-    """A CSV field as an integer if it is one as write_episodes writes it,
-    an optional - and ASCII digits; int() would also read " 3 ", "0_2" and
-    "0\n"."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{name} must be an integer, got {text!r}")
-    return int(text)
+# Numbers as the text writers write them: an optional -, ASCII digits, and
+# for a float an optional fraction and e+/-digits exponent. int() and
+# float() would also read " 3 ", "0_2", "0.5\n" and full-width digits.
+NUMBER_TEXT = {  # kind -> (pattern, name in messages)
+    int: (re.compile(r"-?[0-9]+"), "an integer"),
+    float: (re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?"), "a number"),
+}
+
+
+def _csv_number(text, name, kind=int):
+    """text as kind, int or float, if NUMBER_TEXT[kind] matches all of it."""
+    pattern, what = NUMBER_TEXT[kind]
+    if not pattern.fullmatch(text):
+        raise ValueError(f"{name} must be {what}, got {text!r}")
+    return kind(text)
 
 
 def read_episodes(path):
     """ContactEpisode list of an episodes.csv file. A line that is not
     UTF-8 or that csv rejects (a lone carriage return, an oversized field),
-    then a row whose integer fields are not written as write_episodes
-    writes them (an empty person_id means no person), whose side is not
-    left or right, whose t_start is after its t_stop, whose contact point
+    then a row whose numbers are not written as write_episodes writes
+    them (an empty person_id means no person), whose side is not left or
+    right, whose t_start is after its t_stop, whose contact point
     is not finite or whose min_distance_m is negative or not finite raises
     InputFormatError naming the file and line."""
     reader = csv.reader(text for _, text in _lines(path))
@@ -445,13 +454,14 @@ def read_episodes(path):
             continue
         try:
             ep = ContactEpisode(
-                person_id=None if row[0] == "" else _csv_int(row[0], "person_id"),
+                person_id=None if row[0] == "" else _csv_number(row[0], "person_id"),
                 side=row[1],
-                surface_label=_csv_int(row[2], "surface_label"),
-                t_start=_csv_int(row[3], "t_start"),
-                t_stop=_csv_int(row[4], "t_stop"),
-                contact_point=np.array([float(row[5]), float(row[6]), float(row[7])]),
-                min_distance=float(row[8]),
+                surface_label=_csv_number(row[2], "surface_label"),
+                t_start=_csv_number(row[3], "t_start"),
+                t_stop=_csv_number(row[4], "t_stop"),
+                contact_point=np.array(
+                    [_csv_number(row[k], EPISODE_HEADER[k], float) for k in (5, 6, 7)]),
+                min_distance=_csv_number(row[8], "min_distance_m", float),
             )
             if ep.side not in SIDES:
                 raise ValueError(f"side must be left or right, got {ep.side!r}")
@@ -544,24 +554,39 @@ def remap_ids(path, key, mapping):
 
 # -- label tables ----------------------------------------------------------
 
+def _label_id(text):
+    """A label table id: an integer by _csv_number, in the LBL1 byte's 0..255."""
+    lid = _csv_number(text, "label id")
+    if not 0 <= lid <= 255:
+        raise ValueError(f"label id must be in 0..255, got {lid}")
+    return lid
+
+
 def write_label_table(path, table):
+    """"<id> <name>" lines in id order; ids pass _label_id, as when read."""
     with open(path, "w") as f:
         for lid in sorted(table):
-            f.write(f"{lid} {table[lid]}\n")
+            f.write(f"{_label_id(str(lid))} {table[lid]}\n")
 
 
 def read_label_table(path):
-    """{label id: name} from "<id> <name>" lines of UTF-8 text."""
+    """{label id: name} from "<id> <name>" lines of UTF-8 text, each id a
+    _label_id listed once."""
     table = {}
     for ln, line in _lines(path):
         line = line.strip()
         if not line:
             continue
+        text, *name = line.split(None, 1)
         try:
-            lid, name = line.split(None, 1)
-            table[int(lid)] = name
-        except ValueError:
-            raise InputFormatError(f"want '<id> <name>', got {line!r}", path=path, line=ln)
+            if not name:
+                raise ValueError(f"want '<id> <name>', got {line!r}")
+            lid = _label_id(text)
+            if lid in table:
+                raise ValueError(f"label id {lid} listed twice")
+        except ValueError as e:
+            raise InputFormatError(str(e), path=path, line=ln)
+        table[lid] = name[0]
     return table
 
 

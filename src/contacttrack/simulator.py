@@ -166,6 +166,14 @@ def _label(rec):
     return label
 
 
+def _name(rec, label):
+    """rec["name"] (surface_<label> if absent): one non-blank line of text."""
+    name = rec.get("name", f"surface_{label}")
+    if not isinstance(name, str) or not name.strip() or name.splitlines() != [name]:
+        raise ValueError(f"name must be a non-blank single-line string, got {name!r}")
+    return name
+
+
 def surface_from_config(rec):
     """Build a labeled surface primitive from a scene config record."""
     kind = rec.get("type")
@@ -364,8 +372,7 @@ def parse_scene(data):
         cams = [camera_from_config(c) for c in data["cameras"]]
         surface_recs = json_list(data, "surfaces")
         surfaces = [surface_from_config(s) for s in surface_recs]
-        label_table = {prim.label: s.get("name", f"surface_{prim.label}")
-                       for prim, s in zip(surfaces, surface_recs)}
+        label_table = {prim.label: _name(s, prim.label) for prim, s in zip(surfaces, surface_recs)}
         persons = []
         for p in json_list(data, "persons"):
             events = {}
@@ -394,6 +401,11 @@ def parse_scene(data):
                 raise ValueError("a person needs waypoints, and absent [start, stop] pairs")
             persons.append(PersonScript(id=json_int(p["id"], "id"), waypoints=waypoints,
                                         absences=absences, events=events))
+        for what, ids in (("camera", [c.camera_id for c in cams]),
+                          ("person id", [p.id for p in persons])):
+            for k, i in enumerate(ids):
+                if i in ids[:k]:
+                    raise ValueError(f"{what} {i!r} listed twice")
         noise = data.get("noise", {})
         noise = {key: json_number(noise, key, 0.0)
                  for key in ("pixel_sigma", "dropout", "depth_sigma", "hand_jitter")}

@@ -12,7 +12,7 @@ import pytest
 from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, main
 from contacttrack.config import load_pipeline_config
 from contacttrack.io import read_calibration
-from contacttrack.scenes import crossing_clean, induction_lite_noisy
+from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
 
 from helpers import write_depth_grid, write_label_grid
 
@@ -96,6 +96,37 @@ class TestSimulate:
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps(scene))
         return main(["simulate", "--scene", str(scene_path), "--out", str(tmp_path / "x")])
+
+    # ROADMAP item 12: simulate used to exit 0 on each of these, merging
+    # the persons, dropping a camera or writing a label_table.txt that run
+    # rejects.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda scene: scene["persons"][1].__setitem__("id", 1), "person id 1 listed twice"),
+        (lambda scene: scene["cameras"][1].__setitem__("id", scene["cameras"][0]["id"]),
+         "camera 'cam0' listed twice"),
+        (lambda scene: scene["surfaces"][0].__setitem__("name", ""),
+         "name must be a non-blank single-line string, got ''"),
+        (lambda scene: scene["surfaces"][0].__setitem__("name", " \t"),
+         "name must be a non-blank single-line string, got ' \\t'"),
+        (lambda scene: scene["surfaces"][0].__setitem__("name", "a\nb"),
+         "name must be a non-blank single-line string, got 'a\\nb'"),
+        (lambda scene: scene["surfaces"][0].__setitem__("name", 7),
+         "name must be a non-blank single-line string, got 7"),
+        (lambda scene: scene["surfaces"][0].__setitem__("name", ["x"]),
+         "name must be a non-blank single-line string, got ['x']"),
+    ], ids=["person-id-twice", "camera-id-twice", "name-empty", "name-blank", "name-two-lines",
+            "name-number", "name-list"])
+    def test_scene_field_run_would_not_read(self, tmp_path, capsys, edit, message):
+        # A copy: the builtin's surface records are shared module constants.
+        scene = json.loads(json.dumps(induction_lite(frame_count=4)))
+        edit(scene)
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        assert main(["simulate", "--scene", str(scene_path),
+                     "--out", str(tmp_path / "x")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {scene_path}: bad scene config: {message}\n")
+        assert not (tmp_path / "x").exists()
 
     def test_camera_looking_at_its_position(self, tmp_path, capsys):
         def edit(scene):
@@ -506,6 +537,23 @@ class TestRunLabelTable:
         assert self._run(tmp_path, ds, inp) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"input error: {inp / 'label_table.txt'}: missing label_table.txt" in err
+
+    # write_label_table writes ASCII ids of the LBL1 byte, each once; int()
+    # would read 1_0 and a full-width 5, and a repeated id would replace
+    # the earlier name.
+    @pytest.mark.parametrize("table, line, message", [
+        ("1 bed\n1_0 rail\n", 2, "label id must be an integer, got '1_0'"),
+        ("\uff15 rail\n", 1, "label id must be an integer, got '\uff15'"),
+        ("-4 rail\n", 1, "label id must be in 0..255, got -4"),
+        ("300 rail\n", 1, "label id must be in 0..255, got 300"),
+        ("1 bed\n2 monitor\n\n1 rail\n", 4, "label id 1 listed twice"),
+    ], ids=["underscore", "full-width", "negative", "beyond-a-byte", "twice"])
+    def test_bad_label_id(self, tmp_path, mini_induction, capsys, table, line, message):
+        ds = mini_induction["ds"]
+        inp = self._input_dir(tmp_path, ds)
+        (inp / "label_table.txt").write_text(table, encoding="utf-8")
+        assert self._run(tmp_path, ds, inp) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {inp / 'label_table.txt'}:{line}: {message}\n"
 
     def test_table_without_a_map_label(self, tmp_path, mini_induction, capsys):
         ds = mini_induction["ds"]
@@ -957,10 +1005,15 @@ class TestScoringBadInput:
     @pytest.mark.parametrize("side, column, value, message", [
         ("pred", "side", "up", "side must be left or right, got 'up'"),
         ("gt", "t_start", "100000", "t_start 100000 is after t_stop"),
-        ("pred", "py", "nan", "contact point holds a non-finite value"),
+        # write_episodes writes finite numbers only, so nan and inf are no
+        # number at all; 1e+400 is written as a float is, and reads as inf.
+        ("pred", "py", "nan", "py must be a number, got 'nan'"),
         ("gt", "min_distance_m", "-5", "min_distance_m must be finite and >= 0, got -5.0"),
-        ("pred", "min_distance_m", "inf", "min_distance_m must be finite and >= 0, got inf"),
-    ], ids=["side", "start-after-stop", "point-nan", "distance-negative", "distance-inf"])
+        ("pred", "min_distance_m", "inf", "min_distance_m must be a number, got 'inf'"),
+        ("pred", "pz", "1e+400", "contact point holds a non-finite value"),
+        ("gt", "min_distance_m", "1e+400", "min_distance_m must be finite and >= 0, got inf"),
+    ], ids=["side", "start-after-stop", "point-nan", "distance-negative", "distance-inf",
+            "point-beyond-range", "distance-beyond-range"])
     def test_bad_episode_row(self, tmp_path, mini_induction, capsys, side, column, value, message):
         dirs = dict(zip(("pred", "gt"), self._copies(tmp_path, mini_induction)))
         path = dirs[side] / "episodes.csv"

@@ -1,10 +1,17 @@
+import json
+import os
+import shutil
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contacttrack.cli import main
+from contacttrack.config import PipelineConfig
 from contacttrack.contact import ContactEpisode
 from contacttrack.evaluation import (
     GroundTruth,
@@ -15,7 +22,10 @@ from contacttrack.evaluation import (
     mot_metrics,
     threshold_sweep,
 )
+from contacttrack.pipeline import run_pipeline
+from contacttrack.scenes import induction_lite_noisy
 from contacttrack.schema import JOINT_COUNT, TORSO_JOINTS
+from contacttrack.simulator import emit_dataset
 
 from helpers import per_key_threshold_sweep
 
@@ -180,6 +190,25 @@ class TestContactMetrics:
         m = contact_metrics(pred, gt, id_map={42: 2})
         assert m["identity_accuracy"] == 0.0
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["earlier-first", "later-first"])
+    def test_identity_tie_goes_to_the_earliest_start(self, order):
+        # The prediction shares frames 10-15 with person 1's episode and
+        # 15-20 with person 2's: a tie, which the earlier start wins
+        # whatever the row order of the gt episodes.
+        rows = [episode(1, "right", 3, 5, 15), episode(2, "right", 3, 15, 25)]
+        gt = self.gt([rows[k] for k in order])
+        m = contact_metrics([episode(1, "right", 3, 10, 20)], gt)
+        assert m["identity_accuracy"] == 1.0
+        m = contact_metrics([episode(2, "right", 3, 10, 20)], gt)
+        assert m["identity_accuracy"] == 0.0
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["lower-first", "higher-first"])
+    def test_identity_tie_at_one_start_goes_to_the_lowest_person(self, order):
+        rows = [episode(1, "right", 3, 10, 20), episode(2, "right", 3, 10, 20)]
+        gt = self.gt([rows[k] for k in order])
+        m = contact_metrics([episode(1, "right", 3, 10, 20)], gt)
+        assert m["identity_accuracy"] == 1.0
+
     def test_invisible_frames_excluded(self):
         eps = [episode(1, "right", 3, 10, 19)]
         gt = self.gt(eps)
@@ -301,3 +330,86 @@ class TestSweepReplay:
         gt = GroundTruth(tracks={}, episodes=gt_episodes)
         got = threshold_sweep(traces, gt, grid, id_map=id_map)
         assert got == per_key_threshold_sweep(traces, gt, grid, id_map=id_map)
+
+
+# Frames of a 480-frame induction-lite-noisy recording (seed 0) whose
+# frame 468 holds two hands flagged invisible, the recording's one frame
+# with more than one gt/visibility.jsonl row.
+WINDOW_START, WINDOW_END = 440, 480
+SCORED = ("eval/report.json", "eval/report.csv", "sweep.csv")
+
+
+def _score(pred, gt, out):
+    """{name: bytes} of what evaluate and sweep write for pred against gt."""
+    assert main(["evaluate", "--pred", pred, "--gt", gt, "--out", os.path.join(out, "eval")]) == 0
+    assert main(["sweep", "--in", pred, "--gt", gt, "--grid", "0.02:0.40:0.02",
+                 "--out", os.path.join(out, "sweep.csv")]) == 0
+    return {name: Path(out, name).read_bytes() for name in SCORED}
+
+
+def _keep_lines(path, keep):
+    lines = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text("".join(line for line in lines if keep(line)))
+
+
+@pytest.fixture(scope="module")
+def noisy_window(tmp_path_factory):
+    """(gt dir, pred dir, scored bytes): frames WINDOW_START..WINDOW_END - 1
+    of the recording, run from the window's detections on, with the gt
+    files cut to the window (the episodes to those that reach into it)."""
+    root = tmp_path_factory.mktemp("noisy_window")
+    ds, inp, pred = root / "ds", root / "in", root / "pred"
+    emit_dataset(induction_lite_noisy(frame_count=WINDOW_END), str(ds), seed=0)
+    inp.mkdir()
+    for name in ("detections.jsonl", "hand_schema.json", "label_table.txt", "scene.json"):
+        shutil.copy(ds / name, inp / name)
+    for path in (inp / "detections.jsonl", ds / "gt" / "tracks.jsonl",
+                 ds / "gt" / "visibility.jsonl"):
+        _keep_lines(path, lambda line: json.loads(line)["frame"] >= WINDOW_START)
+    # The header, and the episodes whose t_stop reaches the window.
+    _keep_lines(ds / "gt" / "episodes.csv",
+                lambda line: line.startswith("person_id,") or
+                int(line.split(",")[4]) >= WINDOW_START)
+    run_pipeline(str(ds / "calibration.json"), str(inp), str(pred), PipelineConfig(static_map=True))
+    return ds / "gt", pred, _score(str(pred), str(ds / "gt"), str(root / "score"))
+
+
+def _permute_rows(path, data, group=None):
+    """Redraw the order of a file's rows, within each group(row) if given;
+    a CSV keeps its header first."""
+    lines = path.read_text().splitlines(keepends=True)
+    head = lines[:1] if path.suffix == ".csv" else []
+    rows = lines[len(head):]
+    groups = {}
+    for line in rows:
+        groups.setdefault(group(line) if group else None, []).append(line)
+    path.write_text("".join(head + [line for g in groups.values()
+                                    for line in data.draw(st.permutations(g))]))
+
+
+class TestRowOrder:
+    """evaluate's and sweep's outputs do not depend on row orders that carry
+    no meaning: gt visibility rows within a frame, and the rows of the gt
+    and of the predicted episodes.csv."""
+
+    def test_window_holds_rows_to_permute(self, noisy_window):
+        gt, pred, _ = noisy_window
+        frames = [json.loads(line)["frame"]
+                  for line in (gt / "visibility.jsonl").read_text().splitlines()]
+        assert len(frames) > len(set(frames))
+        for path in (gt / "episodes.csv", pred / "episodes.csv"):
+            assert len(path.read_text().splitlines()) > 2
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_permuted_rows_leave_the_reports(self, noisy_window, data):
+        gt, pred, want = noisy_window
+        with tempfile.TemporaryDirectory() as tmp:
+            gt_copy, pred_copy = Path(tmp, "gt"), Path(tmp, "pred")
+            shutil.copytree(gt, gt_copy)
+            shutil.copytree(pred, pred_copy)
+            _permute_rows(gt_copy / "visibility.jsonl", data,
+                          group=lambda line: json.loads(line)["frame"])
+            _permute_rows(gt_copy / "episodes.csv", data)
+            _permute_rows(pred_copy / "episodes.csv", data)
+            assert _score(str(pred_copy), str(gt_copy), tmp) == want

@@ -333,20 +333,6 @@ class TestEpisodes:
             read_episodes(path)
         assert exc.value.line == 3
 
-    def test_bad_row_after_a_quoted_line_break_names_its_line(self, tmp_path):
-        # Row 1's quoted px "1.0\n" spans lines 2 and 3, so row 4, whose
-        # side is "middle", sits on line 6, not on its row number plus one.
-        path = tmp_path / "eps.csv"
-        write_episodes(path, [self.make()] * 4)
-        head, *rows = path.read_text().split("\n")
-        rows[0] = rows[0].replace(",1.0,", ',"1.0\n",')
-        rows[3] = rows[3].replace(",left,", ",middle,")
-        path.write_text("\n".join([head, *rows]))
-        with pytest.raises(InputFormatError, match="side must be left or right") as exc:
-            read_episodes(path)
-        assert exc.value.line == 6
-
-
     @pytest.mark.parametrize("column,text,line", [
         ("person_id", " 3 ", 2),
         ("surface_label", "0_2", 2),
@@ -365,6 +351,41 @@ class TestEpisodes:
             read_episodes(path)
         want = text.strip('"')
         assert str(exc.value) == f"{path}:{line}: bad episode row: {column} must be an integer, got {want!r}"
+
+    @pytest.mark.parametrize("column,text,line", [
+        ("px", " 1_0 ", 2),
+        ("py", "nan", 2),
+        ("pz", '"0.5\n"', 3),  # quoted, so the row ends on line 3
+        ("min_distance_m", "0.0_1", 2),
+        ("min_distance_m", "1E-2", 2),
+        ("px", ".5", 2),
+        ("py", "+1.0", 2),
+        ("pz", "\uff15", 2),
+    ], ids=["px-underscore", "py-nan", "pz-quoted-line-break", "distance-underscore",
+            "distance-capital-e", "px-no-integer-part", "py-plus", "pz-full-width"])
+    def test_float_fields_as_written_only(self, tmp_path, column, text, line):
+        # float() reads each of these; write_episodes writes none of them.
+        path = tmp_path / "eps.csv"
+        write_episodes(path, [self.make(), self.make()])
+        head, row, *rest = path.read_text().split("\n")
+        fields = row.split(",")
+        fields[EPISODE_HEADER.index(column)] = text
+        path.write_text("\n".join([head, ",".join(fields), *rest]))
+        with pytest.raises(InputFormatError) as exc:
+            read_episodes(path)
+        want = text.strip('"')
+        assert str(exc.value) == f"{path}:{line}: bad episode row: {column} must be a number, got {want!r}"
+
+    def test_float_forms_written_read_back(self, tmp_path):
+        ep = self.make()
+        ep.contact_point = np.array([1e20, -1.5e-05, -0.0])
+        ep.min_distance = 1e-06
+        path = tmp_path / "eps.csv"
+        write_episodes(path, [ep])
+        assert path.read_text().split("\n")[1].endswith(",1e+20,-1.5e-05,-0.0,1e-06")
+        back, = read_episodes(path)
+        assert back.contact_point.tolist() == [1e20, -1.5e-05, -0.0]
+        assert back.min_distance == 1e-06
 
 
 class TestVisibility:

@@ -465,6 +465,13 @@ class TestGridIO:
         write_label_table(p, TABLE)
         assert read_label_table(p) == TABLE
 
+    @pytest.mark.parametrize("lid", [-4, 256])
+    def test_label_table_writer_takes_what_the_reader_takes(self, tmp_path, lid):
+        # One id rule for both sides: an LBL1 byte, 0 (background) included.
+        with pytest.raises(ValueError) as err:
+            write_label_table(tmp_path / "labels.txt", {lid: "x"})
+        assert str(err.value) == f"label id must be in 0..255, got {lid}"
+
     def test_label_grid_bad_magic(self, tmp_path):
         p = tmp_path / "g.lbl"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
