@@ -149,21 +149,6 @@ def cameras_to_world(points, cals):
     return (np.asarray(points, dtype=float) - t[:, None]) @ R
 
 
-def backproject_many(uv, depths, cal: CameraCalibration):
-    """Vectorized back-projection of pixels with positive depths."""
-    uv = np.asarray(uv, dtype=float)
-    depths = np.asarray(depths, dtype=float)
-    pc = np.stack(
-        [
-            (uv[:, 0] - cal.cx) * depths / cal.fx,
-            (uv[:, 1] - cal.cy) * depths / cal.fy,
-            depths,
-        ],
-        axis=1,
-    )
-    return cal.camera_to_world(pc)
-
-
 def fundamental_matrix(cal_i: CameraCalibration, cal_j: CameraCalibration):
     """Fundamental matrix F such that x_j^T F x_i = 0 for projections of a
     common point. The camera centres must differ, which read_calibration
@@ -623,46 +608,69 @@ def _min_cost_matching(A):
     return col_of, row_of[:n], u, v
 
 
-def hungarian_assign(cost, max_cost):
-    """Gated min-cost one-to-one assignment.
+def _gated_components(allowed):
+    """(rows, cols) of each connected component of the bipartite graph of
+    the allowed entries, a list of rows (lists of bools), that has an
+    edge: both index lists ascending, components in order of their first
+    row."""
+    n = len(allowed[0])
+    row_cols = [[j for j in range(n) if row[j]] for row in allowed]
+    col_rows = [[] for _ in range(n)]
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows[j].append(i)
+    row_done, col_done = [False] * len(allowed), [False] * n
+    out = []
+    for start, cols in enumerate(row_cols):
+        if row_done[start] or not cols:
+            continue
+        row_done[start] = True
+        rows, comp_cols = [start], []
+        for i in rows:
+            for j in row_cols[i]:
+                if not col_done[j]:
+                    col_done[j] = True
+                    comp_cols.append(j)
+                    for k in col_rows[j]:
+                        if not row_done[k]:
+                            row_done[k] = True
+                            rows.append(k)
+        out.append((sorted(rows), sorted(comp_cols)))
+    return out
 
-    Entries >= max_cost are never matched; leaving a row or column
-    unmatched incurs max_cost, which must be finite. Among equal-cost
-    optima the (row, col) lexicographically smallest matching is returned.
 
-    The m x n problem becomes a square (m+n) x (n+m) one: row i may take
-    its own "unmatched" column n+i and column j its own "unmatched" row
-    m+j at max_cost, the unmatched rows and columns pair up at 0, and
-    every other entry is _BIG. One shortest-augmenting-path solve gives an
-    optimal matching and dual potentials u, v; by complementary slackness
-    the optimal matchings are exactly the perfect matchings on the tight
-    edges, those with reduced cost A[i][j] - u[i] - v[j] <= tol / (m+n)
-    (tol = 1e-9 max(1, |optimum|)). Rows 0..m-1 are then fixed in order
-    to their smallest tight choice (real columns in order, then n+i)
-    that an alternating cycle of tight edges through the not yet fixed
-    rows can swap into the matching.
+def _augmented(table, rows, cols, max_cost):
+    """The square (m+n) x (n+m) problem of the m rows and n cols of table,
+    a list of rows with _BIG where an entry is not allowed, as a list of
+    rows: row i may take its own "unmatched" column n+i and column j its
+    own "unmatched" row m+j at max_cost, the unmatched rows and columns
+    pair up at 0, and every other entry is _BIG."""
+    m, n = len(rows), len(cols)
+    A = []
+    for a, i in enumerate(rows):
+        line = [table[i][j] for j in cols] + [_BIG] * m
+        line[n + a] = max_cost
+        A.append(line)
+    for b in range(n):
+        line = [_BIG] * n + [0.0] * m
+        line[b] = max_cost
+        A.append(line)
+    return A
+
+
+def _smallest_tight_matching(A, m, n, solved, eps):
+    """The lexicographically smallest optimal matching of the augmented
+    problem A of an m x n table, as (row, col) pairs with col < n.
+
+    solved is _min_cost_matching(A). By complementary slackness the optimal
+    matchings are exactly the perfect matchings on the tight edges, those
+    with reduced cost A[i][j] - u[i] - v[j] <= eps. Rows 0..m-1 are fixed
+    in order to their smallest tight choice (real columns in order, then
+    n+i) that an alternating cycle of tight edges through the not yet
+    fixed rows can swap into the matching.
     """
-    if not np.isfinite(max_cost):
-        raise ValueError(f"max_cost must be finite, got {max_cost}")
-    cost = np.asarray(cost, dtype=float)
-    if cost.size == 0:
-        return []
-    m, n = cost.shape
-    allowed = np.isfinite(cost) & (cost < max_cost)
-    if not allowed.any():
-        return []
-
+    col_of, row_of, u, v = solved
     N = m + n
-    A = np.full((N, N), _BIG)
-    A[:m, :n] = np.where(allowed, cost, _BIG)
-    A[np.arange(m), n + np.arange(m)] = max_cost
-    A[m + np.arange(n), np.arange(n)] = max_cost
-    A[m:, n:] = 0.0
-    A = A.tolist()
-
-    col_of, row_of, u, v = _min_cost_matching(A)
-    opt = sum(A[i][col_of[i]] for i in range(N))
-    eps = 1e-9 * max(1.0, abs(opt)) / N
 
     def tight(i, j):
         return A[i][j] - u[i] - v[j] <= eps
@@ -704,3 +712,54 @@ def hungarian_assign(cost, max_cost):
         if col_of[r] < n:
             matches.append((r, col_of[r]))
     return matches
+
+
+def hungarian_assign(cost, max_cost):
+    """Gated min-cost one-to-one assignment.
+
+    Entries >= max_cost are never matched; leaving a row or column
+    unmatched incurs max_cost, which must be finite. Among equal-cost
+    optima the (row, col) lexicographically smallest matching is returned.
+
+    The allowed entries split the table into connected components, and a
+    matching is optimal exactly when its part in every component is
+    (Crouse, IEEE TAES 2016), so each component is solved on its own and
+    the lexicographically smallest optimum is the union of the
+    components' ones. A component of one row and one column is matched
+    outright when max_cost >= 0: its entry is below max_cost, so below the
+    2 max_cost of leaving both unmatched. Any other component becomes the
+    square problem of _augmented, which one shortest-augmenting-path solve
+    answers with an optimal matching and dual potentials, and then gets
+    its smallest optimum from _smallest_tight_matching. The tightness
+    tolerance is the whole table's: 1e-9 max(1, |optimum|) / (m+n), the
+    optimum being the sum of the components' optima and max_cost for each
+    row and column without an allowed entry.
+    """
+    if not np.isfinite(max_cost):
+        raise ValueError(f"max_cost must be finite, got {max_cost}")
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return []
+    m, n = cost.shape
+    allowed = np.isfinite(cost) & (cost < max_cost)
+    if not allowed.any():
+        return []
+
+    table = np.where(allowed, cost, _BIG).tolist()
+    opt, matches, problems = 0.0, [], []
+    components = _gated_components(allowed.tolist())
+    for rows, cols in components:
+        if len(rows) == len(cols) == 1 and max_cost >= 0:
+            matches.append((rows[0], cols[0]))
+            opt += table[rows[0]][cols[0]]
+            continue
+        A = _augmented(table, rows, cols, max_cost)
+        solved = _min_cost_matching(A)
+        opt += sum(A[i][j] for i, j in enumerate(solved[0]))
+        problems.append((rows, cols, A, solved))
+    alone = m + n - sum(len(rows) + len(cols) for rows, cols in components)
+    eps = 1e-9 * max(1.0, abs(opt + max_cost * alone)) / (m + n)
+    for rows, cols, A, solved in problems:
+        matches += [(rows[i], cols[j])
+                    for i, j in _smallest_tight_matching(A, len(rows), len(cols), solved, eps)]
+    return sorted(matches)

@@ -652,20 +652,26 @@ class GridDepthProvider:
             self._grids[cam_id] = read_depth_grid(self._path(frame, cam_id, ".dep"))
         return self._grids[cam_id]
 
-    def patch(self, frame, cam_id, us, vs, size):
-        """(n, size, size) windows of one camera's depth grid centred on
-        the n pixels (us[i], vs[i]), zero-padded past the grid's edges."""
-        grid = self._load(frame, cam_id)
-        h, w = grid.shape
+    def patch(self, frame, centres, size):
+        """{camera_id: (n, size, size) windows of that camera's depth grid
+        centred on the n pixels (us[i], vs[i]) of centres[camera_id] =
+        (us, vs)}, zero-padded past the grid's edges."""
         r = size // 2
         off = np.arange(-r, r + 1)
-        rows = np.asarray(vs, dtype=int)[:, None] + off
-        cols = np.asarray(us, dtype=int)[:, None] + off
-        inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
-        if not grid.size:
-            return np.zeros(inside.shape)
-        window = grid[np.clip(rows, 0, h - 1)[:, :, None], np.clip(cols, 0, w - 1)[:, None, :]]
-        return np.where(inside, window, 0.0)
+        out = {}
+        for cam_id, (us, vs) in sorted(centres.items()):
+            grid = self._load(frame, cam_id)
+            h, w = grid.shape
+            rows = np.asarray(vs, dtype=int)[:, None] + off
+            cols = np.asarray(us, dtype=int)[:, None] + off
+            inside = (((rows >= 0) & (rows < h))[:, :, None]
+                      & ((cols >= 0) & (cols < w))[:, None, :])
+            if not grid.size:
+                out[cam_id] = np.zeros(inside.shape)
+                continue
+            window = grid[np.clip(rows, 0, h - 1)[:, :, None], np.clip(cols, 0, w - 1)[:, None, :]]
+            out[cam_id] = np.where(inside, window, 0.0)
+        return out
 
     def grids(self, frame, cam_id, stride=4):
         """(label, depth) on the stride lattice of one camera, as strided

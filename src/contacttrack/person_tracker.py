@@ -1,7 +1,8 @@
 """Multi-person 3D skeleton tracking across synchronized cameras.
 
 Association against track joints projected into every camera in one
-stacked pass per frame (one Hungarian solve per camera), epipolar-gated
+stacked pass per frame (one gated assignment per camera, which
+hungarian_assign solves component by component), epipolar-gated
 weighted triangulation, single-view depth lifting with a bone-length
 plausibility gate, multi-camera births with ID reuse, and an
 existence-score lifecycle. Each frame triangulates every matched track's
@@ -11,26 +12,29 @@ take one stacked epipolar call per camera pair over the unmatched
 detections, and one more kernel call for every birth group's joints,
 each group's views packed in its pair-merge order. Depth lifting reads
 patches fetched before any track is lifted, with one depth-source call
-per camera for every track's unresolved joints.
+per frame for every track's unresolved joints in every camera, and
+lifts every matched track in one pass.
 Association reads track state only. The frame then mutates
 tracks in four steps, in order: update_triangulated writes the accepted
-joints of the matched tracks, depth_lift writes each matched track's
-lifted joints, _spawn adopts birth groups into stale tracks or appends
-new ones, and _lifecycle updates existence scores and drops dead tracks.
+joints of the matched tracks, depth_lift writes the lifted joints of
+every matched track, _spawn adopts birth groups into stale tracks or
+appends new ones, and _lifecycle updates existence scores and drops
+dead tracks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import TrackerConfig
 from .geometry import (
-    backproject_many,
     epipolar_distance,
     fundamental_matrix,
     hungarian_assign,
+    norms,
     project_cameras,
     triangulate_weighted,
 )
@@ -63,13 +67,19 @@ class TrackSnapshot:
     detected: bool  # born, updated or adopted from this frame's detections
 
 
+def _compressed(values, mask):
+    """(rows, count): values with each row's masked entries moved, in
+    order, to its front, and their count per row (along the last axis).
+    Rows averaged in groups of equal count, rows[same, :c], add the same
+    values in the same order as a per-row mean of the masked entries."""
+    rows = np.take_along_axis(values, np.argsort(~mask, axis=-1, kind="stable"), axis=-1)
+    return rows, mask.sum(axis=-1)
+
+
 def _masked_mean(values, mask):
     """Mean of values over mask along the last axis; inf where the mask is
-    empty. Each row is compressed to its masked entries and rows are
-    averaged in groups of equal count, so every mean adds the same values
-    in the same order as a per-row mean."""
-    rows = np.take_along_axis(values, np.argsort(~mask, axis=-1, kind="stable"), axis=-1)
-    count = mask.sum(axis=-1)
+    empty, each the float a per-row mean gives (see _compressed)."""
+    rows, count = _compressed(values, mask)
     out = np.full(count.shape, np.inf)
     for c in np.flatnonzero(np.bincount(count.ravel())[1:]) + 1:
         same = count == c
@@ -106,7 +116,7 @@ def association_costs(tracks, dets_by_cam, cals, tau_joint):
 def associate_camera(tracks, dets_by_cam, cals, cfg: TrackerConfig):
     """Match tracks to each camera's detections by mean pixel error over
     confident, available joints: one stacked cost pass for the frame, then
-    one Hungarian solve per camera. Returns {camera_id: (matches,
+    one hungarian_assign call per camera. Returns {camera_id: (matches,
     unmatched detection idxs)} in camera order; matches are (track_index,
     detection_index) pairs.
     """
@@ -203,97 +213,151 @@ def update_triangulated(tracks, obs_by_track, cals, fmat, cfg: TrackerConfig):
     return {(order[p], k) for p, k in zip(pos.tolist(), joints.tolist())}
 
 
+# The skeleton is a tree and BONES lists it parent first: each bone's
+# first joint is the root or the second joint of an earlier bone. So one
+# pass over the bones in order names, under any subset of them, each
+# joint's component by its topmost joint.
+_BONE_PAIRS = [(a, b) for a, b, _ in BONES]
+_BONE_A, _BONE_B, _BONE_LEN = (np.array(x) for x in zip(*BONES))
+
+
+class DepthRequests(NamedTuple):
+    """A frame's depth patches, one row per (track, joint, camera) request
+    in track, joint and camera order: track indices, joints, each
+    camera's index in cam_ids (sorted ids), the detected (u, v,
+    confidence) and the (patch_w, patch_w) patch."""
+
+    tracks: np.ndarray  # (R,)
+    joints: np.ndarray  # (R,)
+    cams: np.ndarray  # (R,)
+    cam_ids: list
+    uvs: np.ndarray  # (R, 3)
+    patches: np.ndarray  # (R, patch_w, patch_w)
+
+
 def depth_patches(depth_provider, frame, wanted, cfg: TrackerConfig):
-    """The depth patches depth_lift reads, fetched with one provider call
-    per camera.
+    """The DepthRequests depth_lift reads, fetched with one provider call
+    for the frame.
 
-    wanted: {key: (obs_by_cam, unresolved joints)}. Each unresolved joint
-    gets a patch in every camera of obs_by_cam that detected it with
-    confidence >= tau_joint, centred on its rounded pixel. Returns {key:
-    {(joint, camera_id): (patch_w, patch_w) patch}}.
+    wanted: {track index: (obs_by_cam, unresolved joints)}, in track
+    order. Each unresolved joint gets a patch in every camera of
+    obs_by_cam that detected it with confidence >= tau_joint, centred on
+    its rounded pixel (half to even, as round does). The requests are
+    found in one pass over the tracks' detections stacked by (track,
+    joint, camera); no request, no call.
     """
-    requests = {}  # camera_id -> [(key, joint, u, v)]
-    for key, (obs_by_cam, unresolved) in wanted.items():
-        for k in unresolved:
-            for cam_id in sorted(obs_by_cam):
-                u, v, s = obs_by_cam[cam_id][k]
-                if s >= cfg.tau_joint:
-                    requests.setdefault(cam_id, []).append((key, k, int(round(u)), int(round(v))))
-    out = {key: {} for key in wanted}
-    for cam_id, reqs in sorted(requests.items()):
-        keys, joints, us, vs = zip(*reqs)
-        patches = depth_provider.patch(frame, cam_id, us, vs, cfg.patch_w)
-        for key, k, patch in zip(keys, joints, patches):
-            out[key][(k, cam_id)] = patch
-    return out
+    cam_ids = sorted({c for obs_by_cam, _ in wanted.values() for c in obs_by_cam})
+    col = {c: i for i, c in enumerate(cam_ids)}
+    obs = np.zeros((len(wanted), JOINT_COUNT, len(cam_ids), 3))
+    asked = np.zeros((len(wanted), JOINT_COUNT), dtype=bool)
+    for r, (obs_by_cam, unresolved) in enumerate(wanted.values()):
+        for c, joints in obs_by_cam.items():
+            obs[r, :, col[c]] = joints
+        asked[r, unresolved] = True
+    r, joints, cams = np.nonzero(asked[:, :, None] & (obs[..., 2] >= cfg.tau_joint))
+    uvs = obs[r, joints, cams]
+    # Centres far outside any image are clipped, still outside, before the cast to int.
+    px = np.clip(np.rint(uvs[:, :2]), -2**31, 2**31).astype(int)
+    patches = np.zeros((len(uvs), cfg.patch_w, cfg.patch_w))
+    by_cam = {cam_ids[c]: np.flatnonzero(cams == c)
+              for c in np.flatnonzero(np.bincount(cams, minlength=len(cam_ids))).tolist()}
+    if by_cam:
+        got = depth_provider.patch(frame, {cam_id: (px[sel, 0], px[sel, 1])
+                                           for cam_id, sel in by_cam.items()}, cfg.patch_w)
+        for cam_id, sel in by_cam.items():
+            patches[sel] = got[cam_id]
+    tracks = np.array(list(wanted), dtype=int)[r]
+    return DepthRequests(tracks, joints, cams, cam_ids, uvs, patches)
 
 
-def depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
-               fixed_joints=()):
-    """Recover unresolved joints from single-view depth patches.
+def _patch_stats(patches):
+    """(count, mean, var) of each patch's positive pixels, mean and var
+    nan below 3 of them; each the float the patch's own valid.mean() and
+    valid.var() give, its pixels taken in row-major order (see
+    _compressed)."""
+    flat = patches.reshape(len(patches), -1)
+    rows, count = _compressed(flat, flat > 0)
+    mean = np.full(len(flat), np.nan)
+    var = np.full(len(flat), np.nan)
+    for c in np.flatnonzero(np.bincount(count, minlength=3)[3:]) + 3:
+        same = count == c
+        mean[same] = rows[same, :c].mean(axis=1)
+        var[same] = rows[same, :c].var(axis=1)
+    return count, mean, var
 
-    patches: {(joint, camera_id): patch} as depth_patches fetches them.
-    Candidates pass the patch-variance and confidence gates; each joint's
-    best one (highest confidence, then camera order) is back-projected and
-    survives only inside the largest bone-consistent connected component.
-    Joints in fixed_joints (triangulated this frame) participate as
-    immutable graph nodes. Returns the set of lifted joints.
+
+def depth_lift(tracks, requests: DepthRequests, cals, cfg: TrackerConfig, fixed):
+    """Recover the unresolved joints of every matched track from
+    single-view depth patches, in one pass for the frame.
+
+    requests: what depth_patches fetched; fixed: {track index: joints
+    triangulated this frame}. A patch is a candidate when at least 3 of
+    its pixels are positive and their variance is at most sigma_max_sq;
+    each (track, joint)'s best candidate (highest confidence, then camera
+    order) is back-projected at the mean of those pixels, all in one
+    stacked pass. A track's candidates survive only inside the largest
+    connected component of its bone-consistency graph, whose nodes are
+    the candidates and, as immutable nodes, the joints in fixed; ties
+    break to the component holding the most confident joint, then the
+    lowest one. Every bone length comes from one norms pass, and only the
+    components are found track by track, in one pass over the bones.
+    Returns the set of lifted (track index, joint) pairs.
     """
-    candidates = {}
-    for k in unresolved:
-        best = None
-        for cam_id in sorted(obs_by_cam):
-            u, v, s = obs_by_cam[cam_id][k]
-            if s < cfg.tau_joint:
-                continue
-            patch = patches[(k, cam_id)]
-            valid = patch[patch > 0]
-            if valid.size < 3:
-                continue
-            var = float(valid.var())
-            if var > cfg.sigma_max_sq:
-                continue
-            key = (-s, cam_id, var)
-            if best is None or key < best[0]:
-                best = (key, cam_id, u, v, valid.mean(), s)
-        if best is not None:
-            _, cam_id, u, v, depth, s = best
-            candidates[k] = (backproject_many([[u, v]], [depth], cals[cam_id])[0], s)
-    if not candidates:
+    if not len(requests.patches):
         return set()
+    count, mean, var = _patch_stats(requests.patches)
+    ok = np.flatnonzero((count >= 3) & (var <= cfg.sigma_max_sq))
+    if not len(ok):
+        return set()
+    order = ok[np.lexsort((requests.cams[ok], -requests.uvs[ok, 2],
+                           requests.joints[ok], requests.tracks[ok]))]
+    key = requests.tracks[order] * JOINT_COUNT + requests.joints[order]
+    best = order[np.r_[True, key[1:] != key[:-1]]]  # first of each (track, joint)
+    cal = [cals[c] for c in requests.cam_ids]
+    cam = requests.cams[best]
+    intr = np.array([[c.cx, c.cy, c.fx, c.fy] for c in cal])[cam]
+    u, v, s = requests.uvs[best].T
+    d = mean[best]
+    pc = np.stack([(u - intr[:, 0]) * d / intr[:, 2], (v - intr[:, 1]) * d / intr[:, 3], d], axis=1)
+    t = np.array([c.t for c in cal])[cam]
+    R = np.array([c.R for c in cal])[cam]
+    lifted_xyz = ((pc - t)[:, None, :] @ R)[:, 0]  # camera_to_world, row by row
 
-    # Bone-consistency graph over candidates plus fixed (triangulated) nodes.
-    nodes = dict(candidates)
-    for k in fixed_joints:
-        nodes[k] = (track.joints[k], 1.0)
-    parent = {k: k for k in nodes}
+    first = np.r_[True, requests.tracks[best][1:] != requests.tracks[best][:-1]]
+    ids, row = requests.tracks[best][first], np.cumsum(first) - 1  # tracks ascend in best
+    pos = np.array([tracks[ti].joints for ti in ids])  # (T, 26, 3)
+    conf = np.zeros((len(ids), JOINT_COUNT))
+    cand = np.zeros((len(ids), JOINT_COUNT), dtype=bool)
+    joints = requests.joints[best]
+    pos[row, joints] = lifted_xyz
+    conf[row, joints] = s
+    cand[row, joints] = True
+    node = cand.copy()
+    for r, ti in enumerate(ids.tolist()):
+        node[r, list(fixed.get(ti, ()))] = True
+        conf[r, list(fixed.get(ti, ()))] = 1.0
+    a, b, L = _BONE_A, _BONE_B, _BONE_LEN
+    length = norms(pos[:, a] - pos[:, b])
+    edge = (node[:, a] & node[:, b] & (cfg.bone_alpha * L <= length)
+            & (length <= cfg.bone_beta * L))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, L in BONES:
-        if a in nodes and b in nodes:
-            d = np.linalg.norm(nodes[a][0] - nodes[b][0])
-            if cfg.bone_alpha * L <= d <= cfg.bone_beta * L:
-                parent[find(a)] = find(b)
-
-    comps = {}
-    for k in nodes:
-        comps.setdefault(find(k), []).append(k)
-    # Largest component; ties break to the one holding the most confident joint.
-    best_comp = max(
-        comps.values(),
-        key=lambda members: (len(members), max(nodes[m][1] for m in members), -min(members)),
-    )
     lifted = set()
-    for k in best_comp:
-        if k in candidates:
-            track.joints[k] = candidates[k][0]
-            track.available[k] = True
-            lifted.add(k)
+    for r, ti in enumerate(ids.tolist()):
+        # Each joint's top joint in its component: one pass, parent first.
+        top = list(range(JOINT_COUNT))
+        for (x, y), joined in zip(_BONE_PAIRS, edge[r].tolist()):
+            if joined:
+                top[y] = top[x]
+        comps = {}
+        for k in np.flatnonzero(node[r]).tolist():
+            comps.setdefault(top[k], []).append(k)
+        c = conf[r].tolist()
+        members = max(comps.values(), key=lambda m: (len(m), max(c[k] for k in m), -m[0]))
+        mine = [k for k in members if cand[r, k]]
+        track = tracks[ti]
+        track.joints[mine] = pos[r, mine]
+        track.available[mine] = True
+        lifted.update((ti, k) for k in mine)
     return lifted
 
 
@@ -395,23 +459,13 @@ class Tracker:
         tri_by_track = {ti: set() for ti, obs in matched_obs.items() if obs}
         for ti, k in accepted:
             tri_by_track[ti].add(k)
-        unresolved = {ti: [k for k in range(JOINT_COUNT) if k not in tri]
-                      for ti, tri in tri_by_track.items()}
-        patches = None
+        updated_tracks = {ti for ti, tri in tri_by_track.items() if tri}
         if depth_provider is not None:
-            patches = depth_patches(depth_provider, frame, {
-                ti: (matched_obs[ti], joints) for ti, joints in unresolved.items()}, cfg)
-        updated_tracks = set()
-        for ti, tri in tri_by_track.items():
-            track = self.tracks[ti]
-            lifted = set()
-            if patches is not None:
-                lifted = depth_lift(
-                    track, unresolved[ti], matched_obs[ti], patches[ti], self.cals,
-                    cfg, fixed_joints=tri,
-                )
-            if tri or lifted:
-                updated_tracks.add(ti)
+            requests = depth_patches(depth_provider, frame, {
+                ti: (matched_obs[ti], [k for k in range(JOINT_COUNT) if k not in tri])
+                for ti, tri in tri_by_track.items()}, cfg)
+            updated_tracks |= {ti for ti, _ in depth_lift(
+                self.tracks, requests, self.cals, cfg, tri_by_track)}
 
         born = self._spawn(unmatched, updated_tracks)
         return self._lifecycle(updated_tracks, born)

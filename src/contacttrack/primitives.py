@@ -14,9 +14,10 @@ Which steps keep a ray's bits in any bundle:
 - The BLAS products do not: a (K, 3) @ (3, n) product's bits can depend
   on n, and numpy hands a one-ray mat-vec to another kernel. They run
   per camera, at exactly the shape a cast of that camera's rays alone
-  gives them: a Sphere's dirs @ oc, and the capsule cull's a @ dirs.T
-  and w @ dirs.T. So the depth provider never culls a Sphere, and a
-  multi-camera cast gives every ray the bits of its own camera's cast.
+  gives them: a Sphere's dirs @ oc, and the capsule products a @ dirs.T
+  and w @ dirs.T that the hit formula reads. So the depth provider never
+  culls a Sphere, and a multi-camera cast gives every ray the bits of its
+  own camera's cast.
 
 Body capsules are stacked (Capsules), so a cast answers a whole stack in
 one numpy pass, and a (capsule, ray) skip mask lets one bundle hold rays
@@ -25,7 +26,8 @@ first culls, camera by camera, the (capsule, ray) pairs whose ray line
 passes outside the capsule's bounding sphere, a test on cheap (K, n)
 arrays that can only drop pairs the hit formula would miss, and then
 runs the hit formula on the few surviving pairs of every camera at once,
-giving the same bits as measuring every pair. Used by the scene
+giving the same bits as measuring every pair; each ray's first hit is
+read off the pairs that hit. Used by the scene
 simulator for rendering depth and label grids, occlusion tests, and
 ground-truth contact distances.
 """
@@ -246,16 +248,13 @@ class Capsules:
     def __len__(self):
         return len(self.radius)
 
-    def hits(self, origin, dirs, counts=None):
-        """(K, N) first-hit parameters of N rays against every capsule, inf
-        on a miss or a skipped pair; origin and counts as in cast_rays.
-        Approximated at the ray point closest to the axis segment: exact
+    def hit_pairs(self, origin, dirs, counts=None):
+        """(k, n, t): each (capsule row, ray) pair that hits and its first-hit
+        parameter, for N rays; origin and counts as in cast_rays. A hit is
+        approximated at the ray point closest to the axis segment: exact
         enough for occlusion and depth noise scales. The first positive
         crossing counts, so a ray starting inside a capsule hits it where
-        it leaves. The array is the transpose of a C-ordered (N, K) one:
-        ray's minimum over each ray's hits is then a contiguous reduction,
-        several times faster than an argmin down the columns of a large
-        (K, N) array.
+        it leaves. Skipped pairs never hit.
 
         Only the pairs a bounding-sphere test cannot rule out are measured.
         The sphere has the axis midpoint as centre and half the axis length
@@ -267,34 +266,38 @@ class Capsules:
         (K, n) axis and offset products a cast of that camera's rays alone
         makes. The survivors of every camera are gathered into rows and
         measured at once, each from its own camera's origin, with the same
-        arithmetic as a full (K, N) pass, so every hit keeps its bits."""
+        arithmetic as a full (K, N) pass, so every hit keeps its bits, and
+        no array holds a row per (capsule, ray) pair of the bundle."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         a = self.axis
         aa = (a * a).sum(axis=1)
         dd = (dirs * dirs).sum(axis=1)
         reach = (0.5 * np.sqrt(aa) + self.radius) * (1.0 + CULL_REL) + CULL_ABS
-        pairs = []
+        pairs, aws, last = [], [], None
         for cam, (o, rays) in enumerate(_cameras(origin, counts, len(dirs))):
-            # Closest-approach parameters between ray o + t d and segment p0 + s a.
-            w = o - self.p0
+            if last is None or not np.array_equal(o, last):
+                # Closest-approach terms between rays o + t d and segments
+                # p0 + s a, shared by the consecutive cameras at one origin.
+                last, w = o, o - self.p0
+                oc = 0.5 * a - w  # axis midpoint p0 + a/2, seen from o
+                gap = (oc * oc).sum(axis=1) - reach * reach
+                aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
+            aws.append(aw)
             da = a @ dirs[rays].T
             dw = w @ dirs[rays].T
-            # Squared line distance of each centre, p0 + a/2 - o = a/2 - w; a
-            # zero direction gives nan, which no comparison culls.
-            oc = 0.5 * a - w
-            cd = 0.5 * da - dw
-            with np.errstate(divide="ignore", invalid="ignore"):
-                line2 = (oc * oc).sum(axis=1)[:, None] - cd * cd / dd[rays]
-            keep = ~(line2 > (reach * reach)[:, None])
+            # Squared line distance of a centre, |oc|^2 - (oc . d)^2 / |d|^2,
+            # over the reach squared, scaled by |d|^2; a zero direction
+            # compares 0 with 0 and is kept.
+            cd = oc @ dirs[rays].T
+            keep = cd * cd >= gap[:, None] * dd[rays]
             if self.skip is not None:
                 keep &= ~self.skip[:, rays]
             k, n = np.nonzero(keep)
-            aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
-            pairs.append((k, n + rays.start, da[k, n], dw[k, n], aw[k], np.full(len(k), cam)))
-        k, n, da, dw, aw, cam = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+            pairs.append((k, n + rays.start, da[k, n], dw[k, n], np.full(len(k), cam)))
+        k, n, da, dw, cam = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+        aw = np.array(aws)[cam, k]
         origin = origin if counts is None else origin[cam]
-        out = np.full((len(dirs), len(a)), np.inf)
         a, aa, r = a[k], aa[k], self.radius[k]
         d, dd = dirs[n], dd[n]
         denom = dd * aa - da * da
@@ -309,19 +312,24 @@ class Capsules:
         back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
         t_in = t - back
         t_hit = np.where(t_in > 0, t_in, t + back)
-        out[n, k] = np.where((dist <= r) & (t_hit > 0), t_hit, np.inf)
-        return out.T
+        hit = np.flatnonzero((dist <= r) & (t_hit > 0) & (t_hit < np.inf))
+        return k[hit], n[hit], t_hit[hit]
 
     def ray(self, origin, dirs, counts=None):
         """(t, k): per ray the first hit over the stack's rows it does not
-        skip and its row, the lowest row on ties; t is inf where no capsule
-        is hit."""
-        n = len(np.asarray(dirs).reshape(-1, 3))
+        skip and its row, the lowest row on ties; t is inf and k 0 where no
+        capsule is hit. Read off hit_pairs sorted by ray, then t, then row."""
+        size = len(np.asarray(dirs).reshape(-1, 3))
+        t, k = np.full(size, np.inf), np.zeros(size, dtype=int)
         if not len(self):
-            return np.full(n, np.inf), np.zeros(n, dtype=int)
-        t = self.hits(origin, dirs, counts).T
-        k = t.argmin(axis=1)
-        return t[np.arange(n), k], k
+            return t, k
+        rows, rays, hit = self.hit_pairs(origin, dirs, counts)
+        order = np.lexsort((rows, hit, rays))
+        rows, rays, hit = rows[order], rays[order], hit[order]
+        first = np.flatnonzero(np.diff(rays, prepend=-1))
+        t[rays[first]] = hit[first]
+        k[rays[first]] = rows[first]
+        return t, k
 
 
 def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
@@ -342,25 +350,29 @@ def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
     whose skip mask covers the whole bundle). A primitive is asked about
     its rows alone, so the rays left out must be ones it misses, and the
     cast gives the bits of a full one only if the primitive's ray test
-    gives a ray the same bits in any bundle, as Box and Rect do. Rows
-    are for a one-camera bundle: a cast with counts passes none.
+    gives a ray the same bits in any bundle, as Box and Rect do. In a
+    bundle with counts, such a primitive gets each of its rows' own
+    origin, an (n, 3) array that the elementwise Box and Rect tests take.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
+    ray_origin = _per_ray(origin, counts) if rows and counts is not None else origin
     offset = 0
     for prim, sel in zip(primitives, rows or [None] * len(primitives)):
         size = len(prim) if isinstance(prim, Capsules) else 1
         if sel is None:
-            sel = slice(None)
+            sel, o, c = slice(None), origin, counts
         elif not len(sel):
             offset += size
             continue
-        if isinstance(prim, Capsules):
-            t, k = prim.ray(origin, dirs[sel], counts)
         else:
-            t, k = prim.ray(origin, dirs[sel], counts), 0
+            o, c = (ray_origin if counts is None else ray_origin[sel]), None
+        if isinstance(prim, Capsules):
+            t, k = prim.ray(o, dirs[sel], c)
+        else:
+            t, k = prim.ray(o, dirs[sel], c), 0
         closer = t < best_t[sel]
         best_t[sel] = np.where(closer, t, best_t[sel])
         best_i[sel] = np.where(closer, offset + k, best_i[sel])

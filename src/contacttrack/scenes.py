@@ -8,6 +8,8 @@ they can also serve as templates for custom scene files.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 ROOM_CENTER = (3.5, 3.5, 1.1)
@@ -197,7 +199,7 @@ def induction_lite(frame_count=600):
         "frame_count": frame_count,
         "hand_vertex_count": 40,
         "cameras": corner_cameras(),
-        "surfaces": list(INDUCTION_SURFACES),
+        "surfaces": copy.deepcopy(INDUCTION_SURFACES),
         "persons": persons,
         "noise": {},
     }

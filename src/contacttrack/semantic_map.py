@@ -246,9 +246,10 @@ def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4
     label_grid and depth_grid are the equal-shape lattice a depth source
     returns: cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in
     row-major lattice order. Background (label 0) and invalid depth (<= 0)
-    cells are skipped. The arithmetic is backproject_many's, with u - cx
-    taken per lattice column and v - cy per row, so no pixel coordinates
-    are gathered.
+    cells are skipped. A cell at depth d goes to ((u - cx) d / fx,
+    (v - cy) d / fy, d) and then camera_to_world, with u - cx taken per
+    lattice column and v - cy per row, so no pixel coordinates are
+    gathered.
     """
     lab = np.asarray(label_grid)
     dep = np.asarray(depth_grid)

@@ -14,11 +14,13 @@ every camera's rays to every present person's joints, against the
 surfaces and the frame's body capsules, each ray skipping its own body,
 and gives each ray the bits of a cast of its camera's rays alone (see
 primitives). SceneDepthProvider
-answers a batch of patch centres per call, cast in chunks of at most
-DEPTH_CHUNK_RAYS rays, and map grids as the stride lattice only, both
-under one measurement rule and one cast, in which each box and rectangle
-surface is asked only about the pixels inside the image of its bounding
-box. All randomness is derived from the scene seed; depth queries use
+answers every camera's patch centres of a frame in one call and one ray
+bundle, cut into chunks of at most DEPTH_CHUNK_RAYS rays that each keep
+the bits of a cast of their own, and map grids as the stride lattice
+only (none for a camera whose lattice sees no surface), both under one
+measurement rule and one cast, in which each box and rectangle surface
+is asked only about the pixels inside the image of its bounding box.
+All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order. A
 hand blob is drawn on first use, so a process that asks for no hand
 vertices, as `run`'s depth source does, never loads numpy.random.
@@ -65,8 +67,9 @@ MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
 # denser hand meshes, it bounds the (count, 3) vertex and noise arrays
 # drawn per person, side, camera and frame.
 MAX_HAND_VERTICES = 10_000
-# Rays per depth-patch cast (8 patches at patch_w 5): bounds a cast's
-# (capsules, rays) cull arrays and its surviving pairs' rows.
+# Rays per depth-patch chunk (8 patches at patch_w 5): bounds the
+# (capsules, rays) cull arrays of a chunk, which a frame's one patch cast
+# makes chunk by chunk.
 DEPTH_CHUNK_RAYS = 200
 # The depth cast's surface cull: a surface's pixel rectangle is the image
 # of its bounding box widened by CULL_MARGIN_PX, and only a box whose
@@ -635,10 +638,11 @@ class SceneDepthProvider:
 
     Depth noise is hashed per (seed, frame, camera, pixel) and quantized
     to millimeters, matching the DEP1 file format bit for bit. A patch
-    call answers every patch one camera needs in a frame, cast in chunks
-    of at most DEPTH_CHUNK_RAYS rays; grids answer with the stride lattice
-    only. Both cast through _cast, which hands each box and rectangle
-    surface only the pixels inside its rectangle from _pixel_boxes.
+    call answers every patch every camera needs in a frame, in one cast
+    of chunks of at most DEPTH_CHUNK_RAYS rays; grids answer with the
+    stride lattice only, or None when it sees no surface. Both cast
+    through _cast, which hands each box and rectangle surface only the
+    pixels inside its rectangle from _pixel_boxes.
     """
 
     def __init__(self, sim: Simulator):
@@ -688,29 +692,43 @@ class SceneDepthProvider:
             self._boxes[cam_id] = boxes
         return self._boxes[cam_id]
 
-    def _cast(self, cam_id, us, vs, bodies=None):
-        """(depth, label) of pixels (us, vs) cast against the scene
-        surfaces and then the bodies stack, if given: depth 0 on a miss,
-        label 0 on a miss or a body. Each surface is asked only about the
-        pixels inside its _pixel_boxes rectangle, which holds every pixel
-        whose ray it hits."""
-        cal = self.sim.cals[cam_id]
-        us = np.asarray(us, dtype=float).ravel()
-        vs = np.asarray(vs, dtype=float).ravel()
-        x = (us - cal.cx) / cal.fx
-        y = (vs - cal.cy) / cal.fy
-        dirs_cam = np.stack([x, y, np.ones_like(x)], axis=1)
-        dirs_world = dirs_cam @ cal.R  # R^T applied row-wise
+    def _cast(self, pixels, bodies=None, chunk=None):
+        """(depth, label) of pixels, a list of (camera_id, us, vs), cast
+        against the scene surfaces and then the bodies stack, if given:
+        depth 0 on a miss, label 0 on a miss or a body. Each camera's rays
+        are cut, in order, into chunks of at most chunk rays (one chunk if
+        None), and all chunks are one cast_rays bundle with each chunk a
+        camera of its own, so a chunk's BLAS products (its rays' turn to the
+        world frame, a sphere's mat-vec, the capsule products) run at the
+        shape a cast of that chunk alone gives them. Each surface is asked
+        only about the pixels inside its _pixel_boxes rectangle, which
+        holds every pixel whose ray it hits."""
+        origins, dirs, inside = [], [], []
+        for cam_id, us, vs in pixels:
+            cal = self.sim.cals[cam_id]
+            us = np.asarray(us, dtype=float).ravel()
+            vs = np.asarray(vs, dtype=float).ravel()
+            x = (us - cal.cx) / cal.fx
+            y = (vs - cal.cy) / cal.fy
+            rays = np.stack([x, y, np.ones_like(x)], axis=1)
+            step = chunk or max(len(rays), 1)
+            for lo in range(0, len(rays), step):
+                dirs.append(rays[lo:lo + step] @ cal.R)  # R^T applied row-wise
+                origins.append(cal.center)
+            box = self._pixel_boxes(cam_id)
+            inside.append((us >= box[:, :1]) & (us <= box[:, 1:2])
+                          & (vs >= box[:, 2:3]) & (vs <= box[:, 3:]))
+        if not dirs:
+            return np.zeros(0), np.zeros(0, dtype=int)
         surfaces = self.sim.scene["surfaces"]
-        box = self._pixel_boxes(cam_id)
-        inside = ((us >= box[:, :1]) & (us <= box[:, 1:2])
-                  & (vs >= box[:, 2:3]) & (vs <= box[:, 3:]))
         prims = list(surfaces)
-        rows = [None if row.all() else np.flatnonzero(row) for row in inside]
+        rows = [None if row.all() else np.flatnonzero(row)
+                for row in np.concatenate(inside, axis=1)]
         if bodies is not None:
             prims.append(bodies)
             rows.append(None)
-        t, idx = cast_rays(prims, cal.center, dirs_world, rows=rows)
+        t, idx = cast_rays(prims, np.array(origins), np.concatenate(dirs), rows=rows,
+                           counts=[len(d) for d in dirs])
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
         depth = np.where(np.isfinite(t), t, 0.0)
@@ -718,43 +736,51 @@ class SceneDepthProvider:
         table = np.array([s.label for s in surfaces] + [0], dtype=int)
         return depth, table[np.minimum(idx, len(surfaces))]
 
-    def patch(self, frame, cam_id, us, vs, size):
-        """(n, size, size) depth patches, surfaces and bodies, centred on
-        the n pixels (us[i], vs[i]); 0 outside the image. The in-image
-        pixels of all patches are cast in chunks of DEPTH_CHUNK_RAYS rays,
-        which bounds a cast's (capsules, rays) cull arrays and the rows of
-        the pairs that survive the cull. A ray's box and rectangle hits and
-        the capsule hit formula are elementwise, so they keep their bits in
-        any chunk. The BLAS products, a sphere's mat-vec and the capsule
-        cull's (K, 3) @ (3, n) products, keep them only at their own
-        shape: their bits can depend on the chunk's ray count n, and numpy
-        takes another path for a one-ray chunk. So a hit can differ in its
-        last bits from a cast of other chunks, which after the millimetre
-        rounding moves a patch depth only on an exact tie."""
-        cal = self.sim.cals[cam_id]
+    def patch(self, frame, centres, size):
+        """{camera_id: (n, size, size) depth patches}, surfaces and bodies,
+        centred on the n pixels (us[i], vs[i]) of each camera's centres[
+        camera_id] = (us, vs); 0 outside the image. Every camera's in-image
+        patch pixels go into one cast, in chunks of at most
+        DEPTH_CHUNK_RAYS rays, which bounds a chunk's (capsules, rays) cull
+        arrays. A ray's box and rectangle hits and the capsule hit formula
+        are elementwise, so they keep their bits in any bundle; the BLAS
+        products run chunk by chunk (see _cast), so a ray keeps the bits of
+        a cast of its chunk alone, whatever the other cameras ask. Their
+        bits can depend on the chunk's ray count n, and numpy takes another
+        path for a one-ray chunk, so a hit can differ in its last bits from
+        a cast of other chunks, which after the millimetre rounding moves a
+        patch depth only on an exact tie."""
         r = size // 2
         off = np.arange(-r, r + 1)
-        us = np.asarray(us, dtype=int)[:, None, None] + off[None, None, :]
-        vs = np.asarray(vs, dtype=int)[:, None, None] + off[None, :, None]
-        us, vs = np.broadcast_arrays(us, vs)
-        ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
-        us, vs = us[ok], vs[ok]
+        pixels = []
+        for cam_id, (us, vs) in sorted(centres.items()):
+            cal = self.sim.cals[cam_id]
+            us = np.asarray(us, dtype=int)[:, None, None] + off[None, None, :]
+            vs = np.asarray(vs, dtype=int)[:, None, None] + off[None, :, None]
+            us, vs = np.broadcast_arrays(us, vs)
+            ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
+            pixels.append((cam_id, us[ok], vs[ok], ok))
         bodies = self.sim.frame_capsules(frame)[0]
-        d = np.zeros(len(us))
-        for lo in range(0, len(us), DEPTH_CHUNK_RAYS):
-            hi = lo + DEPTH_CHUNK_RAYS
-            d[lo:hi], _ = self._cast(cam_id, us[lo:hi], vs[lo:hi], bodies)
-        depth = np.zeros(ok.shape)
-        depth[ok] = self._measured(frame, cam_id, us, vs, d)
-        return depth
+        d = self._cast([p[:3] for p in pixels], bodies, DEPTH_CHUNK_RAYS)[0]
+        out, lo = {}, 0
+        for cam_id, us, vs, ok in pixels:
+            depth = np.zeros(ok.shape)
+            depth[ok] = self._measured(frame, cam_id, us, vs, d[lo:lo + len(us)])
+            out[cam_id] = depth
+            lo += len(us)
+        return out
 
     def grids(self, frame, cam_id, stride=4):
         """(label, depth) on the stride lattice, pixel (v, u) = (i, j) *
-        stride, as (ceil(height / stride), ceil(width / stride)) arrays.
+        stride, as (ceil(height / stride), ceil(width / stride)) arrays, or
+        None when no cell sees a surface (always, in a scene without one),
+        which adds nothing to a map.
         Surfaces only, so the map is built from static geometry: the
         lattice is cast once per (camera, stride), each surface over the
         cells inside its pixel rectangle, and each frame draws noise for
         the cells that see a surface only."""
+        if not self.sim.scene["surfaces"]:
+            return None
         cal = self.sim.cals[cam_id]
         key = (cam_id, stride)
         if key not in self._surface_cache:
@@ -763,12 +789,14 @@ class SceneDepthProvider:
                 np.arange(0, cal.image_width, stride),
                 indexing="ij",
             )
-            depth, labels = self._cast(cam_id, us, vs)
+            depth, labels = self._cast([(cam_id, us, vs)])
             hit = (labels > 0).reshape(us.shape)
             self._surface_cache[key] = (
                 hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
             )
         hit, us, vs, depth, labels = self._surface_cache[key]
+        if not len(labels):
+            return None
         label_grid = np.zeros(hit.shape, dtype=np.uint8)
         depth_grid = np.zeros(hit.shape)
         label_grid[hit] = labels

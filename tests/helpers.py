@@ -31,18 +31,23 @@ from contacttrack.hand_fusion import (
 )
 from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC
 from contacttrack.geometry import (
+    _min_cost_matching,
     CameraCalibration,
     IllConditioned,
     InsufficientViews,
     epipolar_distance,
-    hungarian_assign,
     project_cameras,
     triangulate_weighted,
 )
 from contacttrack.person_tracker import PersonTrack, _masked_mean
 from contacttrack.primitives import _EPS, Box, Capsules, Rect, Sphere, cast_rays
-from contacttrack.scenes import crossing_clean, crossing_noisy, induction_lite
-from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS
+from contacttrack.scenes import (
+    crossing_clean,
+    crossing_noisy,
+    induction_lite,
+    induction_lite_noisy,
+)
+from contacttrack.schema import BONES, JOINT_COUNT, SIDE_JOINTS
 from contacttrack.semantic_map import INDEX_CELL, SemanticCloud, SurfaceHit, _CellIndex
 from contacttrack.simulator import (
     OCCLUSION_MARGIN,
@@ -113,11 +118,17 @@ def induction_window(start=60, count=36):
     return window(induction_lite(), start, count)
 
 
+def induction_noisy_window(start=60, count=24):
+    """induction-lite-noisy frames 60-83: the first touches under depth
+    noise, pixel noise and dropout."""
+    return window(induction_lite_noisy(), start, count)
+
+
 @functools.cache
 def rendered(name):
-    """frame_inputs of FRAME_SCENES[name] at seed 0, rendered once per
-    process; callers must not modify them."""
-    return frame_inputs(FRAME_SCENES[name]())
+    """frame_inputs of FRAME_SCENES[name] or DEPTH_SCENES[name] at seed 0,
+    rendered once per process; callers must not modify them."""
+    return frame_inputs((FRAME_SCENES | DEPTH_SCENES)[name]())
 
 
 def frame_inputs(scene, seed=0):
@@ -141,6 +152,10 @@ def frame_inputs(scene, seed=0):
 # oracles: eight persons crossing, whose crowd of hands and detections
 # stresses association and fusion, and an induction window with touches.
 FRAME_SCENES = {"crowd-8": crowd_crossing, "induction-window": induction_window}
+# The scenes the frame's depth patches and lifts are checked on: the
+# crowd, where many tracks lift joints at once, and a noisy induction
+# window, whose depth noise and surfaces reach the patches.
+DEPTH_SCENES = {"crowd-8": crowd_crossing, "induction-noisy-window": induction_noisy_window}
 
 
 class BehindCamera(ContactTrackError):
@@ -275,6 +290,12 @@ def scene_grids(sim, frame, cam_id, stride=4):
     return label_grid, depth_grid
 
 
+def camera_patch(provider, frame, cam_id, us, vs, size):
+    """A depth source's (n, size, size) patches of one camera, centred on
+    the n pixels (us[i], vs[i])."""
+    return provider.patch(frame, {cam_id: (us, vs)}, size)[cam_id]
+
+
 def grid_patch(self, frame, cam_id, u, v, size):
     grid = self._load(frame, cam_id)
     h, w = grid.shape
@@ -284,6 +305,21 @@ def grid_patch(self, frame, cam_id, u, v, size):
     if u0 >= u1 or v0 >= v1:
         return np.zeros((0, 0))
     return grid[v0:v1, u0:u1]
+
+
+def backproject_many(uv, depths, cal: CameraCalibration):
+    """Vectorized back-projection of pixels with positive depths."""
+    uv = np.asarray(uv, dtype=float)
+    depths = np.asarray(depths, dtype=float)
+    pc = np.stack(
+        [
+            (uv[:, 0] - cal.cx) * depths / cal.fx,
+            (uv[:, 1] - cal.cy) * depths / cal.fy,
+            depths,
+        ],
+        axis=1,
+    )
+    return cal.camera_to_world(pc)
 
 
 def look_at_extrinsics(position, target, up=(0.0, 0.0, 1.0)):
@@ -455,6 +491,90 @@ def scipy_hungarian_assign(cost, max_cost):
     return matches
 
 
+def whole_table_hungarian_assign(cost, max_cost):
+    """Oracle for hungarian_assign: one solve of the whole table, without
+    its split into gated components. Gated min-cost one-to-one assignment.
+
+    Entries >= max_cost are never matched; leaving a row or column
+    unmatched incurs max_cost, which must be finite. Among equal-cost
+    optima the (row, col) lexicographically smallest matching is returned.
+
+    The m x n problem becomes a square (m+n) x (n+m) one: row i may take
+    its own "unmatched" column n+i and column j its own "unmatched" row
+    m+j at max_cost, the unmatched rows and columns pair up at 0, and
+    every other entry is _BIG. One shortest-augmenting-path solve gives an
+    optimal matching and dual potentials u, v; by complementary slackness
+    the optimal matchings are exactly the perfect matchings on the tight
+    edges, those with reduced cost A[i][j] - u[i] - v[j] <= tol / (m+n)
+    (tol = 1e-9 max(1, |optimum|)). Rows 0..m-1 are then fixed in order
+    to their smallest tight choice (real columns in order, then n+i)
+    that an alternating cycle of tight edges through the not yet fixed
+    rows can swap into the matching.
+    """
+    if not np.isfinite(max_cost):
+        raise ValueError(f"max_cost must be finite, got {max_cost}")
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return []
+    m, n = cost.shape
+    allowed = np.isfinite(cost) & (cost < max_cost)
+    if not allowed.any():
+        return []
+
+    N = m + n
+    A = np.full((N, N), _BIG)
+    A[:m, :n] = np.where(allowed, cost, _BIG)
+    A[np.arange(m), n + np.arange(m)] = max_cost
+    A[m + np.arange(n), np.arange(n)] = max_cost
+    A[m:, n:] = 0.0
+    A = A.tolist()
+
+    col_of, row_of, u, v = _min_cost_matching(A)
+    opt = sum(A[i][col_of[i]] for i in range(N))
+    eps = 1e-9 * max(1.0, abs(opt)) / N
+
+    def tight(i, j):
+        return A[i][j] - u[i] - v[j] <= eps
+
+    def swap_cycle(r, c):
+        """Make (r, c) a matched edge by an alternating cycle of tight
+        edges through rows after r; False if there is none."""
+        target = col_of[r]
+        start = row_of[c]
+        if start < r:
+            return False
+        reached = {start: None}
+        queue = [start]
+        for x in queue:
+            for y in range(N):
+                if y == col_of[x] or not tight(x, y):
+                    continue
+                if y == target:
+                    moves = [(r, c), (x, y)]
+                    while reached[x] is not None:
+                        x, y = reached[x]
+                        moves.append((x, y))
+                    for i, j in moves:
+                        col_of[i] = j
+                        row_of[j] = i
+                    return True
+                z = row_of[y]
+                if z > r and z not in reached:
+                    reached[z] = (x, y)
+                    queue.append(z)
+        return False
+
+    matches = []
+    for r in range(m):
+        row = A[r]
+        for c in [c for c in range(n) if row[c] < _BIG] + [n + r]:
+            if c == col_of[r] or (tight(r, c) and swap_cycle(r, c)):
+                break
+        if col_of[r] < n:
+            matches.append((r, col_of[r]))
+    return matches
+
+
 def kdtree_nearest(cloud, query):
     """Oracle for SemanticCloud.nearest: a cKDTree over the whole cloud,
     with exact ties re-scanned to the smallest point index."""
@@ -553,6 +673,102 @@ def svd_cond_gate(H):
     """SVD reference for geometry._ill_conditioned: cond(H) > 1e14 from
     the singular values of every matrix."""
     return np.linalg.cond(H) > 1e14
+
+
+def per_camera_depth_patches(depth_provider, frame, wanted, cfg: TrackerConfig):
+    """Per-camera reference for depth_patches: one provider call per
+    camera.
+
+    wanted: {key: (obs_by_cam, unresolved joints)}. Each unresolved joint
+    gets a patch in every camera of obs_by_cam that detected it with
+    confidence >= tau_joint, centred on its rounded pixel. Returns {key:
+    {(joint, camera_id): (patch_w, patch_w) patch}}.
+    """
+    requests = {}  # camera_id -> [(key, joint, u, v)]
+    for key, (obs_by_cam, unresolved) in wanted.items():
+        for k in unresolved:
+            for cam_id in sorted(obs_by_cam):
+                u, v, s = obs_by_cam[cam_id][k]
+                if s >= cfg.tau_joint:
+                    requests.setdefault(cam_id, []).append((key, k, int(round(u)), int(round(v))))
+    out = {key: {} for key in wanted}
+    for cam_id, reqs in sorted(requests.items()):
+        keys, joints, us, vs = zip(*reqs)
+        patches = depth_provider.patch(frame, {cam_id: (us, vs)}, cfg.patch_w)[cam_id]
+        for key, k, patch in zip(keys, joints, patches):
+            out[key][(k, cam_id)] = patch
+    return out
+
+
+def per_track_depth_lift(track, unresolved, obs_by_cam, patches, cals, cfg: TrackerConfig,
+                         fixed_joints=()):
+    """Per-track reference for depth_lift: recover one track's unresolved
+    joints from single-view depth patches.
+
+    patches: {(joint, camera_id): patch} as per_camera_depth_patches
+    fetches them.
+    Candidates pass the patch-variance and confidence gates; each joint's
+    best one (highest confidence, then camera order) is back-projected and
+    survives only inside the largest bone-consistent connected component.
+    Joints in fixed_joints (triangulated this frame) participate as
+    immutable graph nodes. Returns the set of lifted joints.
+    """
+    candidates = {}
+    for k in unresolved:
+        best = None
+        for cam_id in sorted(obs_by_cam):
+            u, v, s = obs_by_cam[cam_id][k]
+            if s < cfg.tau_joint:
+                continue
+            patch = patches[(k, cam_id)]
+            valid = patch[patch > 0]
+            if valid.size < 3:
+                continue
+            var = float(valid.var())
+            if var > cfg.sigma_max_sq:
+                continue
+            key = (-s, cam_id, var)
+            if best is None or key < best[0]:
+                best = (key, cam_id, u, v, valid.mean(), s)
+        if best is not None:
+            _, cam_id, u, v, depth, s = best
+            candidates[k] = (backproject_many([[u, v]], [depth], cals[cam_id])[0], s)
+    if not candidates:
+        return set()
+
+    # Bone-consistency graph over candidates plus fixed (triangulated) nodes.
+    nodes = dict(candidates)
+    for k in fixed_joints:
+        nodes[k] = (track.joints[k], 1.0)
+    parent = {k: k for k in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b, L in BONES:
+        if a in nodes and b in nodes:
+            d = np.linalg.norm(nodes[a][0] - nodes[b][0])
+            if cfg.bone_alpha * L <= d <= cfg.bone_beta * L:
+                parent[find(a)] = find(b)
+
+    comps = {}
+    for k in nodes:
+        comps.setdefault(find(k), []).append(k)
+    # Largest component; ties break to the one holding the most confident joint.
+    best_comp = max(
+        comps.values(),
+        key=lambda members: (len(members), max(nodes[m][1] for m in members), -min(members)),
+    )
+    lifted = set()
+    for k in best_comp:
+        if k in candidates:
+            track.joints[k] = candidates[k][0]
+            track.available[k] = True
+            lifted.add(k)
+    return lifted
 
 
 def per_pair_birth_pairs(unmatched, fmat, cfg):
@@ -660,8 +876,18 @@ def per_group_spawn(tracker, unmatched, updated_tracks):
     return born
 
 
+def capsule_hits(caps, origin, dirs, counts=None):
+    """(K, N) first-hit parameters of N rays against every capsule of a
+    Capsules stack, inf on a miss or a skipped pair: the pairs
+    hit_pairs finds, as a table."""
+    k, n, t = caps.hit_pairs(origin, dirs, counts)
+    out = np.full((len(caps), len(np.asarray(dirs).reshape(-1, 3))), np.inf)
+    out[k, n] = t
+    return out
+
+
 def full_capsule_hits(caps, origin, dirs):
-    """Full-pass oracle for Capsules.hits: the (K, N) first-hit formula
+    """Full-pass oracle for Capsules.hit_pairs: the (K, N) first-hit formula
     evaluated on every (capsule, ray) pair, with no cull and no skip mask;
     inf on a miss. The first positive crossing counts, so a ray starting
     inside a capsule hits it where it leaves."""
@@ -691,7 +917,7 @@ def full_capsule_hits(caps, origin, dirs):
 
 
 def reference_capsule_ray(p0, a, radius, origin, dirs):
-    """Per-capsule reference for Capsules.hits: the first-hit formula of
+    """Per-capsule reference for Capsules.hit_pairs: the first-hit formula of
     one capsule with segment start p0, axis a and radius, inf on a miss.
     The first positive crossing counts, the exit for an origin inside."""
     origin = np.asarray(origin, dtype=float)
@@ -823,12 +1049,12 @@ def per_camera_association_cost(tracks, dets, cal, tau_joint):
 
 def per_camera_associate(tracks, dets_by_cam, cals, cfg: TrackerConfig):
     """Per-camera reference for associate_camera: one cost table and one
-    Hungarian solve per camera, in camera order."""
+    whole-table Hungarian solve per camera, in camera order."""
     out = {}
     for cam_id in sorted(dets_by_cam):
         dets = dets_by_cam[cam_id]
         cost = per_camera_association_cost(tracks, dets, cals[cam_id], cfg.tau_joint)
-        matches = hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
+        matches = whole_table_hungarian_assign(cost, cfg.tau_mpjpe) if cost.size else []
         matched_d = {d for _, d in matches}
         out[cam_id] = matches, [d for d in range(len(dets)) if d not in matched_d]
     return out

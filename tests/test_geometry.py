@@ -16,7 +16,6 @@ from contacttrack.geometry import (
     _ill_conditioned,
     _jacobians,
     _residuals,
-    backproject_many,
     epipolar_distance,
     fit_sim3_ransac,
     fundamental_matrix,
@@ -27,6 +26,7 @@ from contacttrack.geometry import (
 
 from helpers import (
     BehindCamera,
+    backproject_many,
     brute_force_assign,
     brute_force_min_permutation_cost,
     grid_refine_cost,
@@ -37,6 +37,7 @@ from helpers import (
     random_rotation,
     scipy_hungarian_assign,
     svd_cond_gate,
+    whole_table_hungarian_assign,
 )
 
 
@@ -487,6 +488,33 @@ def _assignment_problems(draw):
     return cost.reshape(m, n), draw(gate)
 
 
+@st.composite
+def _gated_block_tables(draw):
+    """Gated tables of shape 0..8 x 0..8 whose rows and columns fall into
+    one to four blocks, so that the allowed entries split into several
+    components. Across blocks an entry is inf or exactly max_cost; within
+    one it is a small integer (many exact ties), max_cost itself or inf,
+    and every row of some blocks is empty. max_cost is a small integer,
+    negative in a quarter of the tables, so that 1 x 1 components also
+    take the general solve."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    blocks = draw(st.integers(1, 4))
+    row_block = draw(st.lists(st.integers(0, blocks - 1), min_size=m, max_size=m))
+    col_block = draw(st.lists(st.integers(0, blocks - 1), min_size=n, max_size=n))
+    empty = draw(st.sets(st.integers(0, blocks - 1), max_size=blocks - 1))
+    shift = draw(st.sampled_from([0.0, 0.0, 0.0, -6.0]))
+    gate = draw(st.integers(1, 5)) + shift
+    inner = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, math.inf])
+    cost = np.full((m, n), math.inf)
+    for i in range(m):
+        for j in range(n):
+            if row_block[i] == col_block[j] and row_block[i] not in empty:
+                cost[i, j] = draw(inner) + shift
+            else:
+                cost[i, j] = draw(st.sampled_from([math.inf, gate]))
+    return cost, gate
+
+
 class TestHungarian:
     def test_single(self):
         assert hungarian_assign([[0.5]], 1.0) == [(0, 0)]
@@ -524,6 +552,16 @@ class TestHungarian:
         assert got == scipy_hungarian_assign(cost, max_cost)
         if 0 < cost.size <= 30:
             assert got == brute_force_assign(cost, max_cost)[0]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(_gated_block_tables(), _assignment_problems()))
+    def test_components_equal_whole_table_and_scipy(self, problem):
+        # The solve split into gated components returns the pairs of one
+        # solve of the whole table, ties broken the same way.
+        cost, max_cost = problem
+        got = hungarian_assign(cost, max_cost)
+        assert got == whole_table_hungarian_assign(cost, max_cost)
+        assert got == scipy_hungarian_assign(cost, max_cost)
 
     @pytest.mark.parametrize("max_cost", [math.inf, math.nan])
     def test_gate_must_be_finite(self, max_cost):

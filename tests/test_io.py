@@ -33,7 +33,7 @@ from contacttrack.io import (
 )
 from contacttrack.schema import JOINT_COUNT
 
-from helpers import grid_patch, make_camera, write_depth_grid, write_label_grid
+from helpers import camera_patch, grid_patch, make_camera, write_depth_grid, write_label_grid
 
 
 class TestCalibration:
@@ -439,7 +439,7 @@ class TestGridDepthProvider:
         grid = np.arange(48, dtype=float).reshape(6, 8) / 100.0
         write_depth_grid(tmp_path / "frame_000003_camA.dep", grid)
         provider = GridDepthProvider(str(tmp_path))
-        patch, corner = provider.patch(3, "camA", [4, 0], [3, 0], 5)
+        patch, corner = camera_patch(provider, 3, "camA", [4, 0], [3, 0], 5)
         expected = np.round(grid[1:6, 2:7] * 1000) / 1000
         assert np.allclose(patch, expected)
         # Past the border a patch is zero-padded, not clipped.
@@ -461,7 +461,7 @@ class TestGridDepthProvider:
         coord = st.integers(-size - 1, max(h, w) + size)
         centres = data.draw(st.lists(st.tuples(coord, coord), max_size=12))
         us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
-        got = provider.patch(0, "camA", us, vs, size)
+        got = camera_patch(provider, 0, "camA", us, vs, size)
         assert got.shape == (len(centres), size, size)
         r = size // 2
         for (u, v), patch in zip(centres, got):
@@ -499,23 +499,23 @@ class TestGridDepthProvider:
         for frame in (0, 1):
             for _ in range(3):
                 for cam in ("camA", "camB", "camC"):
-                    provider.patch(frame, cam, [1], [1], 1)
+                    camera_patch(provider, frame, cam, [1], [1], 1)
         assert reads == [f"frame_{f:06d}_{c}.dep" for f in (0, 1) for c in ("camA", "camB", "camC")]
 
     def test_new_frame_drops_the_old_grids(self, tmp_path):
         for frame in (0, 1):
             write_depth_grid(tmp_path / f"frame_{frame:06d}_camA.dep", np.ones((4, 4)))
         provider = GridDepthProvider(str(tmp_path))
-        provider.patch(0, "camA", [1], [1], 1)
-        provider.patch(1, "camA", [1], [1], 1)
+        camera_patch(provider, 0, "camA", [1], [1], 1)
+        camera_patch(provider, 1, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
         with pytest.raises(InputFormatError, match="cannot read depth grid"):
-            provider.patch(0, "camA", [1], [1], 1)
+            camera_patch(provider, 0, "camA", [1], [1], 1)
 
     def test_cache_reuse(self, tmp_path):
         write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 4)))
         provider = GridDepthProvider(str(tmp_path))
-        provider.patch(0, "camA", [1], [1], 1)
+        camera_patch(provider, 0, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
-        patch = provider.patch(0, "camA", [2], [2], 1)
+        patch = camera_patch(provider, 0, "camA", [2], [2], 1)
         assert patch[0, 0, 0] == pytest.approx(1.0)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from contacttrack.person_tracker import (
     update_triangulated,
 )
 from contacttrack.schema import JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
-from contacttrack.simulator import Simulator
+from contacttrack.simulator import SceneDepthProvider, Simulator
 
 from helpers import (
+    DEPTH_SCENES,
     FRAME_SCENES,
     crowd_crossing,
     four_branch_merge,
@@ -24,10 +27,12 @@ from helpers import (
     per_group_spawn,
     per_camera_associate,
     per_camera_association_cost,
+    per_camera_depth_patches,
     per_joint_update,
     per_pair_association_cost,
     per_pair_birth_pairs,
     per_pair_group_unmatched,
+    per_track_depth_lift,
     project,
     rendered,
 )
@@ -59,22 +64,23 @@ def track_at(joints, tid=1, existence=0.9):
 
 class ConstantDepth:
     """Depth provider returning the true camera-frame z per joint pixel;
-    it records each patch call's (frame, camera, centres)."""
+    it records each patch call's (frame, {camera: centres})."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = []
 
-    def patch(self, frame, cam_id, us, vs, size):
-        self.calls.append((frame, cam_id, list(zip(us, vs))))
-        return np.array([np.full((size, size), self.fn(cam_id, u, v)) for u, v in zip(us, vs)])
+    def patch(self, frame, centres, size):
+        self.calls.append((frame, {c: list(zip(us, vs)) for c, (us, vs) in centres.items()}))
+        return {c: np.array([np.full((size, size), self.fn(c, u, v)) for u, v in zip(us, vs)])
+                for c, (us, vs) in centres.items()}
 
 
 def lift(track, obs, provider, cams, cfg=TrackerConfig()):
-    """depth_lift of every joint of one track, its patches fetched first."""
-    unresolved = list(range(JOINT_COUNT))
-    patches = depth_patches(provider, 0, {"track": (obs, unresolved)}, cfg)["track"]
-    return depth_lift(track, unresolved, obs, patches, cams, cfg)
+    """The joints depth_lift lifts of one track, every joint unresolved and
+    its patches fetched first."""
+    requests = depth_patches(provider, 0, {0: (obs, list(range(JOINT_COUNT)))}, cfg)
+    return {k for _, k in depth_lift([track], requests, cams, cfg, {})}
 
 
 @pytest.fixture
@@ -374,15 +380,16 @@ class TestDepthLift:
         obs = {"cam0": detect(joints, cal)}
 
         class NoisyDepth:
-            def patch(self, frame, cam_id, us, vs, size):
-                p = np.full((len(us), size, size), 3.0)
-                p[:, 0, 0] = 13.0  # variance way above (0.05)^2
+            def patch(self, frame, centres, size):
+                p = {c: np.full((len(us), size, size), 3.0) for c, (us, _) in centres.items()}
+                for c in p:
+                    p[c][:, 0, 0] = 13.0  # variance way above (0.05)^2
                 return p
 
         lifted = lift(tr, obs, NoisyDepth(), cams)
         assert lifted == set()
 
-    def test_step_fetches_every_request_with_one_call_per_camera(self, cams):
+    def test_step_fetches_every_request_with_one_call_per_frame(self, cams):
         # Joints seen by one camera stay unresolved by triangulation; each
         # is requested from that camera, joints below tau_joint nowhere.
         cfg = TrackerConfig()
@@ -397,10 +404,55 @@ class TestDepthLift:
         dets["cam0"][1][wrists[1], 2] = 0.1  # seen by no camera
         provider = ConstantDepth(lambda c, u, v: 0.0)
         tracker.step(4, dets, provider)
-        want = [(4, "cam0", sorted(
+        want = [(4, {"cam0": sorted(
             (int(round(u)), int(round(v))) for u, v, s in
-            (dets["cam0"][0][wrists[0]], dets["cam0"][0][wrists[1]], dets["cam0"][1][wrists[0]])))]
-        assert [(f, c, sorted(uv)) for f, c, uv in provider.calls] == want
+            (dets["cam0"][0][wrists[0]], dets["cam0"][0][wrists[1]], dets["cam0"][1][wrists[0]]))})]
+        assert [(f, {c: sorted(uv) for c, uv in centres.items()})
+                for f, centres in provider.calls] == want
+
+
+@pytest.mark.parametrize("name", sorted(DEPTH_SCENES))
+def test_frame_patches_and_lifts_equal_per_camera_and_per_track_oracles(name, monkeypatch):
+    # The tracker's own frames against the scene depth source: each
+    # frame's one patch call gives every request the patch of a per-camera
+    # loop, and its one lift pass lifts, for every matched track, the
+    # joints and positions of a per-track lift, bit for bit.
+    sim, frames = rendered(name)
+    fetch, lift_all = person_tracker.depth_patches, person_tracker.depth_lift
+    asked, counts = {}, []
+
+    def checked_patches(depth_provider, frame, wanted, cfg):
+        got = fetch(depth_provider, frame, wanted, cfg)
+        want = per_camera_depth_patches(depth_provider, frame, wanted, cfg)
+        rows = {(ti, k, got.cam_ids[c]): patch.tobytes() for ti, k, c, patch in
+                zip(got.tracks.tolist(), got.joints.tolist(), got.cams.tolist(), got.patches)}
+        assert rows == {(ti, k, c): patch.tobytes()
+                        for ti, patches in want.items() for (k, c), patch in patches.items()}
+        asked.update(wanted=wanted, patches=want)
+        return got
+
+    def checked_lift(tracks, requests, cals, cfg, fixed):
+        before = copy.deepcopy(tracks)
+        got = lift_all(tracks, requests, cals, cfg, fixed)
+        want = set()
+        for ti, (obs, unresolved) in asked["wanted"].items():
+            want |= {(ti, k) for k in per_track_depth_lift(
+                before[ti], unresolved, obs, asked["patches"][ti], cals, cfg, fixed[ti])}
+        assert got == want
+        for track, ref in zip(tracks, before):
+            assert track.joints.tobytes() == ref.joints.tobytes()
+            assert np.array_equal(track.available, ref.available)
+        counts.append((len(requests.patches), len(got)))
+        return got
+
+    monkeypatch.setattr(person_tracker, "depth_patches", checked_patches)
+    monkeypatch.setattr(person_tracker, "depth_lift", checked_lift)
+    tracker = Tracker(sim.cals, TrackerConfig())
+    provider = SceneDepthProvider(sim)
+    for frame, dets, _ in frames:
+        tracker.step(frame, dets, provider)
+    patches, lifted = map(sum, zip(*counts))
+    assert len(counts) == len(frames) and patches > 5 * len(frames) and lifted > 20
 
 
 class TestLifecycleAndBirths:

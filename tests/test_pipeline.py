@@ -5,11 +5,14 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contacttrack import io, pipeline, simulator
+from contacttrack import cli, io, pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
 from contacttrack.io import read_episodes, write_calibration
@@ -143,6 +146,83 @@ class TestDeterminism:
                 == (eb.person_id, eb.side, eb.surface_label, eb.t_start, eb.t_stop)
 
 
+@pytest.fixture(scope="module")
+def order_window(tmp_path_factory):
+    """(dataset, `run --out` bytes) of induction-lite-noisy frames 60-67:
+    touches under pixel and depth noise and dropout, several hands per
+    record."""
+    root = tmp_path_factory.mktemp("order_window")
+    ds = root / "ds"
+    emit_dataset(window(induction_lite_noisy(), 60, 8), str(ds), seed=0)
+    return ds, run_cli(ds, root / "out")
+
+
+def run_cli(ds, out):
+    """The bytes `run` writes to out for the dataset ds."""
+    code = cli.main(["run", "--calib", str(ds / "calibration.json"), "--in", str(ds),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    return tree_bytes(str(out))
+
+
+def rewritten(ds, root, records=lambda recs: recs, cameras=lambda cams: cams):
+    """A copy of dataset ds under root whose detection records, read as
+    JSON, go through records and whose calibration cameras go through
+    cameras."""
+    shutil.copytree(ds, root)
+    with open(ds / "detections.jsonl") as f:
+        recs = records([json.loads(line) for line in f])
+    (root / "detections.jsonl").write_text(
+        "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in recs))
+    with open(ds / "calibration.json") as f:
+        calib = json.load(f)
+    calib["cameras"] = cameras(calib["cameras"])
+    (root / "calibration.json").write_text(json.dumps(calib))
+    return root
+
+
+class TestInputOrder:
+    """`run` reads calibration cameras, a frame's records and a record's
+    persons as sets: permuting them leaves --out byte-identical."""
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_permuted_cameras_records_and_persons_keep_the_bytes(self, order_window,
+                                                                 tmp_path_factory, rnd):
+        ds, want = order_window
+
+        def shuffled(items):
+            items = list(items)
+            rnd.shuffle(items)
+            return items
+
+        def records(recs):
+            for rec in recs:
+                rec["persons"] = shuffled(rec["persons"])
+            return [rec for _, frame in groupby(recs, key=itemgetter("frame"))
+                    for rec in shuffled(frame)]
+
+        root = tmp_path_factory.mktemp("permuted")
+        got = run_cli(rewritten(ds, root / "ds", records, shuffled), root / "out")
+        assert got["hand_tracks.jsonl"] and got["distance_traces.jsonl"]
+        assert got == want
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "hand_fusion.cluster_hands numbers a frame's DBSCAN clusters, and so its "
+        "fused hands and new hand track ids, in the order of a record's hands: "
+        "reversing them renumbers hand_track_id, though the fused hands are "
+        "equal as sets"))
+    def test_reversed_hands_within_a_record_keep_the_bytes(self, order_window, tmp_path):
+        ds, want = order_window
+
+        def records(recs):
+            for rec in recs:
+                rec["hands"].reverse()
+            return recs
+
+        assert run_cli(rewritten(ds, tmp_path / "ds", records), tmp_path / "out") == want
+
+
 def export_grids(scene, root):
     """A dataset twice: as simulated (scene.json), and with its map input
     exported to grids/ and scene.json removed. The provider's stride-4
@@ -159,7 +239,9 @@ def export_grids(scene, root):
             cal = sim.cals[cam_id]
             labels = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
             depth = np.zeros((cal.image_height, cal.image_width))
-            labels[::4, ::4], depth[::4, ::4] = provider.grids(frame, cam_id, stride=4)
+            grids = provider.grids(frame, cam_id, stride=4)
+            if grids is not None:  # None: the lattice sees no surface
+                labels[::4, ::4], depth[::4, ::4] = grids
             base = grid_ds / "grids" / f"frame_{frame:06d}_{cam_id}"
             write_label_grid(f"{base}.lbl", labels)
             write_depth_grid(f"{base}.dep", depth)
@@ -189,7 +271,7 @@ class TestGridsInput:
     def test_each_depth_file_read_once(self, tmp_path, monkeypatch):
         # The per-frame map reads every camera's grid, then depth lifting
         # (busy under dropout and pixel noise) patches them again, one
-        # call per camera; the provider keeps the frame's grids, so each
+        # call per frame; the provider keeps the frame's grids, so each
         # file is read exactly once.
         _, ds = export_grids(induction_lite_noisy(frame_count=6), tmp_path)
         read_depth_grid, patch = io.read_depth_grid, io.GridDepthProvider.patch
@@ -205,12 +287,47 @@ class TestGridsInput:
                             lambda self, *a: patches.append(a) or patch(self, *a))
         run_pipeline(os.path.join(ds, "calibration.json"), ds, str(tmp_path / "out"),
                      PipelineConfig())
-        keys = [(frame, cam) for frame, cam, *_ in patches]
-        assert keys and len(keys) == len(set(keys))  # one patch call per (frame, camera)
-        assert sum(len(us) for _, _, us, *_ in patches) > len(keys)  # each holds several joints
+        frames = [frame for frame, *_ in patches]
+        assert frames and len(frames) == len(set(frames))  # one patch call per frame
+        # each asks several cameras for several joints
+        assert sum(len(centres) for _, centres, _ in patches) > len(frames)
+        assert sum(len(us) for _, centres, _ in patches for us, _ in centres.values()) \
+            > 2 * len(frames)
         files = sorted(f for f in os.listdir(os.path.join(ds, "grids")) if f.endswith(".dep"))
         assert len(files) == 6 * 4
         assert reads == Counter(dict.fromkeys(files, 1))
+
+
+class TestEmptyMap:
+    def test_surfaceless_scene_back_projects_nothing(self, tmp_path, monkeypatch):
+        # No camera's lattice sees a surface, so the per-frame map gets no
+        # cloud and nothing is back-projected; the bytes are those of a run
+        # that back-projects each camera's empty lattice.
+        ds = tmp_path / "ds"
+        emit_dataset(crossing_clean(frame_count=6), str(ds), seed=0)
+        calls = []
+        backproject = pipeline.backproject_labeled
+        monkeypatch.setattr(pipeline, "backproject_labeled",
+                            lambda *a, **kw: calls.append(a) or backproject(*a, **kw))
+
+        def run(name):
+            run_pipeline(str(ds / "calibration.json"), str(ds), str(tmp_path / name),
+                         PipelineConfig())
+            return tree_bytes(str(tmp_path / name))
+
+        got = run("out")
+        assert calls == []
+        grids = SceneDepthProvider.grids
+
+        def empty_lattices(self, frame, cam_id, stride=4):
+            cal = self.sim.cals[cam_id]
+            shape = (-(-cal.image_height // stride), -(-cal.image_width // stride))
+            lattice = grids(self, frame, cam_id, stride)
+            return (np.zeros(shape, dtype=np.uint8), np.zeros(shape)) if lattice is None else lattice
+
+        monkeypatch.setattr(SceneDepthProvider, "grids", empty_lattices)
+        assert run("empty") == got
+        assert len(calls) == 6 * 4  # frames x cameras
 
 
 class TestStitchRewrite:
@@ -339,8 +456,9 @@ class TestBenchmarkHooks:
 
     def test_depth_patches_of_a_frame_build_its_capsules_once(self, tracer, monkeypatch):
         # Each present person's capsule stack is built once per frame and
-        # shared by every patch; the tracer sees one patch call, cast in
-        # chunks of DEPTH_CHUNK_RAYS rays, and one ray per patch pixel.
+        # shared by every patch; the tracer sees one patch call for two
+        # cameras, cast in one bundle of chunks of at most DEPTH_CHUNK_RAYS
+        # rays, and one ray per patch pixel.
         built = []
         body_capsules = simulator.body_capsules
         monkeypatch.setattr(simulator, "body_capsules",
@@ -348,12 +466,13 @@ class TestBenchmarkHooks:
         provider = SceneDepthProvider(Simulator(crossing_clean(frame_count=2)))
         t = tracer.Tracer()
         with tracer.patched(tracer.instrument(t)):
-            provider.patch(1, "cam0", range(100, 400, 25), [240] * 12, 5)
+            centres = (range(100, 400, 25), [240] * 12)
+            provider.patch(1, {"cam0": centres, "cam1": centres}, 5)
         assert sum(len(caps) for caps in built) == 3 * 10  # three persons, ten capsules each
         assert t.calls("simulator.depth_patch") == 1
         assert simulator.DEPTH_CHUNK_RAYS == 200
-        assert t.calls("primitives.cast_rays.depth") == 2  # 300 rays in chunks of 200
-        assert t.counts["primitives.cast_rays.depth.rays"] == 12 * 25
+        assert t.calls("primitives.cast_rays.depth") == 1  # 2 x 300 rays in chunks of 200
+        assert t.counts["primitives.cast_rays.depth.rays"] == 2 * 12 * 25
 
 
 class TestGroundTruthLoader:

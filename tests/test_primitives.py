@@ -18,6 +18,7 @@ from contacttrack.primitives import (
 from contacttrack.simulator import surface_from_config
 
 from helpers import (
+    capsule_hits,
     full_capsule_hits,
     per_camera_cast,
     reference_box_ray,
@@ -144,25 +145,25 @@ class TestCapsule:
 
     def test_ray_hits_cylinder(self):
         c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
-        t = c.hits(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
+        t = capsule_hits(c, np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
         assert t[0, 0] == pytest.approx(1.7, abs=1e-6)
 
     def test_ray_misses(self):
         c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
-        t = c.hits(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
+        t = capsule_hits(c, np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
         assert np.isinf(t[0, 0])
 
     def test_distance_to_side(self):
         # The side lies along the normal towards the axis, at the distance.
         c = Capsules.between([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.1)
-        t = c.hits(np.array([0.5, 0.0, 0.5]), np.array([[-1.0, 0.0, 0.0]]))
+        t = capsule_hits(c, np.array([0.5, 0.0, 0.5]), np.array([[-1.0, 0.0, 0.0]]))
         assert t[0, 0] == pytest.approx(0.4)
 
     def test_ray_from_inside_exits(self):
         c = Capsules.between([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 0.3)
         origin = np.array([0.0, 0.5, 2.1])
         dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [1.0, 0.0, 0.0]])
-        t = c.hits(origin, dirs)[0]
+        t = capsule_hits(c, origin, dirs)[0]
         assert t[0] == pytest.approx(0.2)
         assert t[1] == pytest.approx(0.2)  # 0.4 m at |d| = 2
         assert t[2] == pytest.approx(np.sqrt(0.3**2 - 0.1**2))
@@ -202,7 +203,7 @@ class TestStackedCapsules:
         hits = 0
         for _ in range(40):
             origin, caps, dirs = capsule_bundle(rng)
-            t = caps.hits(origin, dirs)
+            t = capsule_hits(caps, origin, dirs)
             for row, (p0, a, r) in enumerate(zip(caps.p0, caps.axis, caps.radius)):
                 ref = reference_capsule_ray(p0, a, r, origin, dirs)
                 assert np.array_equal(np.isinf(t[row]), np.isinf(ref))
@@ -245,7 +246,7 @@ class TestStackedCapsules:
         for row in range(len(caps)):
             one = Capsules.between(caps.p0[row], caps.p0[row] + caps.axis[row], caps.radius[row])
             stacked = rows(caps, slice(row, row + 1))
-            assert np.array_equal(one.hits(origin, dirs)[0], stacked.hits(origin, dirs)[0])
+            assert np.array_equal(capsule_hits(one, origin, dirs)[0], capsule_hits(stacked, origin, dirs)[0])
 
 
 def assert_culled_kernel_exact(caps, origin, dirs):
@@ -254,7 +255,7 @@ def assert_culled_kernel_exact(caps, origin, dirs):
     want = full_capsule_hits(caps, origin, dirs)
     if caps.skip is not None:
         want = np.where(caps.skip, np.inf, want)
-    assert np.array_equal(caps.hits(origin, dirs), want)
+    assert np.array_equal(capsule_hits(caps, origin, dirs), want)
     rays = np.arange(want.shape[1])
     k = want.argmin(axis=0) if len(caps) else np.zeros(len(rays), dtype=int)
     best = want[k, rays] if len(caps) else np.full(len(rays), np.inf)
@@ -280,7 +281,7 @@ def unit_normal(d, rng):
 
 
 class TestCulledKernel:
-    """The bounding-sphere cull in Capsules.hits changes no bit: every
+    """The bounding-sphere cull in Capsules.hit_pairs changes no bit: every
     cast equals the full (capsule, ray) pass of full_capsule_hits, with
     np.array_equal, on the cull's edge cases."""
 
@@ -458,10 +459,10 @@ class TestMultiCameraBundle:
             assert t.tobytes() == want_t.tobytes() and i.tobytes() == want_i.tobytes()
             caps = prims[-1]
             want = np.concatenate(
-                [replace(caps, skip=caps.skip[:, rays]).hits(o, dirs[rays])
+                [capsule_hits(replace(caps, skip=caps.skip[:, rays]), o, dirs[rays])
                  for o, rays in zip(origins, np.split(np.arange(n), np.cumsum(counts)[:-1]))],
                 axis=1)
-            assert caps.hits(origins, dirs, counts).tobytes() == want.tobytes()
+            assert capsule_hits(caps, origins, dirs, counts).tobytes() == want.tobytes()
             seen |= set(want_i.tolist())
         assert seen == set(range(-1, 15))  # misses, the surfaces and every capsule
 

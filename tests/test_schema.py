@@ -48,3 +48,14 @@ class TestHandSchema:
         s = HandSchema(vertex_count=16)
         assert s.palm_indices == list(range(8))
         assert s.fingertip_indices == list(range(11, 16))
+
+
+def test_bones_form_a_tree_listed_parent_first():
+    # depth_lift names each joint's bone component in one pass over BONES
+    # in order, which needs a tree whose every bone starts at a joint
+    # already reached.
+    reached = {BONES[0][0]}
+    for a, b, _ in BONES:
+        assert a in reached and b not in reached
+        reached.add(b)
+    assert reached == set(range(JOINT_COUNT))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import ContactTrackError, InputFormatError
-from contacttrack.geometry import backproject_many
 from contacttrack.io import read_label_grid, read_label_table, write_label_table
 from contacttrack.pipeline import _build_cloud
 from contacttrack.scenes import induction_lite_noisy
@@ -23,6 +22,7 @@ from contacttrack.simulator import SceneDepthProvider, Simulator
 
 from helpers import (
     LexsortCellIndex,
+    backproject_many,
     brute_force_nearest_per_label,
     identity_camera,
     kdtree_nearest,

@@ -31,6 +31,7 @@ from contacttrack.simulator import (
 )
 
 from helpers import (
+    camera_patch,
     crowd_crossing,
     per_camera_sightings,
     per_person_sightings,
@@ -180,7 +181,7 @@ class TestDepthProvider:
         # world z axis is awkward here; instead query the floor through cam0.
         provider = SceneDepthProvider(sim)
         cal = sim.cals["cam0"]
-        patch = provider.patch(0, "cam0", [int(cal.cx)], [int(cal.cy)], 5)
+        patch = camera_patch(provider, 0, "cam0", [int(cal.cx)], [int(cal.cy)], 5)
         assert patch.shape == (1, 5, 5)
         assert np.all(patch > 0)
 
@@ -195,18 +196,34 @@ class TestDepthProvider:
         provider = SceneDepthProvider(sim)
         cal = sim.cals["cam0"]
         u, v = project(np.array([3.5, 3.5, 1.1]), cal)
-        patch = provider.patch(0, "cam0", [int(round(u))], [int(round(v))], 1)
+        patch = camera_patch(provider, 0, "cam0", [int(round(u))], [int(round(v))], 1)
         center_depth = cal.world_to_camera(np.array([3.5, 3.5, 1.1]))[2]
         assert patch[0, 0, 0] == pytest.approx(center_depth - 0.5, abs=2e-3)
 
     def test_order_free_determinism(self):
         scene = tiny_scene(depth_sigma=0.01)
         sim = Simulator(scene, seed=3)
-        p1 = SceneDepthProvider(sim).patch(2, "cam1", [320], [240], 5)
+        p1 = camera_patch(SceneDepthProvider(sim), 2, "cam1", [320], [240], 5)
         other = SceneDepthProvider(sim)
-        other.patch(5, "cam0", [100], [100], 3)
-        p2 = other.patch(2, "cam1", [500, 320], [60, 240], 5)
+        camera_patch(other, 5, "cam0", [100], [100], 3)
+        p2 = camera_patch(other, 2, "cam1", [500, 320], [60, 240], 5)
         assert np.array_equal(p1[0], p2[1])
+
+    def test_one_call_gives_each_camera_its_own_patches(self):
+        # One cast for several cameras gives each the bytes of a call for
+        # it alone; centres all outside the image give zero patches.
+        sim = Simulator(induction_lite(3) | {"noise": {"depth_sigma": 0.01}}, seed=5)
+        pelvis = [np.round(project(joints[19], sim.cals["cam0"])).astype(int)
+                  for joints in sim.frame_state(2).values()]
+        centres = {"cam0": ([u for u, _ in pelvis] + [0], [v for _, v in pelvis] + [479]),
+                   "cam1": ([320], [240]), "cam3": ([-40, 700], [-40, 100])}
+        got = SceneDepthProvider(sim).patch(2, centres, 5)
+        assert list(got) == sorted(centres)
+        for cam_id, (us, vs) in centres.items():
+            alone = camera_patch(SceneDepthProvider(sim), 2, cam_id, us, vs, 5)
+            assert got[cam_id].tobytes() == alone.tobytes()
+        assert got["cam0"].any() and not got["cam3"].any()
+        assert SceneDepthProvider(sim).patch(2, {}, 5) == {}
 
     @staticmethod
     def centres(width, height):
@@ -219,8 +236,8 @@ class TestDepthProvider:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), size=st.sampled_from([1, 3, 5, 7]), frame=st.integers(0, 2))
     def test_batched_patches_equal_single_centre_oracle(self, data, size, frame):
-        # Bodies and depth noise included; the batch is cast in chunks
-        # that cut across patches, and no cast holds more rays than the
+        # Bodies and depth noise included; the batch is one cast whose
+        # chunks cut across patches, and no chunk holds more rays than the
         # chunk constant.
         sim = Simulator(induction_lite(3) | {"noise": {"depth_sigma": 0.01}}, seed=5)
         provider = SceneDepthProvider(sim)
@@ -230,13 +247,13 @@ class TestDepthProvider:
         cast_rays = simulator.cast_rays
 
         def counted(prims, origin, dirs, **cull):
-            casts.append(len(dirs))
+            casts.append(cull["counts"])
             return cast_rays(prims, origin, dirs, **cull)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "cast_rays", counted)
             us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
-            got = provider.patch(frame, "cam2", us, vs, size)
+            got = camera_patch(provider, frame, "cam2", us, vs, size)
         want = [scene_patch(sim, frame, "cam2", u, v, size) for u, v in centres]
         assert got.shape == (len(centres), size, size)
         assert np.array_equal(got, np.array(want).reshape(got.shape))
@@ -244,9 +261,11 @@ class TestDepthProvider:
         rays = sum(len(range(max(u - r, 0), min(u + r + 1, cal.image_width)))
                    * len(range(max(v - r, 0), min(v + r + 1, cal.image_height)))
                    for u, v in centres)
-        assert sum(casts) == rays
-        assert len(casts) == -(-rays // simulator.DEPTH_CHUNK_RAYS)
-        assert max(casts, default=0) <= simulator.DEPTH_CHUNK_RAYS
+        assert len(casts) == (rays > 0)
+        chunks = casts[0] if casts else []
+        assert sum(chunks) == rays
+        assert len(chunks) == -(-rays // simulator.DEPTH_CHUNK_RAYS)
+        assert max(chunks, default=0) <= simulator.DEPTH_CHUNK_RAYS
 
     @pytest.mark.parametrize("width, height", [(101, 77), (64, 48)])
     @pytest.mark.parametrize("stride", range(1, 9))
@@ -352,21 +371,25 @@ class TestSurfaceCull:
         handed = []
         cast_rays = simulator.cast_rays
 
-        def recorded(prims, origin, dirs, rows):
+        def recorded(prims, origin, dirs, rows, counts):
             handed.append([len(dirs) if r is None else len(r) for r in rows[:len(prims)]])
-            return cast_rays(prims, origin, dirs, rows=rows)
+            return cast_rays(prims, origin, dirs, rows=rows, counts=counts)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "cast_rays", recorded)
             for stride in (1, 4):
-                labels, depth = provider.grids(0, "cam0", stride)
                 want_labels, want_depth = scene_grids(sim, 0, "cam0", stride)
+                grids = provider.grids(0, "cam0", stride)
+                if grids is None:  # no lattice cell sees a surface
+                    assert not want_labels.any()
+                    continue
+                labels, depth = grids
                 assert np.array_equal(labels, want_labels[::stride, ::stride])
                 assert depth.tobytes() == want_depth[::stride, ::stride].tobytes()
             lattice = handed[0]  # stride 1: every pixel
             centres = data.draw(TestDepthProvider.centres(self.W, self.H))
             us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
-            got = provider.patch(0, "cam0", us, vs, 5)
+            got = camera_patch(provider, 0, "cam0", us, vs, 5)
         want = [scene_patch(sim, 0, "cam0", u, v, 5) for u, v in centres]
         assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
         # A box or rectangle in front of the camera is handed only the
@@ -512,6 +535,18 @@ class TestEmission:
         with pytest.raises(KeyError):
             builtin_scene("nope")
 
+    @pytest.mark.parametrize("name", ["induction-lite", "induction-lite-noisy"])
+    def test_editing_a_builtin_scene_leaves_later_ones(self, name):
+        # Each call returns surfaces of its own: editing one in place, a
+        # field or a corner, changes no later builtin scene.
+        fresh = copy.deepcopy(builtin_scene(name))
+        edited = builtin_scene(name)
+        edited["surfaces"][0]["name"] = ["x"]
+        edited["surfaces"][0]["min"][0] = -99.0
+        edited["surfaces"].append({"type": "sphere"})
+        assert builtin_scene(name)["surfaces"] == fresh["surfaces"]
+        assert builtin_scene(name)["surfaces"] != edited["surfaces"]
+
 
 class TestStackedKernel:
     @staticmethod
@@ -535,7 +570,7 @@ class TestStackedKernel:
         for frame in range(2):
             for (cam_id, _), (uv, _, seen) in sorted(sim.sightings(frame).items()):
                 us, vs = np.round(uv[seen]).astype(int).T
-                patches.append(provider.patch(frame, cam_id, us, vs, 5).tobytes())
+                patches.append(camera_patch(provider, frame, cam_id, us, vs, 5).tobytes())
         return files, patches
 
     def test_matches_reference_kernel_byte_for_byte(self, tmp_path, monkeypatch):
