@@ -460,10 +460,10 @@ class Tracker:
         for ti, k in accepted:
             tri_by_track[ti].add(k)
         updated_tracks = {ti for ti, tri in tri_by_track.items() if tri}
-        if depth_provider is not None:
-            requests = depth_patches(depth_provider, frame, {
-                ti: (matched_obs[ti], [k for k in range(JOINT_COUNT) if k not in tri])
-                for ti, tri in tri_by_track.items()}, cfg)
+        wanted = {ti: (matched_obs[ti], unresolved) for ti, tri in tri_by_track.items()
+                  if (unresolved := [k for k in range(JOINT_COUNT) if k not in tri])}
+        if depth_provider is not None and wanted:
+            requests = depth_patches(depth_provider, frame, wanted, cfg)
             updated_tracks |= {ti for ti, _ in depth_lift(
                 self.tracks, requests, self.cals, cfg, tri_by_track)}
 

@@ -352,10 +352,13 @@ def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
     cast gives the bits of a full one only if the primitive's ray test
     gives a ray the same bits in any bundle, as Box and Rect do. In a
     bundle with counts, such a primitive gets each of its rows' own
-    origin, an (n, 3) array that the elementwise Box and Rect tests take.
+    origin, an (n, 3) array that the elementwise Box and Rect tests take;
+    a bundle of one camera is cast as a plain one-camera bundle.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    if counts is not None and len(counts) == 1:  # one camera: a plain bundle
+        origin, counts = origin[0], None
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
     ray_origin = _per_ray(origin, counts) if rows and counts is not None else origin

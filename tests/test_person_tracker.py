@@ -389,6 +389,15 @@ class TestDepthLift:
         lifted = lift(tr, obs, NoisyDepth(), cams)
         assert lifted == set()
 
+    def test_frame_with_every_joint_triangulated_asks_no_depth(self, cams):
+        tracker = Tracker(cams, TrackerConfig())
+        joints = place_template()
+        tracker.tracks = [track_at(joints)]
+        provider = ConstantDepth(lambda c, u, v: 0.0)
+        tracker.step(4, {c: [detect(joints, cams[c])] for c in cams}, provider)
+        assert provider.calls == []
+        assert tracker.tracks[0].idle_frames == 0
+
     def test_step_fetches_every_request_with_one_call_per_frame(self, cams):
         # Joints seen by one camera stay unresolved by triangulation; each
         # is requested from that camera, joints below tau_joint nowhere.
@@ -452,7 +461,7 @@ def test_frame_patches_and_lifts_equal_per_camera_and_per_track_oracles(name, mo
     for frame, dets, _ in frames:
         tracker.step(frame, dets, provider)
     patches, lifted = map(sum, zip(*counts))
-    assert len(counts) == len(frames) and patches > 5 * len(frames) and lifted > 20
+    assert len(counts) > len(frames) // 2 and patches > 5 * len(frames) and lifted > 20
 
 
 class TestLifecycleAndBirths:
