@@ -39,6 +39,7 @@ from .errors import InputFormatError
 from .geometry import CameraCalibration
 from .hand_fusion import SIDES, HandInstance
 from .schema import JOINT_COUNT, HandSchema
+from .semantic_map import LatticeCells, no_cells
 
 GRAVITY_AXIS = "+z"
 DEPTH_GRID_MAGIC = b"DEP1"
@@ -632,18 +633,33 @@ class GridDepthProvider:
     """Depth and label source over per-(frame, camera) grid files.
 
     Files live under root as frame_{frame:06d}_{camera}.dep (DEP1) and
-    .lbl (LBL1) and hold full-resolution grids. The depth grids of the
-    most recent frame stay cached, one per camera, so each file is read
-    once however the cameras interleave; a new frame drops them.
+    .lbl (LBL1) and hold full-resolution grids of the calibrated cameras
+    of cals, each the size of its camera's image: a file of another
+    shape raises InputFormatError naming it and both sizes. The depth
+    grids of the most recent frame stay cached, one per camera, so each
+    file is read once however the cameras interleave; a new frame drops
+    them.
     """
 
-    def __init__(self, root):
+    def __init__(self, root, cals):
         self.root = root
+        self.cals = cals
         self._frame = None
         self._grids = {}
 
     def _path(self, frame, cam_id, ext):
         return os.path.join(self.root, f"frame_{frame:06d}_{cam_id}{ext}")
+
+    def _sized(self, grid, frame, cam_id, ext):
+        """grid, read from the frame's ext file of cam_id, if it is the
+        size of the camera's image."""
+        cal = self.cals[cam_id]
+        if grid.shape != (cal.image_height, cal.image_width):
+            h, w = grid.shape
+            raise InputFormatError(
+                f"grid is {w}x{h} but camera {cam_id} is {cal.image_width}x{cal.image_height}",
+                path=self._path(frame, cam_id, ext))
+        return grid
 
     def _load(self, frame, cam_id):
         if frame != self._frame:
@@ -660,7 +676,7 @@ class GridDepthProvider:
         off = np.arange(-r, r + 1)
         out = {}
         for cam_id, (us, vs) in sorted(centres.items()):
-            grid = self._load(frame, cam_id)
+            grid = self._sized(self._load(frame, cam_id), frame, cam_id, ".dep")
             h, w = grid.shape
             rows = np.asarray(vs, dtype=int)[:, None] + off
             cols = np.asarray(us, dtype=int)[:, None] + off
@@ -673,18 +689,30 @@ class GridDepthProvider:
             out[cam_id] = np.where(inside, window, 0.0)
         return out
 
-    def grids(self, frame, cam_id, stride=4):
-        """(label, depth) on the stride lattice of one camera, as strided
-        views of its full-resolution files, or None when the frame has no
-        label file. Files of different shapes raise InputFormatError
-        naming the label file."""
-        lbl = self._path(frame, cam_id, ".lbl")
-        if not os.path.exists(lbl):
-            return None
-        labels, depth = read_label_grid(lbl), self._load(frame, cam_id)
-        if labels.shape != depth.shape:
-            (h, w), (dh, dw) = labels.shape, depth.shape
-            raise InputFormatError(
-                f"label grid is {w}x{h} but depth grid "
-                f"{self._path(frame, cam_id, '.dep')} is {dw}x{dh}", path=lbl)
-        return labels[::stride, ::stride], depth[::stride, ::stride]
+    def grids(self, frame, stride=4):
+        """The frame's LatticeCells: each calibrated camera's stride-lattice
+        cells, pixel (u, v) = (j, i) * stride, with a label and a positive
+        depth, read off strided views of its files. A camera without a
+        label file for the frame has no cells. Both files are read before
+        either's size is checked, the label file's first."""
+        cameras, counts, us, vs, labels, depth = [], [], [], [], [], []
+        for cam_id in sorted(self.cals):
+            lbl = self._path(frame, cam_id, ".lbl")
+            if not os.path.exists(lbl):
+                continue
+            lab, dep = read_label_grid(lbl), self._load(frame, cam_id)
+            lab = self._sized(lab, frame, cam_id, ".lbl")[::stride, ::stride]
+            dep = self._sized(dep, frame, cam_id, ".dep")[::stride, ::stride]
+            keep = (lab > 0) & (dep > 0)
+            rows, cols = np.nonzero(keep)
+            if not len(rows):
+                continue
+            cameras.append(cam_id)
+            counts.append(len(rows))
+            us.append(cols * stride)
+            vs.append(rows * stride)
+            labels.append(lab[keep])
+            depth.append(dep[keep])
+        if not cameras:
+            return no_cells()
+        return LatticeCells(cameras, counts, *map(np.concatenate, (us, vs, labels, depth)))

@@ -62,7 +62,8 @@ def _depth_source(in_dir, cals, cfg: PipelineConfig):
 
     A scene.json reconstructs the analytic provider, which must know every
     camera of the calibration cals; otherwise a grids/ directory supplies
-    DEP1 depth and LBL1 label files.
+    DEP1 depth and LBL1 label files of the image sizes of cals. Either
+    builds the map of the cameras of cals.
     """
     scene_path = os.path.join(in_dir, "scene.json")
     if os.path.exists(scene_path):
@@ -77,10 +78,10 @@ def _depth_source(in_dir, cals, cfg: PipelineConfig):
             if cam_id not in sim.cals:
                 raise InputFormatError(
                     f"scene has no camera {cam_id!r} of the calibration", path=scene_path)
-        return SceneDepthProvider(sim)
+        return SceneDepthProvider(sim, cals)
     grids_dir = os.path.join(in_dir, "grids")
     if os.path.isdir(grids_dir):
-        return GridDepthProvider(grids_dir)
+        return GridDepthProvider(grids_dir, cals)
     return None
 
 
@@ -111,16 +112,12 @@ def _group_frames(det_path, cals, hand_schema):
 
 
 def _build_cloud(provider, cals, frame, cfg, label_table, table_path):
-    """The frame's semantic map, fused from each camera's stride lattice.
-    A label that label_table, read from table_path, does not name raises
+    """The frame's semantic map: one grids call for every camera's stride
+    lattice, one back-projection of its cells and one fusion. A label
+    that label_table, read from table_path, does not name raises
     InputFormatError naming that file."""
-    clouds = []
-    for cam_id in sorted(cals):
-        grids = provider.grids(frame, cam_id, stride=cfg.stride)
-        if grids is None:
-            continue
-        labels, depth = grids
-        clouds.append(backproject_labeled(labels, depth, cals[cam_id], cfg.stride))
+    cells = provider.grids(frame, stride=cfg.stride)
+    clouds = backproject_labeled(cells, cals) if len(cells) else []
     try:
         return fuse_clouds(clouds, cfg.voxel_size, label_table)
     except UnknownLabel as e:

@@ -1,7 +1,9 @@
 """Per-frame semantic 3D room model.
 
-Labeled per-camera depth observations are back-projected, voxel-fused with
-majority label voting, and indexed for nearest-surface queries. A built
+A frame's labeled depth observations, every camera's stride-lattice
+cells from one depth-source call, are back-projected in one pass into
+one cloud per camera, voxel-fused with majority label voting, and
+indexed for nearest-surface queries. A built
 cloud's points do not change; its index, the points grouped by (label,
 coarse cell), is built on the first query. Fusion and the index each
 order points with one integer sort, of a packed int64 key. Both floor
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContactTrackError
-from .geometry import CameraCalibration
 
 
 class EmptyCloud(ContactTrackError):
@@ -44,6 +45,32 @@ class LabeledPointCloud:
     positions: np.ndarray  # (N, 3) meters
     labels: np.ndarray  # (N,) int
     source_camera: str
+
+
+@dataclass
+class LatticeCells:
+    """A frame's labeled stride-lattice cells, camera by camera: the
+    cells with a label and a positive depth, each camera's in row-major
+    lattice order and the cameras in the order of cameras. The first
+    counts[0] cells are cameras[0]'s, and so on; a camera with no such
+    cell is not listed. Cell k lies at pixel (us[k], vs[k]), ints, with
+    label labels[k] (uint8, > 0) and depth depth[k] (m, > 0)."""
+
+    cameras: list
+    counts: list
+    us: np.ndarray  # (N,)
+    vs: np.ndarray  # (N,)
+    labels: np.ndarray  # (N,) uint8
+    depth: np.ndarray  # (N,) meters
+
+    def __len__(self):
+        return len(self.depth)
+
+
+def no_cells():
+    """The LatticeCells of a frame in which no camera sees a surface."""
+    empty = np.zeros(0, dtype=np.intp)
+    return LatticeCells([], [], empty, empty, np.zeros(0, dtype=np.uint8), np.zeros(0))
 
 
 @dataclass
@@ -240,25 +267,36 @@ class SemanticCloud:
         return self.label_ids, d, lambda h, k: self.positions[idx[h, k]]
 
 
-def backproject_labeled(label_grid, depth_grid, cal: CameraCalibration, stride=4):
-    """Back-project the labeled cells of a stride lattice to world points.
+def backproject_labeled(cells, cals):
+    """World points of a frame's lattice cells: one LabeledPointCloud per
+    camera of cells, in its order, holding that camera's cells in their
+    order.
 
-    label_grid and depth_grid are the equal-shape lattice a depth source
-    returns: cell (i, j) is pixel (u, v) = (j, i) * stride. Points are in
-    row-major lattice order. Background (label 0) and invalid depth (<= 0)
-    cells are skipped. A cell at depth d goes to ((u - cx) d / fx,
-    (v - cy) d / fy, d) and then camera_to_world, with u - cx taken per
-    lattice column and v - cy per row, so no pixel coordinates are
-    gathered.
+    cells is the LatticeCells a depth source's grids returns; cals maps
+    its camera ids to calibrations. A cell at pixel (u, v) and depth d
+    goes to ((u - cx) d / fx, (v - cy) d / fy, d), one elementwise pass
+    over every camera's cells with each camera's intrinsics repeated
+    along its cells, and then camera_to_world, one product per camera
+    over exactly its rows, so a point keeps the bits of a back-projection
+    of its camera alone.
     """
-    lab = np.asarray(label_grid)
-    dep = np.asarray(depth_grid)
-    keep = (lab > 0) & (dep > 0)
-    d = dep[keep]
-    u = np.broadcast_to(np.arange(lab.shape[1]) * stride - cal.cx, lab.shape)[keep]
-    v = np.broadcast_to(np.arange(lab.shape[0])[:, None] * stride - cal.cy, lab.shape)[keep]
-    pc = np.stack([u * d / cal.fx, v * d / cal.fy, d], axis=1)
-    return LabeledPointCloud(cal.camera_to_world(pc), lab[keep].astype(int), cal.camera_id)
+    n = cells.counts
+    cams = [cals[cam_id] for cam_id in cells.cameras]
+    d = cells.depth
+    u = cells.us - np.repeat([cal.cx for cal in cams], n)
+    v = cells.vs - np.repeat([cal.cy for cal in cams], n)
+    u *= d
+    u /= np.repeat([cal.fx for cal in cams], n)
+    v *= d
+    v /= np.repeat([cal.fy for cal in cams], n)
+    pc = np.stack([u, v, d], axis=1)
+    labels = cells.labels.astype(int)
+    clouds, lo = [], 0
+    for cam_id, cal, count in zip(cells.cameras, cams, n):
+        hi = lo + count
+        clouds.append(LabeledPointCloud(cal.camera_to_world(pc[lo:hi]), labels[lo:hi], cam_id))
+        lo = hi
+    return clouds
 
 
 def fuse_clouds(clouds, voxel_size, label_table) -> SemanticCloud:

@@ -16,10 +16,12 @@ and gives each ray the bits of a cast of its camera's rays alone (see
 primitives). SceneDepthProvider
 answers every camera's patch centres of a frame in one call and one ray
 bundle, cut into chunks of at most DEPTH_CHUNK_RAYS rays that each keep
-the bits of a cast of their own, and map grids as the stride lattice
-only (none for a camera whose lattice sees no surface), both under one
-measurement rule and one cast, in which each box and rectangle surface
-is asked only about the pixels inside the image of its bounding box.
+the bits of a cast of their own, and the map in one call per frame with
+every camera's stride-lattice cells that see a surface, cast once; both
+draw the noise of all their cameras' pixels in one hash pass, under one
+measurement rule, and cast through one method, in which each box and
+rectangle surface is asked only about the pixels inside the image of its
+bounding box.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order. A
 hand blob is drawn on first use, so a process that asks for no hand
@@ -55,6 +57,7 @@ from .io import (
 )
 from .primitives import Box, Capsules, Rect, Sphere, cast_rays
 from .schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS, HandSchema
+from .semantic_map import LatticeCells, no_cells
 
 OCCLUSION_MARGIN = 0.05  # m, occluder must be this much nearer than the joint
 PARTIAL_MARGIN = 0.02    # m, near-miss band that only degrades confidence
@@ -95,30 +98,54 @@ def _u64(n):
     return np.uint64(int(n) % (1 << 64))
 
 
-def _splitmix64(x):
-    """SplitMix64's finalizer; uint64 arithmetic wraps modulo 2**64."""
+def _mix64(z):
+    """SplitMix64's finalizer, in place on the uint64 array z, which it
+    returns; uint64 arithmetic wraps modulo 2**64."""
+    shifted = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = np.uint64(x) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def _splitmix64(x):
+    """SplitMix64's finalizer of the uint64 scalar x."""
+    return _mix64(np.array(x, dtype=np.uint64))[()]
 
 
 def _hash_normals(seed, frame, cam_index, pixel_ids):
-    """Standard normals keyed by (seed, frame, camera, pixel), order-free."""
-    pixel_ids = np.asarray(pixel_ids, dtype=np.uint64)
+    """Standard normals keyed by (seed, frame, camera, pixel), order-free:
+    draw k is keyed by camera index cam_index[k] and pixel id
+    pixel_ids[k] (uint64). One pass over the draws of every camera, the
+    uint64 steps and the Box-Muller steps in place."""
+    cam_index = np.asarray(cam_index, dtype=np.intp)
+    if not len(cam_index):
+        return np.zeros(0)
     with np.errstate(over="ignore"):
-        base = _splitmix64(
-            _u64(seed) * np.uint64(0x100000001B3)
-            ^ _u64(frame) * np.uint64(0x1000193)
-            ^ np.uint64(cam_index + 1)
-        )
-        h1 = _splitmix64(pixel_ids ^ base)
-        h2 = _splitmix64(h1 ^ np.uint64(0xDEADBEEFCAFEF00D))
-    u1 = (h1 >> np.uint64(11)).astype(float) / float(1 << 53)
-    u2 = (h2 >> np.uint64(11)).astype(float) / float(1 << 53)
-    u1 = np.clip(u1, 1e-12, 1.0)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        key = _u64(seed) * np.uint64(0x100000001B3) ^ _u64(frame) * np.uint64(0x1000193)
+    cams = np.arange(1, cam_index.max() + 2, dtype=np.uint64)  # camera index + 1
+    h1 = _mix64(key ^ cams)[cam_index]
+    h1 ^= np.asarray(pixel_ids, dtype=np.uint64)
+    _mix64(h1)
+    h2 = _mix64(h1 ^ np.uint64(0xDEADBEEFCAFEF00D))
+    h1 >>= np.uint64(11)
+    h2 >>= np.uint64(11)
+    u1 = h1.astype(float)
+    u1 /= float(1 << 53)
+    np.clip(u1, 1e-12, 1.0, out=u1)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 = h2.astype(float)
+    u2 /= float(1 << 53)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 # -- camera construction ---------------------------------------------------
@@ -637,34 +664,48 @@ class SceneDepthProvider:
     """Lazy depth and label source backed by analytic ray casting.
 
     Depth noise is hashed per (seed, frame, camera, pixel) and quantized
-    to millimeters, matching the DEP1 file format bit for bit. A patch
+    to millimeters, matching the DEP1 file format bit for bit; each call
+    draws the noise of all its cameras' pixels in one hash pass. A patch
     call answers every patch every camera needs in a frame, in one cast
-    of chunks of at most DEPTH_CHUNK_RAYS rays; grids answer with the
-    stride lattice only, or None when it sees no surface. Both cast
-    through _cast, which hands each box and rectangle surface only the
-    pixels inside its rectangle from _pixel_boxes.
+    of chunks of at most DEPTH_CHUNK_RAYS rays; a grids call answers
+    with every camera's stride-lattice cells that see a surface, cast
+    once per stride. Both cast through _cast, which hands each box and
+    rectangle surface only the pixels inside its rectangle from
+    _pixel_boxes. The map's cameras are the given calibrated ones, or
+    every scene camera.
     """
 
-    def __init__(self, sim: Simulator):
+    def __init__(self, sim: Simulator, cameras=None):
         self.sim = sim
-        self._surface_cache = {}
+        self.cameras = sorted(sim.cals if cameras is None else cameras)
+        self._lattices = {}  # stride -> the lattice cells that see a surface
         self._boxes = {}  # camera id -> the surfaces' pixel rectangles
 
-    def _noise(self, frame, cam_id, us, vs):
-        sigma = self.sim.scene["depth_sigma"]
-        if sigma == 0.0:
-            return 0.0
-        cal = self.sim.cals[cam_id]
-        pixel_ids = np.asarray(vs, dtype=np.uint64) * np.uint64(cal.image_width) + np.asarray(
-            us, dtype=np.uint64
-        )
-        return sigma * _hash_normals(self.sim.seed, frame, self.sim.cam_index[cam_id], pixel_ids)
+    def _keys(self, pixels):
+        """The noise keys of pixels, a list of (camera_id, us, vs) of
+        int pixel coordinates: per pixel, in order, its camera's index and
+        its id v * width + u, as uint64."""
+        cams = np.repeat(np.array([self.sim.cam_index[cam_id] for cam_id, _, _ in pixels],
+                                  dtype=np.intp), [len(us) for _, us, _ in pixels])
+        ids = [np.asarray(vs, dtype=np.uint64) * np.uint64(self.sim.cals[cam_id].image_width)
+               + np.asarray(us, dtype=np.uint64) for cam_id, us, vs in pixels]
+        return cams, np.concatenate(ids) if ids else np.zeros(0, dtype=np.uint64)
 
-    def _measured(self, frame, cam_id, us, vs, depth):
-        """The depth a sensor reports at pixels (us, vs): hashed noise added
+    def _measured(self, frame, cams, pixel_ids, depth):
+        """The depth a sensor reports at the pixels of noise keys (cams,
+        pixel_ids), from _keys, at true depth depth: hashed noise added
         where depth > 0, then rounded to the millimetres of a DEP1 cell."""
-        noisy = depth + np.where(depth > 0, self._noise(frame, cam_id, us, vs), 0.0)
-        return np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+        sigma = self.sim.scene["depth_sigma"]
+        noise = 0.0
+        if sigma != 0.0:
+            noise = _hash_normals(self.sim.seed, frame, cams, pixel_ids)
+            noise *= sigma
+        noisy = depth + np.where(depth > 0, noise, 0.0)
+        np.clip(noisy, 0.0, 65.535, out=noisy)
+        noisy *= 1000.0
+        np.round(noisy, out=noisy)
+        noisy /= 1000.0
+        return noisy
 
     def _pixel_boxes(self, cam_id):
         """(S, 4) [u_lo, u_hi, v_lo, v_hi] per scene surface: the pixel
@@ -742,66 +783,77 @@ class SceneDepthProvider:
         camera_id] = (us, vs); 0 outside the image. Every camera's in-image
         patch pixels go into one cast, in chunks of at most
         DEPTH_CHUNK_RAYS rays, which bounds a chunk's (capsules, rays) cull
-        arrays. A ray's box and rectangle hits and the capsule hit formula
-        are elementwise, so they keep their bits in any bundle; the BLAS
-        products run chunk by chunk (see _cast), so a ray keeps the bits of
-        a cast of its chunk alone, whatever the other cameras ask. Their
-        bits can depend on the chunk's ray count n, and numpy takes another
-        path for a one-ray chunk, so a hit can differ in its last bits from
-        a cast of other chunks, which after the millimetre rounding moves a
-        patch depth only on an exact tie."""
+        arrays, and into one noise draw. A ray's box and rectangle hits and the
+        capsule hit formula are elementwise, so they keep their bits in any
+        bundle; the BLAS products run chunk by chunk (see _cast), so a ray
+        keeps the bits of a cast of its chunk alone, whatever the other
+        cameras ask. Their bits can depend on the chunk's ray count n, and
+        numpy takes another path for a one-ray chunk, so a hit can differ in
+        its last bits from a cast of other chunks, which after the
+        millimetre rounding moves a patch depth only on an exact tie."""
         r = size // 2
         off = np.arange(-r, r + 1)
-        pixels = []
+        pixels, inside = [], []
         for cam_id, (us, vs) in sorted(centres.items()):
             cal = self.sim.cals[cam_id]
             us = np.asarray(us, dtype=int)[:, None, None] + off[None, None, :]
             vs = np.asarray(vs, dtype=int)[:, None, None] + off[None, :, None]
             us, vs = np.broadcast_arrays(us, vs)
             ok = (us >= 0) & (us < cal.image_width) & (vs >= 0) & (vs < cal.image_height)
-            pixels.append((cam_id, us[ok], vs[ok], ok))
+            pixels.append((cam_id, us[ok], vs[ok]))
+            inside.append(ok)
         bodies = self.sim.frame_capsules(frame)[0]
-        d = self._cast([p[:3] for p in pixels], bodies, DEPTH_CHUNK_RAYS)[0]
+        d = self._cast(pixels, bodies, DEPTH_CHUNK_RAYS)[0]
+        d = self._measured(frame, *self._keys(pixels), d)
         out, lo = {}, 0
-        for cam_id, us, vs, ok in pixels:
+        for (cam_id, us, _), ok in zip(pixels, inside):
             depth = np.zeros(ok.shape)
-            depth[ok] = self._measured(frame, cam_id, us, vs, d[lo:lo + len(us)])
+            depth[ok] = d[lo:lo + len(us)]
             out[cam_id] = depth
             lo += len(us)
         return out
 
-    def grids(self, frame, cam_id, stride=4):
-        """(label, depth) on the stride lattice, pixel (v, u) = (i, j) *
-        stride, as (ceil(height / stride), ceil(width / stride)) arrays, or
-        None when no cell sees a surface (always, in a scene without one),
-        which adds nothing to a map.
-        Surfaces only, so the map is built from static geometry: the
-        lattice is cast once per (camera, stride), each surface over the
-        cells inside its pixel rectangle, and each frame draws noise for
-        the cells that see a surface only."""
+    def _lattice(self, stride):
+        """Every camera's stride-lattice cells that see a surface, cameras
+        in self.cameras order and each's cells in row-major order: (noise
+        keys, us, vs, depth, labels) per cell. Cast once per stride, camera
+        by camera, so that a cast holds one lattice's arrays at a time."""
+        if stride not in self._lattices:
+            pixels, depth, labels = [], [], []
+            for cam_id in self.cameras:
+                cal = self.sim.cals[cam_id]
+                vs, us = np.meshgrid(np.arange(0, cal.image_height, stride),
+                                     np.arange(0, cal.image_width, stride), indexing="ij")
+                d, lab = self._cast([(cam_id, us, vs)])
+                hit = lab > 0
+                pixels.append((cam_id, us.ravel()[hit], vs.ravel()[hit]))
+                depth.append(d[hit])
+                labels.append(lab[hit].astype(np.uint8))
+            us, vs = (np.concatenate([p[k] for p in pixels]) for k in (1, 2))
+            self._lattices[stride] = (*self._keys(pixels), us, vs,
+                                      np.concatenate(depth), np.concatenate(labels))
+        return self._lattices[stride]
+
+    def grids(self, frame, stride=4):
+        """The frame's LatticeCells: each camera's stride-lattice cells,
+        pixel (u, v) = (j, i) * stride, that see a surface and keep a
+        positive depth once measured. Surfaces only, so the map is built
+        from static geometry: the lattices are cast once per stride, each
+        surface over the cells inside its pixel rectangle, and each frame
+        draws the noise of every camera's cells in one pass. No cells, and
+        no cast, in a scene without surfaces."""
         if not self.sim.scene["surfaces"]:
-            return None
-        cal = self.sim.cals[cam_id]
-        key = (cam_id, stride)
-        if key not in self._surface_cache:
-            vs, us = np.meshgrid(
-                np.arange(0, cal.image_height, stride),
-                np.arange(0, cal.image_width, stride),
-                indexing="ij",
-            )
-            depth, labels = self._cast([(cam_id, us, vs)])
-            hit = (labels > 0).reshape(us.shape)
-            self._surface_cache[key] = (
-                hit, us[hit], vs[hit], depth.reshape(us.shape)[hit], labels.reshape(us.shape)[hit]
-            )
-        hit, us, vs, depth, labels = self._surface_cache[key]
-        if not len(labels):
-            return None
-        label_grid = np.zeros(hit.shape, dtype=np.uint8)
-        depth_grid = np.zeros(hit.shape)
-        label_grid[hit] = labels
-        depth_grid[hit] = self._measured(frame, cam_id, us, vs, depth)
-        return label_grid, depth_grid
+            return no_cells()
+        cams, ids, us, vs, depth, labels = self._lattice(stride)
+        depth = self._measured(frame, cams, ids, depth)
+        keep = depth > 0
+        if not keep.all():
+            cams, us, vs, depth, labels = cams[keep], us[keep], vs[keep], depth[keep], labels[keep]
+        # A camera's index is its rank in sorted id order, as in cameras.
+        counts = np.bincount(cams, minlength=len(self.sim.cals))
+        seen = [cam_id for cam_id in self.cameras if counts[self.sim.cam_index[cam_id]]]
+        return LatticeCells(seen, [int(counts[self.sim.cam_index[c]]) for c in seen],
+                            us, vs, labels, depth)
 
 
 def emit_dataset(scene_data, out_dir, seed=0):

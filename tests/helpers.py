@@ -48,12 +48,21 @@ from contacttrack.scenes import (
     induction_lite_noisy,
 )
 from contacttrack.schema import BONES, JOINT_COUNT, SIDE_JOINTS
-from contacttrack.semantic_map import INDEX_CELL, SemanticCloud, SurfaceHit, _CellIndex
+from contacttrack.semantic_map import (
+    INDEX_CELL,
+    LabeledPointCloud,
+    LatticeCells,
+    SemanticCloud,
+    SurfaceHit,
+    _CellIndex,
+    no_cells,
+)
 from contacttrack.simulator import (
     OCCLUSION_MARGIN,
     PARTIAL_MARGIN,
     Simulator,
     SurfaceDistances,
+    _u64,
     body_capsules,
 )
 
@@ -294,6 +303,132 @@ def camera_patch(provider, frame, cam_id, us, vs, size):
     """A depth source's (n, size, size) patches of one camera, centred on
     the n pixels (us[i], vs[i])."""
     return provider.patch(frame, {cam_id: (us, vs)}, size)[cam_id]
+
+
+# The per-camera map lattice, the path the frame pass replaced: one
+# camera's lattice cast alone, its noise hashed alone, scattered into full
+# lattice arrays and gathered back by the back-projection.
+
+def camera_hash_normals(seed, frame, cam_index, pixel_ids):
+    """Standard normals keyed by (seed, frame, camera, pixel) for the
+    pixels of one camera, each uint64 step on a fresh array."""
+    pixel_ids = np.asarray(pixel_ids, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        base = _splitmix64_np(
+            _u64(seed) * np.uint64(0x100000001B3)
+            ^ _u64(frame) * np.uint64(0x1000193)
+            ^ np.uint64(cam_index + 1)
+        )
+        h1 = _splitmix64_np(pixel_ids ^ base)
+        h2 = _splitmix64_np(h1 ^ np.uint64(0xDEADBEEFCAFEF00D))
+    u1 = (h1 >> np.uint64(11)).astype(float) / float(1 << 53)
+    u2 = (h2 >> np.uint64(11)).astype(float) / float(1 << 53)
+    u1 = np.clip(u1, 1e-12, 1.0)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _splitmix64_np(x):
+    """splitmix64 of a uint64 scalar or array, each step on a new value."""
+    with np.errstate(over="ignore"):
+        z = x + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def camera_measured(sim, frame, cam_id, us, vs, depth):
+    """One camera's measured depth at pixels (us, vs), hashed by
+    camera_hash_normals."""
+    sigma = sim.scene["depth_sigma"]
+    noise = 0.0
+    if sigma != 0.0:
+        pixel_ids = (np.asarray(vs, dtype=np.uint64) * np.uint64(sim.cals[cam_id].image_width)
+                     + np.asarray(us, dtype=np.uint64))
+        noise = sigma * camera_hash_normals(sim.seed, frame, sim.cam_index[cam_id], pixel_ids)
+    noisy = depth + np.where(depth > 0, noise, 0.0)
+    return np.round(np.clip(noisy, 0.0, 65.535) * 1000.0) / 1000.0
+
+
+def camera_grids(provider, frame, cam_id, stride=4):
+    """(label, depth) on one camera's stride lattice, pixel (v, u) = (i,
+    j) * stride, as (ceil(height / stride), ceil(width / stride)) arrays
+    of a SceneDepthProvider's scene, or None when no cell sees a surface:
+    the lattice cast alone and its hit cells measured by camera_measured."""
+    sim = provider.sim
+    cal = sim.cals[cam_id]
+    vs, us = np.meshgrid(np.arange(0, cal.image_height, stride),
+                         np.arange(0, cal.image_width, stride), indexing="ij")
+    depth, labels = provider._cast([(cam_id, us, vs)])
+    hit = (labels > 0).reshape(us.shape)
+    if not hit.any():
+        return None
+    label_grid = np.zeros(hit.shape, dtype=np.uint8)
+    depth_grid = np.zeros(hit.shape)
+    label_grid[hit] = labels.reshape(us.shape)[hit]
+    depth_grid[hit] = camera_measured(sim, frame, cam_id, us[hit], vs[hit],
+                                      depth.reshape(us.shape)[hit])
+    return label_grid, depth_grid
+
+
+def backproject_lattice(label_grid, depth_grid, cal: CameraCalibration, stride=4):
+    """One camera's stride lattice back-projected to a LabeledPointCloud:
+    the labeled cells with depth > 0 in row-major order, u - cx taken per
+    lattice column and v - cy per row."""
+    lab = np.asarray(label_grid)
+    dep = np.asarray(depth_grid)
+    keep = (lab > 0) & (dep > 0)
+    d = dep[keep]
+    u = np.broadcast_to(np.arange(lab.shape[1]) * stride - cal.cx, lab.shape)[keep]
+    v = np.broadcast_to(np.arange(lab.shape[0])[:, None] * stride - cal.cy, lab.shape)[keep]
+    pc = np.stack([u * d / cal.fx, v * d / cal.fy, d], axis=1)
+    return LabeledPointCloud(cal.camera_to_world(pc), lab[keep].astype(int), cal.camera_id)
+
+
+def per_camera_clouds(provider, cals, frame, stride=4):
+    """A frame's map input camera by camera: each calibrated camera's
+    camera_grids lattice, back-projected alone, for the cameras whose
+    lattice sees a surface."""
+    clouds = []
+    for cam_id in sorted(cals):
+        grids = camera_grids(provider, frame, cam_id, stride)
+        if grids is not None:
+            clouds.append(backproject_lattice(*grids, cals[cam_id], stride))
+    return clouds
+
+
+def cells_lattice(cells, cam_id, shape, stride=4):
+    """One camera's (label, depth) arrays of the given shape, zero but at
+    its cells of cells, a LatticeCells, scattered to lattice cell (v, u)
+    // stride; a shape of the full image and stride 1 gives full-resolution
+    grids."""
+    labels = np.zeros(shape, dtype=np.uint8)
+    depth = np.zeros(shape)
+    if cam_id in cells.cameras:
+        k = cells.cameras.index(cam_id)
+        lo = sum(cells.counts[:k])
+        rows = slice(lo, lo + cells.counts[k])
+        at = cells.vs[rows] // stride, cells.us[rows] // stride
+        labels[at] = cells.labels[rows]
+        depth[at] = cells.depth[rows]
+    return labels, depth
+
+
+def lattice_cells(lattices, stride=4):
+    """The LatticeCells of lattices, {camera_id: (label, depth) stride
+    lattice arrays}: each camera's cells with a label and depth > 0 in
+    row-major order, the cameras in sorted order."""
+    cameras, counts, parts = [], [], []
+    for cam_id in sorted(lattices):
+        lab, dep = map(np.asarray, lattices[cam_id])
+        keep = (lab > 0) & (dep > 0)
+        rows, cols = np.nonzero(keep)
+        if len(rows):
+            cameras.append(cam_id)
+            counts.append(len(rows))
+            parts.append((cols * stride, rows * stride, lab[keep].astype(np.uint8), dep[keep]))
+    if not cameras:
+        return no_cells()
+    return LatticeCells(cameras, counts, *(np.concatenate(p) for p in zip(*parts)))
 
 
 def grid_patch(self, frame, cam_id, u, v, size):

@@ -13,6 +13,7 @@ from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, mai
 from contacttrack.config import load_pipeline_config
 from contacttrack.io import read_calibration
 from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
+from contacttrack.simulator import emit_dataset
 
 from helpers import write_depth_grid, write_label_grid
 
@@ -504,6 +505,27 @@ class TestRunBadDepthInput:
         named = make(inp / "grids" / f"frame_000000_{cam}.lbl")
         assert self._run(tmp_path, ds, inp) == EXIT_INPUT
         assert f"input error: {named}: " in capsys.readouterr().err
+
+    def test_grids_of_half_the_image_size(self, tmp_path, capsys):
+        # A grids/ export at 320x240 for 640x480 cameras would map each
+        # lattice cell as the pixel at twice its coordinates.
+        ds = tmp_path / "ds"
+        emit_dataset(induction_lite(frame_count=3), str(ds), seed=0)
+        (ds / "scene.json").unlink()
+        (ds / "grids").mkdir()
+        cals = read_calibration(str(ds / "calibration.json"))
+        assert {(c.image_width, c.image_height) for c in cals.values()} == {(640, 480)}
+        for frame in range(3):
+            for cam_id in cals:
+                base = ds / "grids" / f"frame_{frame:06d}_{cam_id}"
+                write_label_grid(f"{base}.lbl", np.ones((240, 320)))
+                write_depth_grid(f"{base}.dep", np.full((240, 320), 2.0))
+        cam = sorted(cals)[0]
+        assert main(["run", "--calib", str(ds / "calibration.json"), "--in", str(ds),
+                     "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {ds / 'grids' / f'frame_000000_{cam}.lbl'}: "
+            f"grid is 320x240 but camera {cam} is 640x480\n")
 
     def test_label_table_line_without_name(self, tmp_path, mini_induction, capsys):
         ds = mini_induction["ds"]

@@ -33,7 +33,15 @@ from contacttrack.io import (
 )
 from contacttrack.schema import JOINT_COUNT
 
-from helpers import camera_patch, grid_patch, make_camera, write_depth_grid, write_label_grid
+from helpers import (
+    camera_patch,
+    cells_lattice,
+    grid_patch,
+    identity_camera,
+    make_camera,
+    write_depth_grid,
+    write_label_grid,
+)
 
 
 class TestCalibration:
@@ -434,11 +442,16 @@ class TestDepthGrid:
             read_depth_grid(path)
 
 
+def cameras(h, w, *ids):
+    """Calibrations of the cameras ids (camA by default), each h x w."""
+    return {c: identity_camera(c, cx=w / 2, cy=h / 2, w=w, h=h) for c in ids or ("camA",)}
+
+
 class TestGridDepthProvider:
     def test_patch_and_border_clip(self, tmp_path):
         grid = np.arange(48, dtype=float).reshape(6, 8) / 100.0
         write_depth_grid(tmp_path / "frame_000003_camA.dep", grid)
-        provider = GridDepthProvider(str(tmp_path))
+        provider = GridDepthProvider(str(tmp_path), cameras(6, 8))
         patch, corner = camera_patch(provider, 3, "camA", [4, 0], [3, 0], 5)
         expected = np.round(grid[1:6, 2:7] * 1000) / 1000
         assert np.allclose(patch, expected)
@@ -457,7 +470,7 @@ class TestGridDepthProvider:
         grid = np.where(rng.random((h, w)) < 0.2, 0.0, rng.uniform(0.5, 4.0, (h, w)))
         root = tmp_path_factory.mktemp("grids")
         write_depth_grid(root / "frame_000000_camA.dep", grid)
-        provider = GridDepthProvider(str(root))
+        provider = GridDepthProvider(str(root), cameras(h, w))
         coord = st.integers(-size - 1, max(h, w) + size)
         centres = data.draw(st.lists(st.tuples(coord, coord), max_size=12))
         us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
@@ -477,25 +490,64 @@ class TestGridDepthProvider:
     def test_grids_are_the_stride_lattice_of_the_files(self, tmp_path, stride):
         rng = np.random.default_rng(stride)
         labels = rng.integers(0, 4, size=(29, 37)).astype(np.uint8)
-        depth = rng.uniform(0.5, 4.0, size=(29, 37))
+        depth = np.where(rng.random((29, 37)) < 0.2, 0.0, rng.uniform(0.5, 4.0, size=(29, 37)))
         write_label_grid(tmp_path / "frame_000002_camA.lbl", labels)
         write_depth_grid(tmp_path / "frame_000002_camA.dep", depth)
-        got_labels, got_depth = GridDepthProvider(str(tmp_path)).grids(2, "camA", stride)
-        assert np.array_equal(got_labels, labels[::stride, ::stride])
-        assert np.array_equal(got_depth, read_depth_grid(tmp_path / "frame_000002_camA.dep")[::stride, ::stride])
+        cells = GridDepthProvider(str(tmp_path), cameras(29, 37)).grids(2, stride)
+        assert cells.cameras == ["camA"] and cells.counts == [len(cells)]
+        got_labels, got_depth = cells_lattice(cells, "camA", labels[::stride, ::stride].shape,
+                                              stride)
+        want_depth = read_depth_grid(tmp_path / "frame_000002_camA.dep")[::stride, ::stride]
+        kept = (labels[::stride, ::stride] > 0) & (want_depth > 0)
+        assert np.array_equal(got_labels, labels[::stride, ::stride] * kept)
+        assert np.array_equal(got_depth, want_depth * kept)
+
+    def test_cameras_in_calibration_order_without_label_files_left_out(self, tmp_path):
+        # camB has no label file this frame and camC's sees no label: the
+        # call lists camA and camD, each with its own cells.
+        for cam, label in (("camD", 2), ("camA", 1), ("camC", 0)):
+            write_label_grid(tmp_path / f"frame_000000_{cam}.lbl", np.full((4, 6), label))
+        for cam in ("camA", "camB", "camC", "camD"):
+            write_depth_grid(tmp_path / f"frame_000000_{cam}.dep", np.ones((4, 6)))
+        cells = GridDepthProvider(str(tmp_path), cameras(4, 6, "camD", "camC", "camB", "camA")
+                                  ).grids(0, 2)
+        assert cells.cameras == ["camA", "camD"] and cells.counts == [6, 6]
+        assert cells.labels.tolist() == [1] * 6 + [2] * 6
+        assert cells.us.tolist() == [0, 2, 4] * 4 and cells.vs.tolist() == [0] * 3 + [2] * 3 + \
+            [0] * 3 + [2] * 3
 
     def test_label_and_depth_shapes_must_match(self, tmp_path):
+        # Each file must be its camera's image size; the label file is
+        # checked first, once both are read.
         write_label_grid(tmp_path / "frame_000000_camA.lbl", np.ones((4, 4)))
         write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 5)))
-        with pytest.raises(InputFormatError, match=r"frame_000000_camA\.lbl: label grid is 4x4 "
-                                                   r"but depth grid .*frame_000000_camA\.dep is 5x4"):
-            GridDepthProvider(str(tmp_path)).grids(0, "camA")
+        with pytest.raises(InputFormatError, match=r"frame_000000_camA\.dep: grid is 5x4 but "
+                                                   r"camera camA is 4x4$"):
+            GridDepthProvider(str(tmp_path), cameras(4, 4)).grids(0)
+        with pytest.raises(InputFormatError, match=r"frame_000000_camA\.lbl: grid is 4x4 but "
+                                                   r"camera camA is 5x4$"):
+            GridDepthProvider(str(tmp_path), cameras(4, 5)).grids(0)
+
+    @pytest.mark.parametrize("path", ["map", "patch"])
+    def test_grid_of_another_size_than_its_camera(self, tmp_path, path):
+        # A half-size grid would map each lattice cell at twice its
+        # pixel coordinates; both the map and the patch path refuse it.
+        write_label_grid(tmp_path / "frame_000001_camA.lbl", np.ones((3, 4)))
+        write_depth_grid(tmp_path / "frame_000001_camA.dep", np.ones((3, 4)))
+        provider = GridDepthProvider(str(tmp_path), cameras(6, 8))
+        name = "lbl" if path == "map" else "dep"
+        with pytest.raises(InputFormatError, match=rf"frame_000001_camA\.{name}: grid is 4x3 but "
+                                                   r"camera camA is 8x6$"):
+            if path == "map":
+                provider.grids(1)
+            else:
+                camera_patch(provider, 1, "camA", [1], [1], 3)
 
     def test_interleaved_cameras_read_each_file_once(self, tmp_path, monkeypatch):
         reads = []
         monkeypatch.setattr(io, "read_depth_grid",
                             lambda path: reads.append(os.path.basename(path)) or np.ones((4, 4)))
-        provider = GridDepthProvider(str(tmp_path))
+        provider = GridDepthProvider(str(tmp_path), cameras(4, 4, "camA", "camB", "camC"))
         for frame in (0, 1):
             for _ in range(3):
                 for cam in ("camA", "camB", "camC"):
@@ -505,7 +557,7 @@ class TestGridDepthProvider:
     def test_new_frame_drops_the_old_grids(self, tmp_path):
         for frame in (0, 1):
             write_depth_grid(tmp_path / f"frame_{frame:06d}_camA.dep", np.ones((4, 4)))
-        provider = GridDepthProvider(str(tmp_path))
+        provider = GridDepthProvider(str(tmp_path), cameras(4, 4))
         camera_patch(provider, 0, "camA", [1], [1], 1)
         camera_patch(provider, 1, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
@@ -514,7 +566,7 @@ class TestGridDepthProvider:
 
     def test_cache_reuse(self, tmp_path):
         write_depth_grid(tmp_path / "frame_000000_camA.dep", np.ones((4, 4)))
-        provider = GridDepthProvider(str(tmp_path))
+        provider = GridDepthProvider(str(tmp_path), cameras(4, 4))
         camera_patch(provider, 0, "camA", [1], [1], 1)
         (tmp_path / "frame_000000_camA.dep").unlink()
         patch = camera_patch(provider, 0, "camA", [2], [2], 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from contacttrack import cli, io, pipeline, simulator
 from contacttrack.config import PipelineConfig
 from contacttrack.errors import InputFormatError
-from contacttrack.io import read_episodes, write_calibration
+from contacttrack.io import read_calibration, read_episodes, write_calibration
 from contacttrack.pipeline import (
     load_ground_truth,
     load_track_stream,
@@ -27,6 +27,7 @@ from contacttrack.schema import TEMPLATE_JOINTS
 from contacttrack.simulator import SceneDepthProvider, Simulator, emit_dataset
 
 from helpers import (
+    cells_lattice,
     make_camera,
     make_ring,
     project_many,
@@ -226,7 +227,8 @@ class TestInputOrder:
 def export_grids(scene, root):
     """A dataset twice: as simulated (scene.json), and with its map input
     exported to grids/ and scene.json removed. The provider's stride-4
-    lattice is scattered into full-resolution files, zero elsewhere."""
+    lattice cells are scattered into full-resolution files, zero
+    elsewhere."""
     scene_ds = root / "scene"
     sim = emit_dataset(scene, str(scene_ds), seed=0)
     grid_ds = root / "grids"
@@ -235,13 +237,10 @@ def export_grids(scene, root):
     (grid_ds / "grids").mkdir()
     provider = SceneDepthProvider(sim)
     for frame in range(scene["frame_count"]):
+        cells = provider.grids(frame, stride=4)
         for cam_id in sim.cals:
             cal = sim.cals[cam_id]
-            labels = np.zeros((cal.image_height, cal.image_width), dtype=np.uint8)
-            depth = np.zeros((cal.image_height, cal.image_width))
-            grids = provider.grids(frame, cam_id, stride=4)
-            if grids is not None:  # None: the lattice sees no surface
-                labels[::4, ::4], depth[::4, ::4] = grids
+            labels, depth = cells_lattice(cells, cam_id, (cal.image_height, cal.image_width), 1)
             base = grid_ds / "grids" / f"frame_{frame:06d}_{cam_id}"
             write_label_grid(f"{base}.lbl", labels)
             write_depth_grid(f"{base}.dep", depth)
@@ -297,18 +296,45 @@ class TestGridsInput:
         assert len(files) == 6 * 4
         assert reads == Counter(dict.fromkeys(files, 1))
 
+    def test_noisy_maps_equal_across_providers(self, tmp_path):
+        # The scene provider hashes depth noise every frame; the grids
+        # provider reads the exported, noisy lattice back. Both give every
+        # frame's fused map the same bytes.
+        scene_ds, grid_ds = export_grids(induction_lite_noisy(frame_count=6), tmp_path)
+        cals = read_calibration(os.path.join(grid_ds, "calibration.json"))
+        sim = pipeline._depth_source(scene_ds, cals, PipelineConfig()).sim
+        assert sim.scene["depth_sigma"] > 0
+        table = sim.scene["label_table"]
+        providers = [pipeline._depth_source(ds, cals, PipelineConfig())
+                     for ds in (scene_ds, grid_ds)]
+        assert [type(p) for p in providers] == [SceneDepthProvider, io.GridDepthProvider]
+        maps = []
+        for frame in range(6):
+            scene_map, grid_map = (
+                pipeline._build_cloud(p, cals, frame, PipelineConfig(), table, "table")
+                for p in providers)
+            assert len(scene_map) > 5000
+            assert scene_map.positions.tobytes() == grid_map.positions.tobytes()
+            assert scene_map.labels.tobytes() == grid_map.labels.tobytes()
+            maps.append(scene_map.positions.tobytes())
+        assert len(set(maps)) == 6  # each frame draws its own noise
+
 
 class TestEmptyMap:
     def test_surfaceless_scene_back_projects_nothing(self, tmp_path, monkeypatch):
-        # No camera's lattice sees a surface, so the per-frame map gets no
-        # cloud and nothing is back-projected; the bytes are those of a run
-        # that back-projects each camera's empty lattice.
+        # No camera's lattice sees a surface, so each frame's grids call
+        # gives no cells and nothing is back-projected; the bytes are those
+        # of a run that back-projects the empty cells.
         ds = tmp_path / "ds"
         emit_dataset(crossing_clean(frame_count=6), str(ds), seed=0)
         calls = []
         backproject = pipeline.backproject_labeled
         monkeypatch.setattr(pipeline, "backproject_labeled",
                             lambda *a, **kw: calls.append(a) or backproject(*a, **kw))
+        cells = []
+        grids = SceneDepthProvider.grids
+        monkeypatch.setattr(SceneDepthProvider, "grids",
+                            lambda *a, **kw: cells.append(grids(*a, **kw)) or cells[-1])
 
         def run(name):
             run_pipeline(str(ds / "calibration.json"), str(ds), str(tmp_path / name),
@@ -317,17 +343,16 @@ class TestEmptyMap:
 
         got = run("out")
         assert calls == []
-        grids = SceneDepthProvider.grids
+        assert len(cells) == 6 and all(len(c) == 0 and c.cameras == [] for c in cells)
 
-        def empty_lattices(self, frame, cam_id, stride=4):
-            cal = self.sim.cals[cam_id]
-            shape = (-(-cal.image_height // stride), -(-cal.image_width // stride))
-            lattice = grids(self, frame, cam_id, stride)
-            return (np.zeros(shape, dtype=np.uint8), np.zeros(shape)) if lattice is None else lattice
+        def unguarded(provider, cals, frame, cfg, label_table, table_path):
+            clouds = pipeline.backproject_labeled(provider.grids(frame, stride=cfg.stride), cals)
+            assert clouds == []
+            return pipeline.fuse_clouds(clouds, cfg.voxel_size, label_table)
 
-        monkeypatch.setattr(SceneDepthProvider, "grids", empty_lattices)
+        monkeypatch.setattr(pipeline, "_build_cloud", unguarded)
         assert run("empty") == got
-        assert len(calls) == 6 * 4  # frames x cameras
+        assert len(calls) == 6  # one per frame
 
 
 class TestStitchRewrite:

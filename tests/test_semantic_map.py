@@ -22,11 +22,14 @@ from contacttrack.simulator import SceneDepthProvider, Simulator
 
 from helpers import (
     LexsortCellIndex,
+    backproject_lattice,
     backproject_many,
     brute_force_nearest_per_label,
     identity_camera,
     kdtree_nearest,
     kdtree_nearest_per_label,
+    lattice_cells,
+    make_camera,
     reference_fuse_clouds,
     window,
     write_label_grid,
@@ -53,8 +56,9 @@ class TestBackprojectLabeled:
         cal = identity_camera()
         lab = np.zeros((480, 640), dtype=np.uint8)
         dep = np.full((480, 640), 2.0)
-        out = backproject_labeled(lab[::4, ::4], dep[::4, ::4], cal, stride=4)
-        assert len(out.positions) == 0
+        cells = lattice_cells({"cam0": (lab[::4, ::4], dep[::4, ::4])})
+        assert len(cells) == 0 and cells.cameras == []
+        assert backproject_labeled(cells, {"cam0": cal}) == []
 
     def test_single_pixel_matches_backproject(self):
         cal = identity_camera()
@@ -62,16 +66,19 @@ class TestBackprojectLabeled:
         dep = np.zeros((480, 640))
         lab[240, 320] = 2
         dep[240, 320] = 1.5
-        out = backproject_labeled(lab[::4, ::4], dep[::4, ::4], cal, stride=4)
+        [out] = backproject_labeled(lattice_cells({"cam0": (lab[::4, ::4], dep[::4, ::4])}),
+                                    {"cam0": cal})
         assert len(out.positions) == 1
         assert out.labels[0] == 2
+        assert out.source_camera == "cam0"
         assert np.allclose(out.positions[0], [0.0, 0.0, 1.5])
 
     def test_plane_stays_planar(self):
         cal = identity_camera()
         lab = np.full((480, 640), 1, dtype=np.uint8)
         dep = np.full((480, 640), 1.0)  # plane z=1 in camera frame
-        out = backproject_labeled(lab[::8, ::8], dep[::8, ::8], cal, stride=8)
+        [out] = backproject_labeled(lattice_cells({"cam0": (lab[::8, ::8], dep[::8, ::8])}, 8),
+                                    {"cam0": cal})
         assert np.all(np.abs(out.positions[:, 2] - 1.0) < 1e-6)
 
     @pytest.mark.parametrize("stride", [1, 3, 4, 7])
@@ -84,9 +91,36 @@ class TestBackprojectLabeled:
         us, vs = us.ravel(), vs.ravel()
         keep = (lab[vs, us] > 0) & (dep[vs, us] > 0)
         uv = np.stack([us[keep], vs[keep]], axis=1).astype(float)
-        out = backproject_labeled(lab[::stride, ::stride], dep[::stride, ::stride], cal, stride=stride)
+        [out] = backproject_labeled(
+            lattice_cells({"cam0": (lab[::stride, ::stride], dep[::stride, ::stride])}, stride),
+            {"cam0": cal})
         assert np.array_equal(out.positions, backproject_many(uv, dep[vs, us][keep], cal))
         assert np.array_equal(out.labels, lab[vs, us][keep].astype(int))
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_cameras_in_one_call_equal_each_alone(self, stride):
+        # The elementwise steps run over every camera's cells at once and
+        # camera_to_world once per camera, so each camera's points keep
+        # the bits of its own lattice back-projected alone; a camera whose
+        # lattice has no cell gets no cloud.
+        rng = np.random.default_rng(stride)
+        cals, lattices = {}, {}
+        for k, cam_id in enumerate(("camA", "camB", "camC", "camD")):
+            position = rng.uniform(-3.0, 3.0, 3)
+            cals[cam_id] = make_camera(cam_id, position, position + rng.uniform(-1, 1, 3),
+                                       fx=500.0 + 40 * k, fy=510.0 - 30 * k, w=41 + k, h=33 - k)
+            shape = (-(-(33 - k) // stride), -(-(41 + k) // stride))
+            lab = rng.integers(0, 4, size=shape).astype(np.uint8) * (cam_id != "camC")
+            dep = np.where(rng.random(shape) < 0.2, 0.0, rng.uniform(0.5, 4.0, shape))
+            lattices[cam_id] = lab, dep
+        clouds = backproject_labeled(lattice_cells(lattices, stride), cals)
+        assert [c.source_camera for c in clouds] == ["camA", "camB", "camD"]
+        for cloud in clouds:
+            want = backproject_lattice(*lattices[cloud.source_camera],
+                                       cals[cloud.source_camera], stride)
+            assert cloud.positions.tobytes() == want.positions.tobytes()
+            assert np.array_equal(cloud.labels, want.labels)
+            assert cloud.labels.dtype == want.labels.dtype
 
 
 class TestFuseClouds:

@@ -14,6 +14,7 @@ from contacttrack.io import read_tracks, read_visibility
 from contacttrack.primitives import Box, Rect, Sphere
 from contacttrack.schema import BONE_LENGTH, JOINT_COUNT, SIDE_JOINTS, TEMPLATE_JOINTS
 from contacttrack import simulator
+from contacttrack.semantic_map import backproject_labeled
 from contacttrack.scenes import (
     builtin_scene,
     crossing_clean,
@@ -37,7 +38,10 @@ from helpers import (
     per_person_sightings,
     per_point_nearest_per_label,
     project,
+    cells_lattice,
+    per_camera_clouds,
     reference_cast_rays,
+    reference_measured,
     scene_grids,
     scene_patch,
     tree_bytes,
@@ -225,6 +229,25 @@ class TestDepthProvider:
         assert got["cam0"].any() and not got["cam3"].any()
         assert SceneDepthProvider(sim).patch(2, {}, 5) == {}
 
+    def test_multi_camera_call_equals_single_centre_oracle(self):
+        # Every camera's patch pixels get their noise in one hash pass,
+        # and each patch keeps the bits of the reference cast and hash of
+        # its centre alone.
+        sim = Simulator(induction_lite(3) | {"noise": {"depth_sigma": 0.01}}, seed=11)
+        rng = np.random.default_rng(1)
+        centres = {}
+        for cam_id in ("cam0", "cam1", "cam2", "cam3"):
+            pelvis = [np.round(project(joints[19], sim.cals[cam_id])).astype(int)
+                      for joints in sim.frame_state(1).values()]
+            extra = rng.integers(-3, 640, size=(3, 2))
+            centres[cam_id] = tuple(np.array([p[k] for p in pelvis] + list(extra[:, k]))
+                                    for k in (0, 1))
+        got = SceneDepthProvider(sim).patch(1, centres, 5)
+        for cam_id, (us, vs) in centres.items():
+            want = [scene_patch(sim, 1, cam_id, u, v, 5) for u, v in zip(us, vs)]
+            assert got[cam_id].tobytes() == np.array(want).tobytes()
+        assert all(got[cam_id].any() for cam_id in centres)
+
     @staticmethod
     def centres(width, height):
         """Pixel coordinates on, across and outside an image's border."""
@@ -275,19 +298,21 @@ class TestDepthProvider:
         for cam in scene["cameras"]:
             cam.update(width=width, height=height, cx=width / 2, cy=height / 2, fx=90.0, fy=90.0)
         sim = Simulator(scene, seed=1)
-        for cam_id in sim.cals:
-            for frame in (0, 1):
-                labels, depth = SceneDepthProvider(sim).grids(frame, cam_id, stride)
+        shape = (-(-height // stride), -(-width // stride))
+        for frame in (0, 1):
+            cells = SceneDepthProvider(sim).grids(frame, stride)
+            assert cells.cameras == sorted(sim.cals)
+            assert sum(cells.counts) == len(cells) and min(cells.counts) > 0
+            assert cells.labels.dtype == np.uint8 and (cells.labels > 0).all()
+            assert (cells.depth > 0).all()
+            for cam_id in sim.cals:
+                labels, depth = cells_lattice(cells, cam_id, shape, stride)
                 full_labels, full_depth = scene_grids(sim, frame, cam_id, stride)
-                assert labels.shape == (-(-height // stride), -(-width // stride))
-                assert labels.dtype == full_labels.dtype
-                assert np.array_equal(labels, full_labels[::stride, ::stride])
-                assert np.array_equal(depth, full_depth[::stride, ::stride])
-        assert (labels > 0).any() and (depth > 0).any()
+                want_depth = full_depth[::stride, ::stride]
+                assert np.array_equal(labels, full_labels[::stride, ::stride] * (want_depth > 0))
+                assert depth.tobytes() == want_depth.tobytes()
 
     def test_grids_consistent_with_backprojection(self):
-        from contacttrack.semantic_map import backproject_labeled
-
         scene = tiny_scene()
         scene["persons"] = []
         scene["surfaces"] = [
@@ -296,11 +321,63 @@ class TestDepthProvider:
         ]
         sim = Simulator(scene, seed=0)
         provider = SceneDepthProvider(sim)
-        labels, depths = provider.grids(0, "cam0", stride=4)
-        cloud = backproject_labeled(labels, depths, sim.cals["cam0"], stride=4)
-        assert len(cloud.positions) > 50
+        clouds = backproject_labeled(provider.grids(0, stride=4), sim.cals)
+        assert [c.source_camera for c in clouds] == sorted(sim.cals)
         box = Box([3.0, 3.0, 0.0], [4.0, 4.0, 1.0])
-        assert (box.distances(cloud.positions[::10]) < 0.01).all()
+        for cloud in clouds:
+            assert len(cloud.positions) > 50
+            assert (box.distances(cloud.positions[::10]) < 0.01).all()
+
+    @pytest.mark.parametrize("cameras", [None, ["cam3", "cam1"]], ids=["all", "two"])
+    def test_frame_pass_equals_per_camera_oracle(self, cameras):
+        # One cast, one noise draw and one back-projection per frame give
+        # every camera's points the bits of its lattice cast, hashed and
+        # back-projected alone, on noisy frames.
+        sim = Simulator(window(induction_lite_noisy(), 60, 4), seed=3)
+        assert sim.scene["depth_sigma"] > 0
+        provider = SceneDepthProvider(sim, cameras)
+        cals = {c: sim.cals[c] for c in provider.cameras}
+        for frame in range(4):
+            got = backproject_labeled(provider.grids(frame, stride=4), cals)
+            want = per_camera_clouds(provider, cals, frame)
+            assert [c.source_camera for c in got] == sorted(cals)
+            assert [c.source_camera for c in want] == sorted(cals)
+            for g, w in zip(got, want):
+                assert g.positions.tobytes() == w.positions.tobytes()
+                assert g.labels.tobytes() == w.labels.tobytes()
+
+    def test_surfaceless_scene_gives_no_cells_and_casts_nothing(self, monkeypatch):
+        sim = Simulator(tiny_scene(2, depth_sigma=0.01), seed=0)
+        assert not sim.scene["surfaces"]
+        casts = []
+        monkeypatch.setattr(simulator, "cast_rays", lambda *a, **kw: casts.append(a))
+        cells = SceneDepthProvider(sim).grids(1)
+        assert len(cells) == 0 and cells.cameras == [] and cells.counts == []
+        assert casts == []
+
+    def test_frame_wide_noise_equals_reference(self):
+        # One hash pass over several cameras' pixels, at a seed and a
+        # frame past 2**64 (both enter the hash modulo 2**64), gives each
+        # pixel the Python-integer reference's bits.
+        scene = induction_lite(1) | {"noise": {"depth_sigma": 0.02}}
+        sim = Simulator(scene, seed=2**64 + 7)
+        provider = SceneDepthProvider(sim)
+        rng = np.random.default_rng(0)
+        frame = 2**64 + 3
+        pixels, depths = [], []
+        for cam_id in ("cam2", "cam0", "cam3"):
+            cal = sim.cals[cam_id]
+            us = rng.integers(0, cal.image_width, 40)
+            vs = rng.integers(0, cal.image_height, 40)
+            pixels.append((cam_id, us, vs))
+            depths.append(np.where(rng.random(40) < 0.2, 0.0, rng.uniform(0.5, 6.0, 40)))
+        depth = np.concatenate(depths)
+        got = provider._measured(frame, *provider._keys(pixels), depth)
+        want = np.concatenate([reference_measured(sim, frame, cam_id, us, vs, d)
+                               for (cam_id, us, vs), d in zip(pixels, depths)])
+        assert got.tobytes() == want.tobytes()
+        noisy = got != np.round(depth * 1000.0) / 1000.0
+        assert noisy[depth > 0].mean() > 0.9 and not noisy[depth == 0].any()
 
 
 # Where a surface lies from the camera: its centre's depth range (m) and
@@ -379,13 +456,11 @@ class TestSurfaceCull:
             mp.setattr(simulator, "cast_rays", recorded)
             for stride in (1, 4):
                 want_labels, want_depth = scene_grids(sim, 0, "cam0", stride)
-                grids = provider.grids(0, "cam0", stride)
-                if grids is None:  # no lattice cell sees a surface
-                    assert not want_labels.any()
-                    continue
-                labels, depth = grids
-                assert np.array_equal(labels, want_labels[::stride, ::stride])
-                assert depth.tobytes() == want_depth[::stride, ::stride].tobytes()
+                cells = provider.grids(0, stride)
+                assert cells.cameras == (["cam0"] if (want_depth > 0).any() else [])
+                labels, depth = cells_lattice(cells, "cam0", want_labels.shape, stride=1)
+                assert np.array_equal(labels, want_labels * (want_depth > 0))
+                assert depth.tobytes() == want_depth.tobytes()
             lattice = handed[0]  # stride 1: every pixel
             centres = data.draw(TestDepthProvider.centres(self.W, self.H))
             us, vs = np.array(centres, dtype=int).reshape(-1, 2).T
