@@ -682,9 +682,6 @@ class GridDepthProvider:
             cols = np.asarray(us, dtype=int)[:, None] + off
             inside = (((rows >= 0) & (rows < h))[:, :, None]
                       & ((cols >= 0) & (cols < w))[:, None, :])
-            if not grid.size:
-                out[cam_id] = np.zeros(inside.shape)
-                continue
             window = grid[np.clip(rows, 0, h - 1)[:, :, None], np.clip(cols, 0, w - 1)[:, None, :]]
             out[cam_id] = np.where(inside, window, 0.0)
         return out

@@ -305,9 +305,9 @@ def camera_patch(provider, frame, cam_id, us, vs, size):
     return provider.patch(frame, {cam_id: (us, vs)}, size)[cam_id]
 
 
-# The per-camera map lattice, the path the frame pass replaced: one
-# camera's lattice cast alone, its noise hashed alone, scattered into full
-# lattice arrays and gathered back by the back-projection.
+# The per-camera map lattice, the bit-equality oracle of the frame pass:
+# one camera's lattice cast alone, its noise hashed alone, scattered into
+# full lattice arrays and gathered back by the back-projection.
 
 def camera_hash_normals(seed, frame, cam_index, pixel_ids):
     """Standard normals keyed by (seed, frame, camera, pixel) for the
