@@ -9,6 +9,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+# Widest depth patch: over twelve times the default 5 px. At fx 600 and
+# 2 m it spans 0.21 m, more than the surface around any one joint, and
+# each patch request holds MAX_PATCH_W**2 depths (31 KiB).
+MAX_PATCH_W = 63
+
 
 @dataclass
 class TrackerConfig:
@@ -44,8 +49,10 @@ class TrackerConfig:
             raise ConfigError(f"{prefix}decay_lambda must be in (0, 1)")
         if self.v_min < 2:
             raise ConfigError(f"{prefix}v_min must be >= 2")
-        if self.patch_w < 1 or self.patch_w % 2 == 0:
-            raise ConfigError(f"{prefix}patch_w must be a positive odd size")
+        if not 1 <= self.patch_w <= MAX_PATCH_W or self.patch_w % 2 == 0:
+            raise ConfigError(f"{prefix}patch_w must be a positive odd size <= {MAX_PATCH_W}")
+        if self.max_inactive_frames < 0:
+            raise ConfigError(f"{prefix}max_inactive_frames must be >= 0")
         if self.min_birth_joints < 1:
             raise ConfigError(f"{prefix}min_birth_joints must be >= 1")
 
@@ -65,6 +72,8 @@ class FusionConfig:
         for name in ("dbscan_eps", "tau_assoc", "v_max", "fps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{prefix}{name} must be positive")
+        if self.hand_gap_frames < 0:
+            raise ConfigError(f"{prefix}hand_gap_frames must be >= 0")
 
 
 @dataclass

@@ -5,11 +5,13 @@ JSON files (calibration.json, scene.json or a --scene file,
 hand_schema.json, run_meta.json, gt/meta.json, report.json) are read by
 read_json and written, indented, by write_json. JSON-lines streams
 (detections, tracks, hand tracks, ground-truth visibility, distance
-traces) are written one compact record per line by _line, into a file
-the caller holds open: a line writer per stream writes one record, and
-write_traces, the one rows writer, the distance rows of one contact
-update. All but hand tracks are read by _records, which hands each
-record to the stream's parse function. It, the episode reader and the
+traces) are written one compact record per line, into a file the caller
+holds open: the track, hand track and visibility line writers write one
+record by _line, write_traces the distance rows of one contact update,
+and write_detections, into a binary file, all detection records of one
+frame, their numbers as text from one array pass (_rows_text), byte for
+byte what _line would write. All but hand tracks are read by _records,
+which hands each record to the stream's parse function. It, the episode reader and the
 label table reader take their lines from _lines, the one UTF-8 line
 reader. Five field readers hold the rule for the typed fields of every
 JSON input, the scene and the hand schema included: json_int (a JSON
@@ -30,7 +32,7 @@ import json
 import math
 import os
 import re
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -62,20 +64,99 @@ def _round(x, nd=6):
     return round(float(x), nd)
 
 
-def _rounded(x):
-    """round(float(v), 6) of every element of array-like x, as nested
-    lists of floats. rint(x * 1e6) / 1e6 is exact wherever the scaled
-    value is not within 1e-3 of a half (its rounding error is below
-    1.2e-4 when |x * 1e6| < 2**40, and the division is correctly
-    rounded); near-halves, large values, NaN and inf use round itself."""
-    x = np.asarray(x, dtype=float)
+def _float_text(v):
+    """Float v as json.dumps writes it: repr, or NaN, Infinity or -Infinity."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _scaled(x):
+    """(rint(x * 1e6), exact) of float array x. exact marks where
+    rint(x * 1e6) / 1e6 is sure to be round(v, 6): where the scaled value
+    is not within 1e-3 of a half (its rounding error is below 1.2e-4 when
+    |x * 1e6| < 2**40, and the division is correctly rounded). Near
+    halves, large values, NaN and inf need round itself."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = x * 1e6
-        out = np.rint(y) / 1e6
         exact = (np.abs(y) < 2.0**40) & (np.abs(np.abs(y - np.trunc(y)) - 0.5) > 1e-3)
+        return np.rint(y), exact
+
+
+def _rounded(x):
+    """round(float(v), 6) of every element of array-like x, as nested
+    lists of floats, under _scaled's rule."""
+    x = np.asarray(x, dtype=float)
+    k, exact = _scaled(x)
+    out = k / 1e6
     if not exact.all():
         out[~exact] = [_round(v) for v in x[~exact]]
     return out.tolist()
+
+
+# Columns of a number's text in _rows_text: the "[" or "," before it, its
+# sign, the 7 integer and 6 fraction digits of |k| < 10**13 about the
+# point, and the "]," after the last number of a row. A 0 leaves the
+# column out of the text.
+_WIDTH = 18
+
+
+def _rows_text(x):
+    """(text, offsets) of the rows of (R, C) float array x, C >= 1: the
+    ASCII bytes of each row as "[a,b,c],", with every number round(v, 6)
+    in the text json.dumps gives it, and row r is text[offsets[r]:offsets[
+    r + 1]].
+
+    Where _scaled's k = rint(v * 1e6) is exact and |k| < 2**40, k / 1e6 is
+    the double nearest the decimal k * 1e-6, and any two 6-decimal values
+    differ by far more than an ulp, so repr's shortest text is that
+    decimal: an optional "-" (the sign bit, so -0.0 keeps it), |k| //
+    10**6, ".", and the 6 fraction digits without their trailing zeros,
+    keeping one. Those texts are written into one char matrix, a column
+    of every number at a time, and gathered by dropping its 0s. The rest
+    are spliced in as json.dumps writes them: _scaled's inexact numbers,
+    NaN and inf among them, and 0 < |k| < 100, which repr writes as 1e-05
+    and the like."""
+    x = np.asarray(x, dtype=float)
+    R, C = x.shape
+    flat = x.ravel()
+    k, exact = _scaled(flat)
+    q = np.abs(np.where(exact, k, 0.0)).astype(np.int64)
+    splice = ~exact | ((q > 0) & (q < 100))
+    neg = np.signbit(k) & ~splice
+    cols = np.zeros((_WIDTH, len(flat)), np.uint8)
+    # 13 passes of one digit each, over the fraction and the integer part
+    # (below 2**21) of q.
+    for rest, digits in ((q % 10**6, range(15, 9, -1)), (q // 10**6, range(8, 1, -1))):
+        rest = rest.astype(np.int32)
+        for p in digits:
+            below = rest // 10
+            cols[p] = rest - 10 * below
+            rest = below
+    length = 4 + neg  # the lead, units digit, point and first fraction digit, and the sign
+    # Zeros before the units digit, and after the first fraction digit, are left out.
+    for digits in (range(2, 8), range(15, 10, -1)):
+        kept = np.zeros(len(flat), bool)
+        for p in digits:
+            kept |= cols[p] != 0
+            cols[p] += ord("0")
+            cols[p] *= kept
+            length += kept
+    cols[[8, 10]] += ord("0")
+    cols[9], cols[1] = ord("."), neg * ord("-")
+    lead, close, comma = (cols[p].reshape(R, C) for p in (0, 16, 17))
+    lead[:], lead[:, 0], close[:, -1], comma[:, -1] = ord(","), ord("["), ord("]"), ord(",")
+    words = []
+    if splice.any():
+        words = [_float_text(v).encode() for v in _rounded(flat[splice])]
+        cols[1:16, splice] = 0
+        cols[1, splice] = 1  # where the word goes
+        length[splice] = [1 + len(w) for w in words]
+    length.reshape(R, C)[:, -1] += 2
+    text = cols.T.tobytes().translate(None, b"\0")
+    if words:
+        text = b"".join(chain.from_iterable(zip(text.split(b"\1"), [*words, b""])))
+    offsets = np.zeros(R + 1, np.int64)
+    np.cumsum(length.reshape(R, C).sum(axis=1), out=offsets[1:])
+    return text, offsets
 
 
 # -- field readers ---------------------------------------------------------
@@ -280,25 +361,26 @@ def read_hand_schema(path):
 
 # -- detection stream ------------------------------------------------------
 
-def write_detection_line(f, frame, camera_id, persons, hands):
-    """persons: list of (26, 3) arrays; hands: list of HandInstance. The
-    joint and vertex rows of the record are rounded in one pass."""
-    blocks = [*persons, *(h.vertices for h in hands)]
-    rows = iter(_rounded(np.concatenate(blocks)) if blocks else [])
-    cut = [list(islice(rows, len(b))) for b in blocks]
-    f.write(_line({
-        "frame": int(frame),
-        "camera_id": camera_id,
-        "persons": [{"joints": joints} for joints in cut[:len(persons)]],
-        "hands": [
-            {
-                "side": h.side,
-                "sigma_fit": _round(h.sigma_fit),
-                "vertices": vertices,
-            }
-            for h, vertices in zip(hands, cut[len(persons):])
-        ],
-    }))
+def write_detections(f, records):
+    """Write one line per detection record of a frame into binary file f,
+    each the ASCII bytes of what _line writes. records: (frame,
+    camera_id, persons, hands) tuples as render_frame gives them, persons
+    (26, 3) arrays and hands HandInstances. Every joint and vertex row of
+    the frame is rounded and written by one _rows_text call, and each
+    person's and hand's array is cut out of its text by row offsets."""
+    blocks = [b for _, _, persons, hands in records
+              for b in (*persons, *(h.vertices for h in hands))]
+    text, offsets = _rows_text(np.concatenate(blocks)) if blocks else (b"", np.zeros(1, int))
+    ends = offsets[np.cumsum([0, *map(len, blocks)])].tolist()
+    # A block's rows without the last one's trailing comma.
+    arrays = iter(b"[%b]" % text[a:b - 1] if b > a else b"[]" for a, b in zip(ends[:-1], ends[1:]))
+    for frame, camera_id, persons, hands in records:
+        joints = b",".join(b'{"joints":%b}' % next(arrays) for _ in persons)
+        vertices = b",".join(b'{"side":%b,"sigma_fit":%b,"vertices":%b}' % (
+            json.dumps(h.side).encode(), _float_text(_round(h.sigma_fit)).encode(), next(arrays))
+            for h in hands)
+        f.write(b'{"frame":%d,"camera_id":%b,"persons":[%b],"hands":[%b]}\n' % (
+            int(frame), json.dumps(camera_id).encode(), joints, vertices))
 
 
 def read_detections(path, cameras, hand_vertex_count):

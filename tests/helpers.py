@@ -6,7 +6,7 @@ import math
 import os
 from collections import deque
 from dataclasses import replace
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,7 +29,7 @@ from contacttrack.hand_fusion import (
     _HandTrack,
     select_representative,
 )
-from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC
+from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC, _line, _round, _rounded
 from contacttrack.geometry import (
     _min_cost_matching,
     CameraCalibration,
@@ -180,6 +180,29 @@ def project(point, cal: CameraCalibration):
     if pc[2] <= 1e-6:
         raise BehindCamera(f"camera-frame z={pc[2]:.3g} <= 1e-6")
     return np.array([cal.fx * pc[0] / pc[2] + cal.cx, cal.fy * pc[1] / pc[2] + cal.cy])
+
+
+def write_detection_line(f, frame, camera_id, persons, hands):
+    """One detection record as json.dumps writes it: the per-record oracle
+    of io.write_detections. persons: list of (26, 3) arrays; hands: list
+    of HandInstance. The joint and vertex rows of the record are rounded
+    in one pass."""
+    blocks = [*persons, *(h.vertices for h in hands)]
+    rows = iter(_rounded(np.concatenate(blocks)) if blocks else [])
+    cut = [list(islice(rows, len(b))) for b in blocks]
+    f.write(_line({
+        "frame": int(frame),
+        "camera_id": camera_id,
+        "persons": [{"joints": joints} for joints in cut[:len(persons)]],
+        "hands": [
+            {
+                "side": h.side,
+                "sigma_fit": _round(h.sigma_fit),
+                "vertices": vertices,
+            }
+            for h, vertices in zip(hands, cut[len(persons):])
+        ],
+    }))
 
 
 def write_depth_grid(path, depth_m):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from contacttrack.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, build_parser, main
-from contacttrack.config import load_pipeline_config
+from contacttrack.config import MAX_PATCH_W, load_pipeline_config
 from contacttrack.io import read_calibration
 from contacttrack.scenes import crossing_clean, induction_lite, induction_lite_noisy
 from contacttrack.simulator import emit_dataset
@@ -226,10 +226,20 @@ class TestRun:
         ('{"fusion": {"v_max": 0}}', "fusion.v_max must be positive"),
         ('{"contact": {"tau_on": 0.2}}', "contact.tau_off > contact.tau_on > 0 must hold"),
         ('{"tracker": {"bone_beta": 0.9}}', "tracker.bone_alpha < 1 < tracker.bone_beta must hold"),
+        # A patch this wide ended in a traceback from the patch array's allocation.
+        ('{"tracker": {"patch_w": 99999999999}}',
+         f"tracker.patch_w must be a positive odd size <= {MAX_PATCH_W}"),
+        (f'{{"tracker": {{"patch_w": {MAX_PATCH_W + 2}}}}}',
+         f"tracker.patch_w must be a positive odd size <= {MAX_PATCH_W}"),
+        # Negative gap limits were taken without a word: a hand_gap_frames
+        # of -1 gave 0 episodes.
+        ('{"fusion": {"hand_gap_frames": -1}}', "fusion.hand_gap_frames must be >= 0"),
+        ('{"tracker": {"max_inactive_frames": -1}}', "tracker.max_inactive_frames must be >= 0"),
     ], ids=["voxel-size-negative", "stride-zero", "voxel-size-beyond-float",
             "fusion-fps-beyond-float", "eps-tri-beyond-float", "stride-beyond-int64",
             "stride-just-beyond-int64", "fusion-v-max-zero", "contact-tau-on-above-off",
-            "tracker-bone-beta-below-one"])
+            "tracker-bone-beta-below-one", "tracker-patch-w-huge", "tracker-patch-w-above-max",
+            "fusion-hand-gap-negative", "tracker-max-inactive-negative"])
     def test_bad_config_exit_code(self, tmp_path, mini_induction, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
@@ -238,6 +248,7 @@ class TestRun:
                      "--in", ds, "--out", str(tmp_path / "out"),
                      "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: config {cfg}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_min_birth_joints_below_one_exit_code(self, tmp_path, mini_induction, capsys):
         # A track must always hold an available joint, and births are

@@ -3,6 +3,7 @@ import math
 import os
 from dataclasses import asdict
 from functools import partial
+from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from contacttrack import io
 from contacttrack.contact import ContactEpisode
 from contacttrack.errors import InputFormatError
-from contacttrack.hand_fusion import HandInstance
+from contacttrack.hand_fusion import SIDES, HandInstance
 from contacttrack.io import (
     EPISODE_HEADER,
     GridDepthProvider,
@@ -25,7 +26,7 @@ from contacttrack.io import (
     read_traces,
     read_visibility,
     write_calibration,
-    write_detection_line,
+    write_detections,
     write_episodes,
     write_track_line,
     write_traces,
@@ -40,6 +41,7 @@ from helpers import (
     identity_camera,
     make_camera,
     write_depth_grid,
+    write_detection_line,
     write_label_grid,
 )
 
@@ -106,9 +108,9 @@ class TestDetections:
             )
         ]
         path = tmp_path / "det.jsonl"
-        with open(path, "w") as f:
-            write_detection_line(f, 0, "a", persons, hands)
-            write_detection_line(f, 1, "a", [], [])
+        with open(path, "wb") as f:
+            write_detections(f, [(0, "a", persons, hands)])
+            write_detections(f, [(1, "a", [], [])])
         recs = list(read_detections(path, {"a"}, 13))
         assert len(recs) == 2
         frame, cam, ps, hs = recs[0]
@@ -177,6 +179,52 @@ class TestRounding:
     ), min_size=1, max_size=30))
     def test_matches_round(self, xs):
         assert [repr(v) for v in io._rounded(xs)] == [repr(round(x, 6)) for x in xs]
+
+
+# Numbers the frame writer must write as json.dumps does: the hard values
+# of rounding, decimal halves, 0 < |k| < 100 where repr switches to the
+# e-05 form, signed zeros, subnormals and non-finite values, and values
+# about 2**40 / 1e6, where _scaled's exact rule ends.
+DETECTION_NUMBERS = st.one_of(
+    st.sampled_from(TestRounding.HARD),
+    st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(-99, 99).map(lambda k: k / 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(2**40 - 10**4, 2**40 + 10**4).map(lambda k: k / 1e6),
+    st.floats(2**40 / 1e6 - 1e-3, 2**40 / 1e6 + 1e-3).map(lambda v: -v),
+    st.floats(-1e4, 1e4),
+)
+
+
+@st.composite
+def detection_frames(draw):
+    """A frame's detection records: up to three cameras, each with up to
+    two persons and two hands of up to five vertices, so that persons
+    and hands, and whole records, are empty too."""
+    def rows(n):
+        return np.reshape(draw(st.lists(DETECTION_NUMBERS, min_size=3 * n, max_size=3 * n)),
+                          (n, 3))
+    records = []
+    for cam_id in draw(st.lists(st.sampled_from(["cam0", "cam1", "cam2"]), max_size=3, unique=True)):
+        persons = [rows(JOINT_COUNT) for _ in range(draw(st.integers(0, 2)))]
+        hands = [HandInstance(camera_id=cam_id, side=draw(st.sampled_from(SIDES)),
+                              sigma_fit=draw(DETECTION_NUMBERS), vertices=rows(draw(st.integers(0, 5))))
+                 for _ in range(draw(st.integers(0, 2)))]
+        records.append((draw(st.integers(0, 2**40)), cam_id, persons, hands))
+    return records
+
+
+class TestFrameWriter:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(detection_frames())
+    def test_equals_record_oracle(self, records):
+        # Under raise, a cast of NaN or inf that warns fails the test.
+        with np.errstate(all="raise"):
+            write_detections(frame := BytesIO(), records)
+        oracle = StringIO()
+        for record in records:
+            write_detection_line(oracle, *record)
+        assert frame.getvalue() == oracle.getvalue().encode()
 
 
 class TestIntegerFields:
