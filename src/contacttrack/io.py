@@ -118,20 +118,49 @@ def _rows_text(x):
     x = np.asarray(x, dtype=float)
     R, C = x.shape
     flat = x.ravel()
+    cols, length, splice = _number_columns(flat)
+    # A row's numbers are flat[r * C:(r + 1) * C].
+    cols[0], cols[0, ::C], cols[16, C - 1::C], cols[17, C - 1::C] = (
+        ord(","), ord("["), ord("]"), ord(","))
+    length[C - 1::C] += 2
+    words = []
+    if splice.any():
+        words = [_float_text(v).encode() for v in _rounded(flat[splice])]
+        cols[1, splice] = 1  # where the word goes
+        length[splice] += [len(w) for w in words]
+    text = cols.T.tobytes()
+    del cols  # freed before the bytes are compacted
+    text = text.translate(None, b"\0")
+    if words:
+        text = b"".join(chain.from_iterable(zip(text.split(b"\1"), [*words, b""])))
+    offsets = np.zeros(R + 1, np.int64)
+    np.cumsum(length.reshape(R, C).sum(axis=1), out=offsets[1:])
+    return text, offsets
+
+
+def _number_columns(flat):
+    """(cols, length, splice) of _rows_text's numbers flat: the (_WIDTH,
+    n) char matrix with each number's sign, digits and point, or nothing
+    where splice marks it, and each number's text length, its lead
+    included and its word not."""
     k, exact = _scaled(flat)
-    q = np.abs(np.where(exact, k, 0.0)).astype(np.int64)
+    neg = np.signbit(k)
+    k[~exact] = 0.0
+    q = np.abs(k, out=k).astype(np.int64)
     splice = ~exact | ((q > 0) & (q < 100))
-    neg = np.signbit(k) & ~splice
+    neg &= ~splice
+    # The fraction and the integer part (below 2**21) of q.
+    halves = (q % 10**6).astype(np.int32), (q // 10**6).astype(np.int32)
+    del k, q  # freed before the char matrix, which with its bytes is the peak
     cols = np.zeros((_WIDTH, len(flat)), np.uint8)
-    # 13 passes of one digit each, over the fraction and the integer part
-    # (below 2**21) of q.
-    for rest, digits in ((q % 10**6, range(15, 9, -1)), (q // 10**6, range(8, 1, -1))):
-        rest = rest.astype(np.int32)
+    # 13 passes of one digit each.
+    for rest, digits in zip(halves, (range(15, 9, -1), range(8, 1, -1))):
         for p in digits:
             below = rest // 10
             cols[p] = rest - 10 * below
             rest = below
-    length = 4 + neg  # the lead, units digit, point and first fraction digit, and the sign
+    # The lead, units digit, point and first fraction digit, and the sign.
+    length = neg.astype(np.int8) + 4
     # Zeros before the units digit, and after the first fraction digit, are left out.
     for digits in (range(2, 8), range(15, 10, -1)):
         kept = np.zeros(len(flat), bool)
@@ -141,22 +170,10 @@ def _rows_text(x):
             cols[p] *= kept
             length += kept
     cols[[8, 10]] += ord("0")
-    cols[9], cols[1] = ord("."), neg * ord("-")
-    lead, close, comma = (cols[p].reshape(R, C) for p in (0, 16, 17))
-    lead[:], lead[:, 0], close[:, -1], comma[:, -1] = ord(","), ord("["), ord("]"), ord(",")
-    words = []
-    if splice.any():
-        words = [_float_text(v).encode() for v in _rounded(flat[splice])]
-        cols[1:16, splice] = 0
-        cols[1, splice] = 1  # where the word goes
-        length[splice] = [1 + len(w) for w in words]
-    length.reshape(R, C)[:, -1] += 2
-    text = cols.T.tobytes().translate(None, b"\0")
-    if words:
-        text = b"".join(chain.from_iterable(zip(text.split(b"\1"), [*words, b""])))
-    offsets = np.zeros(R + 1, np.int64)
-    np.cumsum(length.reshape(R, C).sum(axis=1), out=offsets[1:])
-    return text, offsets
+    cols[9], cols[1][neg] = ord("."), ord("-")
+    cols[1:16, splice] = 0
+    length[splice] = 1
+    return cols, length, splice
 
 
 # -- field readers ---------------------------------------------------------

@@ -200,15 +200,18 @@ DETECTION_NUMBERS = st.one_of(
 def detection_frames(draw):
     """A frame's detection records: up to three cameras, each with up to
     two persons and two hands of up to five vertices, so that persons
-    and hands, and whole records, are empty too."""
+    and hands, and whole records, are empty too. Some frames hold only
+    numbers of 3 decimals, none of which the writer splices in."""
+    numbers = draw(st.sampled_from([
+        DETECTION_NUMBERS, st.integers(-10**9, 10**9).map(lambda k: k / 1e3)]))
+
     def rows(n):
-        return np.reshape(draw(st.lists(DETECTION_NUMBERS, min_size=3 * n, max_size=3 * n)),
-                          (n, 3))
+        return np.reshape(draw(st.lists(numbers, min_size=3 * n, max_size=3 * n)), (n, 3))
     records = []
     for cam_id in draw(st.lists(st.sampled_from(["cam0", "cam1", "cam2"]), max_size=3, unique=True)):
         persons = [rows(JOINT_COUNT) for _ in range(draw(st.integers(0, 2)))]
         hands = [HandInstance(camera_id=cam_id, side=draw(st.sampled_from(SIDES)),
-                              sigma_fit=draw(DETECTION_NUMBERS), vertices=rows(draw(st.integers(0, 5))))
+                              sigma_fit=draw(numbers), vertices=rows(draw(st.integers(0, 5))))
                  for _ in range(draw(st.integers(0, 2)))]
         records.append((draw(st.integers(0, 2**40)), cam_id, persons, hands))
     return records
