@@ -11,14 +11,14 @@ record by _line, write_traces the distance rows of one contact update,
 and write_detections, into a binary file, all detection records of one
 frame, their numbers as text from one array pass (_rows_text), byte for
 byte what _line would write. All but hand tracks are read by _records,
-which hands each record to the stream's parse function. It, the episode reader and the
-label table reader take their lines from _lines, the one UTF-8 line
-reader. Five field readers hold the rule for the typed fields of every
-JSON input, the scene and the hand schema included: json_int (a JSON
-integer), json_number (a finite JSON number), json_array (finite JSON
-numbers of a given shape), json_list (a JSON array) and json_side (left
-or right). Each raises ValueError naming the field; callers add only
-range checks. Episodes are CSV (NUMBER_TEXT numbers), label tables
+which hands each record to the stream's parse function. It, the episode
+reader and the label table reader take their lines from _lines, the one
+UTF-8 line reader. Five field readers hold the rule for the typed fields
+of every JSON input, the scene and the hand schema included: json_int (a
+JSON integer), json_number (a finite JSON number), json_array (finite
+JSON numbers of a given shape), json_list (a JSON array) and json_side
+(left or right). Each raises ValueError naming the field; callers add
+only range checks. Episodes are CSV (NUMBER_TEXT numbers), label tables
 "<id> <name>" lines with ids in 0..255, and depth and label grids DEP1
 and LBL1 binaries. A malformed input raises InputFormatError naming the
 file, and the line for line-based files. Writers are deterministic so

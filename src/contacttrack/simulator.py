@@ -4,23 +4,25 @@ Scripted persons (rigid 26-joint template plus two-bone arm reaches),
 labeled surface primitives, parametric hand blobs, and per-camera
 projection with analytic occlusion. emit_dataset writes the exact
 pipeline inputs and a ground-truth bundle in one frame loop (each
-frame's detection records in one writer call, then its visibility rows
-and track lines), then the ground-truth episodes: the pipeline's
-ContactTracker on noise-free anchors, measured against the analytic
-surfaces in array passes. A frame's person state, body capsules and
-sightings live in one record of the last frame. The sighting pass feeds
-the detections and the visibility ground truth; it casts one ray bundle
-per frame, holding every camera's rays to every present person's joints,
-against the surfaces and the frame's body capsules, each ray skipping
-its own body, and gives each ray the bits of a cast of its camera's rays
-alone (see primitives). SceneDepthProvider answers every camera's patch
-centres of a frame in one call and one ray bundle, cut into chunks of at
-most DEPTH_CHUNK_RAYS rays that each keep the bits of a cast of their
-own, and the map in one call per frame with every camera's
-stride-lattice cells that see a surface, cast once; both draw the noise of all
-their cameras' pixels in one hash pass, under one measurement rule, and
-cast through one method, in which each box and rectangle surface is
-asked only about the pixels inside the image of its bounding box.
+frame's detections, written by one call, visibility rows and track
+lines), then the
+ground-truth episodes: the pipeline's ContactTracker on noise-free
+anchors, measured against the analytic surfaces in array passes. A
+frame's person state, body capsules and sightings live in one record of
+the last frame. The sighting pass feeds the detections and the
+visibility ground truth; it casts one ray bundle per frame, holding
+every camera's rays to every present person's joints, against the
+surfaces and the frame's body capsules, each ray skipping its own body,
+and gives each ray the bits of a cast of its camera's rays alone (see
+primitives). SceneDepthProvider
+answers every camera's patch centres of a frame in one call and one ray
+bundle, cut into chunks of at most DEPTH_CHUNK_RAYS rays that each keep
+the bits of a cast of their own, and the map in one call per frame with
+every camera's stride-lattice cells that see a surface, cast once; both
+draw the noise of all their cameras' pixels in one hash pass, under one
+measurement rule, and cast through one method, in which each box and
+rectangle surface is asked only about the pixels inside the image of its
+bounding box.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order. A
 hand blob is drawn on first use, so a process that asks for no hand

@@ -207,8 +207,10 @@ def detection_frames(draw):
 
     def rows(n):
         return np.reshape(draw(st.lists(numbers, min_size=3 * n, max_size=3 * n)), (n, 3))
+
     records = []
-    for cam_id in draw(st.lists(st.sampled_from(["cam0", "cam1", "cam2"]), max_size=3, unique=True)):
+    cameras = st.lists(st.sampled_from(["cam0", "cam1", "cam2"]), max_size=3, unique=True)
+    for cam_id in draw(cameras):
         persons = [rows(JOINT_COUNT) for _ in range(draw(st.integers(0, 2)))]
         hands = [HandInstance(camera_id=cam_id, side=draw(st.sampled_from(SIDES)),
                               sigma_fit=draw(numbers), vertices=rows(draw(st.integers(0, 5))))
