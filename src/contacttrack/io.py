@@ -142,34 +142,37 @@ def _number_columns(flat):
     """(cols, length, splice) of _rows_text's numbers flat: the (_WIDTH,
     n) char matrix with each number's sign, digits and point, or nothing
     where splice marks it, and each number's text length, its lead
-    included and its word not."""
+    included and its word not. Its arithmetic is int64 and float64 alone,
+    whose numpy loops the rest of the program already runs, so the
+    writer pages in no further numpy code."""
     k, exact = _scaled(flat)
     neg = np.signbit(k)
     k[~exact] = 0.0
     q = np.abs(k, out=k).astype(np.int64)
     splice = ~exact | ((q > 0) & (q < 100))
     neg &= ~splice
-    # The fraction and the integer part (below 2**21) of q.
-    halves = (q % 10**6).astype(np.int32), (q // 10**6).astype(np.int32)
+    whole = q // 10**6
+    fraction = q - 10**6 * whole
     del k, q  # freed before the char matrix, which with its bytes is the peak
     cols = np.zeros((_WIDTH, len(flat)), np.uint8)
-    # 13 passes of one digit each.
-    for rest, digits in zip(halves, (range(15, 9, -1), range(8, 1, -1))):
-        for p in digits:
-            below = rest // 10
-            cols[p] = rest - 10 * below
-            rest = below
-    # The lead, units digit, point and first fraction digit, and the sign.
-    length = neg.astype(np.int8) + 4
-    # Zeros before the units digit, and after the first fraction digit, are left out.
-    for digits in (range(2, 8), range(15, 10, -1)):
-        kept = np.zeros(len(flat), bool)
-        for p in digits:
-            kept |= cols[p] != 0
-            cols[p] += ord("0")
-            cols[p] *= kept
-            length += kept
-    cols[[8, 10]] += ord("0")
+    length = 2 + neg  # the lead, point and sign; each digit kept is added below
+    # 13 passes of one digit each. Trailing zeros of the fraction and
+    # leading zeros of the integer part are left out, but not the units
+    # digit or the first fraction digit.
+    kept = np.zeros(len(flat), bool)
+    for p in range(15, 9, -1):  # the fraction, its last digit first
+        below = fraction // 10
+        digit = fraction - 10 * below
+        kept |= (digit != 0) | (p == 10)
+        cols[p] = (digit + ord("0")) * kept
+        length += kept
+        fraction = below
+    for p in range(8, 1, -1):  # the integer part, its units digit first
+        below = whole // 10
+        kept = (whole > 0) | (p == 8)
+        cols[p] = (whole - 10 * below + ord("0")) * kept
+        length += kept
+        whole = below
     cols[9], cols[1][neg] = ord("."), ord("-")
     cols[1:16, splice] = 0
     length[splice] = 1
