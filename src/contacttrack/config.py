@@ -45,6 +45,12 @@ class TrackerConfig:
             raise ConfigError(f"{prefix}bone_alpha < 1 < {prefix}bone_beta must hold")
         if not 0 < self.e_off < self.e_on <= 1:
             raise ConfigError(f"0 < {prefix}e_off < {prefix}e_on <= 1 must hold")
+        # A track born at or below e_off is dropped by its first lifecycle step.
+        if not self.e_off < self.e_init <= 1:
+            raise ConfigError(f"{prefix}e_off < {prefix}e_init <= 1 must hold")
+        for name in ("e_up", "tau_mpjpe", "tau_epi", "eps_tri", "eps_init"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{prefix}{name} must be positive")
         if not 0 < self.decay_lambda < 1:
             raise ConfigError(f"{prefix}decay_lambda must be in (0, 1)")
         if self.v_min < 2:

@@ -1,33 +1,24 @@
 """Analytic scene primitives: labeled surfaces and body capsules.
 
 Each surface answers vectorized ray queries (first-hit parameter along a
-bundle of rays) and point queries (distances from a batch of points, and
-the closest surface point). A bundle holds the rays of one camera, from
-one origin, or of several cameras, each camera's rays consecutive and
-from its own origin, so one cast can answer every camera of a frame.
+bundle of N rays) and point queries (distances from a batch of points, and
+the closest surface point). A bundle's rays start at one origin (3,) or
+each at its own, (N, 3), so one cast can answer every camera of a frame.
 
-Which steps keep a ray's bits in any bundle:
-- The elementwise ones do: the Box and Rect tests, the skip mask, and
-  the capsule hit formula, each run once over the whole bundle with
-  per-ray origins. So a cast may hand a Box or Rect only the rays it can
-  hit, as the depth provider does by the image of its bounds().
-- The BLAS products do not: a (K, 3) @ (3, n) product's bits can depend
-  on n, and numpy hands a one-ray mat-vec to another kernel. They run
-  per camera, at exactly the shape a cast of that camera's rays alone
-  gives them: a Sphere's dirs @ oc, and the capsule products a @ dirs.T
-  and w @ dirs.T that the hit formula reads. So the depth provider never
-  culls a Sphere, and a multi-camera cast gives every ray the bits of its
-  own camera's cast.
+Every product that reaches a hit is elementwise, summed x, then y, then
+z: the Box and Rect tests, a Sphere's dirs . oc, the capsule formula's
+a . d and w . d, and the skip mask. So a ray's (t, index) is the same
+bits in any bundle, alone, shuffled or split, and a cast may hand a
+surface only the rays it can hit, as the depth provider does by the
+image of its bounds().
 
 Body capsules are stacked (Capsules), so a cast answers a whole stack in
 one numpy pass, and a (capsule, ray) skip mask lets one bundle hold rays
 that must not see some rows, such as each person's own body. A cast
-first culls, camera by camera, the (capsule, ray) pairs whose ray line
-passes outside the capsule's bounding sphere, a test on cheap (K, n)
-arrays that can only drop pairs the hit formula would miss, and then
-runs the hit formula on the few surviving pairs of every camera at once,
-giving the same bits as measuring every pair; each ray's first hit is
-read off the pairs that hit. Used by the scene
+first culls, in blocks of CULL_BLOCK_RAYS rays, the (capsule, ray) pairs
+whose ray line passes outside the capsule's bounding sphere, and then
+runs the hit formula once on the few surviving pairs of the bundle; each
+ray's first hit is read off the pairs that hit. Used by the scene
 simulator for rendering depth and label grids, occlusion tests, and
 ground-truth contact distances.
 """
@@ -47,23 +38,17 @@ _EPS = 1e-12
 CULL_REL = 1e-6
 CULL_ABS = 1e-9  # m
 
+# Rays per block of the capsule cull: bounds its (capsules, rays) arrays.
+CULL_BLOCK_RAYS = 200
+
 AXES = {"x": 0, "y": 1, "z": 2}
 
 
-def _per_ray(origin, counts):
-    """Each ray's origin: origin (3,) itself for a one-camera bundle, else
-    camera c's origin[c] repeated for its counts[c] rays."""
-    return origin if counts is None else np.repeat(origin, counts, axis=0)
-
-
-def _cameras(origin, counts, n):
-    """(origin, slice of its rays) of each camera of a bundle of n rays:
-    one camera at origin (3,) if counts is None, else counts[c]
-    consecutive rays from origin[c]."""
-    if counts is None:
-        return [(origin, slice(0, n))]
-    ends = np.cumsum(counts).tolist()
-    return [(o, slice(end - c, end)) for o, c, end in zip(origin, counts, ends)]
+def _dot(u, v):
+    """Row-wise dot products of (..., 3) arrays, summed x, then y, then z
+    (and far faster than a sum along the short axis)."""
+    p = u * v
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 @dataclass
@@ -80,8 +65,8 @@ class Box:
         if np.any(self.hi <= self.lo):
             raise ValueError("box needs hi > lo on every axis")
 
-    def ray(self, origin, dirs, counts=None):
-        origin = _per_ray(np.asarray(origin, dtype=float), counts)
+    def ray(self, origin, dirs):
+        origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             ta = (self.lo - origin) / dirs
@@ -137,16 +122,12 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
 
-    def ray(self, origin, dirs, counts=None):
-        origin = np.asarray(origin, dtype=float)
+    def ray(self, origin, dirs):
+        oc = np.asarray(origin, dtype=float) - self.center
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-        a = (dirs * dirs).sum(axis=1)
-        # The mat-vec camera by camera, at the shape of its own cast.
-        b, c = [], []
-        for oc, rays in _cameras(origin - self.center, counts, len(dirs)):
-            b.append(2.0 * dirs[rays] @ oc)
-            c.append(np.full(len(b[-1]), oc @ oc - self.radius**2))
-        b, c = np.concatenate(b), np.concatenate(c)
+        a = _dot(dirs, dirs)
+        b = 2.0 * _dot(dirs, oc)
+        c = _dot(oc, oc) - self.radius**2
         disc = b * b - 4 * a * c
         t = np.full(len(dirs), np.inf)
         ok = disc >= 0
@@ -157,6 +138,10 @@ class Sphere:
             tt = np.where(t0 > 0, t0, np.where(t1 > 0, t1, np.inf))
             t[ok] = tt
         return t
+
+    def bounds(self):
+        """(lo, hi) corners of the axis-aligned bounding box."""
+        return self.center - self.radius, self.center + self.radius
 
     def closest_point(self, p):
         p = np.asarray(p, dtype=float)
@@ -189,8 +174,8 @@ class Rect:
         if len(self.half_sizes) != 2 or min(self.half_sizes) <= 0:
             raise ValueError("half_sizes must be two positive extents")
 
-    def ray(self, origin, dirs, counts=None):
-        origin = _per_ray(np.asarray(origin, dtype=float), counts)
+    def ray(self, origin, dirs):
+        origin = np.asarray(origin, dtype=float)
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         dn = dirs[:, self._n]
         num = self.center[self._n] - origin[..., self._n]
@@ -248,9 +233,9 @@ class Capsules:
     def __len__(self):
         return len(self.radius)
 
-    def hit_pairs(self, origin, dirs, counts=None):
+    def hit_pairs(self, origin, dirs):
         """(k, n, t): each (capsule row, ray) pair that hits and its first-hit
-        parameter, for N rays; origin and counts as in cast_rays. A hit is
+        parameter, for N rays; origin as in cast_rays. A hit is
         approximated at the ray point closest to the axis segment: exact
         enough for occlusion and depth noise scales. The first positive
         crossing counts, so a ray starting inside a capsule hits it where
@@ -262,60 +247,63 @@ class Capsules:
         farther than the reach (widened by CULL_REL and CULL_ABS) from the
         ray's line. The measured distance is from the line to a segment
         point, at least the centre's line distance minus half the axis, so
-        a culled pair could not hit. The cull runs camera by camera, on the
-        (K, n) axis and offset products a cast of that camera's rays alone
-        makes. The survivors of every camera are gathered into rows and
-        measured at once, each from its own camera's origin, with the same
-        arithmetic as a full (K, N) pass, so every hit keeps its bits, and
-        no array holds a row per (capsule, ray) pair of the bundle."""
-        origin = np.asarray(origin, dtype=float)
+        a culled pair could not hit. The cull runs in blocks of
+        CULL_BLOCK_RAYS rays, with one BLAS product per block, so no array
+        holds a row per (capsule, ray) pair of the bundle. Its rounding can
+        depend on the block, but it only chooses which pairs are measured,
+        and the margins keep every pair the formula would hit. The
+        survivors are measured at once, each from its own ray's origin,
+        with elementwise products, so every hit has the bits of a full
+        (K, N) pass."""
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+        origin = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
         a = self.axis
-        aa = (a * a).sum(axis=1)
-        dd = (dirs * dirs).sum(axis=1)
+        aa = _dot(a, a)
+        dd = _dot(dirs, dirs)
         reach = (0.5 * np.sqrt(aa) + self.radius) * (1.0 + CULL_REL) + CULL_ABS
-        pairs, aws, last = [], [], None
-        for cam, (o, rays) in enumerate(_cameras(origin, counts, len(dirs))):
-            if last is None or not np.array_equal(o, last):
-                # Closest-approach terms between rays o + t d and segments
-                # p0 + s a, shared by the consecutive cameras at one origin.
-                last, w = o, o - self.p0
-                oc = 0.5 * a - w  # axis midpoint p0 + a/2, seen from o
-                gap = (oc * oc).sum(axis=1) - reach * reach
-                aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
-            aws.append(aw)
-            da = a @ dirs[rays].T
-            dw = w @ dirs[rays].T
-            # Squared line distance of a centre, |oc|^2 - (oc . d)^2 / |d|^2,
-            # over the reach squared, scaled by |d|^2; a zero direction
-            # compares 0 with 0 and is kept.
-            cd = oc @ dirs[rays].T
-            keep = cd * cd >= gap[:, None] * dd[rays]
+        ks, ns = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for lo in range(0, len(dirs), CULL_BLOCK_RAYS):
+            rays = slice(lo, lo + CULL_BLOCK_RAYS)
+            d, o = dirs[rays], origin[rays]
+            # The axis midpoints seen from the block's first origin, and each
+            # ray's origin u from there (zero in a block of one camera).
+            oc = 0.5 * a - (o[0] - self.p0)
+            u = o - o[0]
+            # Squared line distance of a centre, |oc - u|^2 - ((oc - u) . d)^2
+            # / |d|^2, over the reach squared, scaled by |d|^2; a zero
+            # direction compares 0 with 0 and is kept.
+            prod = oc @ np.concatenate((d, -2.0 * u)).T
+            cd = prod[:, :len(d)] - _dot(u, d)
+            gap = prod[:, len(d):] + (_dot(oc, oc) - reach * reach)[:, None]
+            gap += _dot(u, u)
+            keep = cd * cd >= gap * dd[rays]
             if self.skip is not None:
                 keep &= ~self.skip[:, rays]
             k, n = np.nonzero(keep)
-            pairs.append((k, n + rays.start, da[k, n], dw[k, n], np.full(len(k), cam)))
-        k, n, da, dw, cam = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
-        aw = np.array(aws)[cam, k]
-        origin = origin if counts is None else origin[cam]
+            ks.append(k)
+            ns.append(n + lo)
+        k, n = np.concatenate(ks), np.concatenate(ns)
+        origin, d, dd = origin[n], dirs[n], dd[n]
+        w = origin - self.p0[k]
         a, aa, r = a[k], aa[k], self.radius[k]
-        d, dd = dirs[n], dd[n]
+        da, dw = _dot(a, d), _dot(w, d)
+        aw = np.where(aa > _EPS, _dot(a, w), 0.0)
         denom = dd * aa - da * da
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom > _EPS, (dd * aw - da * dw) / denom, 0.0)
         s = np.clip(s, 0.0, 1.0)
         seg = self.p0[k] + s[:, None] * a
         diff = seg - origin
-        t = (d * diff).sum(axis=1) / dd
-        pts = origin + t[:, None] * d
-        dist = np.linalg.norm(pts - seg, axis=1)
+        t = _dot(d, diff) / dd
+        pts = origin + t[:, None] * d - seg
+        dist = np.sqrt(_dot(pts, pts))
         back = np.sqrt(np.maximum(r**2 - dist**2, 0.0)) / np.sqrt(dd)
         t_in = t - back
         t_hit = np.where(t_in > 0, t_in, t + back)
         hit = np.flatnonzero((dist <= r) & (t_hit > 0) & (t_hit < np.inf))
         return k[hit], n[hit], t_hit[hit]
 
-    def ray(self, origin, dirs, counts=None):
+    def ray(self, origin, dirs):
         """(t, k): per ray the first hit over the stack's rows it does not
         skip and its row, the lowest row on ties; t is inf and k 0 where no
         capsule is hit. Read off hit_pairs sorted by ray, then t, then row."""
@@ -323,7 +311,7 @@ class Capsules:
         t, k = np.full(size, np.inf), np.zeros(size, dtype=int)
         if not len(self):
             return t, k
-        rows, rays, hit = self.hit_pairs(origin, dirs, counts)
+        rows, rays, hit = self.hit_pairs(origin, dirs)
         order = np.lexsort((rows, hit, rays))
         rows, rays, hit = rows[order], rays[order], hit[order]
         first = np.flatnonzero(np.diff(rays, prepend=-1))
@@ -332,14 +320,13 @@ class Capsules:
         return t, k
 
 
-def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
+def cast_rays(primitives, origin, dirs, rows=None):
     """First hit over a primitive list.
 
     Returns (t, index) arrays; t is inf and index -1 where nothing is hit.
-    origin is the one camera centre (3,) of every ray in dirs; with counts,
-    dirs holds the rays of C cameras one camera after another, counts[c]
-    rays from centre origin[c] of the (C, 3) origin. Every ray gets the
-    bits a cast of its own camera's rays alone gives it.
+    origin is the origin (3,) of every ray in dirs (N, 3), or each ray's
+    own, (N, 3), as when dirs holds the rays of several cameras. A ray's
+    (t, index) has the same bits in any bundle.
     A Capsules stack in the list stands for its K capsules in row order
     (K consecutive indices) and answers for all of them in one pass, each
     ray ignoring the rows its skip mask marks; every other primitive
@@ -348,34 +335,26 @@ def cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
     rows, if given, holds for each primitive the indices of the rays it
     may hit, or None for every ray (always None for a Capsules stack,
     whose skip mask covers the whole bundle). A primitive is asked about
-    its rows alone, so the rays left out must be ones it misses, and the
-    cast gives the bits of a full one only if the primitive's ray test
-    gives a ray the same bits in any bundle, as Box and Rect do. In a
-    bundle with counts, such a primitive gets each of its rows' own
-    origin, an (n, 3) array that the elementwise Box and Rect tests take;
-    a bundle of one camera is cast as a plain one-camera bundle.
+    its rows alone, so the rays left out must be ones it misses.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    if counts is not None and len(counts) == 1:  # one camera: a plain bundle
-        origin, counts = origin[0], None
     best_t = np.full(len(dirs), np.inf)
     best_i = np.full(len(dirs), -1, dtype=int)
-    ray_origin = _per_ray(origin, counts) if rows and counts is not None else origin
     offset = 0
     for prim, sel in zip(primitives, rows or [None] * len(primitives)):
         size = len(prim) if isinstance(prim, Capsules) else 1
         if sel is None:
-            sel, o, c = slice(None), origin, counts
+            sel, o = slice(None), origin
         elif not len(sel):
             offset += size
             continue
         else:
-            o, c = (ray_origin if counts is None else ray_origin[sel]), None
+            o = origin if origin.ndim == 1 else origin[sel]
         if isinstance(prim, Capsules):
-            t, k = prim.ray(o, dirs[sel], c)
+            t, k = prim.ray(o, dirs[sel])
         else:
-            t, k = prim.ray(o, dirs[sel], c), 0
+            t, k = prim.ray(o, dirs[sel]), 0
         closer = t < best_t[sel]
         best_t[sel] = np.where(closer, t, best_t[sel])
         best_i[sel] = np.where(closer, offset + k, best_i[sel])

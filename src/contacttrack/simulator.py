@@ -11,18 +11,16 @@ anchors, measured against the analytic surfaces in array passes. A
 frame's person state, body capsules and sightings live in one record of
 the last frame. The sighting pass feeds the detections and the
 visibility ground truth; it casts one ray bundle per frame, holding
-every camera's rays to every present person's joints, against the
-surfaces and the frame's body capsules, each ray skipping its own body,
-and gives each ray the bits of a cast of its camera's rays alone (see
-primitives). SceneDepthProvider
-answers every camera's patch centres of a frame in one call and one ray
-bundle, cut into chunks of at most DEPTH_CHUNK_RAYS rays that each keep
-the bits of a cast of their own, and the map in one call per frame with
-every camera's stride-lattice cells that see a surface, cast once; both
-draw the noise of all their cameras' pixels in one hash pass, under one
-measurement rule, and cast through one method, in which each box and
-rectangle surface is asked only about the pixels inside the image of its
-bounding box.
+every camera's rays to every present person's joints, each from its own
+camera's centre, against the surfaces and the frame's body capsules,
+each ray skipping its own body. SceneDepthProvider answers every
+camera's patch centres of a frame in one call and one ray bundle, and
+the map in one call per frame with every camera's stride-lattice cells
+that see a surface, cast once; both draw the noise of all their cameras'
+pixels in one hash pass, under one measurement rule, and cast through
+one method, in which each surface is asked only about the pixels inside
+the image of its bounding box. A ray's hit has the same bits in any
+bundle (see primitives), so how a cast groups its rays moves no byte.
 All randomness is derived from the scene seed; depth queries use
 stateless per-pixel hashing so results do not depend on query order. A
 hand blob is drawn on first use, so a process that asks for no hand
@@ -71,10 +69,6 @@ MIN_HAND_VERTICES = 13  # hand blob: eight palm vertices and five fingertips
 # denser hand meshes, it bounds the (count, 3) vertex and noise arrays
 # drawn per person, side, camera and frame.
 MAX_HAND_VERTICES = 10_000
-# Rays per depth-patch chunk (8 patches at patch_w 5): bounds the
-# (capsules, rays) cull arrays of a chunk, which a frame's one patch cast
-# makes chunk by chunk.
-DEPTH_CHUNK_RAYS = 200
 # The depth cast's surface cull: a surface's pixel rectangle is the image
 # of its bounding box widened by CULL_MARGIN_PX, and only a box whose
 # corners all lie CULL_NEAR or more in front of the camera gets one.
@@ -559,8 +553,8 @@ class Simulator:
         centers = np.array([cal.center for cal in cals])
         dirs = joints - centers[:, None]
         dist = np.linalg.norm(dirs, axis=2)
-        t, _ = cast_rays(occluders, centers, dirs / np.maximum(dist[..., None], 1e-12),
-                         counts=[len(joints)] * len(cals))
+        t, _ = cast_rays(occluders, np.repeat(centers, len(joints), axis=0),
+                         dirs / np.maximum(dist[..., None], 1e-12))
         t = t.reshape(dist.shape)
         near = dist - OCCLUSION_MARGIN
         occ = np.where(t < near, 2, np.where(t < near + PARTIAL_MARGIN, 1, 0))
@@ -667,11 +661,10 @@ class SceneDepthProvider:
     Depth noise is hashed per (seed, frame, camera, pixel) and quantized
     to millimeters, matching the DEP1 file format bit for bit; each call
     draws the noise of all its cameras' pixels in one hash pass. A patch
-    call answers every patch every camera needs in a frame, in one cast
-    of chunks of at most DEPTH_CHUNK_RAYS rays; a grids call answers
-    with every camera's stride-lattice cells that see a surface, cast
-    once per stride. Both cast through _cast, which hands each box and
-    rectangle surface only the pixels inside its rectangle from
+    call answers every patch every camera needs in a frame, in one cast;
+    a grids call answers with every camera's stride-lattice cells that
+    see a surface, cast once per stride. Both cast through _cast, which
+    hands each surface only the pixels inside its rectangle from
     _pixel_boxes. The map's cameras are the given calibrated ones, or
     every scene camera.
     """
@@ -713,17 +706,13 @@ class SceneDepthProvider:
         rectangle that holds the image of its bounding box, widened by
         CULL_MARGIN_PX. A surface whose box reaches nearer than CULL_NEAR to
         the camera plane, or behind it, gets an unbounded rectangle (every
-        pixel), and so does a sphere: its ray test takes a BLAS mat-vec
-        that numpy hands to another kernel for a single row, so a sphere
-        asked about fewer rays could move a hit's last bits."""
+        pixel)."""
         if cam_id not in self._boxes:
             cal = self.sim.cals[cam_id]
             surfaces = self.sim.scene["surfaces"]
             boxes = np.tile([-np.inf, np.inf, -np.inf, np.inf], (len(surfaces), 1))
             corner = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], dtype=bool)
             for i, prim in enumerate(surfaces):
-                if isinstance(prim, Sphere):
-                    continue
                 lo, hi = prim.bounds()
                 pc = cal.world_to_camera(np.where(corner, hi, lo))
                 if pc[:, 2].min() >= CULL_NEAR:
@@ -734,17 +723,13 @@ class SceneDepthProvider:
             self._boxes[cam_id] = boxes
         return self._boxes[cam_id]
 
-    def _cast(self, pixels, bodies=None, chunk=None):
+    def _cast(self, pixels, bodies=None):
         """(depth, label) of pixels, a list of (camera_id, us, vs), cast
         against the scene surfaces and then the bodies stack, if given:
-        depth 0 on a miss, label 0 on a miss or a body. Each camera's rays
-        are cut, in order, into chunks of at most chunk rays (one chunk if
-        None), and all chunks are one cast_rays bundle with each chunk a
-        camera of its own, so a chunk's BLAS products (its rays' turn to the
-        world frame, a sphere's mat-vec, the capsule products) run at the
-        shape a cast of that chunk alone gives them. Each surface is asked
-        only about the pixels inside its _pixel_boxes rectangle, which
-        holds every pixel whose ray it hits."""
+        depth 0 on a miss, label 0 on a miss or a body. All cameras' rays
+        are one cast_rays bundle, each ray from its own camera's centre.
+        Each surface is asked only about the pixels inside its _pixel_boxes
+        rectangle, which holds every pixel whose ray it hits."""
         origins, dirs, inside = [], [], []
         for cam_id, us, vs in pixels:
             cal = self.sim.cals[cam_id]
@@ -753,14 +738,12 @@ class SceneDepthProvider:
             x = (us - cal.cx) / cal.fx
             y = (vs - cal.cy) / cal.fy
             rays = np.stack([x, y, np.ones_like(x)], axis=1)
-            step = chunk or max(len(rays), 1)
-            for lo in range(0, len(rays), step):
-                dirs.append(rays[lo:lo + step] @ cal.R)  # R^T applied row-wise
-                origins.append(cal.center)
+            dirs.append(rays @ cal.R)  # R^T applied row-wise
+            origins.append(np.broadcast_to(cal.center, rays.shape))
             box = self._pixel_boxes(cam_id)
             inside.append((us >= box[:, :1]) & (us <= box[:, 1:2])
                           & (vs >= box[:, 2:3]) & (vs <= box[:, 3:]))
-        if not dirs:
+        if not any(map(len, dirs)):
             return np.zeros(0), np.zeros(0, dtype=int)
         surfaces = self.sim.scene["surfaces"]
         prims = list(surfaces)
@@ -769,8 +752,7 @@ class SceneDepthProvider:
         if bodies is not None:
             prims.append(bodies)
             rows.append(None)
-        t, idx = cast_rays(prims, np.array(origins), np.concatenate(dirs), rows=rows,
-                           counts=[len(d) for d in dirs])
+        t, idx = cast_rays(prims, np.concatenate(origins), np.concatenate(dirs), rows=rows)
         # The ray parameter along a direction with camera z = 1 is the
         # camera-frame depth directly.
         depth = np.where(np.isfinite(t), t, 0.0)
@@ -782,16 +764,7 @@ class SceneDepthProvider:
         """{camera_id: (n, size, size) depth patches}, surfaces and bodies,
         centred on the n pixels (us[i], vs[i]) of each camera's centres[
         camera_id] = (us, vs); 0 outside the image. Every camera's in-image
-        patch pixels go into one cast, in chunks of at most
-        DEPTH_CHUNK_RAYS rays, which bounds a chunk's (capsules, rays) cull
-        arrays, and into one noise draw. A ray's box and rectangle hits and the
-        capsule hit formula are elementwise, so they keep their bits in any
-        bundle; the BLAS products run chunk by chunk (see _cast), so a ray
-        keeps the bits of a cast of its chunk alone, whatever the other
-        cameras ask. Their bits can depend on the chunk's ray count n, and
-        numpy takes another path for a one-ray chunk, so a hit can differ in
-        its last bits from a cast of other chunks, which after the
-        millimetre rounding moves a patch depth only on an exact tie."""
+        patch pixels go into one cast and one noise draw."""
         r = size // 2
         off = np.arange(-r, r + 1)
         pixels, inside = [], []
@@ -804,7 +777,7 @@ class SceneDepthProvider:
             pixels.append((cam_id, us[ok], vs[ok]))
             inside.append(ok)
         bodies = self.sim.frame_capsules(frame)[0]
-        d = self._cast(pixels, bodies, DEPTH_CHUNK_RAYS)[0]
+        d = self._cast(pixels, bodies)[0]
         d = self._measured(frame, *self._keys(pixels), d)
         out, lo = {}, 0
         for (cam_id, us, _), ok in zip(pixels, inside):

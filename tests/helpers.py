@@ -1034,11 +1034,11 @@ def per_group_spawn(tracker, unmatched, updated_tracks):
     return born
 
 
-def capsule_hits(caps, origin, dirs, counts=None):
+def capsule_hits(caps, origin, dirs):
     """(K, N) first-hit parameters of N rays against every capsule of a
     Capsules stack, inf on a miss or a skipped pair: the pairs
     hit_pairs finds, as a table."""
-    k, n, t = caps.hit_pairs(origin, dirs, counts)
+    k, n, t = caps.hit_pairs(origin, dirs)
     out = np.full((len(caps), len(np.asarray(dirs).reshape(-1, 3))), np.inf)
     out[k, n] = t
     return out
@@ -1047,23 +1047,24 @@ def capsule_hits(caps, origin, dirs, counts=None):
 def full_capsule_hits(caps, origin, dirs):
     """Full-pass oracle for Capsules.hit_pairs: the (K, N) first-hit formula
     evaluated on every (capsule, ray) pair, with no cull and no skip mask;
-    inf on a miss. The first positive crossing counts, so a ray starting
-    inside a capsule hits it where it leaves."""
+    inf on a miss. origin is one point (3,) or one per ray (N, 3); every
+    product is summed x, then y, then z. The first positive crossing
+    counts, so a ray starting inside a capsule hits it where it leaves."""
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    a, r = caps.axis, caps.radius[:, None]
-    aa = (a * a).sum(axis=1)
+    a, r = caps.axis[:, None], caps.radius[:, None]
+    aa = (a * a).sum(axis=2)
     dd = (dirs * dirs).sum(axis=1)
     # Closest-approach parameters between ray o + t d and segment p0 + s a.
-    w = origin - caps.p0
-    da = a @ dirs.T
-    dw = w @ dirs.T
-    aw = np.where(aa > _EPS, (a * w).sum(axis=1), 0.0)
-    denom = dd * aa[:, None] - da * da
+    w = origin - caps.p0[:, None]
+    da = (a * dirs).sum(axis=2)
+    dw = (w * dirs).sum(axis=2)
+    aw = np.where(aa > _EPS, (a * w).sum(axis=2), 0.0)
+    denom = dd * aa - da * da
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > _EPS, (dd * aw[:, None] - da * dw) / denom, 0.0)
+        s = np.where(denom > _EPS, (dd * aw - da * dw) / denom, 0.0)
     s = np.clip(s, 0.0, 1.0)
-    seg = caps.p0[:, None, :] + s[:, :, None] * a[:, None, :]
+    seg = caps.p0[:, None, :] + s[:, :, None] * a
     diff = seg - origin
     t = (dirs * diff).sum(axis=2) / dd
     pts = origin + t[:, :, None] * dirs
@@ -1076,17 +1077,19 @@ def full_capsule_hits(caps, origin, dirs):
 
 def reference_capsule_ray(p0, a, radius, origin, dirs):
     """Per-capsule reference for Capsules.hit_pairs: the first-hit formula of
-    one capsule with segment start p0, axis a and radius, inf on a miss.
-    The first positive crossing counts, the exit for an origin inside."""
+    one capsule with segment start p0, axis a and radius, inf on a miss;
+    origin is one point (3,) or one per ray (N, 3), and every product is
+    summed x, then y, then z. The first positive crossing counts, the
+    exit for an origin inside."""
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    aa = float(a @ a)
+    aa = (a * a).sum()
     out = np.full(len(dirs), np.inf)
     dd = (dirs * dirs).sum(axis=1)
     w = origin - p0
-    da = dirs @ a
-    dw = dirs @ w
-    aw = float(a @ w) if aa > 1e-12 else 0.0
+    da = (dirs * a).sum(axis=1)
+    dw = (dirs * w).sum(axis=1)
+    aw = (a * w).sum(axis=-1) if aa > 1e-12 else 0.0
     denom = dd * aa - da * da
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 1e-12, (dd * aw - da * dw) / denom, 0.0)
@@ -1126,16 +1129,13 @@ def reference_box_ray(box, origin, dirs):
     return np.array(out)
 
 
-def reference_cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
+def reference_cast_rays(primitives, origin, dirs, rows=None):
     """Per-primitive reference for cast_rays: a Capsules stack is unrolled
     into its capsules, each cast alone by reference_capsule_ray and missing
     the rays its skip-mask row marks, and the first hit is kept by a
     strict < over the list in order. rows, cast_rays' cull, is ignored:
-    every primitive is cast over every ray. With counts, each camera's
-    rays are cast alone from its own origin, with their skip-mask columns."""
+    every primitive is cast over every ray."""
     dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    if counts is not None:
-        return per_camera_cast(reference_cast_rays, primitives, origin, dirs, counts)
     casts = []
     for prim in primitives:
         if isinstance(prim, Capsules):
@@ -1152,22 +1152,6 @@ def reference_cast_rays(primitives, origin, dirs, rows=None, *, counts=None):
         best_t[closer] = t[closer]
         best_i[closer] = i
     return best_t, best_i
-
-
-def per_camera_cast(cast, primitives, origins, dirs, counts):
-    """(t, index) of a multi-camera bundle cast one camera at a time by
-    cast(primitives, origin, dirs): camera c's counts[c] rays, copied to
-    an array of their own, from origins[c], each skip mask cut to that
-    camera's columns."""
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    out, start = [], 0
-    for origin, count in zip(origins, counts):
-        rays = slice(start, start + count)
-        start += count
-        prims = [replace(p, skip=p.skip[:, rays])
-                 if isinstance(p, Capsules) and p.skip is not None else p for p in primitives]
-        out.append(cast(prims, origin, dirs[rays].copy()))
-    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def project_many(points, cal: CameraCalibration):

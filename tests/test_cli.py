@@ -235,11 +235,21 @@ class TestRun:
         # of -1 gave 0 episodes.
         ('{"fusion": {"hand_gap_frames": -1}}', "fusion.hand_gap_frames must be >= 0"),
         ('{"tracker": {"max_inactive_frames": -1}}', "tracker.max_inactive_frames must be >= 0"),
+        # An e_init of -1 gave an empty tracks.jsonl: every track was born
+        # at or below e_off and dropped.
+        ('{"tracker": {"e_init": -1}}', "tracker.e_off < tracker.e_init <= 1 must hold"),
+        ('{"tracker": {"e_up": 0}}', "tracker.e_up must be positive"),
+        ('{"tracker": {"tau_mpjpe": 0}}', "tracker.tau_mpjpe must be positive"),
+        ('{"tracker": {"tau_epi": -1}}', "tracker.tau_epi must be positive"),
+        ('{"tracker": {"eps_tri": 0}}', "tracker.eps_tri must be positive"),
+        ('{"tracker": {"eps_init": -5}}', "tracker.eps_init must be positive"),
     ], ids=["voxel-size-negative", "stride-zero", "voxel-size-beyond-float",
             "fusion-fps-beyond-float", "eps-tri-beyond-float", "stride-beyond-int64",
             "stride-just-beyond-int64", "fusion-v-max-zero", "contact-tau-on-above-off",
             "tracker-bone-beta-below-one", "tracker-patch-w-huge", "tracker-patch-w-above-max",
-            "fusion-hand-gap-negative", "tracker-max-inactive-negative"])
+            "fusion-hand-gap-negative", "tracker-max-inactive-negative",
+            "tracker-e-init-negative", "tracker-e-up-zero", "tracker-tau-mpjpe-zero",
+            "tracker-tau-epi-negative", "tracker-eps-tri-zero", "tracker-eps-init-negative"])
     def test_bad_config_exit_code(self, tmp_path, mini_induction, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)

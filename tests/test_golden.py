@@ -14,13 +14,22 @@ purpose, say which and why in CHANGES.md and record the new hashes,
 printed by
 
     PYTHONPATH=src python tests/test_golden.py
+
+The hashes hold where OpenBLAS rounds its products as on the host that
+recorded them, which runs its SkylakeX kernels. Forced to another kernel,
+exactly the KERNEL_DEPENDENT entries move: BLAS products still reach
+those bytes.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from contacttrack.cli import main
@@ -223,6 +232,37 @@ GOLDEN = {
 }
 
 
+# The GOLDEN entries, window/mode/file, that move when OpenBLAS runs
+# another kernel (OPENBLAS_CORETYPE) than the host that recorded them.
+KERNEL_DEPENDENT = {
+    "Haswell": ["crowd-8/run/tracks.jsonl"],
+    "Nehalem": [
+        "crossing-clean/simulate/calibration.json",
+        "crossing-noisy-stitch/run/tracks.jsonl",
+        "crossing-noisy-stitch/simulate/calibration.json",
+        "crossing-noisy-stitch/simulate/detections.jsonl",
+        "crossing-noisy/run-static/tracks.jsonl",
+        "crossing-noisy/run/tracks.jsonl",
+        "crossing-noisy/simulate/calibration.json",
+        "crowd-8/simulate/calibration.json",
+        "induction-lite-noisy/run-static/tracks.jsonl",
+        "induction-lite-noisy/run/tracks.jsonl",
+        "induction-lite-noisy/simulate/calibration.json",
+        "induction-lite/simulate/calibration.json",
+    ],
+}
+
+
+def dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, the
+    one whose kernel OPENBLAS_CORETYPE chooses."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return "DYNAMIC_ARCH" in blas["openblas configuration"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
 def digests(root):
     """{relative path: sha256} of every file under root."""
     return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(root).items()}
@@ -262,8 +302,29 @@ def test_outputs_keep_their_bytes(name, tmp_path):
     assert outputs(name, str(tmp_path)) == GOLDEN[name]
 
 
+def flat(tree):
+    """{window/mode/file: hash} of a GOLDEN-shaped tree."""
+    return {f"{name}/{mode}/{file}": digest for name, modes in tree.items()
+            for mode, files in modes.items() for file, digest in files.items()}
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("core", sorted(KERNEL_DEPENDENT))
+def test_forced_kernel_moves_only_the_pinned_entries(core):
+    # The printer in a child process, whose OpenBLAS runs the core's
+    # kernels: exactly the pinned entries differ from GOLDEN, so the test
+    # also fails if more entries start to move.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                          capture_output=True, text=True, check=True)
+    got, want = flat(json.loads(proc.stdout)), flat(GOLDEN)
+    assert sorted(got) == sorted(want)
+    assert sorted(k for k in want if got[k] != want[k]) == KERNEL_DEPENDENT[core]
+
+
 if __name__ == "__main__":
-    import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -482,8 +482,7 @@ class TestBenchmarkHooks:
     def test_depth_patches_of_a_frame_build_its_capsules_once(self, tracer, monkeypatch):
         # Each present person's capsule stack is built once per frame and
         # shared by every patch; the tracer sees one patch call for two
-        # cameras, cast in one bundle of chunks of at most DEPTH_CHUNK_RAYS
-        # rays, and one ray per patch pixel.
+        # cameras, cast in one bundle, and one ray per patch pixel.
         built = []
         body_capsules = simulator.body_capsules
         monkeypatch.setattr(simulator, "body_capsules",
@@ -495,8 +494,7 @@ class TestBenchmarkHooks:
             provider.patch(1, {"cam0": centres, "cam1": centres}, 5)
         assert sum(len(caps) for caps in built) == 3 * 10  # three persons, ten capsules each
         assert t.calls("simulator.depth_patch") == 1
-        assert simulator.DEPTH_CHUNK_RAYS == 200
-        assert t.calls("primitives.cast_rays.depth") == 1  # 2 x 300 rays in chunks of 200
+        assert t.calls("primitives.cast_rays.depth") == 1
         assert t.counts["primitives.cast_rays.depth.rays"] == 2 * 12 * 25
 
 

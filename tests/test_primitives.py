@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contacttrack import primitives
 from contacttrack.primitives import (
     CULL_ABS,
+    CULL_BLOCK_RAYS,
     CULL_REL,
     Box,
     Capsules,
@@ -20,7 +23,6 @@ from contacttrack.simulator import surface_from_config
 from helpers import (
     capsule_hits,
     full_capsule_hits,
-    per_camera_cast,
     reference_box_ray,
     reference_capsule_ray,
     reference_cast_rays,
@@ -263,6 +265,12 @@ def assert_culled_kernel_exact(caps, origin, dirs):
     assert np.array_equal(t, best) and np.array_equal(row, k)
     t, i = cast_rays([caps], origin, dirs)
     assert np.array_equal(t, best) and np.array_equal(i, np.where(np.isfinite(best), k, -1))
+    # The same rays behind one from an origin 4 m away, which their cull
+    # block is then measured from: the hits keep their bits.
+    origins = np.vstack([origin + [3.0, -2.0, 2.0], np.broadcast_to(origin, dirs.shape)])
+    lead = np.vstack([[0.0, 0.0, 1.0], dirs])
+    skip = None if caps.skip is None else np.hstack([np.zeros((len(caps), 1), bool), caps.skip])
+    assert np.array_equal(capsule_hits(replace(caps, skip=skip), origins, lead)[:, 1:], want)
     return want
 
 
@@ -399,10 +407,10 @@ class TestCasting:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_rows_that_hold_every_hit_give_the_full_cast(self, seed):
-        # The box, the rectangle and the box again (which loses every tie)
-        # are each handed the rays they hit plus random others, or every
-        # ray; the sphere and the stack, which the depth cast never culls,
-        # every ray. The first hits keep their bits.
+        # The box, the rectangle, the box again (which loses every tie) and
+        # the sphere are each handed the rays they hit plus random others,
+        # or every ray; the stack, whose skip mask covers the bundle, every
+        # ray. The first hits keep their bits.
         rng = np.random.default_rng(seed)
         origin = rng.uniform(-0.2, 0.2, size=3)
         dirs = rng.normal(size=(120, 3)) * 0.6 + [0.0, 0.0, 1.0]
@@ -412,10 +420,10 @@ class TestCasting:
                  Capsules.between([[-1.5, 0.8, 1.8]], [[1.5, 0.8, 1.8]], 0.15)]
         want_t, want_i = cast_rays(prims, origin, dirs)
         rows = []
-        for prim in prims[:3]:
+        for prim in prims[:4]:
             hit = np.isfinite(prim.ray(origin, dirs)) | (rng.random(len(dirs)) < 0.3)
             rows.append(None if rng.random() < 0.2 else np.flatnonzero(hit))
-        t, i = cast_rays(prims, origin, dirs, rows=rows + [None, None])
+        t, i = cast_rays(prims, origin, dirs, rows=rows + [None])
         assert t.tobytes() == want_t.tobytes() and i.tobytes() == want_i.tobytes()
         assert {0, 1, 3, 4} <= set(want_i.tolist())
 
@@ -426,45 +434,92 @@ class TestCasting:
         assert i[0] == 0 and t[0] == pytest.approx(4.0)
 
 
-class TestMultiCameraBundle:
+class TestBundleIndependence:
     @staticmethod
     def scene(rng, n):
         """A box, a rectangle, a sphere and a stack of twelve capsules with
-        a random skip mask over n rays, all ahead of origins near 0."""
+        a random skip mask over n rays, all ahead of origins near 0, and n
+        rays aimed at them from several origins."""
         lo = rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0]
         p0 = rng.uniform(-1.5, 1.5, size=(12, 3)) + [0.0, 0.0, 2.5]
         caps = Capsules.between(p0, p0 + rng.normal(0.0, 0.5, size=(12, 3)),
                                 rng.uniform(0.05, 0.4, size=12))
-        return [Box(lo, lo + rng.uniform(0.1, 2.0, size=3)),
-                Rect(lo + [0.5, 0.0, -1.0], "xyz"[rng.integers(3)],
-                     tuple(rng.uniform(0.1, 2.0, size=2))),
-                Sphere(rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0], rng.uniform(0.2, 1.0)),
-                replace(caps, skip=rng.random((12, n)) < 0.2)]
+        prims = [Box(lo, lo + rng.uniform(0.1, 2.0, size=3)),
+                 Rect(lo + [0.5, 0.0, -1.0], "xyz"[rng.integers(3)],
+                      tuple(rng.uniform(0.1, 2.0, size=2))),
+                 Sphere(rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, 3.0], rng.uniform(0.2, 1.0)),
+                 replace(caps, skip=rng.random((12, n)) < 0.2)]
+        centres = rng.uniform(-0.5, 0.5, size=(rng.integers(1, 5), 3))
+        origin = centres[rng.integers(0, len(centres), n)]
+        # Most rays aim near a capsule's midpoint, some near the other
+        # surfaces and a fifth nowhere in particular; none has unit length.
+        aims = np.vstack([caps.p0 + 0.5 * caps.axis, lo, prims[1].center, prims[2].center])
+        dirs = aims[rng.integers(0, len(aims), n)] + rng.normal(0.0, 0.3, size=(n, 3)) - origin
+        dirs[rng.random(n) < 0.2] = rng.normal(size=3) * 0.6 + [0.0, 0.0, 1.0]
+        return prims, origin, dirs * rng.uniform(0.5, 2.0, size=(n, 1))
 
-    def test_equals_one_cast_per_camera(self):
-        # Random bundles of one to five cameras, some with one ray or none,
-        # cast at once and camera by camera: every hit, index and capsule
-        # hit keeps its bits.
-        rng = np.random.default_rng(14)
-        seen = set()
-        cases = [[1], [0], [0, 0], [0, 1, 0], [1, 1, 1]]
-        cases += [rng.integers(0, 40, size=rng.integers(1, 6)).tolist() for _ in range(60)]
-        for counts in cases:
-            n = sum(counts)
-            origins = rng.uniform(-0.5, 0.5, size=(len(counts), 3))
-            dirs = rng.normal(size=(n, 3)) * 0.6 + [0.0, 0.0, 1.0]
-            prims = self.scene(rng, n)
-            want_t, want_i = per_camera_cast(cast_rays, prims, origins, dirs, counts)
-            t, i = cast_rays(prims, origins, dirs, counts=counts)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60), data=st.data())
+    def test_rays_keep_their_bits_in_any_bundle(self, seed, n, data):
+        # Every ray's (t, index), and its hit on each surface and capsule,
+        # are the same bytes alone, in the full bundle, in a shuffled one
+        # and on either side of a split, whichever origins the other rays
+        # start from.
+        prims, origin, dirs = self.scene(np.random.default_rng(seed), n)
+
+        def cast(sel):
+            """(t, index), each surface's own hits and the capsule hits."""
+            sub = [replace(p, skip=p.skip[:, sel]) if isinstance(p, Capsules) else p
+                   for p in prims]
+            o, d = origin[sel], dirs[sel]
+            hits = np.vstack([p.ray(o, d) for p in sub[:-1]] + [capsule_hits(sub[-1], o, d)])
+            return *cast_rays(sub, o, d), hits
+
+        want_t, want_i, want_hits = cast(np.arange(n))
+        assert np.isfinite(want_hits[3:]).any()
+        cut = data.draw(st.integers(0, n), label="cut")
+        perm = np.array(data.draw(st.permutations(range(n)), label="order"))
+        bundles = [perm, np.arange(cut), np.arange(cut, n)] + [[i] for i in range(n)]
+        for sel in bundles:
+            t, i, hits = cast(sel)
+            assert t.tobytes() == want_t[sel].tobytes() and i.tobytes() == want_i[sel].tobytes()
+            assert hits.tobytes() == want_hits[:, sel].tobytes()
+        if (origin == origin[0]).all():  # one origin, given once or per ray
+            t, i = cast_rays(prims, origin[0], dirs)
             assert t.tobytes() == want_t.tobytes() and i.tobytes() == want_i.tobytes()
-            caps = prims[-1]
-            want = np.concatenate(
-                [capsule_hits(replace(caps, skip=caps.skip[:, rays]), o, dirs[rays])
-                 for o, rays in zip(origins, np.split(np.arange(n), np.cumsum(counts)[:-1]))],
-                axis=1)
-            assert capsule_hits(caps, origins, dirs, counts).tobytes() == want.tobytes()
-            seen |= set(want_i.tolist())
-        assert seen == set(range(-1, 15))  # misses, the surfaces and every capsule
+
+
+def test_cull_memory_is_bounded_by_a_block():
+    # 80 capsules and 4,000 rays from four origins, few pairs surviving the
+    # cull: one hit_pairs peaks below ten (capsules, block) float arrays,
+    # which one (capsules, rays) array of an unblocked cull would exceed.
+    rng = np.random.default_rng(31)
+    k, n = 80, 4000
+    p0 = rng.uniform(-4.0, 4.0, size=(k, 3)) + [0.0, 0.0, 6.0]
+    caps = Capsules.between(p0, p0 + rng.normal(0.0, 0.3, size=(k, 3)),
+                            rng.uniform(0.05, 0.14, size=k))
+    origin = np.repeat(rng.uniform(-0.5, 0.5, size=(4, 3)), n // 4, axis=0)
+    dirs = rng.normal(size=(n, 3)) * 0.5 + [0.0, 0.0, 1.0]
+    bound = 10 * k * CULL_BLOCK_RAYS * 8
+
+    def peak():
+        caps.hit_pairs(origin, dirs)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            hits = caps.hit_pairs(origin, dirs)
+            return tracemalloc.get_traced_memory()[1], hits
+        finally:
+            tracemalloc.stop()
+
+    blocked, hits = peak()
+    assert blocked < bound and len(hits[0]) > 100
+    assert k * n * 8 > bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primitives, "CULL_BLOCK_RAYS", n)
+        unblocked, same = peak()
+    assert unblocked > bound
+    order = [np.lexsort((rows, rays)) for rows, rays, _ in (hits, same)]
+    assert all(a[order[0]].tobytes() == b[order[1]].tobytes() for a, b in zip(hits, same))
 
 
 class TestConfig:

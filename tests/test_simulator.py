@@ -259,9 +259,8 @@ class TestDepthProvider:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), size=st.sampled_from([1, 3, 5, 7]), frame=st.integers(0, 2))
     def test_batched_patches_equal_single_centre_oracle(self, data, size, frame):
-        # Bodies and depth noise included; the batch is one cast whose
-        # chunks cut across patches, and no chunk holds more rays than the
-        # chunk constant.
+        # Bodies and depth noise included; the batch is one cast of every
+        # in-image patch pixel.
         sim = Simulator(induction_lite(3) | {"noise": {"depth_sigma": 0.01}}, seed=5)
         provider = SceneDepthProvider(sim)
         cal = sim.cals["cam2"]
@@ -270,7 +269,7 @@ class TestDepthProvider:
         cast_rays = simulator.cast_rays
 
         def counted(prims, origin, dirs, **cull):
-            casts.append(cull["counts"])
+            casts.append(len(dirs))
             return cast_rays(prims, origin, dirs, **cull)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -284,11 +283,7 @@ class TestDepthProvider:
         rays = sum(len(range(max(u - r, 0), min(u + r + 1, cal.image_width)))
                    * len(range(max(v - r, 0), min(v + r + 1, cal.image_height)))
                    for u, v in centres)
-        assert len(casts) == (rays > 0)
-        chunks = casts[0] if casts else []
-        assert sum(chunks) == rays
-        assert len(chunks) == -(-rays // simulator.DEPTH_CHUNK_RAYS)
-        assert max(chunks, default=0) <= simulator.DEPTH_CHUNK_RAYS
+        assert casts == ([rays] if rays else [])
 
     @pytest.mark.parametrize("width, height", [(101, 77), (64, 48)])
     @pytest.mark.parametrize("stride", range(1, 9))
@@ -394,8 +389,8 @@ PLACES = {
 
 
 class TestSurfaceCull:
-    """The depth cast hands each box and rectangle only the pixels inside
-    the image of its bounding box; grids and patches stay bit-equal to
+    """The depth cast hands each surface only the pixels inside the image
+    of its bounding box; grids and patches stay bit-equal to
     the oracles that cast every pixel."""
 
     W, H, F = 48, 36, 40.0
@@ -448,9 +443,9 @@ class TestSurfaceCull:
         handed = []
         cast_rays = simulator.cast_rays
 
-        def recorded(prims, origin, dirs, rows, counts):
+        def recorded(prims, origin, dirs, rows):
             handed.append([len(dirs) if r is None else len(r) for r in rows[:len(prims)]])
-            return cast_rays(prims, origin, dirs, rows=rows, counts=counts)
+            return cast_rays(prims, origin, dirs, rows=rows)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "cast_rays", recorded)
@@ -467,11 +462,11 @@ class TestSurfaceCull:
             got = camera_patch(provider, 0, "cam0", us, vs, 5)
         want = [scene_patch(sim, 0, "cam0", u, v, 5) for u, v in centres]
         assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
-        # A box or rectangle in front of the camera is handed only the
-        # pixels near its image; one that reaches behind the camera plane,
-        # and the sphere, every pixel.
-        for kind, place, rays in zip(("box", "rect", "sphere"), places, lattice):
-            if kind != "sphere" and place in ("in-view", "off-image"):
+        # A surface in front of the camera, the sphere too, is handed only
+        # the pixels near its image; one that reaches behind the camera
+        # plane, every pixel.
+        for place, rays in zip(places, lattice):
+            if place in ("in-view", "off-image"):
                 assert rays < self.W * self.H
             else:
                 assert rays == self.W * self.H
