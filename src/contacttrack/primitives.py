@@ -5,12 +5,12 @@ bundle of N rays) and point queries (distances from a batch of points, and
 the closest surface point). A bundle's rays start at one origin (3,) or
 each at its own, (N, 3), so one cast can answer every camera of a frame.
 
-Every product that reaches a hit is elementwise, summed x, then y, then
-z: the Box and Rect tests, a Sphere's dirs . oc, the capsule formula's
-a . d and w . d, and the skip mask. So a ray's (t, index) is the same
-bits in any bundle, alone, shuffled or split, and a cast may hand a
-surface only the rays it can hit, as the depth provider does by the
-image of its bounds().
+Every step that reaches a hit is elementwise, with each dot product
+summed x, then y, then z: the Box and Rect tests, a Sphere's dirs . oc,
+the capsule formula's a . d and w . d, and the skip mask. So a ray's
+(t, index) is the same bits in any bundle, alone, shuffled or split, and
+a cast may hand a surface only the rays it can hit, as the depth
+provider does by the image of its bounds().
 
 Body capsules are stacked (Capsules), so a cast answers a whole stack in
 one numpy pass, and a (capsule, ray) skip mask lets one bundle hold rays
@@ -248,7 +248,7 @@ class Capsules:
         ray's line. The measured distance is from the line to a segment
         point, at least the centre's line distance minus half the axis, so
         a culled pair could not hit. The cull runs in blocks of
-        CULL_BLOCK_RAYS rays, with one BLAS product per block, so no array
+        CULL_BLOCK_RAYS rays, with two BLAS products per block, so no array
         holds a row per (capsule, ray) pair of the bundle. Its rounding can
         depend on the block, but it only chooses which pairs are measured,
         and the margins keep every pair the formula would hit. The
@@ -257,26 +257,30 @@ class Capsules:
         (K, N) pass."""
         dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
         origin = np.broadcast_to(np.asarray(origin, dtype=float), dirs.shape)
+        if not len(dirs):
+            return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
         a = self.axis
         aa = _dot(a, a)
         dd = _dot(dirs, dirs)
         reach = (0.5 * np.sqrt(aa) + self.radius) * (1.0 + CULL_REL) + CULL_ABS
-        ks, ns = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        # The axis midpoints oc seen from the first ray's origin, and each
+        # ray's origin u from there (zero in a bundle of one camera). A pair
+        # is kept when ((oc - u) . d)^2 >= (|oc - u|^2 - reach^2) |d|^2: the
+        # centre's squared line distance against the reach squared, times
+        # |d|^2. Each side's inner term is a product of the capsule rows
+        # [oc, |oc|^2 - reach^2, 1] with a ray column, [d, 0, -u . d] or
+        # [-2u, 1, |u|^2] |d|^2. A zero direction compares 0 with 0 and is
+        # kept.
+        u = origin - origin[0]
+        oc = self.p0 + 0.5 * a - origin[0]
+        centre = np.column_stack((oc, _dot(oc, oc) - reach * reach, np.ones(len(a))))
+        along = np.column_stack((dirs, np.zeros(len(dirs)), -_dot(u, dirs))).T
+        gap = (np.column_stack((-2.0 * u, np.ones(len(dirs)), _dot(u, u))) * dd[:, None]).T
+        ks, ns = [], []
         for lo in range(0, len(dirs), CULL_BLOCK_RAYS):
             rays = slice(lo, lo + CULL_BLOCK_RAYS)
-            d, o = dirs[rays], origin[rays]
-            # The axis midpoints seen from the block's first origin, and each
-            # ray's origin u from there (zero in a block of one camera).
-            oc = 0.5 * a - (o[0] - self.p0)
-            u = o - o[0]
-            # Squared line distance of a centre, |oc - u|^2 - ((oc - u) . d)^2
-            # / |d|^2, over the reach squared, scaled by |d|^2; a zero
-            # direction compares 0 with 0 and is kept.
-            prod = oc @ np.concatenate((d, -2.0 * u)).T
-            cd = prod[:, :len(d)] - _dot(u, d)
-            gap = prod[:, len(d):] + (_dot(oc, oc) - reach * reach)[:, None]
-            gap += _dot(u, u)
-            keep = cd * cd >= gap * dd[rays]
+            cd = centre @ along[:, rays]
+            keep = cd * cd >= centre @ gap[:, rays]
             if self.skip is not None:
                 keep &= ~self.skip[:, rays]
             k, n = np.nonzero(keep)
