@@ -265,8 +265,8 @@ def assert_culled_kernel_exact(caps, origin, dirs):
     assert np.array_equal(t, best) and np.array_equal(row, k)
     t, i = cast_rays([caps], origin, dirs)
     assert np.array_equal(t, best) and np.array_equal(i, np.where(np.isfinite(best), k, -1))
-    # The same rays behind one from an origin 4 m away, which their cull
-    # block is then measured from: the hits keep their bits.
+    # The same rays behind one from an origin 4 m away, which the cull then
+    # measures every ray from: the hits keep their bits.
     origins = np.vstack([origin + [3.0, -2.0, 2.0], np.broadcast_to(origin, dirs.shape)])
     lead = np.vstack([[0.0, 0.0, 1.0], dirs])
     skip = None if caps.skip is None else np.hstack([np.zeros((len(caps), 1), bool), caps.skip])
