@@ -8,9 +8,11 @@ epipolar_distance takes stacked pixel pairs. triangulate_weighted takes
 one point or a stack of independent problems: it solves P points over
 the V cameras they share in one Levenberg-Marquardt kernel, each problem
 with its own damping and view order, and gives each the result it would
-get alone, bit for bit. Each iteration makes one damped try per problem,
-and a problem stops at the first step, accepted or rejected, below
-GN_STEP_TOL: below it the cost moves by rounding noise only. Its
+get alone, bit for bit, whatever BLAS numpy links: the kernel forms every
+product elementwise and adds every sum in a fixed order, and solves its
+3x3 steps in closed form. Each iteration makes one damped try per
+problem, and a problem stops at the first step, accepted or rejected,
+below GN_STEP_TOL: below it the cost moves by rounding noise only. Its
 conditioning gate bounds cond(J^T J) in closed form and takes an SVD only
 for the rows the bound cannot decide. A failing problem comes back as a
 NaN row (and NaN error) in the batch form; the single-point form raises
@@ -194,176 +196,180 @@ def epipolar_distance(x_i, x_j, F):
     return 0.5 * (d_j + d_i)
 
 
-# Batched triangulation. Each problem's views are packed used-first, in
-# its own view order, with zero-weight padding after them. Each stacked
-# product below is one small BLAS call per stacked item (per point and
-# camera, or per problem over exactly its used views), the call a problem
-# solved alone makes, so a problem's result does not depend on its batch.
-# Sums over zero-padded views would round differently in the last bit.
+# The triangulation kernel. K (V, 21, A) holds the packed views of A
+# problems view-major: per view T_cw's top three rows (12), fx, fy, cx, cy,
+# u, v, sqrt(w), sqrt(w) fx and sqrt(w) fy, with a problem's used views
+# first in its own order and all-zero padding after them. Products are
+# elementwise, a 3-vector sum adds x, y, then z, and a sum over views adds
+# one view at a time in view order: np.add.reduce along the leading axis
+# of a C-ordered array adds in order when another axis longer than 1
+# follows it (along its inner loop numpy sums pairwise from 8 terms).
+# Padding adds exact zeros, so a problem gets the bits it gets alone, in
+# any batch and under any BLAS.
 
-def _to_camera(X, T):
-    """World points X (G, 3) in the camera frames T (G, V, 4, 4): (G, V, 3)."""
-    return (X[:, None, None, :] @ T[..., :3, :3].swapaxes(-1, -2))[..., 0, :] + T[..., :3, 3]
+# The column pairs of _linearize whose products _sums adds: J^T J's upper
+# entries H00, H01, H02, H11, H12, H22, then J^T r and r^T r.
+_PAIRS = np.array([[0, 0, 0, 1, 1, 2, 0, 1, 2, 3], [0, 1, 2, 1, 2, 2, 3, 3, 3, 3]])
+_DIAG = np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]])
+_SYM = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])  # upper entries -> 3x3, row-major
+_COF = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
+                 [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
-def _residuals(X, T, C):
-    """Weighted residuals (G, 2V) at X (G, 3), with the camera-frame points
-    pc (G, V, 3) and clamped depths z (G, V, 1) that _jacobians takes.
+def _pack(cals, views, uv, w):
+    """K (V, 21, G) of G problems: views (G, V) indexes cals, uv (G, V, 2)
+    and w (G, V) hold the views' pixels and weights. A view without a
+    positive weight is padding, all zeros."""
+    cams = np.array([np.r_[cal.T_cw[:3].ravel(), cal.fx, cal.fy, cal.cx, cal.cy]
+                     for cal in cals])[views]
+    pad = ~(w > 0)
+    sw = np.sqrt(np.where(pad, 0.0, w))[..., None]
+    K = np.concatenate([cams, uv, sw, sw * cams[..., 12:14]], axis=-1)
+    K[pad] = 0.0
+    return np.ascontiguousarray(K.transpose(1, 2, 0))
 
-    T (G, V, 4, 4) holds each problem's packed cameras; C (G, V, 9) holds
-    per view fx, fy, cx, cy, u, v, sqrt(w), sqrt(w) fx, sqrt(w) fy. Rows
-    interleave u and v per view; padding views give zero rows.
-    """
-    pc = _to_camera(X, T)
+
+def _dot3(p, q):
+    """Dot products of the 3-vectors along the first axis of p and q."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _camera_points(X, K):
+    """Points X (3, A) in each problem's packed camera frames: (V, 3, A)."""
+    T = K[:, :12].reshape(len(K), 3, 4, -1)
+    return T[:, :, 0] * X[0] + T[:, :, 1] * X[1] + T[:, :, 2] * X[2] + T[:, :, 3]
+
+
+def _linearize(X, K):
+    """(V, 2, 4, A): per view, for the u and the v row, the weighted
+    residual's derivatives in x, y and z, then the residual, at X (3, A)."""
+    pc = _camera_points(X, K)
     # Push points behind a camera back in front via a huge residual.
-    z = np.where(pc[..., 2] <= 1e-6, 1e-6, pc[..., 2])[..., None]
-    r = C[..., 6:7] * (C[..., 0:2] * pc[..., :2] / z + C[..., 2:4] - C[..., 4:6])
-    G, V = C.shape[:2]
-    return r.reshape(G, 2 * V), pc, z
+    z = np.maximum(pc[:, 2:], 1e-6)
+    T = K[:, :12].reshape(len(K), 3, 4, -1)
+    L = np.empty((len(K), 2, 4, K.shape[-1]))
+    np.multiply(K[:, 18:19], K[:, 12:14] * pc[:, :2] / z + K[:, 14:16] - K[:, 16:18],
+                out=L[:, :, 3])
+    np.multiply(K[:, 19:21, None], T[:, :2, :3] * z[:, :, None] - pc[:, :2, None] * T[:, 2:, :3],
+                out=L[:, :, :3])
+    L[:, :, :3] /= (z * z)[:, :, None]
+    return L
 
 
-def _jacobians(T, C, pc, z):
-    """Jacobians (G, 2V, 3) of the residuals of _residuals."""
-    R = T[..., :3, :3]
-    J = C[..., 7:9, None] * (R[..., :2, :] * z[..., None] - pc[..., :2, None] * R[..., 2:3, :])
-    J /= (z * z)[..., None]
-    G, V = C.shape[:2]
-    return J.reshape(G, 2 * V, 3)
+def _sums(L):
+    """(10, A) sums over L's rows, u then v of each view in view order, of
+    the products of its _PAIRS columns (np.take keeps them C-ordered)."""
+    L = L.reshape(2 * len(L), 4, L.shape[-1])
+    return np.add.reduce(np.take(L, _PAIRS[0], 1) * np.take(L, _PAIRS[1], 1), axis=0)
 
 
-def _by_count(n):
-    """(k, rows) for each used-view count k in n (G,)."""
-    return [(k, np.flatnonzero(n == k)) for k in np.flatnonzero(np.bincount(n))]
+def _adjugate(m):
+    """Adjugates (6, A) and determinants (A,) of symmetric 3x3 matrices
+    given by their upper entries m (6, A): H00, H01, H02, H11, H12, H22."""
+    c = m[_COF]
+    adj = c[0] * c[1] - c[2] * c[3]
+    return adj, m[0] * adj[0] + m[1] * adj[1] + m[2] * adj[2]
 
 
-def _sq_norms(r, n):
-    """r_i . r_i over each row's 2 n_i used residuals."""
-    out = np.empty(len(r))
-    for k, rows in _by_count(n):
-        rk = r[rows, :2 * k]
-        out[rows] = _row_dots(rk, rk)
-    return out
-
-
-def _normal_equations(J, r, n):
-    """H = J^T J (G, 3, 3) and J^T r (G, 3) over each row's used views."""
-    H = np.empty((len(J), 3, 3))
-    g = np.empty((len(J), 3))
-    for k, rows in _by_count(n):
-        Jk = J[rows, :2 * k]
-        H[rows] = Jk.swapaxes(1, 2) @ Jk
-        g[rows] = (Jk.swapaxes(1, 2) @ r[rows, :2 * k, None])[:, :, 0]
-    return H, g
-
-
-def _dlt_init(cals, views, uv, n):
-    """DLT points (G, 3) from each problem's used camera pair with the
-    largest baseline, the first such pair on ties; NaN rows where the
-    centres coincide or the DLT point is at infinity.
-
-    views (G, V): indices into cals, the n (G,) used ones first; uv
-    (G, V, 2) their pixels.
-    """
-    centers = [cal.center for cal in cals]
-    base = np.zeros((len(cals), len(cals)))
-    for a in range(len(cals)):
-        for b in range(a + 1, len(cals)):
-            base[a, b] = base[b, a] = np.linalg.norm(centers[a] - centers[b])
-    pa, pb = np.triu_indices(views.shape[1], 1)
-    spans = np.where(pb < n[:, None], base[views[:, pa], views[:, pb]], -np.inf)
-    best = np.argmax(spans, axis=1)
-    rows = np.arange(len(views))
-    Pm = np.stack([cal.K @ cal.T_cw[:3, :] for cal in cals])
-    eqs = []
-    for pos in (pa[best], pb[best]):
-        P = Pm[views[rows, pos]]
-        u, v = uv[rows, pos, 0, None], uv[rows, pos, 1, None]
-        eqs += [u * P[:, 2] - P[:, 0], v * P[:, 2] - P[:, 1]]
-    Xh = np.linalg.svd(np.stack(eqs, axis=1))[2][:, -1]
-    bad = (spans[rows, best] < 1e-9) | (np.abs(Xh[:, 3]) < 1e-15)
-    Xh[bad] = np.nan
-    return Xh[:, :3] / Xh[:, 3:]
-
-
-def _ill_conditioned(H):
-    """cond(H) > 1e14 for each symmetric positive semi-definite H (G, 3, 3),
-    bit for bit as np.linalg.cond gives it.
+def _ill_conditioned(m):
+    """cond(H) > 1e14 for each symmetric positive semi-definite H, given by
+    its upper entries m (6, A), bit for bit as np.linalg.cond gives it.
 
     cond(H) = lmax / lmin <= tr(H)^3 / det(H), so a row with a finite
     det(H) >= 1e-12 tr(H)^3 has a condition number of at most about 1e12
-    even after rounding and needs no SVD. Only the other rows (singular,
-    near-singular or non-finite) go to np.linalg.cond, which takes one SVD
-    per matrix, so each gets the value it would get in any batch.
+    and needs no SVD. det comes from the cofactors, whose absolute error
+    is a few ulp times tr(H)^3, far below that 1e-12 tr(H)^3 margin, so
+    the bound decides only rows the SVD would pass. Only the other rows
+    (singular, near-singular or non-finite) go to np.linalg.cond, which
+    takes one SVD per matrix, so each gets the value it would get in any
+    batch.
     """
-    det = np.linalg.det(H)
-    sure = (np.trace(H, axis1=1, axis2=2) ** 3 <= 1e12 * det) & np.isfinite(det)
-    ill = np.zeros(len(H), dtype=bool)
+    det = _adjugate(m)[1]
+    sure = ((m[0] + m[3] + m[5]) ** 3 <= 1e12 * det) & np.isfinite(det)
+    ill = np.zeros(len(det), dtype=bool)
     doubt = np.flatnonzero(~sure)
     if doubt.size:
-        ill[doubt] = np.linalg.cond(H[doubt]) > 1e14
+        ill[doubt] = np.linalg.cond(m[_SYM][:, doubt].T.reshape(-1, 3, 3)) > 1e14
     return ill
 
 
-def _gauss_newton(T, C, n, X):
+def _midpoints(K, n):
+    """Start points (3, G): for each problem, the midpoint of the shortest
+    segment between the rays through its pixels in the used camera pair
+    with the widest baseline, the first such pair on ties (Hartley &
+    Sturm, CVIU 1997). NaN where the pair's centres lie within 1e-9 m of
+    each other or the rays are parallel. n (G,): used views per problem."""
+    V, G = len(K), K.shape[-1]
+    T = K[:, :12].reshape(V, 3, 4, G).transpose(1, 2, 0, 3)
+    with np.errstate(all="ignore"):  # padding views and parallel rays
+        o = -(T[0, :3] * T[0, 3] + T[1, :3] * T[1, 3] + T[2, :3] * T[2, 3])
+        d = (T[0, :3] * ((K[:, 16] - K[:, 14]) / K[:, 12])
+             + T[1, :3] * ((K[:, 17] - K[:, 15]) / K[:, 13]) + T[2, :3])
+        pa, pb = np.triu_indices(V, 1)
+        gap = o[:, pa] - o[:, pb]
+        spans = np.where(pb[:, None] < n, _dot3(gap, gap), -np.inf)
+        best = np.argmax(spans, axis=0)
+        g = np.arange(G)
+        o1, d1, o2, d2 = o[:, pa[best], g], d[:, pa[best], g], o[:, pb[best], g], d[:, pb[best], g]
+        w = o1 - o2
+        a, b, c, p, q = _dot3(d1, d1), _dot3(d1, d2), _dot3(d2, d2), _dot3(d1, w), _dot3(d2, w)
+        den = a * c - b * b
+        X = 0.5 * ((o1 + (b * q - c * p) / den * d1) + (o2 + (a * q - b * p) / den * d2))
+    bad = (spans[best, g] < 1e-18) | ~np.isfinite(X).all(axis=0)
+    return np.where(bad, np.nan, X)
+
+
+def _gauss_newton(K, n, X):
     """Levenberg-Marquardt for G problems, each over its n used views.
 
-    T (G, V, 4, 4) and C (G, V, 9) describe each problem's packed views
-    (see _residuals). Each iteration makes one try per active problem:
-    the step s solves (H + lam diag(H)) s = -g. A step that does not raise
+    K (V, 21, G) holds each problem's packed views (see _pack). Each
+    iteration makes one try per active problem: the step s solves
+    (H + lam diag(H)) s = -g in closed form. A step that does not raise
     the cost is accepted and sets lam = max(0.3 lam, 1e-12); a rejected
     step leaves X as it is and multiplies lam by 10. A problem stops at a
     step below GN_STEP_TOL, accepted or rejected, or after GN_MAX_ITER
-    tries. X (G, 3) holds the starting points, NaN rows for problems
-    already failed. Returns (X, err) with NaN rows for failed problems.
+    tries; the active arrays shrink only when a problem stops or fails.
+    X (3, G) holds the start points, NaN columns for problems already
+    failed. Returns (X (G, 3), err (G,)) with NaN rows for failed problems.
     """
-    G, V = C.shape[:2]
-    failed = np.isnan(X).any(axis=1)
+    failed = np.isnan(X).any(axis=0)
     X = X.copy()
-    lam = np.full(G, 1e-6)
-    r = np.empty((G, 2 * V))
-    J = np.empty((G, 2 * V, 3))
-    cost = np.empty(G)
     act = np.flatnonzero(~failed)
-    r[act], pc, z = _residuals(X[act], T[act], C[act])
-    J[act] = _jacobians(T[act], C[act], pc, z)
-    cost[act] = _sq_norms(r[act], n[act])
-    eye = np.eye(3)
+    Ka, Xa, lam = K[:, :, act], X[:, act], np.full(act.size, 1e-6)
+    S = _sums(_linearize(Xa, Ka))
     for _ in range(GN_MAX_ITER):
+        # Near-parallel rays leave the depth direction unconstrained.
+        ill = _ill_conditioned(S[:6])
+        if ill.any():
+            failed[act[ill]] = True
+            act, Ka, Xa, S, lam = act[~ill], Ka[:, :, ~ill], Xa[:, ~ill], S[..., ~ill], lam[~ill]
         if not act.size:
             break
-        H, g = _normal_equations(J[act], r[act], n[act])
-        # Near-parallel rays leave the depth direction unconstrained.
-        ill = _ill_conditioned(H)
-        failed[act[ill]] = True
-        act, H, g = act[~ill], H[~ill], g[~ill]
-        # Past the conditioning gate H is positive definite, and so is
-        # H + lam diag(H): the solve cannot meet a singular system. A step
-        # below GN_STEP_TOL ends the problem even when it is rejected: the
-        # cost then differs by rounding noise, which more damping only
-        # polishes.
-        s = np.linalg.solve(H + lam[act, None, None] * (H * eye), -g[:, :, None])[:, :, 0]
-        X_new = X[act] + s
-        r_new, pc, z = _residuals(X_new, T[act], C[act])
-        cost_new = _sq_norms(r_new, n[act])
-        ok = cost_new <= cost[act]
-        up = act[ok]
-        X[up], r[up], cost[up] = X_new[ok], r_new[ok], cost_new[ok]
-        J[up] = _jacobians(T[up], C[up], pc[ok], z[ok])
-        lam[act] = np.where(ok, np.maximum(lam[act] * 0.3, 1e-12), lam[act] * 10.0)
-        act = act[np.sqrt(_row_dots(s, s)) >= GN_STEP_TOL]
+        # Past the gate H is positive definite, and so is H + lam diag(H).
+        # A step below GN_STEP_TOL ends the problem even when it is
+        # rejected: the cost then differs by rounding noise, which more
+        # damping only polishes.
+        adj, den = _adjugate(S[:6] + lam * (S[:6] * _DIAG))
+        s = adj[_SYM].reshape(3, 3, -1) * -S[6:9]
+        s = (s[:, 0] + s[:, 1] + s[:, 2]) / den
+        X_new = Xa + s
+        S_new = _sums(_linearize(X_new, Ka))
+        ok = S_new[9] <= S[9]
+        Xa, S = np.where(ok, X_new, Xa), np.where(ok, S_new, S)
+        lam = np.where(ok, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
+        go = np.sqrt(_dot3(s, s)) >= GN_STEP_TOL
+        if not go.all():
+            X[:, act[~go]] = Xa[:, ~go]
+            act, Ka, Xa, S, lam = act[go], Ka[:, :, go], Xa[:, go], S[..., go], lam[go]
+    X[:, act] = Xa
 
-    pc = _to_camera(X, T)
-    z = np.maximum(pc[..., 2], 1e-6)
-    e = np.hypot(
-        C[..., 0] * pc[..., 0] / z + C[..., 2] - C[..., 4],
-        C[..., 1] * pc[..., 1] / z + C[..., 3] - C[..., 5],
-    )
-    err = np.empty(G)
-    for k, rows in _by_count(n):
-        err[rows] = np.mean(e[rows, :k], axis=1)
-    X[failed] = np.nan
+    pc = _camera_points(X, K)
+    e = K[:, 12:14] * pc[:, :2] / np.maximum(pc[:, 2:], 1e-6) + K[:, 14:16] - K[:, 16:18]
+    # accumulate, unlike reduce, adds in view order even when G is 1.
+    err = np.add.accumulate(np.hypot(e[:, 0], e[:, 1]), axis=0)[-1] / n
+    X[:, failed] = np.nan
     err[failed] = np.nan
-    return X, err
+    return X.T, err
 
 
 def triangulate_weighted(obs, init_hint=None, order=None):
@@ -380,16 +386,16 @@ def triangulate_weighted(obs, init_hint=None, order=None):
 
     Each problem minimizes sum_i w_i * ||pi_i(X) - u_i||^2 over its used
     views by Levenberg-Marquardt with its own damping and stopping (see
-    _gauss_newton), starting from its hint or else from a DLT on its used
-    camera pair with the largest baseline. err is the unweighted mean
-    reprojection error in pixels over the used views.
+    _gauss_newton), starting from its hint or else from the midpoint of
+    the rays of its used camera pair with the widest baseline. err is the
+    unweighted mean reprojection error in pixels over the used views.
 
     Batch form (uv (P, 2)): returns X (P, 3) and err (P,). A problem with
     fewer than two positive-weight views, a non-finite used observation,
-    ill-conditioned normal equations, a DLT point at infinity or
-    coincident camera centres fails alone: its X row and err are NaN.
-    Single-point form: returns (X (3,), float err) and raises
-    InsufficientViews or IllConditioned instead.
+    ill-conditioned normal equations, parallel start rays or coincident
+    camera centres fails alone: its X row and err are NaN. Single-point
+    form: returns (X (3,), float err) and raises InsufficientViews or
+    IllConditioned instead.
     """
     single = not obs or np.ndim(obs[0][1]) == 1
     if single:
@@ -411,26 +417,20 @@ def triangulate_weighted(obs, init_hint=None, order=None):
     order = np.broadcast_to(np.arange(len(obs)) if order is None else order, used.shape)[rows]
     views = np.take_along_axis(order, np.argsort(
         ~np.take_along_axis(used[rows], order, axis=1), axis=1, kind="stable"), axis=1)
-    pad = np.arange(len(obs)) >= n[:, None]
-    uv_p = np.where(pad[..., None], 0.0, uv[rows[:, None], views])
-    sw = np.sqrt(np.where(pad, 0.0, w[rows[:, None], views]))[..., None]
-    fc = np.array([[cal.fx, cal.fy, cal.cx, cal.cy] for cal in cals])[views]
-    X0 = hint[rows]
-    dlt = np.isnan(X0).any(axis=1)
-    if dlt.any():
-        X0[dlt] = _dlt_init(cals, views[dlt], uv_p[dlt], n[dlt])
+    K = _pack(cals, views, uv[rows[:, None], views], w[rows[:, None], views])
+    X0 = hint[rows].T
+    start = np.isnan(X0).any(axis=0)
+    if start.any():
+        X0[:, start] = _midpoints(K[:, :, start], n[start])
     X = np.full((P, 3), np.nan)
     err = np.full(P, np.nan)
-    X[rows], err[rows] = _gauss_newton(
-        np.stack([cal.T_cw for cal in cals])[views],
-        np.concatenate([fc, uv_p, sw, sw * fc[..., :2]], axis=-1),
-        n, X0)
+    X[rows], err[rows] = _gauss_newton(K, n, X0)
     if not single:
         return X, err
     if np.isnan(err[0]):
         raise IllConditioned(
             "triangulation failed: ill-conditioned normal equations, "
-            "coincident camera centres or a DLT point at infinity"
+            "coincident camera centres or parallel rays at the midpoint start point"
         )
     return X[0], float(err[0])
 

@@ -67,6 +67,16 @@ from contacttrack.simulator import (
 )
 
 
+def dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, the
+    one whose kernel OPENBLAS_CORETYPE chooses."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        return "DYNAMIC_ARCH" in blas["openblas configuration"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
 def tree_bytes(root):
     """{path relative to root: bytes} of every file under root."""
     out = {}

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,15 +11,18 @@ from hypothesis import strategies as st
 
 from contacttrack.geometry import (
     GN_STEP_TOL,
+    CameraCalibration,
     IllConditioned,
     InsufficientViews,
     NoConsensus,
     Sim3,
     Sim3RansacConfig,
     TooFewCorrespondences,
+    _PAIRS,
+    _adjugate,
     _ill_conditioned,
-    _jacobians,
-    _residuals,
+    _linearize,
+    _pack,
     epipolar_distance,
     fit_sim3_ransac,
     fundamental_matrix,
@@ -29,6 +36,7 @@ from helpers import (
     backproject_many,
     brute_force_assign,
     brute_force_min_permutation_cost,
+    dynamic_arch_openblas,
     grid_refine_cost,
     identity_camera,
     make_camera,
@@ -177,8 +185,8 @@ class TestTriangulation:
 
 
 def _mixed_batch():
-    """Cameras and a batch that mixes 2, 3 and 4 used views, hint and DLT
-    starts, zero-weight padding, a row at the noise floor (9), a row whose
+    """Cameras and a batch that mixes 2, 3 and 4 used views, hint and
+    midpoint starts, zero-weight padding, a row at the noise floor (9), a row whose
     first damped try is rejected (10) and three failing rows (11-13)."""
     rng = np.random.default_rng(21)
     ring = make_ring(4, radius=2.5, height=1.6)
@@ -197,7 +205,7 @@ def _mixed_batch():
         w[list(views), p] = rng.uniform(0.4, 1.0, size=len(views))
     # The failing rows: 11-13 once rows 9 and 10 go in before them below.
     w[2, 9] = 0.9          # one view only
-    w[[0, 4], 10] = 0.8    # coincident centres, DLT start
+    w[[0, 4], 10] = 0.8    # coincident centres, midpoint start
     w[[0, 5], 11] = 0.8    # near-parallel rays, hinted start
     hint = np.full((P, 3), np.nan)
     hint[[1, 4, 5, 8, 11]] = pts[[1, 4, 5, 8, 11]] + rng.normal(0, 0.03, size=(5, 3))
@@ -235,16 +243,17 @@ def _first_try(cams, uv, w, X0):
     """(cost at X0, cost after the step, step) of the first damped try
     (damping 1e-6) that triangulation makes from X0 over the views of cams,
     all used, from the kernel's own residuals and Jacobians."""
-    fc = np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams])
-    sw = np.sqrt(w)[:, None]
-    T = np.stack([c.T_cw for c in cams])[None]
-    C = np.concatenate([fc, uv, sw, sw * fc[:, :2]], axis=1)[None]
-    r, pc, z = _residuals(X0[None], T, C)
-    J = _jacobians(T, C, pc, z)[0]
+    K = _pack(cams, np.arange(len(cams))[None], uv[None], w[None])
+
+    def linearized(X):
+        L = _linearize(X[:, None], K)[..., 0]
+        return L[:, :, :3].reshape(-1, 3), L[:, :, 3].ravel()
+
+    J, r = linearized(X0)
     H = J.T @ J
-    step = np.linalg.solve(H + 1e-6 * np.diag(np.diag(H)), -J.T @ r[0])
-    r_new = _residuals((X0 + step)[None], T, C)[0][0]
-    return r[0] @ r[0], r_new @ r_new, step
+    step = np.linalg.solve(H + 1e-6 * np.diag(np.diag(H)), -J.T @ r)
+    r_new = linearized(X0 + step)[1]
+    return r @ r, r_new @ r_new, step
 
 
 class TestBatchedTriangulation:
@@ -294,16 +303,16 @@ class TestBatchedTriangulation:
     def test_rejected_first_try_still_converges(self):
         # Row 10's first try raises the cost with a step of at least
         # GN_STEP_TOL; the damping grows until a step is accepted, and the
-        # problem ends at the optimum that a DLT start reaches.
+        # problem ends at the optimum that a midpoint start reaches.
         cams, uv, w, hint = _mixed_batch()
         cost, cost_new, step = _first_try(cams[:4], uv[:4, 10], w[:4, 10], hint[10])
         assert cost_new > cost and np.linalg.norm(step) >= GN_STEP_TOL
         obs = [(c, uv[v, 10], w[v, 10]) for v, c in enumerate(cams)]
         X, err = triangulate_weighted(obs, init_hint=hint[10])
-        X_dlt, err_dlt = triangulate_weighted(obs)
+        X_mid, err_mid = triangulate_weighted(obs)
         # Each start stops within about a last step, below GN_STEP_TOL, of
         # the optimum: 1e-8 m is 1e-5 px at 600 px focal length and 0.6 m.
-        assert np.linalg.norm(X - X_dlt) < GN_STEP_TOL and abs(err - err_dlt) < 1e-5
+        assert np.linalg.norm(X - X_mid) < GN_STEP_TOL and abs(err - err_mid) < 1e-5
 
     def test_per_problem_order_matches_separate_calls(self):
         # Each problem of the mixed batch packs its used views in its own
@@ -328,11 +337,65 @@ class TestBatchedTriangulation:
         assert not np.array_equal(X0, X, equal_nan=True)
 
 
+def _save_batches(path):
+    """Save the forced-kernel test's batches to path (.npz): the mixed
+    batch, and 200 problems over a ring of four cameras, some views
+    zero-weighted, with hints and without."""
+    rng = np.random.default_rng(43)
+    ring = make_ring(4, radius=2.5, height=1.6)
+    pts = rng.uniform(-0.5, 0.5, size=(200, 3)) + [0.0, 0.0, 1.0]
+    uv = np.stack([np.array([project(X, c) for X in pts]) for c in ring])
+    uv += rng.normal(0, 1.0, size=uv.shape)
+    w = rng.uniform(0.3, 1.0, size=(4, 200)) * (rng.uniform(size=(4, 200)) > 0.2)
+    hint = pts + rng.normal(0, 0.05, size=pts.shape)
+    batches = {"mixed": _mixed_batch(), "ring": (ring, uv, w, np.full_like(hint, np.nan)),
+               "ring-hinted": (ring, uv, w, hint)}
+    arrays = {}
+    for name, (cams, uv, w, hint) in batches.items():
+        arrays[name + ".T"] = np.stack([c.T_cw for c in cams])
+        arrays[name + ".intrinsics"] = np.array(
+            [[c.fx, c.fy, c.cx, c.cy, c.image_width, c.image_height] for c in cams])
+        arrays[name + ".uv"], arrays[name + ".w"], arrays[name + ".hint"] = uv, w, hint
+    np.savez(path, **arrays)
+
+
+def _replay(path):
+    """{batch name: hex of the X and err bytes} of triangulate_weighted on
+    each batch that _save_batches saved to path."""
+    data = np.load(path)
+    out = {}
+    for name in sorted({key.rsplit(".", 1)[0] for key in data.files}):
+        cams = [CameraCalibration(f"cam{i}", *k[:4], T, int(k[4]), int(k[5]))
+                for i, (T, k) in enumerate(zip(data[name + ".T"], data[name + ".intrinsics"]))]
+        uv, w = data[name + ".uv"], data[name + ".w"]
+        X, err = triangulate_weighted([(c, uv[v], w[v]) for v, c in enumerate(cams)],
+                                      init_hint=data[name + ".hint"])
+        out[name] = X.tobytes().hex() + err.tobytes().hex()
+    return out
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_forced_blas_kernel_keeps_the_bytes(core, tmp_path):
+    # The batches are built here and replayed in a child process whose
+    # OpenBLAS runs the core's kernels: no triangulation byte may move.
+    path = str(tmp_path / "batches.npz")
+    _save_batches(path)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), path], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == _replay(path)
+
+
 def _psd(rng, eig):
     """A symmetric positive semi-definite matrix with eigenvalues eig in a
-    random basis."""
+    random basis, its lower entries copied from its upper ones as the
+    kernel's gate reads them."""
     Q = random_rotation(rng)
-    return (Q * eig) @ Q.T
+    H = (Q * eig) @ Q.T
+    return np.triu(H) + np.triu(H, 1).T
 
 
 def _gate_batch():
@@ -361,12 +424,31 @@ def _gate_batch():
     return np.array(H)
 
 
+def _upper(H):
+    """The upper entries (6, G) of H (G, 3, 3), as the kernel holds them."""
+    return H[:, _PAIRS[0, :6], _PAIRS[1, :6]].T
+
+
+def _gate(H):
+    return _ill_conditioned(_upper(H))
+
+
 class TestConditioningGate:
     def test_matches_svd_oracle(self):
         H = _gate_batch()
-        got = _ill_conditioned(H)
+        got = _gate(H)
         assert np.array_equal(got, svd_cond_gate(H))
         assert got.any() and not got.all()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.floats(-16.0, -10.0),
+           st.floats(0.0, 1.0))
+    def test_matches_svd_oracle_near_the_thresholds(self, seed, scale, ratio, mid):
+        # Eigenvalue ratios of 1e-16 to 1e-10 straddle both cond = 1e14
+        # and the closed-form bound's tr^3 = 1e12 det.
+        eig = 10.0 ** (scale + np.array([0.0, mid * ratio, ratio]))
+        H = _psd(np.random.default_rng(seed), eig)[None]
+        assert np.array_equal(_gate(H), svd_cond_gate(H))
 
     def test_svd_only_where_the_bound_cannot_decide(self, monkeypatch):
         rows = []
@@ -376,12 +458,13 @@ class TestConditioningGate:
         rng = np.random.default_rng(41)
         well = np.array([_psd(rng, s * np.array([1.0, rng.uniform(1e-6, 1.0), 1e-6]))
                          for s in 10.0 ** np.arange(-12, 13)])
-        assert not _ill_conditioned(well).any()
+        assert not _gate(well).any()
         assert rows == []
         H = _gate_batch()
-        _ill_conditioned(H)
-        tr = np.trace(H, axis1=1, axis2=2)
-        assert rows == [np.count_nonzero(~(tr ** 3 <= 1e12 * np.linalg.det(H)))]
+        _gate(H)
+        m = _upper(H)
+        tr = m[0] + m[3] + m[5]
+        assert rows == [np.count_nonzero(~(tr ** 3 <= 1e12 * _adjugate(m)[1]))]
         assert 0 < rows[0] < len(H)
 
     def test_non_finite_rows(self):
@@ -389,10 +472,10 @@ class TestConditioningGate:
         with_inf = np.array([np.diag([np.inf, 1.0, 1.0]), np.full((3, 3), np.inf), well,
                              [[1.0, np.inf, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]]])
         with np.errstate(invalid="ignore"):
-            assert np.array_equal(_ill_conditioned(with_inf), svd_cond_gate(with_inf))
+            assert np.array_equal(_gate(with_inf), svd_cond_gate(with_inf))
             # A NaN row makes the SVD fail, in the oracle and in the gate.
             with_nan = np.array([well, np.full((3, 3), np.nan)])
-            for gate in (svd_cond_gate, _ill_conditioned):
+            for gate in (svd_cond_gate, _gate):
                 with pytest.raises(np.linalg.LinAlgError):
                     gate(with_nan)
 
@@ -575,3 +658,7 @@ class TestHungarian:
             got = hungarian_assign(cost, 100.0)
             total = sum(cost[r, c] for r, c in got)
             assert abs(total - brute_force_min_permutation_cost(cost)) < 1e-9
+
+
+if __name__ == "__main__":
+    print(json.dumps(_replay(sys.argv[1])))

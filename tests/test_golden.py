@@ -15,10 +15,11 @@ printed by
 
     PYTHONPATH=src python tests/test_golden.py
 
-The hashes hold where OpenBLAS rounds its products as on the host that
-recorded them, which runs its SkylakeX kernels. Forced to another kernel,
-exactly the KERNEL_DEPENDENT entries move: BLAS products still reach
-those bytes.
+The triangulation kernel sums its products elementwise in a fixed
+order, so no tracks.jsonl byte depends on numpy's BLAS through it. The
+camera construction of `simulate` still rounds through BLAS products:
+forced to another OpenBLAS kernel than the SkylakeX kernels of the host
+that recorded the hashes, exactly the KERNEL_DEPENDENT entries move.
 """
 
 import contextlib
@@ -29,7 +30,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from contacttrack.cli import main
@@ -38,7 +38,7 @@ from contacttrack.pipeline import run_pipeline
 from contacttrack.scenes import builtin_scene
 from contacttrack.simulator import emit_dataset
 
-from helpers import crowd_crossing, tree_bytes, window
+from helpers import crowd_crossing, dynamic_arch_openblas, tree_bytes, window
 
 SEED = 0
 # (first frame, frame count) per builtin: the induction windows hold the
@@ -99,14 +99,14 @@ GOLDEN = {
             "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
             "hand_tracks.jsonl": "fba404dc5abfa9fe7e3b1ded1acf72914a8ee3e382187595ff378018e500eb3f",
             "run_meta.json": "166e4a2c389d1f24edfc2c70c00a081e7d9588662d38c436b9fa65973fdc415b",
-            "tracks.jsonl": "c2790bf89501b52f55427a4d1eebcb79c65af517f7d5e76b9d6a72d836fdd082"
+            "tracks.jsonl": "13714caf7692002f95ace9f353f738ab5e23e47c52a4a578641c3eae803588b4"
         },
         "run-static": {
             "distance_traces.jsonl": "68febb6ebc8053b7bb81a51eb1447d2ec40be386e6b5d473246a1978553d6a3f",
             "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
             "hand_tracks.jsonl": "fba404dc5abfa9fe7e3b1ded1acf72914a8ee3e382187595ff378018e500eb3f",
             "run_meta.json": "3a049fd2943ffb58645fe38214e40296a4e9c754328cc813a8c2d01ee40afc82",
-            "tracks.jsonl": "c2790bf89501b52f55427a4d1eebcb79c65af517f7d5e76b9d6a72d836fdd082"
+            "tracks.jsonl": "13714caf7692002f95ace9f353f738ab5e23e47c52a4a578641c3eae803588b4"
         },
         "score": {
             "report.csv": "a7151ba1a110b01744a906b35cd2e579aa5fdf7bcb668f86e576379d0d3a6150",
@@ -131,7 +131,7 @@ GOLDEN = {
             "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
             "hand_tracks.jsonl": "0f97fa3f0f44710b6c9081a4b2e63b321cb83f2388871d969f3c31719925188d",
             "run_meta.json": "db3a0f3203b086ee5a9d914624b805ae6778a73829b330e431aeace64b040b3e",
-            "tracks.jsonl": "97a828cb5679cc660d073d21c53fd46e9c04745efb2eff80ef52f6c8c70d1539"
+            "tracks.jsonl": "4798d2ea2a4585d73fc2380044619b3e62f7ec38e553ec8bc47819e6a1b6bd40"
         },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
@@ -151,7 +151,7 @@ GOLDEN = {
             "episodes.csv": "68f8894dc5e3c7b9a829b89920466472ac7c21f9988b438ebba1491d19ecf31d",
             "hand_tracks.jsonl": "79e78ec649b20a64276abbb46bfdd9f798677e1d3cd7649c7d8136b9f01847db",
             "run_meta.json": "166e4a2c389d1f24edfc2c70c00a081e7d9588662d38c436b9fa65973fdc415b",
-            "tracks.jsonl": "b4daac3aac7ab673be0a0e07fe2dfe80af09faa4b7497c0f746b298830fdadd1"
+            "tracks.jsonl": "6fc7d003060a210ae4121a8290110e71bff2c562997f3cc90d0c223fa4884bb6"
         },
         "simulate": {
             "calibration.json": "e03d792610eda47538cab36259ec1ef4a8a42033ce506c5363be417419adcde8",
@@ -203,14 +203,14 @@ GOLDEN = {
             "episodes.csv": "ee613dcc39e03df3bbc59cb03c69134478f880953457860d03a71a68cc474f9f",
             "hand_tracks.jsonl": "021f2177954e6db34c35c00a4a54ef37b233ee726536541658c8e6435f2a9c74",
             "run_meta.json": "67b10146179086c1637388cd751e2a14f62402a088731c3786d1fd012db3e348",
-            "tracks.jsonl": "6a9a7cf7569a70f3e63be5735802623546152cf67ccc12a9b2a838c58e9c80bd"
+            "tracks.jsonl": "4cf9a50d253c3629b78816336f399ec08ecb050e17561e70a983a9f98e2300b2"
         },
         "run-static": {
             "distance_traces.jsonl": "856922dd8a488638f7287b574f53ef7fca13ec70c97f324a0d167f395cdfaa76",
             "episodes.csv": "e90441213b9b4eb426f91b38f162f3c2ffb72cd7d9d872a8f10e728ba3200129",
             "hand_tracks.jsonl": "021f2177954e6db34c35c00a4a54ef37b233ee726536541658c8e6435f2a9c74",
             "run_meta.json": "027a1aac72b1b7ccbd44593fa719adb217291081cb9da83888b75336f22d29cf",
-            "tracks.jsonl": "6a9a7cf7569a70f3e63be5735802623546152cf67ccc12a9b2a838c58e9c80bd"
+            "tracks.jsonl": "4cf9a50d253c3629b78816336f399ec08ecb050e17561e70a983a9f98e2300b2"
         },
         "score": {
             "report.csv": "6dee67bf49efd43a1d7623c7d0fcc4016d0ea5fffc201b1618b96d3afc60d728",
@@ -233,9 +233,11 @@ GOLDEN = {
 
 
 # The GOLDEN entries, window/mode/file, that move when OpenBLAS runs
-# another kernel (OPENBLAS_CORETYPE) than the host that recorded them.
+# another kernel (OPENBLAS_CORETYPE) than the host that recorded them. The
+# camera construction still goes through BLAS: every tracks.jsonl listed
+# belongs to a window whose calibration.json is listed too.
 KERNEL_DEPENDENT = {
-    "Haswell": ["crowd-8/run/tracks.jsonl"],
+    "Haswell": [],
     "Nehalem": [
         "crossing-clean/simulate/calibration.json",
         "crossing-noisy-stitch/run/tracks.jsonl",
@@ -244,23 +246,12 @@ KERNEL_DEPENDENT = {
         "crossing-noisy/run-static/tracks.jsonl",
         "crossing-noisy/run/tracks.jsonl",
         "crossing-noisy/simulate/calibration.json",
+        "crowd-8/run/tracks.jsonl",
         "crowd-8/simulate/calibration.json",
-        "induction-lite-noisy/run-static/tracks.jsonl",
-        "induction-lite-noisy/run/tracks.jsonl",
         "induction-lite-noisy/simulate/calibration.json",
         "induction-lite/simulate/calibration.json",
     ],
 }
-
-
-def dynamic_arch_openblas():
-    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, the
-    one whose kernel OPENBLAS_CORETYPE chooses."""
-    try:
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-        return "DYNAMIC_ARCH" in blas["openblas configuration"]
-    except (AttributeError, KeyError, TypeError):
-        return False
 
 
 def digests(root):

@@ -232,7 +232,7 @@ class TestTriangulationUpdate:
 
     def test_matches_per_joint_reference(self, cams):
         # Noise, confidence dropouts, an outlier view on some joints, and a
-        # track with some joints unavailable (DLT start) and some stale
+        # track with some joints unavailable (midpoint start) and some stale
         # (hinted start): the batched update equals the per-joint loop bit
         # for bit.
         rng = np.random.default_rng(17)

@@ -1,6 +1,4 @@
 import copy
-import json
-import os
 from collections import Counter
 
 import numpy as np
