@@ -186,8 +186,9 @@ class TestTriangulation:
 
 def _mixed_batch():
     """Cameras and a batch that mixes 2, 3 and 4 used views, hint and
-    midpoint starts, zero-weight padding, a row at the noise floor (9), a row whose
-    first damped try is rejected (10) and three failing rows (11-13)."""
+    midpoint starts, zero-weight padding, a row at the noise floor (9), a
+    row whose first damped try is rejected (10) and three failing rows
+    (11-13)."""
     rng = np.random.default_rng(21)
     ring = make_ring(4, radius=2.5, height=1.6)
     # cam4 shares cam0's centre; cam5 sits 1e-7 m beside cam0.
@@ -379,6 +380,8 @@ def _replay(path):
 def test_forced_blas_kernel_keeps_the_bytes(core, tmp_path):
     # The batches are built here and replayed in a child process whose
     # OpenBLAS runs the core's kernels: no triangulation byte may move.
+    # The child loads the saved inputs rather than building them, because
+    # the cameras' extrinsics and projected pixels round through BLAS.
     path = str(tmp_path / "batches.npz")
     _save_batches(path)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
