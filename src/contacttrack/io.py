@@ -6,11 +6,15 @@ hand_schema.json, run_meta.json, gt/meta.json, report.json) are read by
 read_json and written, indented, by write_json. JSON-lines streams
 (detections, tracks, hand tracks, ground-truth visibility, distance
 traces) are written one compact record per line, into a file the caller
-holds open: the track, hand track and visibility line writers write one
-record by _line, write_traces the distance rows of one contact update,
-and write_detections, into a binary file, all detection records of one
-frame, their numbers as text from one array pass (_rows_text), byte for
-byte what _line would write. All but hand tracks are read by _records,
+holds open, byte for byte what _line (json.dumps) would write. Their
+numbers, round(v, 6), get their text from one array pass (_rows_text):
+write_detections writes all detection records of one frame into a
+binary file, with one pass for the frame. The track and hand track line
+writers and write_traces, the distance rows of one contact update, queue
+their lines into a LineBlock over a binary file, which writes them with
+one pass per block of BLOCK_NUMBERS numbers and when it is closed. The
+visibility line writer, whose records hold no float, writes one line by
+_line. All but hand tracks are read by _records,
 which hands each record to the stream's parse function. It, the episode
 reader and the label table reader take their lines from _lines, the one
 UTF-8 line reader. Five field readers hold the rule for the typed fields
@@ -178,6 +182,55 @@ def _number_columns(flat):
     cols[1:16, splice] = 0
     length[splice] = 1
     return cols, length, splice
+
+
+# Queued numbers at which a LineBlock writes its lines. A _rows_text call
+# costs about 100 us plus 125 ns a number, and its peak is about 85 bytes
+# a number, so a block of a few thousand keeps both its cost and its
+# memory low.
+BLOCK_NUMBERS = 2048
+
+
+class LineBlock:
+    """The lines of one JSON-lines stream, queued and written to binary
+    file f in blocks, as f.write queues into f's buffer. A line is queued
+    as a line function, the values it formats and the (n, C) float rows
+    of its numbers, C the same for every line of the block. Once the
+    queued rows hold BLOCK_NUMBERS numbers, and when the block is closed,
+    even by an exception, every queued line is written: one _rows_text
+    call gives the text of all the rows, and a line is line(values,
+    text), text its rows as "[a,b],[c,d]"."""
+
+    def __init__(self, f):
+        self.f = f
+        self._lines, self._rows, self._numbers = [], [], 0
+
+    def add(self, line, values, rows):
+        """Queue one line per tuple of the list values, in order, each with
+        the next len(rows) // len(values) rows of rows."""
+        n = len(rows) // len(values)
+        self._lines += [(line, v, n) for v in values]
+        self._rows.append(rows)
+        self._numbers += rows.size
+        if self._numbers >= BLOCK_NUMBERS:
+            self.flush()
+
+    def flush(self):
+        if not self._lines:
+            return
+        text, offsets = _rows_text(np.concatenate(self._rows))
+        ends, out, r = offsets.tolist(), [], 0
+        for line, values, n in self._lines:
+            out.append(line(values, text[ends[r]:ends[r + n] - 1]))  # without the last ","
+            r += n
+        self.f.write(b"".join(out))
+        self._lines, self._rows, self._numbers = [], [], 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.flush()
 
 
 # -- field readers ---------------------------------------------------------
@@ -461,13 +514,22 @@ def read_detections(path, cameras, hand_vertex_count):
 TRACK_PERSON_KEY = "id"  # the person id of a tracks.jsonl record
 
 
-def write_track_line(f, frame, track_id, existence, joints, available):
-    f.write(_line({
-        "frame": int(frame),
-        TRACK_PERSON_KEY: int(track_id),
-        "E": _round(existence, 4),
-        "joints": [xyz + [1 if a else 0] for xyz, a in zip(_rounded(joints), available)],
-    }))
+_TRACK_LINE = b'{"frame":%d,"' + TRACK_PERSON_KEY.encode() + b'":%d,"E":%b,"joints":[%b]}\n'
+
+
+def _track_text(values, rows):
+    # Each joint's row ends in its availability, 1.0 or 0.0 in rows, the
+    # only number before a "]"; json.dumps wrote the ints 1 and 0.
+    return _TRACK_LINE % (*values, rows.replace(b".0]", b"]"))
+
+
+def write_track_line(block, frame, track_id, existence, joints, available):
+    """Queue a tracks.jsonl line into LineBlock block: E is round(existence,
+    4) and each joint's row its round(v, 6) coordinates and 1 or 0 for
+    available."""
+    rows = np.column_stack((np.asarray(joints, dtype=float), np.asarray(available, dtype=bool)))
+    block.add(_track_text, [(int(frame), int(track_id),
+                             _float_text(_round(existence, 4)).encode())], rows)
 
 
 def _track(rec):
@@ -485,15 +547,24 @@ def read_tracks(path):
 HAND_TRACK_PERSON_KEY = "person_id"  # the person id of a hand_tracks.jsonl record
 
 
-def write_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
-    f.write(_line({
-        "frame": int(frame),
-        "hand_track_id": int(hand_track_id),
-        "side": side,
-        HAND_TRACK_PERSON_KEY: None if person_id is None else int(person_id),
-        "palm_center": _rounded(palm),
-        "anchors": _rounded(anchors),
-    }))
+_HAND_TRACK_LINE = (b'{"frame":%d,"hand_track_id":%d,"side":%b,"'
+                    + HAND_TRACK_PERSON_KEY.encode() + b'":%b,"palm_center":%b,"anchors":[%b]}\n')
+
+
+def _person_text(person_id):
+    return b"null" if person_id is None else b"%d" % int(person_id)
+
+
+def _hand_track_text(values, rows):
+    return _HAND_TRACK_LINE % (*values, rows[:rows.index(b"]") + 1], rows)
+
+
+def write_hand_track_line(block, frame, hand_track_id, side, person_id, anchors):
+    """Queue a hand_tracks.jsonl line into LineBlock block, its numbers
+    round(v, 6): palm_center is the first row of the (K, 3) anchors, as
+    FusedHand.palm_center is, and a None person_id is written null."""
+    block.add(_hand_track_text, [(int(frame), int(hand_track_id), json.dumps(side).encode(),
+                                  _person_text(person_id))], np.asarray(anchors, dtype=float))
 
 
 # -- episodes --------------------------------------------------------------
@@ -608,14 +679,23 @@ def read_visibility(path):
 TRACE_PERSON_KEY = "person"  # the person id of a distance_traces.jsonl record
 
 
-def write_traces(f, rows):
-    """rows: list of (frame, hand_id, side, person_id, label, distance)."""
-    for frame, hand_id, side, person_id, label, d in rows:
-        f.write(_line({
-            "frame": int(frame), "hand": int(hand_id), "side": side,
-            TRACE_PERSON_KEY: None if person_id is None else int(person_id),
-            "label": int(label), "d": _round(d),
-        }))
+_TRACE_LINE = (b'{"frame":%d,"hand":%d,"side":%b,"' + TRACE_PERSON_KEY.encode()
+               + b'":%b,"label":%d,"d":%b}\n')
+
+
+def _trace_text(values, rows):
+    return _TRACE_LINE % (*values, rows[1:-1])  # d without its row's brackets
+
+
+def write_traces(block, rows):
+    """Queue a distance_traces.jsonl line into LineBlock block for each of
+    rows, (frame, hand_id, side, person_id, label, distance) tuples; d is
+    round(distance, 6) and a None person_id is written null."""
+    if rows:
+        block.add(_trace_text, [
+            (int(frame), int(hand_id), json.dumps(side).encode(), _person_text(person_id),
+             int(label)) for frame, hand_id, side, person_id, label, _ in rows
+        ], np.array([row[5] for row in rows], dtype=float).reshape(-1, 1))
 
 
 def _trace(rec):

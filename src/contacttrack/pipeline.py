@@ -3,9 +3,12 @@
 Each frame flows through semantic map assembly, person tracking, hand
 fusion, and contact detection. Association, hand fusion and contact
 each make one array pass over the frame, not one per camera or hand.
-Tracks, hand tracks and distance traces are written inside the frame
-loop; when identity stitching merges ids, a second pass copies each of
-them line by line through a temporary file,
+Tracks, hand tracks and distance traces are queued inside the frame
+loop into one io.LineBlock per file, which writes a stream's lines once
+they hold BLOCK_NUMBERS numbers and when the loop ends, also by an
+error, so a run that stops at a malformed frame keeps the lines of the
+frames before it. When identity stitching merges ids, a second pass
+copies each of them line by line through a temporary file,
 re-dumping only the lines whose person-id key names a fragment id with
 that one key changed. Memory holds one frame's detections and semantic
 map and the live person tracks, plus three kinds of state that grow
@@ -35,6 +38,7 @@ from .io import (
     TRACE_PERSON_KEY,
     TRACK_PERSON_KEY,
     GridDepthProvider,
+    LineBlock,
     json_int,
     read_calibration,
     read_detections,
@@ -165,9 +169,11 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
     frames_seen = 0
     missing_frames = 0
     last_frame = None
-    with open(os.path.join(out_dir, "tracks.jsonl"), "w") as tracks_f, \
-            open(os.path.join(out_dir, "hand_tracks.jsonl"), "w") as hands_f, \
-            open(os.path.join(out_dir, "distance_traces.jsonl"), "w") as traces_f:
+    with (open(os.path.join(out_dir, "tracks.jsonl"), "wb") as tracks_f,
+          open(os.path.join(out_dir, "hand_tracks.jsonl"), "wb") as hands_f,
+          open(os.path.join(out_dir, "distance_traces.jsonl"), "wb") as traces_f,
+          LineBlock(tracks_f) as tracks, LineBlock(hands_f) as hand_tracks,
+          LineBlock(traces_f) as traces):
         for frame, dets_by_cam, hands in _group_frames(det_path, cals, hand_schema):
             if last_frame is not None and frame > last_frame + 1:
                 missing_frames += frame - last_frame - 1
@@ -182,15 +188,14 @@ def run_pipeline(calib_path, in_dir, out_dir, cfg: PipelineConfig | None = None,
 
             for snap in snapshots:
                 write_track_line(
-                    tracks_f, frame, snap.id, snap.existence, snap.joints, snap.available
+                    tracks, frame, snap.id, snap.existence, snap.joints, snap.available
                 )
             for fh in fused:
                 write_hand_track_line(
-                    hands_f, frame, fh.hand_track_id, fh.side, fh.person_id,
-                    fh.palm_center, fh.anchors,
+                    hand_tracks, frame, fh.hand_track_id, fh.side, fh.person_id, fh.anchors
                 )
             if fused and cloud is not None and len(cloud):
-                write_traces(traces_f, contact.update(frame, fused, cloud))
+                write_traces(traces, contact.update(frame, fused, cloud))
 
     episodes = contact.finalize()
     mapping = {}

@@ -41,6 +41,7 @@ from .geometry import CameraCalibration, project_cameras
 from .hand_fusion import FusedHand, HandInstance
 from .io import (
     RECORD_ERRORS,
+    LineBlock,
     json_array,
     json_int,
     json_list,
@@ -848,7 +849,8 @@ def emit_dataset(scene_data, out_dir, seed=0):
     available = np.ones(JOINT_COUNT, dtype=bool)
     with (open(os.path.join(out_dir, "detections.jsonl"), "wb") as detections,
           open(os.path.join(gt_dir, "visibility.jsonl"), "w") as visibility,
-          open(os.path.join(gt_dir, "tracks.jsonl"), "w") as tracks):
+          open(os.path.join(gt_dir, "tracks.jsonl"), "wb") as tracks_f,
+          LineBlock(tracks_f) as tracks):
         for frame in range(sim.scene["frame_count"]):
             write_detections(detections, sim.render_frame(frame))
             for row in sim.gt_visibility(frame):

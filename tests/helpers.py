@@ -29,7 +29,16 @@ from contacttrack.hand_fusion import (
     _HandTrack,
     select_representative,
 )
-from contacttrack.io import DEPTH_GRID_MAGIC, LABEL_GRID_MAGIC, _line, _round, _rounded
+from contacttrack.io import (
+    DEPTH_GRID_MAGIC,
+    HAND_TRACK_PERSON_KEY,
+    LABEL_GRID_MAGIC,
+    TRACE_PERSON_KEY,
+    TRACK_PERSON_KEY,
+    _line,
+    _round,
+    _rounded,
+)
 from contacttrack.geometry import (
     _min_cost_matching,
     CameraCalibration,
@@ -213,6 +222,39 @@ def write_detection_line(f, frame, camera_id, persons, hands):
             for h, vertices in zip(hands, cut[len(persons):])
         ],
     }))
+
+
+# The per-line json.dumps writers of the track, hand track and distance
+# trace streams: the oracles of io's LineBlock writers.
+
+def dumps_track_line(f, frame, track_id, existence, joints, available):
+    f.write(_line({
+        "frame": int(frame),
+        TRACK_PERSON_KEY: int(track_id),
+        "E": _round(existence, 4),
+        "joints": [xyz + [1 if a else 0] for xyz, a in zip(_rounded(joints), available)],
+    }))
+
+
+def dumps_hand_track_line(f, frame, hand_track_id, side, person_id, palm, anchors):
+    f.write(_line({
+        "frame": int(frame),
+        "hand_track_id": int(hand_track_id),
+        "side": side,
+        HAND_TRACK_PERSON_KEY: None if person_id is None else int(person_id),
+        "palm_center": _rounded(palm),
+        "anchors": _rounded(anchors),
+    }))
+
+
+def dumps_traces(f, rows):
+    """rows: list of (frame, hand_id, side, person_id, label, distance)."""
+    for frame, hand_id, side, person_id, label, d in rows:
+        f.write(_line({
+            "frame": int(frame), "hand": int(hand_id), "side": side,
+            TRACE_PERSON_KEY: None if person_id is None else int(person_id),
+            "label": int(label), "d": _round(d),
+        }))
 
 
 def write_depth_grid(path, depth_m):

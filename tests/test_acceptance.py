@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from contacttrack.cli import main as cli_main
-from contacttrack.config import ContactConfig, PipelineConfig
+from contacttrack.config import PipelineConfig
 from contacttrack.contact import run_hysteresis
 from contacttrack.evaluation import evaluate, match_tracks, mot_metrics
 from contacttrack.geometry import (

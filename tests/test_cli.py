@@ -777,6 +777,43 @@ class TestRunBadDetections:
         assert "hand_schema.json missing" in err
 
 
+class TestRunStopsAtABadFrame:
+    """A malformed record at frame K ends run with exit 2, and the track,
+    hand track and trace streams hold what a run on the frames before K
+    writes: the lines queued before the error are written when their
+    blocks close. The bad record is the second of frame K, so frame K - 1
+    is whole when it is read. --no-stitch, because stitching rewrites the
+    ids only after the frame loop."""
+
+    K = 30
+    STREAMS = ("tracks.jsonl", "hand_tracks.jsonl", "distance_traces.jsonl")
+
+    def test_streams_hold_the_frames_before(self, tmp_path, mini_induction):
+        ds = mini_induction["ds"]
+        with open(os.path.join(ds, "detections.jsonl")) as f:
+            before, at_k = [], []
+            for line in f:
+                frame = json.loads(line)["frame"]
+                (before if frame < self.K else at_k if frame == self.K else []).append(line)
+        bad = json.loads(at_k[1])
+        bad["persons"] = {}
+        runs = {"before": before, "bad": before + [at_k[0], json.dumps(bad) + "\n"]}
+        codes = {}
+        for name, lines in runs.items():
+            inp = tmp_path / name
+            inp.mkdir()
+            (inp / "detections.jsonl").write_text("".join(lines))
+            for file in ("scene.json", "label_table.txt", "hand_schema.json"):
+                shutil.copy(os.path.join(ds, file), inp / file)
+            codes[name] = main(["run", "--calib", os.path.join(ds, "calibration.json"),
+                                "--in", str(inp), "--out", str(inp / "out"), "--no-stitch"])
+        assert codes == {"before": EXIT_OK, "bad": EXIT_INPUT}
+        for stream in self.STREAMS:
+            kept = (tmp_path / "before" / "out" / stream).read_bytes()
+            assert kept.count(b"\n") > 1  # each stream holds lines of several frames
+            assert (tmp_path / "bad" / "out" / stream).read_bytes() == kept
+
+
 class TestRunNotUtf8:
     """An input file starting with a byte that is not UTF-8, or with JSON
     nested deeper than the parser follows: exit 2 and a message naming the

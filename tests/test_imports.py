@@ -4,7 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "contacttrack"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "contacttrack"
 
 
 def imports(src):
@@ -57,6 +58,26 @@ def text_decoders(src):
     return found
 
 
+def unused_imports(root, dirs):
+    """'<path>:<line> <name>' for each name that an import statement of a
+    module under root's dirs binds and the module never reads; path is
+    relative to root. A name counts as read where it is loaded, alone or
+    as the base of an attribute. __future__ imports bind no name."""
+    found = []
+    for path in sorted(p for d in dirs for p in (root / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                          if name not in read]
+    return found
+
+
 def test_no_module_imports_a_private_name_of_another():
     # A leading underscore marks a name its module may change freely; a
     # sibling that imports one couples itself to that module's insides.
@@ -92,3 +113,22 @@ def test_text_decoders_flags_a_stray_decode(tmp_path):
         "    text = ''\n")
     assert text_decoders(tmp_path) == [
         "io.py:8 .decode()", "stray.py:2 .decode()", "stray.py:3 UnicodeDecodeError"]
+
+
+def test_no_import_goes_unread():
+    # No linter runs here; an import left behind after its last use would
+    # otherwise stay unseen.
+    assert unused_imports(ROOT, ["src", "tests", "bench"]) == []
+
+
+def test_unused_imports_flags_a_name_never_read(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from math import pi, tau\n"
+        "\n"
+        "def f(x):\n"
+        "    return os.path.join(x, str(pi))\n")
+    assert unused_imports(tmp_path, ["pkg"]) == ["pkg/mod.py:3 j", "pkg/mod.py:4 tau"]

@@ -4,6 +4,7 @@ import os
 from dataclasses import asdict
 from functools import partial
 from io import BytesIO, StringIO
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from contacttrack.contact import ContactEpisode
 from contacttrack.errors import InputFormatError
 from contacttrack.hand_fusion import SIDES, HandInstance
 from contacttrack.io import (
+    BLOCK_NUMBERS,
     EPISODE_HEADER,
     GridDepthProvider,
+    LineBlock,
     read_calibration,
     read_depth_grid,
     read_detections,
@@ -28,6 +31,7 @@ from contacttrack.io import (
     write_calibration,
     write_detections,
     write_episodes,
+    write_hand_track_line,
     write_track_line,
     write_traces,
     write_visibility_line,
@@ -37,6 +41,9 @@ from contacttrack.schema import JOINT_COUNT
 from helpers import (
     camera_patch,
     cells_lattice,
+    dumps_hand_track_line,
+    dumps_track_line,
+    dumps_traces,
     grid_patch,
     identity_camera,
     make_camera,
@@ -143,8 +150,8 @@ class TestTracks:
         joints = rng.normal(0, 1, size=(JOINT_COUNT, 3))
         available = rng.random(JOINT_COUNT) > 0.3
         path = tmp_path / "tracks.jsonl"
-        with open(path, "w") as f:
-            write_track_line(f, 4, 2, 0.875, joints, available)
+        with open(path, "wb") as f, LineBlock(f) as block:
+            write_track_line(block, 4, 2, 0.875, joints, available)
         (frame, tid, e, j, a), = read_tracks(path)
         assert (frame, tid, e) == (4, 2, 0.875)
         assert np.allclose(j, joints, atol=1e-6)
@@ -230,6 +237,101 @@ class TestFrameWriter:
         for record in records:
             write_detection_line(oracle, *record)
         assert frame.getvalue() == oracle.getvalue().encode()
+
+
+# E values at a half of the fifth decimal: np.round(E, 4) rounds some of
+# them the other way from round(E, 4), which json.dumps wrote.
+EXISTENCE_NUMBERS = st.one_of(DETECTION_NUMBERS,
+                              st.integers(-10**5, 10**5).map(lambda k: (k + 0.5) / 1e4))
+PERSON_IDS = st.none() | st.integers(0, 2**40)
+
+
+@st.composite
+def stream_calls(draw):
+    """(writer, oracle, calls) of one stream: the LineBlock writer of
+    tracks, hand tracks or distance traces, its per-line json.dumps
+    oracle, and 1-4 calls, each (writer's arguments after the block,
+    oracle's arguments after the file, numbers the call queues)."""
+    def rows(n):
+        return np.reshape(draw(st.lists(DETECTION_NUMBERS, min_size=3 * n, max_size=3 * n)),
+                          (n, 3))
+
+    frames, ids = st.integers(0, 2**40), st.integers(0, 2**40)
+    kind = draw(st.sampled_from(["tracks", "hand tracks", "traces"]))
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        if kind == "tracks":
+            args = (draw(frames), draw(ids), draw(EXISTENCE_NUMBERS), rows(JOINT_COUNT),
+                    np.array(draw(st.lists(st.booleans(), min_size=JOINT_COUNT,
+                                           max_size=JOINT_COUNT))))
+            calls.append((args, args, 4 * JOINT_COUNT))
+        elif kind == "hand tracks":
+            head = (draw(frames), draw(ids), draw(st.sampled_from(SIDES)), draw(PERSON_IDS))
+            anchors = rows(draw(st.integers(1, 6)))
+            calls.append(((*head, anchors), (*head, anchors[0], anchors), anchors.size))
+        else:
+            trace_rows = draw(st.lists(st.tuples(
+                frames, ids, st.sampled_from(SIDES), PERSON_IDS, st.integers(0, 255),
+                DETECTION_NUMBERS), min_size=1, max_size=5))
+            calls.append(((trace_rows,), (trace_rows,), len(trace_rows)))
+    writer, oracle = {
+        "tracks": (write_track_line, dumps_track_line),
+        "hand tracks": (write_hand_track_line, dumps_hand_track_line),
+        "traces": (write_traces, dumps_traces),
+    }[kind]
+    return writer, oracle, calls
+
+
+class TestLineBlock:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(stream_calls(), st.sampled_from(["total - 1", "total", "total + 1", "first - 1"]))
+    def test_equals_line_oracle(self, stream, bound_case):
+        # The bound is set so that the block ends up holding one number
+        # less than it, exactly it or one more, or so that the first call
+        # alone queues more than it. After each call the file holds the
+        # lines up to the last call that brought the block to the bound.
+        writer, oracle, calls = stream
+        counts = [n for _, _, n in calls]
+        bound = max(1, {"total - 1": sum(counts) - 1, "total": sum(counts),
+                        "total + 1": sum(counts) + 1, "first - 1": counts[0] - 1}[bound_case])
+        texts = []
+        for _, args, _ in calls:
+            oracle(text := StringIO(), *args)
+            texts.append(text.getvalue().encode())
+        out, held, flushed = BytesIO(), 0, 0
+        # Under raise, a cast of NaN or inf that warns fails the test.
+        with np.errstate(all="raise"), patch.object(io, "BLOCK_NUMBERS", bound):
+            with LineBlock(out) as block:
+                for i, (args, _, n) in enumerate(calls):
+                    writer(block, *args)
+                    held += n
+                    if held >= bound:
+                        held, flushed = 0, i + 1
+                    assert out.getvalue() == b"".join(texts[:flushed])
+        assert out.getvalue() == b"".join(texts)
+
+    @pytest.mark.parametrize("lines", [BLOCK_NUMBERS - 1, BLOCK_NUMBERS, BLOCK_NUMBERS + 1])
+    def test_writes_at_the_module_bound(self, lines):
+        # A trace line queues one number.
+        rows = [(frame, 1, "left", None, 3, frame / 7) for frame in range(lines)]
+        out = BytesIO()
+        with LineBlock(out) as block:
+            for row in rows:
+                write_traces(block, [row])
+            held = out.getvalue()
+        dumps_traces(oracle := StringIO(), rows)
+        text = oracle.getvalue().encode()
+        written = lines // BLOCK_NUMBERS * BLOCK_NUMBERS
+        assert held == b"".join(text.splitlines(keepends=True)[:written])
+        assert out.getvalue() == text
+
+    def test_closing_by_an_exception_writes_the_queued_lines(self):
+        out = BytesIO()
+        with pytest.raises(KeyError), LineBlock(out) as block:
+            write_traces(block, [(0, 1, "right", 2, 3, 0.5)])
+            raise KeyError
+        assert out.getvalue() == (
+            b'{"frame":0,"hand":1,"side":"right","person":2,"label":3,"d":0.5}\n')
 
 
 class TestIntegerFields:
@@ -462,8 +564,8 @@ class TestVisibility:
 class TestTraces:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "traces.jsonl"
-        with open(path, "w") as f:
-            write_traces(f, [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)])
+        with open(path, "wb") as f, LineBlock(f) as block:
+            write_traces(block, [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)])
         recs = list(read_traces(path))
         assert recs == [(0, 1, "left", None, 3, 0.25), (1, 1, "left", 4, 3, 0.125)]
 
