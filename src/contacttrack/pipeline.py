@@ -6,8 +6,8 @@ each make one array pass over the frame, not one per camera or hand.
 Tracks, hand tracks and distance traces are queued inside the frame
 loop into one io.LineBlock per file, which writes a stream's lines once
 they hold BLOCK_NUMBERS numbers and when the loop ends, also by an
-error, so a run that stops at a malformed frame keeps the lines of the
-frames before it. When identity stitching merges ids, a second pass
+error, so a run that stops at an input error keeps the lines of every
+frame it processed. When identity stitching merges ids, a second pass
 copies each of them line by line through a temporary file,
 re-dumping only the lines whose person-id key names a fragment id with
 that one key changed. Memory holds one frame's detections and semantic

@@ -116,8 +116,8 @@ def test_text_decoders_flags_a_stray_decode(tmp_path):
 
 
 def test_no_import_goes_unread():
-    # No linter runs here; an import left behind after its last use would
-    # otherwise stay unseen.
+    # No linter is part of the test run; an import left behind after its
+    # last use would otherwise stay unseen.
     assert unused_imports(ROOT, ["src", "tests", "bench"]) == []
 
 
